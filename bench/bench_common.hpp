@@ -6,6 +6,7 @@
 // written under ./results/ so plots can be regenerated offline.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -68,6 +69,36 @@ inline CsvWriter open_csv(const std::string& name) {
     std::printf("[out] writing %s\n", path.c_str());
     return CsvWriter(path);
 }
+
+/// The paper-shape checks of one bench. check() prints one
+/// "  <claim> : YES" (or NO) line, optionally followed by a printf-style
+/// detail, and records a NO. main returns exit_code(), so a broken paper
+/// claim fails the bench and every script that runs it.
+class ShapeChecks {
+public:
+    void check(const char* claim, bool pass) { check(claim, pass, "%s", ""); }
+
+    [[gnu::format(printf, 4, 5)]] void check(const char* claim, bool pass,
+                                             const char* detail, ...) {
+        char text[256];
+        va_list args;
+        va_start(args, detail);
+        std::vsnprintf(text, sizeof(text), detail, args);
+        va_end(args);
+        std::printf("  %s : %s%s%s\n", claim, pass ? "YES" : "NO", text[0] ? " " : "",
+                    text);
+        if (!pass) ++failed_;
+    }
+
+    int exit_code() const {
+        if (failed_ == 0) return 0;
+        std::fprintf(stderr, "%zu paper-shape check(s) failed\n", failed_);
+        return 1;
+    }
+
+private:
+    std::size_t failed_ = 0;
+};
 
 inline void banner(const char* title) {
     std::printf("\n================================================================\n");

@@ -123,8 +123,9 @@ int main() {
                 tdc::TdcConfig::paper_config().target_ones);
     std::printf("  conv dip below stall              : %.2f stages\n", conv_dip.mean());
     std::printf("  maxpool dip below stall           : %.2f stages\n", pool_dip.mean());
-    std::printf("  conv fluctuation >> pooling       : %s (%.2f vs %.2f)\n",
-                conv_dip.mean() > 2.0 * pool_dip.mean() ? "YES" : "NO", conv_dip.mean(),
-                pool_dip.mean());
-    return 0;
+    bench::ShapeChecks checks;
+    checks.check("conv fluctuation >> pooling      ",
+                 conv_dip.mean() > 2.0 * pool_dip.mean(), "(%.2f vs %.2f)",
+                 conv_dip.mean(), pool_dip.mean());
+    return checks.exit_code();
 }

@@ -88,7 +88,9 @@ int main() {
                      static_cast<double>(conv1_start)) /
                         2.0);
     }
-    std::printf("paper-shape check: idle mode HW==4, start point HW==3 -> %s\n",
-                (idle_hw.argmax() == 4 && detector.triggered()) ? "YES" : "NO");
-    return 0;
+    std::printf("\npaper-shape checks:\n");
+    bench::ShapeChecks checks;
+    checks.check("idle mode HW==4, start point HW==3",
+                 idle_hw.argmax() == 4 && detector.triggered());
+    return checks.exit_code();
 }

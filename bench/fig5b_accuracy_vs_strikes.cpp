@@ -98,10 +98,10 @@ int main() {
     }
 
     std::printf("\npaper-shape checks:\n");
-    std::printf("  CONV2 is the most fault-sensitive layer : %s (max drop %.1f%% on %s)\n",
-                best_layer == "CONV2" ? "YES" : "NO", 100.0 * best_drop,
-                best_layer.c_str());
+    bench::ShapeChecks checks;
+    checks.check("CONV2 is the most fault-sensitive layer", best_layer == "CONV2",
+                 "(max drop %.1f%% on %s)", 100.0 * best_drop, best_layer.c_str());
     std::printf("  CONV2 max accuracy drop (paper: ~14%%)   : %.1f%%\n",
                 100.0 * conv2_max_drop);
-    return 0;
+    return checks.exit_code();
 }

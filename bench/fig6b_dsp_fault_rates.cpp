@@ -67,14 +67,14 @@ int main() {
                 manifest.points.size(), manifest.total_seconds, manifest.threads);
 
     std::printf("\npaper-shape checks:\n");
-    std::printf("  total fault rate ~100%% at 24,000 cells : %s (%.1f%%)\n",
-                total_at_24k > 0.95 ? "YES" : "NO", 100.0 * total_at_24k);
-    std::printf("  near zero at low cell counts            : %s (%.1f%% at 4,000)\n",
-                total_at_4k < 0.05 ? "YES" : "NO", 100.0 * total_at_4k);
-    std::printf("  total rate monotone in cells            : %s\n",
-                monotone ? "YES" : "NO");
-    std::printf("  duplication peaks mid-range, random takes over at high intensity : %s\n",
-                dup_peak_interior ? "YES" : "NO");
+    bench::ShapeChecks checks;
+    checks.check("total fault rate ~100% at 24,000 cells", total_at_24k > 0.95,
+                 "(%.1f%%)", 100.0 * total_at_24k);
+    checks.check("near zero at low cell counts          ", total_at_4k < 0.05,
+                 "(%.1f%% at 4,000)", 100.0 * total_at_4k);
+    checks.check("total rate monotone in cells          ", monotone);
+    checks.check("duplication peaks mid-range, random takes over at high intensity",
+                 dup_peak_interior);
     std::printf("  -> attacker controls fault intensity by choosing the cell count\n");
-    return 0;
+    return checks.exit_code();
 }

@@ -80,15 +80,12 @@ int main() {
     std::printf("\npaper-number checks:\n");
     std::printf("  power striker slice share (paper: 15.03%%) : %.2f%%\n",
                 striker_util.slice_pct());
-    std::printf("  latch-based striker passes DRC             : %s\n",
-                fabric::run_drc(striker_nl).count(fabric::DrcRule::CombinationalLoop) == 0
-                    ? "YES"
-                    : "NO");
-    std::printf("  ring-oscillator bank rejected by DRC       : %s\n",
-                fabric::run_drc(ro_nl).count(fabric::DrcRule::CombinationalLoop) > 0
-                    ? "YES"
-                    : "NO");
-    std::printf("  victim + attacker fit one XC7Z020          : %s\n",
-                fabric::utilization(system, dev).fits() ? "YES" : "NO");
-    return 0;
+    bench::ShapeChecks checks;
+    checks.check("latch-based striker passes DRC           ",
+                 fabric::run_drc(striker_nl).count(fabric::DrcRule::CombinationalLoop) == 0);
+    checks.check("ring-oscillator bank rejected by DRC     ",
+                 fabric::run_drc(ro_nl).count(fabric::DrcRule::CombinationalLoop) > 0);
+    checks.check("victim + attacker fit one XC7Z020        ",
+                 fabric::utilization(system, dev).fits());
+    return checks.exit_code();
 }

@@ -28,9 +28,7 @@ int main() {
     std::printf("  float test accuracy            : %.4f\n", tp.trained.test_accuracy);
     std::printf("  quantized (Q3.4) test accuracy : %.4f   (paper: 96.17%% on FPGA)\n",
                 qacc);
-    std::printf("  accelerator clean accuracy     : %.4f   (bit-exact with golden: %s)\n",
-                accel_clean.accuracy,
-                accel_clean.accuracy == qacc ? "YES" : "NO");
+    std::printf("  accelerator clean accuracy     : %.4f\n", accel_clean.accuracy);
 
     // Schedule table.
     const auto& sched = tp.platform.engine().schedule();
@@ -55,12 +53,12 @@ int main() {
     const std::size_t conv2 = sched.segment_for("CONV2").cycles;
     const std::size_t fc1 = sched.segment_for("FC1").cycles;
     std::printf("\npaper-shape checks:\n");
-    std::printf("  FC1 takes the longest to execute  : %s\n",
-                (fc1 > conv2 && fc1 > conv1) ? "YES" : "NO");
-    std::printf("  CONV2 larger & longer than CONV1  : %s\n",
-                conv2 > conv1 ? "YES" : "NO");
-    std::printf("  quantized accuracy in the 96%%-band: %s (%.2f%%)\n",
-                (qacc > 0.93 && qacc < 1.0) ? "YES" : "NO", 100.0 * qacc);
+    bench::ShapeChecks checks;
+    checks.check("accelerator bit-exact with golden ", accel_clean.accuracy == qacc);
+    checks.check("FC1 takes the longest to execute  ", fc1 > conv2 && fc1 > conv1);
+    checks.check("CONV2 larger & longer than CONV1  ", conv2 > conv1);
+    checks.check("quantized accuracy in the 96%-band", qacc > 0.93 && qacc < 1.0,
+                 "(%.2f%%)", 100.0 * qacc);
 
     // DSP timing summary: why DSP layers are the vulnerable ones.
     const auto& eng = tp.platform.engine();
@@ -71,5 +69,5 @@ int main() {
     std::printf("  FC path sign-off fraction   %.2f -> faults below %.4f V\n",
                 tp.platform.config().accel.fc_timing.nominal_path_fraction,
                 eng.fc_safe_voltage());
-    return 0;
+    return checks.exit_code();
 }

@@ -14,8 +14,8 @@ namespace deepstrike::attack {
 
 namespace {
 
-// IEEE-754 bit-exact float framing for journal records (same wire form as
-// the campaign journal; local copies keep ds_attack free of ds_sim).
+// IEEE-754 bit-exact float encoding for journal records (the same hex form
+// as the campaign journal; local copies keep ds_attack free of ds_sim).
 std::string bits_hex(double value) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &value, sizeof bits);

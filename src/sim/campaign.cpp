@@ -113,6 +113,9 @@ std::string double_bits_hex(double value) {
     return buf;
 }
 
+namespace {
+
+/// Strict 16-char lowercase hex -> u64.
 std::uint64_t uint64_from_hex(const std::string& hex) {
     if (hex.size() != 16) {
         throw FormatError("journal: bad 64-bit hex field '" + hex + "'");
@@ -126,6 +129,8 @@ std::uint64_t uint64_from_hex(const std::string& hex) {
     }
     return bits;
 }
+
+} // namespace
 
 double double_from_bits_hex(const std::string& hex) {
     const std::uint64_t bits = uint64_from_hex(hex);
@@ -185,9 +190,9 @@ std::vector<PlannedCampaignPoint> plan_points(const Platform& platform,
 /// 64-bit hash of everything that determines the campaign's results:
 /// the victim network (weights, shapes, quantization format), the
 /// evaluation setup, the detector, the trigger, and every planned scheme.
-/// A journal (or a distributed worker pool) operating under a different
-/// fingerprint is rejected rather than silently mixed into this
-/// configuration — including one derived from a different victim.
+/// A journal written under a different fingerprint is rejected rather
+/// than silently mixed into this configuration — including one derived
+/// from a different victim.
 std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                                    const ProfilingRun& prof,
                                    const std::vector<PlannedCampaignPoint>& planned,
@@ -233,11 +238,6 @@ Json point_record(const std::string& label, const CampaignPoint& point) {
     payload.set("random_faults", static_cast<std::uint64_t>(point.faults.random));
     payload.set("images", static_cast<std::uint64_t>(point.images));
     return payload;
-}
-
-std::optional<std::size_t> segment_index_from_json(const Json& value) {
-    if (value.is_integer() && value.as_int() < 0) return std::nullopt;
-    return value.as_uint();
 }
 
 } // namespace
@@ -299,79 +299,6 @@ Json evaluate_campaign_record(const Platform& platform, const data::Dataset& tes
     point.faults = res.faults;
     point.images = res.images;
     return point_record(campaign_point_label(p), point);
-}
-
-std::string CampaignPlanInfo::label(std::size_t i) const {
-    return points[i].target + " x" + std::to_string(points[i].strikes);
-}
-
-Json CampaignPlanInfo::to_json() const {
-    Json root = Json::object();
-    root.set("detector_fired", detector_fired);
-    root.set("trigger_sample", static_cast<std::uint64_t>(trigger_sample));
-    root.set("eval_images", static_cast<std::uint64_t>(eval_images));
-    root.set("fingerprint", CheckpointJournal::fingerprint_hex(fingerprint));
-
-    Json segs = Json::array();
-    for (const attack::ProfiledSegment& seg : segments) {
-        Json s = Json::object();
-        s.set("start_sample", static_cast<std::uint64_t>(seg.start_sample));
-        s.set("end_sample", static_cast<std::uint64_t>(seg.end_sample));
-        // depth feeds the report as a raw double; ship bits, stay exact.
-        s.set("depth_bits", double_bits_hex(seg.depth));
-        s.set("class", static_cast<std::uint64_t>(seg.guess));
-        segs.push(std::move(s));
-    }
-    root.set("segments", std::move(segs));
-
-    Json pts = Json::array();
-    for (const PointMeta& p : points) {
-        Json j = Json::object();
-        j.set("target", p.target);
-        if (p.segment_index) {
-            j.set("segment_index", static_cast<std::uint64_t>(*p.segment_index));
-        } else {
-            j.set("segment_index", -1);
-        }
-        j.set("strikes", static_cast<std::uint64_t>(p.strikes));
-        j.set("gap_cycles", static_cast<std::uint64_t>(p.gap_cycles));
-        pts.push(std::move(j));
-    }
-    root.set("points", std::move(pts));
-    return root;
-}
-
-CampaignPlanInfo CampaignPlanInfo::from_json(const Json& json) {
-    CampaignPlanInfo info;
-    info.detector_fired = json.at("detector_fired").as_bool();
-    info.trigger_sample = json.at("trigger_sample").as_uint();
-    info.eval_images = json.at("eval_images").as_uint();
-    info.fingerprint = uint64_from_hex(json.at("fingerprint").as_string());
-    const Json& segs = json.at("segments");
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-        const Json& s = segs.at(i);
-        attack::ProfiledSegment seg;
-        seg.start_sample = s.at("start_sample").as_uint();
-        seg.end_sample = s.at("end_sample").as_uint();
-        seg.depth = double_from_bits_hex(s.at("depth_bits").as_string());
-        const std::uint64_t cls = s.at("class").as_uint();
-        if (cls > static_cast<std::uint64_t>(attack::LayerClass::FullyConnected)) {
-            throw FormatError("plan info: bad layer class " + std::to_string(cls));
-        }
-        seg.guess = static_cast<attack::LayerClass>(cls);
-        info.segments.push_back(seg);
-    }
-    const Json& pts = json.at("points");
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Json& j = pts.at(i);
-        PointMeta p;
-        p.target = j.at("target").as_string();
-        p.segment_index = segment_index_from_json(j.at("segment_index"));
-        p.strikes = j.at("strikes").as_uint();
-        p.gap_cycles = j.at("gap_cycles").as_uint();
-        info.points.push_back(std::move(p));
-    }
-    return info;
 }
 
 CampaignPlanInfo plan_info(const CampaignPlan& plan) {
@@ -447,50 +374,6 @@ void require_known_manifest_keys(const Json& manifest,
             throw FormatError(what + ": unknown key '" + key + "'");
         }
     }
-}
-
-CampaignConfig campaign_config_from_manifest(const Json& manifest) {
-    // Victim keys are consumed by the submitter's/worker's victim factory;
-    // they are listed here so a manifest mixing both parses as a whole and
-    // a typoed key fails loudly instead of silently keeping a default.
-    require_known_manifest_keys(
-        manifest,
-        {"arch", "train_size", "test_size", "epochs", "data_seed",
-         "strike_grid", "eval_images", "fault_seed", "blind_offsets",
-         "blind_offset_seed", "golden_cache", "journal", "resume", "retries",
-         "deadline_seconds"},
-        "campaign manifest");
-
-    CampaignConfig config;
-    if (const Json* grid = manifest.find("strike_grid")) {
-        config.strike_grid.clear();
-        for (std::size_t i = 0; i < grid->size(); ++i) {
-            config.strike_grid.push_back(grid->at(i).as_uint());
-        }
-        if (config.strike_grid.empty()) {
-            throw FormatError("campaign manifest: empty strike_grid");
-        }
-    }
-    if (const Json* v = manifest.find("eval_images")) config.eval_images = v->as_uint();
-    if (const Json* v = manifest.find("fault_seed")) config.fault_seed = v->as_uint();
-    if (const Json* v = manifest.find("blind_offsets")) {
-        config.blind_offsets = v->as_uint();
-    }
-    if (const Json* v = manifest.find("blind_offset_seed")) {
-        config.blind_offset_seed = v->as_uint();
-    }
-    if (const Json* v = manifest.find("golden_cache")) {
-        config.golden_cache = v->as_bool();
-    }
-    if (const Json* v = manifest.find("journal")) config.journal_path = v->as_string();
-    if (const Json* v = manifest.find("resume")) config.resume = v->as_bool();
-    if (const Json* v = manifest.find("retries")) {
-        config.max_point_retries = v->as_uint();
-    }
-    if (const Json* v = manifest.find("deadline_seconds")) {
-        config.deadline_seconds = v->as_number();
-    }
-    return config;
 }
 
 CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_set,

@@ -7,8 +7,9 @@
 // optionally a blind baseline at the same intensities. This is what the
 // fig5b bench and the `deepstrike campaign` CLI command run.
 //
-// The campaign is factored into three phases so that single-process and
-// distributed execution share one definition of the work:
+// The campaign is factored into three phases so that the checkpoint
+// journal and the end-to-end benchmark (bench/e2e) share one definition of
+// the work:
 //
 //   plan_campaign()              profiling + point planning + fingerprint
 //   evaluate_campaign_record()   one journal-record payload per index
@@ -16,11 +17,10 @@
 //   assemble_campaign_report()   records -> CampaignReport
 //
 // The per-record payloads are exactly the sim::CheckpointJournal records
-// (IEEE-754 bit patterns for floats), so they serve three roles with one
-// byte format: crash-safe journal lines, resume restores, and the
-// work/result messages of the distributed protocol (docs/distributed.md).
-// A report assembled from records is byte-identical to one produced by
-// the in-process path — regardless of which process computed each record.
+// (IEEE-754 bit patterns for floats), so a record restored on resume and
+// one computed fresh are indistinguishable. A report assembled from
+// records is byte-identical to run_campaign's, whichever order or runner
+// computed each record.
 //
 // Execution goes through sim::SweepRunner: points run in parallel over the
 // persistent thread pool and share co-simulated traces through its cache.
@@ -120,9 +120,9 @@ struct PlannedCampaignPoint {
 };
 
 /// The complete static plan of a campaign: profiling result, every
-/// planned point, and the 64-bit result fingerprint. Any process holding
-/// the same victim + config derives an identical plan (and fingerprint) —
-/// the property the distributed handshake verifies before sharing work.
+/// planned point, and the 64-bit result fingerprint. The same victim +
+/// config always derives an identical plan (and fingerprint) — the
+/// property the journal verifies before resuming.
 struct CampaignPlan {
     CampaignConfig config;
     ProfilingRun prof;
@@ -154,10 +154,8 @@ Json evaluate_campaign_record(const Platform& platform, const data::Dataset& tes
                               const CampaignPlan& plan, SweepRunner& runner,
                               const GoldenStore* golden, std::size_t record_index);
 
-/// Wire-safe summary of a CampaignPlan: everything report assembly needs,
-/// with floats carried as IEEE-754 bit patterns so a summary that crossed
-/// a socket reproduces report bytes exactly. This is the payload of the
-/// distributed protocol's `plan` message (docs/distributed.md).
+/// Summary of a CampaignPlan: everything report assembly needs, without
+/// the schemes and traces that only evaluation uses.
 struct CampaignPlanInfo {
     bool detector_fired = false;
     std::size_t trigger_sample = 0;
@@ -174,45 +172,30 @@ struct CampaignPlanInfo {
     std::vector<PointMeta> points;
 
     std::size_t record_count() const { return points.size() + 1; }
-    /// Journal/display label of point i (matches campaign_point_label()).
-    std::string label(std::size_t i) const;
-
-    Json to_json() const;
-    static CampaignPlanInfo from_json(const Json& json); // throws FormatError
 };
 
 CampaignPlanInfo plan_info(const CampaignPlan& plan);
 
 /// Phase 3: assembles the final report from one record per index
-/// (journal payloads / wire `result` payloads). A null (missing) record
-/// marks that index as never completed: the point is omitted and the
-/// report is marked partial — the same semantics as a deadline skip.
+/// (journal payloads). A null (missing) record marks that index as never
+/// completed: the point is omitted and the report is marked partial — the
+/// same semantics as a deadline skip.
 CampaignReport assemble_campaign_report(const CampaignPlanInfo& info,
                                         const std::vector<Json>& records);
 
 /// Rejects any key of `manifest` (which must be a JSON object) that is
 /// not in `known`, with a FormatError naming the offender and `what` (for
-/// the message, e.g. "campaign manifest"). Every manifest-shaped config
-/// parser (campaign, search) runs its keys through this, so a typoed knob
-/// fails loudly instead of silently keeping a default.
+/// the message, e.g. "search manifest"). The search manifest parser runs
+/// its keys through this, so a typoed knob fails loudly instead of
+/// silently keeping a default.
 void require_known_manifest_keys(const Json& manifest,
                                  const std::vector<std::string>& known,
                                  const std::string& what);
 
-/// Parses a campaign manifest object (the `submit` payload of the
-/// distributed protocol, see docs/distributed.md) into a CampaignConfig.
-/// Unknown keys are rejected so a typoed manifest fails loudly. Victim
-/// keys (`arch`, `train_size`, ...) are validated but consumed by the
-/// caller's victim factory, not by this config.
-CampaignConfig campaign_config_from_manifest(const Json& manifest);
-
-// Floating-point results cross the journal and the wire as IEEE-754 bit
-// patterns so restores and remote assembly are bit-exact; the
-// human-readable value rides alongside.
+// Floating-point results cross the journal as IEEE-754 bit patterns so
+// restores are bit-exact; the human-readable value rides alongside.
 std::string double_bits_hex(double value);
 double double_from_bits_hex(const std::string& hex);
-/// Strict 16-char lowercase hex -> u64 (fingerprints on the wire).
-std::uint64_t uint64_from_hex(const std::string& hex);
 
 /// Runs the campaign in-process: plan, parallel sweep (with optional
 /// journal/resume per config), assemble. When `manifest` is non-null it

@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/campaign.hpp"
+#include "sim/golden_cache.hpp"
 #include "sim/journal.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -220,6 +222,47 @@ TEST_F(ResumeFixture, DeadlineProducesValidPartialReport) {
     const std::string json = report.to_json().dump(2);
     EXPECT_NE(json.find("\"partial\": true"), std::string::npos);
     std::remove(cfg.journal_path.c_str());
+}
+
+// ------------------------------------------------------------ phases
+
+// The phase split (plan / evaluate one record / assemble) must rebuild
+// run_campaign's report byte for byte from records computed outside it,
+// in any order, each on its own runner, with or without the golden store.
+TEST(CampaignPhases, OutOfOrderRecordsAssembleToRunCampaignReport) {
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(61));
+    auto ds = data::make_datasets(9, 1, 30);
+    CampaignConfig cfg = small_config();
+    cfg.threads = 1;
+    const CampaignReport reference = run_campaign(platform, ds.test, cfg);
+    const std::string reference_json = reference.to_json().dump(2);
+
+    const CampaignPlan plan = plan_campaign(platform, ds.test, cfg);
+    ASSERT_EQ(plan.record_count(), reference.points.size() + 1);
+    const std::shared_ptr<const GoldenStore> store =
+        build_golden_store(platform.engine().network(), ds.test, plan.eval_images);
+    const std::vector<const GoldenStore*> goldens = {store.get(), nullptr};
+    for (const GoldenStore* golden : goldens) {
+        std::vector<Json> records(plan.record_count());
+        for (std::size_t idx = plan.record_count(); idx-- > 0;) {
+            SweepRunner runner(platform, RunnerConfig{1, true});
+            records[idx] =
+                evaluate_campaign_record(platform, ds.test, plan, runner, golden, idx);
+        }
+        const CampaignReport assembled = assemble_campaign_report(plan_info(plan), records);
+        EXPECT_EQ(assembled.to_json().dump(2), reference_json)
+            << "golden=" << (golden != nullptr);
+        EXPECT_EQ(assembled.to_markdown(), reference.to_markdown());
+
+        // A missing record (2 = point 1) drops exactly its point and marks
+        // the report partial.
+        records[2] = Json();
+        CampaignReport expected = reference;
+        expected.points.erase(expected.points.begin() + 1);
+        expected.partial = true;
+        EXPECT_EQ(assemble_campaign_report(plan_info(plan), records).to_json().dump(2),
+                  expected.to_json().dump(2));
+    }
 }
 
 TEST(CampaignReportJson, PartialKeyOnlyWhenPartial) {

@@ -344,12 +344,6 @@ TEST(ManifestKeys, SearchManifestRejectsUnknownKeys) {
                  FormatError);
 }
 
-TEST(ManifestKeys, CampaignManifestStillRejectsUnknownKeys) {
-    Json typo = Json::object();
-    typo.set("eval_imgaes", std::uint64_t{10});
-    EXPECT_THROW(sim::campaign_config_from_manifest(typo), FormatError);
-}
-
 TEST(ManifestKeys, SharedHelperNamesTheOffender) {
     Json manifest = Json::object();
     manifest.set("good", 1);

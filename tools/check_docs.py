@@ -14,26 +14,30 @@ Checks, over every tracked markdown file:
    the CLI. The flag inventory is parsed from tools/deepstrike_cli.cpp
    (the add_option/add_flag registrations that produce --help), so the
    check needs no compiled binary; lines invoking other tools (cmake,
-   ctest, git, the bench binaries) are skipped.
+   ctest, git, the bench binaries) are skipped. Docs under bench/e2e/
+   document the end-to-end benchmark's own tools instead, so their flags
+   are checked against those: the add_option/add_flag registrations of
+   bench/e2e/ds_e2e.cpp, the case arms of bench/e2e/run.sh and the
+   add_argument calls of bench/e2e/compare.py.
 4. Every bench EXPERIMENTS.md names (backticked `fig*`/`tab*`/
    `ablation_*`/`ext_*`/`micro_*` tokens) has a source file under
    bench/ — the experiment write-ups can't drift behind bench renames.
-5. Every backticked dotted metric name (`serve.queue_depth`,
-   `net.frames_sent`, ...) is actually registered somewhere under src/
-   via metrics::counter/gauge/histogram. A trailing `.*` wildcard
-   (`serve.*`) is accepted when at least one registered metric carries
-   that prefix. Only tokens whose first segment is a namespace the code
-   registers are policed, so prose like `config.port` stays free.
-6. The wire message types docs/distributed.md documents (first-column
-   backticked tokens of its "Message types" table) match the protocol's
-   kMessageTypes table in src/net/protocol.cpp exactly, both ways: a
-   type added to the code without a docs row fails, and so does a
-   documented type the coordinator would refuse.
+5. Every backticked dotted metric name (`pdn.steps`,
+   `runner.trace_cache_hits`, ...) is actually registered somewhere under
+   src/ via metrics::counter/gauge/histogram. A trailing `.*` wildcard
+   (`cosim.lanes.*`) is accepted when at least one registered metric
+   carries that prefix. Only tokens whose first segment is a namespace
+   the code registers are policed, so prose like `config.port` stays
+   free. Docs under bench/e2e/ may also name the metrics ds_e2e reports
+   (the names it passes to `<metrics>.add` and `count`).
+
+Tracked markdown files missing from the working tree are skipped.
 
 Exit code 0 when clean, 1 with a per-file report otherwise.
 """
 
 import argparse
+import collections
 import pathlib
 import re
 import subprocess
@@ -72,13 +76,20 @@ NON_METRIC_SUFFIXES = (
     ".csv", ".vcd", ".yml", ".yaml",
 )
 
-WIRE_TYPES_SOURCE = "src/net/protocol.cpp"
-WIRE_TYPES_BEGIN = "// wire-message-types-begin"
-WIRE_TYPES_END = "// wire-message-types-end"
-WIRE_DOC = "docs/distributed.md"
-WIRE_DOC_SECTION = "## Message types"
-# First-column backticked token of a markdown table row.
-TABLE_TYPE_RE = re.compile(r"^\|\s*`([a-z-]+)`", re.MULTILINE)
+# The end-to-end benchmark documents its own tools (bench/e2e/README.md).
+E2E_DOCS = "bench/e2e/"
+E2E_DRIVER = "bench/e2e/ds_e2e.cpp"
+E2E_SCRIPT = "bench/e2e/run.sh"
+E2E_COMPARE = "bench/e2e/compare.py"
+# run.sh's option parser: one `--flag)` case arm per option.
+CASE_ARM_RE = re.compile(r"^\s*(--[A-Za-z][A-Za-z0-9-]*)\)", re.MULTILINE)
+ADD_ARGUMENT_RE = re.compile(r'add_argument\(\s*"(--[A-Za-z][A-Za-z0-9-]*)"')
+# Metrics ds_e2e reports: out.add("name", ...), layers.add(...), count("name", ...).
+E2E_METRIC_RE = re.compile(r'\b(?:\w+\.add|count)\(\s*"([^"]+)"')
+
+# The tools a doc documents: the words that name them on a command line,
+# the flags they register, and what a report calls that flag inventory.
+Tools = collections.namedtuple("Tools", "words flags name")
 
 # Command lines mentioning these tools use their own flag namespaces.
 FOREIGN_COMMAND_WORDS = (
@@ -88,10 +99,12 @@ FOREIGN_COMMAND_WORDS = (
 
 
 def tracked_markdown():
+    """Tracked markdown files present in the working tree."""
     out = subprocess.run(
         ["git", "ls-files", "*.md"], cwd=REPO, capture_output=True, text=True,
         check=True)
-    return [REPO / line for line in out.stdout.splitlines() if line]
+    paths = (REPO / line for line in out.stdout.splitlines() if line)
+    return [path for path in paths if path.is_file()]
 
 
 def cli_flags():
@@ -100,6 +113,20 @@ def cli_flags():
     flags = {"--" + name for name in REGISTRATION_RE.findall(source)}
     flags.add("--help")
     return flags
+
+
+def e2e_flags():
+    """Flags of the end-to-end benchmark's tools: ds_e2e, run.sh, compare.py."""
+    flags = {"--" + name
+             for name in REGISTRATION_RE.findall((REPO / E2E_DRIVER).read_text())}
+    flags.update(CASE_ARM_RE.findall((REPO / E2E_SCRIPT).read_text()))
+    flags.update(ADD_ARGUMENT_RE.findall((REPO / E2E_COMPARE).read_text()))
+    return flags
+
+
+def e2e_metrics():
+    """Metric names ds_e2e reports."""
+    return set(E2E_METRIC_RE.findall((REPO / E2E_DRIVER).read_text()))
 
 
 def registered_metrics():
@@ -111,14 +138,6 @@ def registered_metrics():
             names.update(METRIC_REGISTRATION_RE.findall(text))
             names.update(TRACE_REGISTRATION_RE.findall(text))
     return names
-
-
-def wire_message_types():
-    """The protocol's kMessageTypes table, parsed from the marked block."""
-    source = (REPO / WIRE_TYPES_SOURCE).read_text()
-    begin = source.index(WIRE_TYPES_BEGIN)
-    end = source.index(WIRE_TYPES_END)
-    return set(re.findall(r'"([a-z-]+)"', source[begin:end]))
 
 
 def strip_code_spans(line):
@@ -159,23 +178,24 @@ def check_backticked_paths(doc, text, errors):
         errors.append(f"{doc.relative_to(REPO)}: referenced path missing -> {token}")
 
 
-def check_cli_flags(doc, text, flags, errors):
+def check_cli_flags(doc, text, tools, errors):
     for line in text.splitlines():
         lowered = line.lower()
         if any(word in lowered for word in FOREIGN_COMMAND_WORDS):
             continue
         if "--" not in line:
             continue
-        # Only police flags on lines that are clearly about the deepstrike
-        # CLI: a `deepstrike` invocation or a flag-documentation line that
-        # names one of its flags in backticks.
-        mentions_cli = "deepstrike" in lowered or BACKTICK_RE.search(line)
-        if not mentions_cli:
+        # Only police flags on lines that are clearly about the documented
+        # tools: an invocation naming one, or a flag-documentation line
+        # that names one of their flags in backticks.
+        mentions_tool = (any(word in lowered for word in tools.words)
+                         or BACKTICK_RE.search(line))
+        if not mentions_tool:
             continue
         for flag in FLAG_RE.findall(strip_code_spans(line)):
-            if flag not in flags:
+            if flag not in tools.flags:
                 errors.append(
-                    f"{doc.relative_to(REPO)}: flag not in deepstrike --help "
+                    f"{doc.relative_to(REPO)}: flag not in {tools.name} "
                     f"-> {flag} (line: {line.strip()[:80]})")
 
 
@@ -196,7 +216,7 @@ def check_experiment_benches(doc, text, errors):
             f"-> {token}")
 
 
-def check_metric_names(doc, text, metrics, errors):
+def check_metric_names(doc, text, metrics, source, errors):
     """Backticked dotted tokens in a registered namespace must name a
     registered metric (or be a `ns.*` wildcard with at least one hit)."""
     namespaces = {name.split(".", 1)[0] for name in metrics}
@@ -214,62 +234,41 @@ def check_metric_names(doc, text, metrics, errors):
                 name.startswith(token[:-1]) for name in metrics):
             continue
         errors.append(
-            f"{doc.relative_to(REPO)}: metric not registered under src/ "
-            f"-> {token}")
-
-
-def check_wire_message_docs(doc, text, types, errors):
-    """docs/distributed.md's message-type table vs kMessageTypes, both ways."""
-    if WIRE_DOC_SECTION not in text:
-        errors.append(
-            f"{doc.relative_to(REPO)}: no '{WIRE_DOC_SECTION}' section "
-            f"(the table checked against {WIRE_TYPES_SOURCE})")
-        return
-    # Only the table under the "Message types" heading names wire types;
-    # the doc's other tables (flags, error codes) use their own columns.
-    section = text.split(WIRE_DOC_SECTION, 1)[1]
-    section = re.split(r"^#{1,3} ", section, 1, flags=re.MULTILINE)[0]
-    documented = set(TABLE_TYPE_RE.findall(section))
-    for name in sorted(types - documented):
-        errors.append(
-            f"{doc.relative_to(REPO)}: wire message type undocumented "
-            f"-> {name} (in {WIRE_TYPES_SOURCE} but no table row)")
-    for name in sorted(documented - types):
-        errors.append(
-            f"{doc.relative_to(REPO)}: documented message type unknown to "
-            f"the protocol -> {name} (not in {WIRE_TYPES_SOURCE})")
+            f"{doc.relative_to(REPO)}: metric not {source} -> {token}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.parse_args()
 
-    flags = cli_flags()
+    cli_tools = Tools(("deepstrike",), cli_flags(), "deepstrike --help")
+    e2e_tools = Tools(("run.sh", "ds_e2e", "compare.py"), e2e_flags(),
+                      "the bench/e2e tools (ds_e2e, run.sh, compare.py)")
     metrics = registered_metrics()
-    wire_types = wire_message_types()
+    src_metrics = (metrics, "registered under src/")
+    e2e_metric_names = (metrics | e2e_metrics(),
+                        "registered under src/ or reported by ds_e2e")
     errors = []
     docs = tracked_markdown()
     for doc in docs:
         text = doc.read_text()
+        in_e2e = str(doc.relative_to(REPO)).startswith(E2E_DOCS)
+        tools, (names, source) = ((e2e_tools, e2e_metric_names) if in_e2e
+                                  else (cli_tools, src_metrics))
         check_links(doc, text, errors)
         check_backticked_paths(doc, text, errors)
-        check_cli_flags(doc, text, flags, errors)
-        check_metric_names(doc, text, metrics, errors)
+        check_cli_flags(doc, text, tools, errors)
+        check_metric_names(doc, text, names, source, errors)
         if doc.name == "EXPERIMENTS.md":
             check_experiment_benches(doc, text, errors)
-        if str(doc.relative_to(REPO)) == WIRE_DOC:
-            check_wire_message_docs(doc, text, wire_types, errors)
-    if not any(str(d.relative_to(REPO)) == WIRE_DOC for d in docs):
-        errors.append(f"{WIRE_DOC}: missing (the wire protocol reference "
-                      f"for {WIRE_TYPES_SOURCE} must exist)")
 
     if errors:
         print(f"check_docs: {len(errors)} problem(s) in {len(docs)} markdown files:")
         for e in errors:
             print("  " + e)
         return 1
-    print(f"check_docs: OK ({len(docs)} markdown files, {len(flags)} CLI "
-          f"flags, {len(metrics)} metrics, {len(wire_types)} wire types)")
+    print(f"check_docs: OK ({len(docs)} markdown files, {len(cli_tools.flags)} CLI "
+          f"flags, {len(e2e_tools.flags)} e2e tool flags, {len(metrics)} metrics)")
     return 0
 
 

@@ -13,15 +13,7 @@
 //   deepstrike defend       evaluate the glitch monitor + throttle defense
 //   deepstrike resources    utilization + DRC table of all circuits
 //
-// Distributed campaign service (docs/distributed.md):
-//
-//   deepstrike serve        run the campaign coordinator
-//   deepstrike work         run a campaign worker against a coordinator
-//   deepstrike submit       submit a campaign manifest, stream the result
-//   deepstrike tail         re-attach to a submitted campaign's stream
-//
 // Every subcommand accepts --help.
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -37,13 +29,10 @@
 #include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
-#include "sim/coordinator.hpp"
 #include "sim/cosim_lanes.hpp"
 #include "sim/search.hpp"
-#include "sim/dist_client.hpp"
 #include "sim/experiment.hpp"
 #include "sim/vcd.hpp"
-#include "sim/worker.hpp"
 #include "striker/striker.hpp"
 #include "tdc/netlist_builder.hpp"
 #include "sim/runner.hpp"
@@ -824,295 +813,6 @@ int cmd_resources(const std::vector<std::string>& args) {
     return 0;
 }
 
-// ----------------------------------------------------- distributed service
-
-void add_connect_options(ArgParser& parser) {
-    parser.add_option("host", "coordinator host", "127.0.0.1");
-    parser.add_option("port", "coordinator TCP port", "0");
-}
-
-std::uint16_t parse_port(const ArgParser& parser) {
-    const std::size_t port = parser.option_uint("port");
-    if (port == 0 || port > 65535) {
-        throw ConfigError("--port must be 1..65535 (got " + parser.option("port") +
-                          ")");
-    }
-    return static_cast<std::uint16_t>(port);
-}
-
-sim::Coordinator* g_coordinator = nullptr;
-
-void coordinator_signal(int) {
-    if (g_coordinator != nullptr) g_coordinator->stop();
-}
-
-int cmd_serve(const std::vector<std::string>& args) {
-    ArgParser parser("deepstrike serve",
-                     "Run the campaign coordinator: accept submitted campaign "
-                     "manifests and shard their records across `deepstrike work` "
-                     "processes (see docs/distributed.md).");
-    parser.add_option("host", "listen address", "127.0.0.1");
-    parser.add_option("port", "listen TCP port (0 = ephemeral)", "0");
-    parser.add_option("port-file",
-                      "write the bound port number to this file once listening "
-                      "(for scripts using --port 0)",
-                      "");
-    parser.add_option("heartbeat-timeout",
-                      "seconds of worker silence before its in-flight record is "
-                      "reassigned",
-                      "15");
-    parser.add_option("max-campaigns",
-                      "exit after this many completed campaigns (0 = serve "
-                      "forever)",
-                      "0");
-    add_observability_options(parser);
-    parser.add_flag("quiet", "suppress per-event progress lines");
-    parser.add_flag("help", "show this help");
-    if (!parser.parse(args)) {
-        std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
-        return 2;
-    }
-    if (parser.flag("help")) {
-        std::printf("%s", parser.usage().c_str());
-        return 0;
-    }
-
-    const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
-    sim::CoordinatorConfig cfg;
-    cfg.host = parser.option("host");
-    cfg.port = static_cast<std::uint16_t>(parser.option_uint("port"));
-    cfg.heartbeat_timeout_seconds = parser.option_double("heartbeat-timeout");
-    cfg.max_campaigns = parser.option_uint("max-campaigns");
-    cfg.verbose = !parser.flag("quiet");
-
-    sim::Coordinator coordinator(cfg);
-    const std::string port_file = parser.option("port-file");
-    if (!port_file.empty()) {
-        atomic_write_file(port_file, std::to_string(coordinator.port()) + "\n");
-    }
-
-    g_coordinator = &coordinator;
-    std::signal(SIGINT, coordinator_signal);
-    std::signal(SIGTERM, coordinator_signal);
-    const int rc = coordinator.run();
-    g_coordinator = nullptr;
-
-    const sim::Coordinator::Stats& st = coordinator.stats();
-    std::printf("served %zu/%zu campaigns: %zu records dispatched, %zu reassigned; "
-                "%zu workers seen, %zu rejected\n",
-                st.campaigns_completed, st.campaigns_submitted, st.points_dispatched,
-                st.points_reassigned, st.workers_seen, st.workers_rejected);
-    return sinks.finish() ? rc : 1;
-}
-
-int cmd_work(const std::vector<std::string>& args) {
-    ArgParser parser("deepstrike work",
-                     "Run a campaign worker: derive plans from manifests the "
-                     "coordinator announces and evaluate assigned records "
-                     "(see docs/distributed.md).");
-    add_connect_options(parser);
-    parser.add_option("heartbeat-interval",
-                      "seconds between liveness frames while evaluating", "1");
-    parser.add_option("max-points",
-                      "fault-injection hook for tests: evaluate this many records, "
-                      "then drop the connection without replying (0 = unlimited)",
-                      "0");
-    add_threads_option(parser);
-    add_engine_options(parser);
-    add_observability_options(parser);
-    parser.add_flag("quiet", "suppress per-event progress lines");
-    parser.add_flag("help", "show this help");
-    if (!parser.parse(args)) {
-        std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
-        return 2;
-    }
-    if (parser.flag("help")) {
-        std::printf("%s", parser.usage().c_str());
-        return 0;
-    }
-
-    apply_threads_option(parser);
-    apply_engine_options(parser);
-    const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
-    sim::WorkerConfig cfg;
-    cfg.host = parser.option("host");
-    cfg.port = parse_port(parser);
-    cfg.heartbeat_interval_seconds = parser.option_double("heartbeat-interval");
-    cfg.max_points = parser.option_uint("max-points");
-    cfg.verbose = !parser.flag("quiet");
-
-    // The victim factory mirrors `load_victim`, but driven by manifest
-    // keys instead of CLI flags: every worker (and any single-process
-    // verification run) builds the identical victim from the identical
-    // spec — the premise the coordinator's fingerprint handshake checks.
-    const sim::VictimFactory factory = [](const Json& manifest) {
-        nn::ZooTrainSpec spec = nn::zoo_spec(nn::parse_architecture(
-            manifest.find("arch") ? manifest.at("arch").as_string() : "lenet5"));
-        if (const Json* v = manifest.find("train_size")) spec.train_size = v->as_uint();
-        if (const Json* v = manifest.find("test_size")) spec.test_size = v->as_uint();
-        if (const Json* v = manifest.find("epochs")) {
-            spec.train_config.epochs = v->as_uint();
-        }
-        if (const Json* v = manifest.find("data_seed")) spec.data_seed = v->as_uint();
-
-        const nn::ArchitectureInfo& info = nn::architecture_info(spec.architecture);
-        nn::TrainedModel trained = nn::train_or_load(spec);
-        quant::QNetwork network = quant::quantize_sequential(
-            trained.model, info.input_shape, {},
-            quant::quant_format_for(spec.architecture));
-        sim::PlatformConfig platform_config;
-        platform_config.accel = accel::accel_config_for(spec.architecture);
-        sim::Platform platform(platform_config, std::move(network));
-        data::Dataset test =
-            data::make_datasets(spec.data_seed, 1, spec.test_size).test;
-        return sim::WorkerVictim{std::move(platform), std::move(test)};
-    };
-
-    sim::WorkerStats stats;
-    const int rc = sim::run_worker(cfg, factory, &stats);
-    std::printf("worker done: %zu campaigns planned, %zu records evaluated\n",
-                stats.campaigns_planned, stats.records_evaluated);
-    return sinks.finish() ? rc : 1;
-}
-
-/// Builds the campaign manifest (docs/distributed.md) from submit's
-/// flags. Keys mirror CampaignConfig / the victim zoo spec.
-Json manifest_from_options(const ArgParser& parser) {
-    Json manifest = Json::object();
-    manifest.set("arch", parser.option("arch"));
-    manifest.set("train_size", parser.option_uint("train-size"));
-    manifest.set("test_size", parser.option_uint("test-size"));
-    manifest.set("epochs", parser.option_uint("epochs"));
-    manifest.set("data_seed", parser.option_uint("data-seed"));
-    Json grid = Json::array();
-    for (std::size_t strikes : parser.option_uint_list("strikes")) grid.push(strikes);
-    manifest.set("strike_grid", std::move(grid));
-    manifest.set("eval_images", parser.option_uint("images"));
-    if (parser.flag("no-blind")) manifest.set("blind_offsets", 0);
-    if (parser.flag("no-golden-cache")) manifest.set("golden_cache", false);
-    if (!parser.option("journal").empty()) {
-        manifest.set("journal", parser.option("journal"));
-    }
-    if (parser.flag("resume")) manifest.set("resume", true);
-    return manifest;
-}
-
-/// Shared tail loop of `submit` and `tail`: stream points, then write
-/// the report exactly where `deepstrike campaign` would have.
-int stream_campaign(sim::ServiceClient& client, std::uint64_t campaign,
-                    const ArgParser& parser) {
-    const bool quiet = parser.flag("quiet");
-    const sim::CampaignOutcome outcome =
-        client.tail(campaign, [&](const Json& point) {
-            if (quiet) return;
-            std::printf("[%llu] %s\n",
-                        static_cast<unsigned long long>(point.at("index").as_uint()),
-                        point.at("label").as_string().c_str());
-        });
-    if (outcome.failed) {
-        std::fprintf(stderr, "campaign #%llu failed (%s): %s\n",
-                     static_cast<unsigned long long>(campaign),
-                     outcome.error_code.c_str(), outcome.error_detail.c_str());
-        return 1;
-    }
-    std::printf("%s", outcome.markdown.c_str());
-
-    const std::string json_path = parser.option("json");
-    if (!json_path.empty()) {
-        atomic_write_file(json_path, outcome.report.dump(2) + "\n");
-        std::printf("JSON report written to %s\n", json_path.c_str());
-    }
-    const std::string md_path = parser.option("markdown");
-    if (!md_path.empty()) {
-        atomic_write_file(md_path, outcome.markdown);
-        std::printf("markdown report written to %s\n", md_path.c_str());
-    }
-    return 0;
-}
-
-void add_report_output_options(ArgParser& parser) {
-    parser.add_option("json", "write the JSON report here", "campaign.json");
-    parser.add_option("markdown", "write the markdown report here", "");
-}
-
-int cmd_submit(const std::vector<std::string>& args) {
-    ArgParser parser("deepstrike submit",
-                     "Submit a campaign to a coordinator and (unless --no-wait) "
-                     "stream its results (see docs/distributed.md).");
-    add_connect_options(parser);
-    parser.add_option("manifest-file",
-                      "read the campaign manifest from this JSON file instead of "
-                      "building it from the flags below",
-                      "");
-    add_common_victim_options(parser);
-    parser.add_option("strikes", "comma-separated strike grid",
-                      "500,1000,2000,3000,4500");
-    parser.add_option("images", "test images per point", "200");
-    parser.add_option("journal",
-                      "coordinator-side checkpoint journal path; pair with "
-                      "--resume to finish an interrupted campaign",
-                      "");
-    add_report_output_options(parser);
-    parser.add_flag("resume", "resume the coordinator-side --journal file");
-    parser.add_flag("no-blind", "skip the blind baseline");
-    parser.add_flag("no-golden-cache", "workers evaluate without the golden cache");
-    parser.add_flag("no-wait", "print the campaign id and exit instead of tailing");
-    parser.add_flag("quiet", "suppress per-point progress lines while tailing");
-    parser.add_flag("help", "show this help");
-    if (!parser.parse(args)) {
-        std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
-        return 2;
-    }
-    if (parser.flag("help")) {
-        std::printf("%s", parser.usage().c_str());
-        return 0;
-    }
-
-    Json manifest;
-    const std::string manifest_path = parser.option("manifest-file");
-    if (!manifest_path.empty()) {
-        std::ifstream file(manifest_path);
-        if (!file) {
-            std::fprintf(stderr, "cannot read %s\n", manifest_path.c_str());
-            return 1;
-        }
-        std::ostringstream text;
-        text << file.rdbuf();
-        manifest = Json::parse(text.str());
-    } else {
-        manifest = manifest_from_options(parser);
-    }
-
-    sim::ServiceClient client(parser.option("host"), parse_port(parser));
-    const std::uint64_t campaign = client.submit(manifest);
-    std::printf("campaign #%llu accepted\n",
-                static_cast<unsigned long long>(campaign));
-    if (parser.flag("no-wait")) return 0;
-    return stream_campaign(client, campaign, parser);
-}
-
-int cmd_tail(const std::vector<std::string>& args) {
-    ArgParser parser("deepstrike tail",
-                     "Attach to a submitted campaign's result stream; completed "
-                     "points are replayed first (see docs/distributed.md).");
-    add_connect_options(parser);
-    parser.add_option("campaign", "campaign id from `deepstrike submit`", "1");
-    add_report_output_options(parser);
-    parser.add_flag("quiet", "suppress per-point progress lines");
-    parser.add_flag("help", "show this help");
-    if (!parser.parse(args)) {
-        std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
-        return 2;
-    }
-    if (parser.flag("help")) {
-        std::printf("%s", parser.usage().c_str());
-        return 0;
-    }
-
-    sim::ServiceClient client(parser.option("host"), parse_port(parser));
-    return stream_campaign(client, parser.option_uint("campaign"), parser);
-}
-
 void print_global_usage() {
     std::printf(
         "deepstrike — DAC'21 DeepStrike reproduction toolkit\n\n"
@@ -1128,11 +828,6 @@ void print_global_usage() {
         "  characterize  DSP fault rates vs. striker cells (Fig. 6)\n"
         "  defend        glitch monitor + throttle evaluation\n"
         "  resources     utilization and DRC of all circuits\n\n"
-        "distributed campaign service (docs/distributed.md):\n"
-        "  serve         run the campaign coordinator\n"
-        "  work          run a campaign worker against a coordinator\n"
-        "  submit        submit a campaign manifest, stream the result\n"
-        "  tail          re-attach to a submitted campaign's stream\n\n"
         "run 'deepstrike <command> --help' for per-command options.\n");
 }
 
@@ -1158,10 +853,6 @@ int main(int argc, char** argv) {
         if (command == "characterize") return cmd_characterize(args);
         if (command == "defend") return cmd_defend(args);
         if (command == "resources") return cmd_resources(args);
-        if (command == "serve") return cmd_serve(args);
-        if (command == "work") return cmd_work(args);
-        if (command == "submit") return cmd_submit(args);
-        if (command == "tail") return cmd_tail(args);
         if (command == "--help" || command == "help") {
             print_global_usage();
             return 0;
