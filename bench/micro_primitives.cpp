@@ -19,6 +19,8 @@
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
 #include "host/frames.hpp"
+#include "nn/trainer.hpp"
+#include "nn/zoo.hpp"
 #include "pdn/pdn.hpp"
 #include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
@@ -564,6 +566,27 @@ void BM_SearchDriverOverhead(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SearchDriverOverhead);
+
+// Victim set-up: scoring the float model (nn::evaluate_accuracy through
+// Sequential::predict) and rendering the synthetic test split. Every run
+// of a paper workload loads its victim through both.
+void BM_FloatEvaluateAccuracy(benchmark::State& state) {
+    ds::Rng rng(7);
+    const ds::nn::Sequential model =
+        ds::nn::build_architecture(ds::nn::Architecture::LeNet5, rng);
+    const ds::data::DatasetPair data = ds::data::make_datasets(11, 0, 200);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ds::nn::evaluate_accuracy(model, data.test));
+    }
+}
+BENCHMARK(BM_FloatEvaluateAccuracy)->Unit(benchmark::kMillisecond);
+
+void BM_MakeDatasets(benchmark::State& state) {
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ds::data::make_datasets(42, 0, 1000).test.size());
+    }
+}
+BENCHMARK(BM_MakeDatasets)->Unit(benchmark::kMillisecond);
 
 void BM_BitVecPopcount(benchmark::State& state) {
     ds::Rng rng(6);

@@ -6,6 +6,7 @@
 
 #include "data/glyphs.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace deepstrike::data {
 
@@ -41,6 +42,21 @@ Affine make_affine(Rng& rng, const AugmentParams& p) {
     t.tr = shift_r;
     t.tc = shift_c;
     return t;
+}
+
+/// Renders samples first_index .. first_index + count - 1 across the
+/// global pool; each one is a pure function of (seed, index).
+Dataset render_split(std::uint64_t seed, std::size_t first_index, std::size_t count,
+                     const AugmentParams& params) {
+    Dataset out;
+    out.images.resize(count);
+    out.labels.resize(count);
+    parallel_for(count, [&](std::size_t i) {
+        Sample s = render_sample(seed, first_index + i, params);
+        out.images[i] = std::move(s.image);
+        out.labels[i] = s.label;
+    });
+    return out;
 }
 
 } // namespace
@@ -105,26 +121,8 @@ Sample render_sample(std::uint64_t seed, std::size_t index, const AugmentParams&
 
 DatasetPair make_datasets(std::uint64_t seed, std::size_t train_size,
                           std::size_t test_size, const AugmentParams& params) {
-    DatasetPair out;
-    out.train.images.reserve(train_size);
-    out.train.labels.reserve(train_size);
-    out.test.images.reserve(test_size);
-    out.test.labels.reserve(test_size);
-
-    for (std::size_t i = 0; i < train_size; ++i) {
-        Sample s = render_sample(seed, i, params);
-        out.train.images.push_back(std::move(s.image));
-        out.train.labels.push_back(s.label);
-    }
-    // Test stream starts far beyond any training index so splits never
-    // overlap regardless of sizes.
-    constexpr std::size_t kTestOffset = 1u << 24;
-    for (std::size_t i = 0; i < test_size; ++i) {
-        Sample s = render_sample(seed, kTestOffset + i, params);
-        out.test.images.push_back(std::move(s.image));
-        out.test.labels.push_back(s.label);
-    }
-    return out;
+    return DatasetPair{render_split(seed, 0, train_size, params),
+                       render_split(seed, kTestIndexOffset, test_size, params)};
 }
 
 std::string ascii_art(const FloatTensor& image) {

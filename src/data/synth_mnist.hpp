@@ -52,8 +52,15 @@ struct Dataset {
     std::size_t size() const { return images.size(); }
 };
 
-/// Builds train/test splits from disjoint index ranges of the same stream.
-/// `train_size` samples then `test_size` samples, deterministic in `seed`.
+/// Train sample i is render_sample(seed, i); test sample i is
+/// render_sample(seed, kTestIndexOffset + i), far beyond any training
+/// index, so the splits never overlap and the test split does not depend
+/// on the train size.
+inline constexpr std::size_t kTestIndexOffset = std::size_t{1} << 24;
+
+/// Builds train/test splits from disjoint index ranges of the same stream,
+/// deterministic in `seed` (a size of 0 renders nothing). Rendering runs
+/// across the global pool; the bytes do not depend on its width.
 struct DatasetPair {
     Dataset train;
     Dataset test;

@@ -47,30 +47,42 @@ std::size_t Conv2d::mac_count(const Shape& input_shape) const {
     return out.elements() * in_channels_ * kernel_ * kernel_;
 }
 
-FloatTensor Conv2d::forward(const FloatTensor& input) {
+FloatTensor Conv2d::infer(const FloatTensor& input, const FloatTensor& weight) const {
     const Shape out_shape = output_shape(input.shape());
-    cached_input_ = input;
+    expects(weight.shape() == weight_.value.shape(), "Conv2d: weight shape");
     FloatTensor out(out_shape);
 
+    const std::size_t iw = input.shape().dim(2);
+    const std::size_t in_plane = input.shape().dim(1) * iw;
     const std::size_t oh = out_shape.dim(1);
     const std::size_t ow = out_shape.dim(2);
+    // Every output sums bias, then ic, kr, kc ascending. Each weight is
+    // applied to a whole output plane before the next one, so the row
+    // loops vectorise across output pixels without reordering any sum.
+    const float* w = weight.data();
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        const float b = bias_.value.at(oc);
-        for (std::size_t r = 0; r < oh; ++r) {
-            for (std::size_t c = 0; c < ow; ++c) {
-                float acc = b;
-                for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-                    for (std::size_t kr = 0; kr < kernel_; ++kr) {
-                        for (std::size_t kc = 0; kc < kernel_; ++kc) {
-                            acc += input.at(ic, r + kr, c + kc) *
-                                   weight_.value.at(oc, ic, kr, kc);
-                        }
+        float* plane = out.data() + oc * oh * ow;
+        std::fill(plane, plane + oh * ow, bias_.value.at_unchecked(oc));
+        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+            const float* x = input.data() + ic * in_plane;
+            for (std::size_t kr = 0; kr < kernel_; ++kr) {
+                for (std::size_t kc = 0; kc < kernel_; ++kc) {
+                    const float wv = *w++;
+                    for (std::size_t r = 0; r < oh; ++r) {
+                        const float* xr = x + (r + kr) * iw + kc;
+                        float* __restrict o = plane + r * ow;
+                        for (std::size_t c = 0; c < ow; ++c) o[c] += xr[c] * wv;
                     }
                 }
-                out.at(oc, r, c) = acc;
             }
         }
     }
+    return out;
+}
+
+FloatTensor Conv2d::forward(const FloatTensor& input) {
+    FloatTensor out = infer(input);
+    cached_input_ = input;
     return out;
 }
 
@@ -120,35 +132,36 @@ std::size_t MaxPool2d::mac_count(const Shape& input_shape) const {
     return input_shape.elements();
 }
 
-FloatTensor MaxPool2d::forward(const FloatTensor& input) {
+FloatTensor MaxPool2d::pool(const FloatTensor& input,
+                            std::vector<std::size_t>* argmax) const {
     const Shape out_shape = output_shape(input.shape());
-    cached_input_shape_ = input.shape();
     FloatTensor out(out_shape);
-    argmax_.assign(out_shape.elements(), 0);
+    if (argmax != nullptr) argmax->assign(out_shape.elements(), 0);
 
-    const std::size_t ch = out_shape.dim(0);
-    const std::size_t oh = out_shape.dim(1);
+    const std::size_t iw = input.shape().dim(2);
+    const std::size_t rows = out_shape.dim(0) * out_shape.dim(1); // channel-major
     const std::size_t ow = out_shape.dim(2);
-    std::size_t flat_out = 0;
-    for (std::size_t c = 0; c < ch; ++c) {
-        for (std::size_t r = 0; r < oh; ++r) {
-            for (std::size_t w = 0; w < ow; ++w) {
-                float best = input.at(c, 2 * r, 2 * w);
-                std::size_t best_idx = input.index({c, 2 * r, 2 * w});
-                for (std::size_t dr = 0; dr < 2; ++dr) {
-                    for (std::size_t dw = 0; dw < 2; ++dw) {
-                        const float v = input.at(c, 2 * r + dr, 2 * w + dw);
-                        if (v > best) {
-                            best = v;
-                            best_idx = input.index({c, 2 * r + dr, 2 * w + dw});
-                        }
-                    }
-                }
-                out.at(c, r, w) = best;
-                argmax_[flat_out++] = best_idx;
+    const float* in = input.data();
+    float* o = out.data();
+    for (std::size_t row = 0; row < rows; ++row) {
+        for (std::size_t w = 0; w < ow; ++w) {
+            const std::size_t top = 2 * row * iw + 2 * w;
+            const std::size_t window[4] = {top, top + 1, top + iw, top + iw + 1};
+            std::size_t best = top;
+            for (const std::size_t idx : window) {
+                if (in[idx] > in[best]) best = idx;
             }
+            const std::size_t flat_out = row * ow + w;
+            o[flat_out] = in[best];
+            if (argmax != nullptr) (*argmax)[flat_out] = best;
         }
     }
+    return out;
+}
+
+FloatTensor MaxPool2d::forward(const FloatTensor& input) {
+    FloatTensor out = pool(input, &argmax_);
+    cached_input_shape_ = input.shape();
     return out;
 }
 
@@ -184,23 +197,51 @@ std::size_t Dense::mac_count(const Shape& input_shape) const {
     return in_features_ * out_features_;
 }
 
-FloatTensor Dense::forward(const FloatTensor& input) {
+FloatTensor Dense::infer(const FloatTensor& input, const FloatTensor& weight) const {
     expects(input.size() == in_features_, "Dense: input feature mismatch");
+    expects(weight.shape() == weight_.value.shape(), "Dense: weight shape");
+    FloatTensor out(Shape{out_features_});
+
+    // Every output is one chain: bias, then i ascending. Four outputs
+    // advance together as independent chains to hide the add latency.
+    const std::size_t n = in_features_;
+    const float* x = input.data();
+    const float* b = bias_.value.data();
+    float* y = out.data();
+    std::size_t o = 0;
+    for (; o + 4 <= out_features_; o += 4) {
+        const float* w0 = weight.data() + o * n;
+        const float* w1 = w0 + n;
+        const float* w2 = w1 + n;
+        const float* w3 = w2 + n;
+        float a0 = b[o], a1 = b[o + 1], a2 = b[o + 2], a3 = b[o + 3];
+        for (std::size_t i = 0; i < n; ++i) {
+            const float xi = x[i];
+            a0 += w0[i] * xi;
+            a1 += w1[i] * xi;
+            a2 += w2[i] * xi;
+            a3 += w3[i] * xi;
+        }
+        y[o] = a0;
+        y[o + 1] = a1;
+        y[o + 2] = a2;
+        y[o + 3] = a3;
+    }
+    for (; o < out_features_; ++o) {
+        const float* wo = weight.data() + o * n;
+        float acc = b[o];
+        for (std::size_t i = 0; i < n; ++i) acc += wo[i] * x[i];
+        y[o] = acc;
+    }
+    return out;
+}
+
+FloatTensor Dense::forward(const FloatTensor& input) {
+    FloatTensor out = infer(input);
     cached_input_shape_ = input.shape();
     // Flatten (copy) so backward is shape-agnostic.
     cached_input_ = FloatTensor(Shape{in_features_});
-    for (std::size_t i = 0; i < in_features_; ++i) {
-        cached_input_.at_unchecked(i) = input.at_unchecked(i);
-    }
-
-    FloatTensor out(Shape{out_features_});
-    for (std::size_t o = 0; o < out_features_; ++o) {
-        float acc = bias_.value.at(o);
-        const float* w = weight_.value.data() + o * in_features_;
-        const float* x = cached_input_.data();
-        for (std::size_t i = 0; i < in_features_; ++i) acc += w[i] * x[i];
-        out.at(o) = acc;
-    }
+    std::copy(input.begin(), input.end(), cached_input_.begin());
     return out;
 }
 
@@ -232,13 +273,17 @@ FloatTensor Dense::backward(const FloatTensor& grad_output) {
 
 // -------------------------------------------------------- ReluActivation
 
-FloatTensor ReluActivation::forward(const FloatTensor& input) {
-    cached_input_ = input;
+FloatTensor ReluActivation::infer(const FloatTensor& input) const {
     FloatTensor out(input.shape());
     for (std::size_t i = 0; i < input.size(); ++i) {
         out.at_unchecked(i) = std::max(0.0f, input.at_unchecked(i));
     }
     return out;
+}
+
+FloatTensor ReluActivation::forward(const FloatTensor& input) {
+    cached_input_ = input;
+    return infer(input);
 }
 
 FloatTensor ReluActivation::backward(const FloatTensor& grad_output) {
@@ -262,20 +307,26 @@ Shape AvgPool2d::output_shape(const Shape& input_shape) const {
     return Shape{input_shape.dim(0), input_shape.dim(1) / 2, input_shape.dim(2) / 2};
 }
 
-FloatTensor AvgPool2d::forward(const FloatTensor& input) {
+FloatTensor AvgPool2d::infer(const FloatTensor& input) const {
     const Shape out_shape = output_shape(input.shape());
-    cached_input_shape_ = input.shape();
     FloatTensor out(out_shape);
-    for (std::size_t c = 0; c < out_shape.dim(0); ++c) {
-        for (std::size_t r = 0; r < out_shape.dim(1); ++r) {
-            for (std::size_t w = 0; w < out_shape.dim(2); ++w) {
-                out.at(c, r, w) =
-                    (input.at(c, 2 * r, 2 * w) + input.at(c, 2 * r, 2 * w + 1) +
-                     input.at(c, 2 * r + 1, 2 * w) + input.at(c, 2 * r + 1, 2 * w + 1)) /
-                    4.0f;
-            }
+    const std::size_t iw = input.shape().dim(2);
+    const std::size_t rows = out_shape.dim(0) * out_shape.dim(1); // channel-major
+    const std::size_t ow = out_shape.dim(2);
+    float* o = out.data();
+    for (std::size_t row = 0; row < rows; ++row) {
+        const float* top = input.data() + 2 * row * iw;
+        const float* bottom = top + iw;
+        for (std::size_t w = 0; w < ow; ++w) {
+            *o++ = (top[2 * w] + top[2 * w + 1] + bottom[2 * w] + bottom[2 * w + 1]) / 4.0f;
         }
     }
+    return out;
+}
+
+FloatTensor AvgPool2d::forward(const FloatTensor& input) {
+    FloatTensor out = infer(input);
+    cached_input_shape_ = input.shape();
     return out;
 }
 
@@ -305,13 +356,17 @@ std::size_t TanhActivation::mac_count(const Shape& input_shape) const {
     return input_shape.elements();
 }
 
-FloatTensor TanhActivation::forward(const FloatTensor& input) {
+FloatTensor TanhActivation::infer(const FloatTensor& input) const {
     FloatTensor out(input.shape());
     for (std::size_t i = 0; i < input.size(); ++i) {
         out.at_unchecked(i) = std::tanh(input.at_unchecked(i));
     }
-    cached_output_ = out;
     return out;
+}
+
+FloatTensor TanhActivation::forward(const FloatTensor& input) {
+    cached_output_ = infer(input);
+    return cached_output_;
 }
 
 FloatTensor TanhActivation::backward(const FloatTensor& grad_output) {
@@ -325,17 +380,19 @@ FloatTensor TanhActivation::backward(const FloatTensor& grad_output) {
     return grad_input;
 }
 
-// --------------------------------------------------------------- softmax
-
 // -------------------------------------------------------- SignActivation
 
-FloatTensor SignActivation::forward(const FloatTensor& input) {
-    cached_input_ = input;
+FloatTensor SignActivation::infer(const FloatTensor& input) const {
     FloatTensor out(input.shape());
     for (std::size_t i = 0; i < input.size(); ++i) {
         out.at_unchecked(i) = input.at_unchecked(i) >= 0.0f ? 1.0f : -1.0f;
     }
     return out;
+}
+
+FloatTensor SignActivation::forward(const FloatTensor& input) {
+    cached_input_ = input;
+    return infer(input);
 }
 
 FloatTensor SignActivation::backward(const FloatTensor& grad_output) {
@@ -351,6 +408,8 @@ FloatTensor SignActivation::backward(const FloatTensor& grad_output) {
     }
     return grad_input;
 }
+
+// --------------------------------------------------------------- softmax
 
 FloatTensor softmax(const FloatTensor& logits) {
     expects(!logits.empty(), "softmax: non-empty input");

@@ -4,6 +4,14 @@
 // float32. The deployed victim is the quantized copy of these weights
 // running on the cycle-level accelerator model (src/accel); `quant`
 // provides the bit-exact golden reference used to validate it.
+//
+// Each layer has exactly one forward kernel, infer(): a const pointer walk
+// that scoring (Sequential::predict) calls directly and forward() calls
+// after recording what backward() needs. The kernels fix every output's
+// float accumulation order (bias first, then the reduction indices in
+// ascending order), so they may vectorise across outputs but never
+// reassociate within one; tests/nn_test.cpp holds them bit-equal to
+// checked-index reference loops.
 #pragma once
 
 #include <cmath>
@@ -31,6 +39,11 @@ class Layer {
 public:
     virtual ~Layer() = default;
 
+    /// The layer's output for one sample. Records nothing, so concurrent
+    /// calls on a shared layer are safe.
+    virtual FloatTensor infer(const FloatTensor& input) const = 0;
+
+    /// infer() plus the state backward() reads.
     virtual FloatTensor forward(const FloatTensor& input) = 0;
 
     /// Given dLoss/dOutput, accumulates parameter gradients and returns
@@ -57,6 +70,12 @@ public:
     Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
            Rng& rng);
 
+    FloatTensor infer(const FloatTensor& input) const override {
+        return infer(input, weight_.value);
+    }
+    /// The same kernel with `weight` (weight()'s shape) in place of the
+    /// layer's own, e.g. its signs for Binarized<Conv2d>.
+    FloatTensor infer(const FloatTensor& input, const FloatTensor& weight) const;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -86,6 +105,9 @@ class MaxPool2d final : public Layer {
 public:
     MaxPool2d() = default;
 
+    FloatTensor infer(const FloatTensor& input) const override {
+        return pool(input, nullptr);
+    }
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::string name() const override { return "maxpool2"; }
@@ -93,6 +115,10 @@ public:
     Shape output_shape(const Shape& input_shape) const override;
 
 private:
+    /// The pooling kernel; when `argmax` is set it also receives each
+    /// output's flat input index (the first maximum in window order).
+    FloatTensor pool(const FloatTensor& input, std::vector<std::size_t>* argmax) const;
+
     Shape cached_input_shape_;
     std::vector<std::size_t> argmax_; // flat input index per output element
 };
@@ -102,6 +128,12 @@ class Dense final : public Layer {
 public:
     Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
+    FloatTensor infer(const FloatTensor& input) const override {
+        return infer(input, weight_.value);
+    }
+    /// The same kernel with `weight` (weight()'s shape) in place of the
+    /// layer's own, e.g. its signs for Binarized<Dense>.
+    FloatTensor infer(const FloatTensor& input, const FloatTensor& weight) const;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -129,6 +161,7 @@ private:
 /// the writeback path, no LUT).
 class ReluActivation final : public Layer {
 public:
+    FloatTensor infer(const FloatTensor& input) const override;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::string name() const override { return "relu"; }
@@ -147,6 +180,7 @@ class AvgPool2d final : public Layer {
 public:
     AvgPool2d() = default;
 
+    FloatTensor infer(const FloatTensor& input) const override;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::string name() const override { return "avgpool2"; }
@@ -163,6 +197,7 @@ private:
 /// deployment datatype is fixed point (Sec. IV).
 class TanhActivation final : public Layer {
 public:
+    FloatTensor infer(const FloatTensor& input) const override;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::string name() const override { return "tanh"; }
@@ -181,6 +216,7 @@ private:
 /// backpropagates through binarized layers).
 class SignActivation final : public Layer {
 public:
+    FloatTensor infer(const FloatTensor& input) const override;
     FloatTensor forward(const FloatTensor& input) override;
     FloatTensor backward(const FloatTensor& grad_output) override;
     std::string name() const override { return "sign"; }
@@ -216,20 +252,20 @@ public:
         scale_ = 1.0f / std::sqrt(static_cast<float>(w.size() / w.shape().dim(0)));
     }
 
+    /// The inner kernel on sign(weight), scaled; the weights stay real.
+    FloatTensor infer(const FloatTensor& input) const override {
+        return scaled(inner_.infer(input, signs(inner_.weight().value)));
+    }
     FloatTensor forward(const FloatTensor& input) override {
         const WeightSwap swap(inner_.weight());
-        FloatTensor out = inner_.forward(input);
-        for (std::size_t i = 0; i < out.size(); ++i) out.at_unchecked(i) *= scale_;
-        return out;
+        return scaled(inner_.forward(input));
     }
     // grad-weight (g ⊗ input) does not read the weight values, and
     // grad-input must see the same ±1 weights the forward used — so the
     // whole backward runs under the swap too.
     FloatTensor backward(const FloatTensor& grad_output) override {
-        FloatTensor g = grad_output;
-        for (std::size_t i = 0; i < g.size(); ++i) g.at_unchecked(i) *= scale_;
         const WeightSwap swap(inner_.weight());
-        return inner_.backward(g);
+        return inner_.backward(scaled(grad_output));
     }
     std::vector<Parameter*> parameters() override { return inner_.parameters(); }
     std::string name() const override { return "bin-" + inner_.name(); }
@@ -244,15 +280,25 @@ public:
     const L& inner() const { return inner_; }
 
 private:
+    static FloatTensor signs(const FloatTensor& real) {
+        FloatTensor out(real.shape());
+        for (std::size_t i = 0; i < real.size(); ++i) {
+            out.at_unchecked(i) = real.at_unchecked(i) >= 0.0f ? 1.0f : -1.0f;
+        }
+        return out;
+    }
+
+    FloatTensor scaled(FloatTensor t) const {
+        for (std::size_t i = 0; i < t.size(); ++i) t.at_unchecked(i) *= scale_;
+        return t;
+    }
+
     /// Replaces a parameter's values with their signs for the lifetime of
     /// one forward/backward call, then restores the real weights.
     class WeightSwap {
     public:
-        explicit WeightSwap(Parameter& w) : w_(w), real_(w.value) {
-            for (std::size_t i = 0; i < w_.value.size(); ++i) {
-                w_.value.at_unchecked(i) =
-                    real_.at_unchecked(i) >= 0.0f ? 1.0f : -1.0f;
-            }
+        explicit WeightSwap(Parameter& w) : w_(w), real_(std::move(w.value)) {
+            w_.value = signs(real_);
         }
         ~WeightSwap() { w_.value = std::move(real_); }
         WeightSwap(const WeightSwap&) = delete;

@@ -20,6 +20,12 @@ FloatTensor Sequential::forward(const FloatTensor& input) {
     return x;
 }
 
+FloatTensor Sequential::predict(const FloatTensor& input) const {
+    FloatTensor x = input;
+    for (const auto& layer : layers_) x = layer->infer(x);
+    return x;
+}
+
 void Sequential::backward(const FloatTensor& grad_logits) {
     FloatTensor g = grad_logits;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {

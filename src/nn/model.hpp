@@ -30,6 +30,10 @@ public:
 
     FloatTensor forward(const FloatTensor& input);
 
+    /// The logits forward() would return, through every layer's stateless
+    /// infer(): safe to call concurrently on a shared model.
+    FloatTensor predict(const FloatTensor& input) const;
+
     /// Backward through all layers; input is dLoss/dLogits.
     void backward(const FloatTensor& grad_logits);
 

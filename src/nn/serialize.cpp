@@ -3,8 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <vector>
+#include <string>
 
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::nn {
@@ -14,20 +15,19 @@ constexpr char kMagic[4] = {'D', 'S', 'W', '1'};
 } // namespace
 
 void save_weights(Sequential& model, const std::string& path) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("cannot open weight file for writing: " + path);
-
+    std::string bytes(kMagic, sizeof(kMagic));
+    auto put = [&bytes](const void* data, std::size_t size) {
+        bytes.append(static_cast<const char*>(data), size);
+    };
     const auto params = model.parameters();
-    out.write(kMagic, sizeof(kMagic));
     const auto count = static_cast<std::uint32_t>(params.size());
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    put(&count, sizeof(count));
     for (Parameter* p : params) {
         const auto n = static_cast<std::uint32_t>(p->value.size());
-        out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-        out.write(reinterpret_cast<const char*>(p->value.data()),
-                  static_cast<std::streamsize>(n * sizeof(float)));
+        put(&n, sizeof(n));
+        put(p->value.data(), n * sizeof(float));
     }
-    if (!out) throw IoError("weight file write failed: " + path);
+    atomic_write_file(path, bytes);
 }
 
 void load_weights(Sequential& model, const std::string& path) {
@@ -56,6 +56,9 @@ void load_weights(Sequential& model, const std::string& path) {
         in.read(reinterpret_cast<char*>(p->value.data()),
                 static_cast<std::streamsize>(n * sizeof(float)));
         if (!in) throw FormatError("weight file: truncated: " + path);
+    }
+    if (in.peek() != std::ifstream::traits_type::eof()) {
+        throw FormatError("weight file: trailing bytes: " + path);
     }
 }
 

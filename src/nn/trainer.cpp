@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 
 namespace deepstrike::nn {
 
@@ -100,13 +102,13 @@ std::vector<EpochStats> train(Sequential& model, const data::Dataset& train_set,
     return history;
 }
 
-double evaluate_accuracy(Sequential& model, const data::Dataset& test_set) {
+double evaluate_accuracy(const Sequential& model, const data::Dataset& test_set) {
     expects(test_set.size() > 0, "evaluate_accuracy: non-empty test set");
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < test_set.size(); ++i) {
-        FloatTensor logits = model.forward(test_set.images[i]);
-        if (argmax(logits) == test_set.labels[i]) ++correct;
-    }
+    std::vector<std::uint8_t> hit(test_set.size());
+    parallel_for(test_set.size(), [&](std::size_t i) {
+        hit[i] = argmax(model.predict(test_set.images[i])) == test_set.labels[i];
+    });
+    const auto correct = static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
     return static_cast<double>(correct) / static_cast<double>(test_set.size());
 }
 

@@ -29,8 +29,10 @@ struct EpochStats {
 std::vector<EpochStats> train(Sequential& model, const data::Dataset& train_set,
                               const TrainConfig& config);
 
-/// Fraction of samples whose argmax(logits) equals the label.
-double evaluate_accuracy(Sequential& model, const data::Dataset& test_set);
+/// Fraction of samples whose argmax(logits) equals the label. Scores
+/// the images with Sequential::predict across the global pool; the
+/// result does not depend on its width.
+double evaluate_accuracy(const Sequential& model, const data::Dataset& test_set);
 
 /// Cross-entropy of softmax(logits) against a one-hot label, plus the
 /// gradient dLoss/dLogits (softmax - onehot). Exposed for tests.

@@ -142,31 +142,36 @@ std::string cache_key(const ZooTrainSpec& spec) {
 TrainedModel train_or_load(const ZooTrainSpec& spec) {
     expects(spec.train_size > 0 && spec.test_size > 0, "train_or_load: sizes > 0");
 
-    TrainedModel result;
-    Rng init_rng(spec.init_seed);
-    result.model = build_architecture(spec.architecture, init_rng);
-
     const std::filesystem::path dir = resolve_cache_dir(spec.cache_dir);
     const std::filesystem::path file = dir / cache_key(spec);
-    const data::DatasetPair datasets =
-        data::make_datasets(spec.data_seed, spec.train_size, spec.test_size);
+    const data::Dataset test_set = data::make_datasets(spec.data_seed, 0, spec.test_size).test;
+    auto initial_model = [&spec] {
+        Rng init_rng(spec.init_seed);
+        return build_architecture(spec.architecture, init_rng);
+    };
 
+    TrainedModel result;
     std::error_code ec;
     if (std::filesystem::exists(file, ec)) {
+        result.model = initial_model();
         try {
             load_weights(result.model, file.string());
             result.loaded_from_cache = true;
-            result.test_accuracy = evaluate_accuracy(result.model, datasets.test);
+            result.test_accuracy = evaluate_accuracy(result.model, test_set);
             return result;
         } catch (const Error& e) {
             log_warn("zoo cache load failed (", e.what(), "); retraining");
         }
     }
 
+    // A failed load may have overwritten some parameters: retrain from
+    // the same initial weights a clean cache miss starts from.
+    result.model = initial_model();
     log_info("training ", architecture_name(spec.architecture), " (", spec.train_size,
              " samples, ", spec.train_config.epochs, " epochs)...");
-    train(result.model, datasets.train, spec.train_config);
-    result.test_accuracy = evaluate_accuracy(result.model, datasets.test);
+    train(result.model, data::make_datasets(spec.data_seed, spec.train_size, 0).train,
+          spec.train_config);
+    result.test_accuracy = evaluate_accuracy(result.model, test_set);
     log_info("trained ", architecture_name(spec.architecture),
              " test accuracy: ", result.test_accuracy);
 

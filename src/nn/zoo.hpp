@@ -85,7 +85,10 @@ struct TrainedModel {
     bool loaded_from_cache = false;
 };
 
-/// Trains (or loads from the weight cache) the given architecture.
+/// Trains (or loads from the weight cache) the given architecture and
+/// scores it on the test split. A cache hit renders only the test split.
+/// A cache file that does not load is replaced by a retrain from
+/// `init_seed`, bit-identical to a clean cache miss.
 TrainedModel train_or_load(const ZooTrainSpec& spec);
 
 } // namespace deepstrike::nn

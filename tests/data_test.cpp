@@ -2,10 +2,34 @@
 
 #include "data/glyphs.hpp"
 #include "data/synth_mnist.hpp"
+#include "test_helpers.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace deepstrike::data {
 namespace {
+
+::testing::AssertionResult same_bits(const Dataset& actual, const Dataset& expected) {
+    if (actual.size() != expected.size() || actual.labels != expected.labels) {
+        return ::testing::AssertionFailure() << "sizes or labels differ";
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        auto same = deepstrike::testing::same_bits(actual.images[i], expected.images[i]);
+        if (!same) return same << " (image " << i << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// render_sample(seed, first_index + i) for i < count, one at a time.
+Dataset rendered_one_by_one(std::uint64_t seed, std::size_t first_index, std::size_t count) {
+    Dataset out;
+    for (std::size_t i = 0; i < count; ++i) {
+        Sample s = render_sample(seed, first_index + i);
+        out.images.push_back(std::move(s.image));
+        out.labels.push_back(s.label);
+    }
+    return out;
+}
 
 TEST(Glyphs, IntensityInRange) {
     for (std::size_t d = 0; d < kNumClasses; ++d) {
@@ -129,6 +153,26 @@ TEST(SynthMnist, DatasetsSizesAndDeterminism) {
     EXPECT_EQ(p1.test.size(), 20u);
     EXPECT_EQ(p1.train.images[7], p2.train.images[7]);
     EXPECT_EQ(p1.test.images[3], p2.test.images[3]);
+}
+
+TEST(SynthMnist, DatasetsBitwiseInvariantToPoolWidth) {
+    set_global_thread_count(1);
+    const DatasetPair narrow = make_datasets(43, 90, 70);
+    set_global_thread_count(8);
+    const DatasetPair wide = make_datasets(43, 90, 70);
+    set_global_thread_count(0);
+
+    EXPECT_TRUE(same_bits(wide.train, narrow.train));
+    EXPECT_TRUE(same_bits(wide.test, narrow.test));
+    EXPECT_TRUE(same_bits(narrow.train, rendered_one_by_one(43, 0, 90)));
+    EXPECT_TRUE(same_bits(narrow.test, rendered_one_by_one(43, kTestIndexOffset, 70)));
+}
+
+TEST(SynthMnist, TestSplitIndependentOfTrainSize) {
+    const Dataset expected = make_datasets(47, 0, 40).test;
+    EXPECT_TRUE(make_datasets(47, 0, 0).test.images.empty());
+    EXPECT_TRUE(same_bits(make_datasets(47, 1, 40).test, expected));
+    EXPECT_TRUE(same_bits(make_datasets(47, 4000, 40).test, expected));
 }
 
 TEST(SynthMnist, TrainTestDisjoint) {

@@ -2,14 +2,18 @@
 
 #include <cmath>
 
+#include "data/synth_mnist.hpp"
 #include "nn/layers.hpp"
 #include "nn/model.hpp"
 #include "nn/zoo.hpp"
 #include "nn/trainer.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::nn {
 namespace {
+
+using deepstrike::testing::same_bits;
 
 FloatTensor random_tensor(Shape shape, Rng& rng, double range = 1.0) {
     FloatTensor t(shape);
@@ -140,6 +144,174 @@ TEST(Softmax, NumericallyStableForLargeLogits) {
     EXPECT_NEAR(p.at(0) + p.at(1), 1.0, 1e-6);
     EXPECT_GT(p.at(0), p.at(1));
 }
+
+// ------------------------------------------- reference forward (oracle)
+
+// The float layers' original checked-index forward loops. They fix each
+// output's accumulation order (bias, then the reduction indices
+// ascending), so the product kernels must reproduce them bit for bit.
+
+FloatTensor reference_conv2d(const FloatTensor& input, const FloatTensor& weight,
+                             const FloatTensor& bias) {
+    const std::size_t out_channels = weight.shape().dim(0);
+    const std::size_t in_channels = weight.shape().dim(1);
+    const std::size_t kernel = weight.shape().dim(2);
+    const std::size_t oh = input.shape().dim(1) - kernel + 1;
+    const std::size_t ow = input.shape().dim(2) - kernel + 1;
+    FloatTensor out(Shape{out_channels, oh, ow});
+    for (std::size_t oc = 0; oc < out_channels; ++oc) {
+        for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t c = 0; c < ow; ++c) {
+                float acc = bias.at(oc);
+                for (std::size_t ic = 0; ic < in_channels; ++ic) {
+                    for (std::size_t kr = 0; kr < kernel; ++kr) {
+                        for (std::size_t kc = 0; kc < kernel; ++kc) {
+                            acc += input.at(ic, r + kr, c + kc) * weight.at(oc, ic, kr, kc);
+                        }
+                    }
+                }
+                out.at(oc, r, c) = acc;
+            }
+        }
+    }
+    return out;
+}
+
+FloatTensor reference_dense(const FloatTensor& input, const FloatTensor& weight,
+                            const FloatTensor& bias) {
+    const std::size_t out_features = weight.shape().dim(0);
+    const std::size_t in_features = weight.shape().dim(1);
+    FloatTensor out(Shape{out_features});
+    for (std::size_t o = 0; o < out_features; ++o) {
+        float acc = bias.at(o);
+        for (std::size_t i = 0; i < in_features; ++i) acc += weight.at(o, i) * input[i];
+        out.at(o) = acc;
+    }
+    return out;
+}
+
+FloatTensor reference_maxpool(const FloatTensor& input) {
+    const std::size_t ch = input.shape().dim(0);
+    const std::size_t oh = input.shape().dim(1) / 2;
+    const std::size_t ow = input.shape().dim(2) / 2;
+    FloatTensor out(Shape{ch, oh, ow});
+    for (std::size_t c = 0; c < ch; ++c) {
+        for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t w = 0; w < ow; ++w) {
+                float best = input.at(c, 2 * r, 2 * w);
+                for (std::size_t dr = 0; dr < 2; ++dr) {
+                    for (std::size_t dw = 0; dw < 2; ++dw) {
+                        const float v = input.at(c, 2 * r + dr, 2 * w + dw);
+                        if (v > best) best = v;
+                    }
+                }
+                out.at(c, r, w) = best;
+            }
+        }
+    }
+    return out;
+}
+
+template <typename Fn>
+FloatTensor reference_elementwise(const FloatTensor& input, Fn fn) {
+    FloatTensor out(input.shape());
+    for (std::size_t i = 0; i < input.size(); ++i) out[i] = fn(input[i]);
+    return out;
+}
+
+float sign_of(float x) { return x >= 0.0f ? 1.0f : -1.0f; }
+
+/// Binarized<L>: the inner reference on sign(weight), times 1/sqrt(fan-in).
+template <typename Reference>
+FloatTensor reference_binarized(const FloatTensor& input, const Parameter& weight,
+                                const Parameter& bias, Reference reference) {
+    const FloatTensor& w = weight.value;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(w.size() / w.shape().dim(0)));
+    return reference_elementwise(
+        reference(input, reference_elementwise(w, sign_of), bias.value),
+        [scale](float v) { return v * scale; });
+}
+
+/// The model's logits through the reference loops, layer by layer.
+FloatTensor reference_predict(const Sequential& model, const FloatTensor& image) {
+    FloatTensor x = image;
+    for (std::size_t l = 0; l < model.layer_count(); ++l) {
+        const Layer& layer = model.layer(l);
+        if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
+            x = reference_conv2d(x, conv->weight().value, conv->bias().value);
+        } else if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
+            x = reference_dense(x, dense->weight().value, dense->bias().value);
+        } else if (const auto* bconv = dynamic_cast<const Binarized<Conv2d>*>(&layer)) {
+            x = reference_binarized(x, bconv->inner().weight(), bconv->inner().bias(),
+                                    reference_conv2d);
+        } else if (const auto* bdense = dynamic_cast<const Binarized<Dense>*>(&layer)) {
+            x = reference_binarized(x, bdense->inner().weight(), bdense->inner().bias(),
+                                    reference_dense);
+        } else if (dynamic_cast<const MaxPool2d*>(&layer) != nullptr) {
+            x = reference_maxpool(x);
+        } else if (dynamic_cast<const TanhActivation*>(&layer) != nullptr) {
+            x = reference_elementwise(x, [](float v) { return std::tanh(v); });
+        } else if (dynamic_cast<const SignActivation*>(&layer) != nullptr) {
+            x = reference_elementwise(x, sign_of);
+        } else {
+            ADD_FAILURE() << "no reference loop for layer " << layer.name();
+        }
+    }
+    return x;
+}
+
+TEST(FloatKernels, LayersMatchReferenceOnOddShapes) {
+    // Non-square planes, several input channels and an output count that
+    // is not a multiple of the dense kernel's four-output block.
+    Rng rng(110);
+    Conv2d conv(3, 5, 3, rng);
+    conv.bias().value = random_tensor(Shape{5}, rng);
+    const FloatTensor conv_in = random_tensor(Shape{3, 9, 7}, rng);
+    EXPECT_TRUE(same_bits(conv.infer(conv_in),
+                          reference_conv2d(conv_in, conv.weight().value, conv.bias().value)));
+    EXPECT_TRUE(same_bits(conv.forward(conv_in), conv.infer(conv_in)));
+
+    Dense dense(37, 7, rng);
+    dense.bias().value = random_tensor(Shape{7}, rng);
+    const FloatTensor dense_in = random_tensor(Shape{37}, rng);
+    EXPECT_TRUE(same_bits(dense.infer(dense_in),
+                          reference_dense(dense_in, dense.weight().value, dense.bias().value)));
+    EXPECT_TRUE(same_bits(dense.forward(dense_in), dense.infer(dense_in)));
+
+    MaxPool2d pool;
+    FloatTensor pool_in = random_tensor(Shape{3, 6, 8}, rng);
+    pool_in.at(1, 2, 2) = pool_in.at(1, 2, 3) = 5.0f; // a tied window maximum
+    EXPECT_TRUE(same_bits(pool.infer(pool_in), reference_maxpool(pool_in)));
+    EXPECT_TRUE(same_bits(pool.forward(pool_in), pool.infer(pool_in)));
+    // The gradient goes to the first maximum in window order.
+    const FloatTensor grad = pool.backward(FloatTensor(Shape{3, 3, 4}, 1.0f));
+    EXPECT_EQ(grad.at(1, 2, 2), 1.0f);
+    EXPECT_EQ(grad.at(1, 2, 3), 0.0f);
+}
+
+class FloatKernelOracle : public ::testing::TestWithParam<Architecture> {};
+
+TEST_P(FloatKernelOracle, PredictAndForwardMatchReferenceBitwise) {
+    Rng rng(120);
+    Sequential model = build_architecture(GetParam(), rng);
+    // Initial biases are zero; random ones pin the bias-first order too.
+    for (Parameter* p : model.parameters()) {
+        if (p->value.shape().rank() == 1) p->value = random_tensor(p->value.shape(), rng, 0.5);
+    }
+    for (std::size_t i = 0; i < 50; ++i) {
+        const FloatTensor image = data::render_sample(121, i).image;
+        const FloatTensor expected = reference_predict(model, image);
+        EXPECT_TRUE(same_bits(model.predict(image), expected)) << "predict, image " << i;
+        EXPECT_TRUE(same_bits(model.forward(image), expected)) << "forward, image " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooVictims, FloatKernelOracle,
+                         ::testing::Values(Architecture::LeNet5, Architecture::MiniCnn,
+                                           Architecture::Mlp, Architecture::Bnn),
+                         [](const ::testing::TestParamInfo<Architecture>& info) {
+                             return std::string(architecture_name(info.param));
+                         });
 
 // ----------------------------------------------- gradient (finite diff)
 

@@ -1,12 +1,29 @@
 // Shared fixtures/helpers for the deepstrike test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <cstring>
 
 #include "quant/qnetwork.hpp"
 #include "util/rng.hpp"
 
 namespace deepstrike::testing {
+
+/// Same shape and the same float bytes: bitwise, unlike EXPECT_NEAR or
+/// float ==, so -0.0 vs 0.0 or a NaN payload counts as a difference.
+inline ::testing::AssertionResult same_bits(const FloatTensor& actual,
+                                            const FloatTensor& expected) {
+    if (actual.shape() != expected.shape()) {
+        return ::testing::AssertionFailure() << "shape " << actual.shape().to_string()
+                                             << " vs " << expected.shape().to_string();
+    }
+    if (std::memcmp(actual.data(), expected.data(), expected.size() * sizeof(float)) != 0) {
+        return ::testing::AssertionFailure() << "float bits differ";
+    }
+    return ::testing::AssertionSuccess();
+}
 
 /// Fills a QTensor with small random Q3.4 values in [-max_real, max_real].
 inline QTensor random_qtensor(Shape shape, Rng& rng, double max_real = 1.0) {

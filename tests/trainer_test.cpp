@@ -2,14 +2,57 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "nn/zoo.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace deepstrike::nn {
 namespace {
+
+namespace fs = std::filesystem;
+
+std::string read_bytes(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Every parameter's float bytes, in order.
+std::string weight_bytes(Sequential& model) {
+    std::string out;
+    for (Parameter* p : model.parameters()) {
+        out.append(reinterpret_cast<const char*>(p->value.data()),
+                   p->value.size() * sizeof(float));
+    }
+    return out;
+}
+
+/// A 40-image, one-epoch LeNet-5 spec caching under a fresh `dir`.
+ZooTrainSpec tiny_spec(const fs::path& dir, std::size_t test_size) {
+    fs::remove_all(dir);
+    ZooTrainSpec spec;
+    spec.train_size = 40;
+    spec.test_size = test_size;
+    spec.train_config.epochs = 1;
+    spec.cache_dir = dir.string();
+    return spec;
+}
+
+/// The one weight file train_or_load wrote under `dir`.
+fs::path cache_file(const fs::path& dir) {
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? fs::path() : files.front();
+}
 
 /// Tiny easy dataset: 60 clean samples (augmentation off) so a few epochs
 /// converge fast in unit-test time.
@@ -131,6 +174,16 @@ TEST(Serialize, RejectsTruncatedFile) {
     fs::remove(path);
 }
 
+TEST(Serialize, RejectsTrailingBytes) {
+    const fs::path path = fs::temp_directory_path() / "ds_weights_trailing.dsw";
+    Rng rng(97);
+    Sequential net = build_architecture(Architecture::LeNet5, rng);
+    save_weights(net, path.string());
+    write_bytes(path, read_bytes(path) + '\0');
+    EXPECT_THROW(load_weights(net, path.string()), FormatError);
+    fs::remove(path);
+}
+
 TEST(Serialize, RejectsWrongArchitecture) {
     namespace fs = std::filesystem;
     const fs::path path = fs::temp_directory_path() / "ds_weights_arch.dsw";
@@ -167,6 +220,48 @@ TEST(TrainOrLoad, UsesCacheOnSecondCall) {
     const TrainedModel second = train_or_load(spec);
     EXPECT_TRUE(second.loaded_from_cache);
     EXPECT_DOUBLE_EQ(first.test_accuracy, second.test_accuracy);
+    fs::remove_all(dir);
+}
+
+TEST(TrainOrLoad, CorruptCacheRetrainsLikeCleanMiss) {
+    const fs::path dir = fs::temp_directory_path() / "ds_cache_corrupt_test";
+    const ZooTrainSpec spec = tiny_spec(dir, 20);
+    TrainedModel clean = train_or_load(spec);
+    ASSERT_FALSE(clean.loaded_from_cache);
+    const fs::path file = cache_file(dir);
+    const std::string clean_file = read_bytes(file);
+    const std::string clean_weights = weight_bytes(clean.model);
+
+    const std::string truncated = clean_file.substr(0, clean_file.size() - 100);
+    const std::string extended = clean_file + 'x';
+    for (const std::string* corrupt : {&truncated, &extended}) {
+        SCOPED_TRACE(corrupt == &truncated ? "truncated cache" : "cache with a trailing byte");
+        write_bytes(file, *corrupt);
+        TrainedModel retrained = train_or_load(spec);
+        EXPECT_FALSE(retrained.loaded_from_cache);
+        EXPECT_TRUE(weight_bytes(retrained.model) == clean_weights) << "retrained weights";
+        EXPECT_EQ(retrained.test_accuracy, clean.test_accuracy);
+        EXPECT_TRUE(read_bytes(file) == clean_file) << "rewritten cache bytes";
+
+        TrainedModel reloaded = train_or_load(spec);
+        EXPECT_TRUE(reloaded.loaded_from_cache);
+        EXPECT_TRUE(weight_bytes(reloaded.model) == clean_weights) << "reloaded weights";
+    }
+    fs::remove_all(dir);
+}
+
+TEST(TrainOrLoad, CacheHitAccuracyInvariantToPoolWidth) {
+    const fs::path dir = fs::temp_directory_path() / "ds_cache_width_test";
+    const ZooTrainSpec spec = tiny_spec(dir, 90);
+    const TrainedModel miss = train_or_load(spec);
+    ASSERT_FALSE(miss.loaded_from_cache);
+    for (const std::size_t width : {1u, 8u}) {
+        set_global_thread_count(width);
+        const TrainedModel hit = train_or_load(spec);
+        EXPECT_TRUE(hit.loaded_from_cache) << "width " << width;
+        EXPECT_EQ(hit.test_accuracy, miss.test_accuracy) << "width " << width;
+    }
+    set_global_thread_count(0);
     fs::remove_all(dir);
 }
 
