@@ -22,7 +22,6 @@
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
 #include "pdn/pdn.hpp"
-#include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/cosim_lanes.hpp"
 #include "sim/experiment.hpp"
@@ -137,10 +136,8 @@ void BM_DetectorSample(benchmark::State& state) {
 BENCHMARK(BM_DetectorSample);
 
 // CONV2-geometry conv layer (K = 6*5*5 = 150, 16 output channels on a
-// 12x12 plane) through the im2col/GEMM engine vs the scalar oracle
-// kernels. Same bytes out either way (tests/gemm_test.cpp); CI gates the
-// pair ratio so the GEMM path never silently degrades to the oracle's
-// speed.
+// 12x12 plane) through the im2col/GEMM engine (the packed-weight pmaddwd
+// kernel on AVX2 hosts). CI gates it against its baseline.
 ds::QTensor conv2_input() {
     ds::Rng rng(9);
     ds::QTensor t(ds::Shape{6, 12, 12});
@@ -154,26 +151,12 @@ void BM_Qconv2dGemm(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv2 = net.layer("CONV2");
     const ds::QTensor input = conv2_input();
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ds::quant::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
     }
 }
 BENCHMARK(BM_Qconv2dGemm);
-
-void BM_Qconv2dScalar(benchmark::State& state) {
-    const ds::quant::QNetwork net = bench_weights();
-    const ds::quant::QLayer& conv2 = net.layer("CONV2");
-    const ds::QTensor input = conv2_input();
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ds::quant::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
-    }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-}
-BENCHMARK(BM_Qconv2dScalar);
 
 void BM_QConv2dLayer(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
@@ -412,28 +395,6 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
-// The same uncached 200-image evaluation with the engine forced back to
-// the scalar oracle kernels (GemmMode::Off, which also disables
-// batching). Paired with BM_EvaluateAccuracyMultiBatched below — the
-// identical workload through GEMM + image batching — as the headline
-// same-run speedup of the vectorized engine; CI gates the ratio. The
-// faulted path (BM_EvaluateAccuracyMulti) is excluded from the pair on
-// purpose: its per-op fault walk draws one Gaussian deviate per
-// scheduled op regardless of kernel engine, a cost the report-identity
-// contract pins in place.
-void BM_EvaluateAccuracyMultiScalar(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
-    for (auto _ : state) {
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 200, nullptr, 99);
-        benchmark::DoNotOptimize(res.accuracy);
-    }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-}
-BENCHMARK(BM_EvaluateAccuracyMultiScalar)->Unit(benchmark::kMillisecond);
-
 // Clean (fault-free) 200-image evaluation: every image takes the batched
 // fast path (one GEMM per layer per 16-image block). This is the shape of
 // a campaign's clean-accuracy baseline and of defended runs with quiet
@@ -441,8 +402,6 @@ BENCHMARK(BM_EvaluateAccuracyMultiScalar)->Unit(benchmark::kMillisecond);
 void BM_EvaluateAccuracyMultiBatched(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-    ds::quant::gemm::set_eval_batch(16);
     for (auto _ : state) {
         const ds::sim::AccuracyResult res =
             ds::sim::evaluate_accuracy(platform, data.test, 200, nullptr, 99);
@@ -451,32 +410,18 @@ void BM_EvaluateAccuracyMultiBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAccuracyMultiBatched)->Unit(benchmark::kMillisecond);
 
-// Golden-store construction over 200 images: batched forward_trace blocks
-// with the GEMM engine vs the per-image scalar build. Campaigns pay this
-// once up front, so CI gates the pair to keep the build win real.
+// Golden-store construction over 200 images: batched forward_trace
+// blocks, one GEMM per layer per 16-image block. Campaigns pay this once
+// up front; CI gates it against its baseline.
 void BM_GoldenStoreBuild(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-    ds::quant::gemm::set_eval_batch(16);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ds::sim::build_golden_store(platform.engine().network(), data.test, 200));
     }
 }
 BENCHMARK(BM_GoldenStoreBuild)->Unit(benchmark::kMillisecond);
-
-void BM_GoldenStoreBuildScalar(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Off);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ds::sim::build_golden_store(platform.engine().network(), data.test, 200));
-    }
-    ds::quant::gemm::set_mode(ds::quant::gemm::GemmMode::Auto);
-}
-BENCHMARK(BM_GoldenStoreBuildScalar)->Unit(benchmark::kMillisecond);
 
 // Eval-heavy campaign point (200 images instead of 25): co-simulation plus
 // evaluation, the configuration where the golden cache pays off. Paired

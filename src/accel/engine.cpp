@@ -33,152 +33,43 @@ DspSlice make_pool_slice(const AccelConfig& config, std::uint64_t variation_seed
     return DspSlice(0xFFFF, config.logic_timing, pool_rng);
 }
 
-/// Output-element ranges whose op spans intersect an unsafe window
-/// (merged, ascending). Elements outside these ranges execute entirely at
-/// safe voltage and are computed by the golden range kernels.
-std::vector<std::pair<std::size_t, std::size_t>> hot_element_ranges(
-    const SegmentOverlay& overlay, const LayerSegment& seg, std::size_t ops_per_elem,
-    std::size_t n_elems) {
-    std::vector<std::pair<std::size_t, std::size_t>> hot;
-    const std::size_t n_ops = n_elems * ops_per_elem;
-    for (const CycleWindow& w : overlay.unsafe) {
-        const std::size_t op_lo =
-            std::min((w.begin - seg.start_cycle) * seg.ops_per_cycle, n_ops);
-        const std::size_t op_hi =
-            std::min((w.end - seg.start_cycle) * seg.ops_per_cycle, n_ops);
-        if (op_lo >= op_hi) continue;
-        const std::size_t e_lo = op_lo / ops_per_elem;
-        const std::size_t e_hi = (op_hi - 1) / ops_per_elem + 1;
-        if (!hot.empty() && e_lo <= hot.back().second) {
-            hot.back().second = std::max(hot.back().second, e_hi);
-        } else {
-            hot.emplace_back(e_lo, e_hi);
+/// One registry visit per inference (never per op): golden-vs-faulted op
+/// accounting derives from the static schedule and the overlay plan, so
+/// totals are identical at any thread count. `ops_executed` charges only
+/// the layers actually computed (run_elided skips still-golden ones).
+void count_inference(const Schedule& schedule, const OverlayPlan& plan,
+                     std::uint64_t ops_executed, const FaultCounts& faults) {
+    if (!metrics::enabled()) return;
+    std::uint64_t ops_unsafe = 0;
+    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        const LayerSegment& seg = schedule.segment_for_layer(i);
+        for (const CycleWindow& w : plan.layers[i].unsafe) {
+            const std::size_t b = w.begin - seg.start_cycle;
+            const std::size_t e = w.end - seg.start_cycle;
+            ops_unsafe += std::min(e * seg.ops_per_cycle, seg.total_ops) -
+                          std::min(b * seg.ops_per_cycle, seg.total_ops);
         }
     }
-    return hot;
+    metrics::counter("accel.inferences", "inferences",
+                     "accelerator inference runs (faulted + clean)")
+        .add();
+    metrics::counter("accel.ops_total", "ops", "scheduled MAC/comparator ops executed")
+        .add(ops_executed);
+    metrics::counter("accel.ops_unsafe", "ops",
+                     "ops inside unsafe voltage windows (per-op fault path)")
+        .add(ops_unsafe);
+    metrics::counter("accel.faults_duplication", "faults",
+                     "DSP duplication faults injected")
+        .add(faults.duplication);
+    metrics::counter("accel.faults_random", "faults", "DSP random faults injected")
+        .add(faults.random);
 }
 
-// --- sparse golden-delta propagation (run_elided, post-divergence) ---
-//
-// Once a windowed layer has faulted, its output differs from the golden
-// activation at only a handful of elements (the windows' hot ranges). As
-// long as downstream layers are themselves fault-free, each one can be
-// patched from its cached golden output instead of fully recomputed:
-//   dense — full acc[j] = golden_acc[j] + sum over changed inputs of
-//           (x - golden) * w; integer sums reassociate exactly, so the
-//           writeback is byte-identical to a full recompute;
-//   conv  — recompute only the output elements whose receptive field
-//           touches a changed input (exact: full per-element kernel);
-//   pool  — recompute only the 2x2 windows covering a changed input.
-// The changed set is re-derived per layer by diffing against golden, so
-// saturation/LUT writebacks that swallow a delta shrink it as it flows.
-
-/// Flat indices where `a` and `b` differ (same element count assumed).
-std::vector<std::size_t> diff_indices(const QTensor& a, const QTensor& b) {
-    std::vector<std::size_t> d;
-    const Q3_4* pa = a.data();
-    const Q3_4* pb = b.data();
-    const std::size_t n = a.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pa[i].raw() != pb[i].raw()) d.push_back(i);
-    }
-    return d;
-}
-
-QTensor patch_dense(const QTensor& x, const QTensor& golden_in,
-                    const std::vector<std::size_t>& changed,
-                    const quant::QLayer& layer, const std::vector<fx::Acc>& gaccs,
-                    const QTensor& golden_out) {
-    const std::size_t out_n = layer.weight.shape().dim(0);
-    const std::size_t in_n = layer.weight.shape().dim(1);
-    const Q3_4* xd = x.data();
-    const Q3_4* gd = golden_in.data();
-    const Q3_4* wd = layer.weight.data();
-    QTensor out(Shape{out_n});
-    Q3_4* od = out.data();
-    for (std::size_t j = 0; j < out_n; ++j) {
-        const Q3_4* w_row = wd + j * in_n;
-        fx::Acc delta = 0;
-        for (std::size_t idx : changed) {
-            delta += static_cast<fx::Acc>(xd[idx].raw() - gd[idx].raw()) *
-                     w_row[idx].raw();
-        }
-        od[j] = delta == 0 ? golden_out.data()[j]
-                           : detail::apply_activation(
-                                 Q3_4::from_accumulator(gaccs[j] + delta),
-                                 layer.activation);
-    }
-    return out;
-}
-
-QTensor patch_conv(const QTensor& x, const std::vector<std::size_t>& changed,
-                   const quant::QLayer& layer, const QTensor& golden_out) {
-    const std::size_t in_h = x.shape().dim(1);
-    const std::size_t in_w = x.shape().dim(2);
-    const std::size_t k = layer.weight.shape().dim(2);
-    const std::size_t out_c = layer.weight.shape().dim(0);
-    const std::size_t out_h = in_h - k + 1;
-    const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = out_h * out_w;
-    QTensor out = golden_out;
-    std::vector<bool> visited(out.size(), false);
-    for (std::size_t idx : changed) {
-        // Every output channel sums over all input channels, so only the
-        // spatial position of the changed input bounds the affected set.
-        const std::size_t rc = idx % (in_h * in_w);
-        const std::size_t r = rc / in_w;
-        const std::size_t c = rc % in_w;
-        const std::size_t r_lo = r >= k - 1 ? r - (k - 1) : 0;
-        const std::size_t r_hi = std::min(r, out_h - 1);
-        const std::size_t c_lo = c >= k - 1 ? c - (k - 1) : 0;
-        const std::size_t c_hi = std::min(c, out_w - 1);
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t rr = r_lo; rr <= r_hi; ++rr) {
-                for (std::size_t cc = c_lo; cc <= c_hi; ++cc) {
-                    const std::size_t p = oc * plane + rr * out_w + cc;
-                    if (visited[p]) continue;
-                    visited[p] = true;
-                    // Hot per-element patch: shapes were validated when the
-                    // golden trace was built, so skip the expects re-checks.
-                    quant::detail::qconv2d_outputs_unchecked(
-                        x, layer.weight, layer.bias, layer.activation, p, p + 1, out);
-                }
-            }
-        }
-    }
-    return out;
-}
-
-QTensor patch_pool(const QTensor& x, const std::vector<std::size_t>& changed,
-                   quant::QLayerKind kind, const QTensor& golden_out) {
-    const std::size_t in_h = x.shape().dim(1);
-    const std::size_t in_w = x.shape().dim(2);
-    QTensor out = golden_out;
-    for (std::size_t idx : changed) {
-        const std::size_t ch = idx / (in_h * in_w);
-        const std::size_t rc = idx % (in_h * in_w);
-        const std::size_t r = (rc / in_w) / 2;
-        const std::size_t c = (rc % in_w) / 2;
-        // Recompute the covering window with the same semantics as
-        // qmaxpool2 / qavgpool2 (idempotent when windows repeat).
-        if (kind == quant::QLayerKind::AvgPool2) {
-            const std::int32_t sum =
-                x.at(ch, 2 * r, 2 * c).raw() + x.at(ch, 2 * r, 2 * c + 1).raw() +
-                x.at(ch, 2 * r + 1, 2 * c).raw() +
-                x.at(ch, 2 * r + 1, 2 * c + 1).raw();
-            const std::int32_t avg = sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
-            out.at(ch, r, c) = Q3_4::from_raw(static_cast<std::int16_t>(avg));
-        } else {
-            Q3_4 best = x.at(ch, 2 * r, 2 * c);
-            for (std::size_t dr = 0; dr < 2; ++dr) {
-                for (std::size_t dc = 0; dc < 2; ++dc) {
-                    best = std::max(best, x.at(ch, 2 * r + dr, 2 * c + dc));
-                }
-            }
-            out.at(ch, r, c) = best;
-        }
-    }
-    return out;
+void record_layer(RunResult& result, const std::string& label,
+                  const FaultCounts& counts) {
+    result.faults_total += counts;
+    result.layer_index.emplace(label, result.faults_by_layer.size());
+    result.faults_by_layer.push_back({label, counts});
 }
 
 } // namespace
@@ -268,113 +159,29 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
     return plan;
 }
 
-QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
-                              const LayerSegment& seg, const SegmentOverlay& overlay,
-                              const VoltageTrace* voltage, Rng& rng,
-                              const std::vector<bool>* throttle,
-                              FaultCounts& counts) const {
-    if (!overlay.any()) {
-        return quant::qconv2d(input, layer.weight, layer.bias, layer.activation);
-    }
-
-    const QTensor& w = layer.weight;
-    const std::size_t in_c = input.shape().dim(0);
-    const std::size_t out_c = w.shape().dim(0);
-    const std::size_t k = w.shape().dim(2);
-    const std::size_t out_h = input.shape().dim(1) - k + 1;
-    const std::size_t out_w = input.shape().dim(2) - k + 1;
-    const std::size_t opp = in_c * k * k; // ops per output element
-    const std::size_t n_elems = out_c * out_h * out_w;
-
-    QTensor out(Shape{out_c, out_h, out_w});
-
-    // With the GEMM engine enabled, compute the whole layer's golden
-    // accumulators in one im2col/GEMM pass: gap elements write back
-    // directly from them, and hot windows take them through the existing
-    // golden_accs path (copy instead of re-summing per element). Integer
-    // accumulation is exact, so the accumulators — and therefore the
-    // faulted outputs and the RNG stream — are byte-identical to the
-    // scalar walk (GemmMode::Off below).
-    if (quant::gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        quant::gemm::conv2d_accs(input, w, layer.bias, accs);
-        std::size_t cursor = 0;
-        for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, opp, n_elems)) {
-            for (std::size_t p = cursor; p < e0; ++p) {
-                out.data()[p] = detail::apply_activation(
-                    Q3_4::from_accumulator(accs[p]), layer.activation);
-            }
-            run_conv_window(input, layer, seg, overlay, voltage, rng, throttle,
-                            counts, accs.data(), e0, e1, out);
-            cursor = e1;
-        }
-        for (std::size_t p = cursor; p < n_elems; ++p) {
-            out.data()[p] = detail::apply_activation(
-                Q3_4::from_accumulator(accs[p]), layer.activation);
-        }
-        return out;
-    }
-
-    std::size_t cursor = 0;
-    for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, opp, n_elems)) {
-        if (cursor < e0) {
-            quant::detail::qconv2d_outputs_unchecked(input, w, layer.bias,
-                                                     layer.activation, cursor, e0, out);
-        }
-        run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                        nullptr, e0, e1, out);
-        cursor = e1;
-    }
-    if (cursor < n_elems) {
-        quant::detail::qconv2d_outputs_unchecked(input, w, layer.bias,
-                                                 layer.activation, cursor, n_elems, out);
-    }
-    return out;
-}
-
-void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& layer,
-                                  const LayerSegment& seg, const SegmentOverlay& overlay,
-                                  const VoltageTrace* voltage, Rng& rng,
-                                  const std::vector<bool>* throttle,
-                                  FaultCounts& counts, const fx::Acc* golden_accs,
-                                  std::size_t elem_begin, std::size_t elem_end,
-                                  QTensor& out) const {
-    const QTensor& w = layer.weight;
-    const QTensor& b = layer.bias;
-    const std::size_t in_c = input.shape().dim(0);
-    const std::size_t in_h = input.shape().dim(1);
-    const std::size_t in_w = input.shape().dim(2);
-    const std::size_t k = w.shape().dim(2);
-    const std::size_t kk = k * k;
-    const std::size_t out_h = in_h - k + 1;
-    const std::size_t out_w = in_w - k + 1;
-    const std::size_t plane = out_h * out_w;
-    const std::size_t opp = in_c * kk;
+// Golden-plus-deltas evaluation. The fault model's RNG consumption is
+// image-independent: an op draws exactly when its DDR-half sample is under
+// the safe voltage and its cycle is unthrottled, and none of that depends
+// on the image data. So instead of threading every op through a gated
+// loop, start from the layer's fault-free accumulators, walk only the
+// unsafe-window ops in ascending op order — drawing the RNG exactly as the
+// sequential per-op path would — and patch the owning element's
+// accumulator with the integer delta. Integer sums are exact under
+// reassociation, so the result is byte-identical to the reference per-op
+// evaluation.
+template <typename TrueProduct>
+void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
+                               std::size_t ops_per_elem, std::size_t n_ops,
+                               const std::vector<DspSlice>& dsps, double safe_v,
+                               double path_scale, const VoltageTrace& voltage,
+                               const std::vector<bool>* throttle, Rng& rng,
+                               FaultCounts& counts, std::vector<fx::Acc>& accs,
+                               const TrueProduct& true_product_at) const {
     const std::size_t mpc = seg.ops_per_cycle;
-    const double path_scale = config_.path_derate(layer);
     const bool tmr = config_.tmr_protection;
     const double vdd = delay_.vdd;
-
-    const Q3_4* in_data = input.data();
-    const Q3_4* w_data = w.data();
-    const Q3_4* b_data = b.data();
-    Q3_4* out_data = out.data();
-    const double* vs = voltage->data();
-    const std::size_t vn = voltage->size();
-
-    const auto true_product_at = [&](std::size_t g) {
-        const std::size_t pixel = g / opp;
-        const std::size_t rem = g % opp;
-        const std::size_t oc = pixel / plane;
-        const std::size_t rc = pixel % plane;
-        const std::size_t r = rc / out_w;
-        const std::size_t c = rc % out_w;
-        const std::size_t ic = rem / kk;
-        const std::size_t kr = (rem % kk) / k;
-        const std::size_t kc = rem % k;
-        return static_cast<fx::Acc>(in_data[(ic * in_h + r + kr) * in_w + c + kc].raw()) *
-               w_data[(oc * in_c + ic) * kk + kr * k + kc].raw();
-    };
+    const double* vs = voltage.data();
+    const std::size_t vn = voltage.size();
 
     // A duplication fault captures the last product issued on the same DSP
     // slice. Slice d owns positions 2d / 2d+1 of every cycle, so that
@@ -392,88 +199,34 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
         return true_product_at(g - pos + last_pos - mpc);
     };
 
-    // Golden-plus-deltas evaluation. The fault model's RNG consumption is
-    // image-independent: an op draws exactly when its DDR-half sample is
-    // under the safe voltage and its cycle is unthrottled, and none of that
-    // depends on the image data. So instead of threading every op of the
-    // covered range through a gated loop, compute the golden accumulators
-    // with tight integer kernels, then walk only the unsafe-window ops in
-    // ascending op order — drawing the RNG exactly as the sequential per-op
-    // path would — and patch the owning element's accumulator with the
-    // integer delta (faulted contribution minus true product). Integer sums
-    // are exact under reassociation, so the result is byte-identical to the
-    // reference per-op evaluation.
-    const std::size_t op_begin = elem_begin * opp;
-    const std::size_t op_end = elem_end * opp;
-
-    // When the caller holds the layer's cached golden accumulators the
-    // re-summation below collapses to a copy (the input is golden, so the
-    // sums would reproduce the cached values bit-for-bit).
-    std::vector<fx::Acc> accs(elem_end - elem_begin);
-    if (golden_accs != nullptr) {
-        std::copy(golden_accs + elem_begin, golden_accs + elem_end, accs.begin());
-    } else {
-        for (std::size_t p = elem_begin; p < elem_end; ++p) {
-            const std::size_t oc = p / plane;
-            const std::size_t rc = p % plane;
-            const std::size_t r = rc / out_w;
-            const std::size_t c = rc % out_w;
-            std::int32_t acc32 = 0; // |product| <= 2^14, opp <= 2^16: no overflow
-            const Q3_4* w_oc = w_data + oc * opp;
-            for (std::size_t ic = 0; ic < in_c; ++ic) {
-                for (std::size_t kr = 0; kr < k; ++kr) {
-                    const Q3_4* in_row = in_data + (ic * in_h + r + kr) * in_w + c;
-                    const Q3_4* w_row = w_oc + ic * kk + kr * k;
-                    for (std::size_t kc = 0; kc < k; ++kc) {
-                        acc32 +=
-                            static_cast<std::int32_t>(in_row[kc].raw()) * w_row[kc].raw();
-                    }
-                }
-            }
-            accs[p - elem_begin] =
-                (static_cast<fx::Acc>(b_data[oc].raw()) << Q3_4::frac_bits) + acc32;
-        }
-    }
-
-    // Fault pass: per window, the per-cycle delay factors are shared by
-    // every op captured at the same DDR half sample (fac memo, reset at
-    // window entry and at each cycle rollover, as in the reference walk).
-    // The windows are sorted and merged, so the first one overlapping
-    // [op_begin, op_end) is found by binary search — a linear scan would
-    // make the per-hot-range calls quadratic in the window count.
+    // Per window, the per-cycle delay factors are shared by every op
+    // captured at the same DDR half sample (fac memo, reset at window entry
+    // and at each cycle rollover, as in the reference walk).
     const bool no_throttle = throttle == nullptr;
-    const CycleWindow* wend = overlay.unsafe.data() + overlay.unsafe.size();
-    const CycleWindow* wit = std::lower_bound(
-        overlay.unsafe.data(), wend, op_begin,
-        [&](const CycleWindow& cw, std::size_t ob) {
-            return (cw.end - seg.start_cycle) * mpc <= ob;
-        });
-    for (; wit != wend; ++wit) {
-        std::size_t lo = (wit->begin - seg.start_cycle) * mpc;
-        std::size_t hi = (wit->end - seg.start_cycle) * mpc;
-        if (lo >= op_end) break;
-        lo = std::max(lo, op_begin);
-        hi = std::min(hi, op_end);
-        std::size_t cycle = seg.start_cycle + lo / mpc;
-        std::size_t pos = lo % mpc;
+    for (const CycleWindow& win : overlay.unsafe) {
+        const std::size_t lo = (win.begin - seg.start_cycle) * mpc;
+        const std::size_t hi = std::min((win.end - seg.start_cycle) * mpc, n_ops);
+        if (lo >= hi) break;
+        std::size_t cycle = win.begin;
+        std::size_t pos = 0;
         double fac[2] = {-1.0, -1.0};
         for (std::size_t g = lo; g < hi; ++g) {
             const std::size_t sidx = cycle * 2 + (pos & 1);
             const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < conv_safe_v_ && (no_throttle || !detail::throttled(throttle, cycle))) {
+            if (v < safe_v && (no_throttle || !detail::throttled(throttle, cycle))) {
                 double& f = fac[pos & 1];
                 if (f < 0.0) f = delay_.factor(v);
-                switch (detail::evaluate_op_with_factor(conv_dsps_[pos >> 1], f, rng,
+                switch (detail::evaluate_op_with_factor(dsps[pos >> 1], f, rng,
                                                         path_scale, tmr)) {
                     case FaultKind::None:
                         break;
                     case FaultKind::Duplication:
-                        accs[g / opp - elem_begin] +=
+                        accs[g / ops_per_elem] +=
                             stale_product_at(g, pos) - true_product_at(g);
                         ++counts.duplication;
                         break;
                     case FaultKind::Random:
-                        accs[g / opp - elem_begin] +=
+                        accs[g / ops_per_elem] +=
                             DspSlice::random_fault_value(rng) - true_product_at(g);
                         ++counts.random;
                         break;
@@ -486,171 +239,79 @@ void AccelEngine::run_conv_window(const QTensor& input, const quant::QLayer& lay
             }
         }
     }
+}
 
-    for (std::size_t p = elem_begin; p < elem_end; ++p) {
-        out_data[p] = detail::apply_activation(
-            Q3_4::from_accumulator(accs[p - elem_begin]), layer.activation);
+QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
+                              const LayerSegment& seg, const SegmentOverlay& overlay,
+                              const VoltageTrace* voltage, Rng& rng,
+                              const std::vector<bool>* throttle, FaultCounts& counts,
+                              const std::vector<fx::Acc>& golden_accs) const {
+    const QTensor& w = layer.weight;
+    const std::size_t in_c = input.shape().dim(0);
+    const std::size_t in_h = input.shape().dim(1);
+    const std::size_t in_w = input.shape().dim(2);
+    const std::size_t out_c = w.shape().dim(0);
+    const std::size_t k = w.shape().dim(2);
+    const std::size_t kk = k * k;
+    const std::size_t out_h = in_h - k + 1;
+    const std::size_t out_w = in_w - k + 1;
+    const std::size_t plane = out_h * out_w;
+    const std::size_t opp = in_c * kk; // ops per output element
+    const std::size_t n_elems = out_c * plane;
+    QTensor out(Shape{out_c, out_h, out_w});
+    if (!overlay.any()) {
+        quant::gemm::write_back(golden_accs.data(), n_elems, layer.activation, out);
+        return out;
     }
+
+    const Q3_4* in_data = input.data();
+    const Q3_4* w_data = w.data();
+    const auto true_product_at = [&](std::size_t g) {
+        const std::size_t pixel = g / opp;
+        const std::size_t rem = g % opp;
+        const std::size_t oc = pixel / plane;
+        const std::size_t rc = pixel % plane;
+        const std::size_t r = rc / out_w;
+        const std::size_t c = rc % out_w;
+        const std::size_t ic = rem / kk;
+        const std::size_t kr = (rem % kk) / k;
+        const std::size_t kc = rem % k;
+        return static_cast<fx::Acc>(in_data[(ic * in_h + r + kr) * in_w + c + kc].raw()) *
+               w_data[(oc * in_c + ic) * kk + kr * k + kc].raw();
+    };
+    thread_local std::vector<fx::Acc> accs;
+    accs.assign(golden_accs.begin(), golden_accs.end());
+    walk_windows(overlay, seg, opp, n_elems * opp, conv_dsps_, conv_safe_v_,
+                 config_.path_derate(layer), *voltage, throttle, rng, counts, accs,
+                 true_product_at);
+    quant::gemm::write_back(accs.data(), n_elems, layer.activation, out);
+    return out;
 }
 
 QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
                             const LayerSegment& seg, const SegmentOverlay& overlay,
                             const VoltageTrace* voltage, Rng& rng,
-                            const std::vector<bool>* throttle,
-                            FaultCounts& counts) const {
-    if (!overlay.any()) {
-        return quant::qdense(input, layer.weight, layer.bias, layer.activation);
-    }
-
+                            const std::vector<bool>* throttle, FaultCounts& counts,
+                            const std::vector<fx::Acc>& golden_accs) const {
     const std::size_t out_n = layer.weight.shape().dim(0);
     const std::size_t in_n = layer.weight.shape().dim(1);
-
     QTensor out(Shape{out_n});
-
-    // See run_conv: one GEMM pass supplies the golden accumulators for
-    // both gap writebacks and hot-window seeding, byte-identical to the
-    // scalar walk.
-    if (quant::gemm::enabled()) {
-        thread_local std::vector<fx::Acc> accs;
-        quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
-        std::size_t cursor = 0;
-        for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, in_n, out_n)) {
-            for (std::size_t p = cursor; p < e0; ++p) {
-                out.data()[p] = detail::apply_activation(
-                    Q3_4::from_accumulator(accs[p]), layer.activation);
-            }
-            run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                          accs.data(), e0, e1, out);
-            cursor = e1;
-        }
-        for (std::size_t p = cursor; p < out_n; ++p) {
-            out.data()[p] = detail::apply_activation(
-                Q3_4::from_accumulator(accs[p]), layer.activation);
-        }
+    if (!overlay.any()) {
+        quant::gemm::write_back(golden_accs.data(), out_n, layer.activation, out);
         return out;
     }
 
-    std::size_t cursor = 0;
-    for (const auto& [e0, e1] : hot_element_ranges(overlay, seg, in_n, out_n)) {
-        if (cursor < e0) {
-            quant::detail::qdense_outputs_unchecked(input, layer.weight, layer.bias,
-                                                    layer.activation, cursor, e0, out);
-        }
-        run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                      nullptr, e0, e1, out);
-        cursor = e1;
-    }
-    if (cursor < out_n) {
-        quant::detail::qdense_outputs_unchecked(input, layer.weight, layer.bias,
-                                                layer.activation, cursor, out_n, out);
-    }
-    return out;
-}
-
-void AccelEngine::run_fc_window(const QTensor& input, const quant::QLayer& layer,
-                                const LayerSegment& seg, const SegmentOverlay& overlay,
-                                const VoltageTrace* voltage, Rng& rng,
-                                const std::vector<bool>* throttle, FaultCounts& counts,
-                                const fx::Acc* golden_accs, std::size_t elem_begin,
-                                std::size_t elem_end, QTensor& out) const {
-    const QTensor& w = layer.weight;
-    const QTensor& b = layer.bias;
-    const std::size_t in_n = w.shape().dim(1);
-    const std::size_t mpc = seg.ops_per_cycle;
-    const bool tmr = config_.tmr_protection;
-    const double vdd = delay_.vdd;
-
     const Q3_4* in_data = input.data();
-    const Q3_4* w_data = w.data();
-    const Q3_4* b_data = b.data();
-    Q3_4* out_data = out.data();
-    const double* vs = voltage->data();
-    const std::size_t vn = voltage->size();
-
+    const Q3_4* w_data = layer.weight.data();
     const auto true_product_at = [&](std::size_t g) {
         return static_cast<fx::Acc>(in_data[g % in_n].raw()) * w_data[g].raw();
     };
-
-    // See run_conv_window: the stale register of the issuing slice is
-    // recovered from the op stream, not carried in a pipeline array.
-    const auto stale_product_at = [&](std::size_t g, std::size_t pos) -> fx::Acc {
-        if (pos & 1) return true_product_at(g - 1);
-        if (g < mpc) return 0;
-        const std::size_t last_pos = pos + 1 < mpc ? pos + 1 : pos;
-        return true_product_at(g - pos + last_pos - mpc);
-    };
-
-    // Golden-plus-deltas evaluation; see run_conv_window for the argument.
-    const std::size_t op_begin = elem_begin * in_n;
-    const std::size_t op_end = elem_end * in_n;
-
-    // See run_conv_window: cached golden accumulators replace the sums.
-    std::vector<fx::Acc> accs(elem_end - elem_begin);
-    if (golden_accs != nullptr) {
-        std::copy(golden_accs + elem_begin, golden_accs + elem_end, accs.begin());
-    } else {
-        for (std::size_t o = elem_begin; o < elem_end; ++o) {
-            const Q3_4* w_row = w_data + o * in_n;
-            std::int32_t acc32 = 0; // |product| <= 2^14, fan-in <= 2^16: no overflow
-            for (std::size_t i = 0; i < in_n; ++i) {
-                acc32 += static_cast<std::int32_t>(in_data[i].raw()) * w_row[i].raw();
-            }
-            accs[o - elem_begin] =
-                (static_cast<fx::Acc>(b_data[o].raw()) << Q3_4::frac_bits) + acc32;
-        }
-    }
-
-    // See run_conv_window for the binary-search rationale.
-    const bool no_throttle = throttle == nullptr;
-    const CycleWindow* wend = overlay.unsafe.data() + overlay.unsafe.size();
-    const CycleWindow* wit = std::lower_bound(
-        overlay.unsafe.data(), wend, op_begin,
-        [&](const CycleWindow& cw, std::size_t ob) {
-            return (cw.end - seg.start_cycle) * mpc <= ob;
-        });
-    for (; wit != wend; ++wit) {
-        std::size_t lo = (wit->begin - seg.start_cycle) * mpc;
-        std::size_t hi = (wit->end - seg.start_cycle) * mpc;
-        if (lo >= op_end) break;
-        lo = std::max(lo, op_begin);
-        hi = std::min(hi, op_end);
-        std::size_t cycle = seg.start_cycle + lo / mpc;
-        std::size_t pos = lo % mpc;
-        double fac[2] = {-1.0, -1.0};
-        for (std::size_t g = lo; g < hi; ++g) {
-            const std::size_t sidx = cycle * 2 + (pos & 1);
-            const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < fc_safe_v_ && (no_throttle || !detail::throttled(throttle, cycle))) {
-                double& f = fac[pos & 1];
-                if (f < 0.0) f = delay_.factor(v);
-                switch (detail::evaluate_op_with_factor(fc_dsps_[pos >> 1], f, rng, 1.0,
-                                                        tmr)) {
-                    case FaultKind::None:
-                        break;
-                    case FaultKind::Duplication:
-                        accs[g / in_n - elem_begin] +=
-                            stale_product_at(g, pos) - true_product_at(g);
-                        ++counts.duplication;
-                        break;
-                    case FaultKind::Random:
-                        accs[g / in_n - elem_begin] +=
-                            DspSlice::random_fault_value(rng) - true_product_at(g);
-                        ++counts.random;
-                        break;
-                }
-            }
-            if (++pos == mpc) {
-                pos = 0;
-                ++cycle;
-                fac[0] = fac[1] = -1.0;
-            }
-        }
-    }
-
-    for (std::size_t o = elem_begin; o < elem_end; ++o) {
-        out_data[o] = detail::apply_activation(
-            Q3_4::from_accumulator(accs[o - elem_begin]), layer.activation);
-    }
+    thread_local std::vector<fx::Acc> accs;
+    accs.assign(golden_accs.begin(), golden_accs.end());
+    walk_windows(overlay, seg, in_n, out_n * in_n, fc_dsps_, fc_safe_v_, 1.0, *voltage,
+                 throttle, rng, counts, accs, true_product_at);
+    quant::gemm::write_back(accs.data(), out_n, layer.activation, out);
+    return out;
 }
 
 QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
@@ -666,6 +327,33 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
     // touches one, the whole-segment per-op path is already cheap and
     // trivially byte-identical.
     return run_pool_reference(input, layer, seg, voltage, rng, throttle, counts);
+}
+
+QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
+                               const SegmentOverlay& overlay,
+                               const VoltageTrace* voltage, Rng& rng,
+                               const std::vector<bool>* throttle,
+                               FaultCounts& counts) const {
+    const quant::QLayer& layer = network_.layers[i];
+    const LayerSegment& seg = schedule_.segment_for_layer(i);
+    // Conv/dense layers take their fault-free accumulators from one
+    // im2col/GEMM pass. A dense layer consumes a rank-3 input as is: the
+    // implicit flatten is a shape change, never a data change.
+    thread_local std::vector<fx::Acc> accs;
+    switch (layer.kind) {
+        case quant::QLayerKind::Conv:
+            quant::gemm::conv2d_accs(input, layer.weight, layer.bias, accs);
+            return run_conv(input, layer, seg, overlay, voltage, rng, throttle, counts,
+                            accs);
+        case quant::QLayerKind::Pool2:
+        case quant::QLayerKind::AvgPool2:
+            return run_pool(input, layer, seg, overlay, voltage, rng, throttle, counts);
+        case quant::QLayerKind::Dense:
+            quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
+            return run_fc(input, layer, seg, overlay, voltage, rng, throttle, counts,
+                          accs);
+    }
+    throw ContractError("AccelEngine: unknown layer kind");
 }
 
 RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
@@ -687,305 +375,97 @@ RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
     result.layer_index.reserve(network_.layers.size());
 
     QTensor x = image;
+    std::uint64_t ops_total = 0;
     for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-        const quant::QLayer& layer = network_.layers[i];
-        const LayerSegment& seg = schedule_.segment_for_layer(i);
-        const SegmentOverlay& overlay = plan->layers[i];
-
-        if (layer.kind == quant::QLayerKind::Dense && x.shape().rank() != 1) {
-            QTensor flat(Shape{x.size()});
-            for (std::size_t j = 0; j < x.size(); ++j) {
-                flat.at_unchecked(j) = x.at_unchecked(j);
-            }
-            x = std::move(flat);
-        }
-
         FaultCounts counts;
-        switch (layer.kind) {
-            case quant::QLayerKind::Conv:
-                x = run_conv(x, layer, seg, overlay, voltage, fault_rng, throttle,
-                             counts);
-                break;
-            case quant::QLayerKind::Pool2:
-            case quant::QLayerKind::AvgPool2:
-                x = run_pool(x, layer, seg, overlay, voltage, fault_rng, throttle,
-                             counts);
-                break;
-            case quant::QLayerKind::Dense:
-                x = run_fc(x, layer, seg, overlay, voltage, fault_rng, throttle,
-                           counts);
-                break;
-        }
-        result.faults_total += counts;
-        result.layer_index.emplace(layer.label, result.faults_by_layer.size());
-        result.faults_by_layer.push_back({layer.label, counts});
+        x = run_layer(i, x, plan->layers[i], voltage, fault_rng, throttle, counts);
+        ops_total += schedule_.segment_for_layer(i).total_ops;
+        record_layer(result, network_.layers[i].label, counts);
     }
 
     result.logits = std::move(x);
     result.predicted = argmax(result.logits);
-
-    // One registry visit per inference (never per op): golden-vs-faulted op
-    // accounting derives from the static schedule and the overlay plan, so
-    // totals are identical at any thread count.
-    if (metrics::enabled()) {
-        std::uint64_t ops_total = 0;
-        std::uint64_t ops_unsafe = 0;
-        for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-            const LayerSegment& seg = schedule_.segment_for_layer(i);
-            ops_total += seg.total_ops;
-            for (const CycleWindow& w : plan->layers[i].unsafe) {
-                const std::size_t b = w.begin - seg.start_cycle;
-                const std::size_t e = w.end - seg.start_cycle;
-                ops_unsafe += std::min(e * seg.ops_per_cycle, seg.total_ops) -
-                              std::min(b * seg.ops_per_cycle, seg.total_ops);
-            }
-        }
-        metrics::counter("accel.inferences", "inferences",
-                         "accelerator inference runs (faulted + clean)")
-            .add();
-        metrics::counter("accel.ops_total", "ops",
-                         "scheduled MAC/comparator ops executed")
-            .add(ops_total);
-        metrics::counter("accel.ops_unsafe", "ops",
-                         "ops inside unsafe voltage windows (per-op fault path)")
-            .add(ops_unsafe);
-        metrics::counter("accel.faults_duplication", "faults",
-                         "DSP duplication faults injected")
-            .add(result.faults_total.duplication);
-        metrics::counter("accel.faults_random", "faults",
-                         "DSP random faults injected")
-            .add(result.faults_total.random);
-    }
+    count_inference(schedule_, *plan, ops_total, result.faults_total);
     return result;
 }
 
-QTensor AccelEngine::run_conv_golden(const QTensor& input, const QTensor& golden_out,
-                                     const quant::QLayer& layer, const LayerSegment& seg,
-                                     const SegmentOverlay& overlay,
-                                     const VoltageTrace* voltage, Rng& rng,
-                                     const std::vector<bool>* throttle,
-                                     FaultCounts& counts,
-                                     const std::vector<fx::Acc>* golden_accs) const {
-    const QTensor& w = layer.weight;
-    const std::size_t opp =
-        input.shape().dim(0) * w.shape().dim(2) * w.shape().dim(3);
-    const fx::Acc* accs =
-        golden_accs != nullptr && !golden_accs->empty() ? golden_accs->data() : nullptr;
-    QTensor out = golden_out; // safe gap elements are already golden
-    const auto ranges = hot_element_ranges(overlay, seg, opp, golden_out.size());
-    if (accs != nullptr && !ranges.empty()) {
-        // With cached accumulators a gap element costs only an int64 copy
-        // and a writeback, so one window call spanning every hot range beats
-        // hundreds of per-range calls (each re-entering the window walk).
-        // The RNG stream is unchanged: the same windows are visited in the
-        // same order with the same unclipped op bounds.
-        run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                        accs, ranges.front().first, ranges.back().second, out);
-    } else {
-        for (const auto& [e0, e1] : ranges) {
-            run_conv_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                            accs, e0, e1, out);
-        }
-    }
-    return out;
-}
-
-QTensor AccelEngine::run_fc_golden(const QTensor& input, const QTensor& golden_out,
-                                   const quant::QLayer& layer, const LayerSegment& seg,
-                                   const SegmentOverlay& overlay,
-                                   const VoltageTrace* voltage, Rng& rng,
-                                   const std::vector<bool>* throttle,
-                                   FaultCounts& counts,
-                                   const std::vector<fx::Acc>* golden_accs) const {
-    const std::size_t in_n = layer.weight.shape().dim(1);
-    const fx::Acc* accs =
-        golden_accs != nullptr && !golden_accs->empty() ? golden_accs->data() : nullptr;
-    QTensor out = golden_out;
-    const auto ranges = hot_element_ranges(overlay, seg, in_n, golden_out.size());
-    if (accs != nullptr && !ranges.empty()) {
-        // Single spanning call; see run_conv_golden for the rationale.
-        run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                      accs, ranges.front().first, ranges.back().second, out);
-    } else {
-        for (const auto& [e0, e1] : ranges) {
-            run_fc_window(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                          accs, e0, e1, out);
-        }
-    }
-    return out;
-}
-
-RunResult AccelEngine::run_elided(const QTensor& image,
-                                  const std::vector<QTensor>& golden_layers,
-                                  const VoltageTrace* voltage, Rng& fault_rng,
-                                  const OverlayPlan& plan,
-                                  const std::vector<bool>* throttle,
-                                  const std::vector<std::vector<fx::Acc>>* golden_accs)
-    const {
+RunResult AccelEngine::run_elided(
+    const QTensor& image, const std::vector<QTensor>& golden_layers,
+    const std::vector<std::vector<fx::Acc>>& golden_accs, const VoltageTrace* voltage,
+    Rng& fault_rng, const OverlayPlan& plan, const std::vector<bool>* throttle) const {
+    const std::size_t n_layers = network_.layers.size();
     expects(image.shape() == network_.input_shape, "AccelEngine::run_elided: input shape");
-    expects(golden_layers.size() == network_.layers.size(),
+    expects(golden_layers.size() == n_layers,
             "AccelEngine::run_elided: one golden activation per layer");
-    expects(golden_accs == nullptr || golden_accs->size() == network_.layers.size(),
+    expects(golden_accs.size() == n_layers,
             "AccelEngine::run_elided: one accumulator array per layer");
-    expects(plan.layers.size() == network_.layers.size() &&
+    for (std::size_t i = 0; i < n_layers; ++i) {
+        const quant::QLayerKind kind = network_.layers[i].kind;
+        if (kind == quant::QLayerKind::Conv || kind == quant::QLayerKind::Dense) {
+            expects(golden_accs[i].size() == golden_layers[i].size(),
+                    "AccelEngine::run_elided: one golden accumulator per "
+                    "Conv/Dense output");
+        }
+    }
+    expects(plan.layers.size() == n_layers &&
                 plan.trace_samples == (voltage == nullptr ? 0 : voltage->size()),
             "AccelEngine::run_elided: overlay plan does not match trace/network");
 
     RunResult result;
-    result.faults_by_layer.reserve(network_.layers.size());
-    result.layer_index.reserve(network_.layers.size());
+    result.faults_by_layer.reserve(n_layers);
+    result.layer_index.reserve(n_layers);
 
     // While `diverged` is false the activation entering layer i is byte-
     // equal to golden_layers[i - 1] (the image for i == 0): safe layers are
-    // skipped outright and windowed layers go through the golden-gap
-    // variants; a windowed layer that draws zero faults writes back golden
-    // bytes (zero integer deltas), so the invariant survives it. The first
-    // fault flips `diverged` and the remainder runs the plain gated path.
+    // skipped outright, and a windowed layer runs its fault walk on the
+    // cached golden accumulators instead of recomputing them; one that
+    // draws zero faults writes back golden bytes (zero integer deltas), so
+    // the invariant survives it. The first fault flips `diverged`, and the
+    // remaining layers run exactly as in run() on the perturbed activation.
     bool diverged = false;
-    // While `sparse` is true the perturbed activation x differs from the
-    // golden one at exactly the flat indices in `changed`; fault-free
-    // downstream layers are then patched from their golden outputs (see
-    // the patch_* kernels) instead of fully recomputed. The mode is
-    // abandoned — permanently — when a post-divergence layer has its own
-    // unsafe windows (the window walk needs a dense pass anyway) or the
-    // changed set grows past the point where patching wins.
-    bool sparse = false;
-    std::vector<std::size_t> changed;
     QTensor x; // the perturbed activation, valid once diverged
     std::uint64_t ops_executed = 0;
-    for (std::size_t i = 0; i < network_.layers.size(); ++i) {
+    for (std::size_t i = 0; i < n_layers; ++i) {
         const quant::QLayer& layer = network_.layers[i];
         const LayerSegment& seg = schedule_.segment_for_layer(i);
         const SegmentOverlay& overlay = plan.layers[i];
 
         FaultCounts counts;
-        if (!diverged) {
-            if (!overlay.any()) {
-                ++result.golden_layers_reused;
-            } else {
-                // The golden tensors are contiguous row-major, so a dense
-                // layer can consume a rank-3 golden input directly: the
-                // implicit flatten is a shape change, never a data change.
-                const QTensor& in = i == 0 ? image : golden_layers[i - 1];
-                const std::vector<fx::Acc>* accs =
-                    golden_accs == nullptr ? nullptr : &(*golden_accs)[i];
-                QTensor out;
-                switch (layer.kind) {
-                    case quant::QLayerKind::Conv:
-                        out = run_conv_golden(in, golden_layers[i], layer, seg,
-                                              overlay, voltage, fault_rng, throttle,
-                                              counts, accs);
-                        break;
-                    case quant::QLayerKind::Pool2:
-                    case quant::QLayerKind::AvgPool2:
-                        out = run_pool(in, layer, seg, overlay, voltage, fault_rng,
-                                       throttle, counts);
-                        break;
-                    case quant::QLayerKind::Dense:
-                        out = run_fc_golden(in, golden_layers[i], layer, seg, overlay,
-                                            voltage, fault_rng, throttle, counts,
-                                            accs);
-                        break;
-                }
-                ops_executed += seg.total_ops;
-                if (counts.total() != 0) {
-                    diverged = true;
-                    x = std::move(out);
-                    if (golden_accs != nullptr) {
-                        sparse = true;
-                        changed = diff_indices(x, golden_layers[i]);
-                    }
-                }
-            }
+        if (diverged) {
+            x = run_layer(i, x, overlay, voltage, fault_rng, throttle, counts);
+            ops_executed += seg.total_ops;
+        } else if (!overlay.any()) {
+            ++result.golden_layers_reused;
         } else {
-            if (sparse &&
-                (overlay.any() || changed.size() * 2 >= x.size() ||
-                 (layer.kind == quant::QLayerKind::Dense &&
-                  (*golden_accs)[i].empty()))) {
-                sparse = false;
+            const QTensor& in = i == 0 ? image : golden_layers[i - 1];
+            QTensor out;
+            switch (layer.kind) {
+                case quant::QLayerKind::Conv:
+                    out = run_conv(in, layer, seg, overlay, voltage, fault_rng, throttle,
+                                   counts, golden_accs[i]);
+                    break;
+                case quant::QLayerKind::Pool2:
+                case quant::QLayerKind::AvgPool2:
+                    out = run_pool(in, layer, seg, overlay, voltage, fault_rng, throttle,
+                                   counts);
+                    break;
+                case quant::QLayerKind::Dense:
+                    out = run_fc(in, layer, seg, overlay, voltage, fault_rng, throttle,
+                                 counts, golden_accs[i]);
+                    break;
             }
-            if (sparse) {
-                QTensor out;
-                switch (layer.kind) {
-                    case quant::QLayerKind::Conv:
-                        out = patch_conv(x, changed, layer, golden_layers[i]);
-                        break;
-                    case quant::QLayerKind::Pool2:
-                    case quant::QLayerKind::AvgPool2:
-                        out = patch_pool(x, changed, layer.kind, golden_layers[i]);
-                        break;
-                    case quant::QLayerKind::Dense:
-                        out = patch_dense(x, golden_layers[i - 1], changed, layer,
-                                          (*golden_accs)[i], golden_layers[i]);
-                        break;
-                }
-                changed = diff_indices(out, golden_layers[i]);
+            ops_executed += seg.total_ops;
+            if (counts.total() != 0) {
+                diverged = true;
                 x = std::move(out);
-                ops_executed += seg.total_ops;
-            } else {
-                if (layer.kind == quant::QLayerKind::Dense && x.shape().rank() != 1) {
-                    QTensor flat(Shape{x.size()});
-                    for (std::size_t j = 0; j < x.size(); ++j) {
-                        flat.at_unchecked(j) = x.at_unchecked(j);
-                    }
-                    x = std::move(flat);
-                }
-                switch (layer.kind) {
-                    case quant::QLayerKind::Conv:
-                        x = run_conv(x, layer, seg, overlay, voltage, fault_rng,
-                                     throttle, counts);
-                        break;
-                    case quant::QLayerKind::Pool2:
-                    case quant::QLayerKind::AvgPool2:
-                        x = run_pool(x, layer, seg, overlay, voltage, fault_rng,
-                                     throttle, counts);
-                        break;
-                    case quant::QLayerKind::Dense:
-                        x = run_fc(x, layer, seg, overlay, voltage, fault_rng,
-                                   throttle, counts);
-                        break;
-                }
-                ops_executed += seg.total_ops;
             }
         }
-        result.faults_total += counts;
-        result.layer_index.emplace(layer.label, result.faults_by_layer.size());
-        result.faults_by_layer.push_back({layer.label, counts});
+        record_layer(result, layer.label, counts);
     }
 
     result.logits = diverged ? std::move(x) : golden_layers.back();
     result.predicted = argmax(result.logits);
-
-    if (metrics::enabled()) {
-        std::uint64_t ops_unsafe = 0;
-        for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-            const LayerSegment& seg = schedule_.segment_for_layer(i);
-            for (const CycleWindow& w : plan.layers[i].unsafe) {
-                const std::size_t b = w.begin - seg.start_cycle;
-                const std::size_t e = w.end - seg.start_cycle;
-                ops_unsafe += std::min(e * seg.ops_per_cycle, seg.total_ops) -
-                              std::min(b * seg.ops_per_cycle, seg.total_ops);
-            }
-        }
-        metrics::counter("accel.inferences", "inferences",
-                         "accelerator inference runs (faulted + clean)")
-            .add();
-        // ops_total charges only the layers actually computed: skipped
-        // golden layers cost no op work. The elision decision depends on
-        // (plan, RNG stream) alone, so totals stay thread-count-invariant.
-        metrics::counter("accel.ops_total", "ops",
-                         "scheduled MAC/comparator ops executed")
-            .add(ops_executed);
-        metrics::counter("accel.ops_unsafe", "ops",
-                         "ops inside unsafe voltage windows (per-op fault path)")
-            .add(ops_unsafe);
-        metrics::counter("accel.faults_duplication", "faults",
-                         "DSP duplication faults injected")
-            .add(result.faults_total.duplication);
-        metrics::counter("accel.faults_random", "faults",
-                         "DSP random faults injected")
-            .add(result.faults_total.random);
-    }
+    count_inference(schedule_, plan, ops_executed, result.faults_total);
     return result;
 }
 

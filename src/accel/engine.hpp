@@ -116,37 +116,27 @@ public:
 
     /// Golden-elided inference: byte-identical to run() — same logits,
     /// fault counts, and fault-RNG stream — but answers as much of the
-    /// forward pass as possible from cached golden activations
-    /// (`golden_layers` = quant::QNetwork::forward_activations of the same
-    /// image, one post-activation tensor per layer):
+    /// forward pass as possible from the image's cached golden pass
+    /// (quant::QNetwork::forward_trace): `golden_layers` holds one
+    /// post-activation tensor per layer, `golden_accs` the pre-writeback
+    /// accumulators of every Conv/Dense layer (empty for pools).
     ///   - a layer with no unsafe window is skipped outright while the
     ///     activation entering it is still golden (the RNG is only drawn
     ///     inside windows, so the stream is untouched);
-    ///   - a windowed conv/FC layer whose input is still golden starts from
-    ///     a copy of its golden output and recomputes only the element
-    ///     ranges its windows touch (safe gap elements become a copy
-    ///     instead of MACs);
-    ///   - once a layer actually faults, the remainder of the network runs
-    ///     the plain gated path on the perturbed activation.
-    /// `golden_accs` optionally supplies the per-layer pre-writeback
-    /// accumulators of the same golden pass (QNetwork::forward_trace):
-    ///   - a windowed conv/FC layer on a still-golden input copies the
-    ///     cached accumulators instead of re-summing every hot element's
-    ///     receptive field (the fault pass only patches integer deltas);
-    ///   - after divergence, fault-free downstream layers are patched
-    ///     sparsely from the golden output: only the elements reachable
-    ///     from the changed set are recomputed (dense layers via integer
-    ///     delta sums against the cached accumulators).
-    /// Both are exact — integer accumulation reassociates losslessly — so
-    /// results stay byte-identical to run(), with or without `golden_accs`.
-    /// RunResult::golden_layers_reused counts the skipped layers.
+    ///   - a windowed conv/FC layer whose input is still golden runs its
+    ///     fault walk on the cached accumulators instead of recomputing
+    ///     them;
+    ///   - once a layer actually faults, the remaining layers run exactly
+    ///     as in run() on the perturbed activation.
+    /// Throws ContractError when a Conv/Dense accumulator array does not
+    /// hold one entry per output element. RunResult::golden_layers_reused
+    /// counts the skipped layers.
     RunResult run_elided(const QTensor& image,
                          const std::vector<QTensor>& golden_layers,
+                         const std::vector<std::vector<fx::Acc>>& golden_accs,
                          const VoltageTrace* voltage, Rng& fault_rng,
                          const OverlayPlan& plan,
-                         const std::vector<bool>* throttle = nullptr,
-                         const std::vector<std::vector<fx::Acc>>* golden_accs =
-                             nullptr) const;
+                         const std::vector<bool>* throttle = nullptr) const;
 
     /// Retained whole-segment per-op implementation: gates golden-vs-per-op
     /// per segment instead of per cycle window. Byte-identical to run() by
@@ -164,59 +154,48 @@ public:
 
 private:
     // --- interval-gated fast path (engine.cpp) ---
+    /// Layer i of run(): a conv/FC layer gets its fault-free accumulators
+    /// from one im2col/GEMM pass, then run_conv/run_fc.
+    QTensor run_layer(std::size_t i, const QTensor& input,
+                      const SegmentOverlay& overlay, const VoltageTrace* voltage,
+                      Rng& rng, const std::vector<bool>* throttle,
+                      FaultCounts& counts) const;
+
+    /// Faulted execution of a conv layer from `golden_accs`, the layer's
+    /// fault-free accumulators on `input` (one per output element, bias
+    /// folded): walk_windows patches a copy, then every element writes
+    /// back.
     QTensor run_conv(const QTensor& input, const quant::QLayer& layer,
                      const LayerSegment& seg, const SegmentOverlay& overlay,
                      const VoltageTrace* voltage, Rng& rng,
-                     const std::vector<bool>* throttle, FaultCounts& counts) const;
+                     const std::vector<bool>* throttle, FaultCounts& counts,
+                     const std::vector<fx::Acc>& golden_accs) const;
+    /// FC counterpart of run_conv.
     QTensor run_fc(const QTensor& input, const quant::QLayer& layer,
                    const LayerSegment& seg, const SegmentOverlay& overlay,
                    const VoltageTrace* voltage, Rng& rng,
-                   const std::vector<bool>* throttle, FaultCounts& counts) const;
+                   const std::vector<bool>* throttle, FaultCounts& counts,
+                   const std::vector<fx::Acc>& golden_accs) const;
     QTensor run_pool(const QTensor& input, const quant::QLayer& layer,
                      const LayerSegment& seg, const SegmentOverlay& overlay,
                      const VoltageTrace* voltage, Rng& rng,
                      const std::vector<bool>* throttle, FaultCounts& counts) const;
 
-    /// Per-op execution of output elements [elem_begin, elem_end) of a conv
-    /// layer. Ops inside the overlay's unsafe windows take the full fault
-    /// path; ops between windows accumulate true products directly (no RNG,
-    /// matching the reference, which only draws below the safe voltage).
-    /// Duplication faults recover the stale DSP register by op-stream index
-    /// arithmetic instead of carrying a pipeline array (fast path).
-    /// `golden_accs`, when non-null, points at the layer's cached golden
-    /// accumulator array (absolute element indexing): the per-element
-    /// golden re-summation is replaced by a copy. Only valid while the
-    /// layer's input is byte-equal to the golden activation the
-    /// accumulators were traced from.
-    void run_conv_window(const QTensor& input, const quant::QLayer& layer,
-                         const LayerSegment& seg, const SegmentOverlay& overlay,
-                         const VoltageTrace* voltage, Rng& rng,
-                         const std::vector<bool>* throttle, FaultCounts& counts,
-                         const fx::Acc* golden_accs, std::size_t elem_begin,
-                         std::size_t elem_end, QTensor& out) const;
-    void run_fc_window(const QTensor& input, const quant::QLayer& layer,
-                       const LayerSegment& seg, const SegmentOverlay& overlay,
-                       const VoltageTrace* voltage, Rng& rng,
-                       const std::vector<bool>* throttle, FaultCounts& counts,
-                       const fx::Acc* golden_accs, std::size_t elem_begin,
-                       std::size_t elem_end, QTensor& out) const;
-
-    /// Golden-gap variants for run_elided: `out` starts as a copy of the
-    /// layer's cached golden output, and only the hot element ranges go
-    /// through run_*_window (seeded from `golden_accs` when available).
-    /// Valid only while the layer's input is golden.
-    QTensor run_conv_golden(const QTensor& input, const QTensor& golden_out,
-                            const quant::QLayer& layer, const LayerSegment& seg,
-                            const SegmentOverlay& overlay, const VoltageTrace* voltage,
-                            Rng& rng, const std::vector<bool>* throttle,
-                            FaultCounts& counts,
-                            const std::vector<fx::Acc>* golden_accs) const;
-    QTensor run_fc_golden(const QTensor& input, const QTensor& golden_out,
-                          const quant::QLayer& layer, const LayerSegment& seg,
-                          const SegmentOverlay& overlay, const VoltageTrace* voltage,
-                          Rng& rng, const std::vector<bool>* throttle,
-                          FaultCounts& counts,
-                          const std::vector<fx::Acc>* golden_accs) const;
+    /// The golden-plus-deltas fault walk shared by run_conv and run_fc.
+    /// Visits only the ops inside the overlay's unsafe windows, in
+    /// ascending op order; each draws the fault model exactly as the
+    /// per-op reference does and, when it faults, adds the integer delta
+    /// (faulted contribution minus `true_product_at(op)`) to its element's
+    /// entry of `accs`. Duplication faults recover the stale DSP register
+    /// by op-stream index arithmetic instead of carrying a pipeline array.
+    template <typename TrueProduct>
+    void walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
+                      std::size_t ops_per_elem, std::size_t n_ops,
+                      const std::vector<DspSlice>& dsps, double safe_v,
+                      double path_scale, const VoltageTrace& voltage,
+                      const std::vector<bool>* throttle, Rng& rng,
+                      FaultCounts& counts, std::vector<fx::Acc>& accs,
+                      const TrueProduct& true_product_at) const;
 
     // --- retained reference path (engine_reference.cpp) ---
     QTensor run_conv_reference(const QTensor& input, const quant::QLayer& layer,

@@ -11,8 +11,6 @@
 #include "accel/config.hpp"
 #include "accel/dsp.hpp"
 #include "fx/fixed.hpp"
-#include "quant/kernels.hpp"
-#include "quant/qnetwork.hpp"
 
 namespace deepstrike::accel::detail {
 
@@ -27,16 +25,6 @@ inline double capture_voltage(const std::vector<double>* voltage, std::size_t cy
 
 inline bool throttled(const std::vector<bool>* throttle, std::size_t cycle) {
     return throttle != nullptr && cycle < throttle->size() && (*throttle)[cycle];
-}
-
-inline fx::Q3_4 apply_activation(fx::Q3_4 v, quant::Activation activation) {
-    switch (activation) {
-        case quant::Activation::None: return v;
-        case quant::Activation::Tanh: return fx::TanhLut::instance()(v);
-        case quant::Activation::Relu: return quant::qrelu(v);
-        case quant::Activation::Sign: return quant::qsign(v);
-    }
-    return v;
 }
 
 /// Per-DSP pipeline state for duplication faults: the last product captured

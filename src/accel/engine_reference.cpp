@@ -75,7 +75,7 @@ QTensor AccelEngine::run_conv_reference(const QTensor& input, const quant::QLaye
                         }
                     }
                 }
-                out.at(oc, r, c) = detail::apply_activation(Q3_4::from_accumulator(acc),
+                out.at(oc, r, c) = quant::apply_activation(Q3_4::from_accumulator(acc),
                                                             layer.activation);
             }
         }
@@ -133,7 +133,7 @@ QTensor AccelEngine::run_fc_reference(const QTensor& input, const quant::QLayer&
             ++g;
         }
         out.at(o) =
-            detail::apply_activation(Q3_4::from_accumulator(acc), layer.activation);
+            quant::apply_activation(Q3_4::from_accumulator(acc), layer.activation);
     }
     return out;
 }

@@ -1,10 +1,10 @@
 // im2col/GEMM formulation of the quantized conv/dense hot path.
 //
-// The scalar kernels in quant/kernels.cpp walk each output element's
-// receptive field directly; exact under any summation order, but the inner
-// loop is only k (3..5) elements wide for convs, so the compiler cannot
-// vectorize it well. This module restates the same arithmetic as an
-// integer GEMM over contiguous K-length rows:
+// A naive conv walks each output element's receptive field directly;
+// exact under any summation order, but the inner loop is only k (3..5)
+// elements wide, so the compiler cannot vectorize it well. This module
+// states the same arithmetic as an integer GEMM over contiguous K-length
+// rows:
 //
 //   conv  — im2col packs each output pixel's receptive field into one
 //           [K = in_c*k*k] row (same (ic,kr,kc) order the weight rows use),
@@ -17,22 +17,20 @@
 //
 // The microkernel accumulates int16 x int16 products in int32 — exact,
 // because every layer guards its reduction depth (receptive field / fan-in
-// <= 65536 and |product| <= 2^14, see kernels.cpp) — and the AVX2 variant
-// keeps each pmaddwd lane below 2^27, so SIMD, scalar-GEMM and the scalar
-// oracle kernels all produce byte-identical accumulators. That is the hard
-// invariant everything here hangs on: campaign reports must not change
-// with SIMD on or off, at any thread count (tests/gemm_test.cpp).
+// <= 65536 and |product| <= 2^14) — and the AVX2 variant keeps each
+// pmaddwd lane below 2^27, so the AVX2 and portable GEMM paths produce
+// byte-identical accumulators, equal to a naive per-element walk in any
+// summation order. That is the hard invariant everything here hangs on:
+// campaign reports must not change with the dispatch path, at any thread
+// count (tests/gemm_test.cpp checks both paths against the naive loops).
 //
-// Runtime dispatch: GemmMode::Auto resolves to the AVX2 microkernel when
-// the CPU supports it, GemmMode::Scalar forces the portable GEMM fallback
-// (what DS_FORCE_SCALAR=1 selects at startup, keeping the fallback
-// testable on AVX2 machines), and GemmMode::Off restores the pre-GEMM
-// oracle kernels end to end (the honest baseline for benches and
-// byte-identity comparisons).
+// Runtime dispatch follows deepstrike::simd (util/simd.hpp), the switch
+// the co-sim kernels use too: the AVX2 microkernels when simd::active(),
+// the portable GEMM otherwise (DS_FORCE_SCALAR=1 selects it at startup,
+// keeping it testable on AVX2 machines).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fx/fixed.hpp"
@@ -44,51 +42,26 @@ enum class Activation : std::uint8_t;
 
 namespace gemm {
 
-/// How the quantized conv/dense layers execute.
-///   Auto   — im2col/GEMM with the best available microkernel (AVX2 when
-///            the CPU has it, the portable scalar GEMM otherwise).
-///   Scalar — im2col/GEMM with the portable scalar microkernel, even on
-///            AVX2 hardware (DS_FORCE_SCALAR=1 starts here).
-///   Off    — the original per-element oracle kernels; no im2col, no
-///            batching. The reference everything else must match.
-enum class GemmMode : std::uint8_t { Auto, Scalar, Off };
-
-const char* mode_name(GemmMode mode);
-/// Parses a CLI spelling ("auto" | "scalar" | "off"); throws ConfigError
-/// on anything else.
-GemmMode parse_mode(const std::string& name);
-
-/// Process-wide mode. Defaults to Auto, or Scalar when the environment
-/// sets DS_FORCE_SCALAR=1 at startup; `deepstrike --simd` overrides it.
-GemmMode mode();
-void set_mode(GemmMode mode);
-
-/// True when the GEMM formulation is active (mode() != Off).
-bool enabled();
-/// True when dispatch currently resolves to the AVX2 microkernel.
-bool simd_active();
-
-/// Image-block size used by the batched evaluation entries (golden-cache
-/// build, fault-free uncached evaluation). 0 disables batching (images go
-/// through the per-image path); the default is 16. The partition into
-/// blocks is fixed by this knob alone, so batched results and metric
-/// totals are identical at any thread count.
-std::size_t eval_batch();
-void set_eval_batch(std::size_t images);
+/// Image-block size of the batched evaluation entries (golden-cache
+/// build, fault-free uncached evaluation). The partition into blocks
+/// depends on this constant alone, so batched results and metric totals
+/// are identical at any thread count.
+inline constexpr std::size_t kBlockImages = 16;
 
 /// C[i, j] = dot(A row i, B row j) over K contiguous int16 elements:
 /// C[i*ldc + j] (int32) for i < m, j < n, with A rows at a + i*lda and
 /// B rows at b + j*ldb ("NT" layout — both operands row-major, K on the
 /// fast axis). Overwrites C. Exact int32 accumulation; the caller
 /// guarantees k <= 65536 and |a*b| <= 2^14 per product (Q3.4 raws).
-/// Dispatches per mode(); exposed directly for tests and benches.
+/// Dispatches per simd::active(); exposed directly for tests and benches.
 void gemm_nt_s32(const std::int16_t* a, std::size_t lda, const std::int16_t* b,
                  std::size_t ldb, std::int32_t* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k);
 
 /// Full-layer conv accumulators (bias folded, product units) via
-/// im2col + GEMM: accs[oc*plane + pix] matches the scalar kernel's
-/// pre-writeback accumulator byte-for-byte. Input [C,H,W].
+/// im2col + GEMM: accs[oc*plane + pix] is output element (oc, pix)'s
+/// pre-writeback accumulator. Input [C,H,W]; throws ContractError on a
+/// shape mismatch.
 void conv2d_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                  std::vector<fx::Acc>& accs);
 
@@ -110,7 +83,7 @@ void dense_accs_batch(const std::vector<const QTensor*>& inputs,
                       const QTensor& weight, const QTensor& bias,
                       std::vector<std::vector<fx::Acc>>& accs);
 
-/// Writeback stage shared with the oracle kernels: out[p] =
+/// Writeback stage of every conv/dense layer: out[p] =
 /// apply_activation(Q3_4::from_accumulator(accs[p])). `out` preallocated
 /// with n elements.
 void write_back(const fx::Acc* accs, std::size_t n, Activation activation,

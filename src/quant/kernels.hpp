@@ -13,30 +13,25 @@
 //   activation:            tanh via BRAM-style LUT on the Q3.4 grid,
 //                          relu as a sign mux, sign as a comparator
 //
-// These scalar kernels are the byte-exactness oracle. When quant::gemm is
-// enabled (the default), the full-layer entry points (qconv2d / qdense and
-// their trace variants) route through the im2col/GEMM fast path
-// (quant/gemm.hpp) — byte-identical by the exact-integer-accumulation
-// argument documented there; GemmMode::Off restores the loops below
-// end to end.
+// The conv and dense layers run on the im2col/GEMM engine (quant/gemm.hpp),
+// the only conv/dense implementation in the library; the naive per-element
+// loops it must reproduce byte for byte live in tests/gemm_test.cpp.
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "fx/fixed.hpp"
 #include "tensor/tensor.hpp"
 
 namespace deepstrike::quant {
 
+/// Activation applied on the writeback path of a parameterized layer.
+/// Tanh is a BRAM LUT; ReLU is a sign mux; Sign is a comparator (BNN
+/// binarized activations); all are fused into the layer.
+enum class Activation : std::uint8_t { None, Tanh, Relu, Sign };
+
 /// Quantizes a [C,H,W] float image in [0,1] to Q3.4.
 QTensor quantize_image(const FloatTensor& image);
-
-// Individual quantized layer primitives (shared with the accelerator's
-// fast path and exercised directly by unit tests).
-
-/// Activation applied at a layer's writeback (shared with qnetwork.hpp,
-/// declared there; forward declaration here to avoid a cycle).
-enum class Activation : std::uint8_t;
 
 /// Valid 2D convolution + bias + fused activation. Input [C,H,W].
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
@@ -44,15 +39,6 @@ QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias
 /// Back-compat: bool selects tanh.
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 bool apply_tanh);
-
-/// Range kernel behind qconv2d: computes output elements [elem_begin,
-/// elem_end) in row-major (oc, r, c) order into a preallocated `out`,
-/// leaving the rest untouched. The accelerator's interval-gated fast path
-/// uses it to fill the safe gaps between fault windows; accumulation order
-/// is identical to qconv2d, so the bytes match the full kernel exactly.
-void qconv2d_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                     Activation activation, std::size_t elem_begin,
-                     std::size_t elem_end, QTensor& out);
 
 /// 2x2/stride-2 max pooling.
 QTensor qmaxpool2(const QTensor& input);
@@ -75,44 +61,17 @@ QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                bool apply_tanh);
 
-/// Range kernel behind qdense: computes output elements [elem_begin,
-/// elem_end) into a preallocated `out` (see qconv2d_outputs).
-void qdense_outputs(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                    Activation activation, std::size_t elem_begin,
-                    std::size_t elem_end, QTensor& out);
-
-/// Trace variant of qconv2d: same output bytes, but also exposes every
-/// element's pre-writeback accumulator (bias folded, in product units —
-/// 2^(2*frac_bits)). The accelerator's golden-elision path caches these so
-/// a faulted window can start from the cached accumulator instead of
-/// re-summing the receptive field, and a downstream dense layer can be
-/// patched with sparse integer deltas. Invariant (enforced by tests):
-/// out[p] == apply_activation(Q3_4::from_accumulator(accs[p])).
-void qconv2d_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                   Activation activation, QTensor& out, std::vector<fx::Acc>& accs);
-
-/// Trace variant of qdense (see qconv2d_trace).
-void qdense_trace(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                  Activation activation, QTensor& out, std::vector<fx::Acc>& accs);
-
-namespace detail {
-
-/// Unchecked range kernels behind qconv2d_outputs / qdense_outputs: same
-/// bytes, but shape/range validation is the caller's responsibility
-/// (assert() in debug builds only). The public wrappers validate and
-/// forward; hot loops that already validated once per network/batch —
-/// the accelerator's gap fills and the sparse conv patcher, which calls
-/// per single output element — use these directly so `expects` stays out
-/// of the per-element path.
-void qconv2d_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                               const QTensor& bias, Activation activation,
-                               std::size_t elem_begin, std::size_t elem_end,
-                               QTensor& out);
-void qdense_outputs_unchecked(const QTensor& input, const QTensor& weight,
-                              const QTensor& bias, Activation activation,
-                              std::size_t elem_begin, std::size_t elem_end,
-                              QTensor& out);
-
-} // namespace detail
+/// The writeback nonlinearity applied to a saturated accumulator. The one
+/// definition shared by the GEMM writeback, the accelerator's fault-window
+/// walk and its per-op reference path.
+inline fx::Q3_4 apply_activation(fx::Q3_4 v, Activation activation) {
+    switch (activation) {
+        case Activation::None: return v;
+        case Activation::Tanh: return fx::TanhLut::instance()(v);
+        case Activation::Relu: return qrelu(v);
+        case Activation::Sign: return qsign(v);
+    }
+    return v;
+}
 
 } // namespace deepstrike::quant

@@ -144,74 +144,8 @@ QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activatio
     return x;
 }
 
-std::vector<QTensor> QNetwork::forward_activations(const QTensor& input) const {
-    expects(input.shape() == input_shape, "QNetwork: input shape mismatch");
-    std::vector<QTensor> activations;
-    activations.reserve(layers.size());
-    QTensor x = input;
-    for (const QLayer& layer : layers) {
-        if (layer.kind == QLayerKind::Dense && x.shape().rank() != 1) {
-            QTensor flat(Shape{x.size()});
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                flat.at_unchecked(i) = x.at_unchecked(i);
-            }
-            x = std::move(flat);
-        }
-        switch (layer.kind) {
-            case QLayerKind::Conv:
-                x = qconv2d(x, layer.weight, layer.bias, layer.activation);
-                break;
-            case QLayerKind::Pool2:
-                x = qmaxpool2(x);
-                break;
-            case QLayerKind::AvgPool2:
-                x = qavgpool2(x);
-                break;
-            case QLayerKind::Dense:
-                x = qdense(x, layer.weight, layer.bias, layer.activation);
-                break;
-        }
-        activations.push_back(x);
-    }
-    return activations;
-}
-
 QNetwork::ForwardTrace QNetwork::forward_trace(const QTensor& input) const {
-    expects(input.shape() == input_shape, "QNetwork: input shape mismatch");
-    ForwardTrace trace;
-    trace.activations.reserve(layers.size());
-    trace.accumulators.resize(layers.size());
-    QTensor x = input;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        const QLayer& layer = layers[i];
-        if (layer.kind == QLayerKind::Dense && x.shape().rank() != 1) {
-            QTensor flat(Shape{x.size()});
-            for (std::size_t j = 0; j < x.size(); ++j) {
-                flat.at_unchecked(j) = x.at_unchecked(j);
-            }
-            x = std::move(flat);
-        }
-        QTensor out;
-        switch (layer.kind) {
-            case QLayerKind::Conv:
-                qconv2d_trace(x, layer.weight, layer.bias, layer.activation, out,
-                              trace.accumulators[i]);
-                break;
-            case QLayerKind::Pool2:
-                out = qmaxpool2(x);
-                break;
-            case QLayerKind::AvgPool2:
-                out = qavgpool2(x);
-                break;
-            case QLayerKind::Dense:
-                qdense_trace(x, layer.weight, layer.bias, layer.activation, out,
-                             trace.accumulators[i]);
-                break;
-        }
-        x = out;
-        trace.activations.push_back(std::move(out));
-    }
-    return trace;
+    return std::move(forward_trace_batch({&input}).front());
 }
 
 namespace {
@@ -233,12 +167,6 @@ std::vector<QTensor> QNetwork::forward_batch(
     for (const QTensor* in : inputs) {
         expects(in->shape() == input_shape,
                 "QNetwork::forward_batch: input shape mismatch");
-    }
-    if (!gemm::enabled()) {
-        std::vector<QTensor> out;
-        out.reserve(nb);
-        for (const QTensor* in : inputs) out.push_back(forward(*in));
-        return out;
     }
     count_batch_images(nb);
 
@@ -291,12 +219,6 @@ std::vector<QNetwork::ForwardTrace> QNetwork::forward_trace_batch(
     for (const QTensor* in : inputs) {
         expects(in->shape() == input_shape,
                 "QNetwork::forward_trace_batch: input shape mismatch");
-    }
-    if (!gemm::enabled()) {
-        std::vector<ForwardTrace> out;
-        out.reserve(nb);
-        for (const QTensor* in : inputs) out.push_back(forward_trace(*in));
-        return out;
     }
     count_batch_images(nb);
 

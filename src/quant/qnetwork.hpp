@@ -25,11 +25,6 @@ enum class QLayerKind : std::uint8_t { Conv, Pool2, AvgPool2, Dense };
 
 const char* qlayer_kind_name(QLayerKind kind);
 
-/// Activation applied on the writeback path of a parameterized layer.
-/// Tanh is a BRAM LUT; ReLU is a sign mux; Sign is a comparator (BNN
-/// binarized activations); all are fused into the layer.
-enum class Activation : std::uint8_t { None, Tanh, Relu, Sign };
-
 const char* activation_name(Activation activation);
 
 /// Weight quantization format of the deployed network.
@@ -94,40 +89,33 @@ struct QNetwork {
     /// activations and only layers k.. run on the faulted weights.
     QTensor forward_from(std::size_t first_layer, const QTensor& activation) const;
 
-    /// Per-layer outputs of one golden forward pass, indexed like `layers`
-    /// (entry i is layer i's post-activation output; the last entry equals
-    /// forward()'s result). Runs the exact kernels forward() runs, so each
-    /// entry is byte-identical to the accelerator's fault-free output of
-    /// the same layer — the property sim::GoldenCache builds on.
-    std::vector<QTensor> forward_activations(const QTensor& input) const;
-
-    /// forward_activations() plus every Conv/Dense layer's pre-writeback
-    /// accumulators (bias folded, product units; empty vectors for pools).
-    /// `activations` is byte-identical to forward_activations(); the
-    /// accumulators satisfy
+    /// One golden forward pass, layer by layer: `activations[i]` is layer
+    /// i's post-activation output (the last entry equals forward()'s
+    /// result), and `accumulators[i]` every Conv/Dense layer's
+    /// pre-writeback accumulators (bias folded, product units; empty for
+    /// pools), so that
     ///   activations[i][p] == apply_activation(Q3_4::from_accumulator(
     ///                            accumulators[i][p]), layers[i].activation)
-    /// which is what lets accel::AccelEngine::run_elided resume a faulted
-    /// window from the cached accumulator and patch downstream layers with
-    /// sparse integer deltas instead of full recomputation.
+    /// Each activation is byte-identical to the accelerator's fault-free
+    /// output of the same layer — the property sim::GoldenCache builds on —
+    /// and the accumulators let accel::AccelEngine::run_elided resume a
+    /// faulted window from its cached golden sums.
     struct ForwardTrace {
         std::vector<QTensor> activations;
         std::vector<std::vector<fx::Acc>> accumulators;
     };
+    /// forward_trace_batch of one image.
     ForwardTrace forward_trace(const QTensor& input) const;
 
     /// Batched golden forward over an image block (every input shaped
-    /// input_shape). With quant::gemm enabled, each Conv/Dense layer runs
-    /// as a single GEMM over the whole block, so the weights stream once
-    /// per block instead of once per image; with GemmMode::Off it
-    /// degenerates to a per-image forward() loop. Either way entry b is
-    /// byte-identical to forward(*inputs[b]).
+    /// input_shape): each Conv/Dense layer runs as a single GEMM over the
+    /// whole block, so the weights stream once per block instead of once
+    /// per image. Entry b is byte-identical to forward(*inputs[b]).
     std::vector<QTensor> forward_batch(
         const std::vector<const QTensor*>& inputs) const;
 
-    /// Batched forward_trace (see forward_batch): entry b is
-    /// byte-identical to forward_trace(*inputs[b]). The batched
-    /// golden-cache build (sim::build_golden_store) runs on this.
+    /// Batched forward_trace (see forward_batch). The golden-cache build
+    /// (sim::build_golden_store) runs on this.
     std::vector<ForwardTrace> forward_trace_batch(
         const std::vector<const QTensor*>& inputs) const;
 

@@ -9,7 +9,7 @@
 // lockstep over the shared activity schedule, with the second-order PDN
 // state (v, i_l) held in 32-byte-aligned SoA arrays and advanced four
 // lanes per AVX2 slot behind the simd::mode() dispatch seam
-// (DS_FORCE_SCALAR / --simd; portable scalar twin everywhere else).
+// (DS_FORCE_SCALAR=1 selects the portable scalar twin).
 //
 // Byte-identity contract: a lane's CosimResult is bit-identical to
 // simulate_inference() on the same source, in either twin. The kernels
@@ -25,8 +25,9 @@
 //
 // Scheduling lives in sim::SweepRunner (prefetch_guided packs distinct
 // guided schemes into lane groups; blind bundles batch their replay
-// offsets) with scalar fallback for single-lane remainders. The
-// `--lanes` CLI knob / set_cosim_lane_width() bound the group width.
+// offsets) with scalar fallback for single-lane remainders. The group
+// width is a constant 8 in the product; set_cosim_lane_width() is the
+// seam tests and benches use to prove the report is width-invariant.
 #pragma once
 
 #include <cstddef>

@@ -103,16 +103,16 @@ namespace {
 /// entry point (plain, blind multi-trace, defended). Image i uses trace
 /// i % traces.size() (none when empty = clean), a per-image RNG derived
 /// from the image index alone, and — when `golden` covers it — the
-/// golden-cache elision tiers:
-///   tier 1 (fault-free short-circuit): a plan with no unsafe window
+/// golden-cache elision tiers (sim/golden_cache.hpp):
+///   tier 0 (fault-free short-circuit): a plan with no unsafe window
 ///     cannot fault, so the result is the cached golden label with zero
 ///     faults and no inference at all;
-///   tier 2 (golden-elided inference): AccelEngine::run_elided skips
-///     still-golden safe layers and recomputes only window-touched
-///     element ranges.
-/// Neither tier touches the fault RNG stream (it is only drawn inside
-/// unsafe windows), so results are byte-identical with the cache on or
-/// off, at any thread count.
+///   tiers 1 and 2 (golden-elided inference): AccelEngine::run_elided
+///     skips the still-golden prefix of safe layers and runs windowed
+///     layers' fault walks from the cached golden accumulators.
+/// No tier touches the fault RNG stream (it is only drawn inside unsafe
+/// windows), so results are byte-identical with the cache on or off, at
+/// any thread count.
 AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& dataset,
                                std::size_t n_images,
                                const std::vector<accel::VoltageTrace>& traces,
@@ -150,47 +150,39 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     // pass with zero faults and no RNG draws. Answer those images in fixed
     // image blocks through QNetwork::forward_batch — one GEMM per layer
     // per block — instead of per-image inferences. The block partition
-    // depends only on (image set, eval_batch), so results and metric
-    // totals stay identical at any thread count, and byte-identical with
-    // batching off (tests/gemm_test.cpp enforces it).
+    // depends only on the image set, so results and metric totals stay
+    // identical at any thread count.
     std::vector<std::uint8_t> batched(n_images, 0);
-    const std::size_t batch =
-        quant::gemm::enabled() ? quant::gemm::eval_batch() : 0;
-    if (batch > 1) {
-        std::vector<std::size_t> faultfree;
-        for (std::size_t i = 0; i < n_images; ++i) {
-            const bool cached = golden != nullptr && i < golden->size();
-            if (!cached && (n_traces == 0 || plan_unsafe[i % n_traces] == 0)) {
-                faultfree.push_back(i);
-                batched[i] = 1;
+    std::vector<std::size_t> faultfree;
+    for (std::size_t i = 0; i < n_images; ++i) {
+        const bool cached = golden != nullptr && i < golden->size();
+        if (!cached && (n_traces == 0 || plan_unsafe[i % n_traces] == 0)) {
+            faultfree.push_back(i);
+        }
+    }
+    if (faultfree.size() > 1) {
+        for (std::size_t i : faultfree) batched[i] = 1;
+        const quant::QNetwork& network = platform.engine().network();
+        const std::size_t batch = quant::gemm::kBlockImages;
+        const std::size_t n_blocks = (faultfree.size() + batch - 1) / batch;
+        parallel_for(n_blocks, [&](std::size_t blk) {
+            trace::Span bspan("eval:batch", "experiment");
+            const std::size_t lo = blk * batch;
+            const std::size_t hi = std::min(lo + batch, faultfree.size());
+            std::vector<QTensor> qimages;
+            qimages.reserve(hi - lo);
+            std::vector<const QTensor*> block;
+            block.reserve(hi - lo);
+            for (std::size_t j = lo; j < hi; ++j) {
+                qimages.push_back(quant::quantize_image(dataset.images[faultfree[j]]));
+                block.push_back(&qimages.back());
             }
-        }
-        if (faultfree.size() > 1) {
-            const quant::QNetwork& network = platform.engine().network();
-            const std::size_t n_blocks = (faultfree.size() + batch - 1) / batch;
-            parallel_for(n_blocks, [&](std::size_t blk) {
-                trace::Span bspan("eval:batch", "experiment");
-                const std::size_t lo = blk * batch;
-                const std::size_t hi = std::min(lo + batch, faultfree.size());
-                std::vector<QTensor> qimages;
-                qimages.reserve(hi - lo);
-                std::vector<const QTensor*> block;
-                block.reserve(hi - lo);
-                for (std::size_t j = lo; j < hi; ++j) {
-                    qimages.push_back(
-                        quant::quantize_image(dataset.images[faultfree[j]]));
-                    block.push_back(&qimages.back());
-                }
-                const std::vector<QTensor> logits = network.forward_batch(block);
-                for (std::size_t j = lo; j < hi; ++j) {
-                    const std::size_t i = faultfree[j];
-                    correct[i] =
-                        argmax(logits[j - lo]) == dataset.labels[i] ? 1 : 0;
-                }
-            });
-        } else {
-            for (std::size_t i : faultfree) batched[i] = 0;
-        }
+            const std::vector<QTensor> logits = network.forward_batch(block);
+            for (std::size_t j = lo; j < hi; ++j) {
+                const std::size_t i = faultfree[j];
+                correct[i] = argmax(logits[j - lo]) == dataset.labels[i] ? 1 : 0;
+            }
+        });
     }
 
     parallel_for(n_images, [&](std::size_t i) {
@@ -208,9 +200,10 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
         }
         Rng fault_rng(derive_seed(fault_seed, i));
         if (entry != nullptr) {
-            const accel::RunResult run = platform.infer_elided(
-                entry->qimage, entry->activations, trace, fault_rng, *plan, throttle,
-                &entry->accumulators);
+            const accel::RunResult run =
+                platform.infer_elided(entry->qimage, entry->activations,
+                                      entry->accumulators, trace, fault_rng, *plan,
+                                      throttle);
             faults[i] = run.faults_total;
             correct[i] = run.predicted == dataset.labels[i] ? 1 : 0;
             prefix_skipped[i] = run.golden_layers_reused;

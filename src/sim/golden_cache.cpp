@@ -112,26 +112,12 @@ std::shared_ptr<const GoldenStore> build_golden_store(
 
     // Per-image golden work is independent and deterministic; build in
     // parallel over the shared pool (helping wait makes this safe from
-    // inside sweep-point tasks). With quant::gemm batching enabled the
-    // unit of parallel work is a fixed-size image block answered by one
-    // batched forward_trace per block (weights stream once per block);
-    // the partition depends only on (n_images, eval_batch), never on
+    // inside sweep-point tasks). The unit of parallel work is a fixed-size
+    // image block answered by one batched forward_trace (weights stream
+    // once per block); the partition depends only on n_images, never on
     // scheduling, so the store is identical at any thread count.
     const std::size_t todo = n_images - reused;
-    const std::size_t batch =
-        quant::gemm::enabled() ? quant::gemm::eval_batch() : 0;
-    if (batch == 0 || todo <= 1) {
-        parallel_for(todo, [&](std::size_t j) {
-            const std::size_t i = reused + j;
-            GoldenEntry& entry = store->entries[i];
-            entry.qimage = quant::quantize_image(dataset.images[i]);
-            quant::QNetwork::ForwardTrace trace = network.forward_trace(entry.qimage);
-            entry.activations = std::move(trace.activations);
-            entry.accumulators = std::move(trace.accumulators);
-            entry.predicted = argmax(entry.activations.back());
-        });
-        return store;
-    }
+    const std::size_t batch = quant::gemm::kBlockImages;
     const std::size_t n_blocks = (todo + batch - 1) / batch;
     parallel_for(n_blocks, [&](std::size_t blk) {
         trace::Span bspan("eval:batch", "experiment");

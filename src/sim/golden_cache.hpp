@@ -8,15 +8,17 @@
 // golden per-layer activations, and golden predicted label, built in
 // parallel and shared read-only across all sweep points and threads.
 //
-// Two elision tiers in the eval path consume it (see sim/experiment.cpp
+// Three elision tiers in the eval path consume it (see sim/experiment.cpp
 // and AccelEngine::run_elided):
-//   1. fault-free short-circuit — an image whose overlay plan has no
+//   tier 0, fault-free short-circuit — an image whose overlay plan has no
 //      unsafe window resolves to the cached golden label with zero
 //      faults, skipping inference entirely;
-//   2. layer-prefix / golden-gap reuse — when faults can only begin at
-//      layer k, the engine skips layers 0..k-1 and recomputes only the
-//      window-touched element ranges of unsafe layers.
-// Both leave the fault RNG stream untouched (it is only drawn inside
+//   tier 1, golden prefix — layers before the first unsafe window are
+//      skipped; their cached golden outputs feed the first windowed layer;
+//   tier 2, cached-accumulator window walk — a windowed layer whose input
+//      is still golden starts its fault walk from the cached golden
+//      accumulators instead of recomputing them.
+// None of them touches the fault RNG stream (it is only drawn inside
 // unsafe windows), so campaign reports stay byte-identical with the
 // cache on or off, at any --threads.
 //
@@ -42,8 +44,8 @@ struct GoldenEntry {
     QTensor qimage;                   // quantized input (Q3.4)
     std::vector<QTensor> activations; // per-layer golden outputs, post-activation
     /// Per-layer pre-writeback accumulators (Conv/Dense; empty for pools).
-    /// Lets the engine start a faulted window from the cached accumulator
-    /// and sparse-patch downstream layers (see AccelEngine::run_elided).
+    /// Lets the engine start a faulted window walk from the cached golden
+    /// sums (see AccelEngine::run_elided).
     std::vector<std::vector<fx::Acc>> accumulators;
     std::size_t predicted = 0;        // argmax of the final activation
 };

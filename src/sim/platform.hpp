@@ -154,15 +154,17 @@ public:
                            const accel::OverlayPlan* plan = nullptr) const;
 
     /// Golden-elided inference (AccelEngine::run_elided): byte-identical to
-    /// infer() but reuses the image's cached golden per-layer activations
-    /// (sim::GoldenCache) to skip still-golden safe layers and recompute
-    /// only window-touched element ranges. The plan is required — elision
-    /// is driven by its unsafe windows.
+    /// infer() but reuses the image's cached golden pass (sim::GoldenCache:
+    /// per-layer activations and Conv/Dense accumulators) to skip
+    /// still-golden safe layers and run windowed ones from cached
+    /// accumulators. The plan is required — elision is driven by its
+    /// unsafe windows.
     accel::RunResult infer_elided(
         const QTensor& image, const std::vector<QTensor>& golden_layers,
+        const std::vector<std::vector<fx::Acc>>& golden_accs,
         const accel::VoltageTrace* voltage, Rng& fault_rng,
-        const accel::OverlayPlan& plan, const std::vector<bool>* throttle = nullptr,
-        const std::vector<std::vector<fx::Acc>>* golden_accs = nullptr) const;
+        const accel::OverlayPlan& plan,
+        const std::vector<bool>* throttle = nullptr) const;
 
     /// Idle current (platform + accelerator static) used for PDN settling.
     double idle_current_a() const;

@@ -1,18 +1,18 @@
-// Runtime SIMD dispatch seam shared by the co-simulation kernels.
+// Runtime SIMD dispatch seam shared by every vectorized hot path.
 //
-// The quantized engine (quant::gemm) established the dispatch contract:
-// an Auto mode that resolves to the AVX2 twin when the CPU supports it, a
-// Scalar mode forcing the portable twin, DS_FORCE_SCALAR=1 selecting
-// Scalar at startup, and `deepstrike --simd` overriding it per run. The
-// co-sim lane engine (sim::CosimLanes), the grid PDN stencil and the
-// striker current batch reuse exactly that contract through this seam —
-// one knob, every vectorized hot path.
+// One process-wide switch picks the kernel twin: Auto resolves to the AVX2
+// twin when the CPU supports it, Scalar forces the portable twin, and
+// DS_FORCE_SCALAR=1 in the environment selects Scalar at startup (the one
+// override; there is no CLI knob). The quantized GEMM engine (quant::gemm),
+// the co-sim lane engine (sim::CosimLanes), the grid PDN stencil and the
+// striker current batch all branch on active().
 //
 // Both twins of every kernel behind this seam are required to be
-// byte-identical: only vertical elementwise IEEE ops (add/sub/mul/div/
-// min/max/compare) are vectorized, never horizontal reductions or fused
-// multiply-adds, so flipping the mode can change speed but never a single
-// result bit. Tests assert this on real workloads (tests/cosim_lanes_test,
+// byte-identical. The co-sim kernels vectorize only vertical elementwise
+// IEEE ops (add/sub/mul/div/min/max/compare), never horizontal reductions
+// or fused multiply-adds; the GEMM twins accumulate exact integer sums.
+// So flipping the mode can change speed but never a single result bit.
+// Tests assert this on real workloads (tests/gemm_test, tests/cosim_lanes_test,
 // tests/grid_pdn_test).
 #pragma once
 
@@ -22,15 +22,13 @@ namespace deepstrike::simd {
 
 /// Auto: AVX2 twins when the CPU has them, scalar otherwise.
 /// Scalar: portable twins everywhere (DS_FORCE_SCALAR=1 starts here).
-/// There is no Off tier — unlike quant::gemm there is no pre-SIMD oracle
-/// to restore; the scalar twin IS the reference formulation.
 enum class Mode : std::uint8_t { Auto, Scalar };
 
 const char* mode_name(Mode mode);
 
 /// Process-wide mode. Defaults to Auto; DS_FORCE_SCALAR=1 in the
-/// environment sets Scalar at startup; `deepstrike --simd scalar|off`
-/// overrides it per run (both force Scalar here).
+/// environment sets Scalar at startup; tests and benches switch it with
+/// set_mode().
 Mode mode();
 void set_mode(Mode mode);
 

@@ -1,10 +1,11 @@
 // im2col/GEMM engine equivalence suite. The whole perf story rests on one
-// property: integer accumulation is exact, so the GEMM formulation (with
-// or without SIMD, batched or not) must reproduce the scalar oracle
-// kernels byte for byte — accumulators, activations, logits, campaign
-// reports — at any thread count. These tests pin that property across all
-// zoo architectures, both quantization formats, odd shapes, and the three
-// dispatch modes.
+// property: integer accumulation is exact, so the GEMM formulation (AVX2
+// or portable, batched or not) must reproduce the naive per-element conv
+// and dense loops byte for byte — accumulators, activations, logits,
+// campaign reports — at any thread count. The naive loops live here, as
+// the test-local oracle; these tests pin the property across all zoo
+// architectures, both quantization formats, odd shapes, and both
+// simd::Mode dispatch paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,30 +19,122 @@
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
 #include "test_helpers.hpp"
-#include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace deepstrike::quant {
 namespace {
 
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::random_qtensor;
+using fx::Q3_4;
 
-/// Restores the process-wide gemm knobs on scope exit so tests cannot
-/// leak a forced mode into the rest of the suite.
-struct GemmGuard {
-    gemm::GemmMode saved_mode = gemm::mode();
-    std::size_t saved_batch = gemm::eval_batch();
-    ~GemmGuard() {
-        gemm::set_mode(saved_mode);
-        gemm::set_eval_batch(saved_batch);
-    }
+/// Restores the process-wide SIMD mode on scope exit so tests cannot leak
+/// a forced mode into the rest of the suite.
+struct SimdGuard {
+    simd::Mode saved = simd::mode();
+    ~SimdGuard() { simd::set_mode(saved); }
 };
 
-/// Modes that exercise the GEMM path. Auto additionally exercises AVX2
-/// when the host has it; on a non-AVX2 host Auto and Scalar coincide,
-/// which is exactly the dispatch contract.
-const gemm::GemmMode kGemmModes[] = {gemm::GemmMode::Auto, gemm::GemmMode::Scalar};
+/// Both dispatch paths. Auto additionally exercises AVX2 when the host
+/// has it; on a non-AVX2 host Auto and Scalar coincide, which is exactly
+/// the dispatch contract.
+const simd::Mode kModes[] = {simd::Mode::Auto, simd::Mode::Scalar};
+
+// ------------------------------------------------------------ the oracle
+
+/// Naive valid convolution: each output element (oc, r, c) walks its
+/// receptive field in (ic, kr, kc) order. Returns the pre-writeback
+/// accumulators (bias folded, product units), oc-major.
+std::vector<fx::Acc> oracle_conv_accs(const QTensor& input, const QTensor& weight,
+                                      const QTensor& bias) {
+    const std::size_t in_c = input.shape().dim(0);
+    const std::size_t in_h = input.shape().dim(1);
+    const std::size_t in_w = input.shape().dim(2);
+    const std::size_t out_c = weight.shape().dim(0);
+    const std::size_t k = weight.shape().dim(2);
+    const std::size_t out_h = in_h - k + 1;
+    const std::size_t out_w = in_w - k + 1;
+    std::vector<fx::Acc> accs;
+    accs.reserve(out_c * out_h * out_w);
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t r = 0; r < out_h; ++r) {
+            for (std::size_t c = 0; c < out_w; ++c) {
+                fx::Acc acc = static_cast<fx::Acc>(bias.at(oc).raw()) << Q3_4::frac_bits;
+                for (std::size_t ic = 0; ic < in_c; ++ic) {
+                    for (std::size_t kr = 0; kr < k; ++kr) {
+                        for (std::size_t kc = 0; kc < k; ++kc) {
+                            acc += static_cast<fx::Acc>(input.at(ic, r + kr, c + kc).raw()) *
+                                   weight.at(oc, ic, kr, kc).raw();
+                        }
+                    }
+                }
+                accs.push_back(acc);
+            }
+        }
+    }
+    return accs;
+}
+
+/// Naive dense layer over the flattened input.
+std::vector<fx::Acc> oracle_dense_accs(const QTensor& input, const QTensor& weight,
+                                       const QTensor& bias) {
+    const std::size_t out_n = weight.shape().dim(0);
+    const std::size_t in_n = weight.shape().dim(1);
+    std::vector<fx::Acc> accs(out_n);
+    for (std::size_t o = 0; o < out_n; ++o) {
+        fx::Acc acc = static_cast<fx::Acc>(bias.at(o).raw()) << Q3_4::frac_bits;
+        for (std::size_t i = 0; i < in_n; ++i) {
+            acc += static_cast<fx::Acc>(input.at_unchecked(i).raw()) * weight.at(o, i).raw();
+        }
+        accs[o] = acc;
+    }
+    return accs;
+}
+
+QTensor oracle_write_back(const std::vector<fx::Acc>& accs, const Shape& shape,
+                          Activation activation) {
+    QTensor out(shape);
+    for (std::size_t p = 0; p < accs.size(); ++p) {
+        out.at_unchecked(p) = apply_activation(Q3_4::from_accumulator(accs[p]), activation);
+    }
+    return out;
+}
+
+/// One golden pass through the oracle loops (pools use the library's
+/// single pooling kernels).
+QNetwork::ForwardTrace oracle_trace(const QNetwork& net, const QTensor& image) {
+    QNetwork::ForwardTrace trace;
+    trace.accumulators.resize(net.layers.size());
+    const std::vector<Shape> shapes = net.layer_output_shapes();
+    const QTensor* x = &image;
+    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+        const QLayer& layer = net.layers[i];
+        switch (layer.kind) {
+            case QLayerKind::Conv:
+                trace.accumulators[i] = oracle_conv_accs(*x, layer.weight, layer.bias);
+                trace.activations.push_back(oracle_write_back(
+                    trace.accumulators[i], shapes[i], layer.activation));
+                break;
+            case QLayerKind::Pool2:
+                trace.activations.push_back(qmaxpool2(*x));
+                break;
+            case QLayerKind::AvgPool2:
+                trace.activations.push_back(qavgpool2(*x));
+                break;
+            case QLayerKind::Dense:
+                trace.accumulators[i] = oracle_dense_accs(*x, layer.weight, layer.bias);
+                trace.activations.push_back(oracle_write_back(
+                    trace.accumulators[i], shapes[i], layer.activation));
+                break;
+        }
+        x = &trace.activations.back();
+    }
+    return trace;
+}
+
+// ------------------------------------------------------------ helpers
 
 QTensor random_image(const Shape& shape, std::uint64_t seed) {
     Rng rng(seed);
@@ -61,42 +154,22 @@ void expect_same_tensor(const QTensor& got, const QTensor& want,
     }
 }
 
-TEST(Gemm, ModeParseRoundTrip) {
-    EXPECT_EQ(gemm::parse_mode("auto"), gemm::GemmMode::Auto);
-    EXPECT_EQ(gemm::parse_mode("scalar"), gemm::GemmMode::Scalar);
-    EXPECT_EQ(gemm::parse_mode("off"), gemm::GemmMode::Off);
-    for (gemm::GemmMode m : {gemm::GemmMode::Auto, gemm::GemmMode::Scalar,
-                             gemm::GemmMode::Off}) {
-        EXPECT_EQ(gemm::parse_mode(gemm::mode_name(m)), m);
+void expect_same_trace(const QNetwork::ForwardTrace& got,
+                       const QNetwork::ForwardTrace& want, const std::string& what) {
+    ASSERT_EQ(got.activations.size(), want.activations.size()) << what;
+    ASSERT_EQ(got.accumulators.size(), want.accumulators.size()) << what;
+    for (std::size_t l = 0; l < want.activations.size(); ++l) {
+        expect_same_tensor(got.activations[l], want.activations[l],
+                           what + " act layer " + std::to_string(l));
+        ASSERT_EQ(got.accumulators[l], want.accumulators[l])
+            << what << " accs layer " << l;
     }
-    EXPECT_THROW(gemm::parse_mode("avx512"), ConfigError);
-    EXPECT_THROW(gemm::parse_mode(""), ConfigError);
-}
-
-TEST(Gemm, DispatchContract) {
-    GemmGuard guard;
-    gemm::set_mode(gemm::GemmMode::Scalar);
-    EXPECT_TRUE(gemm::enabled());
-    EXPECT_FALSE(gemm::simd_active()) << "Scalar mode must never use SIMD";
-    gemm::set_mode(gemm::GemmMode::Off);
-    EXPECT_FALSE(gemm::enabled());
-    EXPECT_FALSE(gemm::simd_active());
-    gemm::set_mode(gemm::GemmMode::Auto);
-    EXPECT_TRUE(gemm::enabled());
-    // simd_active() in Auto depends on the host CPU; both answers are
-    // legal, but it must be stable across calls.
-    EXPECT_EQ(gemm::simd_active(), gemm::simd_active());
-
-    gemm::set_eval_batch(0);
-    EXPECT_EQ(gemm::eval_batch(), 0u);
-    gemm::set_eval_batch(7);
-    EXPECT_EQ(gemm::eval_batch(), 7u);
 }
 
 // The microkernel against a naive triple loop, over odd shapes chosen to
 // hit every tail path (k % 16, m % 4, single rows/cols).
 TEST(Gemm, MicrokernelMatchesNaiveAtOddShapes) {
-    GemmGuard guard;
+    SimdGuard guard;
     Rng rng(20210721);
     const std::size_t shapes[][3] = {
         {1, 1, 1},   {1, 3, 5},  {4, 4, 16},  {3, 7, 17},  {5, 2, 31},
@@ -126,15 +199,15 @@ TEST(Gemm, MicrokernelMatchesNaiveAtOddShapes) {
                 want[i * ldc + j] = acc;
             }
         }
-        for (gemm::GemmMode mode : kGemmModes) {
-            gemm::set_mode(mode);
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
             std::vector<std::int32_t> got(m * ldc, 0);
             gemm::gemm_nt_s32(a.data(), lda, b.data(), ldb, got.data(), ldc, m, n,
                               k);
             for (std::size_t i = 0; i < m; ++i) {
                 for (std::size_t j = 0; j < n; ++j) {
                     ASSERT_EQ(got[i * ldc + j], want[i * ldc + j])
-                        << gemm::mode_name(mode) << " m=" << m << " n=" << n
+                        << simd::mode_name(mode) << " m=" << m << " n=" << n
                         << " k=" << k << " at (" << i << "," << j << ")";
                 }
             }
@@ -142,12 +215,12 @@ TEST(Gemm, MicrokernelMatchesNaiveAtOddShapes) {
     }
 }
 
-// Layer-level equivalence: conv2d_accs / dense_accs against the oracle
-// kernels' accumulators (forward_trace in Off mode) on odd geometries the
-// zoo does not cover (k=3, non-square inputs, channel counts off the
-// register width).
+// Layer-level equivalence: conv2d_accs / dense_accs and the qconv2d /
+// qdense entry points against the oracle loops on odd geometries the zoo
+// does not cover (k=3, non-square inputs, channel counts off the register
+// width).
 TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
-    GemmGuard guard;
+    SimdGuard guard;
     Rng rng(77);
     struct ConvCase {
         Shape in, w;
@@ -162,19 +235,19 @@ TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
         QTensor weight = random_qtensor(c.w, rng, 0.5);
         QTensor bias = random_qtensor(Shape{c.w.dim(0)}, rng, 0.25);
 
-        gemm::set_mode(gemm::GemmMode::Off);
-        const QTensor want = qconv2d(input, weight, bias, Activation::Tanh);
-        for (gemm::GemmMode mode : kGemmModes) {
-            gemm::set_mode(mode);
+        const std::vector<fx::Acc> want_accs = oracle_conv_accs(input, weight, bias);
+        const Shape out_shape{c.w.dim(0), c.in.dim(1) - c.w.dim(2) + 1,
+                              c.in.dim(2) - c.w.dim(2) + 1};
+        const QTensor want = oracle_write_back(want_accs, out_shape, Activation::Tanh);
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
             std::vector<fx::Acc> accs;
             gemm::conv2d_accs(input, weight, bias, accs);
-            QTensor got(want.shape());
-            gemm::write_back(accs.data(), accs.size(), Activation::Tanh, got);
-            expect_same_tensor(got, want, std::string("conv ") +
-                                              gemm::mode_name(mode));
-            const QTensor fast = qconv2d(input, weight, bias, Activation::Tanh);
-            expect_same_tensor(fast, want, std::string("qconv2d ") +
-                                               gemm::mode_name(mode));
+            ASSERT_EQ(accs, want_accs) << "conv " << simd::mode_name(mode);
+            const QTensor got = qconv2d(input, weight, bias, Activation::Tanh);
+            ASSERT_EQ(got.shape(), out_shape);
+            expect_same_tensor(got, want, std::string("qconv2d ") +
+                                              simd::mode_name(mode));
         }
     }
 
@@ -184,102 +257,100 @@ TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
         QTensor weight = random_qtensor(Shape{d[0], d[1]}, rng, 0.5);
         QTensor bias = random_qtensor(Shape{d[0]}, rng, 0.25);
 
-        gemm::set_mode(gemm::GemmMode::Off);
-        const QTensor want = qdense(input, weight, bias, Activation::None);
-        for (gemm::GemmMode mode : kGemmModes) {
-            gemm::set_mode(mode);
+        const std::vector<fx::Acc> want_accs = oracle_dense_accs(input, weight, bias);
+        const QTensor want = oracle_write_back(want_accs, Shape{d[0]}, Activation::None);
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
             std::vector<fx::Acc> accs;
             gemm::dense_accs(input, weight, bias, accs);
-            QTensor got(want.shape());
-            gemm::write_back(accs.data(), accs.size(), Activation::None, got);
-            expect_same_tensor(got, want, std::string("dense ") +
-                                              gemm::mode_name(mode));
+            ASSERT_EQ(accs, want_accs) << "dense " << simd::mode_name(mode);
+            expect_same_tensor(qdense(input, weight, bias, Activation::None), want,
+                               std::string("qdense ") + simd::mode_name(mode));
         }
     }
 }
 
 // Whole-network equivalence across the full zoo, both quantization
 // formats: forward, forward_trace (activations AND accumulators), and the
-// batched entries at block sizes 1/7/64, all byte-identical to Off mode.
+// batched entries at block sizes 1/7/64, all byte-identical to the oracle
+// pass in both dispatch modes.
 TEST(Gemm, ZooNetworksByteIdenticalAcrossModesAndBatching) {
-    GemmGuard guard;
+    SimdGuard guard;
     for (const nn::ArchitectureInfo& info : nn::architectures()) {
         // Each architecture deploys in its own format (bnn is Binary, the
         // rest Q3.4), so the zoo sweep covers both quantization formats.
         const QuantFormat format = quant_format_for(info.arch);
-        {
-            Rng rng(derive_seed(9001, static_cast<std::uint64_t>(info.arch),
-                                static_cast<std::uint64_t>(format)));
-            nn::Sequential model = nn::build_architecture(info.arch, rng);
-            const QNetwork net =
-                quantize_sequential(model, info.input_shape, {}, format);
+        Rng rng(derive_seed(9001, static_cast<std::uint64_t>(info.arch),
+                            static_cast<std::uint64_t>(format)));
+        nn::Sequential model = nn::build_architecture(info.arch, rng);
+        const QNetwork net = quantize_sequential(model, info.input_shape, {}, format);
 
-            const std::size_t n_images = 64;
-            std::vector<QTensor> images;
-            std::vector<const QTensor*> ptrs;
-            images.reserve(n_images);
-            for (std::size_t i = 0; i < n_images; ++i) {
-                images.push_back(random_image(info.input_shape, 100 + i));
+        const std::size_t n_images = 64;
+        std::vector<QTensor> images;
+        std::vector<const QTensor*> ptrs;
+        images.reserve(n_images);
+        for (std::size_t i = 0; i < n_images; ++i) {
+            images.push_back(random_image(info.input_shape, 100 + i));
+        }
+        for (const QTensor& img : images) ptrs.push_back(&img);
+
+        std::vector<QNetwork::ForwardTrace> want_traces;
+        for (const QTensor& img : images) want_traces.push_back(oracle_trace(net, img));
+
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
+            const std::string tag = std::string(info.name) + "/" +
+                                    quant_format_name(format) + "/" +
+                                    simd::mode_name(mode);
+            // Per-image forward and forward_trace.
+            for (std::size_t i = 0; i < 8; ++i) {
+                const std::string what = tag + " image " + std::to_string(i);
+                expect_same_tensor(net.forward(images[i]),
+                                   want_traces[i].activations.back(),
+                                   what + " forward");
+                expect_same_trace(net.forward_trace(images[i]), want_traces[i],
+                                  what + " trace");
             }
-            for (const QTensor& img : images) ptrs.push_back(&img);
-
-            gemm::set_mode(gemm::GemmMode::Off);
-            std::vector<QTensor> want_logits;
-            std::vector<QNetwork::ForwardTrace> want_traces;
-            for (const QTensor& img : images) {
-                want_logits.push_back(net.forward(img));
-                want_traces.push_back(net.forward_trace(img));
+            // Batched forward at 1/7/64 images.
+            for (std::size_t bs : {std::size_t{1}, std::size_t{7}, n_images}) {
+                std::vector<const QTensor*> block(ptrs.begin(), ptrs.begin() + bs);
+                const std::vector<QTensor> got = net.forward_batch(block);
+                ASSERT_EQ(got.size(), bs);
+                for (std::size_t i = 0; i < bs; ++i) {
+                    expect_same_tensor(got[i], want_traces[i].activations.back(),
+                                       tag + " batch " + std::to_string(bs) +
+                                           " image " + std::to_string(i));
+                }
             }
-
-            for (gemm::GemmMode mode : kGemmModes) {
-                gemm::set_mode(mode);
-                const std::string tag = std::string(info.name) + "/" +
-                                        quant_format_name(format) + "/" +
-                                        gemm::mode_name(mode);
-                // Per-image GEMM forward.
-                for (std::size_t i = 0; i < 8; ++i) {
-                    expect_same_tensor(net.forward(images[i]), want_logits[i],
-                                       tag + " forward image " + std::to_string(i));
-                }
-                // Batched forward at 1/7/64 images.
-                for (std::size_t bs : {std::size_t{1}, std::size_t{7}, n_images}) {
-                    std::vector<const QTensor*> block(ptrs.begin(),
-                                                      ptrs.begin() + bs);
-                    const std::vector<QTensor> got = net.forward_batch(block);
-                    ASSERT_EQ(got.size(), bs);
-                    for (std::size_t i = 0; i < bs; ++i) {
-                        expect_same_tensor(got[i], want_logits[i],
-                                           tag + " batch " + std::to_string(bs) +
-                                               " image " + std::to_string(i));
-                    }
-                }
-                // Batched trace: activations and accumulators.
-                std::vector<const QTensor*> block(ptrs.begin(), ptrs.begin() + 7);
-                const std::vector<QNetwork::ForwardTrace> got =
-                    net.forward_trace_batch(block);
-                ASSERT_EQ(got.size(), 7u);
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    const QNetwork::ForwardTrace& want = want_traces[i];
-                    ASSERT_EQ(got[i].activations.size(), want.activations.size());
-                    for (std::size_t l = 0; l < want.activations.size(); ++l) {
-                        expect_same_tensor(got[i].activations[l],
-                                           want.activations[l],
-                                           tag + " trace act layer " +
-                                               std::to_string(l));
-                        ASSERT_EQ(got[i].accumulators[l], want.accumulators[l])
-                            << tag << " trace accs layer " << l;
-                    }
-                }
+            // Batched trace: activations and accumulators.
+            std::vector<const QTensor*> block(ptrs.begin(), ptrs.begin() + 7);
+            const std::vector<QNetwork::ForwardTrace> got = net.forward_trace_batch(block);
+            ASSERT_EQ(got.size(), 7u);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                expect_same_trace(got[i], want_traces[i],
+                                  tag + " trace batch image " + std::to_string(i));
             }
         }
     }
 }
 
+/// Fraction of the first n images the oracle pass classifies correctly.
+double oracle_accuracy(const QNetwork& net, const data::Dataset& ds, std::size_t n) {
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const QTensor logits =
+            oracle_trace(net, quantize_image(ds.images[i])).activations.back();
+        correct += argmax(logits) == ds.labels[i] ? 1 : 0;
+    }
+    return static_cast<double>(correct) / static_cast<double>(n);
+}
+
 // The end-to-end invariant: a campaign report must not change a byte with
-// SIMD on or off, batching on or off, at 1 or 8 threads. Serializes the
-// whole report to JSON and compares strings.
+// the dispatch path or the thread count, and its untampered accuracy is
+// the oracle pass's. Serializes the whole report to JSON and compares
+// strings.
 TEST(Gemm, CampaignReportByteIdenticalAcrossModesBatchingAndThreads) {
-    GemmGuard guard;
+    SimdGuard guard;
     sim::Platform platform(sim::PlatformConfig{}, random_qnetwork(4242));
     auto ds = data::make_datasets(11, 1, 30);
     sim::CampaignConfig cfg;
@@ -287,55 +358,44 @@ TEST(Gemm, CampaignReportByteIdenticalAcrossModesBatchingAndThreads) {
     cfg.eval_images = 25;
     cfg.blind_offsets = 2;
 
-    gemm::set_mode(gemm::GemmMode::Off);
-    cfg.threads = 1;
-    const std::string want =
-        sim::run_campaign(platform, ds.test, cfg).to_json().dump();
-
-    struct Case {
-        gemm::GemmMode mode;
-        std::size_t batch;
-        std::size_t threads;
-    };
-    const Case cases[] = {
-        {gemm::GemmMode::Auto, 16, 1}, {gemm::GemmMode::Auto, 16, 8},
-        {gemm::GemmMode::Auto, 0, 1},  {gemm::GemmMode::Auto, 3, 8},
-        {gemm::GemmMode::Scalar, 16, 8}, {gemm::GemmMode::Off, 0, 8},
-    };
-    for (const Case& c : cases) {
-        gemm::set_mode(c.mode);
-        gemm::set_eval_batch(c.batch);
-        cfg.threads = c.threads;
-        const std::string got =
-            sim::run_campaign(platform, ds.test, cfg).to_json().dump();
-        EXPECT_EQ(got, want) << gemm::mode_name(c.mode) << " batch=" << c.batch
-                             << " threads=" << c.threads;
+    std::string want;
+    for (simd::Mode mode : kModes) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+            simd::set_mode(mode);
+            cfg.threads = threads;
+            const sim::CampaignReport report = sim::run_campaign(platform, ds.test, cfg);
+            EXPECT_EQ(report.clean_accuracy,
+                      oracle_accuracy(platform.engine().network(), ds.test, 25));
+            const std::string got = report.to_json().dump();
+            if (want.empty()) want = got;
+            EXPECT_EQ(got, want) << simd::mode_name(mode) << " threads=" << threads;
+        }
     }
 }
 
-// Accuracy evaluation without a golden cache takes the batched fault-free
-// fast path; it must agree with Off mode and with batching disabled.
+// Accuracy evaluation without a golden cache answers fault-free images in
+// GEMM image blocks; it must agree with the oracle pass at block-boundary
+// image counts and any thread count.
 TEST(Gemm, UncachedEvaluationMatchesAcrossBatching) {
-    GemmGuard guard;
+    SimdGuard guard;
     sim::Platform platform(sim::PlatformConfig{}, random_qnetwork(77));
     auto ds = data::make_datasets(13, 1, 40);
 
-    gemm::set_mode(gemm::GemmMode::Off);
-    const sim::AccuracyResult want =
-        sim::evaluate_accuracy(platform, ds.test, 40, nullptr, 5);
-
-    for (gemm::GemmMode mode : kGemmModes) {
-        for (std::size_t batch : {std::size_t{0}, std::size_t{5},
-                                  std::size_t{16}}) {
-            gemm::set_mode(mode);
-            gemm::set_eval_batch(batch);
-            const sim::AccuracyResult got =
-                sim::evaluate_accuracy(platform, ds.test, 40, nullptr, 5);
-            EXPECT_EQ(got.accuracy, want.accuracy)
-                << gemm::mode_name(mode) << " batch=" << batch;
-            EXPECT_EQ(got.images, want.images);
+    for (std::size_t n : {std::size_t{1}, gemm::kBlockImages, std::size_t{40}}) {
+        const double want = oracle_accuracy(platform.engine().network(), ds.test, n);
+        for (simd::Mode mode : kModes) {
+            for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+                simd::set_mode(mode);
+                set_global_thread_count(threads);
+                const sim::AccuracyResult got =
+                    sim::evaluate_accuracy(platform, ds.test, n, nullptr, 5);
+                EXPECT_EQ(got.accuracy, want)
+                    << simd::mode_name(mode) << " images=" << n << " threads=" << threads;
+                EXPECT_EQ(got.images, n);
+            }
         }
     }
+    set_global_thread_count(0);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace deepstrike::sim {
@@ -92,27 +93,55 @@ std::uint64_t bits_of(double value) {
 TEST(ForwardActivations, LastEntryEqualsForward) {
     const quant::QNetwork network = random_qnetwork(5);
     const QTensor img = random_qimage(77);
-    const std::vector<QTensor> acts = network.forward_activations(img);
+    const std::vector<QTensor> acts = network.forward_trace(img).activations;
     ASSERT_EQ(acts.size(), network.layers.size());
     const QTensor direct = network.forward(img);
     ASSERT_TRUE(acts.back() == direct);
 }
 
-// forward_trace must reproduce forward_activations byte-for-byte and fill
-// accumulator arrays for exactly the parameterized (Conv/Dense) layers.
+// Each forward_trace activation is its layer's kernel applied to the
+// previous one, and accumulator arrays exist for exactly the
+// parameterized (Conv/Dense) layers, one per output element, writing back
+// to the activation.
 TEST(ForwardTrace, MatchesActivationsWithAccumulatorsForParamLayers) {
     const quant::QNetwork network = random_qnetwork(5);
     const QTensor img = random_qimage(77);
     const quant::QNetwork::ForwardTrace trace = network.forward_trace(img);
-    const std::vector<QTensor> acts = network.forward_activations(img);
-    ASSERT_EQ(trace.activations.size(), acts.size());
-    ASSERT_EQ(trace.accumulators.size(), acts.size());
-    for (std::size_t l = 0; l < acts.size(); ++l) {
-        ASSERT_TRUE(trace.activations[l] == acts[l]) << "layer " << l;
-        const bool param = network.layers[l].kind == quant::QLayerKind::Conv ||
-                           network.layers[l].kind == quant::QLayerKind::Dense;
-        EXPECT_EQ(trace.accumulators[l].size(), param ? acts[l].size() : 0u)
-            << "layer " << l;
+    ASSERT_EQ(trace.activations.size(), network.layers.size());
+    ASSERT_EQ(trace.accumulators.size(), network.layers.size());
+    for (std::size_t l = 0; l < network.layers.size(); ++l) {
+        const quant::QLayer& layer = network.layers[l];
+        const QTensor& in = l == 0 ? img : trace.activations[l - 1];
+        const QTensor& act = trace.activations[l];
+        const std::vector<fx::Acc>& accs = trace.accumulators[l];
+        switch (layer.kind) {
+            case quant::QLayerKind::Conv:
+                ASSERT_TRUE(act == quant::qconv2d(in, layer.weight, layer.bias,
+                                                  layer.activation))
+                    << "layer " << l;
+                break;
+            case quant::QLayerKind::Pool2:
+                ASSERT_TRUE(act == quant::qmaxpool2(in)) << "layer " << l;
+                break;
+            case quant::QLayerKind::AvgPool2:
+                ASSERT_TRUE(act == quant::qavgpool2(in)) << "layer " << l;
+                break;
+            case quant::QLayerKind::Dense:
+                ASSERT_TRUE(act == quant::qdense(in, layer.weight, layer.bias,
+                                                 layer.activation))
+                    << "layer " << l;
+                break;
+        }
+        const bool param = layer.kind == quant::QLayerKind::Conv ||
+                           layer.kind == quant::QLayerKind::Dense;
+        ASSERT_EQ(accs.size(), param ? act.size() : 0u) << "layer " << l;
+        for (std::size_t p = 0; p < accs.size(); ++p) {
+            ASSERT_EQ(act.at_unchecked(p).raw(),
+                      quant::apply_activation(fx::Q3_4::from_accumulator(accs[p]),
+                                              layer.activation)
+                          .raw())
+                << "layer " << l << " element " << p;
+        }
     }
 }
 
@@ -187,14 +216,15 @@ TEST(RunElided, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
     const accel::VoltageTrace trace = nominal_trace(engine);
     const accel::OverlayPlan plan = engine.plan_overlay(&trace);
     const QTensor img = random_qimage(42);
-    const std::vector<QTensor> golden = engine.network().forward_activations(img);
+    const quant::QNetwork::ForwardTrace fwd = engine.network().forward_trace(img);
 
     Rng rng(7);
     const auto before = rng.state();
-    const accel::RunResult run = engine.run_elided(img, golden, &trace, rng, plan);
+    const accel::RunResult run =
+        engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng, plan);
     EXPECT_EQ(run.golden_layers_reused, engine.network().layers.size());
     EXPECT_EQ(run.faults_total.total(), 0u);
-    ASSERT_TRUE(run.logits == golden.back());
+    ASSERT_TRUE(run.logits == fwd.activations.back());
     EXPECT_EQ(rng.state(), before); // stream untouched on the all-safe path
 }
 
@@ -209,21 +239,13 @@ TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
         const QTensor img = random_qimage(300 + trial);
         const quant::QNetwork::ForwardTrace fwd =
             engine.network().forward_trace(img);
-        const std::vector<QTensor>& golden = fwd.activations;
         Rng rng_elided(42 + trial);
-        Rng rng_accs(42 + trial);
         Rng rng_ref(42 + trial);
-        const accel::RunResult elided =
-            engine.run_elided(img, golden, &trace, rng_elided, plan);
-        // Accumulator-seeded variant (what the eval path actually runs):
-        // cached window accumulators + sparse downstream patching.
-        const accel::RunResult elided_accs = engine.run_elided(
-            img, golden, &trace, rng_accs, plan, nullptr, &fwd.accumulators);
+        const accel::RunResult elided = engine.run_elided(
+            img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan);
         const accel::RunResult ref = engine.run(img, &trace, rng_ref, nullptr, &plan);
         expect_identical(elided, ref);
-        expect_identical(elided_accs, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state()) << "trial " << trial;
-        EXPECT_EQ(rng_accs.state(), rng_ref.state()) << "trial " << trial;
         any_fault = any_fault || ref.faults_total.total() > 0;
     }
     // The equivalence must not be vacuous.
@@ -244,21 +266,36 @@ TEST(RunElided, MatchesRunWithThrottleMask) {
         const QTensor img = random_qimage(700 + trial);
         const quant::QNetwork::ForwardTrace fwd =
             engine.network().forward_trace(img);
-        const std::vector<QTensor>& golden = fwd.activations;
         Rng rng_elided(3 + trial);
-        Rng rng_accs(3 + trial);
         Rng rng_ref(3 + trial);
-        const accel::RunResult elided =
-            engine.run_elided(img, golden, &trace, rng_elided, plan, &throttle);
-        const accel::RunResult elided_accs = engine.run_elided(
-            img, golden, &trace, rng_accs, plan, &throttle, &fwd.accumulators);
+        const accel::RunResult elided = engine.run_elided(
+            img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan, &throttle);
         const accel::RunResult ref =
             engine.run(img, &trace, rng_ref, &throttle, &plan);
         expect_identical(elided, ref);
-        expect_identical(elided_accs, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state());
-        EXPECT_EQ(rng_accs.state(), rng_ref.state());
     }
+}
+
+// A Conv/Dense accumulator array that does not cover its layer's output
+// is a caller bug: run_elided rejects it before reading any of it.
+TEST(RunElided, ShortAccumulatorVectorThrows) {
+    const accel::AccelEngine engine = make_engine();
+    Rng trace_rng(5);
+    const accel::VoltageTrace trace = random_glitch_trace(engine, trace_rng, 4);
+    const accel::OverlayPlan plan = engine.plan_overlay(&trace);
+    const QTensor img = random_qimage(11);
+    quant::QNetwork::ForwardTrace fwd = engine.network().forward_trace(img);
+    ASSERT_EQ(engine.network().layers[0].kind, quant::QLayerKind::Conv);
+    fwd.accumulators[0].pop_back();
+    Rng rng(3);
+    EXPECT_THROW(engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng,
+                                   plan),
+                 ContractError);
+    fwd.accumulators[0].clear();
+    EXPECT_THROW(engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng,
+                                   plan),
+                 ContractError);
 }
 
 void expect_results_equal(const AccuracyResult& a, const AccuracyResult& b) {

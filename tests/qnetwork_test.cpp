@@ -46,7 +46,7 @@ TEST(QNetwork, ForwardActivationsMatchForward) {
     const QNetwork net = random_qnetwork(3);
     for (std::uint64_t s = 0; s < 5; ++s) {
         const QTensor img = random_qimage(50 + s);
-        EXPECT_EQ(net.forward_activations(img).back(), net.forward(img))
+        EXPECT_EQ(net.forward_trace(img).activations.back(), net.forward(img))
             << "seed " << s;
     }
 }

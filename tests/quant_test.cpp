@@ -134,7 +134,7 @@ TEST(QDense, FeatureMismatchThrows) {
 
 TEST(QNetworkReference, ForwardShapes) {
     const QNetwork net = deepstrike::testing::random_qnetwork(8);
-    const std::vector<QTensor> acts = net.forward_activations(random_qimage(9));
+    const std::vector<QTensor> acts = net.forward_trace(random_qimage(9)).activations;
     ASSERT_EQ(acts.size(), 5u);
     EXPECT_EQ(acts[0].shape(), Shape({6, 24, 24}));
     EXPECT_EQ(acts[1].shape(), Shape({6, 12, 12}));

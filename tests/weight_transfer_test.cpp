@@ -208,7 +208,7 @@ TEST(WeightTransfer, ForwardFromMatchesFullForwardAtEveryLayer) {
     const QTensor image = deepstrike::testing::random_qimage(42);
 
     EXPECT_EQ(net.forward_from(0, image), net.forward(image));
-    const std::vector<QTensor> acts = faulted.forward_activations(image);
+    const std::vector<QTensor> acts = faulted.forward_trace(image).activations;
     const QTensor full = faulted.forward(image);
     for (std::size_t k = 1; k <= faulted.layers.size(); ++k) {
         const QTensor resumed = k == faulted.layers.size()

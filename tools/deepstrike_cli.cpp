@@ -26,10 +26,8 @@
 #include "fabric/resources.hpp"
 #include "host/scheme_file.hpp"
 #include "nn/zoo.hpp"
-#include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
-#include "sim/cosim_lanes.hpp"
 #include "sim/search.hpp"
 #include "sim/experiment.hpp"
 #include "sim/vcd.hpp"
@@ -42,7 +40,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 #include "util/trace.hpp"
 
 using namespace deepstrike;
@@ -59,39 +56,6 @@ void add_threads_option(ArgParser& parser) {
 std::size_t apply_threads_option(const ArgParser& parser) {
     set_global_thread_count(parser.option_uint("threads"));
     return global_thread_count();
-}
-
-void add_engine_options(ArgParser& parser) {
-    parser.add_option("simd",
-                      "quantized kernel engine: auto (im2col/GEMM, AVX2 when "
-                      "available), scalar (GEMM without SIMD), off (reference "
-                      "kernels); scalar and off also force the co-sim lane "
-                      "kernels to their portable twins",
-                      "auto");
-    parser.add_option("batch",
-                      "images per batched golden forward block (0 disables "
-                      "batching)",
-                      std::to_string(quant::gemm::eval_batch()));
-    parser.add_option("lanes",
-                      "co-sim lane group width (campaign points co-simulated "
-                      "in SIMD lockstep; 0 or 1 disables lane batching)",
-                      std::to_string(sim::cosim_lane_width()));
-}
-
-/// Applies --simd / --batch / --lanes to the process-wide engine knobs
-/// (quant::gemm, deepstrike::simd, sim::CosimLanes). Reports are
-/// bit-identical at any setting; only wall-clock changes.
-void apply_engine_options(const ArgParser& parser) {
-    const quant::gemm::GemmMode gemm_mode =
-        quant::gemm::parse_mode(parser.option("simd"));
-    quant::gemm::set_mode(gemm_mode);
-    // The co-sim seam has no Off tier (its scalar twin IS the reference
-    // formulation): both non-auto gemm modes force the portable twins.
-    simd::set_mode(gemm_mode == quant::gemm::GemmMode::Auto
-                       ? simd::Mode::Auto
-                       : simd::Mode::Scalar);
-    quant::gemm::set_eval_batch(parser.option_uint("batch"));
-    sim::set_cosim_lane_width(parser.option_uint("lanes"));
 }
 
 void add_observability_options(ArgParser& parser) {
@@ -320,7 +284,6 @@ int cmd_attack(const std::vector<std::string>& args) {
     parser.add_option("strikes", "number of strikes", "4500");
     parser.add_option("images", "test images to evaluate", "300");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("blind", "non-TDC-guided baseline instead");
     parser.add_flag("help", "show this help");
@@ -334,7 +297,6 @@ int cmd_attack(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
     const std::size_t images = parser.option_uint("images");
@@ -417,7 +379,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
                       "marked partial",
                       "0");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("resume",
                     "resume from the --journal file: validate its fingerprint, "
@@ -438,7 +399,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
     sim::CampaignConfig cfg;
@@ -537,7 +497,6 @@ int cmd_search(const std::vector<std::string>& args) {
                       "here so an interrupted search can be resumed",
                       "");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("resume",
                     "resume from the --journal file: validate its fingerprint "
@@ -557,7 +516,6 @@ int cmd_search(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
 
@@ -637,7 +595,6 @@ int cmd_characterize(const std::vector<std::string>& args) {
                       "2000,4000,8000,12000,16000,20000,24000");
     parser.add_option("trials", "random-input trials per point", "10000");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("help", "show this help");
     if (!parser.parse(args)) {
@@ -650,7 +607,6 @@ int cmd_characterize(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     sim::DspRigConfig cfg;
     cfg.trials = parser.option_uint("trials");
@@ -685,7 +641,6 @@ int cmd_defend(const std::vector<std::string>& args) {
     parser.add_option("inject-prob",
                       "per-activation fault probability for --fault-aware", "0.01");
     add_threads_option(parser);
-    add_engine_options(parser);
     add_observability_options(parser);
     parser.add_flag("fault-aware",
                     "additionally retrain the victim with fault-aware training "
@@ -702,7 +657,6 @@ int cmd_defend(const std::vector<std::string>& args) {
     }
 
     apply_threads_option(parser);
-    apply_engine_options(parser);
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
     const std::size_t images = parser.option_uint("images");
