@@ -214,17 +214,16 @@ void BM_CosimFullInference(benchmark::State& state) {
 }
 BENCHMARK(BM_CosimFullInference);
 
-// The co-sim tick loop, lane-batched vs scalar: both benches co-simulate
-// the same 8 independent inferences, through 8 scalar simulate_inference
-// calls vs one 8-lane SoA/SIMD group (sim::CosimLanes). Identical bytes
-// out (tests/cosim_lanes_test.cpp); CI gates the same-run pair ratio at
-// 0.6 so the lane engine never silently decays to scalar speed.
+// The co-sim tick loop, one 8-lane group vs 8 one-lane groups: both
+// benches co-simulate the same 8 independent inferences, through 8
+// simulate_inference calls (each a one-lane group) vs one 8-lane SoA/SIMD
+// group. Identical bytes out (tests/cosim_lanes_test.cpp); CI gates the
+// same-run pair ratio at 0.6 so lane batching never silently decays to
+// one-co-sim-at-a-time speed.
 constexpr std::size_t kCosimBenchLanes = 8;
 
-void BM_CosimCycleScalar(benchmark::State& state) {
+void BM_CosimCycleOneLane(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const std::size_t saved_width = ds::sim::cosim_lane_width();
-    ds::sim::set_cosim_lane_width(0); // scalar per-point path
     for (auto _ : state) {
         for (std::size_t l = 0; l < kCosimBenchLanes; ++l) {
             ds::sim::NoAttackSource source;
@@ -234,9 +233,8 @@ void BM_CosimCycleScalar(benchmark::State& state) {
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
                                   platform.engine().schedule().total_cycles));
-    ds::sim::set_cosim_lane_width(saved_width);
 }
-BENCHMARK(BM_CosimCycleScalar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CosimCycleOneLane)->Unit(benchmark::kMillisecond);
 
 void BM_CosimCycleLanes(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
@@ -256,9 +254,10 @@ void BM_CosimCycleLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_CosimCycleLanes)->Unit(benchmark::kMillisecond);
 
-// Lane-count scaling: one group of W co-sims per iteration (W=1 is the
-// single-lane scalar fallback). Per-co-sim cost should fall as W grows;
-// items processed = co-sims, so ops/s is directly comparable across W.
+// Lane-count scaling: one group of W co-sims per iteration (W=1 is a
+// one-lane group, padded to one 4-lane slot). Per-co-sim cost should fall
+// as W grows; items processed = co-sims, so ops/s is directly comparable
+// across W.
 void BM_CosimLanesWidth(benchmark::State& state) {
     const auto width = static_cast<std::size_t>(state.range(0));
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "accel/engine_detail.hpp"
 #include "quant/gemm.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -72,6 +71,31 @@ void record_layer(RunResult& result, const std::string& label,
     result.faults_by_layer.push_back({label, counts});
 }
 
+bool throttled(const std::vector<bool>* throttle, std::size_t cycle) {
+    return throttle != nullptr && cycle < throttle->size() && (*throttle)[cycle];
+}
+
+/// Evaluates one op from its precomputed delay factor, optionally with
+/// triple-modular-redundancy voting: under TMR an op only faults when at
+/// least two of three independent evaluations fault, and the surviving
+/// fault kind is the majority kind. All three evaluations see the same
+/// capture voltage, hence the same factor.
+FaultKind evaluate_op_with_factor(const DspSlice& slice, double factor, Rng& rng,
+                                  double path_scale, bool tmr) {
+    if (!tmr) return slice.evaluate_with_factor(factor, rng, path_scale);
+    int dup = 0;
+    int rnd = 0;
+    for (int r = 0; r < 3; ++r) {
+        switch (slice.evaluate_with_factor(factor, rng, path_scale)) {
+            case FaultKind::Duplication: ++dup; break;
+            case FaultKind::Random: ++rnd; break;
+            case FaultKind::None: break;
+        }
+    }
+    if (dup + rnd < 2) return FaultKind::None;
+    return dup >= rnd ? FaultKind::Duplication : FaultKind::Random;
+}
+
 } // namespace
 
 AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
@@ -101,17 +125,6 @@ AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
         fc_safe_v_ = std::max(fc_safe_v_, d.safe_voltage(delay_));
     }
     pool_safe_v_ = pool_logic_.safe_voltage(delay_);
-}
-
-bool AccelEngine::segment_under_voltage(const LayerSegment& seg,
-                                        const VoltageTrace* voltage,
-                                        double safe_v) const {
-    if (voltage == nullptr) return false;
-    const std::size_t end = std::min(seg.end_cycle() * 2, voltage->size());
-    for (std::size_t i = seg.start_cycle * 2; i < end; ++i) {
-        if ((*voltage)[i] < safe_v) return true;
-    }
-    return false;
 }
 
 OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
@@ -187,7 +200,7 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
     // slice. Slice d owns positions 2d / 2d+1 of every cycle, so that
     // predecessor's op index is pure arithmetic: the pair partner earlier in
     // the same cycle (odd positions), or the slice's last position in the
-    // previous cycle (even positions). The reference path records the true
+    // previous cycle (even positions). A per-op walk records the true
     // product of every op unconditionally, so the predecessor's *true*
     // product is exactly what the stale output register holds; no pipeline
     // array needs to be carried or seeded. First-cycle slices with no
@@ -201,7 +214,7 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
 
     // Per window, the per-cycle delay factors are shared by every op
     // captured at the same DDR half sample (fac memo, reset at window entry
-    // and at each cycle rollover, as in the reference walk).
+    // and at each cycle rollover).
     const bool no_throttle = throttle == nullptr;
     for (const CycleWindow& win : overlay.unsafe) {
         const std::size_t lo = (win.begin - seg.start_cycle) * mpc;
@@ -213,11 +226,11 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
         for (std::size_t g = lo; g < hi; ++g) {
             const std::size_t sidx = cycle * 2 + (pos & 1);
             const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < safe_v && (no_throttle || !detail::throttled(throttle, cycle))) {
+            if (v < safe_v && (no_throttle || !throttled(throttle, cycle))) {
                 double& f = fac[pos & 1];
                 if (f < 0.0) f = delay_.factor(v);
-                switch (detail::evaluate_op_with_factor(dsps[pos >> 1], f, rng,
-                                                        path_scale, tmr)) {
+                switch (evaluate_op_with_factor(dsps[pos >> 1], f, rng, path_scale,
+                                                tmr)) {
                     case FaultKind::None:
                         break;
                     case FaultKind::Duplication:
@@ -319,14 +332,59 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
                               const VoltageTrace* voltage, Rng& rng,
                               const std::vector<bool>* throttle,
                               FaultCounts& counts) const {
-    if (!overlay.any()) {
-        return layer.kind == quant::QLayerKind::AvgPool2 ? quant::qavgpool2(input)
-                                                         : quant::qmaxpool2(input);
-    }
+    const bool average = layer.kind == quant::QLayerKind::AvgPool2;
+    if (!overlay.any()) return average ? quant::qavgpool2(input) : quant::qmaxpool2(input);
     // Pool segments are tiny (a few thousand comparator ops); when a window
-    // touches one, the whole-segment per-op path is already cheap and
-    // trivially byte-identical.
-    return run_pool_reference(input, layer, seg, voltage, rng, throttle, counts);
+    // touches one, walking every comparator op of the segment is already
+    // cheap.
+    const std::size_t ch = input.shape().dim(0);
+    const std::size_t oh = input.shape().dim(1) / 2;
+    const std::size_t ow = input.shape().dim(2) / 2;
+    QTensor out(Shape{ch, oh, ow});
+
+    std::size_t g = 0;
+    const std::size_t opc = seg.ops_per_cycle;
+    for (std::size_t c = 0; c < ch; ++c) {
+        for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t wdx = 0; wdx < ow; ++wdx) {
+                Q3_4 window[4] = {input.at(c, 2 * r, 2 * wdx),
+                                  input.at(c, 2 * r, 2 * wdx + 1),
+                                  input.at(c, 2 * r + 1, 2 * wdx),
+                                  input.at(c, 2 * r + 1, 2 * wdx + 1)};
+                bool faulted = false;
+                for (std::size_t cmp = 0; cmp < 4; ++cmp) {
+                    const std::size_t cycle = seg.start_cycle + g / opc;
+                    // Pool comparators are registered on the fabric clock:
+                    // one capture at end of cycle (second half sample).
+                    const std::size_t sidx = cycle * 2 + 1;
+                    const double v = voltage != nullptr && sidx < voltage->size()
+                                         ? (*voltage)[sidx]
+                                         : delay_.vdd;
+                    if (v < pool_safe_v_ && !throttled(throttle, cycle) &&
+                        pool_logic_.evaluate(v, delay_, rng) != FaultKind::None) {
+                        faulted = true;
+                        ++counts.random;
+                    }
+                    ++g;
+                }
+                if (faulted) {
+                    // Comparator/adder mis-operated: an arbitrary window
+                    // element (possibly the right one) wins.
+                    out.at(c, r, wdx) = window[rng.uniform_int(0, 3)];
+                } else if (average) {
+                    const std::int32_t sum = window[0].raw() + window[1].raw() +
+                                             window[2].raw() + window[3].raw();
+                    const std::int32_t avg =
+                        sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
+                    out.at(c, r, wdx) = Q3_4::from_raw(static_cast<std::int16_t>(avg));
+                } else {
+                    out.at(c, r, wdx) = std::max(std::max(window[0], window[1]),
+                                                 std::max(window[2], window[3]));
+                }
+            }
+        }
+    }
+    return out;
 }
 
 QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,

@@ -17,9 +17,10 @@
 // stale DSP output registers recovered on demand by direct op-stream index
 // arithmetic so duplication faults stay bit-exact. The fault RNG is only
 // drawn when an op's capture voltage is below the safe threshold, so the
-// gated path consumes the exact same RNG stream as the retained per-op
-// reference implementation (run_reference) — byte-identical results, which
-// tests/overlay_test.cpp enforces across randomized traces.
+// gated path consumes the exact same RNG stream as a whole-segment per-op
+// walk — byte-identical results, which tests/overlay_test.cpp enforces
+// across randomized traces against the per-op oracle in
+// tests/engine_reference.cpp.
 #pragma once
 
 #include <algorithm>
@@ -138,19 +139,13 @@ public:
                          const OverlayPlan& plan,
                          const std::vector<bool>* throttle = nullptr) const;
 
-    /// Retained whole-segment per-op implementation: gates golden-vs-per-op
-    /// per segment instead of per cycle window. Byte-identical to run() by
-    /// construction (the overlay property tests assert it); kept as the
-    /// equivalence oracle and as the before/after benchmark reference.
-    RunResult run_reference(const QTensor& image, const VoltageTrace* voltage,
-                            Rng& fault_rng,
-                            const std::vector<bool>* throttle = nullptr) const;
-
     /// Convenience: fault-free inference.
     RunResult run_clean(const QTensor& image) const;
 
     const std::vector<DspSlice>& conv_dsps() const { return conv_dsps_; }
     const std::vector<DspSlice>& fc_dsps() const { return fc_dsps_; }
+    /// The pool comparators' relaxed-timing path (one shared model).
+    const DspSlice& pool_logic() const { return pool_logic_; }
 
 private:
     // --- interval-gated fast path (engine.cpp) ---
@@ -176,6 +171,8 @@ private:
                    const VoltageTrace* voltage, Rng& rng,
                    const std::vector<bool>* throttle, FaultCounts& counts,
                    const std::vector<fx::Acc>& golden_accs) const;
+    /// Pool layer of run(): golden pooling when the overlay has no unsafe
+    /// window, else a per-comparator walk of the whole segment.
     QTensor run_pool(const QTensor& input, const quant::QLayer& layer,
                      const LayerSegment& seg, const SegmentOverlay& overlay,
                      const VoltageTrace* voltage, Rng& rng,
@@ -183,11 +180,12 @@ private:
 
     /// The golden-plus-deltas fault walk shared by run_conv and run_fc.
     /// Visits only the ops inside the overlay's unsafe windows, in
-    /// ascending op order; each draws the fault model exactly as the
-    /// per-op reference does and, when it faults, adds the integer delta
-    /// (faulted contribution minus `true_product_at(op)`) to its element's
-    /// entry of `accs`. Duplication faults recover the stale DSP register
-    /// by op-stream index arithmetic instead of carrying a pipeline array.
+    /// ascending op order; each draws the fault model exactly as a
+    /// whole-segment per-op walk does (tests/engine_reference.cpp) and,
+    /// when it faults, adds the integer delta (faulted contribution minus
+    /// `true_product_at(op)`) to its element's entry of `accs`. Duplication
+    /// faults recover the stale DSP register by op-stream index arithmetic
+    /// instead of carrying a pipeline array.
     template <typename TrueProduct>
     void walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
                       std::size_t ops_per_elem, std::size_t n_ops,
@@ -196,24 +194,6 @@ private:
                       const std::vector<bool>* throttle, Rng& rng,
                       FaultCounts& counts, std::vector<fx::Acc>& accs,
                       const TrueProduct& true_product_at) const;
-
-    // --- retained reference path (engine_reference.cpp) ---
-    QTensor run_conv_reference(const QTensor& input, const quant::QLayer& layer,
-                               const LayerSegment& seg, const VoltageTrace* voltage,
-                               Rng& rng, const std::vector<bool>* throttle,
-                               FaultCounts& counts) const;
-    QTensor run_fc_reference(const QTensor& input, const quant::QLayer& layer,
-                             const LayerSegment& seg, const VoltageTrace* voltage,
-                             Rng& rng, const std::vector<bool>* throttle,
-                             FaultCounts& counts) const;
-    QTensor run_pool_reference(const QTensor& input, const quant::QLayer& layer,
-                               const LayerSegment& seg, const VoltageTrace* voltage,
-                               Rng& rng, const std::vector<bool>* throttle,
-                               FaultCounts& counts) const;
-
-    /// True when any capture sample of the segment dips below `safe_v`.
-    bool segment_under_voltage(const LayerSegment& seg, const VoltageTrace* voltage,
-                               double safe_v) const;
 
     quant::QNetwork network_;
     AccelConfig config_;

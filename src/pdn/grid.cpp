@@ -4,73 +4,8 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define DS_GRID_X86 1
-#else
-#define DS_GRID_X86 0
-#endif
 
 namespace deepstrike::pdn {
-
-namespace {
-
-#if DS_GRID_X86 && defined(__GNUC__)
-// Vertical-current terms t[r] = (v_pkg - v[r]) / r_vertical for the first
-// r4 regions (r4 a multiple of 4). Terms only — the accumulation into
-// i_into_die stays a scalar in-order sum so the total matches the scalar
-// twin bit for bit.
-__attribute__((target("avx2"))) void
-vertical_terms_avx2(const double* v, double* t, std::size_t r4, double v_pkg,
-                    double r_vertical) {
-    const __m256d pkg = _mm256_set1_pd(v_pkg);
-    const __m256d rv = _mm256_set1_pd(r_vertical);
-    for (std::size_t r = 0; r < r4; r += 4) {
-        _mm256_storeu_pd(t + r,
-                         _mm256_div_pd(_mm256_sub_pd(pkg, _mm256_loadu_pd(v + r)),
-                                       rv));
-    }
-}
-
-// One sub-step of the region stencil over the first r4 regions. vpad is
-// v with edge-replicated guard cells (vpad[0] = v[0], vpad[R+1] = v[R-1]),
-// which makes the edge lateral terms exact zeros — the same values the
-// scalar twin's conditional adds produce — so one uniform kernel covers
-// interior and edges. Pure vertical IEEE ops in scalar evaluation order:
-// no FMA, divisions kept as divisions, clamp as min/max.
-__attribute__((target("avx2"))) void
-region_stencil_avx2(const double* v, const double* vpad, const double* loads,
-                    double* v_next, std::size_t r4, double v_pkg, double dt,
-                    double r_vertical, double r_lateral, double c_region,
-                    double v_hi) {
-    const __m256d pkg = _mm256_set1_pd(v_pkg);
-    const __m256d rv = _mm256_set1_pd(r_vertical);
-    const __m256d rl = _mm256_set1_pd(r_lateral);
-    const __m256d dtv = _mm256_set1_pd(dt);
-    const __m256d cr = _mm256_set1_pd(c_region);
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d hi = _mm256_set1_pd(v_hi);
-    for (std::size_t r = 0; r < r4; r += 4) {
-        const __m256d vr = _mm256_loadu_pd(v + r);
-        const __m256d i_vert = _mm256_div_pd(_mm256_sub_pd(pkg, vr), rv);
-        const __m256d left =
-            _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(vpad + r), vr), rl);
-        const __m256d right =
-            _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(vpad + r + 2), vr), rl);
-        // lateral = ((0.0 + left) + right), the scalar twin's accumulation.
-        const __m256d lateral = _mm256_add_pd(_mm256_add_pd(zero, left), right);
-        const __m256d di = _mm256_sub_pd(_mm256_add_pd(i_vert, lateral),
-                                         _mm256_loadu_pd(loads + r));
-        __m256d vn = _mm256_add_pd(vr, _mm256_div_pd(_mm256_mul_pd(dtv, di), cr));
-        vn = _mm256_max_pd(_mm256_min_pd(vn, hi), zero);
-        _mm256_storeu_pd(v_next + r, vn);
-    }
-}
-#endif
-
-} // namespace
 
 GridPdnModel::GridPdnModel(const GridPdnParams& params) : params_(params) {
     expects(params.regions >= 1, "GridPdnModel: at least one region");
@@ -106,36 +41,14 @@ void GridPdnModel::step(const std::vector<double>& loads) {
     const double dt = p.dt_s / static_cast<double>(params_.substeps);
     const std::size_t regions = params_.regions;
 
-    // SIMD twin selection, resolved once per step (64 substeps). The AVX2
-    // stencil covers the leading multiple-of-4 regions; the scalar loop
-    // below doubles as the portable twin (r4 == 0) and the remainder tail.
-    std::size_t r4 = 0;
-#if DS_GRID_X86 && defined(__GNUC__)
-    if (simd::active()) r4 = regions / 4 * 4;
-#endif
-
     std::vector<double> v_next(regions);
-    std::vector<double> terms(r4);
-    // Edge-replicated guard cells for the uniform stencil kernel: the
-    // replicated neighbour makes the edge lateral term an exact +0.0, the
-    // value the scalar twin's skipped add leaves behind.
-    std::vector<double> vpad(r4 != 0 ? regions + 2 : 0);
     for (std::size_t sub = 0; sub < params_.substeps; ++sub) {
         // Regulator current into the package node (semi-implicit in v_pkg).
         i_l_ += dt * (p.vdd - v_pkg_ - p.r_ohm * i_l_) / p.l_henry;
 
-        // Vertical currents package -> regions: terms may be computed 4
-        // wide (bit-identical vertical ops), but the accumulation is a
-        // scalar in-order sum — reassociating it would change the total.
+        // Vertical currents package -> regions.
         double i_into_die = 0.0;
-#if DS_GRID_X86 && defined(__GNUC__)
-        if (r4 != 0) {
-            vertical_terms_avx2(v_.data(), terms.data(), r4, v_pkg_,
-                                params_.r_vertical_ohm);
-            for (std::size_t r = 0; r < r4; ++r) i_into_die += terms[r];
-        }
-#endif
-        for (std::size_t r = r4; r < regions; ++r) {
+        for (std::size_t r = 0; r < regions; ++r) {
             i_into_die += (v_pkg_ - v_[r]) / params_.r_vertical_ohm;
         }
 
@@ -144,18 +57,7 @@ void GridPdnModel::step(const std::vector<double>& loads) {
         v_pkg_ = std::clamp(v_pkg_, 0.0, p.vdd * 1.25);
 
         // Region nodes (local decap + lateral grid).
-#if DS_GRID_X86 && defined(__GNUC__)
-        if (r4 != 0) {
-            vpad[0] = v_[0];
-            std::copy(v_.begin(), v_.end(), vpad.begin() + 1);
-            vpad[regions + 1] = v_[regions - 1];
-            region_stencil_avx2(v_.data(), vpad.data(), loads.data(),
-                                v_next.data(), r4, v_pkg_, dt,
-                                params_.r_vertical_ohm, params_.r_lateral_ohm,
-                                params_.c_region_f, p.vdd * 1.25);
-        }
-#endif
-        for (std::size_t r = r4; r < regions; ++r) {
+        for (std::size_t r = 0; r < regions; ++r) {
             const double i_vert = (v_pkg_ - v_[r]) / params_.r_vertical_ohm;
             double lateral = 0.0;
             if (r > 0) lateral += (v_[r - 1] - v_[r]) / params_.r_lateral_ohm;

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace deepstrike::pdn {
@@ -41,25 +40,18 @@ public:
     explicit PdnModel(const PdnParams& params);
 
     /// Advances one dt step with the instantaneous total load current (A)
-    /// and returns the new die voltage (V). Inline: this is the co-sim
-    /// master tick, called ticks_per_cycle times per fabric cycle.
+    /// and returns the new die voltage (V). The co-sim lane engine steps
+    /// its SoA lanes with the same expression chain (sim/cosim_lanes.cpp).
     double step(double i_load_a) {
         // step() is a deterministic function of (v_, i_l_, i_load_a). Once
         // one step leaves both state variables bit-unchanged — the discrete
         // RLC system has reached its floating-point fixed point, which it
         // does between strikes because the rounded increments underflow the
         // state's ulp — every further step under the same load is the
-        // identity and can be skipped verbatim. This is the dominant tick
-        // cost in idle stretches of a co-simulated inference.
-        // Plain member counters, not metrics handles: this is the hottest
-        // function in the co-sim, so observability costs one increment here
-        // and the counters are flushed to util::metrics once per inference
-        // by sim::Platform (see docs/observability.md, pdn.steps*).
-        ++steps_;
-        if (steady_ && i_load_a == steady_load_) {
-            ++steps_skipped_;
-            return v_;
-        }
+        // identity and can be skipped verbatim. Idle stretches of a
+        // co-simulated inference are mostly such steps; the co-sim lane
+        // engine (sim/cosim_lanes.cpp) applies the same predicate per lane.
+        if (steady_ && i_load_a == steady_load_) return v_;
         const double prev_v = v_;
         const double prev_i_l = i_l_;
         // Semi-implicit (symplectic) Euler: update current with the old
@@ -84,11 +76,6 @@ public:
     /// Resets to the DC operating point for a standing load `i_idle_a`.
     void reset(double i_idle_a = 0.0);
 
-    /// Tick accounting since construction (reset() does not clear these):
-    /// total step() calls, and how many hit the fixed-point skip above.
-    std::uint64_t steps() const { return steps_; }
-    std::uint64_t steps_skipped() const { return steps_skipped_; }
-
     // Small-signal characteristics (for tests and documentation).
     double natural_freq_hz() const;
     double damping_ratio() const;
@@ -101,8 +88,6 @@ private:
     // variable, making further steps under steady_load_ identities.
     bool steady_ = false;
     double steady_load_ = 0.0;
-    std::uint64_t steps_ = 0;
-    std::uint64_t steps_skipped_ = 0;
 };
 
 /// Convenience: simulates a rectangular current pulse on a fresh PDN and

@@ -445,12 +445,10 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
             .add(points_resumed);
     }
 
-    // Lane-batched trace warm-up: the guided schemes still to run are
-    // exactly the independent co-sims sim::CosimLanes batches. Prefetching
-    // them here fills the trace cache in SIMD lane groups; the tasks below
-    // then hit it. Report bytes are identical with or without this (the
-    // cache hands out the same bundles either way); prefetch_guided is a
-    // no-op when lanes are disabled.
+    // Trace warm-up: the guided schemes still to run are independent
+    // co-sims, so prefetching them fills the trace cache in SIMD lane
+    // groups; the tasks below then hit it. Report bytes are identical with
+    // or without this (a miss runs the same fill, one scheme at a time).
     {
         std::vector<attack::AttackScheme> guided_schemes;
         for (std::size_t idx = 1; idx < plan.record_count(); ++idx) {

@@ -51,8 +51,8 @@ struct CampaignConfig {
     std::size_t threads = 0;
     /// Build the golden evaluation cache (sim::GoldenCache) once and let
     /// every point elide fault-free work against it. Reports are
-    /// byte-identical either way; disable only to measure the elision
-    /// (`deepstrike campaign --no-golden-cache`).
+    /// byte-identical either way; a test seam (the CLI always builds it)
+    /// that tests and benches turn off to check or measure the elision.
     bool golden_cache = true;
     attack::DetectorConfig detector{};
     attack::ProfilerConfig profiler{};

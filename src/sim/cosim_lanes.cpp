@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "sim/platform.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -34,12 +35,13 @@ std::atomic<std::size_t>& lane_width_cell() {
 // One semi-implicit Euler step of PdnModel::step for a 4-lane SoA slot.
 // Returns the per-lane fixed-point mask (bit k set when lane k's step left
 // both state variables bit-unchanged — the same predicate PdnModel uses to
-// arm its skip). Both twins replay the scalar expression chain verbatim:
+// arm its skip). Both twins replay PdnModel::step's expression chain
+// verbatim:
 //   i_l += dt * ((vdd - v) - r*i_l) / L
 //   v   += dt * (i_l - load) / C
 //   v    = clamp(v, 0, vdd*1.25)
 // with divisions kept as divisions and no FMA contraction, so the twins
-// and the scalar PdnModel agree bit for bit.
+// and PdnModel agree bit for bit.
 
 inline bool pdn_step_lane_scalar(double& v, double& il, double load,
                                  const pdn::PdnParams& p) {
@@ -101,15 +103,6 @@ StepSlotFn select_step_slot() {
     return pdn_step_slot_scalar;
 }
 
-void count_scalar_fallback() {
-    if (metrics::enabled()) {
-        metrics::counter("cosim.lanes.scalar_fallbacks", "cosims",
-                         "co-sims run on the scalar tick loop because their "
-                         "lane group had a single member")
-            .add();
-    }
-}
-
 } // namespace
 
 std::size_t cosim_lane_width() {
@@ -117,30 +110,16 @@ std::size_t cosim_lane_width() {
 }
 
 void set_cosim_lane_width(std::size_t width) {
-    lane_width_cell().store(std::min(width, kMaxLaneWidth),
+    lane_width_cell().store(std::clamp<std::size_t>(width, 1, kMaxLaneWidth),
                             std::memory_order_relaxed);
 }
 
-bool cosim_lanes_enabled() { return cosim_lane_width() >= 2; }
-
-CosimLanes::CosimLanes(const Platform& platform,
-                       std::vector<StrikeSource*> sources,
-                       bool record_tick_voltage)
-    : platform_(platform),
-      sources_(std::move(sources)),
-      record_tick_voltage_(record_tick_voltage) {
-    expects(!sources_.empty(), "CosimLanes: at least one lane");
-    for (const StrikeSource* s : sources_) {
-        expects(s != nullptr, "CosimLanes: non-null sources");
-    }
-}
-
-std::vector<CosimResult> CosimLanes::run() {
+std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const> sources,
+                                                  bool record_tick_voltage) const {
     trace::Span span("cosim.lanes", "cosim");
-    const Platform& pf = platform_;
-    const PlatformConfig& cfg = pf.config_;
-    const std::size_t n = sources_.size();
-    const std::size_t total_cycles = pf.engine_.schedule().total_cycles;
+    const PlatformConfig& cfg = config_;
+    const std::size_t n = sources.size();
+    const std::size_t total_cycles = engine_.schedule().total_cycles;
     const std::size_t tpc = cfg.ticks_per_cycle;
     const std::size_t n_caps = cfg.dsp_capture_ticks.size();
     // Pad to whole 4-lane slots; pads mirror an idle (never-striking) lane
@@ -150,7 +129,7 @@ std::vector<CosimResult> CosimLanes::run() {
 
     // SoA lane state. Initial condition is PdnModel::reset(idle): every
     // lane starts at the same DC operating point.
-    const double i_idle = pf.idle_current_a();
+    const double i_idle = idle_current_a();
     const double v_dc = cfg.pdn.vdd - cfg.pdn.r_ohm * i_idle;
     util::AlignedBuffer<double> v(padded);
     util::AlignedBuffer<double> il(padded);
@@ -173,29 +152,25 @@ std::vector<CosimResult> CosimLanes::run() {
         res.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
         res.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
         res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
-        if (record_tick_voltage_) res.tick_voltage.reserve(total_cycles * tpc);
+        if (record_tick_voltage) res.tick_voltage.reserve(total_cycles * tpc);
     }
 
-    // Per-lane TDC noise streams: same seed as the scalar path, advanced
-    // draw-for-draw per lane.
+    // Per-lane TDC noise streams: every lane starts from the one
+    // configured seed and advances draw-for-draw.
     std::vector<Rng> rng;
     rng.reserve(n);
     for (std::size_t l = 0; l < n; ++l) rng.emplace_back(cfg.tdc_noise_seed);
     std::vector<tdc::TdcSample> scratch(n);
-    tdc::TdcLaneSampler sampler(pf.sensor_, n);
-
-    // Gather buffers for the striker batch (only striking lanes).
-    util::AlignedBuffer<double> strike_v(padded);
-    util::AlignedBuffer<double> strike_cur(padded);
+    tdc::TdcLaneSampler sampler(sensor_, n);
 
     const StepSlotFn step_slot = select_step_slot();
-    const Platform::TickAction* actions = pf.tick_actions_.data();
+    const TickAction* actions = tick_actions_.data();
     std::uint64_t compactions = 0;
 
     for (std::size_t cycle = 0; cycle < total_cycles; ++cycle) {
         bool any_strike = false;
         for (std::size_t l = 0; l < n; ++l) {
-            const bool s = sources_[l]->strike_bit(cycle);
+            const bool s = sources[l]->strike_bit(cycle);
             strike[l] = s ? 1 : 0;
             if (s) {
                 any_strike = true;
@@ -203,7 +178,7 @@ std::vector<CosimResult> CosimLanes::run() {
                 results[l].strike_bits.set(cycle, true);
             }
         }
-        const double i_victim = cfg.accel.i_platform_idle_a + pf.activity_[cycle];
+        const double i_victim = cfg.accel.i_platform_idle_a + activity_[cycle];
 
         // Cycle fast path: no lane strikes and every live lane already sits
         // at its floating-point fixed point under this cycle's load — the
@@ -223,17 +198,17 @@ std::vector<CosimResult> CosimLanes::run() {
             compactions += slots * tpc;
             for (std::size_t l = 0; l < n; ++l) steps_skipped[l] += tpc;
             for (std::size_t tick = 0; tick < tpc; ++tick) {
-                if (record_tick_voltage_) {
+                if (record_tick_voltage) {
                     for (std::size_t l = 0; l < n; ++l) {
                         results[l].tick_voltage.push_back(v[l]);
                     }
                 }
-                const Platform::TickAction act = actions[tick];
+                const TickAction act = actions[tick];
                 if (act.tdc_slot >= 0) {
                     sampler.sample_lanes(v.data(), rng.data(), scratch.data(), n);
                     for (std::size_t l = 0; l < n; ++l) {
                         results[l].tdc_readouts.push_back(scratch[l].readout);
-                        sources_[l]->on_tdc_sample(scratch[l]);
+                        sources[l]->on_tdc_sample(scratch[l]);
                     }
                 }
                 if (act.capture_slot >= 0) {
@@ -256,22 +231,17 @@ std::vector<CosimResult> CosimLanes::run() {
         }
         for (std::size_t tick = 0; tick < tpc; ++tick) {
             if (any_strike) {
-                // The striking lanes' oscillator current depends on each
-                // lane's instantaneous voltage: gather, batch, scatter.
-                std::size_t k = 0;
+                // A striking lane's oscillator current depends on its own
+                // instantaneous voltage (the per-lane pow() dominates).
                 for (std::size_t l = 0; l < n; ++l) {
-                    if (strike[l] != 0) strike_v[k++] = v[l];
-                }
-                pf.striker_.current_a_lanes(strike_v.data(), strike_cur.data(), k);
-                k = 0;
-                for (std::size_t l = 0; l < n; ++l) {
-                    load[l] = strike[l] != 0 ? i_victim + strike_cur[k++] : i_victim;
+                    load[l] = strike[l] != 0 ? i_victim + striker_.current_a(v[l], true)
+                                             : i_victim;
                 }
                 for (std::size_t l = n; l < padded; ++l) load[l] = i_victim;
             }
-            // Fixed-point skip accounting replays the scalar PdnModel
-            // predicate per lane (pre-step, this tick's load) so the
-            // pdn.steps_skipped total is engine-invariant.
+            // pdn.steps_skipped counts, per lane, the ticks PdnModel::step
+            // would answer from its fixed-point skip (pre-step state, this
+            // tick's load) — a logical count, independent of compaction.
             for (std::size_t l = 0; l < n; ++l) {
                 if (steady[l] != 0 && load[l] == steady_load[l]) {
                     ++steps_skipped[l];
@@ -301,17 +271,17 @@ std::vector<CosimResult> CosimLanes::run() {
                 }
             }
             for (std::size_t l = 0; l < n; ++l) min_v[l] = std::min(min_v[l], v[l]);
-            if (record_tick_voltage_) {
+            if (record_tick_voltage) {
                 for (std::size_t l = 0; l < n; ++l) {
                     results[l].tick_voltage.push_back(v[l]);
                 }
             }
-            const Platform::TickAction act = actions[tick];
+            const TickAction act = actions[tick];
             if (act.tdc_slot >= 0) {
                 sampler.sample_lanes(v.data(), rng.data(), scratch.data(), n);
                 for (std::size_t l = 0; l < n; ++l) {
                     results[l].tdc_readouts.push_back(scratch[l].readout);
-                    sources_[l]->on_tdc_sample(scratch[l]);
+                    sources[l]->on_tdc_sample(scratch[l]);
                 }
             }
             if (act.capture_slot >= 0) {
@@ -327,8 +297,9 @@ std::vector<CosimResult> CosimLanes::run() {
         }
     }
 
-    // Flush accounting once per group — the same totals n scalar co-sims
-    // would flush, plus the lane-engine telemetry (docs/observability.md).
+    // Flush accounting once per group, never per tick: the logical totals
+    // are per-lane sums, so they do not depend on how co-sims were grouped;
+    // the cosim.lanes.* telemetry does (docs/observability.md).
     if (metrics::enabled()) {
         metrics::counter("cosim.inferences", "inferences",
                          "co-simulated victim inferences")
@@ -358,7 +329,7 @@ std::vector<CosimResult> CosimLanes::run() {
                          "fabric cycles with the power striker firing")
             .add(strike_total);
         metrics::counter("cosim.lanes.groups", "groups",
-                         "lane groups co-simulated by sim::CosimLanes")
+                         "lane groups co-simulated by the tick loop")
             .add();
         metrics::histogram("cosim.lanes.width", "lanes",
                            "lanes per co-simulated group")
@@ -376,33 +347,18 @@ std::vector<CosimResult> CosimLanes::run() {
 
 std::vector<CosimResult> Platform::simulate_inference_lanes(
     const std::vector<StrikeSource*>& sources, bool record_tick_voltage) const {
+    for (const StrikeSource* s : sources) {
+        expects(s != nullptr, "simulate_inference_lanes: non-null sources");
+    }
     std::vector<CosimResult> out;
     out.reserve(sources.size());
     const std::size_t width = cosim_lane_width();
-    if (width < 2) {
-        for (StrikeSource* s : sources) {
-            expects(s != nullptr, "simulate_inference_lanes: non-null sources");
-            out.push_back(simulate_inference(*s, record_tick_voltage));
-        }
-        return out;
-    }
+    const std::span<StrikeSource* const> all(sources);
     for (std::size_t begin = 0; begin < sources.size(); begin += width) {
-        const std::size_t group_n = std::min(width, sources.size() - begin);
-        if (group_n == 1) {
-            // A single-lane remainder gains nothing from SoA form; run it
-            // on the scalar tick loop (byte-identical by contract).
-            expects(sources[begin] != nullptr,
-                    "simulate_inference_lanes: non-null sources");
-            count_scalar_fallback();
-            out.push_back(simulate_inference(*sources[begin], record_tick_voltage));
-            continue;
-        }
-        CosimLanes group(*this,
-                         std::vector<StrikeSource*>(sources.begin() + begin,
-                                                    sources.begin() + begin + group_n),
-                         record_tick_voltage);
-        std::vector<CosimResult> batch = group.run();
-        for (CosimResult& res : batch) out.push_back(std::move(res));
+        std::vector<CosimResult> group = run_lane_group(
+            all.subspan(begin, std::min(width, sources.size() - begin)),
+            record_tick_voltage);
+        for (CosimResult& res : group) out.push_back(std::move(res));
     }
     return out;
 }

@@ -66,12 +66,10 @@ std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
         replay_len < total_cycles ? total_cycles - replay_len : 0;
 
     // Draw every start offset up front (same RNG draw order as the old
-    // simulate-as-you-go loop), then co-simulate the replays as one lane
-    // group (sim::CosimLanes): the offsets of a blind point are exactly
-    // the independent same-platform co-sims the lane engine batches.
-    // Platform::simulate_inference_lanes falls back to the scalar loop
-    // per offset when lanes are disabled; traces are byte-identical
-    // either way.
+    // simulate-as-you-go loop), then co-simulate the replays in lane
+    // groups: the offsets of a blind point are exactly the independent
+    // same-platform co-sims the lane engine batches. Each trace depends
+    // on its own offset alone, whatever the group width.
     Rng rng(offset_seed);
     std::vector<std::size_t> starts;
     starts.reserve(n_offsets);

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "accel/engine.hpp"
@@ -129,16 +130,15 @@ public:
     const striker::StrikerBank& striker_bank() const { return striker_; }
 
     /// Co-simulates the electrical side of one inference with the given
-    /// strike source. Deterministic in (config seeds, source behaviour).
+    /// strike source: a one-lane simulate_inference_lanes group.
+    /// Deterministic in (config seeds, source behaviour).
     CosimResult simulate_inference(StrikeSource& source,
                                    bool record_tick_voltage = false) const;
 
-    /// Lane-batched equivalent (sim::CosimLanes): co-simulates one
-    /// inference per source, packed into SIMD lane groups of
-    /// cosim_lane_width() with a scalar fallback for single-lane
-    /// remainders (or when lanes are disabled). result[i] is
-    /// byte-identical to simulate_inference(*sources[i], ...).
-    /// Defined in sim/cosim_lanes.cpp.
+    /// Co-simulates one inference per source, packed into SIMD lane groups
+    /// of sim::cosim_lane_width() (sim/cosim_lanes.hpp). result[i] depends
+    /// on sources[i] alone: it is byte-identical at every width, group
+    /// position and SIMD twin. Defined in sim/cosim_lanes.cpp.
     std::vector<CosimResult> simulate_inference_lanes(
         const std::vector<StrikeSource*>& sources,
         bool record_tick_voltage = false) const;
@@ -170,9 +170,10 @@ public:
     double idle_current_a() const;
 
 private:
-    // The lane engine reads the same precomputed schedule/action state the
-    // scalar tick loop does (sim/cosim_lanes.cpp).
-    friend class CosimLanes;
+    /// The tick loop: co-simulates `sources` in lockstep as one lane group
+    /// (sim/cosim_lanes.cpp).
+    std::vector<CosimResult> run_lane_group(std::span<StrikeSource* const> sources,
+                                            bool record_tick_voltage) const;
 
     /// What happens at one tick offset within a fabric cycle; precomputed
     /// at construction so the tick loop replays a flat table instead of

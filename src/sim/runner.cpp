@@ -5,7 +5,6 @@
 #include <deque>
 #include <exception>
 #include <thread>
-#include <unordered_set>
 
 #include "sim/cosim_lanes.hpp"
 #include "sim/experiment.hpp"
@@ -66,6 +65,10 @@ std::uint64_t detector_hash(const attack::DetectorConfig& d) {
     return h;
 }
 
+std::uint64_t guided_key(const attack::AttackScheme& scheme, std::uint64_t detector) {
+    return derive_seed(0x617D3DULL, SweepRunner::scheme_hash(scheme), detector);
+}
+
 } // namespace
 
 Json RunManifest::to_json() const {
@@ -112,6 +115,25 @@ struct SweepRunner::CacheEntry {
     std::exception_ptr error;
     std::shared_ptr<const GuidedTraceBundle> guided;
     std::shared_ptr<const BlindTraceBundle> blind;
+
+    /// Marks the entry ready — failed with `failure` when its fill threw —
+    /// and wakes every lookup waiting on it. The filler sets the bundle
+    /// first.
+    void publish(std::exception_ptr failure = nullptr) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            error = failure;
+            ready = true;
+        }
+        ready_cv.notify_all();
+    }
+
+    /// Blocks until the entry is published; rethrows its fill's error.
+    void await() {
+        std::unique_lock<std::mutex> lock(mutex);
+        ready_cv.wait(lock, [&] { return ready; });
+        if (error) std::rethrow_exception(error);
+    }
 };
 
 SweepRunner::SweepRunner(RunnerConfig config) : config_(config) {}
@@ -148,10 +170,10 @@ std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::lookup(std::uint64_t key,
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         creator = false;
-        // Hit/miss totals are a statement about logical work, invariant
-        // across execution engines: prefetch lookups count nothing, and
-        // the first consumer of a prefetched entry inherits the miss the
-        // lazy path would have charged it for running the co-simulation.
+        // Hit/miss totals are a statement about logical work: prefetch
+        // lookups count nothing, and the first consumer of a prefetched
+        // entry inherits the miss it would have been charged had it filled
+        // the entry itself.
         if (!prefetch) {
             if (it->second->prefetched) {
                 it->second->prefetched = false;
@@ -187,17 +209,9 @@ std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::resolve(std::uint64_t key,
         } catch (...) {
             error = std::current_exception();
         }
-        {
-            std::lock_guard<std::mutex> lock(entry->mutex);
-            entry->error = error;
-            entry->ready = true;
-        }
-        entry->ready_cv.notify_all();
-    } else {
-        std::unique_lock<std::mutex> lock(entry->mutex);
-        entry->ready_cv.wait(lock, [&] { return entry->ready; });
+        entry->publish(error);
     }
-    if (entry->error) std::rethrow_exception(entry->error);
+    entry->await();
     return entry;
 }
 
@@ -205,59 +219,51 @@ std::shared_ptr<const GuidedTraceBundle>
 SweepRunner::guided_bundle(const attack::DetectorConfig& detector,
                            const attack::AttackScheme& scheme) {
     expects(platform_ != nullptr, "SweepRunner::guided_bundle: platform-bound runner required");
-    auto compute = [&](CacheEntry& entry) {
-        auto bundle = std::make_shared<GuidedTraceBundle>();
-        bundle->trace = guided_attack_trace(*platform_, detector, scheme);
-        bundle->plan = platform_->engine().plan_overlay(&bundle->trace);
-        entry.guided = std::move(bundle);
-    };
-    if (!config_.cache_traces) {
-        CacheEntry entry;
+    bool creator = true;
+    std::shared_ptr<CacheEntry> entry;
+    if (config_.cache_traces) {
+        entry = lookup(guided_key(scheme, detector_hash(detector)), creator);
+    } else {
         cache_misses_.fetch_add(1, std::memory_order_relaxed);
         count_cache_miss();
-        compute(entry);
-        return entry.guided;
+        entry = std::make_shared<CacheEntry>();
     }
-    const std::uint64_t key =
-        derive_seed(0x617D3DULL, scheme_hash(scheme), detector_hash(detector));
-    return resolve(key, compute)->guided;
+    if (creator) fill_guided(detector, {{entry, &scheme}});
+    entry->await();
+    return entry->guided;
 }
 
 void SweepRunner::prefetch_guided(const attack::DetectorConfig& detector,
                                   const std::vector<attack::AttackScheme>& schemes) {
-    if (platform_ == nullptr || !config_.cache_traces || !cosim_lanes_enabled() ||
-        schemes.empty()) {
-        return;
-    }
+    if (platform_ == nullptr || !config_.cache_traces || schemes.empty()) return;
     const std::uint64_t dhash = detector_hash(detector);
 
-    // Claim creator-ship of every distinct scheme that is not cached yet.
-    // Duplicate schemes inside `schemes` collapse here. Prefetch lookups
-    // count no hits or misses — the miss is charged to the first task
-    // that consumes each prefetched entry, so per-run accounting (and
-    // the manifest) stays identical to the lazy path.
-    struct Pending {
-        std::shared_ptr<CacheEntry> entry;
-        const attack::AttackScheme* scheme;
-    };
-    std::vector<Pending> pending;
-    std::unordered_set<std::uint64_t> seen;
+    // Claim every distinct scheme that is not cached yet (a repeated
+    // scheme finds the entry its first occurrence claimed). Prefetch
+    // lookups count no hits or misses — the miss is charged to the first
+    // task that consumes each prefetched entry, so per-run accounting
+    // (and the manifest) is the same as when every trace is filled on
+    // first request.
+    std::vector<GuidedClaim> claims;
     for (const attack::AttackScheme& scheme : schemes) {
-        const std::uint64_t key =
-            derive_seed(0x617D3DULL, scheme_hash(scheme), dhash);
-        if (!seen.insert(key).second) continue;
         bool creator = false;
-        std::shared_ptr<CacheEntry> entry = lookup(key, creator, /*prefetch=*/true);
-        if (creator) pending.push_back({std::move(entry), &scheme});
+        std::shared_ptr<CacheEntry> entry =
+            lookup(guided_key(scheme, dhash), creator, /*prefetch=*/true);
+        if (creator) claims.push_back({std::move(entry), &scheme});
     }
-    if (pending.empty()) return;
+    if (claims.empty()) return;
 
     trace::Span span("prefetch_guided", "runner");
+    fill_guided(detector, claims);
+}
+
+void SweepRunner::fill_guided(const attack::DetectorConfig& detector,
+                              const std::vector<GuidedClaim>& claims) {
     std::size_t published = 0;
     try {
         const std::size_t width = cosim_lane_width();
-        for (std::size_t begin = 0; begin < pending.size(); begin += width) {
-            const std::size_t group_n = std::min(width, pending.size() - begin);
+        for (std::size_t begin = 0; begin < claims.size(); begin += width) {
+            const std::size_t group_n = std::min(width, claims.size() - begin);
             // One controller + source per lane; deques keep the references
             // the sources hold stable.
             std::deque<attack::AttackController> controllers;
@@ -265,14 +271,13 @@ void SweepRunner::prefetch_guided(const attack::DetectorConfig& detector,
             std::vector<StrikeSource*> lanes;
             lanes.reserve(group_n);
             for (std::size_t j = 0; j < group_n; ++j) {
-                controllers.emplace_back(detector, *pending[begin + j].scheme);
+                controllers.emplace_back(detector, *claims[begin + j].scheme);
                 sources.emplace_back(controllers.back());
                 lanes.push_back(&sources.back());
             }
-            std::vector<CosimResult> cosims =
-                platform_->simulate_inference_lanes(lanes);
+            std::vector<CosimResult> cosims = platform_->simulate_inference_lanes(lanes);
             // Overlay planning is independent per trace; spread it over the
-            // pool like the lazy path spreads it over point tasks.
+            // pool.
             std::vector<std::shared_ptr<GuidedTraceBundle>> bundles(group_n);
             for (std::size_t j = 0; j < group_n; ++j) {
                 bundles[j] = std::make_shared<GuidedTraceBundle>();
@@ -286,29 +291,18 @@ void SweepRunner::prefetch_guided(const attack::DetectorConfig& detector,
                 },
                 threads());
             for (std::size_t j = 0; j < group_n; ++j) {
-                Pending& p = pending[begin + j];
-                {
-                    std::lock_guard<std::mutex> lock(p.entry->mutex);
-                    p.entry->guided = std::move(bundles[j]);
-                    p.entry->ready = true;
-                }
-                p.entry->ready_cv.notify_all();
+                CacheEntry& entry = *claims[begin + j].entry;
+                entry.guided = std::move(bundles[j]);
+                entry.publish();
                 ++published;
             }
         }
     } catch (...) {
-        // Every entry this prefetch created must become ready or its
-        // waiters deadlock; hand the unfinished ones the error.
+        // Every claimed entry must become ready or its waiters deadlock;
+        // hand the unpublished ones the error.
         const std::exception_ptr error = std::current_exception();
-        for (std::size_t i = published; i < pending.size(); ++i) {
-            {
-                std::lock_guard<std::mutex> lock(pending[i].entry->mutex);
-                if (!pending[i].entry->ready) {
-                    pending[i].entry->error = error;
-                    pending[i].entry->ready = true;
-                }
-            }
-            pending[i].entry->ready_cv.notify_all();
+        for (std::size_t i = published; i < claims.size(); ++i) {
+            claims[i].entry->publish(error);
         }
         throw;
     }

@@ -137,19 +137,19 @@ public:
     /// Guided-attack trace + overlay plan for the scheme, co-simulated and
     /// planned once per distinct (detector config, scheme) and shared
     /// thereafter. Thread-safe; concurrent first requests for one key
-    /// block on a single co-sim.
+    /// block on a single co-sim. A miss runs the same fill as
+    /// prefetch_guided, as a one-lane group.
     std::shared_ptr<const GuidedTraceBundle>
     guided_bundle(const attack::DetectorConfig& detector,
                   const attack::AttackScheme& scheme);
 
-    /// Lane-batched warm-up of the guided trace cache: packs the distinct
-    /// not-yet-cached schemes into SIMD lane groups (sim::CosimLanes) and
-    /// co-simulates each group in one pass, so the per-point tasks of the
-    /// following run() hit the cache instead of co-simulating serially.
-    /// Bundles are byte-identical to lazy guided_bundle() computation; a
-    /// no-op when lanes are disabled, the cache is off, or the runner is
-    /// platform-free. Call from the coordinating thread, not from inside
-    /// sweep tasks.
+    /// Warm-up of the guided trace cache: claims the distinct
+    /// not-yet-cached schemes and fills them in lane groups of
+    /// cosim_lane_width() (sim/cosim_lanes.hpp), so the per-point tasks of
+    /// the following run() hit the cache instead of co-simulating one
+    /// scheme at a time. Bundles are byte-identical to a guided_bundle()
+    /// miss; a no-op when the cache is off or the runner is platform-free.
+    /// Call from the coordinating thread, not from inside sweep tasks.
     void prefetch_guided(const attack::DetectorConfig& detector,
                          const std::vector<attack::AttackScheme>& schemes);
 
@@ -186,15 +186,28 @@ public:
 
 private:
     struct CacheEntry;
+    /// A guided entry this caller created and must fill.
+    struct GuidedClaim {
+        std::shared_ptr<CacheEntry> entry;
+        const attack::AttackScheme* scheme;
+    };
 
     /// `prefetch` lookups claim entries without touching the hit/miss
     /// counters; the first non-prefetch lookup of a prefetched entry is
     /// charged the miss instead, keeping per-run accounting identical
-    /// whether a trace was prefetched lane-batched or computed lazily.
+    /// whether a trace was prefetched or filled on first request.
     std::shared_ptr<CacheEntry> lookup(std::uint64_t key, bool& creator,
                                        bool prefetch = false);
     template <typename Compute>
     std::shared_ptr<CacheEntry> resolve(std::uint64_t key, Compute compute);
+
+    /// The one guided fill: co-simulates the claims in lane groups, plans
+    /// each trace's overlay and publishes group by group (a group's other
+    /// co-sim fields are freed before the next group runs). On failure
+    /// every claim not yet published receives the error, then it is
+    /// rethrown.
+    void fill_guided(const attack::DetectorConfig& detector,
+                     const std::vector<GuidedClaim>& claims);
 
     const Platform* platform_ = nullptr;
     RunnerConfig config_;

@@ -331,7 +331,7 @@ WeightFaultSearchConfig search_config_from_manifest(const Json& manifest) {
         {"arch", "train_size", "test_size", "epochs", "data_seed", "attack",
          "search", "bit", "beat_words", "max_faults", "population", "budget",
          "target_drop", "seed", "f_scale", "crossover", "stall_generations",
-         "greedy_samples", "eval_images", "golden_cache", "journal", "resume"},
+         "greedy_samples", "eval_images", "journal", "resume"},
         "search manifest");
 
     WeightFaultSearchConfig config;
@@ -372,9 +372,6 @@ WeightFaultSearchConfig search_config_from_manifest(const Json& manifest) {
     }
     if (const Json* v = manifest.find("eval_images")) {
         config.eval_images = v->as_uint();
-    }
-    if (const Json* v = manifest.find("golden_cache")) {
-        config.golden_cache = v->as_bool();
     }
     if (const Json* v = manifest.find("journal")) {
         config.journal_path = v->as_string();

@@ -56,7 +56,8 @@ struct WeightFaultSearchConfig {
     /// test set (percentage points).
     std::size_t eval_images = 256;
     /// Golden-prefix elision via GoldenCache (off = full forward passes;
-    /// results are byte-identical either way).
+    /// results are byte-identical either way). A test seam: neither the
+    /// CLI nor the search manifest sets it.
     bool golden_cache = true;
     std::size_t threads = 0;
     std::string journal_path;

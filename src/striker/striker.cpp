@@ -3,44 +3,8 @@
 #include <string>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define DS_STRIKER_X86 1
-#else
-#define DS_STRIKER_X86 0
-#endif
 
 namespace deepstrike::striker {
-
-namespace {
-
-#if DS_STRIKER_X86 && defined(__GNUC__)
-// One 4-lane slot of the oscillator current chain. Every operation is a
-// vertical IEEE op in exactly the evaluation order of the scalar
-// expressions in toggle_freq_hz()/current_a(), so the results are
-// bit-identical to four scalar calls.
-__attribute__((target("avx2"))) void
-current_chain_avx2(const double* v, const double* fac, double* out,
-                   const StrikerParams& p) {
-    const __m256d tau = _mm256_set1_pd(p.tau_lut_s + p.tau_latch_s);
-    const __m256d two = _mm256_set1_pd(2.0);
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d c_eff = _mm256_set1_pd(p.c_eff_f);
-    const __m256d scale = _mm256_set1_pd(
-        static_cast<double>(p.loops_per_cell));
-    const __m256d cells = _mm256_set1_pd(static_cast<double>(p.n_cells));
-
-    const __m256d loop_delay = _mm256_mul_pd(tau, _mm256_loadu_pd(fac));
-    const __m256d f = _mm256_div_pd(one, _mm256_mul_pd(two, loop_delay));
-    const __m256d per_loop =
-        _mm256_mul_pd(_mm256_mul_pd(c_eff, _mm256_loadu_pd(v)), f);
-    _mm256_storeu_pd(out, _mm256_mul_pd(_mm256_mul_pd(per_loop, scale), cells));
-}
-#endif
-
-} // namespace
 
 using fabric::CellKind;
 using fabric::NetId;
@@ -67,32 +31,6 @@ double StrikerBank::current_a(double v, bool active) const {
     const double per_loop = params_.c_eff_f * v * f;
     return per_loop * static_cast<double>(params_.loops_per_cell) *
            static_cast<double>(params_.n_cells);
-}
-
-void StrikerBank::current_a_lanes(const double* v, double* out,
-                                  std::size_t n) const {
-    // Delay factors first: the pow() is scalar per lane in both twins, so
-    // its inputs/outputs are identical regardless of dispatch.
-    double fac[4];
-    std::size_t i = 0;
-#if DS_STRIKER_X86 && defined(__GNUC__)
-    if (simd::active()) {
-        for (; i + 4 <= n; i += 4) {
-            for (std::size_t k = 0; k < 4; ++k) fac[k] = delay_.factor(v[i + k]);
-            current_chain_avx2(v + i, fac, out + i, params_);
-        }
-    }
-#endif
-    for (; i < n; ++i) {
-        // Scalar twin: the exact expression chain of
-        // toggle_freq_hz()/current_a(v, true).
-        fac[0] = delay_.factor(v[i]);
-        const double loop_delay = (params_.tau_lut_s + params_.tau_latch_s) * fac[0];
-        const double f = 1.0 / (2.0 * loop_delay);
-        const double per_loop = params_.c_eff_f * v[i] * f;
-        out[i] = per_loop * static_cast<double>(params_.loops_per_cell) *
-                 static_cast<double>(params_.n_cells);
-    }
 }
 
 double StrikerBank::thermal_power_w(double v) const {

@@ -64,16 +64,9 @@ public:
     double current_a(double v) const;
 
     /// Current with an explicit enable (used by schedule replay without
-    /// mutating state).
+    /// mutating state). The co-sim calls it once per striking lane and
+    /// tick; the delay-model pow() inside dominates its cost.
     double current_a(double v, bool active) const;
-
-    /// Batched active current: out[i] = current_a(v[i], true) for i in
-    /// [0, n). The per-lane alpha-power pow() stays scalar (libm calls
-    /// cannot be vectorized bit-safely), but the oscillator arithmetic
-    /// chain around it runs 4 lanes wide behind the simd::mode() dispatch
-    /// seam — byte-identical to the scalar calls in either mode. Used by
-    /// sim::CosimLanes when several lanes strike in the same tick.
-    void current_a_lanes(const double* v, double* out, std::size_t n) const;
 
     /// Total heat dissipated when active (W) — see thermal_power_factor.
     double thermal_power_w(double v) const;

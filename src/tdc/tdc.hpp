@@ -74,7 +74,7 @@ public:
     /// expected stage count and materializes the thermometer code + readout.
     /// Split out so callers that see the same voltage repeatedly (the PDN
     /// settles to an exact floating-point fixed point between strikes) can
-    /// reuse the expected_stages() result — see TdcSampler.
+    /// reuse the expected_stages() result — see TdcLaneSampler.
     void emit_from_stages(double stages, Rng& rng, TdcSample& out) const {
         const double noisy = stages + rng.normal(0.0, config_.noise_sigma_stages);
         // clamp(lround(noisy), 0, L_CARRY) without the libm round call:
@@ -123,60 +123,28 @@ private:
     double theta_s_ = 0.0;
 };
 
-/// Sampling front-end that memoizes expected_stages() on the exact voltage
-/// bit pattern. Between strikes the RLC supply settles to a floating-point
-/// fixed point, so the overwhelming majority of consecutive co-sim samples
-/// repeat the previous voltage verbatim and skip the delay-model pow().
-/// Byte-exact by construction (a hit replays the identical stage count);
-/// one instance per simulation loop — not thread-safe, unlike the sensor.
-class TdcSampler {
-public:
-    explicit TdcSampler(const TdcSensor& sensor) : sensor_(&sensor) {}
-
-    void sample_into(double v, Rng& rng, TdcSample& out) {
-        // Plain member counters (one add per sample, no registry lookup);
-        // sim::Platform flushes them to util::metrics after each co-sim
-        // (tdc.samples / tdc.memo_hits in docs/observability.md).
-        ++samples_;
-        if (!valid_ || v != last_v_) {
-            last_v_ = v;
-            last_stages_ = sensor_->expected_stages(v);
-            valid_ = true;
-        } else {
-            ++memo_hits_;
-        }
-        sensor_->emit_from_stages(last_stages_, rng, out);
-    }
-
-    /// Sample accounting since construction: total draws and how many
-    /// replayed the memoized expected-stage count (same voltage bits).
-    std::uint64_t samples() const { return samples_; }
-    std::uint64_t memo_hits() const { return memo_hits_; }
-
-private:
-    const TdcSensor* sensor_;
-    double last_v_ = 0.0;
-    double last_stages_ = 0.0;
-    bool valid_ = false;
-    std::uint64_t samples_ = 0;
-    std::uint64_t memo_hits_ = 0;
-};
-
-/// Lane-batched sampling front-end for sim::CosimLanes: one TdcSampler
-/// memo per lane plus cross-lane stream deduplication.
+/// The co-sim's sampling front-end (sim/cosim_lanes.cpp): a per-lane memo
+/// of expected_stages() plus cross-lane stream deduplication, both
+/// byte-identical to calling TdcSensor::sample_into per lane.
 ///
-/// Every lane of a co-sim group runs the same sensor from the same noise
-/// seed (PlatformConfig::tdc_noise_seed), and lanes only diverge once
-/// their strike schedules perturb the shared supply. While a lane's
+/// Memo: between strikes the RLC supply settles to a floating-point fixed
+/// point, so most consecutive samples of a lane repeat its previous
+/// voltage bits verbatim and skip the delay-model pow(); a hit replays the
+/// identical stage count.
+///
+/// Dedup: every lane of a co-sim group runs the same sensor from the same
+/// noise seed (PlatformConfig::tdc_noise_seed), and lanes only diverge
+/// once their strike schedules perturb the shared supply. While a lane's
 /// voltage bits AND its full Rng stream state (util::stream_equal — the
 /// Box–Muller cache included) match lane 0's, its draw is the same pure
 /// function of the same inputs, so the sampler emits once and copies the
 /// thermometer-code words, the readout, the advanced Rng and the stage
 /// memo into the matching lanes — byte-identical by construction, and the
-/// reason lane batching beats W scalar co-sims on the TDC-dominated idle
-/// stretches. Per-lane sample/memo accounting keeps the exact counting
-/// predicate of the scalar TdcSampler so metric totals are invariant
-/// across engines. One instance per lane group; not thread-safe.
+/// reason a lane group beats W one-lane groups on the TDC-dominated idle
+/// stretches. Memo accounting counts each lane's own memo predicate
+/// whether or not its draw was deduplicated, so tdc.memo_hits does not
+/// depend on how co-sims were grouped. One instance per lane group; not
+/// thread-safe.
 class TdcLaneSampler {
 public:
     TdcLaneSampler(const TdcSensor& sensor, std::size_t lanes)
@@ -187,7 +155,7 @@ public:
 
     /// Samples lane l at voltage v[l] with its own stream rng[l] into
     /// out[l], for l in [0, n). Per lane byte-identical (outputs and
-    /// post-draw rng state) to a scalar TdcSampler fed the same sequence.
+    /// post-draw rng state) to TdcSensor::sample_into(v[l], rng[l], out[l]).
     void sample_lanes(const double* v, Rng* rng, TdcSample* out, std::size_t n) {
         samples_ += n;
         // Lane 0 always draws for real; snapshot its pre-draw stream so
@@ -196,7 +164,7 @@ public:
         const Rng pre0 = rng[0];
         emit_lane(0, v[0], rng[0], out[0]);
         for (std::size_t l = 1; l < n; ++l) {
-            // Memo accounting uses the scalar sampler's predicate whether
+            // Memo accounting uses the lane's own memo predicate whether
             // or not the draw below is deduplicated.
             const bool memo_hit = valid_[l] != 0 && v[l] == last_v_[l];
             if (memo_hit) ++memo_hits_;
@@ -220,9 +188,8 @@ public:
         }
     }
 
-    /// Accounting totals across all lanes (flushed once per co-sim group
-    /// by sim::CosimLanes; see docs/observability.md). samples/memo_hits
-    /// match the sum of per-lane scalar TdcSampler counters exactly.
+    /// Accounting totals across all lanes, flushed once per lane group by
+    /// the co-sim (tdc.samples / tdc.memo_hits in docs/observability.md).
     std::uint64_t samples() const { return samples_; }
     std::uint64_t memo_hits() const { return memo_hits_; }
     /// Draws served by copying lane 0's emission (perf telemetry only).

@@ -3,17 +3,17 @@
 // One process-wide switch picks the kernel twin: Auto resolves to the AVX2
 // twin when the CPU supports it, Scalar forces the portable twin, and
 // DS_FORCE_SCALAR=1 in the environment selects Scalar at startup (the one
-// override; there is no CLI knob). The quantized GEMM engine (quant::gemm),
-// the co-sim lane engine (sim::CosimLanes), the grid PDN stencil and the
-// striker current batch all branch on active().
+// override; there is no CLI knob). Two kernels branch on active(): the
+// GEMM microkernels (quant::gemm) and the co-sim lane PDN step
+// (sim/cosim_lanes.cpp).
 //
 // Both twins of every kernel behind this seam are required to be
-// byte-identical. The co-sim kernels vectorize only vertical elementwise
-// IEEE ops (add/sub/mul/div/min/max/compare), never horizontal reductions
-// or fused multiply-adds; the GEMM twins accumulate exact integer sums.
-// So flipping the mode can change speed but never a single result bit.
-// Tests assert this on real workloads (tests/gemm_test, tests/cosim_lanes_test,
-// tests/grid_pdn_test).
+// byte-identical. The PDN step vectorizes only vertical elementwise IEEE
+// ops (add/sub/mul/div/min/max/compare), never horizontal reductions or
+// fused multiply-adds; the GEMM twins accumulate exact integer sums. So
+// flipping the mode can change speed but never a single result bit.
+// Tests assert this on real workloads (tests/gemm_test.cpp,
+// tests/cosim_lanes_test.cpp).
 #pragma once
 
 #include <cstdint>

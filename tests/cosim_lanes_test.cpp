@@ -1,20 +1,25 @@
-// Lane-batched co-simulation invariants (sim::CosimLanes).
+// Co-simulation invariants (the lane engine, sim/cosim_lanes.cpp).
 //
-// The whole value of the lane engine rests on one contract: flipping lane
-// batching on/off, changing the lane width, changing the worker thread
-// count or forcing the scalar SIMD twin may change wall-clock, but never
-// a single byte of any result. These tests pin that contract both at the
-// campaign-report level (every zoo victim) and at the raw CosimResult
-// level (bitwise field comparison against the scalar tick loop, including
-// compaction exit/re-entry around mid-run strikes and remainder lanes).
+// The lane engine is the only co-sim tick loop, and it rests on one
+// contract: changing the lane width, the worker thread count or forcing
+// the scalar SIMD twin may change wall-clock, but never a single byte of
+// any result. These tests pin that contract at the campaign-report level
+// (every zoo victim) and at the raw CosimResult level: every lane is
+// compared bitwise against a test-local oracle that steps one co-sim one
+// tick at a time on the public substrate models, including compaction
+// exit and re-entry around mid-run strikes and partially filled 4-lane
+// slots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "accel/arch_profiles.hpp"
+#include "accel/schedule.hpp"
 #include "nn/zoo.hpp"
+#include "pdn/pdn.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
 #include "sim/cosim_lanes.hpp"
@@ -58,6 +63,63 @@ sim::CampaignConfig tiny_config(std::size_t threads) {
     return cfg;
 }
 
+/// The per-tick oracle: one co-sim stepped one scalar double at a time on
+/// the public substrate models — pdn::PdnModel, TdcSensor::sample_into,
+/// StrikerBank::current_a and the accelerator's activity current — with
+/// the configured TDC sample and DSP capture ticks matched in order.
+sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& source,
+                              bool record_tick_voltage) {
+    const sim::PlatformConfig& cfg = platform.config();
+    const std::size_t total_cycles = platform.engine().schedule().total_cycles;
+    const std::size_t tpc = cfg.ticks_per_cycle;
+    const std::size_t n_caps = cfg.dsp_capture_ticks.size();
+    const std::vector<double> activity =
+        accel::activity_current_trace(platform.engine().schedule(), cfg.accel);
+
+    pdn::PdnModel pdn_model(cfg.pdn);
+    pdn_model.reset(platform.idle_current_a());
+    Rng tdc_rng(cfg.tdc_noise_seed);
+
+    sim::CosimResult result;
+    result.strike_bits = BitVec(total_cycles);
+    result.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
+    result.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
+
+    double v = pdn_model.voltage();
+    tdc::TdcSample sample;
+    for (std::size_t cycle = 0; cycle < total_cycles; ++cycle) {
+        const bool strike = source.strike_bit(cycle);
+        if (strike) {
+            ++result.strike_cycles;
+            result.strike_bits.set(cycle, true);
+        }
+        const double i_victim = cfg.accel.i_platform_idle_a + activity[cycle];
+        double min_v = v;
+        std::size_t sample_idx = 0;
+        std::size_t capture_idx = 0;
+        for (std::size_t tick = 0; tick < tpc; ++tick) {
+            const double i_total =
+                strike ? i_victim + platform.striker_bank().current_a(v, true) : i_victim;
+            v = pdn_model.step(i_total);
+            min_v = std::min(min_v, v);
+            if (record_tick_voltage) result.tick_voltage.push_back(v);
+            if (sample_idx < cfg.tdc_sample_ticks.size() &&
+                tick == cfg.tdc_sample_ticks[sample_idx]) {
+                platform.sensor().sample_into(v, tdc_rng, sample);
+                result.tdc_readouts.push_back(sample.readout);
+                source.on_tdc_sample(sample);
+                ++sample_idx;
+            }
+            if (capture_idx < n_caps && tick == cfg.dsp_capture_ticks[capture_idx]) {
+                result.capture_v[cycle * n_caps + capture_idx] = v;
+                ++capture_idx;
+            }
+        }
+        result.min_v_per_cycle[cycle] = min_v;
+    }
+    return result;
+}
+
 /// Bitwise (not value) comparison: -0.0 vs 0.0 or a rounding flip anywhere
 /// must fail the test even where operator== would pass.
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -92,9 +154,9 @@ TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossLanesThreadsAndTwin) {
     sim::Platform platform(platform_config(arch), untrained_network(arch));
     const data::Dataset test = data::make_datasets(9, 1, 20).test;
 
-    // Reference: lane batching disabled, single-threaded — the pure
-    // scalar per-point pipeline.
-    sim::set_cosim_lane_width(0);
+    // Reference: width 1 (every co-sim in a one-lane group of its own),
+    // single-threaded.
+    sim::set_cosim_lane_width(1);
     const sim::CampaignReport base =
         sim::run_campaign(platform, test, tiny_config(1));
     EXPECT_TRUE(base.detector_fired);
@@ -104,13 +166,13 @@ TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossLanesThreadsAndTwin) {
     sim::set_cosim_lane_width(8);
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(1)).to_json().dump())
-        << "lanes on/off diverged at threads=1 for " << name;
+        << "width 8 diverged from width 1 at threads=1 for " << name;
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
-        << "lanes on/off diverged at threads=8 for " << name;
+        << "width 8 diverged from width 1 at threads=8 for " << name;
 
-    // A width that never divides the group evenly: remainder groups and
-    // single-lane scalar fallbacks all along the sweep.
+    // A width that never divides the group evenly: remainder groups,
+    // including one-lane remainders, all along the sweep.
     sim::set_cosim_lane_width(3);
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
@@ -155,8 +217,9 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
     // Five deliberately unaligned schedules: an idle lane (never leaves the
     // fixed point), strikes that force compaction exit + re-entry mid-run,
     // a strike at cycle 0 (no settled state to reuse) and one against the
-    // end of the schedule. Width 4 puts the first four in one SIMD group
-    // and leaves the fifth as the single-lane scalar fallback.
+    // end of the schedule. Width 4 puts the first four in one full 4-lane
+    // slot and leaves the fifth as a one-lane group; width 1 runs every
+    // schedule alone in a padded slot.
     std::vector<BitVec> schedules;
     schedules.push_back(BitVec(total)); // idle
     schedules.push_back(strike_window(total, 50, 60));
@@ -169,7 +232,7 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
     std::vector<sim::CosimResult> refs;
     for (const BitVec& bits : schedules) {
         sim::FixedSource src(bits);
-        refs.push_back(platform.simulate_inference(src, /*record_tick_voltage=*/true));
+        refs.push_back(oracle_cosim(platform, src, /*record_tick_voltage=*/true));
     }
 
     auto run_lanes = [&] {
@@ -181,31 +244,34 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
         return platform.simulate_inference_lanes(lanes, /*record_tick_voltage=*/true);
     };
 
-    sim::set_cosim_lane_width(4);
-    const std::vector<sim::CosimResult> lanes_auto = run_lanes();
-    ASSERT_EQ(lanes_auto.size(), refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        expect_cosim_identical(lanes_auto[i], refs[i],
-                               "auto twin, lane " + std::to_string(i));
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        simd::set_mode(mode);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+            sim::set_cosim_lane_width(width);
+            const std::vector<sim::CosimResult> lanes = run_lanes();
+            ASSERT_EQ(lanes.size(), refs.size());
+            for (std::size_t i = 0; i < refs.size(); ++i) {
+                expect_cosim_identical(lanes[i], refs[i],
+                                       std::string(simd::mode_name(mode)) + " twin, width " +
+                                           std::to_string(width) + ", lane " +
+                                           std::to_string(i));
+            }
+        }
     }
 
-    simd::set_mode(simd::Mode::Scalar);
-    const std::vector<sim::CosimResult> lanes_scalar = run_lanes();
-    ASSERT_EQ(lanes_scalar.size(), refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        expect_cosim_identical(lanes_scalar[i], refs[i],
-                               "scalar twin, lane " + std::to_string(i));
-    }
+    // A single co-sim is a one-lane group.
+    sim::FixedSource src(schedules[2]);
+    expect_cosim_identical(platform.simulate_inference(src, /*record_tick_voltage=*/true),
+                           refs[2], "simulate_inference");
 }
 
 TEST(CosimLanesKnob, WidthKnobClampsAndGates) {
     EngineKnobsGuard guard;
     sim::set_cosim_lane_width(0);
-    EXPECT_FALSE(sim::cosim_lanes_enabled());
+    EXPECT_EQ(sim::cosim_lane_width(), 1u); // no "lanes off" width
     sim::set_cosim_lane_width(1);
-    EXPECT_FALSE(sim::cosim_lanes_enabled());
+    EXPECT_EQ(sim::cosim_lane_width(), 1u);
     sim::set_cosim_lane_width(2);
-    EXPECT_TRUE(sim::cosim_lanes_enabled());
     EXPECT_EQ(sim::cosim_lane_width(), 2u);
     sim::set_cosim_lane_width(100000);
     EXPECT_EQ(sim::cosim_lane_width(), 64u); // clamped

@@ -147,7 +147,7 @@ TEST(Observability, TraceRecordsSweepAndCosimSpans) {
         if (e.name == "campaign") saw_campaign = true;
         if (e.name == "sweep:campaign") saw_sweep = true;
         if (e.name.rfind("point:", 0) == 0) saw_point = true;
-        if (e.name == "cosim.inference") saw_cosim = true;
+        if (e.name == "cosim.lanes") saw_cosim = true;
         if (e.name == "detector.trigger" && e.instant) saw_trigger = true;
     }
     EXPECT_TRUE(saw_campaign);

@@ -1,14 +1,15 @@
 // Randomized-property tests for the interval-gated fault overlay: the fast
-// path (AccelEngine::run) must be byte-identical to the retained per-op
-// reference (AccelEngine::run_reference) — same logits, same prediction,
-// same fault counts — for any voltage trace, because both consume the
-// fault RNG stream identically and duplication faults see the same
-// pipeline state (seeded by index arithmetic at window entry on the fast
-// path, carried op-by-op on the reference path).
+// path (AccelEngine::run) must be byte-identical to the whole-segment
+// per-op oracle (run_reference, tests/engine_reference.cpp) — same logits,
+// same prediction, same fault counts — for any voltage trace, because
+// both consume the fault RNG stream identically and duplication faults see
+// the same pipeline state (seeded by index arithmetic at window entry on
+// the fast path, carried op-by-op on the reference path).
 #include <gtest/gtest.h>
 
 #include "accel/engine.hpp"
 #include "accel/overlay.hpp"
+#include "engine_reference.hpp"
 #include "test_helpers.hpp"
 
 namespace deepstrike::accel {
@@ -16,6 +17,7 @@ namespace {
 
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_reference;
 
 AccelEngine make_engine(bool tmr = false, std::uint64_t weight_seed = 1,
                         std::uint64_t board_seed = 2021) {
@@ -116,7 +118,7 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         Rng rng_fast(42 + trial);
         Rng rng_ref(42 + trial);
         const RunResult fast = engine.run(img, &trace, rng_fast);
-        const RunResult ref = engine.run_reference(img, &trace, rng_ref);
+        const RunResult ref = run_reference(engine, img, &trace, rng_ref);
         expect_identical(fast, ref);
     }
 }
@@ -131,7 +133,7 @@ TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {
         Rng rng_fast(9 + trial);
         Rng rng_ref(9 + trial);
         expect_identical(engine.run(img, &trace, rng_fast),
-                         engine.run_reference(img, &trace, rng_ref));
+                         run_reference(engine, img, &trace, rng_ref));
     }
 }
 
@@ -149,7 +151,7 @@ TEST(Overlay, GatedRunMatchesReferenceWithThrottleMask) {
         Rng rng_fast(3 + trial);
         Rng rng_ref(3 + trial);
         expect_identical(engine.run(img, &trace, rng_fast, &throttle),
-                         engine.run_reference(img, &trace, rng_ref, &throttle));
+                         run_reference(engine, img, &trace, rng_ref, &throttle));
     }
 }
 
@@ -173,7 +175,7 @@ TEST(Overlay, MidSegmentWindowSeedsPipelineState) {
             Rng rng_fast(17 + trial);
             Rng rng_ref(17 + trial);
             const RunResult fast = engine.run(img, &trace, rng_fast);
-            const RunResult ref = engine.run_reference(img, &trace, rng_ref);
+            const RunResult ref = run_reference(engine, img, &trace, rng_ref);
             expect_identical(fast, ref);
             any_fault = any_fault || fast.faults_total.total() > 0;
         }
@@ -197,7 +199,7 @@ TEST(Overlay, BoundaryStraddlingWindowMatchesReference) {
         Rng rng_fast(31 + trial);
         Rng rng_ref(31 + trial);
         expect_identical(engine.run(img, &trace, rng_fast),
-                         engine.run_reference(img, &trace, rng_ref));
+                         run_reference(engine, img, &trace, rng_ref));
     }
 }
 

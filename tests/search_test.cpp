@@ -340,6 +340,12 @@ TEST(ManifestKeys, SearchManifestRejectsUnknownKeys) {
     typo.set("buget", std::uint64_t{50}); // the classic
     EXPECT_THROW(sim::search_config_from_manifest(typo), FormatError);
 
+    // The golden cache is a test seam, not a manifest knob.
+    Json golden = Json::object();
+    golden.set("attack", "deeplaser");
+    golden.set("golden_cache", false);
+    EXPECT_THROW(sim::search_config_from_manifest(golden), FormatError);
+
     EXPECT_THROW(sim::search_config_from_manifest(Json("not-an-object")),
                  FormatError);
 }

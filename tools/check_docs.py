@@ -63,7 +63,7 @@ BENCH_NAME_RE = re.compile(r"(?:fig|tab)[a-z0-9]*_[a-z0-9_]+|(?:ablation|ext|mic
 # Metric registrations under src/: metrics::counter("name", ...) etc.
 METRIC_REGISTRATION_RE = re.compile(
     r'metrics::(?:counter|gauge|histogram)\(\s*"([^"]+)"')
-# Trace events share the dotted namespace in docs (`cosim.inference`):
+# Trace events share the dotted namespace in docs (`cosim.lanes`):
 # trace::Span span("name", ...) and trace::instant("name", ...).
 TRACE_REGISTRATION_RE = re.compile(
     r'trace::(?:Span\s+\w+|instant)\(\s*"([^"]+)"')

@@ -384,10 +384,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
                     "resume from the --journal file: validate its fingerprint, "
                     "skip completed points, rerun only the remainder");
     parser.add_flag("no-blind", "skip the blind baseline");
-    parser.add_flag("no-golden-cache",
-                    "evaluate every image from scratch instead of eliding "
-                    "fault-free work against the golden cache (reports are "
-                    "byte-identical either way)");
     parser.add_flag("help", "show this help");
     if (!parser.parse(args)) {
         std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
@@ -405,7 +401,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
     cfg.strike_grid = parser.option_uint_list("strikes");
     cfg.eval_images = parser.option_uint("images");
     if (parser.flag("no-blind")) cfg.blind_offsets = 0;
-    cfg.golden_cache = !parser.flag("no-golden-cache");
     cfg.journal_path = parser.option("journal");
     cfg.resume = parser.flag("resume");
     cfg.max_point_retries = parser.option_uint("retries");
@@ -501,10 +496,6 @@ int cmd_search(const std::vector<std::string>& args) {
     parser.add_flag("resume",
                     "resume from the --journal file: validate its fingerprint "
                     "and continue from the newest recorded generation");
-    parser.add_flag("no-golden-cache",
-                    "run full forward passes instead of resuming faulted "
-                    "evaluation from cached golden activations (reports are "
-                    "byte-identical either way)");
     parser.add_flag("help", "show this help");
     if (!parser.parse(args)) {
         std::fprintf(stderr, "%s\n%s", parser.error().c_str(), parser.usage().c_str());
@@ -547,7 +538,6 @@ int cmd_search(const std::vector<std::string>& args) {
         cfg.spec.greedy_samples = parser.option_uint("greedy-samples");
         cfg.eval_images = parser.option_uint("images");
     }
-    cfg.golden_cache = !parser.flag("no-golden-cache");
     if (!parser.option("journal").empty()) {
         cfg.journal_path = parser.option("journal");
     }
