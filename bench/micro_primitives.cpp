@@ -178,16 +178,9 @@ void BM_GoldenInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenInference);
 
-void BM_AccelCleanInference(benchmark::State& state) {
-    const ds::accel::AccelEngine engine(bench_weights(),
-                                        ds::accel::AccelConfig::pynq_z1(), 2021);
-    const ds::QTensor img = bench_image();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.run_clean(img).predicted);
-    }
-}
-BENCHMARK(BM_AccelCleanInference);
-
+// One faulted inference through the engine's only entry, run_elided, with
+// the image's golden pass and the overlay plan built outside the loop as a
+// golden store and a trace bundle provide them.
 void BM_AccelFaultedInference(benchmark::State& state) {
     const ds::accel::AccelEngine engine(bench_weights(),
                                         ds::accel::AccelConfig::pynq_z1(), 2021);
@@ -198,9 +191,14 @@ void BM_AccelFaultedInference(benchmark::State& state) {
     for (std::size_t i = seg.start_cycle * 2; i < seg.end_cycle() * 2; ++i) {
         trace[i] = 0.955;
     }
+    const ds::accel::OverlayPlan plan = engine.plan_overlay(&trace);
+    const ds::quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
     ds::Rng rng(5);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.run(img, &trace, rng).predicted);
+        benchmark::DoNotOptimize(engine
+                                     .run_elided(img, golden.activations,
+                                                 golden.accumulators, &trace, rng, plan)
+                                     .predicted);
     }
 }
 BENCHMARK(BM_AccelFaultedInference);
@@ -277,8 +275,9 @@ BENCHMARK(BM_CosimLanesWidth)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisec
 
 // One guided campaign point end to end, the unit of work SweepRunner
 // schedules: co-simulate the attack trace for a CONV2-targeting scheme,
-// then evaluate 25 faulted images on it. Setup (profiling, planning) runs
-// once outside the timed loop, as it does once per campaign.
+// then evaluate 25 faulted images on it. Setup (profiling, planning, the
+// 25-image golden store) runs once outside the timed loop, as it does once
+// per campaign.
 ds::attack::AttackScheme conv2_scheme(const ds::sim::Platform& platform,
                                       const ds::attack::DetectorConfig& detector,
                                       std::size_t strikes) {
@@ -315,11 +314,13 @@ void BM_GuidedCampaignPoint(benchmark::State& state) {
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 25);
     const ds::attack::DetectorConfig detector{};
     const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 2000);
+    const auto golden =
+        ds::sim::build_golden_store(platform.engine().network(), data.test, 25);
     for (auto _ : state) {
         const ds::accel::VoltageTrace trace =
             ds::sim::guided_attack_trace(platform, detector, scheme);
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 25, &trace, 99);
+        const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
+            platform, data.test, 25, &trace, 99, nullptr, golden.get());
         benchmark::DoNotOptimize(res.accuracy);
     }
 }
@@ -335,13 +336,15 @@ void BM_GuidedCampaignPointJournaled(benchmark::State& state) {
     const ds::attack::DetectorConfig detector{};
     const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 2000);
     const std::string path = "BENCH_journal.jsonl";
+    const auto golden =
+        ds::sim::build_golden_store(platform.engine().network(), data.test, 25);
     auto journal = ds::sim::CheckpointJournal::create(path, 0xBE7Cu, "bench");
     std::size_t index = 0;
     for (auto _ : state) {
         const ds::accel::VoltageTrace trace =
             ds::sim::guided_attack_trace(platform, detector, scheme);
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 25, &trace, 99);
+        const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
+            platform, data.test, 25, &trace, 99, nullptr, golden.get());
         ds::Json payload = ds::Json::object();
         payload.set("kind", "point");
         payload.set("accuracy", res.accuracy);
@@ -355,27 +358,9 @@ BENCHMARK(BM_GuidedCampaignPointJournaled)->Unit(benchmark::kMillisecond);
 
 // The accuracy-evaluation inner loop alone (trace + plan hoisted outside,
 // as SweepRunner's bundle cache provides them): 200 images against one
-// guided CONV2 strike trace. Paired with the *Cached variant below to
-// measure the golden-path elision (docs/architecture.md "Hot paths").
-void BM_EvaluateAccuracyMulti(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    const ds::attack::DetectorConfig detector{};
-    const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 200);
-    const ds::accel::VoltageTrace trace =
-        ds::sim::guided_attack_trace(platform, detector, scheme);
-    const ds::accel::OverlayPlan plan = platform.engine().plan_overlay(&trace);
-    for (auto _ : state) {
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 200, &trace, 99, &plan);
-        benchmark::DoNotOptimize(res.accuracy);
-    }
-}
-BENCHMARK(BM_EvaluateAccuracyMulti)->Unit(benchmark::kMillisecond);
-
-// Same evaluation through the golden cache. The store is built once
-// outside the timed loop — exactly as a campaign builds it once and
-// amortizes it over every sweep point.
+// guided CONV2 strike trace, through a golden store built once outside the
+// timed loop — exactly as a campaign builds it once and amortizes it over
+// every sweep point (docs/architecture.md "Hot paths").
 void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
@@ -394,21 +379,6 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
-// Clean (fault-free) 200-image evaluation: every image takes the batched
-// fast path (one GEMM per layer per 16-image block). This is the shape of
-// a campaign's clean-accuracy baseline and of defended runs with quiet
-// traces.
-void BM_EvaluateAccuracyMultiBatched(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    for (auto _ : state) {
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 200, nullptr, 99);
-        benchmark::DoNotOptimize(res.accuracy);
-    }
-}
-BENCHMARK(BM_EvaluateAccuracyMultiBatched)->Unit(benchmark::kMillisecond);
-
 // Golden-store construction over 200 images: batched forward_trace
 // blocks, one GEMM per layer per 16-image block. Campaigns pay this once
 // up front; CI gates it against its baseline.
@@ -422,24 +392,9 @@ void BM_GoldenStoreBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenStoreBuild)->Unit(benchmark::kMillisecond);
 
-// Eval-heavy campaign point (200 images instead of 25): co-simulation plus
-// evaluation, the configuration where the golden cache pays off. Paired
-// with the *Cached variant; CI gates cached/uncached.
-void BM_GuidedCampaignPointEval200(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
-    const ds::attack::DetectorConfig detector{};
-    const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 200);
-    for (auto _ : state) {
-        const ds::accel::VoltageTrace trace =
-            ds::sim::guided_attack_trace(platform, detector, scheme);
-        const ds::sim::AccuracyResult res =
-            ds::sim::evaluate_accuracy(platform, data.test, 200, &trace, 99);
-        benchmark::DoNotOptimize(res.accuracy);
-    }
-}
-BENCHMARK(BM_GuidedCampaignPointEval200)->Unit(benchmark::kMillisecond);
-
+// Eval-heavy campaign point (200 images instead of 25): co-simulation,
+// overlay planning and evaluation against a golden store built once
+// outside the timed loop, as a campaign builds it.
 void BM_GuidedCampaignPointEval200Cached(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);

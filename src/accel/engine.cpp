@@ -390,61 +390,35 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
 QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
                                const SegmentOverlay& overlay,
                                const VoltageTrace* voltage, Rng& rng,
-                               const std::vector<bool>* throttle,
-                               FaultCounts& counts) const {
+                               const std::vector<bool>* throttle, FaultCounts& counts,
+                               const std::vector<fx::Acc>* golden_accs) const {
     const quant::QLayer& layer = network_.layers[i];
     const LayerSegment& seg = schedule_.segment_for_layer(i);
-    // Conv/dense layers take their fault-free accumulators from one
-    // im2col/GEMM pass. A dense layer consumes a rank-3 input as is: the
-    // implicit flatten is a shape change, never a data change.
+    // Without cached golden accumulators, a conv/dense layer takes its
+    // fault-free accumulators from one im2col/GEMM pass. A dense layer
+    // consumes a rank-3 input as is: the implicit flatten is a shape
+    // change, never a data change.
     thread_local std::vector<fx::Acc> accs;
     switch (layer.kind) {
         case quant::QLayerKind::Conv:
-            quant::gemm::conv2d_accs(input, layer.weight, layer.bias, accs);
+            if (golden_accs == nullptr) {
+                quant::gemm::conv2d_accs(input, layer.weight, layer.bias, accs);
+                golden_accs = &accs;
+            }
             return run_conv(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                            accs);
+                            *golden_accs);
         case quant::QLayerKind::Pool2:
         case quant::QLayerKind::AvgPool2:
             return run_pool(input, layer, seg, overlay, voltage, rng, throttle, counts);
         case quant::QLayerKind::Dense:
-            quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
+            if (golden_accs == nullptr) {
+                quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
+                golden_accs = &accs;
+            }
             return run_fc(input, layer, seg, overlay, voltage, rng, throttle, counts,
-                          accs);
+                          *golden_accs);
     }
     throw ContractError("AccelEngine: unknown layer kind");
-}
-
-RunResult AccelEngine::run(const QTensor& image, const VoltageTrace* voltage,
-                           Rng& fault_rng, const std::vector<bool>* throttle,
-                           const OverlayPlan* plan) const {
-    expects(image.shape() == network_.input_shape, "AccelEngine::run: input shape");
-    OverlayPlan local;
-    if (plan == nullptr) {
-        local = plan_overlay(voltage);
-        plan = &local;
-    } else {
-        expects(plan->layers.size() == network_.layers.size() &&
-                    plan->trace_samples == (voltage == nullptr ? 0 : voltage->size()),
-                "AccelEngine::run: overlay plan does not match trace/network");
-    }
-
-    RunResult result;
-    result.faults_by_layer.reserve(network_.layers.size());
-    result.layer_index.reserve(network_.layers.size());
-
-    QTensor x = image;
-    std::uint64_t ops_total = 0;
-    for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-        FaultCounts counts;
-        x = run_layer(i, x, plan->layers[i], voltage, fault_rng, throttle, counts);
-        ops_total += schedule_.segment_for_layer(i).total_ops;
-        record_layer(result, network_.layers[i].label, counts);
-    }
-
-    result.logits = std::move(x);
-    result.predicted = argmax(result.logits);
-    count_inference(schedule_, *plan, ops_total, result.faults_total);
-    return result;
 }
 
 RunResult AccelEngine::run_elided(
@@ -479,57 +453,33 @@ RunResult AccelEngine::run_elided(
     // cached golden accumulators instead of recomputing them; one that
     // draws zero faults writes back golden bytes (zero integer deltas), so
     // the invariant survives it. The first fault flips `diverged`, and the
-    // remaining layers run exactly as in run() on the perturbed activation.
+    // remaining layers recompute their accumulators from the perturbed
+    // activation.
     bool diverged = false;
     QTensor x; // the perturbed activation, valid once diverged
     std::uint64_t ops_executed = 0;
     for (std::size_t i = 0; i < n_layers; ++i) {
-        const quant::QLayer& layer = network_.layers[i];
-        const LayerSegment& seg = schedule_.segment_for_layer(i);
         const SegmentOverlay& overlay = plan.layers[i];
-
         FaultCounts counts;
-        if (diverged) {
-            x = run_layer(i, x, overlay, voltage, fault_rng, throttle, counts);
-            ops_executed += seg.total_ops;
-        } else if (!overlay.any()) {
+        if (!diverged && !overlay.any()) {
             ++result.golden_layers_reused;
         } else {
-            const QTensor& in = i == 0 ? image : golden_layers[i - 1];
-            QTensor out;
-            switch (layer.kind) {
-                case quant::QLayerKind::Conv:
-                    out = run_conv(in, layer, seg, overlay, voltage, fault_rng, throttle,
-                                   counts, golden_accs[i]);
-                    break;
-                case quant::QLayerKind::Pool2:
-                case quant::QLayerKind::AvgPool2:
-                    out = run_pool(in, layer, seg, overlay, voltage, fault_rng, throttle,
-                                   counts);
-                    break;
-                case quant::QLayerKind::Dense:
-                    out = run_fc(in, layer, seg, overlay, voltage, fault_rng, throttle,
-                                 counts, golden_accs[i]);
-                    break;
-            }
-            ops_executed += seg.total_ops;
-            if (counts.total() != 0) {
+            const QTensor& in = diverged ? x : i == 0 ? image : golden_layers[i - 1];
+            QTensor out = run_layer(i, in, overlay, voltage, fault_rng, throttle, counts,
+                                    diverged ? nullptr : &golden_accs[i]);
+            ops_executed += schedule_.segment_for_layer(i).total_ops;
+            if (diverged || counts.total() != 0) {
                 diverged = true;
                 x = std::move(out);
             }
         }
-        record_layer(result, layer.label, counts);
+        record_layer(result, network_.layers[i].label, counts);
     }
 
     result.logits = diverged ? std::move(x) : golden_layers.back();
     result.predicted = argmax(result.logits);
     count_inference(schedule_, plan, ops_executed, result.faults_total);
     return result;
-}
-
-RunResult AccelEngine::run_clean(const QTensor& image) const {
-    Rng unused(0);
-    return run(image, nullptr, unused);
 }
 
 } // namespace deepstrike::accel

@@ -11,16 +11,19 @@
 // Cycles at safe voltage take a fast path that is bit-exact with the
 // QNetwork golden model (a property the tests enforce).
 //
-// Execution is interval-gated (see accel/overlay.hpp): op ranges mapped to
-// safe cycles run on the golden quantized kernels, and only ops inside
-// unsafe [cycle_begin, cycle_end) windows take the per-op fault path, with
-// stale DSP output registers recovered on demand by direct op-stream index
-// arithmetic so duplication faults stay bit-exact. The fault RNG is only
-// drawn when an op's capture voltage is below the safe threshold, so the
-// gated path consumes the exact same RNG stream as a whole-segment per-op
-// walk — byte-identical results, which tests/overlay_test.cpp enforces
-// across randomized traces against the per-op oracle in
-// tests/engine_reference.cpp.
+// Execution starts from the image's golden pass (quant::QNetwork::
+// forward_trace, kept per image in a sim::GoldenStore) and is
+// interval-gated (see accel/overlay.hpp): layers without an unsafe window
+// reuse their golden activation while their input is still golden, op
+// ranges mapped to safe cycles keep their golden accumulators, and only
+// ops inside unsafe [cycle_begin, cycle_end) windows take the per-op fault
+// path, with stale DSP output registers recovered on demand by direct
+// op-stream index arithmetic so duplication faults stay bit-exact. The
+// fault RNG is only drawn when an op's capture voltage is below the safe
+// threshold, so the gated path consumes the exact same RNG stream as a
+// whole-segment per-op walk — byte-identical results, which
+// tests/overlay_test.cpp enforces across randomized traces against the
+// per-op oracle in tests/engine_reference.cpp.
 #pragma once
 
 #include <algorithm>
@@ -62,8 +65,7 @@ struct RunResult {
     std::vector<LayerFaults> faults_by_layer;
 
     /// Layers whose compute was answered entirely by a cached golden
-    /// activation (only ever non-zero for run_elided; diagnostics, never
-    /// serialized into reports).
+    /// activation (diagnostics, never serialized into reports).
     std::size_t golden_layers_reused = 0;
 
     /// Label -> index into faults_by_layer, built once by the engine so
@@ -98,27 +100,12 @@ public:
     /// Precomputes the per-layer unsafe-interval overlay for `voltage`
     /// (nullptr = nominal: every layer safe). The plan depends only on the
     /// (trace, schedule, safe voltages) triple — one plan serves every
-    /// image evaluated on the trace; pass it to run() to avoid re-scanning
-    /// the trace per image.
+    /// image evaluated on the trace.
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
-    /// Runs one inference. `voltage` may be nullptr (nominal, fault-free)
-    /// or shorter than the schedule (remaining cycles assume nominal).
-    /// `fault_rng` drives fault-model draws; it is only consumed during
-    /// under-voltage cycles, so fault-free runs are rng-independent.
-    /// `throttle` optionally marks fabric cycles where a defensive clock
-    /// throttle is active: DSP ops in those cycles run at half rate and
-    /// cannot miss timing at attack-scale droops (see src/defense).
-    /// `plan` optionally supplies the precomputed overlay for `voltage`
-    /// (must match its sample count); when omitted it is computed locally.
-    RunResult run(const QTensor& image, const VoltageTrace* voltage, Rng& fault_rng,
-                  const std::vector<bool>* throttle = nullptr,
-                  const OverlayPlan* plan = nullptr) const;
-
-    /// Golden-elided inference: byte-identical to run() — same logits,
-    /// fault counts, and fault-RNG stream — but answers as much of the
-    /// forward pass as possible from the image's cached golden pass
-    /// (quant::QNetwork::forward_trace): `golden_layers` holds one
+    /// Runs one inference, the engine's only inference entry. It answers
+    /// as much of the forward pass as possible from the image's golden
+    /// pass (quant::QNetwork::forward_trace): `golden_layers` holds one
     /// post-activation tensor per layer, `golden_accs` the pre-writeback
     /// accumulators of every Conv/Dense layer (empty for pools).
     ///   - a layer with no unsafe window is skipped outright while the
@@ -127,20 +114,26 @@ public:
     ///   - a windowed conv/FC layer whose input is still golden runs its
     ///     fault walk on the cached accumulators instead of recomputing
     ///     them;
-    ///   - once a layer actually faults, the remaining layers run exactly
-    ///     as in run() on the perturbed activation.
-    /// Throws ContractError when a Conv/Dense accumulator array does not
-    /// hold one entry per output element. RunResult::golden_layers_reused
-    /// counts the skipped layers.
+    ///   - once a layer actually faults, the remaining layers recompute
+    ///     their accumulators from the perturbed activation.
+    /// `voltage` may be nullptr (nominal, fault-free) or shorter than the
+    /// schedule (remaining cycles assume nominal); `plan` must be
+    /// plan_overlay(voltage). `fault_rng` drives fault-model draws; it is
+    /// only consumed during under-voltage cycles, so fault-free runs are
+    /// rng-independent. `throttle` optionally marks fabric cycles where a
+    /// defensive clock throttle is active: DSP ops in those cycles run at
+    /// half rate and cannot miss timing at attack-scale droops (see
+    /// src/defense). The result is byte-identical to the whole-segment
+    /// per-op oracle (tests/engine_reference.cpp), fault-RNG stream
+    /// included. Throws ContractError when a Conv/Dense accumulator array
+    /// does not hold one entry per output element.
+    /// RunResult::golden_layers_reused counts the skipped layers.
     RunResult run_elided(const QTensor& image,
                          const std::vector<QTensor>& golden_layers,
                          const std::vector<std::vector<fx::Acc>>& golden_accs,
                          const VoltageTrace* voltage, Rng& fault_rng,
                          const OverlayPlan& plan,
                          const std::vector<bool>* throttle = nullptr) const;
-
-    /// Convenience: fault-free inference.
-    RunResult run_clean(const QTensor& image) const;
 
     const std::vector<DspSlice>& conv_dsps() const { return conv_dsps_; }
     const std::vector<DspSlice>& fc_dsps() const { return fc_dsps_; }
@@ -149,12 +142,13 @@ public:
 
 private:
     // --- interval-gated fast path (engine.cpp) ---
-    /// Layer i of run(): a conv/FC layer gets its fault-free accumulators
-    /// from one im2col/GEMM pass, then run_conv/run_fc.
+    /// Layer i of run_elided: a conv/FC layer takes its fault-free
+    /// accumulators from `golden_accs`, or from one im2col/GEMM pass when
+    /// that is null, then run_conv/run_fc.
     QTensor run_layer(std::size_t i, const QTensor& input,
                       const SegmentOverlay& overlay, const VoltageTrace* voltage,
-                      Rng& rng, const std::vector<bool>* throttle,
-                      FaultCounts& counts) const;
+                      Rng& rng, const std::vector<bool>* throttle, FaultCounts& counts,
+                      const std::vector<fx::Acc>* golden_accs) const;
 
     /// Faulted execution of a conv layer from `golden_accs`, the layer's
     /// fault-free accumulators on `input` (one per output element, bias
@@ -171,7 +165,7 @@ private:
                    const VoltageTrace* voltage, Rng& rng,
                    const std::vector<bool>* throttle, FaultCounts& counts,
                    const std::vector<fx::Acc>& golden_accs) const;
-    /// Pool layer of run(): golden pooling when the overlay has no unsafe
+    /// Pool layer of run_layer: golden pooling when the overlay has no unsafe
     /// window, else a per-comparator walk of the whole segment.
     QTensor run_pool(const QTensor& input, const quant::QLayer& layer,
                      const LayerSegment& seg, const SegmentOverlay& overlay,

@@ -42,10 +42,10 @@ enum class Activation : std::uint8_t;
 
 namespace gemm {
 
-/// Image-block size of the batched evaluation entries (golden-cache
-/// build, fault-free uncached evaluation). The partition into blocks
-/// depends on this constant alone, so batched results and metric totals
-/// are identical at any thread count.
+/// Image-block size of the batched golden-store build
+/// (sim::build_golden_store). The partition into blocks depends on this
+/// constant alone, so batched results and metric totals are identical at
+/// any thread count.
 inline constexpr std::size_t kBlockImages = 16;
 
 /// C[i, j] = dot(A row i, B row j) over K contiguous int16 elements:

@@ -97,7 +97,7 @@ struct QNetwork {
     ///   activations[i][p] == apply_activation(Q3_4::from_accumulator(
     ///                            accumulators[i][p]), layers[i].activation)
     /// Each activation is byte-identical to the accelerator's fault-free
-    /// output of the same layer — the property sim::GoldenCache builds on —
+    /// output of the same layer — the property sim::GoldenStore builds on —
     /// and the accumulators let accel::AccelEngine::run_elided resume a
     /// faulted window from its cached golden sums.
     struct ForwardTrace {
@@ -110,11 +110,13 @@ struct QNetwork {
     /// Batched golden forward over an image block (every input shaped
     /// input_shape): each Conv/Dense layer runs as a single GEMM over the
     /// whole block, so the weights stream once per block instead of once
-    /// per image. Entry b is byte-identical to forward(*inputs[b]).
+    /// per image. Entry b is byte-identical to forward(*inputs[b]). No
+    /// simulator path calls it today; bench/e2e times it per layer
+    /// (quant.batch16.*) as the batched-forward reference.
     std::vector<QTensor> forward_batch(
         const std::vector<const QTensor*>& inputs) const;
 
-    /// Batched forward_trace (see forward_batch). The golden-cache build
+    /// Batched forward_trace (see forward_batch). The golden-store build
     /// (sim::build_golden_store) runs on this.
     std::vector<ForwardTrace> forward_trace_batch(
         const std::vector<const QTensor*>& inputs) const;

@@ -393,11 +393,11 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
     runner_config.deadline_seconds = config.deadline_seconds;
     SweepRunner runner(platform, runner_config);
 
-    // Golden evaluation cache: built once here, shared read-only by every
-    // point below. Fault-free images resolve to cached labels; faulted
-    // ones start from cached activations (see sim/golden_cache.hpp).
-    std::shared_ptr<const GoldenStore> golden;
-    if (config.golden_cache) golden = runner.golden_view(test_set, plan.eval_images);
+    // Golden store: built once here, shared read-only by every record
+    // below. Fault-free images resolve to cached labels; faulted ones
+    // start from cached activations (see sim/golden_cache.hpp).
+    const std::shared_ptr<const GoldenStore> golden =
+        runner.golden_view(test_set, plan.eval_images);
 
     // One record slot per index (0 = clean baseline, 1 + i = planned[i]);
     // null = not completed. Restored and freshly-computed records are

@@ -49,11 +49,6 @@ struct CampaignConfig {
     std::uint64_t blind_offset_seed = 777;
     /// Sweep worker width (0 = the global --threads knob).
     std::size_t threads = 0;
-    /// Build the golden evaluation cache (sim::GoldenCache) once and let
-    /// every point elide fault-free work against it. Reports are
-    /// byte-identical either way; a test seam (the CLI always builds it)
-    /// that tests and benches turn off to check or measure the elision.
-    bool golden_cache = true;
     attack::DetectorConfig detector{};
     attack::ProfilerConfig profiler{};
 
@@ -148,8 +143,9 @@ CampaignPlan plan_campaign(const Platform& platform, const data::Dataset& test_s
 /// Phase 2: evaluates one record of the plan and returns its journal
 /// payload. Index 0 is the clean baseline; 1 + i is plan.points[i].
 /// Bit-identical for a given (platform, plan, index) in any process at
-/// any thread count; `golden` may be null (results are byte-identical
-/// either way).
+/// any thread count. `golden` is the campaign's store (it must cover
+/// plan.eval_images); null builds one for this record alone, with
+/// byte-identical results.
 Json evaluate_campaign_record(const Platform& platform, const data::Dataset& test_set,
                               const CampaignPlan& plan, SweepRunner& runner,
                               const GoldenStore* golden, std::size_t record_index);

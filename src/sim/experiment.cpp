@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "quant/gemm.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -100,8 +99,9 @@ namespace {
 /// The one parallel per-image evaluation loop behind every accuracy
 /// entry point (plain, blind multi-trace, defended). Image i uses trace
 /// i % traces.size() (none when empty = clean), a per-image RNG derived
-/// from the image index alone, and — when `golden` covers it — the
-/// golden-cache elision tiers (sim/golden_cache.hpp):
+/// from the image index alone, and its entry of the golden store — the
+/// caller's, or one built here when the caller passes none — through the
+/// elision tiers of sim/golden_cache.hpp:
 ///   tier 0 (fault-free short-circuit): a plan with no unsafe window
 ///     cannot fault, so the result is the cached golden label with zero
 ///     faults and no inference at all;
@@ -109,15 +109,21 @@ namespace {
 ///     skips the still-golden prefix of safe layers and runs windowed
 ///     layers' fault walks from the cached golden accumulators.
 /// No tier touches the fault RNG stream (it is only drawn inside unsafe
-/// windows), so results are byte-identical with the cache on or off, at
-/// any thread count.
+/// windows), so results are byte-identical at any thread count.
 AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& dataset,
                                std::size_t n_images,
                                const std::vector<accel::VoltageTrace>& traces,
-                               const std::vector<accel::OverlayPlan>* plans,
+                               const std::vector<accel::OverlayPlan>& plans,
                                const std::vector<bool>* throttle,
                                std::uint64_t fault_seed, const GoldenStore* golden) {
+    expects(golden == nullptr || golden->size() >= n_images,
+            "evaluate_accuracy: the golden store must cover every evaluated image");
     trace::Span span("evaluate", "experiment");
+    std::shared_ptr<const GoldenStore> built;
+    if (golden == nullptr) {
+        built = build_golden_store(platform.engine().network(), dataset, n_images);
+        golden = built.get();
+    }
     if (metrics::enabled()) {
         metrics::counter("eval.images", "images",
                          "images classified during accuracy evaluation")
@@ -129,7 +135,7 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     const std::size_t n_traces = traces.size();
     std::vector<std::uint8_t> plan_unsafe(n_traces, 0);
     for (std::size_t t = 0; t < n_traces; ++t) {
-        plan_unsafe[t] = (*plans)[t].any_unsafe() ? 1 : 0;
+        plan_unsafe[t] = plans[t].any_unsafe() ? 1 : 0;
     }
 
     AccuracyResult result;
@@ -141,77 +147,21 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     std::vector<std::uint8_t> shortcircuit(n_images, 0);
     std::vector<std::size_t> prefix_skipped(n_images, 0);
     std::vector<accel::FaultCounts> faults(n_images);
-
-    // Batched fault-free fast path for images with no golden entry: a plan
-    // with no unsafe window (or no trace at all — clean evaluation) cannot
-    // fault, so engine.run on such an image is exactly the golden forward
-    // pass with zero faults and no RNG draws. Answer those images in fixed
-    // image blocks through QNetwork::forward_batch — one GEMM per layer
-    // per block — instead of per-image inferences. The block partition
-    // depends only on the image set, so results and metric totals stay
-    // identical at any thread count.
-    std::vector<std::uint8_t> batched(n_images, 0);
-    std::vector<std::size_t> faultfree;
-    for (std::size_t i = 0; i < n_images; ++i) {
-        const bool cached = golden != nullptr && i < golden->size();
-        if (!cached && (n_traces == 0 || plan_unsafe[i % n_traces] == 0)) {
-            faultfree.push_back(i);
-        }
-    }
-    if (faultfree.size() > 1) {
-        for (std::size_t i : faultfree) batched[i] = 1;
-        const quant::QNetwork& network = platform.engine().network();
-        const std::size_t batch = quant::gemm::kBlockImages;
-        const std::size_t n_blocks = (faultfree.size() + batch - 1) / batch;
-        parallel_for(n_blocks, [&](std::size_t blk) {
-            trace::Span bspan("eval:batch", "experiment");
-            const std::size_t lo = blk * batch;
-            const std::size_t hi = std::min(lo + batch, faultfree.size());
-            std::vector<QTensor> qimages;
-            qimages.reserve(hi - lo);
-            std::vector<const QTensor*> block;
-            block.reserve(hi - lo);
-            for (std::size_t j = lo; j < hi; ++j) {
-                qimages.push_back(quant::quantize_image(dataset.images[faultfree[j]]));
-                block.push_back(&qimages.back());
-            }
-            const std::vector<QTensor> logits = network.forward_batch(block);
-            for (std::size_t j = lo; j < hi; ++j) {
-                const std::size_t i = faultfree[j];
-                correct[i] = argmax(logits[j - lo]) == dataset.labels[i] ? 1 : 0;
-            }
-        });
-    }
-
     parallel_for(n_images, [&](std::size_t i) {
-        if (batched[i] != 0) return;
-        const accel::VoltageTrace* trace =
-            n_traces == 0 ? nullptr : &traces[i % n_traces];
-        const accel::OverlayPlan* plan =
-            n_traces == 0 ? nullptr : &(*plans)[i % n_traces];
-        const GoldenEntry* entry =
-            golden != nullptr && i < golden->size() ? &golden->entries[i] : nullptr;
-        if (entry != nullptr && (plan == nullptr || plan_unsafe[i % n_traces] == 0)) {
-            correct[i] = entry->predicted == dataset.labels[i] ? 1 : 0;
+        const GoldenEntry& entry = golden->entries[i];
+        if (n_traces == 0 || plan_unsafe[i % n_traces] == 0) {
+            correct[i] = entry.predicted == dataset.labels[i] ? 1 : 0;
             shortcircuit[i] = 1;
             return;
         }
+        const std::size_t t = i % n_traces;
         Rng fault_rng(derive_seed(fault_seed, i));
-        if (entry != nullptr) {
-            const accel::RunResult run =
-                platform.infer_elided(entry->qimage, entry->activations,
-                                      entry->accumulators, trace, fault_rng, *plan,
-                                      throttle);
-            faults[i] = run.faults_total;
-            correct[i] = run.predicted == dataset.labels[i] ? 1 : 0;
-            prefix_skipped[i] = run.golden_layers_reused;
-            return;
-        }
-        const QTensor qimage = quant::quantize_image(dataset.images[i]);
-        const accel::RunResult run =
-            platform.infer(qimage, trace, fault_rng, throttle, plan);
+        const accel::RunResult run = platform.engine().run_elided(
+            entry.qimage, entry.activations, entry.accumulators, &traces[t], fault_rng,
+            plans[t], throttle);
         faults[i] = run.faults_total;
         correct[i] = run.predicted == dataset.labels[i] ? 1 : 0;
+        prefix_skipped[i] = run.golden_layers_reused;
     });
     std::size_t n_correct = 0;
     std::uint64_t n_shortcircuit = 0;
@@ -223,12 +173,12 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
         result.faults += faults[i];
     }
     result.accuracy = static_cast<double>(n_correct) / static_cast<double>(n_images);
-    if (metrics::enabled() && golden != nullptr) {
+    if (metrics::enabled()) {
         metrics::counter("eval.golden_cache.shortcircuits", "images",
                          "images answered by the golden label without inference")
             .add(n_shortcircuit);
         metrics::counter("eval.prefix_layers_skipped", "layers",
-                         "still-golden layers elided during cached inference")
+                         "still-golden layers elided during inference")
             .add(n_prefix);
     }
     return result;
@@ -267,14 +217,14 @@ AccuracyResult evaluate_accuracy_multi(const Platform& platform,
     // Overlay plans depend only on (trace, schedule): build each once here
     // rather than re-scanning the trace inside every per-image inference.
     std::vector<accel::OverlayPlan> local_plans;
-    if (plans == nullptr && !traces.empty()) {
+    if (plans == nullptr) {
         local_plans.reserve(traces.size());
         for (const accel::VoltageTrace& t : traces) {
             local_plans.push_back(platform.engine().plan_overlay(&t));
         }
         plans = &local_plans;
     }
-    return evaluate_images(platform, dataset, n_images, traces, plans, nullptr,
+    return evaluate_images(platform, dataset, n_images, traces, *plans, nullptr,
                            fault_seed, golden);
 }
 
@@ -314,11 +264,11 @@ AccuracyResult evaluate_accuracy_defended(const Platform& platform,
 
     // The throttle suppresses fault evaluation inside windows but never
     // adds windows, so the golden elision tiers stay valid: a throttled op
-    // draws no RNG exactly as the uncached path would draw none.
+    // draws no RNG, exactly as in a whole-segment per-op walk.
     std::vector<accel::VoltageTrace> traces{trace};
     std::vector<accel::OverlayPlan> plans;
     plans.push_back(plan != nullptr ? *plan : platform.engine().plan_overlay(&trace));
-    return evaluate_images(platform, dataset, n_images, traces, &plans, &throttle,
+    return evaluate_images(platform, dataset, n_images, traces, plans, &throttle,
                            fault_seed, golden);
 }
 

@@ -55,9 +55,11 @@ struct AccuracyResult {
 /// dataset; fault randomness is seeded per-image from `fault_seed`.
 /// `plan` optionally supplies the precomputed fault overlay for `trace`;
 /// when omitted it is computed once here (not once per image).
-/// `golden` optionally supplies a golden evaluation store covering the
-/// images (sim::GoldenCache); results are byte-identical with or without
-/// it — it only elides work the golden activations already answer.
+/// Every evaluation reads a golden store (sim/golden_cache.hpp): `golden`
+/// passes one that callers scoring many traces on one image set build
+/// once; when it is null, one is built here for the evaluated images.
+/// Results are byte-identical either way. A passed store must cover all
+/// evaluated images (ContractError otherwise).
 AccuracyResult evaluate_accuracy(const Platform& platform, const data::Dataset& dataset,
                                  std::size_t n_images, const accel::VoltageTrace* trace,
                                  std::uint64_t fault_seed,
@@ -79,7 +81,7 @@ AccuracyResult evaluate_accuracy_multi(const Platform& platform,
 /// Defended variant: the per-cycle throttle mask (defense::run_monitor)
 /// suppresses DSP fault evaluation in throttled cycles. Shares the same
 /// parallel per-image loop (derive_seed per image, one-time overlay-plan
-/// construction, golden-cache elision) as evaluate_accuracy_multi.
+/// construction, golden-store elision) as evaluate_accuracy_multi.
 AccuracyResult evaluate_accuracy_defended(const Platform& platform,
                                           const data::Dataset& dataset,
                                           std::size_t n_images,

@@ -6,7 +6,6 @@
 #include "quant/gemm.hpp"
 #include "quant/kernels.hpp"
 #include "util/error.hpp"
-#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -38,22 +37,6 @@ std::uint64_t qtensor_fingerprint(std::uint64_t h, const QTensor& t) {
     }
     if (packed != 0) h = derive_seed(h, word, packed);
     return h;
-}
-
-void count_hit() {
-    if (metrics::enabled()) {
-        metrics::counter("eval.golden_cache.hits", "lookups",
-                         "golden-store requests served by the current snapshot")
-            .add();
-    }
-}
-
-void count_miss() {
-    if (metrics::enabled()) {
-        metrics::counter("eval.golden_cache.misses", "lookups",
-                         "golden-store requests requiring a (re)build or extension")
-            .add();
-    }
 }
 
 } // namespace
@@ -88,27 +71,16 @@ std::uint64_t dataset_fingerprint(const data::Dataset& dataset) {
     return h;
 }
 
-std::shared_ptr<const GoldenStore> build_golden_store(
-    const quant::QNetwork& network, const data::Dataset& dataset,
-    std::size_t n_images, const GoldenStore* base) {
+std::shared_ptr<const GoldenStore> build_golden_store(const quant::QNetwork& network,
+                                                      const data::Dataset& dataset,
+                                                      std::size_t n_images) {
     n_images = std::min(n_images, dataset.size());
     expects(n_images > 0, "build_golden_store: at least one image");
 
     trace::Span span("eval:golden-build", "experiment");
 
     auto store = std::make_shared<GoldenStore>();
-    store->network_fp = network_fingerprint(network);
-    store->dataset_fp = dataset_fingerprint(dataset);
     store->entries.resize(n_images);
-
-    std::size_t reused = 0;
-    if (base != nullptr && base->network_fp == store->network_fp &&
-        base->dataset_fp == store->dataset_fp) {
-        reused = std::min(base->size(), n_images);
-        for (std::size_t i = 0; i < reused; ++i) {
-            store->entries[i] = base->entries[i];
-        }
-    }
 
     // Per-image golden work is independent and deterministic; build in
     // parallel over the shared pool (helping wait makes this safe from
@@ -116,12 +88,11 @@ std::shared_ptr<const GoldenStore> build_golden_store(
     // image block answered by one batched forward_trace (weights stream
     // once per block); the partition depends only on n_images, never on
     // scheduling, so the store is identical at any thread count.
-    const std::size_t todo = n_images - reused;
     const std::size_t batch = quant::gemm::kBlockImages;
-    const std::size_t n_blocks = (todo + batch - 1) / batch;
+    const std::size_t n_blocks = (n_images + batch - 1) / batch;
     parallel_for(n_blocks, [&](std::size_t blk) {
         trace::Span bspan("eval:batch", "experiment");
-        const std::size_t lo = reused + blk * batch;
+        const std::size_t lo = blk * batch;
         const std::size_t hi = std::min(lo + batch, n_images);
         std::vector<const QTensor*> block;
         block.reserve(hi - lo);
@@ -141,36 +112,6 @@ std::shared_ptr<const GoldenStore> build_golden_store(
         }
     });
     return store;
-}
-
-std::shared_ptr<const GoldenStore> GoldenCache::ensure(
-    const quant::QNetwork& network, const data::Dataset& dataset,
-    std::size_t n_images) {
-    n_images = std::min(n_images, dataset.size());
-    expects(n_images > 0, "GoldenCache::ensure: at least one image");
-
-    // One mutex serializes builders; readers only ever touch the immutable
-    // snapshot behind the shared_ptr. The fingerprints are recomputed per
-    // ensure() call (cheap next to one forward pass) so swapped weights
-    // are always detected — a mismatch rebuilds instead of reusing stale
-    // golden activations.
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t net_fp = network_fingerprint(network);
-    const std::uint64_t data_fp = dataset_fingerprint(dataset);
-    if (store_ != nullptr && store_->network_fp == net_fp &&
-        store_->dataset_fp == data_fp && store_->size() >= n_images) {
-        count_hit();
-        return store_;
-    }
-    count_miss();
-    store_ = build_golden_store(network, dataset, n_images, store_.get());
-    ++builds_;
-    return store_;
-}
-
-std::size_t GoldenCache::builds() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return builds_;
 }
 
 } // namespace deepstrike::sim

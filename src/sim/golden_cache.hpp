@@ -1,15 +1,16 @@
-// Golden evaluation cache.
+// Golden evaluation store.
 //
 // Golden (fault-free) per-layer activations depend only on (image,
 // weights) — never on the voltage trace or the attack parameters being
-// swept — yet each campaign point used to recompute every image's full
-// quantized forward pass. GoldenCache computes them once per campaign:
-// a per-(model, dataset-slice) store of each image's quantized input,
-// golden per-layer activations, and golden predicted label, built in
-// parallel and shared read-only across all sweep points and threads.
+// swept. A GoldenStore holds them for a prefix of a dataset: each image's
+// quantized input, golden per-layer activations and accumulators, and
+// golden predicted label, built in parallel once and shared read-only
+// across threads. There is no cache around it: a campaign, a search or an
+// optimizer run builds one store for its image set and passes it to every
+// evaluation, and a one-shot accuracy evaluation builds its own.
 //
-// Three elision tiers in the eval path consume it (see sim/experiment.cpp
-// and AccelEngine::run_elided):
+// Every accuracy evaluation reads a store through three elision tiers
+// (see sim/experiment.cpp and AccelEngine::run_elided):
 //   tier 0, fault-free short-circuit — an image whose overlay plan has no
 //      unsafe window resolves to the cached golden label with zero
 //      faults, skipping inference entirely;
@@ -19,18 +20,12 @@
 //      is still golden starts its fault walk from the cached golden
 //      accumulators instead of recomputing them.
 // None of them touches the fault RNG stream (it is only drawn inside
-// unsafe windows), so campaign reports stay byte-identical with the
-// cache on or off, at any --threads.
-//
-// Stores are keyed by a derive_seed-style fingerprint of the quantized
-// weights + quantization config (network_fingerprint) plus a dataset
-// tag; a mismatch rebuilds from scratch rather than reusing stale
-// entries (tests/golden_cache_test.cpp enforces this).
+// unsafe windows), so results equal the whole-segment per-op oracle
+// (tests/engine_reference.cpp) byte for byte, at any --threads.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/synth_mnist.hpp"
@@ -54,8 +49,6 @@ struct GoldenEntry {
 /// Entries are indexed by dataset image index; a store covers a prefix of
 /// the dataset (the first `size()` images).
 struct GoldenStore {
-    std::uint64_t network_fp = 0; // network_fingerprint() of the builder
-    std::uint64_t dataset_fp = 0; // dataset_fingerprint() of the builder
     std::vector<GoldenEntry> entries;
 
     std::size_t size() const { return entries.size(); }
@@ -64,43 +57,19 @@ struct GoldenStore {
 /// Fingerprint of everything the golden artifacts depend on from the
 /// model side: input shape, layer kinds/labels/activations, and every
 /// quantized weight/bias word (the quantization config is baked into
-/// those words — Q3.4 rounding happened upstream).
+/// those words — Q3.4 rounding happened upstream). The campaign and
+/// search journals key on it.
 std::uint64_t network_fingerprint(const quant::QNetwork& network);
 
 /// Cheap identity tag for a dataset: size, all labels, and the raw bits
-/// of the first image. Independent of how many images a store covers, so
-/// a pilot-sized store can grow into a full-eval store without a rebuild.
+/// of the first image. Independent of how many images an evaluation
+/// covers.
 std::uint64_t dataset_fingerprint(const data::Dataset& dataset);
 
-/// Thread-safe builder/owner of GoldenStore snapshots. One instance lives
-/// beside the SweepRunner's trace cache; sweep-point tasks call ensure()
-/// and hold the returned shared_ptr for lock-free read access.
-class GoldenCache {
-public:
-    /// Returns a store covering the first `n_images` of `dataset` for
-    /// `network`, building (in parallel, under an eval:golden-build span)
-    /// or extending the current store as needed. A fingerprint mismatch —
-    /// different weights or a different dataset — rebuilds from scratch.
-    /// Concurrent calls are serialized; later callers see the first
-    /// caller's store. Counts eval.golden_cache.{hits,misses}.
-    std::shared_ptr<const GoldenStore> ensure(const quant::QNetwork& network,
-                                              const data::Dataset& dataset,
-                                              std::size_t n_images);
-
-    /// Build/extend passes performed so far (diagnostics and tests).
-    std::size_t builds() const;
-
-private:
-    mutable std::mutex mutex_;
-    std::shared_ptr<const GoldenStore> store_;
-    std::size_t builds_ = 0;
-};
-
-/// Builds a store directly (no caching); the parallel build primitive
-/// behind GoldenCache::ensure, exposed for tests and one-shot callers.
-/// `base` optionally donates already-built entries (same fingerprints).
-std::shared_ptr<const GoldenStore> build_golden_store(
-    const quant::QNetwork& network, const data::Dataset& dataset,
-    std::size_t n_images, const GoldenStore* base = nullptr);
+/// Builds the store for the first `n_images` of `dataset` on `network`
+/// (clamped to the dataset), in parallel under an eval:golden-build span.
+std::shared_ptr<const GoldenStore> build_golden_store(const quant::QNetwork& network,
+                                                      const data::Dataset& dataset,
+                                                      std::size_t n_images);
 
 } // namespace deepstrike::sim

@@ -53,8 +53,7 @@ OptimizedPlan optimize_strike_allocation(const Platform& platform,
     OptimizedPlan plan;
     // Every pilot below evaluates the same image slice against the same
     // weights; one golden store covers the clean baseline and all pilots.
-    GoldenCache golden_cache;
-    const std::shared_ptr<const GoldenStore> golden = golden_cache.ensure(
+    const std::shared_ptr<const GoldenStore> golden = build_golden_store(
         platform.engine().network(), test_set, config.pilot_images);
     const AccuracyResult clean =
         evaluate_accuracy(platform, test_set, config.pilot_images, nullptr,

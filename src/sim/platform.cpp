@@ -52,19 +52,4 @@ CosimResult Platform::simulate_inference(StrikeSource& source,
     return std::move(group.front());
 }
 
-accel::RunResult Platform::infer(const QTensor& image, const accel::VoltageTrace* voltage,
-                                 Rng& fault_rng, const std::vector<bool>* throttle,
-                                 const accel::OverlayPlan* plan) const {
-    return engine_.run(image, voltage, fault_rng, throttle, plan);
-}
-
-accel::RunResult Platform::infer_elided(
-    const QTensor& image, const std::vector<QTensor>& golden_layers,
-    const std::vector<std::vector<fx::Acc>>& golden_accs,
-    const accel::VoltageTrace* voltage, Rng& fault_rng,
-    const accel::OverlayPlan& plan, const std::vector<bool>* throttle) const {
-    return engine_.run_elided(image, golden_layers, golden_accs, voltage, fault_rng,
-                              plan, throttle);
-}
-
 } // namespace deepstrike::sim

@@ -10,7 +10,10 @@
 // draw is data-independent (fixed schedule), the TDC observes only
 // voltage, and faults do not feed back into power. Hence one co-simulated
 // voltage trace per *attack configuration* serves every image in a test
-// sweep; only the functional fault overlay is per-image.
+// sweep; only the functional fault overlay is per-image. The platform owns
+// that electrical side; faulted inference on a trace is engine().run_elided,
+// which sim::evaluate_accuracy drives from a golden store
+// (sim/golden_cache.hpp).
 #pragma once
 
 #include <array>
@@ -142,29 +145,6 @@ public:
     std::vector<CosimResult> simulate_inference_lanes(
         const std::vector<StrikeSource*>& sources,
         bool record_tick_voltage = false) const;
-
-    /// Functional inference on a previously computed voltage trace.
-    /// `throttle` optionally marks defensively clock-throttled cycles
-    /// (see defense::run_monitor). `plan` optionally supplies the
-    /// precomputed fault overlay for `voltage` (one per campaign point;
-    /// see AccelEngine::plan_overlay).
-    accel::RunResult infer(const QTensor& image, const accel::VoltageTrace* voltage,
-                           Rng& fault_rng,
-                           const std::vector<bool>* throttle = nullptr,
-                           const accel::OverlayPlan* plan = nullptr) const;
-
-    /// Golden-elided inference (AccelEngine::run_elided): byte-identical to
-    /// infer() but reuses the image's cached golden pass (sim::GoldenCache:
-    /// per-layer activations and Conv/Dense accumulators) to skip
-    /// still-golden safe layers and run windowed ones from cached
-    /// accumulators. The plan is required — elision is driven by its
-    /// unsafe windows.
-    accel::RunResult infer_elided(
-        const QTensor& image, const std::vector<QTensor>& golden_layers,
-        const std::vector<std::vector<fx::Acc>>& golden_accs,
-        const accel::VoltageTrace* voltage, Rng& fault_rng,
-        const accel::OverlayPlan& plan,
-        const std::vector<bool>* throttle = nullptr) const;
 
     /// Idle current (platform + accelerator static) used for PDN settling.
     double idle_current_a() const;

@@ -160,7 +160,7 @@ std::shared_ptr<const GoldenStore> SweepRunner::golden_view(
     const data::Dataset& dataset, std::size_t n_images) {
     expects(platform_ != nullptr,
             "SweepRunner::golden_view: platform-bound runner required");
-    return golden_cache_.ensure(platform_->engine().network(), dataset, n_images);
+    return build_golden_store(platform_->engine().network(), dataset, n_images);
 }
 
 std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::lookup(std::uint64_t key,

@@ -171,12 +171,8 @@ public:
     std::size_t trace_cache_misses() const { return cache_misses_.load(); }
     std::size_t trace_cache_size() const;
 
-    /// Golden evaluation cache (sim::GoldenCache) living beside the trace
-    /// cache: same lifetime, same sharing scope (one campaign / sweep).
-    GoldenCache& golden_cache() { return golden_cache_; }
-
     /// Golden store covering the first `n_images` of `dataset` for this
-    /// runner's platform network, built (or extended) on first request.
+    /// runner's platform network (build_golden_store; each call builds).
     /// Requires a platform-bound runner.
     std::shared_ptr<const GoldenStore> golden_view(const data::Dataset& dataset,
                                                    std::size_t n_images);
@@ -216,7 +212,6 @@ private:
     std::unordered_map<std::uint64_t, std::shared_ptr<CacheEntry>> cache_;
     std::atomic<std::size_t> cache_hits_{0};
     std::atomic<std::size_t> cache_misses_{0};
-    GoldenCache golden_cache_;
 };
 
 /// Fig. 6(b)-style characterization sweep: each striker cell count is one

@@ -29,29 +29,22 @@ std::string candidate_key(const attack::FaultSet& set) {
     return key;
 }
 
-/// Counts correct predictions of `network` over the first `n` images,
-/// resuming each image from the cached golden activation when the fault
-/// set leaves a clean layer prefix. `first_faulted` == layer count means
-/// no layer is faulted (the golden predictions themselves).
+/// Counts correct predictions of `network` over the images of `golden`,
+/// resuming each image at layer `first_faulted` from its cached golden
+/// activation (its quantized input when that is layer 0): the layers
+/// before it are unfaulted. `first_faulted` == layer count means no layer
+/// is faulted, so the golden predictions answer.
 std::size_t correct_predictions(const quant::QNetwork& network,
-                                const data::Dataset& test_set, std::size_t n,
-                                const GoldenStore* golden,
+                                const data::Dataset& test_set, const GoldenStore& golden,
                                 std::size_t first_faulted) {
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t predicted = 0;
-        if (golden != nullptr && first_faulted >= network.layers.size()) {
-            predicted = golden->entries[i].predicted;
-        } else if (golden != nullptr && first_faulted > 0) {
-            const QTensor out = network.forward_from(
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        const GoldenEntry& entry = golden.entries[i];
+        std::size_t predicted = entry.predicted;
+        if (first_faulted < network.layers.size()) {
+            predicted = argmax(network.forward_from(
                 first_faulted,
-                golden->entries[i].activations[first_faulted - 1]);
-            predicted = argmax(out);
-        } else {
-            const QTensor input = golden != nullptr
-                                      ? golden->entries[i].qimage
-                                      : quantize(test_set.images[i]);
-            predicted = argmax(network.forward_from(0, input));
+                first_faulted == 0 ? entry.qimage : entry.activations[first_faulted - 1]));
         }
         correct += predicted == test_set.labels[i] ? 1 : 0;
     }
@@ -166,13 +159,11 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
 
     // Golden slice: activations for prefix elision plus the clean
     // predictions the drop is measured against.
-    std::shared_ptr<const GoldenStore> golden;
-    if (cfg.golden_cache) {
-        golden = runner.golden_cache().ensure(network, test_set, n_images);
-    }
+    const std::shared_ptr<const GoldenStore> golden =
+        build_golden_store(network, test_set, n_images);
     const std::size_t layer_count = network.layers.size();
-    const std::size_t clean_correct = correct_predictions(
-        network, test_set, n_images, golden.get(), layer_count);
+    const std::size_t clean_correct =
+        correct_predictions(network, test_set, *golden, layer_count);
 
     metrics::counter("search.runs", "runs", "weight-fault searches started").add();
     metrics::gauge("search.space", "words",
@@ -218,8 +209,8 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
                          cfg.transfer);
                      const std::size_t first = view.first_faulted_layer(
                          candidate, layer_count);
-                     const std::size_t correct = correct_predictions(
-                         faulted, test_set, n_images, golden.get(), first);
+                     const std::size_t correct =
+                         correct_predictions(faulted, test_set, *golden, first);
                      fresh_drops[i] =
                          100.0 *
                          (static_cast<double>(clean_correct) -

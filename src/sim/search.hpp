@@ -19,10 +19,10 @@
 //      (the driver still counts them against the logical budget);
 //   2. golden-prefix elision — faults landing first in layer k leave
 //      layers 0..k-1 byte-identical to golden, so evaluation resumes
-//      from the GoldenCache's cached activation at k-1 via
-//      QNetwork::forward_from (for LeNet-5, ~97% of the weight stream
-//      lives in FC1, eliding the expensive conv prefix for most
-//      candidates).
+//      from the search's golden store (sim/golden_cache.hpp, built once
+//      per search) at layer k-1 via QNetwork::forward_from (for LeNet-5,
+//      ~97% of the weight stream lives in FC1, eliding the expensive conv
+//      prefix for most candidates).
 #pragma once
 
 #include <cstdint>
@@ -55,10 +55,6 @@ struct WeightFaultSearchConfig {
     /// Fitness is the accuracy drop over the first eval_images of the
     /// test set (percentage points).
     std::size_t eval_images = 256;
-    /// Golden-prefix elision via GoldenCache (off = full forward passes;
-    /// results are byte-identical either way). A test seam: neither the
-    /// CLI nor the search manifest sets it.
-    bool golden_cache = true;
     std::size_t threads = 0;
     std::string journal_path;
     bool resume = false;
@@ -93,7 +89,7 @@ std::uint64_t weight_fault_search_fingerprint(
     const WeightFaultSearchConfig& config);
 
 /// Runs the search to completion. Deterministic in (network, test_set,
-/// config) — independent of threads, golden_cache, and resume splits.
+/// config) — independent of threads and resume splits.
 /// When `manifest` is non-null it receives the aggregated sweep manifest
 /// (one point per fitness-evaluated candidate).
 SearchReport run_weight_fault_search(const quant::QNetwork& network,

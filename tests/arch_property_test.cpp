@@ -12,6 +12,7 @@ namespace deepstrike::quant {
 namespace {
 
 using deepstrike::testing::random_qtensor;
+using deepstrike::testing::run_engine;
 
 /// Generates a random valid network for a [1,28,28] input: a few conv/pool
 /// stages while the spatial size allows, then 1-2 dense layers.
@@ -78,7 +79,8 @@ TEST_P(RandomArchTest, EngineBitExactWithGoldenOnCleanRun) {
     const accel::AccelEngine engine(net, accel::AccelConfig::pynq_z1(), 2021);
     for (std::uint64_t s = 0; s < 2; ++s) {
         const QTensor img = deepstrike::testing::random_qimage(300 + s);
-        const accel::RunResult run = engine.run_clean(img);
+        Rng fault_rng(s);
+        const accel::RunResult run = run_engine(engine, img, nullptr, fault_rng);
         EXPECT_EQ(run.logits, net.forward(img));
         EXPECT_EQ(run.faults_total.total(), 0u);
         EXPECT_EQ(run.predicted, argmax(net.forward(img)));
@@ -140,7 +142,7 @@ TEST_P(RandomArchTest, FaultsStayInsideTheStruckLayer) {
 
     Rng rng(GetParam() ^ 0xF00D);
     const accel::RunResult run =
-        engine.run(deepstrike::testing::random_qimage(7), &trace, rng);
+        run_engine(engine, deepstrike::testing::random_qimage(7), &trace, rng);
     EXPECT_GT(run.faults_total.total(), 0u);
     for (const auto& lf : run.faults_by_layer) {
         if (lf.label != net.layers[target].label) {

@@ -228,7 +228,8 @@ TEST_F(ResumeFixture, DeadlineProducesValidPartialReport) {
 
 // The phase split (plan / evaluate one record / assemble) must rebuild
 // run_campaign's report byte for byte from records computed outside it,
-// in any order, each on its own runner, with or without the golden store.
+// in any order, each on its own runner, with the campaign's golden store
+// or with none (each record then builds its own).
 TEST(CampaignPhases, OutOfOrderRecordsAssembleToRunCampaignReport) {
     Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(61));
     auto ds = data::make_datasets(9, 1, 30);

@@ -1,10 +1,12 @@
-// Whole-segment per-op oracle for accel::AccelEngine::run (test-only).
+// Whole-segment per-op oracle for accel::AccelEngine::run_elided
+// (test-only).
 //
 // The original (pre-overlay) execution path of the accelerator fault
 // model, written against AccelEngine's public accessors: it gates
 // golden-vs-per-op per schedule segment and walks every op of a glitched
-// segment, carrying each DSP's last product op by op. The interval-gated
-// engine must match it byte for byte (tests/overlay_test.cpp).
+// segment, carrying each DSP's last product op by op. The interval-gated,
+// golden-elided engine must match it byte for byte
+// (tests/overlay_test.cpp, tests/golden_cache_test.cpp).
 #pragma once
 
 #include <vector>
@@ -14,7 +16,7 @@
 namespace deepstrike::testing {
 
 /// Same logits, prediction, per-layer fault counts and fault-RNG stream as
-/// engine.run(image, voltage, fault_rng, throttle).
+/// engine.run_elided on the image's golden pass (testing::run_engine).
 accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& image,
                                const accel::VoltageTrace* voltage, Rng& fault_rng,
                                const std::vector<bool>* throttle = nullptr);

@@ -9,6 +9,7 @@ namespace {
 
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_engine;
 
 AccelEngine make_engine(std::uint64_t weight_seed = 1, std::uint64_t board_seed = 2021) {
     return AccelEngine(random_qnetwork(weight_seed), AccelConfig::pynq_z1(), board_seed);
@@ -36,7 +37,8 @@ TEST(Engine, CleanRunMatchesGoldenModel) {
 
     for (std::uint64_t s = 0; s < 5; ++s) {
         const QTensor img = random_qimage(100 + s);
-        const RunResult run = engine.run_clean(img);
+        Rng rng(s);
+        const RunResult run = run_engine(engine, img, nullptr, rng);
         const QTensor logits = golden.forward(img);
         EXPECT_EQ(run.logits, logits) << "image seed " << s;
         EXPECT_EQ(run.predicted, argmax(logits));
@@ -48,7 +50,7 @@ TEST(Engine, NominalTraceAlsoFaultFree) {
     const AccelEngine engine = make_engine();
     const VoltageTrace trace = nominal_trace(engine);
     Rng rng(1);
-    const RunResult run = engine.run(random_qimage(7), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(7), &trace, rng);
     EXPECT_EQ(run.faults_total.total(), 0u);
 }
 
@@ -57,8 +59,8 @@ TEST(Engine, CleanRunIsRngIndependent) {
     const QTensor img = random_qimage(8);
     Rng rng_a(111);
     Rng rng_b(999);
-    const RunResult a = engine.run(img, nullptr, rng_a);
-    const RunResult b = engine.run(img, nullptr, rng_b);
+    const RunResult a = run_engine(engine, img, nullptr, rng_a);
+    const RunResult b = run_engine(engine, img, nullptr, rng_b);
     EXPECT_EQ(a.logits, b.logits);
 }
 
@@ -66,7 +68,7 @@ TEST(Engine, GlitchedSegmentProducesFaultsThereOnly) {
     const AccelEngine engine = make_engine();
     const VoltageTrace trace = segment_glitch_trace(engine, "CONV2", 0.94);
     Rng rng(3);
-    const RunResult run = engine.run(random_qimage(9), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(9), &trace, rng);
 
     EXPECT_GT(run.faults_total.total(), 0u);
     EXPECT_GT(run.faults_for("CONV2").total(), 0u);
@@ -81,7 +83,7 @@ TEST(Engine, FaultsIncreaseWithDroopDepth) {
     for (double v : {0.965, 0.955, 0.945, 0.930}) {
         const VoltageTrace trace = segment_glitch_trace(engine, "CONV2", v);
         Rng rng(4);
-        const RunResult run = engine.run(img, &trace, rng);
+        const RunResult run = run_engine(engine, img, &trace, rng);
         EXPECT_GE(run.faults_total.total() + 50, prev) << "v=" << v;
         prev = run.faults_total.total();
     }
@@ -94,8 +96,8 @@ TEST(Engine, DeterministicForFixedRngSeed) {
     const QTensor img = random_qimage(11);
     Rng rng_a(42);
     Rng rng_b(42);
-    const RunResult a = engine.run(img, &trace, rng_a);
-    const RunResult b = engine.run(img, &trace, rng_b);
+    const RunResult a = run_engine(engine, img, &trace, rng_a);
+    const RunResult b = run_engine(engine, img, &trace, rng_b);
     EXPECT_EQ(a.logits, b.logits);
     EXPECT_EQ(a.faults_total.duplication, b.faults_total.duplication);
     EXPECT_EQ(a.faults_total.random, b.faults_total.random);
@@ -107,13 +109,13 @@ TEST(Engine, DuplicationDominatesShallowRandomDominatesDeep) {
 
     Rng rng_a(5);
     const VoltageTrace shallow = segment_glitch_trace(engine, "CONV2", 0.956);
-    const RunResult sr = engine.run(img, &shallow, rng_a);
+    const RunResult sr = run_engine(engine, img, &shallow, rng_a);
     ASSERT_GT(sr.faults_total.total(), 0u);
     EXPECT_GT(sr.faults_total.duplication, sr.faults_total.random);
 
     Rng rng_b(6);
     const VoltageTrace deep = segment_glitch_trace(engine, "CONV2", 0.90);
-    const RunResult dr = engine.run(img, &deep, rng_b);
+    const RunResult dr = run_engine(engine, img, &deep, rng_b);
     EXPECT_GT(dr.faults_total.random, dr.faults_total.duplication);
 }
 
@@ -126,10 +128,10 @@ TEST(Engine, FcSegmentsUseRelaxedTiming) {
 
     Rng rng_a(7);
     const VoltageTrace conv_trace = segment_glitch_trace(engine, "CONV2", v);
-    const RunResult conv = engine.run(img, &conv_trace, rng_a);
+    const RunResult conv = run_engine(engine, img, &conv_trace, rng_a);
     Rng rng_b(8);
     const VoltageTrace fc_trace = segment_glitch_trace(engine, "FC1", v);
-    const RunResult fc = engine.run(img, &fc_trace, rng_b);
+    const RunResult fc = run_engine(engine, img, &fc_trace, rng_b);
 
     const double conv_rate =
         static_cast<double>(conv.faults_total.total()) /
@@ -147,10 +149,10 @@ TEST(Engine, Conv1LessSensitiveThanConv2PerOp) {
 
     Rng rng_a(9);
     const VoltageTrace t1 = segment_glitch_trace(engine, "CONV1", v);
-    const RunResult r1 = engine.run(img, &t1, rng_a);
+    const RunResult r1 = run_engine(engine, img, &t1, rng_a);
     Rng rng_b(10);
     const VoltageTrace t2 = segment_glitch_trace(engine, "CONV2", v);
-    const RunResult r2 = engine.run(img, &t2, rng_b);
+    const RunResult r2 = run_engine(engine, img, &t2, rng_b);
 
     const double rate1 =
         static_cast<double>(r1.faults_total.total()) /
@@ -165,7 +167,7 @@ TEST(Engine, PoolImmuneAtDspFaultingDroop) {
     const AccelEngine engine = make_engine();
     Rng rng(11);
     const VoltageTrace trace = segment_glitch_trace(engine, "POOL1", 0.94);
-    const RunResult run = engine.run(random_qimage(15), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(15), &trace, rng);
     EXPECT_EQ(run.faults_total.total(), 0u);
 }
 
@@ -174,15 +176,20 @@ TEST(Engine, ShortTraceTreatedAsNominalPastEnd) {
     // Trace covering only the first 100 cycles, all nominal.
     VoltageTrace trace(200, 1.0);
     Rng rng(12);
-    const RunResult run = engine.run(random_qimage(16), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(16), &trace, rng);
     EXPECT_EQ(run.faults_total.total(), 0u);
 }
 
 TEST(Engine, RejectsWrongInputShape) {
     const AccelEngine engine = make_engine();
     Rng rng(13);
+    const QTensor img = random_qimage(17);
+    const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
+    const OverlayPlan plan = engine.plan_overlay(nullptr);
     QTensor bad(Shape{1, 14, 14});
-    EXPECT_THROW(engine.run(bad, nullptr, rng), ContractError);
+    EXPECT_THROW(engine.run_elided(bad, golden.activations, golden.accumulators, nullptr,
+                                   rng, plan),
+                 ContractError);
 }
 
 TEST(Engine, SameBoardSeedSameSliceVariation) {

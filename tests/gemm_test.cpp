@@ -373,9 +373,9 @@ TEST(Gemm, CampaignReportByteIdenticalAcrossModesBatchingAndThreads) {
     }
 }
 
-// Accuracy evaluation without a golden cache answers fault-free images in
-// GEMM image blocks; it must agree with the oracle pass at block-boundary
-// image counts and any thread count.
+// Clean accuracy evaluation without a passed golden store builds one
+// locally, in GEMM image blocks; it must agree with the oracle pass at
+// block-boundary image counts and any thread count.
 TEST(Gemm, UncachedEvaluationMatchesAcrossBatching) {
     SimdGuard guard;
     sim::Platform platform(sim::PlatformConfig{}, random_qnetwork(77));

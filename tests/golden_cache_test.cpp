@@ -1,17 +1,21 @@
-// Golden evaluation cache: fingerprint keying (stale-weight rejection),
-// build-once/extend semantics, and the elision equivalence property — the
-// golden-elided engine path (AccelEngine::run_elided) and the cached eval
-// path must be byte-identical to the uncached ones for any voltage trace,
-// at any thread count, including the fault RNG stream (elision never
-// draws; the RNG is only consumed inside unsafe windows, which run
-// unchanged).
+// Golden evaluation store: the network/dataset fingerprints the journals
+// key on, and the elision equivalence property — the golden-elided engine
+// path (AccelEngine::run_elided) and every accuracy evaluation built on it
+// must be byte-identical to the whole-segment per-op oracle
+// (tests/engine_reference.cpp) for any voltage trace, at any thread count,
+// including the fault RNG stream (elision never draws; the RNG is only
+// consumed inside unsafe windows, which run unchanged).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "accel/arch_profiles.hpp"
 #include "accel/engine.hpp"
+#include "engine_reference.hpp"
+#include "nn/zoo.hpp"
+#include "quant/kernels.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
 #include "test_helpers.hpp"
@@ -21,8 +25,10 @@
 namespace deepstrike::sim {
 namespace {
 
+using deepstrike::testing::expect_same_run;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_reference;
 
 accel::AccelEngine make_engine(std::uint64_t weight_seed = 1,
                                std::uint64_t board_seed = 2021) {
@@ -49,39 +55,6 @@ accel::VoltageTrace random_glitch_trace(const accel::AccelEngine& engine, Rng& r
         }
     }
     return trace;
-}
-
-void expect_identical(const accel::RunResult& elided, const accel::RunResult& ref) {
-    ASSERT_EQ(elided.logits.size(), ref.logits.size());
-    for (std::size_t i = 0; i < elided.logits.size(); ++i) {
-        ASSERT_EQ(elided.logits.at_unchecked(i).raw(),
-                  ref.logits.at_unchecked(i).raw())
-            << "logit " << i;
-    }
-    EXPECT_EQ(elided.predicted, ref.predicted);
-    EXPECT_EQ(elided.faults_total.duplication, ref.faults_total.duplication);
-    EXPECT_EQ(elided.faults_total.random, ref.faults_total.random);
-    ASSERT_EQ(elided.faults_by_layer.size(), ref.faults_by_layer.size());
-    for (std::size_t i = 0; i < elided.faults_by_layer.size(); ++i) {
-        EXPECT_EQ(elided.faults_by_layer[i].label, ref.faults_by_layer[i].label);
-        EXPECT_EQ(elided.faults_by_layer[i].counts.duplication,
-                  ref.faults_by_layer[i].counts.duplication);
-        EXPECT_EQ(elided.faults_by_layer[i].counts.random,
-                  ref.faults_by_layer[i].counts.random);
-    }
-}
-
-void expect_entries_identical(const GoldenEntry& a, const GoldenEntry& b) {
-    EXPECT_EQ(a.predicted, b.predicted);
-    ASSERT_TRUE(a.qimage == b.qimage);
-    ASSERT_EQ(a.activations.size(), b.activations.size());
-    for (std::size_t l = 0; l < a.activations.size(); ++l) {
-        ASSERT_TRUE(a.activations[l] == b.activations[l]) << "layer " << l;
-    }
-    ASSERT_EQ(a.accumulators.size(), b.accumulators.size());
-    for (std::size_t l = 0; l < a.accumulators.size(); ++l) {
-        ASSERT_EQ(a.accumulators[l], b.accumulators[l]) << "layer " << l;
-    }
 }
 
 std::uint64_t bits_of(double value) {
@@ -159,58 +132,6 @@ TEST(GoldenFingerprint, SensitiveToWeightsAndDataset) {
     EXPECT_NE(dataset_fingerprint(ds1.test), dataset_fingerprint(ds2.test));
 }
 
-TEST(GoldenCacheStore, BuildsOnceThenServesHits) {
-    const quant::QNetwork network = random_qnetwork(3);
-    const auto ds = data::make_datasets(9, 1, 20);
-
-    GoldenCache cache;
-    const auto first = cache.ensure(network, ds.test, 8);
-    const auto second = cache.ensure(network, ds.test, 8);
-    const auto smaller = cache.ensure(network, ds.test, 4); // covered prefix
-    EXPECT_EQ(cache.builds(), 1u);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(first.get(), smaller.get());
-    ASSERT_EQ(first->size(), 8u);
-    EXPECT_EQ(first->network_fp, network_fingerprint(network));
-    EXPECT_EQ(first->dataset_fp, dataset_fingerprint(ds.test));
-}
-
-TEST(GoldenCacheStore, ExtendsPilotStoreWithoutRecomputingPrefix) {
-    const quant::QNetwork network = random_qnetwork(3);
-    const auto ds = data::make_datasets(9, 1, 20);
-
-    GoldenCache cache;
-    const auto pilot = cache.ensure(network, ds.test, 5);
-    const auto full = cache.ensure(network, ds.test, 12);
-    EXPECT_EQ(cache.builds(), 2u);
-    ASSERT_EQ(full->size(), 12u);
-    for (std::size_t i = 0; i < pilot->size(); ++i) {
-        expect_entries_identical(pilot->entries[i], full->entries[i]);
-    }
-    // The extended entries match a from-scratch build bit-for-bit.
-    const auto scratch = build_golden_store(network, ds.test, 12);
-    for (std::size_t i = 0; i < 12; ++i) {
-        expect_entries_identical(full->entries[i], scratch->entries[i]);
-    }
-}
-
-TEST(GoldenCacheStore, WeightMismatchRebuildsInsteadOfStaleReuse) {
-    const auto ds = data::make_datasets(9, 1, 20);
-    const quant::QNetwork net_a = random_qnetwork(1);
-    const quant::QNetwork net_b = random_qnetwork(2);
-
-    GoldenCache cache;
-    cache.ensure(net_a, ds.test, 6);
-    const auto for_b = cache.ensure(net_b, ds.test, 6);
-    EXPECT_EQ(cache.builds(), 2u);
-    EXPECT_EQ(for_b->network_fp, network_fingerprint(net_b));
-    // Entries must come from net_b's forward pass, not net_a's store.
-    const auto scratch_b = build_golden_store(net_b, ds.test, 6);
-    for (std::size_t i = 0; i < 6; ++i) {
-        expect_entries_identical(for_b->entries[i], scratch_b->entries[i]);
-    }
-}
-
 TEST(RunElided, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
     const accel::AccelEngine engine = make_engine();
     const accel::VoltageTrace trace = nominal_trace(engine);
@@ -243,8 +164,8 @@ TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
         Rng rng_ref(42 + trial);
         const accel::RunResult elided = engine.run_elided(
             img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan);
-        const accel::RunResult ref = engine.run(img, &trace, rng_ref, nullptr, &plan);
-        expect_identical(elided, ref);
+        const accel::RunResult ref = run_reference(engine, img, &trace, rng_ref);
+        expect_same_run(elided, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state()) << "trial " << trial;
         any_fault = any_fault || ref.faults_total.total() > 0;
     }
@@ -271,8 +192,8 @@ TEST(RunElided, MatchesRunWithThrottleMask) {
         const accel::RunResult elided = engine.run_elided(
             img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan, &throttle);
         const accel::RunResult ref =
-            engine.run(img, &trace, rng_ref, &throttle, &plan);
-        expect_identical(elided, ref);
+            run_reference(engine, img, &trace, rng_ref, &throttle);
+        expect_same_run(elided, ref);
         EXPECT_EQ(rng_elided.state(), rng_ref.state());
     }
 }
@@ -305,65 +226,103 @@ void expect_results_equal(const AccuracyResult& a, const AccuracyResult& b) {
     EXPECT_EQ(a.faults.random, b.faults.random);
 }
 
-// The cached eval path must yield byte-identical reports to the uncached
-// one, for random traces, at thread counts 1 and 8.
+/// The per-op oracle's accuracy over the first `n` images, seeded as
+/// evaluation seeds them: image i runs trace i % traces.size() on
+/// Rng(derive_seed(seed, i)).
+AccuracyResult reference_accuracy(const Platform& platform, const data::Dataset& ds,
+                                  std::size_t n,
+                                  const std::vector<accel::VoltageTrace>& traces,
+                                  std::uint64_t seed,
+                                  const std::vector<bool>* throttle = nullptr) {
+    AccuracyResult result;
+    result.images = n;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        Rng rng(derive_seed(seed, i));
+        const accel::RunResult run =
+            run_reference(platform.engine(), quant::quantize_image(ds.images[i]),
+                          &traces[i % traces.size()], rng, throttle);
+        correct += run.predicted == ds.labels[i] ? 1 : 0;
+        result.faults += run.faults_total;
+    }
+    result.accuracy = static_cast<double>(correct) / static_cast<double>(n);
+    return result;
+}
+
+// Every evaluation entry point must match the per-op oracle on every zoo
+// victim (random-init weights), for random glitch traces mixed with a
+// nominal one and under a random throttle mask, with and without a passed
+// golden store, at thread counts 1 and 8.
 TEST(GoldenCacheEval, CachedMatchesUncachedAcrossThreadCounts) {
-    Platform platform(PlatformConfig{}, random_qnetwork(61));
     const auto ds = data::make_datasets(9, 1, 40);
-    const std::size_t n_images = 30;
+    const std::size_t n_images = 24;
+    for (const nn::ArchitectureInfo& info : nn::architectures()) {
+        SCOPED_TRACE(info.name);
+        Rng init_rng(2024);
+        nn::Sequential model = nn::build_architecture(info.arch, init_rng);
+        PlatformConfig config;
+        config.accel = accel::accel_config_for(info.arch);
+        const Platform platform(config, quant::quantize_sequential(
+                                            model, info.input_shape, {},
+                                            quant::quant_format_for(info.arch)));
 
-    Rng trace_rng(13);
-    std::vector<accel::VoltageTrace> traces;
-    traces.push_back(random_glitch_trace(platform.engine(), trace_rng, 6));
-    traces.push_back(random_glitch_trace(platform.engine(), trace_rng, 3));
-    traces.push_back(nominal_trace(platform.engine())); // all-safe trace mix
-
-    const auto golden =
-        build_golden_store(platform.engine().network(), ds.test, n_images);
-
-    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        set_global_thread_count(threads);
-        const AccuracyResult uncached = evaluate_accuracy_multi(
-            platform, ds.test, n_images, traces, 2468, nullptr, nullptr);
-        const AccuracyResult cached = evaluate_accuracy_multi(
-            platform, ds.test, n_images, traces, 2468, nullptr, golden.get());
-        expect_results_equal(cached, uncached);
-
-        // Defended variant shares the same loop and elision tiers.
+        Rng trace_rng(13);
+        std::vector<accel::VoltageTrace> traces;
+        traces.push_back(random_glitch_trace(platform.engine(), trace_rng, 6));
+        traces.push_back(random_glitch_trace(platform.engine(), trace_rng, 3));
+        traces.push_back(nominal_trace(platform.engine())); // all-safe trace mix
         std::vector<bool> throttle(platform.engine().schedule().total_cycles, false);
         Rng mask_rng(31);
         for (std::size_t c = 0; c < throttle.size(); ++c) {
             throttle[c] = mask_rng.bernoulli(0.2);
         }
-        const AccuracyResult def_uncached = evaluate_accuracy_defended(
-            platform, ds.test, n_images, traces[0], throttle, 2468);
-        const AccuracyResult def_cached = evaluate_accuracy_defended(
-            platform, ds.test, n_images, traces[0], throttle, 2468, nullptr,
-            golden.get());
-        expect_results_equal(def_cached, def_uncached);
+        const AccuracyResult want = reference_accuracy(platform, ds.test, n_images,
+                                                       traces, 2468);
+        const AccuracyResult want_defended = reference_accuracy(
+            platform, ds.test, n_images, {traces[0]}, 2468, &throttle);
+        EXPECT_GT(want.faults.total(), 0u); // the equivalence is not vacuous
+
+        const auto golden =
+            build_golden_store(platform.engine().network(), ds.test, n_images);
+        const std::vector<const GoldenStore*> stores = {golden.get(), nullptr};
+        for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+            set_global_thread_count(threads);
+            for (const GoldenStore* store : stores) {
+                expect_results_equal(evaluate_accuracy_multi(platform, ds.test, n_images,
+                                                             traces, 2468, nullptr, store),
+                                     want);
+                expect_results_equal(
+                    evaluate_accuracy_defended(platform, ds.test, n_images, traces[0],
+                                               throttle, 2468, nullptr, store),
+                    want_defended);
+            }
+        }
+        set_global_thread_count(0);
     }
-    set_global_thread_count(0);
 }
 
-TEST(GoldenCacheEval, CampaignReportByteIdenticalWithAndWithoutCache) {
-    CampaignConfig cfg;
-    cfg.strike_grid = {300, 900};
-    cfg.eval_images = 20;
-    cfg.blind_offsets = 2;
+// A passed store must cover every evaluated image: entries past its end
+// do not exist, so evaluation refuses instead of reading them.
+TEST(GoldenCacheEval, StoreNotCoveringTheImagesThrows) {
+    Platform platform(PlatformConfig{}, random_qnetwork(61));
+    const auto ds = data::make_datasets(9, 1, 20);
+    const auto short_store = build_golden_store(platform.engine().network(), ds.test, 5);
+    EXPECT_THROW(evaluate_accuracy(platform, ds.test, 8, nullptr, 2468, nullptr,
+                                   short_store.get()),
+                 ContractError);
 
-    std::vector<std::string> reports;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        for (bool cache : {true, false}) {
-            set_global_thread_count(threads);
-            Platform platform(PlatformConfig{}, random_qnetwork(61));
-            const auto ds = data::make_datasets(9, 1, 30);
-            cfg.golden_cache = cache;
-            reports.push_back(run_campaign(platform, ds.test, cfg).to_json().dump(2));
-        }
-    }
-    set_global_thread_count(0);
-    for (std::size_t i = 1; i < reports.size(); ++i) {
-        EXPECT_EQ(reports[0], reports[i]) << "variant " << i;
+    CampaignConfig cfg;
+    cfg.strike_grid = {300};
+    cfg.eval_images = 8;
+    cfg.blind_offsets = 1;
+    const CampaignPlan plan = plan_campaign(platform, ds.test, cfg);
+    ASSERT_EQ(plan.eval_images, 8u);
+    for (std::size_t idx = 0; idx < plan.record_count(); ++idx) {
+        SweepRunner runner(platform, RunnerConfig{1, true});
+        EXPECT_THROW(evaluate_campaign_record(platform, ds.test, plan, runner,
+                                              short_store.get(), idx),
+                     ContractError)
+            << "record " << idx;
     }
 }
 

@@ -18,6 +18,7 @@ namespace deepstrike {
 namespace {
 
 using testing::random_qnetwork;
+using testing::run_engine;
 
 class IntegrationTest : public ::testing::Test {
 protected:
@@ -73,7 +74,7 @@ TEST_F(IntegrationTest, GuidedAttackFaultsOnlyTheTargetLayer) {
 
     Rng rng(5);
     const QTensor img = quant::quantize_image(dataset_->images[0]);
-    const accel::RunResult run = platform_->infer(img, &trace, rng);
+    const accel::RunResult run = run_engine(platform_->engine(), img, &trace, rng);
     EXPECT_GT(run.faults_total.total(), 0u);
     EXPECT_EQ(run.faults_total.total(), run.faults_for("CONV2").total());
 }
@@ -127,8 +128,9 @@ TEST_F(IntegrationTest, FcDuplicationFaultsAreAbsorbed) {
         const std::size_t truth = golden.predict(dataset_->images[i]);
         Rng rng_a(100 + i);
         Rng rng_b(200 + i);
-        const accel::RunResult rc = platform_->infer(img, &conv_trace, rng_a);
-        const accel::RunResult rf = platform_->infer(img, &fc_trace, rng_b);
+        const accel::AccelEngine& engine = platform_->engine();
+        const accel::RunResult rc = run_engine(engine, img, &conv_trace, rng_a);
+        const accel::RunResult rf = run_engine(engine, img, &fc_trace, rng_b);
         conv_flips += rc.predicted != truth;
         fc_flips += rf.predicted != truth;
         fc_faults += rf.faults_total.total();

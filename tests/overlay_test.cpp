@@ -1,5 +1,6 @@
-// Randomized-property tests for the interval-gated fault overlay: the fast
-// path (AccelEngine::run) must be byte-identical to the whole-segment
+// Randomized-property tests for the interval-gated fault overlay: the
+// engine's inference path (AccelEngine::run_elided from the image's golden
+// pass, testing::run_engine) must be byte-identical to the whole-segment
 // per-op oracle (run_reference, tests/engine_reference.cpp) — same logits,
 // same prediction, same fault counts — for any voltage trace, because
 // both consume the fault RNG stream identically and duplication faults see
@@ -15,8 +16,10 @@
 namespace deepstrike::accel {
 namespace {
 
+using deepstrike::testing::expect_same_run;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_engine;
 using deepstrike::testing::run_reference;
 
 AccelEngine make_engine(bool tmr = false, std::uint64_t weight_seed = 1,
@@ -45,25 +48,6 @@ VoltageTrace random_glitch_trace(const AccelEngine& engine, Rng& rng,
         }
     }
     return trace;
-}
-
-void expect_identical(const RunResult& fast, const RunResult& ref) {
-    ASSERT_EQ(fast.logits.size(), ref.logits.size());
-    for (std::size_t i = 0; i < fast.logits.size(); ++i) {
-        ASSERT_EQ(fast.logits.at_unchecked(i).raw(), ref.logits.at_unchecked(i).raw())
-            << "logit " << i;
-    }
-    EXPECT_EQ(fast.predicted, ref.predicted);
-    EXPECT_EQ(fast.faults_total.duplication, ref.faults_total.duplication);
-    EXPECT_EQ(fast.faults_total.random, ref.faults_total.random);
-    ASSERT_EQ(fast.faults_by_layer.size(), ref.faults_by_layer.size());
-    for (std::size_t i = 0; i < fast.faults_by_layer.size(); ++i) {
-        EXPECT_EQ(fast.faults_by_layer[i].label, ref.faults_by_layer[i].label);
-        EXPECT_EQ(fast.faults_by_layer[i].counts.duplication,
-                  ref.faults_by_layer[i].counts.duplication);
-        EXPECT_EQ(fast.faults_by_layer[i].counts.random,
-                  ref.faults_by_layer[i].counts.random);
-    }
 }
 
 TEST(Overlay, UnsafeWindowsMergeAndRespectHalfMask) {
@@ -117,9 +101,9 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         const QTensor img = random_qimage(300 + trial);
         Rng rng_fast(42 + trial);
         Rng rng_ref(42 + trial);
-        const RunResult fast = engine.run(img, &trace, rng_fast);
+        const RunResult fast = run_engine(engine, img, &trace, rng_fast);
         const RunResult ref = run_reference(engine, img, &trace, rng_ref);
-        expect_identical(fast, ref);
+        expect_same_run(fast, ref);
     }
 }
 
@@ -132,7 +116,7 @@ TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {
         const QTensor img = random_qimage(500 + trial);
         Rng rng_fast(9 + trial);
         Rng rng_ref(9 + trial);
-        expect_identical(engine.run(img, &trace, rng_fast),
+        expect_same_run(run_engine(engine, img, &trace, rng_fast),
                          run_reference(engine, img, &trace, rng_ref));
     }
 }
@@ -150,7 +134,7 @@ TEST(Overlay, GatedRunMatchesReferenceWithThrottleMask) {
         const QTensor img = random_qimage(700 + trial);
         Rng rng_fast(3 + trial);
         Rng rng_ref(3 + trial);
-        expect_identical(engine.run(img, &trace, rng_fast, &throttle),
+        expect_same_run(run_engine(engine, img, &trace, rng_fast, &throttle),
                          run_reference(engine, img, &trace, rng_ref, &throttle));
     }
 }
@@ -174,9 +158,9 @@ TEST(Overlay, MidSegmentWindowSeedsPipelineState) {
             const QTensor img = random_qimage(900 + trial);
             Rng rng_fast(17 + trial);
             Rng rng_ref(17 + trial);
-            const RunResult fast = engine.run(img, &trace, rng_fast);
+            const RunResult fast = run_engine(engine, img, &trace, rng_fast);
             const RunResult ref = run_reference(engine, img, &trace, rng_ref);
-            expect_identical(fast, ref);
+            expect_same_run(fast, ref);
             any_fault = any_fault || fast.faults_total.total() > 0;
         }
         // The equivalence must not be vacuous: a 0.6 V droop faults DSPs.
@@ -198,23 +182,8 @@ TEST(Overlay, BoundaryStraddlingWindowMatchesReference) {
         const QTensor img = random_qimage(1100 + trial);
         Rng rng_fast(31 + trial);
         Rng rng_ref(31 + trial);
-        expect_identical(engine.run(img, &trace, rng_fast),
+        expect_same_run(run_engine(engine, img, &trace, rng_fast),
                          run_reference(engine, img, &trace, rng_ref));
-    }
-}
-
-TEST(Overlay, HoistedPlanMatchesLocalPlan) {
-    const AccelEngine engine = make_engine();
-    Rng trace_rng(41);
-    const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 5);
-    const OverlayPlan plan = engine.plan_overlay(&trace);
-    for (std::uint64_t trial = 0; trial < 4; ++trial) {
-        const QTensor img = random_qimage(1300 + trial);
-        Rng rng_hoisted(5 + trial);
-        Rng rng_local(5 + trial);
-        const RunResult hoisted = engine.run(img, &trace, rng_hoisted, nullptr, &plan);
-        const RunResult local = engine.run(img, &trace, rng_local);
-        expect_identical(hoisted, local);
     }
 }
 
@@ -223,7 +192,7 @@ TEST(Overlay, FaultsForUsesLayerIndex) {
     Rng trace_rng(53);
     const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 6);
     Rng rng(77);
-    const RunResult run = engine.run(random_qimage(1500), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(1500), &trace, rng);
     ASSERT_EQ(run.layer_index.size(), run.faults_by_layer.size());
     for (const RunResult::LayerFaults& lf : run.faults_by_layer) {
         const FaultCounts counts = run.faults_for(lf.label);

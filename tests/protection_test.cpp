@@ -13,6 +13,7 @@ namespace {
 
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_engine;
 
 VoltageTrace glitch_trace(const AccelEngine& engine, const std::string& label,
                           double v) {
@@ -37,8 +38,8 @@ TEST(Tmr, SuppressesFaultsAtModerateDroop) {
     const VoltageTrace trace = glitch_trace(unprotected, "CONV2", 0.961);
     Rng rng_a(3);
     Rng rng_b(3);
-    const RunResult r_plain = unprotected.run(img, &trace, rng_a);
-    const RunResult r_tmr = protected_engine.run(img, &trace, rng_b);
+    const RunResult r_plain = run_engine(unprotected, img, &trace, rng_a);
+    const RunResult r_tmr = run_engine(protected_engine, img, &trace, rng_b);
 
     ASSERT_GT(r_plain.faults_total.total(), 50u);
     // At moderate droop the per-replica fault probability p is small, so
@@ -55,7 +56,7 @@ TEST(Tmr, CannotSaveDeepGlitches) {
     const AccelEngine engine(w, tmr, 2021);
     const VoltageTrace trace = glitch_trace(engine, "CONV2", 0.90);
     Rng rng(5);
-    const RunResult run = engine.run(random_qimage(6), &trace, rng);
+    const RunResult run = run_engine(engine, random_qimage(6), &trace, rng);
     EXPECT_GT(run.faults_total.total(), 1000u);
 }
 
@@ -66,7 +67,10 @@ TEST(Tmr, CleanRunUnaffected) {
     const AccelEngine engine(w, tmr, 2021);
     const AccelEngine plain(w, AccelConfig::pynq_z1(), 2021);
     const QTensor img = random_qimage(8);
-    EXPECT_EQ(engine.run_clean(img).logits, plain.run_clean(img).logits);
+    Rng rng_a(1);
+    Rng rng_b(1);
+    EXPECT_EQ(run_engine(engine, img, nullptr, rng_a).logits,
+              run_engine(plain, img, nullptr, rng_b).logits);
 }
 
 TEST(Throttle, MaskSuppressesFaultsInMaskedCyclesOnly) {
@@ -84,17 +88,18 @@ TEST(Throttle, MaskSuppressesFaultsInMaskedCyclesOnly) {
     Rng rng_a(11);
     Rng rng_b(11);
     Rng rng_c(11);
-    const RunResult unmasked = engine.run(img, &trace, rng_a, nullptr);
-    const RunResult half = engine.run(img, &trace, rng_b, &half_mask);
+    const RunResult unmasked = run_engine(engine, img, &trace, rng_a, nullptr);
+    const RunResult half = run_engine(engine, img, &trace, rng_b, &half_mask);
     std::vector<bool> full_mask(engine.schedule().total_cycles, true);
-    const RunResult full = engine.run(img, &trace, rng_c, &full_mask);
+    const RunResult full = run_engine(engine, img, &trace, rng_c, &full_mask);
 
     EXPECT_GT(unmasked.faults_total.total(), 0u);
     EXPECT_LT(half.faults_total.total(), unmasked.faults_total.total());
     EXPECT_GT(half.faults_total.total(), 0u);
     EXPECT_EQ(full.faults_total.total(), 0u);
     // Fully-throttled faulty trace is functionally clean.
-    EXPECT_EQ(full.logits, engine.run_clean(img).logits);
+    Rng rng_d(11);
+    EXPECT_EQ(full.logits, run_engine(engine, img, nullptr, rng_d).logits);
 }
 
 TEST(AccelNetlist, DrcCleanAndPlausibleResources) {

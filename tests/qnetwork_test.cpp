@@ -14,6 +14,7 @@ namespace {
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qtensor;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_engine;
 
 TEST(QLayer, ShapesAndOpCounts) {
     Rng rng(1);
@@ -202,7 +203,8 @@ TEST(QuantizeSequential, ReluAvgPoolNetwork) {
     // Quantized golden tracks the float network on random inputs.
     const QTensor img = random_qimage(23);
     const accel::AccelEngine engine(net, accel::AccelConfig::pynq_z1(), 2021);
-    EXPECT_EQ(engine.run_clean(img).logits, net.forward(img));
+    Rng fault_rng(1);
+    EXPECT_EQ(run_engine(engine, img, nullptr, fault_rng).logits, net.forward(img));
 }
 
 // ---- generic network on the cycle-level engine --------------------------
@@ -215,7 +217,8 @@ TEST(GenericEngine, MiniCnnCleanRunMatchesGolden) {
 
     for (std::uint64_t s = 0; s < 3; ++s) {
         const QTensor img = random_qimage(200 + s);
-        const accel::RunResult run = engine.run_clean(img);
+        Rng fault_rng(s);
+        const accel::RunResult run = run_engine(engine, img, nullptr, fault_rng);
         EXPECT_EQ(run.logits, net.forward(img)) << "seed " << s;
         EXPECT_EQ(run.faults_total.total(), 0u);
     }
@@ -250,7 +253,8 @@ TEST(GenericEngine, MiniCnnFaultAttributionByLabel) {
         trace[i] = 0.945;
     }
     Rng fault_rng(1);
-    const accel::RunResult run = engine.run(random_qimage(15), &trace, fault_rng);
+    const accel::RunResult run =
+        run_engine(engine, random_qimage(15), &trace, fault_rng);
     EXPECT_GT(run.faults_for("CONV2").total(), 0u);
     EXPECT_EQ(run.faults_for("CONV1").total(), 0u);
     EXPECT_EQ(run.faults_for("FC1").total(), 0u);
@@ -267,7 +271,8 @@ TEST(GenericEngine, MlpHasNoConvExposure) {
     accel::VoltageTrace trace(engine.schedule().total_cycles * 2,
                               engine.fc_safe_voltage() + 0.002);
     Rng fault_rng(2);
-    const accel::RunResult run = engine.run(random_qimage(16), &trace, fault_rng);
+    const accel::RunResult run =
+        run_engine(engine, random_qimage(16), &trace, fault_rng);
     EXPECT_EQ(run.faults_total.total(), 0u);
 }
 

@@ -234,15 +234,35 @@ TEST(WeightFaultSearch, ReportIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r1.best, r8.best);
 }
 
+// Fitness resumes each image from the golden store past the unfaulted
+// layers; a plain full forward pass of every eval image on the clean and
+// on the champion-faulted network must reproduce the report's clean
+// accuracy and best drop bit for bit.
 TEST(WeightFaultSearch, GoldenCacheElisionIsByteExact) {
     SmallRig rig;
     sim::WeightFaultSearchConfig config = small_config();
-    const sim::SearchReport with =
+    config.fault_kind = accel::WeightFaultKind::BitFlip;
+    const sim::SearchReport report =
         sim::run_weight_fault_search(rig.network, rig.test, config);
-    config.golden_cache = false;
-    const sim::SearchReport without =
-        sim::run_weight_fault_search(rig.network, rig.test, config);
-    EXPECT_EQ(with.to_json().dump(2), without.to_json().dump(2));
+    ASSERT_GT(report.best_drop, 0.0); // the replay is not vacuous
+
+    const quant::QNetwork faulted = accel::apply_weight_faults(
+        rig.network,
+        accel::uniform_weight_faults(report.best, config.fault_kind, config.fault_bit),
+        config.transfer);
+    std::size_t clean = 0;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < report.eval_images; ++i) {
+        const QTensor img = quant::quantize_image(rig.test.images[i]);
+        clean += argmax(rig.network.forward(img)) == rig.test.labels[i] ? 1 : 0;
+        correct += argmax(faulted.forward(img)) == rig.test.labels[i] ? 1 : 0;
+    }
+    const double n = static_cast<double>(report.eval_images);
+    EXPECT_EQ(sim::double_bits_hex(100.0 * static_cast<double>(clean) / n),
+              sim::double_bits_hex(report.clean_accuracy));
+    EXPECT_EQ(sim::double_bits_hex(
+                  100.0 * (static_cast<double>(clean) - static_cast<double>(correct)) / n),
+              sim::double_bits_hex(report.best_drop));
 }
 
 TEST(WeightFaultSearch, DeepLaserOutDamagesItsBudgetOnARandomNet) {
@@ -340,7 +360,7 @@ TEST(ManifestKeys, SearchManifestRejectsUnknownKeys) {
     typo.set("buget", std::uint64_t{50}); // the classic
     EXPECT_THROW(sim::search_config_from_manifest(typo), FormatError);
 
-    // The golden cache is a test seam, not a manifest knob.
+    // golden_cache was never a manifest knob; no config field carries it.
     Json golden = Json::object();
     golden.set("attack", "deeplaser");
     golden.set("golden_cache", false);

@@ -9,6 +9,7 @@ namespace deepstrike::sim {
 namespace {
 
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_engine;
 
 Platform make_platform(std::uint64_t weight_seed = 1) {
     return Platform(PlatformConfig{}, random_qnetwork(weight_seed));
@@ -88,8 +89,8 @@ TEST(Platform, CleanCosimTraceCausesNoFaults) {
     NoAttackSource source;
     const CosimResult r = platform.simulate_inference(source);
     Rng rng(1);
-    const accel::RunResult run =
-        platform.infer(deepstrike::testing::random_qimage(3), &r.capture_v, rng);
+    const accel::RunResult run = run_engine(
+        platform.engine(), deepstrike::testing::random_qimage(3), &r.capture_v, rng);
     EXPECT_EQ(run.faults_total.total(), 0u);
 }
 

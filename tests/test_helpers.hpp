@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "accel/engine.hpp"
 #include "quant/qnetwork.hpp"
 #include "util/rng.hpp"
 
@@ -84,6 +86,37 @@ inline QTensor random_qimage(std::uint64_t seed) {
         img.at_unchecked(i) = fx::Q3_4::from_real(rng.uniform(0.0, 1.0));
     }
     return img;
+}
+
+/// Runs `image` through the product inference path: the image's golden
+/// pass (QNetwork::forward_trace, what a golden store holds), the overlay
+/// plan of `voltage` (nullptr = nominal), then AccelEngine::run_elided.
+inline accel::RunResult run_engine(const accel::AccelEngine& engine, const QTensor& image,
+                                   const accel::VoltageTrace* voltage, Rng& fault_rng,
+                                   const std::vector<bool>* throttle = nullptr) {
+    const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(image);
+    return engine.run_elided(image, golden.activations, golden.accumulators, voltage,
+                             fault_rng, engine.plan_overlay(voltage), throttle);
+}
+
+/// Same logits, prediction and fault counts, in total and per layer.
+inline void expect_same_run(const accel::RunResult& got, const accel::RunResult& want) {
+    ASSERT_EQ(got.logits.size(), want.logits.size());
+    for (std::size_t i = 0; i < got.logits.size(); ++i) {
+        ASSERT_EQ(got.logits.at_unchecked(i).raw(), want.logits.at_unchecked(i).raw())
+            << "logit " << i;
+    }
+    EXPECT_EQ(got.predicted, want.predicted);
+    EXPECT_EQ(got.faults_total.duplication, want.faults_total.duplication);
+    EXPECT_EQ(got.faults_total.random, want.faults_total.random);
+    ASSERT_EQ(got.faults_by_layer.size(), want.faults_by_layer.size());
+    for (std::size_t i = 0; i < got.faults_by_layer.size(); ++i) {
+        EXPECT_EQ(got.faults_by_layer[i].label, want.faults_by_layer[i].label);
+        EXPECT_EQ(got.faults_by_layer[i].counts.duplication,
+                  want.faults_by_layer[i].counts.duplication);
+        EXPECT_EQ(got.faults_by_layer[i].counts.random,
+                  want.faults_by_layer[i].counts.random);
+    }
 }
 
 } // namespace deepstrike::testing
