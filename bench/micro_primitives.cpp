@@ -9,9 +9,11 @@
 // CI consumes for regression smoke checks.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <vector>
 
 #include "accel/engine.hpp"
 #include "attack/detector.hpp"
@@ -68,13 +70,34 @@ ds::quant::QNetwork bench_weights() {
     return net;
 }
 
-ds::QTensor bench_image() {
-    ds::Rng rng(7);
-    ds::QTensor img(ds::Shape{1, 28, 28});
-    for (std::size_t i = 0; i < img.size(); ++i) {
-        img.at_unchecked(i) = ds::fx::Q3_4::from_real(rng.uniform(0.0, 1.0));
+/// `count` seeded tensors of `shape` with Q3.4 values drawn uniformly
+/// from [lo, hi], one Rng stream for all of them.
+std::vector<ds::QTensor> random_qtensors(std::size_t count, const ds::Shape& shape,
+                                         double lo, double hi, std::uint64_t seed) {
+    ds::Rng rng(seed);
+    std::vector<ds::QTensor> out;
+    for (std::size_t n = 0; n < count; ++n) {
+        ds::QTensor t(shape);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            t.at_unchecked(i) = ds::fx::Q3_4::from_real(rng.uniform(lo, hi));
+        }
+        out.push_back(std::move(t));
     }
-    return img;
+    return out;
+}
+
+ds::QTensor bench_image() {
+    return random_qtensors(1, ds::Shape{1, 28, 28}, 0.0, 1.0, 7).front();
+}
+
+// The layer and forward benches below cycle through 64 distinct inputs and
+// time one input per iteration. A single repeated input lets the branch
+// predictor learn its data, which hides data-dependent costs (pooling and
+// writeback once measured 2-6x cheaper on one repeated input).
+constexpr std::size_t kCycledInputs = 64;
+
+std::vector<ds::QTensor> cycled_images() {
+    return random_qtensors(kCycledInputs, ds::Shape{1, 28, 28}, 0.0, 1.0, 7);
 }
 
 void BM_PdnStep(benchmark::State& state) {
@@ -138,22 +161,16 @@ BENCHMARK(BM_DetectorSample);
 // CONV2-geometry conv layer (K = 6*5*5 = 150, 16 output channels on a
 // 12x12 plane) through the im2col/GEMM engine (the packed-weight pmaddwd
 // kernel on AVX2 hosts). CI gates it against its baseline.
-ds::QTensor conv2_input() {
-    ds::Rng rng(9);
-    ds::QTensor t(ds::Shape{6, 12, 12});
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        t.at_unchecked(i) = ds::fx::Q3_4::from_real(rng.uniform(-1.0, 1.0));
-    }
-    return t;
-}
-
 void BM_Qconv2dGemm(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv2 = net.layer("CONV2");
-    const ds::QTensor input = conv2_input();
+    const std::vector<ds::QTensor> inputs =
+        random_qtensors(kCycledInputs, ds::Shape{6, 12, 12}, -1.0, 1.0, 9);
+    std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ds::quant::qconv2d(input, conv2.weight, conv2.bias, conv2.activation));
+            ds::quant::qconv2d(inputs[i], conv2.weight, conv2.bias, conv2.activation));
+        i = (i + 1) % kCycledInputs;
     }
 }
 BENCHMARK(BM_Qconv2dGemm);
@@ -161,19 +178,25 @@ BENCHMARK(BM_Qconv2dGemm);
 void BM_QConv2dLayer(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv1 = net.layer("CONV1");
-    const ds::QTensor img = bench_image();
+    const std::vector<ds::QTensor> images = cycled_images();
+    std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ds::quant::qconv2d(img, conv1.weight, conv1.bias, true));
+            ds::quant::qconv2d(images[i], conv1.weight, conv1.bias, true));
+        i = (i + 1) % kCycledInputs;
     }
 }
 BENCHMARK(BM_QConv2dLayer);
 
+// One whole quantized forward (CONV1 through FC2); CI gates it so a
+// regression in pooling, writeback or forward_from fails perf-smoke.
 void BM_GoldenInference(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
-    const ds::QTensor img = bench_image();
+    const std::vector<ds::QTensor> images = cycled_images();
+    std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(net.forward(img));
+        benchmark::DoNotOptimize(net.forward(images[i]));
+        i = (i + 1) % kCycledInputs;
     }
 }
 BENCHMARK(BM_GoldenInference);

@@ -371,15 +371,9 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
                     // Comparator/adder mis-operated: an arbitrary window
                     // element (possibly the right one) wins.
                     out.at(c, r, wdx) = window[rng.uniform_int(0, 3)];
-                } else if (average) {
-                    const std::int32_t sum = window[0].raw() + window[1].raw() +
-                                             window[2].raw() + window[3].raw();
-                    const std::int32_t avg =
-                        sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
-                    out.at(c, r, wdx) = Q3_4::from_raw(static_cast<std::int16_t>(avg));
                 } else {
-                    out.at(c, r, wdx) = std::max(std::max(window[0], window[1]),
-                                                 std::max(window[2], window[3]));
+                    out.at(c, r, wdx) = quant::pool_window(average, window[0], window[1],
+                                                           window[2], window[3]);
                 }
             }
         }

@@ -19,6 +19,24 @@
 
 namespace deepstrike::fx {
 
+/// v / 2^Shift rounded to nearest, ties away from zero, with no branch on
+/// the data. For v >= 0 that is floor((v + half) / 2^Shift); for v < 0 it
+/// is -floor((-v + half) / 2^Shift), which equals floor((v + half - 1) /
+/// 2^Shift). The sign mask v >> 63 (0 or -1) supplies the -1, and the
+/// arithmetic shift floors. Requires v + 2^(Shift-1) to fit in int64. The
+/// one rounding of the quantized datapath: the accumulator writeback
+/// (Fixed::from_accumulator, and with it Fixed's multiply) and average
+/// pooling.
+template <int Shift>
+constexpr std::int64_t round_shift(std::int64_t v) {
+    static_assert(Shift >= 0 && Shift < 63, "shift in range");
+    if constexpr (Shift == 0) {
+        return v;
+    } else {
+        return (v + (std::int64_t{1} << (Shift - 1)) + (v >> 63)) >> Shift;
+    }
+}
+
 /// Signed fixed point: 1 sign bit + IntBits integer bits + FracBits
 /// fraction bits. Total width must fit in 16 bits (storage int16_t);
 /// the accelerator's wide accumulator uses Acc (int64) directly.
@@ -79,8 +97,7 @@ public:
     /// Saturating multiply with round-to-nearest (ties away from zero),
     /// matching a DSP multiply followed by a right shift of FracBits.
     friend constexpr Fixed operator*(Fixed a, Fixed b) {
-        const std::int64_t prod = static_cast<std::int64_t>(a.raw_) * b.raw_;
-        return from_saturated(round_shift(prod));
+        return from_accumulator(wide_product(a, b));
     }
 
     constexpr auto operator<=>(const Fixed&) const = default;
@@ -96,29 +113,25 @@ public:
         return static_cast<std::int64_t>(a.raw_) * b.raw_;
     }
 
-    /// Converts an accumulator value in 2^(2*FracBits) units back to Fixed,
-    /// with rounding and saturation (the accelerator writeback stage).
+    /// Converts an accumulator value in 2^(2*FracBits) units back to Fixed
+    /// (the accelerator writeback stage): nearest with ties away from zero,
+    /// saturated, with no branch on the data. It saturates first, with
+    /// min/max in accumulator units. Rounding is monotone and maps
+    /// raw_min * 2^FracBits and raw_max * 2^FracBits to raw_min and
+    /// raw_max, so the result equals rounding first, and any int64 input
+    /// rounds without overflow.
     static constexpr Fixed from_accumulator(std::int64_t acc) {
-        return from_saturated(round_shift(acc));
+        constexpr std::int64_t lo = std::int64_t{raw_min} * (std::int64_t{1} << FracBits);
+        constexpr std::int64_t hi = std::int64_t{raw_max} * (std::int64_t{1} << FracBits);
+        acc = std::min<std::int64_t>(std::max<std::int64_t>(acc, lo), hi);
+        return from_raw(static_cast<raw_type>(round_shift<FracBits>(acc)));
     }
 
 private:
-    /// Rounds a value in 2^(2*FracBits) units down to 2^FracBits units,
-    /// nearest with ties away from zero. No-op when FracBits == 0.
-    /// Negative values round via the magnitude: a plain arithmetic shift
-    /// would floor (bias toward -inf) instead of rounding.
-    static constexpr std::int64_t round_shift(std::int64_t wide) {
-        if constexpr (FracBits == 0) {
-            return wide;
-        } else {
-            const std::int64_t half = 1LL << (FracBits - 1);
-            if (wide >= 0) return (wide + half) >> FracBits;
-            return -((-wide + half) >> FracBits);
-        }
-    }
-
+    /// Saturates to [raw_min, raw_max] with min/max (conditional moves,
+    /// not branches).
     static constexpr Fixed from_saturated(std::int64_t wide) {
-        wide = std::clamp<std::int64_t>(wide, raw_min, raw_max);
+        wide = std::min<std::int64_t>(std::max<std::int64_t>(wide, raw_min), raw_max);
         return from_raw(static_cast<raw_type>(wide));
     }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 #include "quant/kernels.hpp"
 #include "util/error.hpp"
@@ -230,6 +231,40 @@ __attribute__((target("avx2"))) void gemm_nt_s32_avx2(
     }
 }
 
+/// Broadcasts the input pair (p[0], p[1]) to all eight int32 lanes.
+__attribute__((target("avx2"))) inline __m256i broadcast_pair(const std::int16_t* p) {
+    std::int32_t pair = 0; // unaligned 2x int16 load, UBSan-clean
+    std::memcpy(&pair, p, sizeof(pair));
+    return _mm256_set1_epi32(pair);
+}
+
+/// R consecutive patch rows of the conv microkernel below: each packed
+/// weight vector is loaded once and feeds R independent accumulators.
+template <std::size_t R>
+__attribute__((target("avx2"))) inline void conv_rows_avx2(
+    const std::int16_t* prow, std::size_t row_stride, const std::int16_t* wpack,
+    std::int32_t* crow, std::size_t ldc, std::size_t n_blocks, std::size_t n_pairs) {
+    const std::int16_t* wp = wpack;
+    for (std::size_t blk = 0; blk < n_blocks; ++blk) {
+        __m256i acc[R];
+        for (std::size_t i = 0; i < R; ++i) acc[i] = _mm256_setzero_si256();
+        for (std::size_t t = 0; t < n_pairs; ++t) {
+            const __m256i w =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wp + t * 16));
+            for (std::size_t i = 0; i < R; ++i) {
+                acc[i] = _mm256_add_epi32(
+                    acc[i],
+                    _mm256_madd_epi16(broadcast_pair(prow + i * row_stride + 2 * t), w));
+            }
+        }
+        for (std::size_t i = 0; i < R; ++i) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + i * ldc + blk * 8),
+                                acc[i]);
+        }
+        wp += n_pairs * 16;
+    }
+}
+
 /// Conv microkernel over packed weights: for each patch row, accumulate
 /// all output channels vertically in int32 lanes. The weights are packed
 /// as interleaved channel pairs — wpack lane l of pair t holds
@@ -237,31 +272,22 @@ __attribute__((target("avx2"))) void gemm_nt_s32_avx2(
 /// broadcast input pair advances 8 output channels by two K-steps. No
 /// horizontal sums and no scalar K-tail (K is zero-padded to even), which
 /// is what the hsum-per-element NT kernel above cannot avoid at conv
-/// shapes (small m, k far from a register multiple). Lane l's accumulator
-/// is the plain ascending-pair integer sum, so the result is exactly the
-/// scalar dot product.
+/// shapes (small m, k far from a register multiple). Rows go four at a
+/// time, so each weight load serves four accumulators. Lane l's
+/// accumulator is the plain ascending-pair integer sum, so the result is
+/// exactly the scalar dot product.
 __attribute__((target("avx2"))) void conv_cols_avx2(
     const std::int16_t* patches, std::size_t row_stride,
     const std::int16_t* wpack, std::int32_t* c, std::size_t ldc,
     std::size_t rows, std::size_t n_blocks, std::size_t n_pairs) {
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::int16_t* prow = patches + r * row_stride;
-        std::int32_t* crow = c + r * ldc;
-        const std::int16_t* wp = wpack;
-        for (std::size_t blk = 0; blk < n_blocks; ++blk) {
-            __m256i acc = _mm256_setzero_si256();
-            for (std::size_t t = 0; t < n_pairs; ++t) {
-                std::int32_t pair = 0; // unaligned 2x int16 load, UBSan-clean
-                std::memcpy(&pair, prow + 2 * t, sizeof(pair));
-                acc = _mm256_add_epi32(
-                    acc, _mm256_madd_epi16(
-                             _mm256_set1_epi32(pair),
-                             _mm256_loadu_si256(
-                                 reinterpret_cast<const __m256i*>(wp + t * 16))));
-            }
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + blk * 8), acc);
-            wp += n_pairs * 16;
-        }
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        conv_rows_avx2<4>(patches + r * row_stride, row_stride, wpack, c + r * ldc, ldc,
+                          n_blocks, n_pairs);
+    }
+    for (; r < rows; ++r) {
+        conv_rows_avx2<1>(patches + r * row_stride, row_stride, wpack, c + r * ldc, ldc,
+                          n_blocks, n_pairs);
     }
 }
 
@@ -286,6 +312,9 @@ namespace {
 struct ConvGeom {
     std::size_t in_c, in_h, in_w, out_c, k, kk, out_h, out_w, plane, K;
 };
+
+/// Patch-row length: K rounded up to even.
+std::size_t padded_k(std::size_t K) { return (K + 1) & ~static_cast<std::size_t>(1); }
 
 ConvGeom conv_geometry(const QTensor& input, const QTensor& weight,
                        const QTensor& bias) {
@@ -313,47 +342,85 @@ ConvGeom conv_geometry(const QTensor& input, const QTensor& weight,
 
 /// Packs one image's patch matrix: row pix holds the receptive field at
 /// output pixel pix, K elements in the (ic, kr, kc) order weight rows
-/// use, zero-padded to `row_stride`. Each (ic, kr) span is k contiguous
-/// input elements, so the pack is a strided sequence of small copies.
-void im2col_rows(const QTensor& input, const ConvGeom& g, std::size_t row_stride,
-                 std::int16_t* rows) {
-    const std::int16_t* in = raw(input);
+/// use, then one zero when K is odd (rows are K2 = K rounded up to even
+/// long, the pair granularity of the conv kernel). Each (ic, kr) span is k
+/// contiguous input elements. Kw is the span width fixed at compile time
+/// (every zoo conv has k = 3 or 5): each span's copy then has a constant
+/// size and compiles to a few inline moves, not a library memcpy call.
+/// Kw == 0 reads the width g.k at run time.
+template <std::size_t Kw>
+void im2col_rows(const std::int16_t* __restrict in, const ConvGeom& g,
+                 std::int16_t* __restrict rows) {
+    const std::size_t k = Kw != 0 ? Kw : g.k;
+    const std::size_t row_stride = padded_k(g.K);
     std::int16_t* dst_row = rows;
     for (std::size_t r = 0; r < g.out_h; ++r) {
         for (std::size_t c = 0; c < g.out_w; ++c) {
             std::int16_t* dst = dst_row;
             for (std::size_t ic = 0; ic < g.in_c; ++ic) {
                 const std::int16_t* src = in + (ic * g.in_h + r) * g.in_w + c;
-                for (std::size_t kr = 0; kr < g.k; ++kr) {
-                    std::memcpy(dst, src, g.k * sizeof(std::int16_t));
-                    dst += g.k;
+                for (std::size_t kr = 0; kr < k; ++kr) {
+                    std::memcpy(dst, src, k * sizeof(std::int16_t));
+                    dst += k;
                     src += g.in_w;
                 }
             }
-            for (std::size_t t = g.K; t < row_stride; ++t) dst_row[t] = 0;
+            if (row_stride != g.K) *dst = 0;
             dst_row += row_stride;
         }
     }
 }
 
+void im2col(const QTensor& input, const ConvGeom& g, std::int16_t* rows) {
+    switch (g.k) {
+        case 3: im2col_rows<3>(raw(input), g, rows); break;
+        case 5: im2col_rows<5>(raw(input), g, rows); break;
+        default: im2col_rows<0>(raw(input), g, rows); break;
+    }
+}
+
+/// Folds the bias into one image's GEMM output and transposes it from
+/// C[pix, oc] (row stride ocp) into the accumulator layout
+/// accs[oc * plane + pix], in one pass over tiles of kTile pixels: a
+/// tile's kTile source rows and its out_c destination spans stay in cache
+/// while the tile is written.
+void fold_bias_transpose(const std::int32_t* c_img, std::size_t ocp,
+                         const std::int16_t* b_raw, std::size_t out_c,
+                         std::size_t plane, fx::Acc* accs) {
+    constexpr std::size_t kTile = 8;
+    const auto tile = [&](std::size_t p0, auto width) {
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            const fx::Acc bias_acc = static_cast<fx::Acc>(b_raw[oc]) << Q3_4::frac_bits;
+            const std::int32_t* src = c_img + p0 * ocp + oc;
+            fx::Acc* dst = accs + oc * plane + p0;
+            for (std::size_t p = 0; p < width; ++p) dst[p] = bias_acc + src[p * ocp];
+        }
+    };
+    std::size_t p0 = 0;
+    for (; p0 + kTile <= plane; p0 += kTile) {
+        tile(p0, std::integral_constant<std::size_t, kTile>{});
+    }
+    if (p0 < plane) tile(p0, plane - p0);
+}
+
 /// Shared core of the single-image and batched conv paths: one GEMM over
-/// `n_images * plane` packed patch rows, then per-image bias folding. The
+/// `n_images * plane` packed patch rows, then per image one bias fold and
+/// transpose (fold_bias_transpose). The
 /// int32 results land in C[row, oc] (row = b*plane + pix) with row stride
 /// `ocp` — the layout both the packed AVX2 kernel and the scalar NT
 /// kernel (A = patches, B = weight rows) produce naturally.
-void conv2d_accs_impl(const std::vector<const QTensor*>& inputs,
+void conv2d_accs_impl(const QTensor* const* inputs, std::size_t n_images,
                       const QTensor& weight, const QTensor& bias,
                       std::vector<std::vector<fx::Acc>>& accs) {
-    const std::size_t n_images = inputs.size();
     expects(n_images > 0, "gemm::conv2d: at least one image");
     const ConvGeom g = conv_geometry(*inputs[0], weight, bias);
-    for (const QTensor* in : inputs) {
-        expects(in->shape() == inputs[0]->shape(),
+    for (std::size_t b = 1; b < n_images; ++b) {
+        expects(inputs[b]->shape() == inputs[0]->shape(),
                 "gemm::conv2d: uniform batch shapes");
     }
 
     const std::size_t rows = n_images * g.plane;
-    const std::size_t K2 = (g.K + 1) & ~static_cast<std::size_t>(1);
+    const std::size_t K2 = padded_k(g.K);
     [[maybe_unused]] const bool avx2 = simd::active();
 #if DS_GEMM_X86
     const std::size_t ocp = avx2 ? (g.out_c + 7) & ~static_cast<std::size_t>(7)
@@ -366,7 +433,7 @@ void conv2d_accs_impl(const std::vector<const QTensor*>& inputs,
     ws.patches.resize(rows * K2);
     ws.c32.resize(rows * ocp);
     for (std::size_t b = 0; b < n_images; ++b) {
-        im2col_rows(*inputs[b], g, K2, ws.patches.data() + b * g.plane * K2);
+        im2col(*inputs[b], g, ws.patches.data() + b * g.plane * K2);
     }
 
 #if DS_GEMM_X86
@@ -400,38 +467,28 @@ void conv2d_accs_impl(const std::vector<const QTensor*>& inputs,
 #endif
     count_gemm(g.out_c, rows, g.K);
 
-    const std::int16_t* b_raw = raw(bias);
     accs.resize(n_images);
     for (std::size_t b = 0; b < n_images; ++b) {
-        std::vector<fx::Acc>& a = accs[b];
-        a.resize(g.out_c * g.plane);
-        const std::int32_t* c_img = ws.c32.data() + b * g.plane * ocp;
-        for (std::size_t oc = 0; oc < g.out_c; ++oc) {
-            const fx::Acc bias_acc = static_cast<fx::Acc>(b_raw[oc])
-                                     << Q3_4::frac_bits;
-            fx::Acc* dst = a.data() + oc * g.plane;
-            for (std::size_t pix = 0; pix < g.plane; ++pix) {
-                dst[pix] = bias_acc + c_img[pix * ocp + oc];
-            }
-        }
+        accs[b].resize(g.out_c * g.plane);
+        fold_bias_transpose(ws.c32.data() + b * g.plane * ocp, ocp, raw(bias), g.out_c,
+                            g.plane, accs[b].data());
     }
 }
 
 /// Shared core of the dense paths. A = the gathered input rows (so the
 /// weight matrix — the big operand — streams exactly once per block),
 /// giving C[b, o] contiguous per image.
-void dense_accs_impl(const std::vector<const QTensor*>& inputs,
+void dense_accs_impl(const QTensor* const* inputs, std::size_t n_images,
                      const QTensor& weight, const QTensor& bias,
                      std::vector<std::vector<fx::Acc>>& accs) {
-    const std::size_t n_images = inputs.size();
     expects(n_images > 0, "gemm::dense: at least one image");
     expects(weight.shape().rank() == 2, "gemm::dense: weight rank 2");
     const std::size_t out_n = weight.shape().dim(0);
     const std::size_t in_n = weight.shape().dim(1);
     expects(bias.size() == out_n, "gemm::dense: bias size");
     expects(in_n <= 65536, "gemm::dense: fan-in fits int32");
-    for (const QTensor* in : inputs) {
-        expects(in->size() == in_n, "gemm::dense: input feature mismatch");
+    for (std::size_t b = 0; b < n_images; ++b) {
+        expects(inputs[b]->size() == in_n, "gemm::dense: input feature mismatch");
     }
 
     Workspace& ws = workspace();
@@ -471,38 +528,65 @@ thread_local std::vector<std::vector<fx::Acc>> single_accs_tls;
 
 void conv2d_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                  std::vector<fx::Acc>& accs) {
-    std::vector<const QTensor*> one{&input};
+    const QTensor* one = &input;
     std::vector<std::vector<fx::Acc>>& out = single_accs_tls;
-    conv2d_accs_impl(one, weight, bias, out);
+    conv2d_accs_impl(&one, 1, weight, bias, out);
     accs.swap(out[0]); // recycle the caller's buffer into the scratch slot
 }
 
 void dense_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 std::vector<fx::Acc>& accs) {
-    std::vector<const QTensor*> one{&input};
+    const QTensor* one = &input;
     std::vector<std::vector<fx::Acc>>& out = single_accs_tls;
-    dense_accs_impl(one, weight, bias, out);
+    dense_accs_impl(&one, 1, weight, bias, out);
     accs.swap(out[0]);
 }
 
 void conv2d_accs_batch(const std::vector<const QTensor*>& inputs,
                        const QTensor& weight, const QTensor& bias,
                        std::vector<std::vector<fx::Acc>>& accs) {
-    conv2d_accs_impl(inputs, weight, bias, accs);
+    conv2d_accs_impl(inputs.data(), inputs.size(), weight, bias, accs);
 }
 
 void dense_accs_batch(const std::vector<const QTensor*>& inputs,
                       const QTensor& weight, const QTensor& bias,
                       std::vector<std::vector<fx::Acc>>& accs) {
-    dense_accs_impl(inputs, weight, bias, accs);
+    dense_accs_impl(inputs.data(), inputs.size(), weight, bias, accs);
 }
+
+namespace {
+
+/// out[p] = activate(Q3_4::from_accumulator(accs[p])) for one activation
+/// fixed at compile time.
+template <typename Activate>
+void write_back_as(const fx::Acc* accs, std::size_t n, Q3_4* out,
+                   const Activate& activate) {
+    for (std::size_t p = 0; p < n; ++p) {
+        out[p] = activate(Q3_4::from_accumulator(accs[p]));
+    }
+}
+
+} // namespace
 
 void write_back(const fx::Acc* accs, std::size_t n, Activation activation,
                 QTensor& out) {
     assert(out.size() == n);
-    Q3_4* out_data = out.data();
-    for (std::size_t p = 0; p < n; ++p) {
-        out_data[p] = apply_activation(Q3_4::from_accumulator(accs[p]), activation);
+    Q3_4* dst = out.data();
+    switch (activation) {
+        case Activation::None:
+            write_back_as(accs, n, dst, [](Q3_4 v) { return v; });
+            return;
+        case Activation::Tanh: {
+            const fx::TanhLut& lut = fx::TanhLut::instance();
+            write_back_as(accs, n, dst, [&lut](Q3_4 v) { return lut(v); });
+            return;
+        }
+        case Activation::Relu:
+            write_back_as(accs, n, dst, [](Q3_4 v) { return qrelu(v); });
+            return;
+        case Activation::Sign:
+            write_back_as(accs, n, dst, [](Q3_4 v) { return qsign(v); });
+            return;
     }
 }
 

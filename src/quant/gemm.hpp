@@ -8,7 +8,12 @@
 //
 //   conv  — im2col packs each output pixel's receptive field into one
 //           [K = in_c*k*k] row (same (ic,kr,kc) order the weight rows use),
-//           so a layer becomes C[out_c, pixels] = W[out_c, K] x P[pixels, K]^T;
+//           so a layer becomes C[out_c, pixels] = W[out_c, K] x P[pixels, K]^T.
+//           The packing copies each k-wide span inline at a width fixed at
+//           compile time (k = 3 and 5, every zoo conv; other widths read k
+//           at run time). The GEMM emits C as [pixel, channel]; one pass over
+//           8-pixel tiles folds the bias and transposes it into the
+//           [channel, pixel] accumulator layout;
 //   dense — already a GEMM: C[images, out_n] = X[images, in_n] x W[out_n, in_n]^T
 //           (zero-copy on both operands);
 //   batch — the patch/input matrices of an image block concatenate along
@@ -84,8 +89,10 @@ void dense_accs_batch(const std::vector<const QTensor*>& inputs,
                       std::vector<std::vector<fx::Acc>>& accs);
 
 /// Writeback stage of every conv/dense layer: out[p] =
-/// apply_activation(Q3_4::from_accumulator(accs[p])). `out` preallocated
-/// with n elements.
+/// apply_activation(Q3_4::from_accumulator(accs[p])), with the activation
+/// chosen once per call and the branch-free rounding of
+/// Fixed::from_accumulator per element. `out` preallocated with n
+/// elements.
 void write_back(const fx::Acc* accs, std::size_t n, Activation activation,
                 QTensor& out);
 

@@ -15,14 +15,6 @@ QTensor quantize_image(const FloatTensor& image) {
     return quantize(image);
 }
 
-fx::Q3_4 qrelu(fx::Q3_4 x) {
-    return std::max(x, Q3_4::zero());
-}
-
-fx::Q3_4 qsign(fx::Q3_4 x) {
-    return x.raw() >= 0 ? Q3_4::from_real(1.0) : Q3_4::from_real(-1.0);
-}
-
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 bool apply_tanh) {
     return qconv2d(input, weight, bias,
@@ -40,58 +32,39 @@ QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias
     return out;
 }
 
-QTensor qmaxpool2(const QTensor& input) {
-    expects(input.shape().rank() == 3, "qmaxpool2: input rank 3");
+namespace {
+
+/// Both 2x2/stride-2 pooling kernels: one pool_window per output, over
+/// input rows 2r and 2r + 1 of every channel (the rows of all channels are
+/// contiguous, so the walk is one loop over output rows). Average is a
+/// template parameter so each kernel's loop holds only its own window.
+template <bool Average>
+QTensor pool2(const QTensor& input) {
+    expects(input.shape().rank() == 3, "pool2: input rank 3");
     expects(input.shape().dim(1) % 2 == 0 && input.shape().dim(2) % 2 == 0,
-            "qmaxpool2: even spatial dims");
-    const std::size_t ch = input.shape().dim(0);
-    const std::size_t oh = input.shape().dim(1) / 2;
+            "pool2: even spatial dims");
+    const std::size_t rows = input.shape().dim(0) * input.shape().dim(1) / 2;
     const std::size_t ow = input.shape().dim(2) / 2;
-    QTensor out(Shape{ch, oh, ow});
+    QTensor out(Shape{input.shape().dim(0), input.shape().dim(1) / 2, ow});
     const std::size_t iw = 2 * ow;
     const Q3_4* in = input.data();
     Q3_4* dst = out.data();
-    for (std::size_t c = 0; c < ch; ++c) {
-        for (std::size_t r = 0; r < oh; ++r) {
-            const Q3_4* row0 = in + (c * 2 * oh + 2 * r) * iw;
-            const Q3_4* row1 = row0 + iw;
-            for (std::size_t w = 0; w < ow; ++w) {
-                const Q3_4 top = std::max(row0[2 * w], row0[2 * w + 1]);
-                const Q3_4 bot = std::max(row1[2 * w], row1[2 * w + 1]);
-                *dst++ = std::max(top, bot);
-            }
+    for (std::size_t r = 0; r < rows; ++r, dst += ow) {
+        const Q3_4* row0 = in + 2 * r * iw;
+        const Q3_4* row1 = row0 + iw;
+        for (std::size_t w = 0; w < ow; ++w) {
+            dst[w] = pool_window(Average, row0[2 * w], row0[2 * w + 1], row1[2 * w],
+                                 row1[2 * w + 1]);
         }
     }
     return out;
 }
 
-QTensor qavgpool2(const QTensor& input) {
-    expects(input.shape().rank() == 3, "qavgpool2: input rank 3");
-    expects(input.shape().dim(1) % 2 == 0 && input.shape().dim(2) % 2 == 0,
-            "qavgpool2: even spatial dims");
-    const std::size_t ch = input.shape().dim(0);
-    const std::size_t oh = input.shape().dim(1) / 2;
-    const std::size_t ow = input.shape().dim(2) / 2;
-    QTensor out(Shape{ch, oh, ow});
-    const std::size_t iw = 2 * ow;
-    const Q3_4* in = input.data();
-    Q3_4* dst = out.data();
-    for (std::size_t c = 0; c < ch; ++c) {
-        for (std::size_t r = 0; r < oh; ++r) {
-            const Q3_4* row0 = in + (c * 2 * oh + 2 * r) * iw;
-            const Q3_4* row1 = row0 + iw;
-            for (std::size_t w = 0; w < ow; ++w) {
-                // Sum in raw units, then divide by 4 rounding to nearest
-                // (ties away from zero) — an adder tree plus a shift.
-                const std::int32_t sum = row0[2 * w].raw() + row0[2 * w + 1].raw() +
-                                         row1[2 * w].raw() + row1[2 * w + 1].raw();
-                const std::int32_t avg = sum >= 0 ? (sum + 2) / 4 : -((-sum + 2) / 4);
-                *dst++ = Q3_4::from_raw(static_cast<std::int16_t>(avg));
-            }
-        }
-    }
-    return out;
-}
+} // namespace
+
+QTensor qmaxpool2(const QTensor& input) { return pool2<false>(input); }
+
+QTensor qavgpool2(const QTensor& input) { return pool2<true>(input); }
 
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                bool apply_tanh) {

@@ -116,30 +116,29 @@ QTensor QNetwork::forward(const QTensor& input) const {
 
 QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activation) const {
     expects(first_layer <= layers.size(), "QNetwork: first_layer in range");
-    QTensor x = activation;
+    if (first_layer == layers.size()) return activation;
+    // The first layer reads the caller's tensor in place. A dense layer
+    // consumes a rank-3 activation as is: gemm::dense_accs takes any input
+    // of the right size, so the implicit flatten is a shape change only.
+    const QTensor* in = &activation;
+    QTensor x;
     for (std::size_t li = first_layer; li < layers.size(); ++li) {
         const QLayer& layer = layers[li];
-        if (layer.kind == QLayerKind::Dense && x.shape().rank() != 1) {
-            QTensor flat(Shape{x.size()});
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                flat.at_unchecked(i) = x.at_unchecked(i);
-            }
-            x = std::move(flat);
-        }
         switch (layer.kind) {
             case QLayerKind::Conv:
-                x = qconv2d(x, layer.weight, layer.bias, layer.activation);
+                x = qconv2d(*in, layer.weight, layer.bias, layer.activation);
                 break;
             case QLayerKind::Pool2:
-                x = qmaxpool2(x);
+                x = qmaxpool2(*in);
                 break;
             case QLayerKind::AvgPool2:
-                x = qavgpool2(x);
+                x = qavgpool2(*in);
                 break;
             case QLayerKind::Dense:
-                x = qdense(x, layer.weight, layer.bias, layer.activation);
+                x = qdense(*in, layer.weight, layer.bias, layer.activation);
                 break;
         }
+        in = &x;
     }
     return x;
 }

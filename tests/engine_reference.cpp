@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::testing {
@@ -135,7 +136,7 @@ QTensor run_conv(const accel::AccelEngine& engine, const QTensor& input,
                         }
                     }
                 }
-                out.at(oc, r, c) = quant::apply_activation(Q3_4::from_accumulator(acc),
+                out.at(oc, r, c) = quant::apply_activation(naive_from_accumulator(acc),
                                                             layer.activation);
             }
         }
@@ -179,7 +180,7 @@ QTensor run_fc(const accel::AccelEngine& engine, const QTensor& input,
             ++g;
         }
         out.at(o) =
-            quant::apply_activation(Q3_4::from_accumulator(acc), layer.activation);
+            quant::apply_activation(naive_from_accumulator(acc), layer.activation);
     }
     return out;
 }
@@ -190,9 +191,7 @@ QTensor run_pool(const accel::AccelEngine& engine, const QTensor& input,
                  FaultCounts& counts) {
     const bool average = layer.kind == quant::QLayerKind::AvgPool2;
     const double safe_v = engine.pool_safe_voltage();
-    if (!segment_under_voltage(seg, voltage, safe_v)) {
-        return average ? quant::qavgpool2(input) : quant::qmaxpool2(input);
-    }
+    if (!segment_under_voltage(seg, voltage, safe_v)) return naive_pool2(input, average);
 
     const std::size_t ch = input.shape().dim(0);
     const std::size_t oh = input.shape().dim(1) / 2;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "fx/fixed.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace deepstrike::fx {
@@ -71,6 +74,53 @@ TEST(Fixed, AccumulatorSaturates) {
         acc += Q3_4::wide_product(Q3_4::from_real(4.0), Q3_4::from_real(4.0));
     }
     EXPECT_EQ(Q3_4::from_accumulator(acc), Q3_4::max());
+}
+
+// The branch-free writeback rounding against its if/else oracle: every
+// accumulator in [-2^20, 2^20] (far past both saturation edges), a seeded
+// sample of +-2^40 values, and each tie explicitly.
+TEST(Fixed, FromAccumulatorMatchesNaiveRounding) {
+    using deepstrike::testing::naive_from_accumulator;
+    for (Acc acc = -(Acc{1} << 20); acc <= (Acc{1} << 20); ++acc) {
+        ASSERT_EQ(Q3_4::from_accumulator(acc).raw(), naive_from_accumulator(acc).raw())
+            << "acc " << acc;
+    }
+    Rng rng(20210507);
+    for (int i = 0; i < 100000; ++i) {
+        const Acc acc = rng.uniform_int(-(Acc{1} << 40), Acc{1} << 40);
+        ASSERT_EQ(Q3_4::from_accumulator(acc).raw(), naive_from_accumulator(acc).raw())
+            << "acc " << acc;
+    }
+    // Saturation edges: raw_max * 16 + 7 is the last accumulator that rounds
+    // to raw_max unsaturated, raw_min * 16 - 7 the last that rounds to
+    // raw_min; one step further each rounds past the range and saturates.
+    // The int64 extremes saturate too.
+    constexpr Acc top = Acc{Q3_4::raw_max} * 16;
+    constexpr Acc bottom = Acc{Q3_4::raw_min} * 16;
+    EXPECT_EQ(Q3_4::from_accumulator(top + 7).raw(), Q3_4::raw_max);
+    EXPECT_EQ(Q3_4::from_accumulator(top + 8).raw(), Q3_4::raw_max);
+    EXPECT_EQ(Q3_4::from_accumulator(bottom - 7).raw(), Q3_4::raw_min);
+    EXPECT_EQ(Q3_4::from_accumulator(bottom - 8).raw(), Q3_4::raw_min);
+    EXPECT_EQ(Q3_4::from_accumulator(std::numeric_limits<Acc>::max()), Q3_4::max());
+    EXPECT_EQ(Q3_4::from_accumulator(std::numeric_limits<Acc>::min()), Q3_4::min());
+    // Every +-8 tie mod 16 rounds away from zero: 16q + 8 -> q + 1 and
+    // -(16q + 8) -> -(q + 1), saturated.
+    for (Acc q = 0; q <= 200; ++q) {
+        const Acc up = std::min<Acc>(q + 1, Q3_4::raw_max);
+        const Acc down = std::max<Acc>(-(q + 1), Q3_4::raw_min);
+        ASSERT_EQ(Q3_4::from_accumulator(16 * q + 8).raw(), up) << "tie +" << q;
+        ASSERT_EQ(Q3_4::from_accumulator(-(16 * q + 8)).raw(), down) << "tie -" << q;
+    }
+}
+
+TEST(Fixed, RoundShiftRoundsHalfAwayFromZero) {
+    EXPECT_EQ(round_shift<2>(6), 2);   // 1.5 -> 2
+    EXPECT_EQ(round_shift<2>(-6), -2); // -1.5 -> -2
+    EXPECT_EQ(round_shift<2>(5), 1);
+    EXPECT_EQ(round_shift<2>(-5), -1);
+    EXPECT_EQ(round_shift<2>(-2), -1); // -0.5 -> -1
+    EXPECT_EQ(round_shift<2>(-1), 0);
+    EXPECT_EQ(round_shift<0>(-7), -7);
 }
 
 TEST(Fixed, ComparisonOperators) {

@@ -26,6 +26,8 @@
 namespace deepstrike::quant {
 namespace {
 
+using deepstrike::testing::naive_from_accumulator;
+using deepstrike::testing::naive_pool2;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::random_qtensor;
 using fx::Q3_4;
@@ -93,17 +95,18 @@ std::vector<fx::Acc> oracle_dense_accs(const QTensor& input, const QTensor& weig
     return accs;
 }
 
+/// Writeback through the naive if/else rounding (not the product's
+/// branch-free Q3_4::from_accumulator).
 QTensor oracle_write_back(const std::vector<fx::Acc>& accs, const Shape& shape,
                           Activation activation) {
     QTensor out(shape);
     for (std::size_t p = 0; p < accs.size(); ++p) {
-        out.at_unchecked(p) = apply_activation(Q3_4::from_accumulator(accs[p]), activation);
+        out.at_unchecked(p) = apply_activation(naive_from_accumulator(accs[p]), activation);
     }
     return out;
 }
 
-/// One golden pass through the oracle loops (pools use the library's
-/// single pooling kernels).
+/// One golden pass through the oracle loops, the naive pooling included.
 QNetwork::ForwardTrace oracle_trace(const QNetwork& net, const QTensor& image) {
     QNetwork::ForwardTrace trace;
     trace.accumulators.resize(net.layers.size());
@@ -118,10 +121,10 @@ QNetwork::ForwardTrace oracle_trace(const QNetwork& net, const QTensor& image) {
                     trace.accumulators[i], shapes[i], layer.activation));
                 break;
             case QLayerKind::Pool2:
-                trace.activations.push_back(qmaxpool2(*x));
+                trace.activations.push_back(naive_pool2(*x, /*average=*/false));
                 break;
             case QLayerKind::AvgPool2:
-                trace.activations.push_back(qavgpool2(*x));
+                trace.activations.push_back(naive_pool2(*x, /*average=*/true));
                 break;
             case QLayerKind::Dense:
                 trace.accumulators[i] = oracle_dense_accs(*x, layer.weight, layer.bias);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "accel/arch_profiles.hpp"
 #include "nn/zoo.hpp"
+#include "quant/gemm.hpp"
 #include "quant/qnetwork.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -10,6 +14,8 @@
 namespace deepstrike::quant {
 namespace {
 
+using deepstrike::testing::naive_from_accumulator;
+using deepstrike::testing::naive_pool2;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qtensor;
 using fx::Q3_4;
@@ -105,6 +111,87 @@ TEST(QMaxPool2, SelectsMaximum) {
 TEST(QMaxPool2, OddDimsThrow) {
     QTensor input(Shape{1, 3, 4});
     EXPECT_THROW(qmaxpool2(input), ContractError);
+}
+
+/// Both pooling kernels against the naive ones on one tensor.
+void expect_pools_match_naive(const QTensor& input, const std::string& what) {
+    ASSERT_TRUE(qmaxpool2(input) == naive_pool2(input, /*average=*/false)) << what << " max";
+    ASSERT_TRUE(qavgpool2(input) == naive_pool2(input, /*average=*/true)) << what << " avg";
+}
+
+// The branch-free pooling window against the naive comparison chain and
+// if/else rounded average: seeded random tensors over a narrow code range
+// (many ties, many negative sums) and the full Q3.4 range, then the golden
+// activations of every zoo victim (each victim's input image and every
+// rank-3 activation it produces, plus each pool layer's own output).
+TEST(Pool2, MatchesNaivePoolingOnRandomTensorsAndZooActivations) {
+    Rng rng(41);
+    const Shape shapes[] = {Shape{1, 2, 2}, Shape{3, 6, 8}, Shape{6, 24, 24},
+                            Shape{16, 8, 8}};
+    for (const Shape& shape : shapes) {
+        for (const std::int64_t range : {std::int64_t{3}, std::int64_t{128}}) {
+            QTensor input(shape);
+            for (std::size_t i = 0; i < input.size(); ++i) {
+                input.at_unchecked(i) =
+                    Q3_4::from_raw(static_cast<std::int16_t>(rng.uniform_int(-range, range - 1)));
+            }
+            expect_pools_match_naive(input, shape.to_string() + " range " +
+                                                std::to_string(range));
+        }
+    }
+
+    for (const nn::ArchitectureInfo& info : nn::architectures()) {
+        Rng init(4100 + static_cast<std::uint64_t>(info.arch));
+        nn::Sequential model = nn::build_architecture(info.arch, init);
+        const QNetwork net = quantize_sequential(model, info.input_shape, {},
+                                                 quant_format_for(info.arch));
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            Rng pixels(seed);
+            QTensor image(info.input_shape);
+            for (std::size_t i = 0; i < image.size(); ++i) {
+                image.at_unchecked(i) = Q3_4::from_real(pixels.uniform(0.0, 1.0));
+            }
+            const QNetwork::ForwardTrace trace = net.forward_trace(image);
+            for (std::size_t l = 0; l < net.layers.size(); ++l) {
+                const QTensor& in = l == 0 ? image : trace.activations[l - 1];
+                const std::string what = std::string(info.name) + " image " +
+                                         std::to_string(seed) + " layer " +
+                                         std::to_string(l);
+                const Shape& s = in.shape();
+                if (s.rank() == 3 && s.dim(1) % 2 == 0 && s.dim(2) % 2 == 0) {
+                    expect_pools_match_naive(in, what);
+                }
+                const QLayerKind kind = net.layers[l].kind;
+                if (kind == QLayerKind::Pool2 || kind == QLayerKind::AvgPool2) {
+                    ASSERT_TRUE(trace.activations[l] ==
+                                naive_pool2(in, kind == QLayerKind::AvgPool2))
+                        << what;
+                }
+            }
+        }
+    }
+}
+
+// gemm::write_back under every activation against the naive if/else
+// rounding plus apply_activation: accumulators across both saturation
+// edges and every tie between them, and a seeded sample of +-2^40 values.
+TEST(WriteBack, MatchesNaiveRoundingUnderEveryActivation) {
+    std::vector<fx::Acc> accs;
+    for (fx::Acc acc = -2200; acc <= 2200; ++acc) accs.push_back(acc);
+    Rng rng(31);
+    for (int i = 0; i < 4096; ++i) {
+        accs.push_back(rng.uniform_int(-(fx::Acc{1} << 40), fx::Acc{1} << 40));
+    }
+    for (const Activation activation :
+         {Activation::None, Activation::Tanh, Activation::Relu, Activation::Sign}) {
+        QTensor out(Shape{accs.size()});
+        gemm::write_back(accs.data(), accs.size(), activation, out);
+        for (std::size_t p = 0; p < accs.size(); ++p) {
+            ASSERT_EQ(out.at_unchecked(p).raw(),
+                      apply_activation(naive_from_accumulator(accs[p]), activation).raw())
+                << activation_name(activation) << " acc " << accs[p];
+        }
+    }
 }
 
 TEST(QDense, MatchesFloatWithinTolerance) {

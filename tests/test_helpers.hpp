@@ -27,6 +27,59 @@ inline ::testing::AssertionResult same_bits(const FloatTensor& actual,
     return ::testing::AssertionSuccess();
 }
 
+/// The writeback rounding in its plain if/else form: round the magnitude
+/// to nearest (ties away from zero), restore the sign, then saturate. The
+/// test oracle of fx::Q3_4::from_accumulator.
+inline fx::Q3_4 naive_from_accumulator(fx::Acc acc) {
+    constexpr int shift = fx::Q3_4::frac_bits;
+    constexpr fx::Acc half = fx::Acc{1} << (shift - 1);
+    fx::Acc rounded;
+    if (acc >= 0) {
+        rounded = (acc + half) >> shift;
+    } else {
+        rounded = -((-acc + half) >> shift);
+    }
+    if (rounded > fx::Q3_4::raw_max) rounded = fx::Q3_4::raw_max;
+    if (rounded < fx::Q3_4::raw_min) rounded = fx::Q3_4::raw_min;
+    return fx::Q3_4::from_raw(static_cast<std::int16_t>(rounded));
+}
+
+/// 2x2/stride-2 pooling of a [C,H,W] tensor in its plain form: each
+/// window read through at(), a comparison chain for the max, and an
+/// if/else rounded quotient (nearest, ties away from zero) for the
+/// average. The test oracle of quant::qmaxpool2 and quant::qavgpool2.
+inline QTensor naive_pool2(const QTensor& input, bool average) {
+    const std::size_t ch = input.shape().dim(0);
+    const std::size_t oh = input.shape().dim(1) / 2;
+    const std::size_t ow = input.shape().dim(2) / 2;
+    QTensor out(Shape{ch, oh, ow});
+    for (std::size_t c = 0; c < ch; ++c) {
+        for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t w = 0; w < ow; ++w) {
+                const std::int32_t v[4] = {input.at(c, 2 * r, 2 * w).raw(),
+                                           input.at(c, 2 * r, 2 * w + 1).raw(),
+                                           input.at(c, 2 * r + 1, 2 * w).raw(),
+                                           input.at(c, 2 * r + 1, 2 * w + 1).raw()};
+                std::int32_t result = v[0];
+                if (average) {
+                    const std::int32_t sum = v[0] + v[1] + v[2] + v[3];
+                    if (sum >= 0) {
+                        result = (sum + 2) / 4;
+                    } else {
+                        result = -((-sum + 2) / 4);
+                    }
+                } else {
+                    for (int i = 1; i < 4; ++i) {
+                        if (v[i] > result) result = v[i];
+                    }
+                }
+                out.at(c, r, w) = fx::Q3_4::from_raw(static_cast<std::int16_t>(result));
+            }
+        }
+    }
+    return out;
+}
+
 /// Fills a QTensor with small random Q3.4 values in [-max_real, max_real].
 inline QTensor random_qtensor(Shape shape, Rng& rng, double max_real = 1.0) {
     QTensor t(shape);
