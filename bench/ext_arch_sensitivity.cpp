@@ -78,10 +78,10 @@ int main() {
                 const attack::AttackScheme scheme = attack::plan_attack(
                     prof.profile.segments[si], prof.trigger_sample,
                     platform.config().samples_per_cycle(), points[si].strikes);
-                const auto trace =
-                    runner.guided_trace(attack::DetectorConfig{}, scheme);
+                const auto bundle =
+                    runner.guided_bundle(attack::DetectorConfig{}, scheme);
                 points[si].result = sim::evaluate_accuracy(
-                    platform, test, kEvalImages, trace.get(), 8);
+                    platform, test, kEvalImages, &bundle->trace, 8);
                 points[si].skipped = false;
             }});
         }

@@ -20,7 +20,6 @@
 #include "attack/profiler.hpp"
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
-#include "host/frames.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
 #include "pdn/pdn.hpp"
@@ -182,7 +181,8 @@ void BM_QConv2dLayer(benchmark::State& state) {
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ds::quant::qconv2d(images[i], conv1.weight, conv1.bias, true));
+            ds::quant::qconv2d(images[i], conv1.weight, conv1.bias,
+                               ds::quant::Activation::Tanh));
         i = (i + 1) % kCycledInputs;
     }
 }
@@ -519,17 +519,6 @@ void BM_BitVecPopcount(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BitVecPopcount);
-
-void BM_Crc16(benchmark::State& state) {
-    std::vector<std::uint8_t> payload(1024);
-    ds::Rng rng(8);
-    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ds::host::crc16_ccitt(payload.data(), payload.size()));
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_Crc16);
 
 // Console output plus collection of every completed run for the JSON
 // trajectory file.

@@ -1,22 +1,22 @@
 // End-to-end DeepStrike attack, exactly as the paper stages it (Sec. IV):
 //
-//   1. The remote adversary connects over UART and pulls a TDC trace of a
-//      normal victim inference (profiling).
+//   1. The adversary profiles a normal victim inference through the TDC
+//      sensor; the DNN start detector marks where the inference began.
 //   2. Offline, the host segments the trace, identifies the most
 //      vulnerable layer (CONV2), and compiles an attacking scheme file.
-//   3. The scheme file is uploaded into the on-chip signal RAM and the
-//      controller is armed.
+//   3. The scheme file is the only thing the host hands the device: read
+//      back, it loads the on-chip controller's signal RAM.
 //   4. On the next inference, the DNN start detector fires and the signal
 //      RAM replays the strike schedule into the power striker.
 //   5. The host evaluates the damage: misclassifications on the test set.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
-#include "host/controller.hpp"
-#include "host/scheme_file.hpp"
+#include "attack/controller.hpp"
+#include "attack/scheme_file.hpp"
 #include "nn/zoo.hpp"
 #include "quant/qnetwork.hpp"
-#include "sim/device_agent.hpp"
 #include "sim/experiment.hpp"
 #include "util/log.hpp"
 
@@ -34,31 +34,23 @@ int main() {
     sim::Platform platform(sim::PlatformConfig{}, quant::quantize_sequential(trained.model, Shape{1, 28, 28}));
     const data::Dataset test = data::make_datasets(spec.data_seed, 1, 600).test;
 
-    // --- Attacker infrastructure ----------------------------------------
-    host::UartChannel uart;
-    host::HostController host(uart);
-    sim::DeviceAgent device(uart, attack::DetectorConfig{});
-
     // Step 1: profile a victim inference through the side channel.
     std::printf("[1] profiling victim inference through the TDC sensor...\n");
-    {
-        sim::GuidedSource source(device.controller()); // armed but empty scheme
-        const sim::CosimResult cosim = platform.simulate_inference(source);
-        device.record_trace(cosim.tdc_readouts);
+    const sim::ProfilingRun profiling = sim::run_profiling(platform);
+    if (!profiling.detector_fired) {
+        std::printf("DNN start detector never fired; aborting\n");
+        return 1;
     }
-    host.request_trace(1 << 20);
-    device.service();
-    const std::vector<std::uint8_t> trace = host.poll_trace();
-    std::printf("    fetched %zu TDC readouts over UART\n", trace.size());
+    std::printf("    captured %zu TDC readouts, detector fired at sample %zu\n",
+                profiling.cosim.tdc_readouts.size(), profiling.trigger_sample);
 
     // Step 2: offline analysis on the host.
-    const attack::Profile profile = attack::profile_trace(trace);
-    std::printf("[2] host-side analysis:\n%s", profile.to_string().c_str());
+    std::printf("[2] host-side analysis:\n%s", profiling.profile.to_string().c_str());
 
     // Pick the target: the longest *convolution* segment (CONV2) — the
     // paper's most fault-sensitive layer.
     const attack::ProfiledSegment* target = nullptr;
-    for (const auto& seg : profile.segments) {
+    for (const auto& seg : profiling.profile.segments) {
         if (seg.guess == attack::LayerClass::Convolution &&
             (target == nullptr || seg.duration_samples() > target->duration_samples())) {
             target = &seg;
@@ -70,39 +62,23 @@ int main() {
     }
 
     // The detector's trigger timestamp during profiling anchors the delays.
-    attack::DnnStartDetector ref_detector{attack::DetectorConfig{}};
-    std::size_t trigger_sample = 0;
-    {
-        // Re-run detection offline on the fetched trace to find the anchor
-        // (the on-chip detector uses the same logic at attack time).
-        // Build pseudo-samples from readouts: thermometer code of length 128.
-        for (std::size_t i = 0; i < trace.size() && !ref_detector.triggered(); ++i) {
-            tdc::TdcSample s;
-            s.raw = BitVec(128);
-            for (std::size_t b = 0; b < trace[i] && b < 128; ++b) s.raw.set(b, true);
-            s.readout = trace[i];
-            ref_detector.on_sample(s);
-        }
-        trigger_sample = ref_detector.trigger_sample();
-    }
-
     const std::size_t strikes = 4500;
-    const attack::AttackScheme scheme = attack::plan_attack(
-        *target, trigger_sample, platform.config().samples_per_cycle(), strikes);
-    std::printf("[3] compiled attacking scheme file:\n%s",
-                host::write_scheme_file(scheme, "target: longest conv segment").c_str());
+    const attack::AttackScheme planned = attack::plan_attack(
+        *target, profiling.trigger_sample, platform.config().samples_per_cycle(), strikes);
+    const std::string scheme_file =
+        attack::write_scheme_file(planned, "target: longest conv segment");
+    std::printf("[3] compiled attacking scheme file:\n%s", scheme_file.c_str());
 
-    // Step 3: upload + arm over UART.
-    host.upload_scheme(scheme, "target: longest conv segment");
-    host.arm();
-    device.service();
-    host.poll();
-    std::printf("    device ack: scheme loaded=%s armed=%s\n",
-                device.has_scheme() ? "yes" : "no", device.armed() ? "yes" : "no");
+    // Step 3: the device reads the file back and loads its signal RAM.
+    const attack::AttackScheme scheme = attack::parse_scheme_file(scheme_file);
+    attack::AttackController controller(attack::DetectorConfig{}, scheme);
+    std::printf("    loaded into the signal RAM: %zu of %zu bits\n",
+                controller.signal_ram().contents().size(),
+                controller.signal_ram().capacity_bits());
 
     // Step 4: the victim runs; the detector triggers; strikes land.
     std::printf("[4] victim inference under attack...\n");
-    sim::GuidedSource source(device.controller());
+    sim::GuidedSource source(controller);
     const sim::CosimResult attacked = platform.simulate_inference(source);
     std::printf("    %zu strike cycles fired, deepest droop %.1f mV\n",
                 attacked.strike_cycles,

@@ -30,10 +30,6 @@ void AttackController::rearm() {
     ram_.reset();
 }
 
-void AttackController::load_scheme(const AttackScheme& scheme) { ram_.load(scheme); }
-
-void AttackController::load_scheme(const BitVec& bits) { ram_.load(bits); }
-
 BlindController::BlindController(const AttackScheme& scheme, std::size_t start_cycle)
     : start_cycle_(start_cycle) {
     ram_.load(scheme);

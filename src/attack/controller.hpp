@@ -34,10 +34,6 @@ public:
     /// Rearms detector and RAM for the next inference.
     void rearm();
 
-    /// Loads a new scheme (host reconfiguration between inferences).
-    void load_scheme(const AttackScheme& scheme);
-    void load_scheme(const BitVec& bits);
-
     DnnStartDetector& detector() { return detector_; }
     const SignalRam& signal_ram() const { return ram_; }
 

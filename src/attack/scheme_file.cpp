@@ -1,4 +1,4 @@
-#include "host/scheme_file.hpp"
+#include "attack/scheme_file.hpp"
 
 #include <charconv>
 #include <map>
@@ -6,10 +6,9 @@
 
 #include "util/error.hpp"
 
-namespace deepstrike::host {
+namespace deepstrike::attack {
 
-std::string write_scheme_file(const attack::AttackScheme& scheme,
-                              const std::string& comment) {
+std::string write_scheme_file(const AttackScheme& scheme, const std::string& comment) {
     std::ostringstream os;
     if (!comment.empty()) os << "# " << comment << '\n';
     os << "attack_delay = " << scheme.attack_delay_cycles << '\n'
@@ -40,7 +39,7 @@ std::size_t parse_value(const std::string& key, const std::string& value) {
 
 } // namespace
 
-attack::AttackScheme parse_scheme_file(const std::string& text) {
+AttackScheme parse_scheme_file(const std::string& text) {
     std::map<std::string, std::size_t> values;
     std::istringstream is(text);
     std::string line;
@@ -70,7 +69,7 @@ attack::AttackScheme parse_scheme_file(const std::string& text) {
         throw FormatError("scheme file: missing attack_delay");
     }
 
-    attack::AttackScheme scheme;
+    AttackScheme scheme;
     scheme.attack_delay_cycles = values["attack_delay"];
     scheme.num_strikes = values["num_attacks"];
     scheme.strike_cycles = values.count("attack_period") ? values["attack_period"] : 1;
@@ -78,7 +77,12 @@ attack::AttackScheme parse_scheme_file(const std::string& text) {
     if (scheme.strike_cycles == 0) {
         throw FormatError("scheme file: attack_period must be >= 1");
     }
+    try {
+        (void)scheme.total_cycles();
+    } catch (const ConfigError&) {
+        throw FormatError("scheme file: scheme length overflows");
+    }
     return scheme;
 }
 
-} // namespace deepstrike::host
+} // namespace deepstrike::attack

@@ -2,7 +2,9 @@
 //
 // Human-editable key=value text listing the three parameters the paper
 // names — attack delay, attack period, number of attacks — plus the gap
-// between strikes. The host compiles it to the signal-RAM bit vector.
+// between strikes. It is the only artifact the host hands the device:
+// parsed back, it gives the AttackScheme an AttackController compiles into
+// its signal RAM.
 //
 //   # strike CONV2
 //   attack_delay = 8532
@@ -15,15 +17,16 @@
 
 #include "attack/signal_ram.hpp"
 
-namespace deepstrike::host {
+namespace deepstrike::attack {
 
 /// Serializes a scheme to the file format (with a header comment).
-std::string write_scheme_file(const attack::AttackScheme& scheme,
+std::string write_scheme_file(const AttackScheme& scheme,
                               const std::string& comment = {});
 
 /// Parses the file format. Throws FormatError on malformed lines, unknown
-/// keys, duplicate keys, or missing required keys (num_attacks,
-/// attack_delay). attack_period defaults to 1, attack_gap to 0.
-attack::AttackScheme parse_scheme_file(const std::string& text);
+/// keys, duplicate keys, missing required keys (num_attacks,
+/// attack_delay), or a scheme whose length overflows size_t.
+/// attack_period defaults to 1, attack_gap to 0.
+AttackScheme parse_scheme_file(const std::string& text);
 
-} // namespace deepstrike::host
+} // namespace deepstrike::attack

@@ -6,8 +6,17 @@ namespace deepstrike::attack {
 
 std::size_t AttackScheme::total_cycles() const {
     if (num_strikes == 0) return attack_delay_cycles;
-    return attack_delay_cycles + num_strikes * strike_cycles +
-           (num_strikes - 1) * gap_cycles;
+    // Checked: a scheme read from a file can name runs whose length wraps.
+    std::size_t strikes = 0;
+    std::size_t gaps = 0;
+    std::size_t total = 0;
+    if (__builtin_mul_overflow(num_strikes, strike_cycles, &strikes) ||
+        __builtin_mul_overflow(num_strikes - 1, gap_cycles, &gaps) ||
+        __builtin_add_overflow(attack_delay_cycles, strikes, &total) ||
+        __builtin_add_overflow(total, gaps, &total)) {
+        throw ConfigError("attack scheme length overflows size_t");
+    }
+    return total;
 }
 
 BitVec AttackScheme::to_bits() const {
@@ -69,15 +78,25 @@ SignalRam::SignalRam(std::size_t capacity_bits) : capacity_bits_(capacity_bits) 
     expects(capacity_bits > 0, "SignalRam: positive capacity");
 }
 
-void SignalRam::load(const BitVec& bits) {
-    if (bits.size() > capacity_bits_) {
+void SignalRam::require_fits(std::size_t bits) const {
+    if (bits > capacity_bits_) {
         throw ConfigError("attack scheme exceeds signal RAM capacity");
     }
+}
+
+void SignalRam::load(const BitVec& bits) {
+    require_fits(bits.size());
     bits_ = bits;
     reset();
 }
 
-void SignalRam::load(const AttackScheme& scheme) { load(scheme.to_bits()); }
+void SignalRam::load(const AttackScheme& scheme) {
+    // Checked before compiling: the bit vector of an oversized scheme
+    // could be gigabytes.
+    require_fits(scheme.total_cycles());
+    bits_ = scheme.to_bits();
+    reset();
+}
 
 void SignalRam::start() {
     cursor_ = 0;

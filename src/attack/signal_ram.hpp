@@ -23,7 +23,8 @@ struct AttackScheme {
     std::size_t gap_cycles = 0;          // zeros between consecutive strikes
     std::size_t num_strikes = 0;
 
-    /// Total bits the compiled vector occupies.
+    /// Total bits the compiled vector occupies. Throws ConfigError when
+    /// that length overflows size_t.
     std::size_t total_cycles() const;
 
     /// Compiles to the signal RAM contents.
@@ -45,7 +46,7 @@ public:
     explicit SignalRam(std::size_t capacity_bits = 2 * 36 * 1024);
 
     /// Loads RAM contents; throws ConfigError when the scheme exceeds
-    /// capacity.
+    /// capacity (for an AttackScheme, before compiling its bits).
     void load(const BitVec& bits);
     void load(const AttackScheme& scheme);
 
@@ -64,6 +65,8 @@ public:
     void reset();
 
 private:
+    void require_fits(std::size_t bits) const;
+
     std::size_t capacity_bits_;
     BitVec bits_;
     std::size_t cursor_ = 0;

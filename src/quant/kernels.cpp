@@ -16,12 +16,6 @@ QTensor quantize_image(const FloatTensor& image) {
 }
 
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                bool apply_tanh) {
-    return qconv2d(input, weight, bias,
-                   apply_tanh ? Activation::Tanh : Activation::None);
-}
-
-QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 Activation activation) {
     thread_local std::vector<fx::Acc> accs;
     gemm::conv2d_accs(input, weight, bias, accs); // validates the shapes
@@ -65,12 +59,6 @@ QTensor pool2(const QTensor& input) {
 QTensor qmaxpool2(const QTensor& input) { return pool2<false>(input); }
 
 QTensor qavgpool2(const QTensor& input) { return pool2<true>(input); }
-
-QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
-               bool apply_tanh) {
-    return qdense(input, weight, bias,
-                  apply_tanh ? Activation::Tanh : Activation::None);
-}
 
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                Activation activation) {

@@ -44,9 +44,6 @@ QTensor quantize_image(const FloatTensor& image);
 /// Valid 2D convolution + bias + fused activation. Input [C,H,W].
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 Activation activation);
-/// Back-compat: bool selects tanh.
-QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
-                bool apply_tanh);
 
 /// One 2x2 pooling window: top row (a, b), bottom row (c, d). Max pooling
 /// is a max tree over the raw int16 codes (conditional moves, no branch on
@@ -86,9 +83,6 @@ inline fx::Q3_4 qsign(fx::Q3_4 x) {
 /// Dense layer + bias + fused activation. Input flattened.
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                Activation activation);
-/// Back-compat: bool selects tanh.
-QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
-               bool apply_tanh);
 
 /// The writeback nonlinearity applied to one saturated accumulator.
 /// gemm::write_back applies the same functions a whole layer at a time,

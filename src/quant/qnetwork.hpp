@@ -51,10 +51,6 @@ struct QLayer {
            Activation act = Activation::None)
         : kind(k), label(std::move(lbl)), weight(std::move(w)), bias(std::move(b)),
           activation(act) {}
-    /// Back-compat constructor (bool = tanh on/off).
-    QLayer(QLayerKind k, std::string lbl, QTensor w, QTensor b, bool tanh_act)
-        : QLayer(k, std::move(lbl), std::move(w), std::move(b),
-                 tanh_act ? Activation::Tanh : Activation::None) {}
 
     /// MAC count (Conv/Dense) or comparator-op count (Pool2) for a given
     /// input shape.

@@ -103,9 +103,8 @@ struct RepeatedInferenceStats {
 
 /// Simulates `n_inferences` victim inferences back to back with the given
 /// on-chip controller. Between inferences the controller re-arms (detector
-/// reset + signal RAM rewind), modeling the paper's runtime flexibility:
-/// the same scheme strikes every inference, or the host may upload a new
-/// scheme between arms. Requires a detector configured to the controller.
+/// reset + signal RAM rewind), so the same scheme strikes every inference.
+/// Requires a detector configured to the controller.
 std::vector<RepeatedInferenceStats> simulate_repeated_inferences(
     const Platform& platform, attack::AttackController& controller,
     std::size_t n_inferences);

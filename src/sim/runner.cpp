@@ -333,20 +333,6 @@ SweepRunner::blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offs
     return resolve(key, compute)->blind;
 }
 
-std::shared_ptr<const accel::VoltageTrace>
-SweepRunner::guided_trace(const attack::DetectorConfig& detector,
-                          const attack::AttackScheme& scheme) {
-    auto bundle = guided_bundle(detector, scheme);
-    return {bundle, &bundle->trace};
-}
-
-std::shared_ptr<const std::vector<accel::VoltageTrace>>
-SweepRunner::blind_traces(const attack::AttackScheme& scheme, std::size_t n_offsets,
-                          std::uint64_t offset_seed) {
-    auto bundle = blind_bundle(scheme, n_offsets, offset_seed);
-    return {bundle, &bundle->traces};
-}
-
 RunManifest SweepRunner::run(const std::string& sweep_name,
                              std::vector<SweepTask> tasks) {
     trace::Span sweep_span("sweep:" + sweep_name, "runner");

@@ -159,14 +159,6 @@ public:
     blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offsets,
                  std::uint64_t offset_seed);
 
-    /// Trace-only views of the bundles above (back-compat).
-    std::shared_ptr<const accel::VoltageTrace>
-    guided_trace(const attack::DetectorConfig& detector,
-                 const attack::AttackScheme& scheme);
-    std::shared_ptr<const std::vector<accel::VoltageTrace>>
-    blind_traces(const attack::AttackScheme& scheme, std::size_t n_offsets,
-                 std::uint64_t offset_seed);
-
     std::size_t trace_cache_hits() const { return cache_hits_.load(); }
     std::size_t trace_cache_misses() const { return cache_misses_.load(); }
     std::size_t trace_cache_size() const;

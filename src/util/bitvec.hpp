@@ -1,9 +1,9 @@
 // Dense bit vector.
 //
-// Used by the TDC carry-chain output (128-bit thermometer code), the
-// attack signal RAM (one action bit per clock cycle), and the UART frame
-// codec. std::vector<bool> is avoided deliberately: we need word-level
-// access for the thermometer encoder and popcounts.
+// Used by the TDC carry-chain output (128-bit thermometer code) and the
+// attack signal RAM (one action bit per clock cycle). std::vector<bool> is
+// avoided deliberately: we need word-level access for the thermometer
+// encoder and popcounts.
 #pragma once
 
 #include <bit>

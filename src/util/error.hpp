@@ -28,7 +28,7 @@ public:
     explicit ConfigError(const std::string& what) : Error("bad configuration: " + what) {}
 };
 
-/// Malformed external data (scheme file, UART frame, serialized weights...).
+/// Malformed external data (scheme file, serialized weights, journals...).
 class FormatError : public Error {
 public:
     explicit FormatError(const std::string& what) : Error("format error: " + what) {}

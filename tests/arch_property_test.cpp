@@ -46,7 +46,7 @@ QNetwork random_network(std::uint64_t seed) {
             const QLayerKind pool_kind =
                 rng.bernoulli(0.5) ? QLayerKind::Pool2 : QLayerKind::AvgPool2;
             net.layers.push_back(
-                {pool_kind, "POOL" + std::to_string(++pool_n), {}, {}, false});
+                {pool_kind, "POOL" + std::to_string(++pool_n), {}, {}, Activation::None});
             hw /= 2;
         }
     }
@@ -62,11 +62,11 @@ QNetwork random_network(std::uint64_t seed) {
         features = hidden;
         net.layers.push_back({QLayerKind::Dense, "FC2",
                               random_qtensor(Shape{10, features}, rng, 0.3),
-                              random_qtensor(Shape{10}, rng, 0.2), false});
+                              random_qtensor(Shape{10}, rng, 0.2), Activation::None});
     } else {
         net.layers.push_back({QLayerKind::Dense, "FC1",
                               random_qtensor(Shape{10, features}, rng, 0.3),
-                              random_qtensor(Shape{10}, rng, 0.2), false});
+                              random_qtensor(Shape{10}, rng, 0.2), Activation::None});
     }
     net.layer_output_shapes(); // validate
     return net;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "attack/controller.hpp"
 #include "attack/detector.hpp"
+#include "attack/scheme_file.hpp"
 #include "attack/signal_ram.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace deepstrike::attack {
 namespace {
@@ -236,17 +241,6 @@ TEST(Controller, RearmAllowsSecondInference) {
     EXPECT_TRUE(ctl.strike_bit());
 }
 
-TEST(Controller, LoadSchemeSwapsPlan) {
-    DetectorConfig dcfg;
-    dcfg.hold_samples = 1;
-    AttackController ctl(dcfg, AttackScheme{});
-    AttackScheme plan;
-    plan.num_strikes = 1;
-    ctl.load_scheme(plan);
-    ctl.on_tdc_sample(sample_with_ones(80));
-    EXPECT_TRUE(ctl.strike_bit());
-}
-
 TEST(BlindController, StartsAtFixedCycle) {
     AttackScheme scheme;
     scheme.strike_cycles = 1;
@@ -255,6 +249,163 @@ TEST(BlindController, StartsAtFixedCycle) {
     for (std::size_t c = 0; c < 10; ++c) EXPECT_FALSE(ctl.strike_bit(c));
     EXPECT_TRUE(ctl.strike_bit(10));
     EXPECT_FALSE(ctl.strike_bit(11));
+}
+
+// ------------------------------------------------------------ scheme file
+
+TEST(SchemeFile, WriteParseRoundTrip) {
+    attack::AttackScheme s;
+    s.attack_delay_cycles = 8532;
+    s.strike_cycles = 1;
+    s.gap_cycles = 2;
+    s.num_strikes = 4500;
+    const std::string text = write_scheme_file(s, "strike CONV2");
+    const attack::AttackScheme parsed = parse_scheme_file(text);
+    EXPECT_EQ(parsed.attack_delay_cycles, s.attack_delay_cycles);
+    EXPECT_EQ(parsed.strike_cycles, s.strike_cycles);
+    EXPECT_EQ(parsed.gap_cycles, s.gap_cycles);
+    EXPECT_EQ(parsed.num_strikes, s.num_strikes);
+}
+
+TEST(SchemeFile, DefaultsAndComments) {
+    const attack::AttackScheme s = parse_scheme_file(
+        "# comment line\n"
+        "attack_delay = 10\n"
+        "num_attacks = 3\n");
+    EXPECT_EQ(s.attack_delay_cycles, 10u);
+    EXPECT_EQ(s.num_strikes, 3u);
+    EXPECT_EQ(s.strike_cycles, 1u);
+    EXPECT_EQ(s.gap_cycles, 0u);
+}
+
+TEST(SchemeFile, MalformedInputsRejected) {
+    EXPECT_THROW(parse_scheme_file("attack_delay 10\nnum_attacks = 1\n"), FormatError);
+    EXPECT_THROW(parse_scheme_file("attack_delay = ten\nnum_attacks = 1\n"), FormatError);
+    EXPECT_THROW(parse_scheme_file("bogus_key = 1\n"), FormatError);
+    EXPECT_THROW(parse_scheme_file("attack_delay = 1\n"), FormatError); // no num_attacks
+    EXPECT_THROW(parse_scheme_file("num_attacks = 1\n"), FormatError);  // no delay
+    EXPECT_THROW(parse_scheme_file("attack_delay = 1\nattack_delay = 2\n"
+                                   "num_attacks = 1\n"),
+                 FormatError); // duplicate
+    EXPECT_THROW(parse_scheme_file("attack_delay = 1\nnum_attacks = 1\n"
+                                   "attack_period = 0\n"),
+                 FormatError); // zero-length strikes
+}
+
+/// Outcome of handing one (possibly hostile) scheme file to the device:
+/// parse it, then load it into an AttackController's signal RAM.
+enum class Loaded { Accepted, FormatRejected, ConfigRejected };
+
+Loaded load_scheme_text(const std::string& text) {
+    try {
+        const AttackController controller(DetectorConfig{}, parse_scheme_file(text));
+        (void)controller;
+        return Loaded::Accepted;
+    } catch (const FormatError&) {
+        return Loaded::FormatRejected;
+    } catch (const ConfigError&) {
+        return Loaded::ConfigRejected;
+    }
+}
+
+TEST(SchemeFile, HostileLengthsEndInTypedErrors) {
+    // 10^11 one-cycle strikes: the signal RAM refuses it before compiling
+    // a 12.5 GB bit vector.
+    EXPECT_EQ(load_scheme_text("attack_delay = 0\nnum_attacks = 100000000000\n"),
+              Loaded::ConfigRejected);
+    // A delay of 2^64 - 1 plus one strike wraps the scheme length to 0.
+    EXPECT_EQ(load_scheme_text("attack_delay = 18446744073709551615\nnum_attacks = 1\n"),
+              Loaded::FormatRejected);
+
+    AttackScheme wraps;
+    wraps.attack_delay_cycles = 1;
+    wraps.num_strikes = std::size_t{1} << 32;
+    wraps.strike_cycles = std::size_t{1} << 32;
+    EXPECT_THROW((void)wraps.total_cycles(), ConfigError);
+    EXPECT_THROW(SignalRam().load(wraps), ConfigError);
+}
+
+// Every mutant of a valid scheme file either parses and loads into an
+// AttackController or ends in FormatError/ConfigError. Anything else (a
+// std::bad_alloc, a contract violation) fails the test. Mutants: every
+// truncation, every line duplicated, hostile values on one or two lines,
+// and seeded byte flips.
+TEST(SchemeFile, SeededMutantsEndInTypedErrors) {
+    AttackScheme base;
+    base.attack_delay_cycles = 8532;
+    base.strike_cycles = 1;
+    base.gap_cycles = 2;
+    base.num_strikes = 4500;
+    const std::string text = write_scheme_file(base, "strike CONV2");
+
+    std::vector<std::string> lines;
+    for (std::size_t begin = 0; begin < text.size();) {
+        const std::size_t end = text.find('\n', begin) + 1;
+        lines.push_back(text.substr(begin, end - begin));
+        begin = end;
+    }
+    const auto join = [](const std::vector<std::string>& parts) {
+        std::string out;
+        for (const std::string& part : parts) out += part;
+        return out;
+    };
+
+    std::vector<std::string> mutants;
+    for (std::size_t cut = 0; cut < text.size(); ++cut) mutants.push_back(text.substr(0, cut));
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        std::vector<std::string> dup = lines;
+        dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+        mutants.push_back(join(dup));
+    }
+    // Each value line (every line but the comment) gets every hostile
+    // value, alone and paired with a second line's.
+    const std::vector<std::string> values = {"0",
+                                             "100000000000",
+                                             "9223372036854775808",
+                                             "18446744073709551615",
+                                             "18446744073709551616",
+                                             "-1",
+                                             ""};
+    const auto with_value = [&](std::vector<std::string> parts, std::size_t line,
+                                const std::string& value) {
+        const std::string key = parts[line].substr(0, parts[line].find('=') + 1);
+        parts[line] = key + " " + value + "\n";
+        return parts;
+    };
+    for (std::size_t a = 1; a < lines.size(); ++a) {
+        for (const std::string& va : values) {
+            mutants.push_back(join(with_value(lines, a, va)));
+            for (std::size_t b = a + 1; b < lines.size(); ++b) {
+                for (const std::string& vb : values) {
+                    mutants.push_back(join(with_value(with_value(lines, a, va), b, vb)));
+                }
+            }
+        }
+    }
+    Rng rng(0x5C4E3E);
+    for (int i = 0; i < 2000; ++i) {
+        std::string mutant = text;
+        const int flips = static_cast<int>(rng.uniform_int(1, 4));
+        for (int f = 0; f < flips; ++f) {
+            const auto at = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(mutant.size()) - 1));
+            mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.uniform_int(0, 7)));
+        }
+        mutants.push_back(mutant);
+    }
+
+    std::size_t outcomes[3] = {0, 0, 0};
+    for (const std::string& mutant : mutants) {
+        try {
+            ++outcomes[static_cast<int>(load_scheme_text(mutant))];
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "untyped error '" << e.what() << "' on:\n" << mutant;
+        }
+    }
+    // The mutants reach every outcome: the check is not vacuous.
+    EXPECT_GT(outcomes[static_cast<int>(Loaded::Accepted)], 0u);
+    EXPECT_GT(outcomes[static_cast<int>(Loaded::FormatRejected)], 0u);
+    EXPECT_GT(outcomes[static_cast<int>(Loaded::ConfigRejected)], 0u);
 }
 
 } // namespace

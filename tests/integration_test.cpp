@@ -6,9 +6,7 @@
 #include "accel/arch_profiles.hpp"
 #include "fabric/drc.hpp"
 #include "fabric/resources.hpp"
-#include "host/controller.hpp"
-#include "host/scheme_file.hpp"
-#include "sim/device_agent.hpp"
+#include "attack/scheme_file.hpp"
 #include "sim/experiment.hpp"
 #include "striker/striker.hpp"
 #include "tdc/netlist_builder.hpp"
@@ -157,35 +155,27 @@ TEST_F(IntegrationTest, PoolAttackIsHarmless) {
 }
 
 TEST_F(IntegrationTest, RemoteHostDrivesTheWholeAttack) {
-    // The adversary's host uploads the scheme file over UART, arms the
-    // on-chip controller, the co-sim runs one victim inference, and the
-    // host pulls the captured trace back for analysis.
-    host::UartChannel channel;
-    host::HostController host(channel);
-    sim::DeviceAgent device(channel, attack::DetectorConfig{});
-
+    // The adversary's host plans the strike and writes the attacking scheme
+    // file; the on-chip controller is built from the parsed file, the
+    // co-sim runs one victim inference under it, and the readouts captured
+    // during that inference still profile the victim.
     const auto& target = profiling_->profile.segments[2];
     const attack::AttackScheme scheme =
         attack::plan_attack(target, profiling_->trigger_sample, 2.0, 250);
+    const attack::AttackScheme loaded =
+        attack::parse_scheme_file(attack::write_scheme_file(scheme, "conv2 strike"));
+    EXPECT_EQ(loaded.attack_delay_cycles, scheme.attack_delay_cycles);
+    EXPECT_EQ(loaded.strike_cycles, scheme.strike_cycles);
+    EXPECT_EQ(loaded.gap_cycles, scheme.gap_cycles);
+    EXPECT_EQ(loaded.num_strikes, scheme.num_strikes);
 
-    host.upload_scheme(scheme, "conv2 strike");
-    host.arm();
-    device.service();
-    ASSERT_TRUE(device.has_scheme());
-    ASSERT_TRUE(device.armed());
-
-    sim::GuidedSource source(device.controller());
+    attack::AttackController controller(attack::DetectorConfig{}, loaded);
+    sim::GuidedSource source(controller);
     const sim::CosimResult cosim = platform_->simulate_inference(source);
+    EXPECT_TRUE(controller.triggered());
     EXPECT_EQ(cosim.strike_cycles, 250u);
-    device.record_trace(cosim.tdc_readouts);
 
-    host.request_trace(static_cast<std::uint32_t>(cosim.tdc_readouts.size()));
-    device.service();
-    const auto trace = host.poll_trace();
-    ASSERT_EQ(trace.size(), cosim.tdc_readouts.size());
-
-    // Offline, the host can re-profile from the fetched trace.
-    const attack::Profile profile = attack::profile_trace(trace);
+    const attack::Profile profile = attack::profile_trace(cosim.tdc_readouts);
     EXPECT_GE(profile.segments.size(), 4u);
 }
 

@@ -134,7 +134,8 @@ TEST(AccelNetlist, ScalesWithNetworkSize) {
     Rng rng(14);
     tiny.layers = {{quant::QLayerKind::Dense, "FC1",
                     deepstrike::testing::random_qtensor(Shape{10, 784}, rng),
-                    deepstrike::testing::random_qtensor(Shape{10}, rng), false}};
+                    deepstrike::testing::random_qtensor(Shape{10}, rng),
+                    quant::Activation::None}};
 
     const auto big = fabric::count_resources(build_accelerator_netlist(lenet, cfg));
     const auto small = fabric::count_resources(build_accelerator_netlist(tiny, cfg));

@@ -19,17 +19,17 @@ using deepstrike::testing::run_engine;
 TEST(QLayer, ShapesAndOpCounts) {
     Rng rng(1);
     QLayer conv{QLayerKind::Conv, "C", random_qtensor(Shape{8, 3, 3, 3}, rng),
-                random_qtensor(Shape{8}, rng), true};
+                random_qtensor(Shape{8}, rng), Activation::Tanh};
     EXPECT_EQ(conv.output_shape(Shape{3, 10, 10}), Shape({8, 8, 8}));
     EXPECT_EQ(conv.op_count(Shape{3, 10, 10}), 8u * 8 * 8 * 3 * 3 * 3);
     EXPECT_EQ(conv.in_channels(), 3u);
 
-    QLayer pool{QLayerKind::Pool2, "P", {}, {}, false};
+    QLayer pool{QLayerKind::Pool2, "P", {}, {}, Activation::None};
     EXPECT_EQ(pool.output_shape(Shape{8, 8, 8}), Shape({8, 4, 4}));
     EXPECT_EQ(pool.op_count(Shape{8, 8, 8}), 8u * 4 * 4 * 4);
 
     QLayer dense{QLayerKind::Dense, "D", random_qtensor(Shape{10, 128}, rng),
-                 random_qtensor(Shape{10}, rng), false};
+                 random_qtensor(Shape{10}, rng), Activation::None};
     EXPECT_EQ(dense.output_shape(Shape{128}), Shape({10}));
     EXPECT_EQ(dense.op_count(Shape{128}), 1280u);
 }
@@ -37,9 +37,9 @@ TEST(QLayer, ShapesAndOpCounts) {
 TEST(QLayer, RejectsMismatchedShapes) {
     Rng rng(2);
     QLayer conv{QLayerKind::Conv, "C", random_qtensor(Shape{8, 3, 3, 3}, rng),
-                random_qtensor(Shape{8}, rng), false};
+                random_qtensor(Shape{8}, rng), Activation::None};
     EXPECT_THROW(conv.output_shape(Shape{2, 10, 10}), ContractError);
-    QLayer pool{QLayerKind::Pool2, "P", {}, {}, false};
+    QLayer pool{QLayerKind::Pool2, "P", {}, {}, Activation::None};
     EXPECT_THROW(pool.output_shape(Shape{8, 7, 8}), ContractError);
 }
 

@@ -270,16 +270,16 @@ TEST_F(RunnerPlatformFixture, TraceCacheHitMissAccounting) {
     const attack::AttackScheme scheme_b = attack::plan_attack(
         profiling->profile.segments[0], profiling->trigger_sample, spc, 60);
 
-    const auto t1 = runner.guided_trace({}, scheme_a);
+    const auto t1 = runner.guided_bundle({}, scheme_a);
     EXPECT_EQ(runner.trace_cache_misses(), 1u);
     EXPECT_EQ(runner.trace_cache_hits(), 0u);
 
-    const auto t2 = runner.guided_trace({}, scheme_a); // repeated scheme
+    const auto t2 = runner.guided_bundle({}, scheme_a); // repeated scheme
     EXPECT_EQ(runner.trace_cache_misses(), 1u);
     EXPECT_EQ(runner.trace_cache_hits(), 1u);
     EXPECT_EQ(t1.get(), t2.get()); // shared, not recomputed
 
-    const auto t3 = runner.guided_trace({}, scheme_b); // distinct scheme
+    const auto t3 = runner.guided_bundle({}, scheme_b); // distinct scheme
     EXPECT_EQ(runner.trace_cache_misses(), 2u);
     EXPECT_NE(t3.get(), t1.get());
 
@@ -287,8 +287,8 @@ TEST_F(RunnerPlatformFixture, TraceCacheHitMissAccounting) {
     attack::AttackScheme blind;
     blind.num_strikes = 50;
     blind.gap_cycles = 20;
-    const auto b1 = runner.blind_traces(blind, 3, 99);
-    const auto b2 = runner.blind_traces(blind, 3, 99);
+    const auto b1 = runner.blind_bundle(blind, 3, 99);
+    const auto b2 = runner.blind_bundle(blind, 3, 99);
     EXPECT_EQ(runner.trace_cache_misses(), 3u);
     EXPECT_EQ(runner.trace_cache_hits(), 2u);
     EXPECT_EQ(b1.get(), b2.get());
@@ -301,16 +301,16 @@ TEST_F(RunnerPlatformFixture, ConcurrentRequestsCosimulateOnce) {
         profiling->profile.segments[2], profiling->trigger_sample,
         platform->config().samples_per_cycle(), 80);
 
-    std::vector<std::shared_ptr<const accel::VoltageTrace>> traces(8);
+    std::vector<std::shared_ptr<const GuidedTraceBundle>> bundles(8);
     std::vector<SweepTask> tasks;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        tasks.push_back({"req", [&, i] { traces[i] = runner.guided_trace({}, scheme); }});
+    for (std::size_t i = 0; i < bundles.size(); ++i) {
+        tasks.push_back({"req", [&, i] { bundles[i] = runner.guided_bundle({}, scheme); }});
     }
     const RunManifest mf = runner.run("dedup", std::move(tasks));
 
     EXPECT_EQ(mf.trace_cache_misses, 1u);
     EXPECT_EQ(mf.trace_cache_hits, 7u);
-    for (const auto& t : traces) EXPECT_EQ(t.get(), traces[0].get());
+    for (const auto& b : bundles) EXPECT_EQ(b.get(), bundles[0].get());
 }
 
 TEST_F(RunnerPlatformFixture, CampaignReportBitIdenticalAcrossThreadCounts) {

@@ -220,5 +220,35 @@ TEST(DspRig, Validation) {
     EXPECT_THROW(run_dsp_characterization(100, cfg), ContractError);
 }
 
+TEST(RepeatedInferences, DetectorRearmsAndStrikesEveryRun) {
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(71));
+
+    attack::DetectorConfig dcfg;
+    attack::AttackScheme scheme;
+    scheme.attack_delay_cycles = 100;
+    scheme.num_strikes = 50;
+    scheme.gap_cycles = 4;
+    attack::AttackController controller(dcfg, scheme);
+
+    const auto stats = simulate_repeated_inferences(platform, controller, 3);
+    ASSERT_EQ(stats.size(), 3u);
+    for (const auto& s : stats) {
+        EXPECT_TRUE(s.detector_fired);
+        EXPECT_EQ(s.strike_cycles, 50u);
+        EXPECT_EQ(s.capture_v.size(),
+                  platform.engine().schedule().total_cycles * 2);
+    }
+    // Deterministic platform: every inference triggers at the same sample.
+    EXPECT_EQ(stats[0].trigger_sample, stats[1].trigger_sample);
+    EXPECT_EQ(stats[1].trigger_sample, stats[2].trigger_sample);
+}
+
+TEST(RepeatedInferences, Validation) {
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(72));
+    attack::AttackController controller(attack::DetectorConfig{},
+                                        attack::AttackScheme{});
+    EXPECT_THROW(simulate_repeated_inferences(platform, controller, 0), ContractError);
+}
+
 } // namespace
 } // namespace deepstrike::sim

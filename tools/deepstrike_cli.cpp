@@ -20,11 +20,11 @@
 
 #include "accel/arch_profiles.hpp"
 #include "accel/netlist_builder.hpp"
+#include "attack/scheme_file.hpp"
 #include "defense/fault_train.hpp"
 #include "defense/monitor.hpp"
 #include "fabric/drc.hpp"
 #include "fabric/resources.hpp"
-#include "host/scheme_file.hpp"
 #include "nn/zoo.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
@@ -259,7 +259,7 @@ int cmd_plan(const std::vector<std::string>& args) {
     const attack::AttackScheme scheme = attack::plan_attack(
         run.profile.segments[target], run.trigger_sample,
         victim.platform.config().samples_per_cycle(), parser.option_uint("strikes"));
-    const std::string text = host::write_scheme_file(
+    const std::string text = attack::write_scheme_file(
         scheme, "target segment #" + std::to_string(target));
 
     const std::string out = parser.option("out");
@@ -315,7 +315,7 @@ int cmd_attack(const std::vector<std::string>& args) {
         }
         std::ostringstream text;
         text << file.rdbuf();
-        scheme = host::parse_scheme_file(text.str());
+        scheme = attack::parse_scheme_file(text.str());
     } else {
         const sim::ProfilingRun run = sim::run_profiling(victim.platform);
         const std::size_t target = parser.option_uint("target");
