@@ -45,9 +45,21 @@ FaultSet fault_set_from_json(const Json& json) {
     FaultSet set;
     set.reserve(json.size());
     for (std::size_t i = 0; i < json.size(); ++i) {
-        set.push_back(static_cast<std::uint32_t>(json.at(i).as_uint()));
+        const std::uint64_t index = json.at(i).as_uint();
+        if (index > std::numeric_limits<std::uint32_t>::max()) {
+            throw FormatError("search record: fault index " + std::to_string(index) +
+                              " exceeds 32 bits");
+        }
+        set.push_back(static_cast<std::uint32_t>(index));
     }
     return set;
+}
+
+bool sorted_distinct_below(const FaultSet& set, std::size_t space) {
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        if (set[i] >= space || (i > 0 && set[i - 1] >= set[i])) return false;
+    }
+    return true;
 }
 
 constexpr double kNoFitness = std::numeric_limits<double>::lowest();
@@ -65,24 +77,43 @@ void grow_to(FaultSet& set, std::size_t size, std::size_t space, Rng& rng) {
     std::sort(set.begin(), set.end());
 }
 
-} // namespace
-
-const char* search_algorithm_name(SearchAlgorithm algorithm) {
-    switch (algorithm) {
-    case SearchAlgorithm::Des: return "des";
-    case SearchAlgorithm::Greedy: return "greedy";
-    case SearchAlgorithm::Random: return "random";
+/// Throws ConfigError unless `record` is a state the driver can reach
+/// under `spec`. These are the invariants step_des relies on: a stage in
+/// [1, max_faults], members exactly `stage` wide, sorted and distinct
+/// within the space, and a full population for the three distinct peers
+/// of each mutation (a seeding cut short by the budget ends the run).
+/// Each generation evaluates at least one candidate, so `index` stays
+/// below `evaluations`, which bounds the convergence rebuild by the budget.
+void check_record(const GenerationRecord& record, const SearchSpec& spec) {
+    const auto require = [&](bool ok, const char* what) {
+        if (!ok) {
+            throw ConfigError("search restore: record " + std::to_string(record.index) +
+                              ": " + what + " (journal from a different search?)");
+        }
+    };
+    require(record.stage >= 1 && record.stage <= spec.max_faults,
+            "stage outside 1..max_faults");
+    require(record.index < record.evaluations && record.evaluations <= spec.budget,
+            "evaluations outside index+1..budget");
+    const std::size_t members = record.population.size();
+    require(members == 0 || members == spec.population ||
+                (members < spec.population && record.evaluations == spec.budget),
+            "population size differs from the spec");
+    for (const FaultSet& member : record.population) {
+        require(member.size() == record.stage && sorted_distinct_below(member, spec.space),
+                "member is not a stage-sized sorted-distinct set in the weight stream");
     }
-    throw ConfigError("search_algorithm_name: unknown algorithm");
+    require(record.best.size() <= record.stage &&
+                sorted_distinct_below(record.best, spec.space),
+            "best is not a sorted-distinct set of at most stage indices in the "
+            "weight stream");
+    const auto finite = [](double value) { return std::isfinite(value); };
+    require(finite(record.best_fitness) && finite(record.stage_best_fitness) &&
+                std::all_of(record.fitness.begin(), record.fitness.end(), finite),
+            "non-finite fitness");
 }
 
-SearchAlgorithm parse_search_algorithm(const std::string& name) {
-    if (name == "des") return SearchAlgorithm::Des;
-    if (name == "greedy") return SearchAlgorithm::Greedy;
-    if (name == "random") return SearchAlgorithm::Random;
-    throw ConfigError("unknown search algorithm '" + name +
-                      "' (expected des|greedy|random)");
-}
+} // namespace
 
 void SearchSpec::validate() const {
     if (space == 0) throw ConfigError("SearchSpec: empty index space");
@@ -91,16 +122,12 @@ void SearchSpec::validate() const {
         throw ConfigError("SearchSpec: max_faults exceeds the index space");
     }
     if (budget == 0) throw ConfigError("SearchSpec: zero evaluation budget");
-    if (population == 0) throw ConfigError("SearchSpec: empty population");
-    if (algorithm == SearchAlgorithm::Des && population < 4) {
+    if (population < 4) {
         throw ConfigError("SearchSpec: DES needs a population of >= 4 "
                           "(mutation draws three distinct peers)");
     }
     if (stall_generations == 0) {
         throw ConfigError("SearchSpec: stall_generations must be >= 1");
-    }
-    if (algorithm == SearchAlgorithm::Greedy && greedy_samples == 0) {
-        throw ConfigError("SearchSpec: greedy_samples must be >= 1");
     }
     if (!(f_scale > 0.0) || !(crossover > 0.0) || crossover > 1.0) {
         throw ConfigError("SearchSpec: f_scale must be > 0 and crossover in (0, 1]");
@@ -153,16 +180,6 @@ GenerationRecord GenerationRecord::from_json(const Json& json) {
     return record;
 }
 
-FaultSet random_fault_set(std::size_t size, std::size_t space,
-                          std::uint64_t seed) {
-    expects(size <= space, "random_fault_set: size within the index space");
-    Rng rng(seed);
-    FaultSet set;
-    set.reserve(size);
-    grow_to(set, size, space, rng);
-    return set;
-}
-
 // ---------------------------------------------------------------------------
 
 struct SearchDriver::State {
@@ -194,15 +211,7 @@ void SearchDriver::set_observer(GenerationObserver observer) {
 void SearchDriver::restore(const std::vector<Json>& records) {
     for (const Json& payload : records) {
         GenerationRecord record = GenerationRecord::from_json(payload);
-        for (const FaultSet& member : record.population) {
-            for (std::uint32_t idx : member) {
-                if (idx >= spec_.space) {
-                    throw ConfigError(
-                        "search restore: journal index outside the weight "
-                        "stream (journal from a different victim?)");
-                }
-            }
-        }
+        check_record(record, spec_);
         restored_.push_back(std::move(record));
     }
     std::sort(restored_.begin(), restored_.end(),
@@ -343,79 +352,6 @@ void SearchDriver::step_des(State& state) {
     }
 }
 
-void SearchDriver::step_greedy(State& state) {
-    const std::size_t remaining = spec_.budget - state.evaluations;
-    const std::size_t s = state.stage;
-    // population[0] holds the growing champion base (size s-1 entering the
-    // stage); fitness[0] its fitness. The stage-best size-s candidate is
-    // tracked in population[1]/fitness[1] once one exists.
-    if (state.population.empty()) {
-        state.population = {FaultSet{}};
-        state.fitness = {kNoFitness};
-    }
-    const FaultSet& base = state.population[0];
-
-    std::vector<FaultSet> candidates;
-    for (std::size_t r = 0; r < spec_.greedy_samples; ++r) {
-        Rng rng(derive_seed(spec_.seed, s, state.index, r));
-        FaultSet candidate = base;
-        grow_to(candidate, s, spec_.space, rng);
-        candidates.push_back(std::move(candidate));
-        if (candidates.size() == remaining) break;
-    }
-    const std::vector<double> values = evaluate(state, candidates);
-
-    bool improved = false;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (values[i] > state.stage_best_fitness) {
-            state.stage_best_fitness = values[i];
-            if (state.population.size() < 2) {
-                state.population.push_back(candidates[i]);
-                state.fitness.push_back(values[i]);
-            } else {
-                state.population[1] = candidates[i];
-                state.fitness[1] = values[i];
-            }
-            improved = true;
-        }
-    }
-    state.stage_generation += 1;
-    state.stall = improved ? 0 : state.stall + 1;
-
-    if (state.stall >= spec_.stall_generations) {
-        if (state.stage >= spec_.max_faults || state.population.size() < 2) {
-            state.exhausted = true;
-        } else {
-            // Accept the stage champion as the next stage's base.
-            state.population = {state.population[1]};
-            state.fitness = {state.fitness[1]};
-            state.stage += 1;
-            state.max_stage_entered = std::max(state.max_stage_entered, state.stage);
-            state.stage_generation = 0;
-            state.stall = 0;
-            state.stage_best_fitness = kNoFitness;
-        }
-    }
-}
-
-void SearchDriver::step_random(State& state) {
-    const std::size_t remaining = spec_.budget - state.evaluations;
-    state.stage = spec_.max_faults;
-    state.max_stage_entered = spec_.max_faults;
-    std::vector<FaultSet> batch;
-    for (std::size_t m = 0; m < spec_.population; ++m) {
-        batch.push_back(random_fault_set(
-            spec_.max_faults, spec_.space,
-            derive_seed(spec_.seed, spec_.max_faults, state.index, m)));
-        if (batch.size() == remaining) break;
-    }
-    const std::vector<double> values = evaluate(state, batch);
-    state.stage_best_fitness =
-        std::max(state.stage_best_fitness,
-                 *std::max_element(values.begin(), values.end()));
-    state.stage_generation += 1;
-}
-
 SearchResult SearchDriver::run() {
     State state;
     if (!restored_.empty()) {
@@ -454,11 +390,7 @@ SearchResult SearchDriver::run() {
     };
 
     while (!done()) {
-        switch (spec_.algorithm) {
-        case SearchAlgorithm::Des: step_des(state); break;
-        case SearchAlgorithm::Greedy: step_greedy(state); break;
-        case SearchAlgorithm::Random: step_random(state); break;
-        }
+        step_des(state);
         record_generation(state);
     }
 

@@ -7,9 +7,7 @@
 // population of s-index fault sets, and when progress stalls grow s by
 // one, seeding stage s+1 from the stage-s champion — the attacker pays
 // for one more fault only when the cheaper set is exhausted. This layer
-// implements that search plus two baselines (greedy stage-wise growth,
-// uniform random sampling) behind one driver, so every experiment can
-// report DES against its controls.
+// implements that search.
 //
 // The driver is deliberately blind: it knows the index-space size and a
 // batch fitness callback, nothing about networks, faults, or simulators
@@ -29,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "util/json.hpp"
@@ -41,21 +38,18 @@ namespace deepstrike::attack {
 using FaultSet = std::vector<std::uint32_t>;
 
 enum class SearchAlgorithm : std::uint8_t {
-    Des,    // Progressive Differential Evolution Search (the paper's)
-    Greedy, // stage-wise best-single-addition baseline
-    Random, // uniform random max_faults-sets baseline
+    Des, // Progressive Differential Evolution Search (the paper's)
 };
 
-const char* search_algorithm_name(SearchAlgorithm algorithm);
-SearchAlgorithm parse_search_algorithm(const std::string& name); // throws ConfigError
-
 struct SearchSpec {
+    /// Always Des. Nothing in src/ reads it; it stays because
+    /// bench/e2e/ds_e2e.cpp assigns it.
     SearchAlgorithm algorithm = SearchAlgorithm::Des;
     /// Size of the index domain (quant::WeightStreamView::size()).
     std::size_t space = 0;
     /// Largest fault set the attacker will pay for (P-DES final stage).
     std::size_t max_faults = 10;
-    /// DES population / random batch width per generation.
+    /// DES population: candidates per generation.
     std::size_t population = 16;
     /// Total fitness-evaluation budget. Logical: every requested
     /// evaluation counts, cached or not, so resumed runs stop at the
@@ -71,8 +65,6 @@ struct SearchSpec {
     double crossover = 0.7;
     /// Generations without improvement before a stage advances.
     std::size_t stall_generations = 6;
-    /// Greedy baseline: candidate single-index additions tried per round.
-    std::size_t greedy_samples = 32;
 
     void validate() const; // throws ConfigError on nonsense
 };
@@ -91,7 +83,7 @@ struct GenerationRecord {
     FaultSet best;
     double stage_best_fitness = 0.0;   // best achieved within this stage
     bool exhausted = false;            // final stage stalled out
-    std::vector<FaultSet> population;  // empty for Random (stateless)
+    std::vector<FaultSet> population;  // empty on entering a stage
     std::vector<double> fitness;       // parallel to population
 
     Json to_json() const;              // floats as IEEE-754 bit-hex
@@ -126,8 +118,11 @@ public:
 
     /// Restores driver state from recovered journal payloads (any order;
     /// the newest record wins). Must be called before run(). Throws
-    /// FormatError on malformed records, ConfigError when a record is
-    /// inconsistent with the spec (e.g. index beyond the space).
+    /// FormatError on malformed records, ConfigError when a record is not
+    /// a state the driver can reach under the spec (its stage, evaluation
+    /// count, population size, member width, order and range, or a
+    /// non-finite fitness), so a restored search runs to completion
+    /// within the budget.
     void restore(const std::vector<Json>& records);
 
     /// Runs the search to completion (budget out, target reached, or all
@@ -138,8 +133,6 @@ private:
     struct State;
 
     void step_des(State& state);
-    void step_greedy(State& state);
-    void step_random(State& state);
     std::vector<double> evaluate(State& state, const std::vector<FaultSet>& batch);
     void record_generation(State& state);
 
@@ -148,10 +141,5 @@ private:
     GenerationObserver observer_;
     std::vector<GenerationRecord> restored_;
 };
-
-/// Draws a sorted set of `size` distinct indices in [0, space) from rng.
-/// Exposed for tests and stage seeding.
-FaultSet random_fault_set(std::size_t size, std::size_t space,
-                          std::uint64_t seed);
 
 } // namespace deepstrike::attack

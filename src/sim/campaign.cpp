@@ -363,19 +363,6 @@ CampaignReport assemble_campaign_report(const CampaignPlanInfo& info,
     return report;
 }
 
-void require_known_manifest_keys(const Json& manifest,
-                                 const std::vector<std::string>& known,
-                                 const std::string& what) {
-    if (!manifest.is_object()) {
-        throw FormatError(what + ": expected a JSON object");
-    }
-    for (const std::string& key : manifest.keys()) {
-        if (std::find(known.begin(), known.end(), key) == known.end()) {
-            throw FormatError(what + ": unknown key '" + key + "'");
-        }
-    }
-}
-
 CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_set,
                             const CampaignConfig& config, RunManifest* manifest) {
     trace::Span campaign_span("campaign", "campaign");

@@ -179,15 +179,6 @@ CampaignPlanInfo plan_info(const CampaignPlan& plan);
 CampaignReport assemble_campaign_report(const CampaignPlanInfo& info,
                                         const std::vector<Json>& records);
 
-/// Rejects any key of `manifest` (which must be a JSON object) that is
-/// not in `known`, with a FormatError naming the offender and `what` (for
-/// the message, e.g. "search manifest"). The search manifest parser runs
-/// its keys through this, so a typoed knob fails loudly instead of
-/// silently keeping a default.
-void require_known_manifest_keys(const Json& manifest,
-                                 const std::vector<std::string>& known,
-                                 const std::string& what);
-
 // Floating-point results cross the journal as IEEE-754 bit patterns so
 // restores are bit-exact; the human-readable value rides alongside.
 std::string double_bits_hex(double value);

@@ -121,9 +121,8 @@ std::uint64_t weight_fault_search_fingerprint(
     const attack::SearchSpec& spec = config.spec;
     std::uint64_t fp = derive_seed(
         network_fingerprint(network),
-        {dataset_fingerprint(test_set), static_cast<std::uint64_t>(spec.algorithm),
-         spec.space, spec.max_faults, spec.population, spec.budget, spec.seed,
-         spec.stall_generations, spec.greedy_samples});
+        {dataset_fingerprint(test_set), spec.space, spec.max_faults, spec.population,
+         spec.budget, spec.seed, spec.stall_generations});
     std::uint64_t target_bits = 0;
     std::memcpy(&target_bits, &spec.target_drop, sizeof target_bits);
     std::uint64_t f_bits = 0;
@@ -142,6 +141,12 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
                                      const WeightFaultSearchConfig& config,
                                      RunManifest* manifest) {
     trace::Span search_span("search", "search");
+    if (config.eval_images == 0) throw ConfigError("search: zero eval images");
+    if (config.transfer.beat_words == 0) throw ConfigError("search: zero beat words");
+    if (config.fault_bit > 7) {
+        throw ConfigError("search: fault bit " + std::to_string(config.fault_bit) +
+                          " outside an 8-bit weight word");
+    }
 
     const quant::WeightStreamView view(network);
     WeightFaultSearchConfig cfg = config;
@@ -204,8 +209,9 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
                 {"candidate " + fresh_keys[i], [&, i, &candidate = candidate] {
                      const quant::QNetwork faulted = accel::apply_weight_faults(
                          network,
-                         accel::uniform_weight_faults(candidate, cfg.fault_kind,
-                                                      cfg.fault_bit),
+                         accel::uniform_weight_faults(
+                             candidate, cfg.fault_kind,
+                             static_cast<std::uint8_t>(cfg.fault_bit)),
                          cfg.transfer);
                      const std::size_t first = view.first_faulted_layer(
                          candidate, layer_count);
@@ -298,7 +304,7 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
     }
 
     SearchReport report;
-    report.algorithm = attack::search_algorithm_name(cfg.spec.algorithm);
+    report.algorithm = "des";
     report.attack = weight_attack_name(cfg.fault_kind);
     report.space = cfg.spec.space;
     report.eval_images = n_images;
@@ -314,61 +320,6 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
     report.convergence = result.convergence;
     if (manifest != nullptr) *manifest = std::move(aggregate);
     return report;
-}
-
-WeightFaultSearchConfig search_config_from_manifest(const Json& manifest) {
-    require_known_manifest_keys(
-        manifest,
-        {"arch", "train_size", "test_size", "epochs", "data_seed", "attack",
-         "search", "bit", "beat_words", "max_faults", "population", "budget",
-         "target_drop", "seed", "f_scale", "crossover", "stall_generations",
-         "greedy_samples", "eval_images", "journal", "resume"},
-        "search manifest");
-
-    WeightFaultSearchConfig config;
-    if (const Json* v = manifest.find("attack")) {
-        config.fault_kind = parse_weight_attack(v->as_string());
-    }
-    if (const Json* v = manifest.find("search")) {
-        config.spec.algorithm = attack::parse_search_algorithm(v->as_string());
-    }
-    if (const Json* v = manifest.find("bit")) {
-        config.fault_bit = static_cast<std::uint8_t>(v->as_uint());
-    }
-    if (const Json* v = manifest.find("beat_words")) {
-        config.transfer.beat_words = v->as_uint();
-    }
-    if (const Json* v = manifest.find("max_faults")) {
-        config.spec.max_faults = v->as_uint();
-    }
-    if (const Json* v = manifest.find("population")) {
-        config.spec.population = v->as_uint();
-    }
-    if (const Json* v = manifest.find("budget")) config.spec.budget = v->as_uint();
-    if (const Json* v = manifest.find("target_drop")) {
-        config.spec.target_drop = v->as_number();
-    }
-    if (const Json* v = manifest.find("seed")) config.spec.seed = v->as_uint();
-    if (const Json* v = manifest.find("f_scale")) {
-        config.spec.f_scale = v->as_number();
-    }
-    if (const Json* v = manifest.find("crossover")) {
-        config.spec.crossover = v->as_number();
-    }
-    if (const Json* v = manifest.find("stall_generations")) {
-        config.spec.stall_generations = v->as_uint();
-    }
-    if (const Json* v = manifest.find("greedy_samples")) {
-        config.spec.greedy_samples = v->as_uint();
-    }
-    if (const Json* v = manifest.find("eval_images")) {
-        config.eval_images = v->as_uint();
-    }
-    if (const Json* v = manifest.find("journal")) {
-        config.journal_path = v->as_string();
-    }
-    if (const Json* v = manifest.find("resume")) config.resume = v->as_bool();
-    return config;
 }
 
 } // namespace deepstrike::sim

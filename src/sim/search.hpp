@@ -50,10 +50,10 @@ struct WeightFaultSearchConfig {
     attack::SearchSpec spec;
     /// Fault model applied to every index of a candidate set.
     accel::WeightFaultKind fault_kind = accel::WeightFaultKind::Duplicate;
-    std::uint8_t fault_bit = 7; // BitFlip only; 7 = sign bit
+    std::size_t fault_bit = 7; // BitFlip only; 7 = sign bit, at most 7
     accel::WeightTransferParams transfer;
-    /// Fitness is the accuracy drop over the first eval_images of the
-    /// test set (percentage points).
+    /// Fitness is the accuracy drop over the first eval_images (>= 1) of
+    /// the test set (percentage points).
     std::size_t eval_images = 256;
     std::size_t threads = 0;
     std::string journal_path;
@@ -62,7 +62,7 @@ struct WeightFaultSearchConfig {
 
 /// Search outcome, serialized into reports and EXPERIMENTS.md tables.
 struct SearchReport {
-    std::string algorithm;      // des | greedy | random
+    std::string algorithm;      // always "des" (P-DES)
     std::string attack;         // deep-dup | deeplaser
     std::size_t space = 0;      // weight-stream size searched
     std::size_t eval_images = 0;
@@ -89,19 +89,14 @@ std::uint64_t weight_fault_search_fingerprint(
     const WeightFaultSearchConfig& config);
 
 /// Runs the search to completion. Deterministic in (network, test_set,
-/// config) — independent of threads and resume splits.
-/// When `manifest` is non-null it receives the aggregated sweep manifest
-/// (one point per fitness-evaluated candidate).
+/// config) — independent of threads and resume splits. Throws
+/// ConfigError on a config it cannot run (zero eval images, zero beat
+/// words, a fault bit above 7, an invalid spec) or a journal that does
+/// not belong to it. When `manifest` is non-null it receives the
+/// aggregated sweep manifest (one point per fitness-evaluated candidate).
 SearchReport run_weight_fault_search(const quant::QNetwork& network,
                                      const data::Dataset& test_set,
                                      const WeightFaultSearchConfig& config,
                                      RunManifest* manifest = nullptr);
-
-/// Strict manifest parser for `deepstrike search --manifest`: unknown
-/// keys throw FormatError (see require_known_manifest_keys), so a typoed
-/// budget knob fails loudly instead of silently keeping a default.
-/// Victim keys (arch/train_size/...) are permitted and consumed by the
-/// CLI's victim factory.
-WeightFaultSearchConfig search_config_from_manifest(const Json& manifest);
 
 } // namespace deepstrike::sim

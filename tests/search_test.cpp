@@ -1,23 +1,27 @@
-// attack::SearchDriver (P-DES + baselines) and the sim-side weight-fault
-// search orchestration: determinism across threads, golden-cache
-// equivalence, journal resume, manifest strictness.
+// attack::SearchDriver (P-DES) and the sim-side weight-fault search
+// orchestration: determinism across threads, golden-cache equivalence,
+// journal resume, hostile journal records and configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <limits>
 
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
+#include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
+#include "sim/journal.hpp"
 #include "sim/search.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 using namespace deepstrike;
 using attack::FaultSet;
 using attack::GenerationRecord;
-using attack::SearchAlgorithm;
 using attack::SearchDriver;
 using attack::SearchResult;
 using attack::SearchSpec;
@@ -53,9 +57,8 @@ attack::BatchFitness planted_batch(const FaultSet& planted) {
     };
 }
 
-SearchSpec small_spec(SearchAlgorithm algorithm) {
+SearchSpec small_spec() {
     SearchSpec spec;
-    spec.algorithm = algorithm;
     spec.space = 64;
     spec.max_faults = 3;
     spec.population = 8;
@@ -64,76 +67,97 @@ SearchSpec small_spec(SearchAlgorithm algorithm) {
     return spec;
 }
 
+/// Runs `spec` uninterrupted against the planted optimum and returns
+/// every generation's journal record; `result` receives the outcome.
+std::vector<Json> honest_records(const SearchSpec& spec, const FaultSet& planted,
+                                 SearchResult* result = nullptr) {
+    std::vector<Json> records;
+    SearchDriver driver(spec, planted_batch(planted));
+    driver.set_observer(
+        [&](const GenerationRecord& record) { records.push_back(record.to_json()); });
+    const SearchResult outcome = driver.run();
+    if (result != nullptr) *result = outcome;
+    return records;
+}
+
+SearchResult restore_and_run(const SearchSpec& spec, const FaultSet& planted,
+                             const std::vector<Json>& records) {
+    SearchDriver driver(spec, planted_batch(planted));
+    driver.restore(records);
+    return driver.run();
+}
+
+/// `record` with `key` replaced by `value`.
+Json with(Json record, const char* key, Json value) {
+    record.set(key, std::move(value));
+    return record;
+}
+
+/// `record` with the first index of population member `member` (or of
+/// `best` when `member` is the population size) replaced by a raw JSON
+/// integer that no 32-bit index can hold.
+Json with_wide_index(const Json& record, std::size_t member) {
+    const auto widened = [](const Json& set) {
+        Json out = Json::array();
+        out.push(std::uint64_t{(1ULL << 32) + 5});
+        for (std::size_t i = 1; i < set.size(); ++i) out.push(set.at(i));
+        return out;
+    };
+    const Json& population = record.at("population");
+    if (member == population.size()) {
+        return with(record, "best", widened(record.at("best")));
+    }
+    Json pop = Json::array();
+    for (std::size_t m = 0; m < population.size(); ++m) {
+        pop.push(m == member ? widened(population.at(m)) : population.at(m));
+    }
+    return with(record, "population", std::move(pop));
+}
+
 } // namespace
 
 TEST(SearchSpec, ValidateRejectsNonsense) {
-    SearchSpec spec = small_spec(SearchAlgorithm::Des);
+    SearchSpec spec = small_spec();
     EXPECT_NO_THROW(spec.validate());
     spec.space = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
-    spec = small_spec(SearchAlgorithm::Des);
+    spec = small_spec();
     spec.max_faults = 100;
     EXPECT_THROW(spec.validate(), ConfigError); // exceeds space 64
-    spec = small_spec(SearchAlgorithm::Des);
+    spec = small_spec();
     spec.population = 3;
     EXPECT_THROW(spec.validate(), ConfigError); // DES needs >= 4
-    spec = small_spec(SearchAlgorithm::Des);
+    spec = small_spec();
     spec.budget = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
-    spec = small_spec(SearchAlgorithm::Des);
+    spec = small_spec();
     spec.crossover = 1.5;
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
-TEST(SearchDriverTest, RandomFaultSetIsSortedDistinct) {
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        const FaultSet set = attack::random_fault_set(5, 16, seed);
-        ASSERT_EQ(set.size(), 5u);
-        for (std::size_t i = 1; i < set.size(); ++i) {
-            EXPECT_LT(set[i - 1], set[i]);
-        }
-        EXPECT_LT(set.back(), 16u);
-    }
-}
-
-TEST(SearchDriverTest, AlgorithmNamesRoundTrip) {
-    EXPECT_EQ(attack::parse_search_algorithm("des"), SearchAlgorithm::Des);
-    EXPECT_EQ(attack::parse_search_algorithm("greedy"), SearchAlgorithm::Greedy);
-    EXPECT_EQ(attack::parse_search_algorithm("random"), SearchAlgorithm::Random);
-    EXPECT_THROW(attack::parse_search_algorithm("anneal"), ConfigError);
-    EXPECT_STREQ(attack::search_algorithm_name(SearchAlgorithm::Des), "des");
-}
-
 TEST(SearchDriverTest, FindsPlantedOptimum) {
     const FaultSet planted = {5, 23, 40};
-    for (SearchAlgorithm algorithm :
-         {SearchAlgorithm::Des, SearchAlgorithm::Greedy}) {
-        SearchDriver driver(small_spec(algorithm), planted_batch(planted));
-        const SearchResult result = driver.run();
-        EXPECT_EQ(result.best, planted)
-            << attack::search_algorithm_name(algorithm);
-        EXPECT_LE(result.evaluations, 600u);
-    }
+    SearchDriver driver(small_spec(), planted_batch(planted));
+    const SearchResult result = driver.run();
+    EXPECT_EQ(result.best, planted);
+    EXPECT_LE(result.evaluations, 600u);
 }
 
 TEST(SearchDriverTest, DeterministicAcrossRuns) {
     const FaultSet planted = {2, 9, 33};
-    for (SearchAlgorithm algorithm :
-         {SearchAlgorithm::Des, SearchAlgorithm::Greedy, SearchAlgorithm::Random}) {
-        SearchDriver a(small_spec(algorithm), planted_batch(planted));
-        SearchDriver b(small_spec(algorithm), planted_batch(planted));
-        const SearchResult ra = a.run();
-        const SearchResult rb = b.run();
-        EXPECT_EQ(ra.best, rb.best);
-        EXPECT_EQ(ra.best_fitness, rb.best_fitness);
-        EXPECT_EQ(ra.evaluations, rb.evaluations);
-        EXPECT_EQ(ra.generations, rb.generations);
-        EXPECT_EQ(ra.convergence, rb.convergence);
-    }
+    SearchDriver a(small_spec(), planted_batch(planted));
+    SearchDriver b(small_spec(), planted_batch(planted));
+    const SearchResult ra = a.run();
+    const SearchResult rb = b.run();
+    EXPECT_EQ(ra.best, rb.best);
+    EXPECT_EQ(ra.best_fitness, rb.best_fitness);
+    EXPECT_EQ(ra.evaluations, rb.evaluations);
+    EXPECT_EQ(ra.generations, rb.generations);
+    EXPECT_EQ(ra.convergence, rb.convergence);
 }
 
 TEST(SearchDriverTest, TargetStopsEarly) {
-    SearchSpec spec = small_spec(SearchAlgorithm::Des);
+    SearchSpec spec = small_spec();
     spec.target_drop = 10.0; // one planted hit suffices
     SearchDriver driver(spec, planted_batch({5, 23, 40}));
     const SearchResult result = driver.run();
@@ -170,31 +194,203 @@ TEST(SearchDriverTest, GenerationRecordRoundTrips) {
 }
 
 TEST(SearchDriverTest, RestoreContinuesBitExactly) {
-    const FaultSet planted = {2, 9, 33};
-    for (SearchAlgorithm algorithm :
-         {SearchAlgorithm::Des, SearchAlgorithm::Greedy, SearchAlgorithm::Random}) {
-        // Reference: uninterrupted run, recording every generation.
-        std::vector<Json> records;
-        SearchDriver reference(small_spec(algorithm), planted_batch(planted));
-        reference.set_observer([&](const GenerationRecord& record) {
-            records.push_back(record.to_json());
-        });
-        const SearchResult expected = reference.run();
+    // The first search stalls out in its final stage. The second one's
+    // budget runs out inside the stage-2 seeding, so its last record
+    // holds fewer than `population` members and must restore too.
+    SearchSpec cut = small_spec();
+    cut.budget = 61;
+    cut.stall_generations = 2;
+    const std::pair<SearchSpec, FaultSet> searches[] = {{small_spec(), {2, 9, 33}},
+                                                        {cut, {5, 23, 40}}};
+    for (const auto& [spec, planted] : searches) {
+        SearchResult expected;
+        const std::vector<Json> records = honest_records(spec, planted, &expected);
         ASSERT_GT(records.size(), 2u);
 
-        // Resume from the first half of the journal; the continuation must
-        // land on the identical result and convergence curve.
-        const std::vector<Json> half(records.begin(),
-                                     records.begin() + records.size() / 2);
-        SearchDriver resumed(small_spec(algorithm), planted_batch(planted));
-        resumed.restore(half);
-        const SearchResult result = resumed.run();
-        EXPECT_EQ(result.best, expected.best);
-        EXPECT_EQ(result.best_fitness, expected.best_fitness);
-        EXPECT_EQ(result.evaluations, expected.evaluations);
-        EXPECT_EQ(result.generations, expected.generations);
-        EXPECT_EQ(result.convergence, expected.convergence);
+        // Resume from every prefix of the journal, the complete one
+        // included; the continuation must land on the identical result
+        // and convergence curve.
+        for (std::size_t n = 1; n <= records.size(); ++n) {
+            const std::vector<Json> prefix(records.begin(),
+                                           records.begin() + static_cast<std::ptrdiff_t>(n));
+            const SearchResult result = restore_and_run(spec, planted, prefix);
+            EXPECT_EQ(result.best, expected.best) << "prefix " << n;
+            EXPECT_EQ(result.best_fitness, expected.best_fitness) << "prefix " << n;
+            EXPECT_EQ(result.evaluations, expected.evaluations) << "prefix " << n;
+            EXPECT_EQ(result.generations, expected.generations) << "prefix " << n;
+            EXPECT_EQ(result.convergence, expected.convergence) << "prefix " << n;
+        }
     }
+    const std::vector<Json> records = honest_records(cut, {5, 23, 40});
+    const GenerationRecord last = GenerationRecord::from_json(records.back());
+    EXPECT_EQ(last.stage, 2u);
+    EXPECT_EQ(last.evaluations, cut.budget);
+    EXPECT_GT(last.population.size(), 0u);
+    EXPECT_LT(last.population.size(), cut.population);
+}
+
+// Each tampered record reaches restore() alone, as the newest record of
+// a journal; each must end in a typed error before run() draws anything.
+TEST(SearchDriverTest, HostileRecordsEndInTypedErrors) {
+    SearchSpec spec = small_spec();
+    spec.budget = 200;
+    const FaultSet planted = {5, 23, 40};
+    const std::vector<Json> records = honest_records(spec, planted);
+    const auto full_record_of_stage = [&](std::uint64_t stage) {
+        for (const Json& record : records) {
+            if (record.at("stage").as_uint() == stage &&
+                record.at("population").size() == spec.population) {
+                return GenerationRecord::from_json(record);
+            }
+        }
+        return GenerationRecord{};
+    };
+    const GenerationRecord stage1 = full_record_of_stage(1);
+    const GenerationRecord stage2 = full_record_of_stage(2);
+    ASSERT_EQ(stage1.population.size(), spec.population);
+    ASSERT_EQ(stage2.population.size(), spec.population);
+
+    // The honest records restore and run.
+    EXPECT_NO_THROW(restore_and_run(spec, planted, {stage1.to_json()}));
+    EXPECT_NO_THROW(restore_and_run(spec, planted, {stage2.to_json()}));
+
+    GenerationRecord cut = stage2;
+    cut.population.resize(2);
+    cut.fitness.resize(2);
+    GenerationRecord far_best = stage2;
+    far_best.best = {999999};
+    GenerationRecord repeated = stage2;
+    repeated.population[0] = {5, 5};
+    GenerationRecord long_best = stage1;
+    long_best.best = {1, 2};
+    GenerationRecord nan_fitness = stage2;
+    nan_fitness.fitness[3] = std::numeric_limits<double>::quiet_NaN();
+    GenerationRecord infinite_best = stage2;
+    infinite_best.best_fitness = std::numeric_limits<double>::infinity();
+
+    const std::pair<const char*, Json> config_rows[] = {
+        {"stage 3 with 1-index members", with(stage1.to_json(), "stage", 3)},
+        {"stage above max_faults", with(stage1.to_json(), "stage", 7)},
+        {"stage 0", with(stage1.to_json(), "stage", 0)},
+        {"population cut to 2 members", cut.to_json()},
+        {"index 10^12", with(stage1.to_json(), "index", std::uint64_t{1000000000000})},
+        {"best outside the space", far_best.to_json()},
+        {"evaluations above the budget",
+         with(stage1.to_json(), "evaluations", std::uint64_t{1000000})},
+        {"member {5, 5}", repeated.to_json()},
+        {"best longer than its stage", long_best.to_json()},
+        {"NaN member fitness", nan_fitness.to_json()},
+        {"infinite best fitness", infinite_best.to_json()},
+    };
+    for (const auto& [what, record] : config_rows) {
+        EXPECT_THROW(restore_and_run(spec, planted, {record}), ConfigError) << what;
+    }
+    EXPECT_THROW(restore_and_run(spec, planted, {with_wide_index(stage1.to_json(), 0)}),
+                 FormatError)
+        << "member index 2^32 + 5";
+}
+
+// Every record of an honest multi-stage run, mutated many ways and
+// restored as the newest record after its honest prefix, either runs to
+// completion within the budget or ends in FormatError / ConfigError.
+TEST(SearchDriverTest, SeededRecordMutantsRunOrEndInTypedErrors) {
+    SearchSpec spec = small_spec();
+    spec.budget = 200;
+    spec.stall_generations = 2;
+    const FaultSet planted = {5, 23, 40};
+    SearchResult honest;
+    const std::vector<Json> records = honest_records(spec, planted, &honest);
+    ASSERT_GT(honest.stages, 1u);
+
+    Rng rng(0x5EA4C4);
+    const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::size_t outcomes[3] = {0, 0, 0}; // ran, FormatError, ConfigError
+    for (std::size_t k = 0; k < records.size(); ++k) {
+        const Json& honest_json = records[k];
+        const GenerationRecord record = GenerationRecord::from_json(honest_json);
+        std::vector<Json> mutants;
+        for (const char* key : {"index", "stage", "stage_generation", "stall", "evaluations"}) {
+            for (std::uint64_t value :
+                 {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{record.stage - 1},
+                  std::uint64_t{record.stage + 1}, std::uint64_t{spec.max_faults + 1},
+                  std::uint64_t{(1ULL << 32) + 5},
+                  std::uint64_t{std::numeric_limits<std::int64_t>::max()}}) {
+                mutants.push_back(with(honest_json, key, value));
+            }
+        }
+        // One fault set of the record: a population member, or `best`.
+        const std::size_t members = record.population.size();
+        const auto mutate_set = [&](auto edit) {
+            GenerationRecord mutant = record;
+            const std::size_t m = pick(members + 1);
+            edit(m == members ? mutant.best : mutant.population[m]);
+            mutants.push_back(mutant.to_json());
+        };
+        mutate_set([](FaultSet& set) { if (!set.empty()) set.pop_back(); });
+        mutate_set([&](FaultSet& set) {
+            if (set.empty() || set.back() + 1 < spec.space) {
+                set.push_back(set.empty() ? 0 : set.back() + 1);
+            }
+        });
+        mutate_set([](FaultSet& set) { if (!set.empty()) set.back() = set.front(); });
+        mutate_set([](FaultSet& set) { std::reverse(set.begin(), set.end()); });
+        mutate_set([&](FaultSet& set) {
+            if (!set.empty()) {
+                set[pick(set.size())] = static_cast<std::uint32_t>(spec.space + pick(1000));
+            }
+        });
+        mutants.push_back(with_wide_index(honest_json, pick(members + 1)));
+        if (members > 0) {
+            GenerationRecord doubled = record;
+            doubled.population.push_back(record.population[pick(members)]);
+            doubled.fitness.push_back(record.fitness.front());
+            mutants.push_back(doubled.to_json());
+        }
+        for (std::size_t keep = 0; keep <= 3; ++keep) {
+            GenerationRecord cut = record;
+            cut.population.resize(std::min(keep, members));
+            cut.fitness.resize(cut.population.size());
+            mutants.push_back(cut.to_json());
+        }
+        for (double bad : {nan, inf, -inf}) {
+            GenerationRecord mutant = record;
+            const std::size_t field = pick(members + 2);
+            double& target = field == members     ? mutant.best_fitness
+                             : field == members + 1 ? mutant.stage_best_fitness
+                                                    : mutant.fitness[field];
+            target = bad;
+            mutants.push_back(mutant.to_json());
+        }
+
+        for (const Json& mutant : mutants) {
+            std::vector<Json> journal(records.begin(),
+                                      records.begin() + static_cast<std::ptrdiff_t>(k));
+            journal.push_back(mutant);
+            try {
+                const SearchResult result = restore_and_run(spec, planted, journal);
+                EXPECT_LE(result.evaluations, spec.budget) << mutant.dump();
+                EXPECT_EQ(result.convergence.size(), result.generations) << mutant.dump();
+                EXPECT_TRUE(std::isfinite(result.best_fitness)) << mutant.dump();
+                EXPECT_LE(result.best.size(), spec.max_faults) << mutant.dump();
+                ++outcomes[0];
+            } catch (const FormatError&) {
+                ++outcomes[1];
+            } catch (const ConfigError&) {
+                ++outcomes[2];
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "untyped error '" << e.what() << "' on " << mutant.dump();
+            }
+        }
+    }
+    // The mutants reach every outcome: the check is not vacuous.
+    EXPECT_GT(outcomes[0], 0u);
+    EXPECT_GT(outcomes[1], 0u);
+    EXPECT_GT(outcomes[2], 0u);
 }
 
 // ------------------------------------------------------------ sim wiring
@@ -334,6 +530,61 @@ TEST(WeightFaultSearch, ResumeRejectsAForeignFingerprint) {
     std::remove(journal.c_str());
 }
 
+// A journal under the search's real fingerprint whose second record was
+// tampered with: resume must refuse it with ConfigError, not run on it.
+TEST(WeightFaultSearch, ResumeRejectsATamperedRecord) {
+    SmallRig rig;
+    const std::string journal = temp_path("tampered.jsonl");
+    sim::WeightFaultSearchConfig config = small_config();
+    config.spec.space = quant::WeightStreamView(rig.network).size();
+    config.journal_path = journal;
+    sim::run_weight_fault_search(rig.network, rig.test, config);
+
+    const std::uint64_t fingerprint =
+        sim::weight_fault_search_fingerprint(rig.network, rig.test, config);
+    const sim::JournalRecovery honest =
+        sim::CheckpointJournal::recover(journal, fingerprint, "weight-fault-search");
+    ASSERT_GE(honest.records.size(), 2u);
+    {
+        const auto rewritten =
+            sim::CheckpointJournal::create(journal, fingerprint, "weight-fault-search");
+        for (const sim::JournalRecord& record : honest.records) {
+            Json payload = record.payload;
+            if (record.index == 1) payload.set("stage", std::uint64_t{0});
+            rewritten->append(record.index, std::move(payload));
+        }
+        rewritten->flush();
+    }
+
+    config.resume = true;
+    try {
+        sim::run_weight_fault_search(rig.network, rig.test, config);
+        ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("record 1"), std::string::npos) << e.what();
+    }
+    std::remove(journal.c_str());
+}
+
+TEST(WeightFaultSearch, UnrunnableConfigsEndInConfigError) {
+    SmallRig rig;
+    const std::pair<const char*, void (*)(sim::WeightFaultSearchConfig&)> rows[] = {
+        {"zero eval images", [](sim::WeightFaultSearchConfig& c) { c.eval_images = 0; }},
+        {"zero beat words",
+         [](sim::WeightFaultSearchConfig& c) { c.transfer.beat_words = 0; }},
+        {"bit 8", [](sim::WeightFaultSearchConfig& c) { c.fault_bit = 8; }},
+        {"bit 263 (7 mod 256)", [](sim::WeightFaultSearchConfig& c) { c.fault_bit = 263; }},
+    };
+    for (const auto& [what, edit] : rows) {
+        sim::WeightFaultSearchConfig config = small_config();
+        config.fault_kind = accel::WeightFaultKind::BitFlip;
+        edit(config);
+        EXPECT_THROW(sim::run_weight_fault_search(rig.network, rig.test, config),
+                     ConfigError)
+            << what;
+    }
+}
+
 TEST(WeightFaultSearch, AttackNamesRoundTrip) {
     EXPECT_EQ(sim::parse_weight_attack("deep-dup"),
               accel::WeightFaultKind::Duplicate);
@@ -342,43 +593,4 @@ TEST(WeightFaultSearch, AttackNamesRoundTrip) {
     EXPECT_THROW(sim::parse_weight_attack("rowhammer"), ConfigError);
     EXPECT_STREQ(sim::weight_attack_name(accel::WeightFaultKind::Duplicate),
                  "deep-dup");
-}
-
-// -------------------------------------------------------- manifest keys
-
-TEST(ManifestKeys, SearchManifestRejectsUnknownKeys) {
-    Json ok = Json::object();
-    ok.set("attack", "deeplaser");
-    ok.set("budget", std::uint64_t{50});
-    const sim::WeightFaultSearchConfig config =
-        sim::search_config_from_manifest(ok);
-    EXPECT_EQ(config.fault_kind, accel::WeightFaultKind::BitFlip);
-    EXPECT_EQ(config.spec.budget, 50u);
-
-    Json typo = Json::object();
-    typo.set("attack", "deeplaser");
-    typo.set("buget", std::uint64_t{50}); // the classic
-    EXPECT_THROW(sim::search_config_from_manifest(typo), FormatError);
-
-    // golden_cache was never a manifest knob; no config field carries it.
-    Json golden = Json::object();
-    golden.set("attack", "deeplaser");
-    golden.set("golden_cache", false);
-    EXPECT_THROW(sim::search_config_from_manifest(golden), FormatError);
-
-    EXPECT_THROW(sim::search_config_from_manifest(Json("not-an-object")),
-                 FormatError);
-}
-
-TEST(ManifestKeys, SharedHelperNamesTheOffender) {
-    Json manifest = Json::object();
-    manifest.set("good", 1);
-    manifest.set("bad", 2);
-    try {
-        sim::require_known_manifest_keys(manifest, {"good"}, "unit manifest");
-        FAIL() << "expected FormatError";
-    } catch (const FormatError& e) {
-        EXPECT_NE(std::string(e.what()).find("unit manifest"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("'bad'"), std::string::npos);
-    }
 }

@@ -459,11 +459,11 @@ int cmd_search(const std::vector<std::string>& args) {
         "(Deep-Dup duplication / DeepLaser bit flips).");
     add_common_victim_options(parser);
     parser.add_option("attack", "fault model: deep-dup|deeplaser", "deep-dup");
-    parser.add_option("search", "algorithm: des|greedy|random", "des");
     parser.add_option("bit", "bit to flip for deeplaser (7 = sign)", "7");
     parser.add_option("beat-words", "weight words per AXI data beat", "64");
     parser.add_option("max-faults", "largest fault set to pay for", "10");
-    parser.add_option("population", "DES population / batch width", "16");
+    parser.add_option("population", "P-DES population: candidates per generation",
+                      "16");
     parser.add_option("budget", "total fitness-evaluation budget", "2000");
     parser.add_option("target-drop",
                       "stop once the accuracy drop (percentage points) "
@@ -476,13 +476,6 @@ int cmd_search(const std::vector<std::string>& args) {
     parser.add_option("stall",
                       "non-improving generations before the stage advances",
                       "6");
-    parser.add_option("greedy-samples",
-                      "candidate additions per greedy round", "32");
-    parser.add_option("config",
-                      "JSON search manifest; CLI options above override "
-                      "nothing — the manifest wins for search knobs "
-                      "(victim options stay CLI-controlled)",
-                      "");
     parser.add_option("json", "write the JSON report here", "search.json");
     parser.add_option("markdown", "write the markdown report here", "");
     parser.add_option("manifest", "write the sweep-execution manifest (JSON) here",
@@ -511,37 +504,20 @@ int cmd_search(const std::vector<std::string>& args) {
     Victim victim = load_victim(parser);
 
     sim::WeightFaultSearchConfig cfg;
-    const std::string config_path = parser.option("config");
-    if (!config_path.empty()) {
-        std::ifstream in(config_path);
-        if (!in) {
-            std::fprintf(stderr, "cannot read search manifest %s\n",
-                         config_path.c_str());
-            return 2;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        cfg = sim::search_config_from_manifest(Json::parse(text.str()));
-    } else {
-        cfg.fault_kind = sim::parse_weight_attack(parser.option("attack"));
-        cfg.fault_bit = static_cast<std::uint8_t>(parser.option_uint("bit"));
-        cfg.transfer.beat_words = parser.option_uint("beat-words");
-        cfg.spec.algorithm = attack::parse_search_algorithm(parser.option("search"));
-        cfg.spec.max_faults = parser.option_uint("max-faults");
-        cfg.spec.population = parser.option_uint("population");
-        cfg.spec.budget = parser.option_uint("budget");
-        cfg.spec.target_drop = parser.option_double("target-drop");
-        cfg.spec.seed = parser.option_uint("seed");
-        cfg.spec.f_scale = parser.option_double("f-scale");
-        cfg.spec.crossover = parser.option_double("crossover");
-        cfg.spec.stall_generations = parser.option_uint("stall");
-        cfg.spec.greedy_samples = parser.option_uint("greedy-samples");
-        cfg.eval_images = parser.option_uint("images");
-    }
-    if (!parser.option("journal").empty()) {
-        cfg.journal_path = parser.option("journal");
-    }
-    if (parser.flag("resume")) cfg.resume = true;
+    cfg.fault_kind = sim::parse_weight_attack(parser.option("attack"));
+    cfg.fault_bit = parser.option_uint("bit");
+    cfg.transfer.beat_words = parser.option_uint("beat-words");
+    cfg.spec.max_faults = parser.option_uint("max-faults");
+    cfg.spec.population = parser.option_uint("population");
+    cfg.spec.budget = parser.option_uint("budget");
+    cfg.spec.target_drop = parser.option_double("target-drop");
+    cfg.spec.seed = parser.option_uint("seed");
+    cfg.spec.f_scale = parser.option_double("f-scale");
+    cfg.spec.crossover = parser.option_double("crossover");
+    cfg.spec.stall_generations = parser.option_uint("stall");
+    cfg.eval_images = parser.option_uint("images");
+    cfg.journal_path = parser.option("journal");
+    cfg.resume = parser.flag("resume");
     if (cfg.resume && cfg.journal_path.empty()) {
         std::fprintf(stderr, "--resume requires --journal <path>\n");
         return 2;
