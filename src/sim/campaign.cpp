@@ -1,7 +1,7 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,19 +115,15 @@ std::string double_bits_hex(double value) {
 
 namespace {
 
-/// Strict 16-char lowercase hex -> u64.
+/// Strict 16-char lowercase hex -> u64: no sign, prefix or whitespace.
 std::uint64_t uint64_from_hex(const std::string& hex) {
-    if (hex.size() != 16) {
+    const bool lower_hex = std::all_of(hex.begin(), hex.end(), [](char c) {
+        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+    });
+    if (hex.size() != 16 || !lower_hex) {
         throw FormatError("journal: bad 64-bit hex field '" + hex + "'");
     }
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t bits =
-        static_cast<std::uint64_t>(std::strtoull(hex.c_str(), &end, 16));
-    if (errno != 0 || end == nullptr || *end != '\0') {
-        throw FormatError("journal: bad 64-bit hex field '" + hex + "'");
-    }
-    return bits;
+    return static_cast<std::uint64_t>(std::strtoull(hex.c_str(), nullptr, 16));
 }
 
 } // namespace
@@ -218,6 +214,44 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
 
 // Journal record indexes: 0 = the clean baseline, 1 + i = planned[i].
 constexpr const char* kJournalSweepName = "campaign";
+
+/// Checks a record recovered from `path` against the plan before it fills
+/// its slot in `records`: an index in range and seen once, the kind its
+/// index implies, the planned point's label and image count (ConfigError),
+/// and an accuracy of 16 lowercase hex digits that decodes to a finite
+/// value in [0, 1]. Everything else is a FormatError.
+void check_recovered_record(const CampaignPlan& plan, const JournalRecord& rec,
+                            const std::vector<Json>& records, const std::string& path) {
+    const std::string where = "journal " + path + ": record " + std::to_string(rec.index);
+    if (rec.index >= plan.record_count()) {
+        throw FormatError(where + " exceeds the planned sweep");
+    }
+    if (!records[rec.index].is_null()) throw FormatError(where + " appears twice");
+    const Json& payload = rec.payload;
+    const char* kind = rec.index == 0 ? "clean" : "point";
+    const Json* found = payload.find("kind");
+    if (found == nullptr || !found->is_string() || found->as_string() != kind) {
+        throw FormatError(where + " is not a " + kind + " record");
+    }
+    const double accuracy = double_from_bits_hex(payload.at("accuracy_bits").as_string());
+    if (!std::isfinite(accuracy) || accuracy < 0.0 || accuracy > 1.0) {
+        throw FormatError(where + " has an accuracy outside [0, 1]");
+    }
+    if (rec.index == 0) return;
+
+    const std::string expected = campaign_point_label(plan.points[rec.index - 1]);
+    const std::string& label = payload.at("label").as_string();
+    if (label != expected) {
+        throw ConfigError(where + " label '" + label + "' does not match planned point '" +
+                          expected + "'");
+    }
+    const std::uint64_t images = payload.at("images").as_uint();
+    if (images != plan.eval_images) {
+        throw ConfigError(where + " evaluated " + std::to_string(images) +
+                          " images; the plan evaluates " +
+                          std::to_string(plan.eval_images));
+    }
+}
 
 Json clean_record(double accuracy) {
     Json payload = Json::object();
@@ -380,12 +414,6 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
     runner_config.deadline_seconds = config.deadline_seconds;
     SweepRunner runner(platform, runner_config);
 
-    // Golden store: built once here, shared read-only by every record
-    // below. Fault-free images resolve to cached labels; faulted ones
-    // start from cached activations (see sim/golden_cache.hpp).
-    const std::shared_ptr<const GoldenStore> golden =
-        runner.golden_view(test_set, plan.eval_images);
-
     // One record slot per index (0 = clean baseline, 1 + i = planned[i]);
     // null = not completed. Restored and freshly-computed records are
     // indistinguishable by construction.
@@ -399,24 +427,7 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
             journal = CheckpointJournal::resume(config.journal_path, plan.fingerprint,
                                                 kJournalSweepName);
             for (const JournalRecord& rec : journal->recovered()) {
-                if (rec.index >= plan.record_count()) {
-                    throw FormatError("journal " + config.journal_path +
-                                      ": record index " +
-                                      std::to_string(rec.index) +
-                                      " exceeds the planned sweep");
-                }
-                if (rec.index > 0) {
-                    const std::string expected =
-                        campaign_point_label(plan.points[rec.index - 1]);
-                    if (rec.payload.at("label").as_string() != expected) {
-                        throw ConfigError("journal " + config.journal_path +
-                                          ": record " + std::to_string(rec.index) +
-                                          " label '" +
-                                          rec.payload.at("label").as_string() +
-                                          "' does not match planned point '" +
-                                          expected + "'");
-                    }
-                }
+                check_recovered_record(plan, rec, records, config.journal_path);
                 records[rec.index] = rec.payload;
             }
         } else {
@@ -432,18 +443,30 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
             .add(points_resumed);
     }
 
-    // Trace warm-up: the guided schemes still to run are independent
-    // co-sims, so prefetching them fills the trace cache in SIMD lane
-    // groups; the tasks below then hit it. Report bytes are identical with
-    // or without this (a miss runs the same fill, one scheme at a time).
+    // Golden store: built once here, shared read-only by every record
+    // below. Fault-free images resolve to cached labels; faulted ones
+    // start from cached activations (see sim/golden_cache.hpp).
+    const std::shared_ptr<const GoldenStore> golden =
+        runner.golden_view(test_set, plan.eval_images);
+
+    // Trace warm-up: every guided scheme and blind replay still to run is
+    // an independent co-sim, so one prefetch fills the whole trace cache in
+    // one batch of SIMD lane groups over the workers; the tasks below then
+    // hit it. Report bytes are identical with or without this (a miss runs
+    // the same fill, one point at a time).
     {
-        std::vector<attack::AttackScheme> guided_schemes;
+        std::vector<attack::AttackScheme> guided;
+        std::vector<BlindRequest> blind;
         for (std::size_t idx = 1; idx < plan.record_count(); ++idx) {
             if (!records[idx].is_null()) continue;
             const PlannedCampaignPoint& p = plan.points[idx - 1];
-            if (p.blind_offsets == 0) guided_schemes.push_back(p.scheme);
+            if (p.blind_offsets == 0) {
+                guided.push_back(p.scheme);
+            } else {
+                blind.push_back({p.scheme, p.blind_offsets, config.blind_offset_seed});
+            }
         }
-        runner.prefetch_guided(config.detector, guided_schemes);
+        runner.prefetch(config.detector, guided, blind);
     }
 
     std::vector<SweepTask> tasks;

@@ -60,9 +60,15 @@ struct CampaignConfig {
     /// fingerprint is validated against this configuration, completed
     /// points are restored bit-exactly and skipped, and only the
     /// remainder is executed. The final report is byte-identical to an
-    /// uninterrupted run at any thread count.
+    /// uninterrupted run at any thread count. Every restored record is
+    /// checked against the plan first: a repeated index, the wrong kind,
+    /// or accuracy bits that are not 16 lowercase hex digits of a value
+    /// in [0, 1] are a FormatError; another point's label or image count
+    /// is a ConfigError.
     bool resume = false;
-    /// Per-point retry / deadline knobs, forwarded to RunnerConfig.
+    /// Per-point retry / deadline knobs, forwarded to RunnerConfig. The
+    /// deadline times the evaluation sweep only: the trace prefetch before
+    /// it (every guided and blind co-sim still to run) always completes.
     std::size_t max_point_retries = 0;
     std::uint64_t retry_backoff_ms = 100;
     double deadline_seconds = 0.0;
@@ -181,6 +187,8 @@ CampaignReport assemble_campaign_report(const CampaignPlanInfo& info,
 
 // Floating-point results cross the journal as IEEE-754 bit patterns so
 // restores are bit-exact; the human-readable value rides alongside.
+// double_from_bits_hex accepts exactly 16 lowercase hex digits (FormatError
+// otherwise).
 std::string double_bits_hex(double value);
 double double_from_bits_hex(const std::string& hex);
 

@@ -26,9 +26,12 @@
 // checks every lane bitwise against a test-local per-tick oracle built on
 // PdnModel, TdcSensor and StrikerBank.
 //
-// Scheduling lives in sim::SweepRunner (its guided fill packs distinct
-// guided schemes into lane groups; blind bundles batch their replay
-// offsets). The group width is a constant 8 in the product;
+// Scheduling lives in sim::SweepRunner. Its one trace fill packs guided
+// schemes into lane groups in claim order and each blind bundle's replays
+// into groups of their own, in descending start cycle (sim::blind_replays),
+// so a group's lane 0 starts last and the TDC sampler can copy most of its
+// draws. It runs every group of a batch in one parallel_for over the
+// runner's workers. The group width is a constant 8 in the product;
 // set_cosim_lane_width() is the seam tests and benches use to prove the
 // report is width-invariant.
 #pragma once

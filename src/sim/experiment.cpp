@@ -50,11 +50,10 @@ accel::VoltageTrace guided_attack_trace(const Platform& platform,
     return platform.simulate_inference(source).capture_v;
 }
 
-std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
-                                                     const attack::AttackScheme& scheme,
-                                                     std::size_t n_offsets,
-                                                     std::uint64_t offset_seed) {
-    expects(n_offsets > 0, "blind_attack_traces: at least one offset");
+std::vector<BlindReplay> blind_replays(const Platform& platform,
+                                       const attack::AttackScheme& scheme,
+                                       std::size_t n_offsets, std::uint64_t offset_seed) {
+    expects(n_offsets > 0, "blind_replays: at least one offset");
     const std::size_t total_cycles = platform.engine().schedule().total_cycles;
     // The blind attacker knows nothing about layer boundaries; it starts
     // its replay anywhere in the execution window such that the replay
@@ -64,33 +63,44 @@ std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
     const std::size_t max_start =
         replay_len < total_cycles ? total_cycles - replay_len : 0;
 
-    // Draw every start offset up front (same RNG draw order as the old
-    // simulate-as-you-go loop), then co-simulate the replays in lane
-    // groups: the offsets of a blind point are exactly the independent
-    // same-platform co-sims the lane engine batches. Each trace depends
-    // on its own offset alone, whatever the group width.
+    // Every start is drawn up front in offset order; only the co-sim order
+    // below depends on the draws.
     Rng rng(offset_seed);
-    std::vector<std::size_t> starts;
-    starts.reserve(n_offsets);
+    std::vector<BlindReplay> replays(n_offsets);
     for (std::size_t i = 0; i < n_offsets; ++i) {
-        starts.push_back(static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(max_start))));
+        replays[i].offset = i;
+        replays[i].start_cycle = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(max_start)));
     }
+    std::stable_sort(replays.begin(), replays.end(),
+                     [](const BlindReplay& a, const BlindReplay& b) {
+                         return a.start_cycle > b.start_cycle;
+                     });
+    return replays;
+}
+
+std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
+                                                     const attack::AttackScheme& scheme,
+                                                     std::size_t n_offsets,
+                                                     std::uint64_t offset_seed) {
+    const std::vector<BlindReplay> replays =
+        blind_replays(platform, scheme, n_offsets, offset_seed);
     std::vector<attack::BlindController> controllers;
     controllers.reserve(n_offsets);
     std::vector<BlindSource> sources;
     sources.reserve(n_offsets);
     std::vector<StrikeSource*> lanes;
     lanes.reserve(n_offsets);
-    for (std::size_t i = 0; i < n_offsets; ++i) {
-        controllers.emplace_back(scheme, starts[i]);
+    for (const BlindReplay& replay : replays) {
+        controllers.emplace_back(scheme, replay.start_cycle);
         sources.emplace_back(controllers.back());
         lanes.push_back(&sources.back());
     }
     std::vector<CosimResult> cosims = platform.simulate_inference_lanes(lanes);
-    std::vector<accel::VoltageTrace> traces;
-    traces.reserve(n_offsets);
-    for (CosimResult& cosim : cosims) traces.push_back(std::move(cosim.capture_v));
+    std::vector<accel::VoltageTrace> traces(n_offsets);
+    for (std::size_t k = 0; k < replays.size(); ++k) {
+        traces[replays[k].offset] = std::move(cosims[k].capture_v);
+    }
     return traces;
 }
 

@@ -37,8 +37,27 @@ accel::VoltageTrace guided_attack_trace(const Platform& platform,
                                         const attack::DetectorConfig& detector_config,
                                         const attack::AttackScheme& scheme);
 
+/// One replay of the blind baseline: offset `offset` of its bundle, starting
+/// at fabric cycle `start_cycle`.
+struct BlindReplay {
+    std::size_t offset = 0;
+    std::size_t start_cycle = 0;
+};
+
+/// The blind baseline's replays in co-sim lane order. Offset i starts at
+/// the i-th of `n_offsets` uniform draws (seeded by `offset_seed`) over the
+/// cycles where the replay fits. The replays are ordered by descending
+/// start cycle, ties by offset index: lanes of one scheme share the golden
+/// run until they start and settle into one common state after their
+/// replays, so a group whose lane 0 starts last lets the TDC sampler copy
+/// most draws from lane 0. Each trace depends on its own offset alone.
+std::vector<BlindReplay> blind_replays(const Platform& platform,
+                                       const attack::AttackScheme& scheme,
+                                       std::size_t n_offsets, std::uint64_t offset_seed);
+
 /// Electrical traces for the blind baseline: the same scheme replayed from
-/// `n_offsets` uniformly random start cycles across the execution.
+/// `n_offsets` uniformly random start cycles across the execution
+/// (blind_replays). traces[i] is offset i's trace.
 std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
                                                      const attack::AttackScheme& scheme,
                                                      std::size_t n_offsets,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <numeric>
 #include <thread>
 
 #include "sim/cosim_lanes.hpp"
@@ -69,6 +70,11 @@ std::uint64_t guided_key(const attack::AttackScheme& scheme, std::uint64_t detec
     return derive_seed(0x617D3DULL, SweepRunner::scheme_hash(scheme), detector);
 }
 
+std::uint64_t blind_key(const BlindRequest& request) {
+    return derive_seed(0xB71ADULL, SweepRunner::scheme_hash(request.scheme),
+                       request.n_offsets, request.offset_seed);
+}
+
 } // namespace
 
 Json RunManifest::to_json() const {
@@ -108,15 +114,15 @@ Json RunManifest::to_json() const {
 struct SweepRunner::CacheEntry {
     std::mutex mutex;
     std::condition_variable ready_cv;
-    // Set when prefetch_guided created this entry and no task has looked
-    // it up yet; guarded by cache_mutex_, not this->mutex.
+    // Set when prefetch created this entry and no task has looked it up
+    // yet; guarded by cache_mutex_, not this->mutex.
     bool prefetched = false;
     bool ready = false;
     std::exception_ptr error;
     std::shared_ptr<const GuidedTraceBundle> guided;
     std::shared_ptr<const BlindTraceBundle> blind;
 
-    /// Marks the entry ready — failed with `failure` when its fill threw —
+    /// Marks the entry ready — failed with `failure` when its fill failed —
     /// and wakes every lookup waiting on it. The filler sets the bundle
     /// first.
     void publish(std::exception_ptr failure = nullptr) {
@@ -166,6 +172,12 @@ std::shared_ptr<const GoldenStore> SweepRunner::golden_view(
 std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::lookup(std::uint64_t key,
                                                              bool& creator,
                                                              bool prefetch) {
+    if (!config_.cache_traces) {
+        creator = true;
+        cache_misses_.fetch_add(1, std::memory_order_relaxed);
+        count_cache_miss();
+        return std::make_shared<CacheEntry>();
+    }
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -197,140 +209,205 @@ std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::lookup(std::uint64_t key,
     return entry;
 }
 
-template <typename Compute>
-std::shared_ptr<SweepRunner::CacheEntry> SweepRunner::resolve(std::uint64_t key,
-                                                              Compute compute) {
-    bool creator = false;
-    std::shared_ptr<CacheEntry> entry = lookup(key, creator);
-    if (creator) {
-        std::exception_ptr error;
-        try {
-            compute(*entry);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        entry->publish(error);
-    }
-    entry->await();
-    return entry;
-}
-
 std::shared_ptr<const GuidedTraceBundle>
 SweepRunner::guided_bundle(const attack::DetectorConfig& detector,
                            const attack::AttackScheme& scheme) {
     expects(platform_ != nullptr, "SweepRunner::guided_bundle: platform-bound runner required");
-    bool creator = true;
-    std::shared_ptr<CacheEntry> entry;
-    if (config_.cache_traces) {
-        entry = lookup(guided_key(scheme, detector_hash(detector)), creator);
-    } else {
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        count_cache_miss();
-        entry = std::make_shared<CacheEntry>();
-    }
-    if (creator) fill_guided(detector, {{entry, &scheme}});
+    bool creator = false;
+    const std::shared_ptr<CacheEntry> entry =
+        lookup(guided_key(scheme, detector_hash(detector)), creator);
+    if (creator) fill(detector, {{entry, &scheme}}, {});
     entry->await();
     return entry->guided;
-}
-
-void SweepRunner::prefetch_guided(const attack::DetectorConfig& detector,
-                                  const std::vector<attack::AttackScheme>& schemes) {
-    if (platform_ == nullptr || !config_.cache_traces || schemes.empty()) return;
-    const std::uint64_t dhash = detector_hash(detector);
-
-    // Claim every distinct scheme that is not cached yet (a repeated
-    // scheme finds the entry its first occurrence claimed). Prefetch
-    // lookups count no hits or misses — the miss is charged to the first
-    // task that consumes each prefetched entry, so per-run accounting
-    // (and the manifest) is the same as when every trace is filled on
-    // first request.
-    std::vector<GuidedClaim> claims;
-    for (const attack::AttackScheme& scheme : schemes) {
-        bool creator = false;
-        std::shared_ptr<CacheEntry> entry =
-            lookup(guided_key(scheme, dhash), creator, /*prefetch=*/true);
-        if (creator) claims.push_back({std::move(entry), &scheme});
-    }
-    if (claims.empty()) return;
-
-    trace::Span span("prefetch_guided", "runner");
-    fill_guided(detector, claims);
-}
-
-void SweepRunner::fill_guided(const attack::DetectorConfig& detector,
-                              const std::vector<GuidedClaim>& claims) {
-    std::size_t published = 0;
-    try {
-        const std::size_t width = cosim_lane_width();
-        for (std::size_t begin = 0; begin < claims.size(); begin += width) {
-            const std::size_t group_n = std::min(width, claims.size() - begin);
-            // One controller + source per lane; deques keep the references
-            // the sources hold stable.
-            std::deque<attack::AttackController> controllers;
-            std::deque<GuidedSource> sources;
-            std::vector<StrikeSource*> lanes;
-            lanes.reserve(group_n);
-            for (std::size_t j = 0; j < group_n; ++j) {
-                controllers.emplace_back(detector, *claims[begin + j].scheme);
-                sources.emplace_back(controllers.back());
-                lanes.push_back(&sources.back());
-            }
-            std::vector<CosimResult> cosims = platform_->simulate_inference_lanes(lanes);
-            // Overlay planning is independent per trace; spread it over the
-            // pool.
-            std::vector<std::shared_ptr<GuidedTraceBundle>> bundles(group_n);
-            for (std::size_t j = 0; j < group_n; ++j) {
-                bundles[j] = std::make_shared<GuidedTraceBundle>();
-                bundles[j]->trace = std::move(cosims[j].capture_v);
-            }
-            parallel_for(
-                group_n,
-                [&](std::size_t j) {
-                    bundles[j]->plan =
-                        platform_->engine().plan_overlay(&bundles[j]->trace);
-                },
-                threads());
-            for (std::size_t j = 0; j < group_n; ++j) {
-                CacheEntry& entry = *claims[begin + j].entry;
-                entry.guided = std::move(bundles[j]);
-                entry.publish();
-                ++published;
-            }
-        }
-    } catch (...) {
-        // Every claimed entry must become ready or its waiters deadlock;
-        // hand the unpublished ones the error.
-        const std::exception_ptr error = std::current_exception();
-        for (std::size_t i = published; i < claims.size(); ++i) {
-            claims[i].entry->publish(error);
-        }
-        throw;
-    }
 }
 
 std::shared_ptr<const BlindTraceBundle>
 SweepRunner::blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offsets,
                           std::uint64_t offset_seed) {
     expects(platform_ != nullptr, "SweepRunner::blind_bundle: platform-bound runner required");
-    auto compute = [&](CacheEntry& entry) {
-        auto bundle = std::make_shared<BlindTraceBundle>();
-        bundle->traces = blind_attack_traces(*platform_, scheme, n_offsets, offset_seed);
-        bundle->plans.reserve(bundle->traces.size());
-        for (const accel::VoltageTrace& t : bundle->traces) {
-            bundle->plans.push_back(platform_->engine().plan_overlay(&t));
-        }
-        entry.blind = std::move(bundle);
-    };
-    if (!config_.cache_traces) {
-        CacheEntry entry;
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        count_cache_miss();
-        compute(entry);
-        return entry.blind;
+    const BlindRequest request{scheme, n_offsets, offset_seed};
+    bool creator = false;
+    const std::shared_ptr<CacheEntry> entry = lookup(blind_key(request), creator);
+    if (creator) fill({}, {}, {{entry, &request}});
+    entry->await();
+    return entry->blind;
+}
+
+void SweepRunner::prefetch(const attack::DetectorConfig& detector,
+                           const std::vector<attack::AttackScheme>& guided,
+                           const std::vector<BlindRequest>& blind) {
+    if (platform_ == nullptr || !config_.cache_traces) return;
+    const std::uint64_t dhash = detector_hash(detector);
+
+    // Claim every distinct request that is not cached yet (a repeated one
+    // finds the entry its first occurrence claimed).
+    std::vector<GuidedClaim> guided_claims;
+    for (const attack::AttackScheme& scheme : guided) {
+        bool creator = false;
+        std::shared_ptr<CacheEntry> entry =
+            lookup(guided_key(scheme, dhash), creator, /*prefetch=*/true);
+        if (creator) guided_claims.push_back({std::move(entry), &scheme});
     }
-    const std::uint64_t key =
-        derive_seed(0xB71ADULL, scheme_hash(scheme), n_offsets, offset_seed);
-    return resolve(key, compute)->blind;
+    std::vector<BlindClaim> blind_claims;
+    for (const BlindRequest& request : blind) {
+        bool creator = false;
+        std::shared_ptr<CacheEntry> entry =
+            lookup(blind_key(request), creator, /*prefetch=*/true);
+        if (creator) blind_claims.push_back({std::move(entry), &request});
+    }
+    if (guided_claims.empty() && blind_claims.empty()) return;
+
+    trace::Span span("prefetch", "runner");
+    fill(detector, guided_claims, blind_claims);
+}
+
+void SweepRunner::prefetch_guided(const attack::DetectorConfig& detector,
+                                  const std::vector<attack::AttackScheme>& schemes) {
+    prefetch(detector, schemes, {});
+}
+
+void SweepRunner::fill(const attack::DetectorConfig& detector,
+                       const std::vector<GuidedClaim>& guided,
+                       const std::vector<BlindClaim>& blind) {
+    // Claim c is guided[c] below guided.size() and blind[c - guided.size()]
+    // from there on.
+    const std::size_t n_guided = guided.size();
+    std::vector<std::exception_ptr> errors(n_guided + blind.size());
+    std::vector<std::shared_ptr<GuidedTraceBundle>> guided_bundles(n_guided);
+    std::vector<std::shared_ptr<BlindTraceBundle>> blind_bundles(blind.size());
+    try {
+        // One co-sim, and the bundle slots its trace and plan land in.
+        struct Lane {
+            std::size_t claim;
+            StrikeSource* source;
+            accel::VoltageTrace* trace;
+            accel::OverlayPlan* plan;
+            std::size_t strike_cycles; // num_strikes x strike_cycles
+        };
+        struct Group {
+            std::vector<Lane> lanes;
+            std::size_t strike_cycles = 0;
+        };
+        const std::size_t width = cosim_lane_width();
+        std::vector<Group> groups;
+        const auto pack = [&](const std::vector<Lane>& lanes) {
+            for (std::size_t j = 0; j < lanes.size(); ++j) {
+                if (j % width == 0) groups.emplace_back();
+                groups.back().lanes.push_back(lanes[j]);
+                groups.back().strike_cycles += lanes[j].strike_cycles;
+            }
+        };
+        const auto strike_total = [](const attack::AttackScheme& scheme) {
+            return scheme.num_strikes * scheme.strike_cycles;
+        };
+
+        // Every controller is built before any group runs; deques keep the
+        // references the sources hold stable. A controller that cannot be
+        // built fails its own entry, and the entry joins no group.
+        std::deque<attack::AttackController> guided_controllers;
+        std::deque<GuidedSource> guided_sources;
+        std::deque<attack::BlindController> blind_controllers;
+        std::deque<BlindSource> blind_sources;
+        std::vector<Lane> lanes;
+        for (std::size_t c = 0; c < n_guided; ++c) {
+            const attack::AttackScheme& scheme = *guided[c].scheme;
+            try {
+                guided_controllers.emplace_back(detector, scheme);
+                guided_sources.emplace_back(guided_controllers.back());
+                guided_bundles[c] = std::make_shared<GuidedTraceBundle>();
+            } catch (...) {
+                errors[c] = std::current_exception();
+                continue;
+            }
+            lanes.push_back({c, &guided_sources.back(), &guided_bundles[c]->trace,
+                             &guided_bundles[c]->plan, strike_total(scheme)});
+        }
+        pack(lanes);
+        // Each blind bundle's replays fill groups of their own, in
+        // descending start cycle (blind_replays); the slots keep offset
+        // order.
+        for (std::size_t b = 0; b < blind.size(); ++b) {
+            const std::size_t c = n_guided + b;
+            const BlindRequest& request = *blind[b].request;
+            lanes.clear();
+            try {
+                const std::vector<BlindReplay> replays = blind_replays(
+                    *platform_, request.scheme, request.n_offsets, request.offset_seed);
+                auto bundle = std::make_shared<BlindTraceBundle>();
+                bundle->traces.resize(replays.size());
+                bundle->plans.resize(replays.size());
+                for (const BlindReplay& replay : replays) {
+                    blind_controllers.emplace_back(request.scheme, replay.start_cycle);
+                    blind_sources.emplace_back(blind_controllers.back());
+                    lanes.push_back({c, &blind_sources.back(), &bundle->traces[replay.offset],
+                                     &bundle->plans[replay.offset],
+                                     strike_total(request.scheme)});
+                }
+                blind_bundles[b] = std::move(bundle);
+            } catch (...) {
+                errors[c] = std::current_exception();
+                continue;
+            }
+            pack(lanes);
+        }
+
+        // Heaviest groups first, so no long group starts last; ties keep
+        // claim order.
+        std::vector<std::size_t> order(groups.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            return groups[a].strike_cycles > groups[b].strike_cycles;
+        });
+        std::vector<std::exception_ptr> group_errors(groups.size());
+        parallel_for(
+            order.size(),
+            [&](std::size_t k) {
+                const Group& group = groups[order[k]];
+                try {
+                    std::vector<StrikeSource*> sources;
+                    sources.reserve(group.lanes.size());
+                    for (const Lane& lane : group.lanes) sources.push_back(lane.source);
+                    std::vector<CosimResult> cosims =
+                        platform_->simulate_inference_lanes(sources);
+                    for (std::size_t j = 0; j < cosims.size(); ++j) {
+                        *group.lanes[j].trace = std::move(cosims[j].capture_v);
+                    }
+                    cosims.clear(); // nothing else of a co-sim is cached
+                    for (const Lane& lane : group.lanes) {
+                        *lane.plan = platform_->engine().plan_overlay(lane.trace);
+                    }
+                } catch (...) {
+                    group_errors[order[k]] = std::current_exception();
+                }
+            },
+            threads());
+        // A failed group fails the entries owning a lane in it (a blind
+        // bundle fails with any of its groups); the first error in pack
+        // order wins.
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            if (!group_errors[g]) continue;
+            for (const Lane& lane : groups[g].lanes) {
+                if (!errors[lane.claim]) errors[lane.claim] = group_errors[g];
+            }
+        }
+    } catch (...) {
+        // A failure outside any one entry's lanes fails every entry; each
+        // must still be published or its waiters deadlock.
+        for (std::exception_ptr& error : errors) {
+            if (!error) error = std::current_exception();
+        }
+    }
+
+    for (std::size_t c = 0; c < n_guided; ++c) {
+        CacheEntry& entry = *guided[c].entry;
+        if (!errors[c]) entry.guided = std::move(guided_bundles[c]);
+        entry.publish(errors[c]);
+    }
+    for (std::size_t b = 0; b < blind.size(); ++b) {
+        CacheEntry& entry = *blind[b].entry;
+        if (!errors[n_guided + b]) entry.blind = std::move(blind_bundles[b]);
+        entry.publish(errors[n_guided + b]);
+    }
 }
 
 RunManifest SweepRunner::run(const std::string& sweep_name,

@@ -118,6 +118,13 @@ struct BlindTraceBundle {
     std::vector<accel::OverlayPlan> plans;
 };
 
+/// One blind-baseline bundle request: blind_bundle's arguments.
+struct BlindRequest {
+    attack::AttackScheme scheme;
+    std::size_t n_offsets = 0;
+    std::uint64_t offset_seed = 0;
+};
+
 class SweepRunner {
 public:
     /// Platform-free runner (e.g. the DSP characterization rig).
@@ -137,24 +144,39 @@ public:
     /// Guided-attack trace + overlay plan for the scheme, co-simulated and
     /// planned once per distinct (detector config, scheme) and shared
     /// thereafter. Thread-safe; concurrent first requests for one key
-    /// block on a single co-sim. A miss runs the same fill as
-    /// prefetch_guided, as a one-lane group.
+    /// block on a single fill. A miss runs the runner's one fill with this
+    /// one claim, as a one-lane group. Rethrows the error of this entry's
+    /// fill only: a scheme that cannot load fails its own trace.
     std::shared_ptr<const GuidedTraceBundle>
     guided_bundle(const attack::DetectorConfig& detector,
                   const attack::AttackScheme& scheme);
 
-    /// Warm-up of the guided trace cache: claims the distinct
-    /// not-yet-cached schemes and fills them in lane groups of
-    /// cosim_lane_width() (sim/cosim_lanes.hpp), so the per-point tasks of
-    /// the following run() hit the cache instead of co-simulating one
-    /// scheme at a time. Bundles are byte-identical to a guided_bundle()
-    /// miss; a no-op when the cache is off or the runner is platform-free.
-    /// Call from the coordinating thread, not from inside sweep tasks.
+    /// Warm-up of the trace cache: claims every guided scheme and blind
+    /// request not cached yet and fills them all in one batch. The batch
+    /// packs the claims into lane groups of cosim_lane_width()
+    /// (sim/cosim_lanes.hpp) and runs the groups in one parallel_for over
+    /// threads() workers, heaviest first, so the per-point tasks of the
+    /// following run() hit the cache. Bundles are byte-identical to
+    /// one-at-a-time misses. A failure fails only the entries that own a
+    /// lane in the failed group; prefetch does not throw for it, and each
+    /// consumer rethrows its own entry's error. Prefetch lookups count no
+    /// hit and no miss: the first consumer of a prefetched entry inherits
+    /// the miss. A no-op when the cache is off or the runner is
+    /// platform-free. Call from the coordinating thread, not from inside
+    /// sweep tasks.
+    void prefetch(const attack::DetectorConfig& detector,
+                  const std::vector<attack::AttackScheme>& guided,
+                  const std::vector<BlindRequest>& blind);
+
+    /// prefetch() of guided schemes alone.
     void prefetch_guided(const attack::DetectorConfig& detector,
                          const std::vector<attack::AttackScheme>& schemes);
 
     /// Blind-baseline trace set + plans, cached per (scheme, n_offsets,
-    /// seed).
+    /// seed); traces[i] is offset i's trace (sim::blind_replays). A miss
+    /// runs the one fill with this one claim: its replays fill lane groups
+    /// of their own, in descending start cycle, and the groups run in
+    /// parallel over threads(). Rethrows the error of this entry's fill.
     std::shared_ptr<const BlindTraceBundle>
     blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offsets,
                  std::uint64_t offset_seed);
@@ -179,23 +201,33 @@ private:
         std::shared_ptr<CacheEntry> entry;
         const attack::AttackScheme* scheme;
     };
+    /// A blind entry this caller created and must fill.
+    struct BlindClaim {
+        std::shared_ptr<CacheEntry> entry;
+        const BlindRequest* request;
+    };
 
+    /// The entry for `key`; `creator` is set when the caller created it and
+    /// must fill it (always, in a private entry, when the cache is off).
     /// `prefetch` lookups claim entries without touching the hit/miss
     /// counters; the first non-prefetch lookup of a prefetched entry is
     /// charged the miss instead, keeping per-run accounting identical
     /// whether a trace was prefetched or filled on first request.
     std::shared_ptr<CacheEntry> lookup(std::uint64_t key, bool& creator,
                                        bool prefetch = false);
-    template <typename Compute>
-    std::shared_ptr<CacheEntry> resolve(std::uint64_t key, Compute compute);
 
-    /// The one guided fill: co-simulates the claims in lane groups, plans
-    /// each trace's overlay and publishes group by group (a group's other
-    /// co-sim fields are freed before the next group runs). On failure
-    /// every claim not yet published receives the error, then it is
-    /// rethrown.
-    void fill_guided(const attack::DetectorConfig& detector,
-                     const std::vector<GuidedClaim>& claims);
+    /// The one trace fill. Builds every lane's controller, packs the lanes
+    /// into groups of cosim_lane_width() — guided claims in claim order,
+    /// each blind claim's replays in groups of their own — and runs all
+    /// groups in one parallel_for over threads(), in descending total
+    /// strike cycles. Each group task keeps only its lanes' capture
+    /// voltages and overlay plans. Every claim is published after the
+    /// batch: a lane whose controller cannot be built fails its own entry
+    /// and joins no group, and a group that throws fails only the entries
+    /// owning a lane in it. Never throws.
+    void fill(const attack::DetectorConfig& detector,
+              const std::vector<GuidedClaim>& guided,
+              const std::vector<BlindClaim>& blind);
 
     const Platform* platform_ = nullptr;
     RunnerConfig config_;

@@ -1,17 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "accel/arch_profiles.hpp"
+#include "nn/zoo.hpp"
+#include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
 #include "sim/journal.hpp"
 #include "test_helpers.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace deepstrike::sim {
 namespace {
@@ -222,6 +230,281 @@ TEST_F(ResumeFixture, DeadlineProducesValidPartialReport) {
     const std::string json = report.to_json().dump(2);
     EXPECT_NE(json.find("\"partial\": true"), std::string::npos);
     std::remove(cfg.journal_path.c_str());
+}
+
+// ------------------------------------------------- hostile journal records
+
+/// A campaign journal's header line and its records' payloads, in file
+/// order.
+struct JournalText {
+    std::string header;
+    std::vector<Json> records;
+};
+
+JournalText read_journal(const std::string& path) {
+    JournalText journal;
+    std::istringstream lines(read_file(path));
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (journal.header.empty()) {
+            journal.header = line;
+        } else {
+            journal.records.push_back(Json::parse(line.substr(line.find(' ') + 1)));
+        }
+    }
+    return journal;
+}
+
+/// Writes a journal with a freshly computed checksum on every record, so
+/// only the campaign's own record checks can reject it.
+void write_journal(const std::string& path, const std::string& header,
+                   const std::vector<Json>& records) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << header << "\n";
+    for (const Json& record : records) {
+        const std::string body = record.dump();
+        out << crc32_hex(crc32(body)) << " " << body << "\n";
+    }
+}
+
+Json with(Json record, const std::string& key, Json value) {
+    record.set(key, std::move(value));
+    return record;
+}
+
+Json without(const Json& record, const std::string& key) {
+    Json out = Json::object();
+    for (const std::string& k : record.keys()) {
+        if (k != key) out.set(k, record.at(k));
+    }
+    return out;
+}
+
+/// The untrained MLP victim: the cheapest zoo co-sim, since every resume
+/// profiles the victim again before it reads the journal.
+struct MlpVictim {
+    Platform platform;
+    data::Dataset dataset = data::make_datasets(9, 1, 30).test;
+
+    static PlatformConfig config() {
+        PlatformConfig cfg;
+        cfg.accel = accel::accel_config_for(nn::Architecture::Mlp);
+        return cfg;
+    }
+    static quant::QNetwork network() {
+        Rng rng(2024);
+        nn::Sequential model = nn::build_architecture(nn::Architecture::Mlp, rng);
+        return quant::quantize_sequential(
+            model, nn::architecture_info(nn::Architecture::Mlp).input_shape, {},
+            quant::quant_format_for(nn::Architecture::Mlp));
+    }
+    MlpVictim() : platform(config(), network()) {}
+};
+
+const MlpVictim& mlp_victim() {
+    static const MlpVictim victim;
+    return victim;
+}
+
+/// A journaled MLP campaign to resume from hostile journals: the honest
+/// journal and report, and a resume that names the typed error.
+struct HostileJournal {
+    CampaignConfig cfg;
+    JournalText honest;
+    std::string honest_report;
+
+    explicit HostileJournal(const std::string& name) {
+        cfg = small_config();
+        cfg.strike_grid = {500, 2000};
+        cfg.eval_images = 20;
+        cfg.threads = 4;
+        cfg.journal_path = journal_temp_path(name);
+        const MlpVictim& v = mlp_victim();
+        honest_report = run_campaign(v.platform, v.dataset, cfg).to_json().dump(2);
+        honest = read_journal(cfg.journal_path);
+        cfg.resume = true;
+    }
+    ~HostileJournal() { std::remove(cfg.journal_path.c_str()); }
+
+    const Json& record(std::uint64_t index) const {
+        for (const Json& r : honest.records) {
+            if (r.at("index").as_uint() == index) return r;
+        }
+        throw ContractError("no honest record " + std::to_string(index));
+    }
+
+    /// The honest records with record `index` replaced by `mutant`.
+    std::vector<Json> replaced(std::uint64_t index, const Json& mutant) const {
+        std::vector<Json> records = honest.records;
+        for (Json& r : records) {
+            if (r.at("index").as_uint() == index) r = mutant;
+        }
+        return records;
+    }
+
+    enum class Outcome { Report, FormatError, ConfigError };
+    /// Resumes from `records`; `report` receives the report on success.
+    Outcome resume(const std::vector<Json>& records, std::string* report = nullptr) const {
+        write_journal(cfg.journal_path, honest.header, records);
+        const MlpVictim& v = mlp_victim();
+        try {
+            const std::string json = run_campaign(v.platform, v.dataset, cfg).to_json().dump(2);
+            if (report != nullptr) *report = json;
+            return Outcome::Report;
+        } catch (const FormatError&) {
+            return Outcome::FormatError;
+        } catch (const ConfigError&) {
+            return Outcome::ConfigError;
+        }
+    }
+};
+
+// Each row once resumed with exit 0 and a silently wrong report.
+TEST(CampaignJournal, HostileRecordsEndInTypedErrors) {
+    const HostileJournal j("hostile.jsonl");
+    using Outcome = HostileJournal::Outcome;
+    std::string report;
+    ASSERT_EQ(j.resume(j.honest.records, &report), Outcome::Report);
+    EXPECT_EQ(report, j.honest_report);
+
+    const Json& point = j.record(1);
+    const std::string other_bits =
+        double_bits_hex(point.at("accuracy_bits").as_string() == double_bits_hex(0.5) ? 0.25
+                                                                                      : 0.5);
+    std::vector<Json> written_twice = j.honest.records;
+    written_twice.push_back(with(point, "accuracy_bits", other_bits));
+    const std::pair<const char*, std::vector<Json>> format_rows[] = {
+        {"accuracy_bits -000000000000001",
+         j.replaced(1, with(point, "accuracy_bits", "-000000000000001"))},
+        {"accuracy_bits 0x3fe00000000000",
+         j.replaced(1, with(point, "accuracy_bits", "0x3fe00000000000"))},
+        {"NaN accuracy", j.replaced(1, with(point, "accuracy_bits", "7ff8000000000000"))},
+        {"accuracy 2.0", j.replaced(1, with(point, "accuracy_bits", "4000000000000000"))},
+        {"clean record replaced by a point payload",
+         j.replaced(0, with(point, "index", std::uint64_t{0}))},
+        {"record 1 written twice with different bits", written_twice},
+        {"kind deleted", j.replaced(1, without(point, "kind"))},
+    };
+    for (const auto& [what, records] : format_rows) {
+        EXPECT_EQ(j.resume(records), Outcome::FormatError) << what;
+    }
+    EXPECT_EQ(j.resume(j.replaced(1, with(point, "images", std::uint64_t{999}))),
+              Outcome::ConfigError)
+        << "999 images on a 20-image plan";
+}
+
+// Every record of an honest journal, mutated many ways (checksums
+// recomputed), ends in a typed error; records that are only reordered, in
+// full or in part, resume to the honest report bytes.
+TEST(CampaignJournal, SeededRecordMutantsEndInTypedErrors) {
+    const HostileJournal j("mutants.jsonl");
+    using Outcome = HostileJournal::Outcome;
+    const std::size_t n_records = j.honest.records.size();
+    ASSERT_GE(n_records, 4u);
+
+    Rng rng(0xCA3F16);
+    const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    };
+    const std::string hex = "0123456789abcdef";
+    std::size_t rejected[2] = {0, 0}; // FormatError, ConfigError
+    for (const Json& record : j.honest.records) {
+        const std::uint64_t index = record.at("index").as_uint();
+        const bool clean = index == 0;
+        const std::string bits = record.at("accuracy_bits").as_string();
+        std::vector<std::pair<std::string, Json>> mutants;
+        const auto mutate = [&](const std::string& what, Json mutant) {
+            mutants.emplace_back(what, std::move(mutant));
+        };
+
+        // accuracy_bits that are not 16 lowercase hex digits.
+        std::string digit = bits;
+        digit[pick(16)] = "gxzG .+-"[pick(8)];
+        mutate("a non-hex digit", with(record, "accuracy_bits", digit));
+        std::string upper = bits;
+        std::transform(upper.begin(), upper.end(), upper.begin(),
+                       [](char c) { return c >= 'a' && c <= 'f' ? c - 'a' + 'A' : c; });
+        if (upper != bits) mutate("upper-case hex", with(record, "accuracy_bits", upper));
+        mutate("too few digits", with(record, "accuracy_bits", bits.substr(0, pick(16))));
+        mutate("17 digits", with(record, "accuracy_bits", bits + hex[pick(16)]));
+        for (const char* prefix : {"0x", "-", "+", " "}) {
+            const std::string p = prefix;
+            mutate("prefix '" + p + "'", with(record, "accuracy_bits", p + bits.substr(p.size())));
+        }
+        mutate("a number", with(record, "accuracy_bits", 0.5));
+        // Well-formed bits outside [0, 1] or not finite.
+        std::string nan = "7ff8";
+        for (int k = 0; k < 12; ++k) nan += hex[pick(16)];
+        for (const std::string& b :
+             {double_bits_hex(-(0.001 + rng.uniform())), double_bits_hex(1.001 + rng.uniform()),
+              double_bits_hex(std::numeric_limits<double>::infinity()),
+              double_bits_hex(-std::numeric_limits<double>::infinity()), nan}) {
+            mutate("accuracy bits " + b, with(record, "accuracy_bits", b));
+        }
+        // The wrong kind, or none.
+        mutate("the other kind", with(record, "kind", clean ? "point" : "clean"));
+        mutate("an unknown kind", with(record, "kind", clean ? "clea" : "points"));
+        mutate("a numeric kind", with(record, "kind", 1));
+        // An index outside the plan, or one another record holds.
+        mutate("an index past the plan",
+               with(record, "index", static_cast<std::uint64_t>(n_records + pick(1000))));
+        mutate("another record's index",
+               with(record, "index", static_cast<std::uint64_t>((index + 1 + pick(n_records - 1)) %
+                                                                n_records)));
+        // Missing fields.
+        std::vector<std::string> keys = record.keys();
+        keys.erase(std::remove(keys.begin(), keys.end(), "accuracy"), keys.end());
+        for (const std::string& key : keys) mutate("no " + key, without(record, key));
+        if (!clean) {
+            std::uint64_t images = pick(1000000);
+            if (images == j.cfg.eval_images) ++images;
+            mutate("images " + std::to_string(images), with(record, "images", images));
+            mutate("images 2^64-1",
+                   with(record, "images", std::numeric_limits<std::uint64_t>::max()));
+            mutate("negative images", with(record, "images", std::int64_t{-25}));
+            mutate("images as a string", with(record, "images", "25"));
+            const std::string label = record.at("label").as_string();
+            mutate("a truncated label", with(record, "label", label.substr(0, pick(label.size()))));
+            mutate("a numeric label", with(record, "label", 3));
+            for (const char* key : {"duplication_faults", "random_faults"}) {
+                mutate(std::string("negative ") + key,
+                       with(record, key, -static_cast<std::int64_t>(1 + pick(100))));
+                mutate(std::string(key) + " 2^64-1",
+                       with(record, key, std::numeric_limits<std::uint64_t>::max()));
+                mutate(std::string("fractional ") + key, with(record, key, 1.5));
+                mutate(std::string(key) + " as a string", with(record, key, "7"));
+            }
+        }
+
+        for (const auto& [what, mutant] : mutants) {
+            const Outcome outcome = j.resume(j.replaced(index, mutant));
+            EXPECT_NE(outcome, Outcome::Report) << "record " << index << ": " << what;
+            if (outcome != Outcome::Report) ++rejected[outcome == Outcome::FormatError ? 0 : 1];
+        }
+        // The record written twice, the second time as is or changed.
+        for (const Json& copy : {record, mutants.front().second}) {
+            std::vector<Json> records = j.honest.records;
+            records.insert(records.begin() + static_cast<std::ptrdiff_t>(pick(n_records + 1)),
+                           copy);
+            EXPECT_EQ(j.resume(records), Outcome::FormatError)
+                << "record " << index << " written twice";
+        }
+    }
+    EXPECT_GT(rejected[0], 0u);
+    EXPECT_GT(rejected[1], 0u);
+
+    // Reordered records, all of them or a prefix of a shuffle (the rest
+    // reruns), resume to the honest report.
+    for (std::size_t keep : {n_records, n_records, pick(n_records)}) {
+        std::vector<Json> records = j.honest.records;
+        for (std::size_t i = records.size(); i > 1; --i) std::swap(records[i - 1], records[pick(i)]);
+        records.resize(keep);
+        std::string report;
+        EXPECT_EQ(j.resume(records, &report), Outcome::Report)
+            << "keep=" << keep;
+        EXPECT_EQ(report, j.honest_report) << "keep=" << keep;
+    }
 }
 
 // ------------------------------------------------------------ phases

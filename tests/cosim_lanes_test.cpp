@@ -53,12 +53,12 @@ sim::PlatformConfig platform_config(nn::Architecture arch) {
     return cfg;
 }
 
-sim::CampaignConfig tiny_config(std::size_t threads) {
+sim::CampaignConfig tiny_config(std::size_t threads, std::size_t blind_offsets = 3) {
     sim::CampaignConfig cfg;
     cfg.strike_grid = {300, 900};
     cfg.eval_images = 12;
     // >1 offset so the blind points exercise lane-batched replay groups.
-    cfg.blind_offsets = 3;
+    cfg.blind_offsets = blind_offsets;
     cfg.threads = threads;
     return cfg;
 }
@@ -185,6 +185,15 @@ TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossLanesThreadsAndTwin) {
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
         << "scalar SIMD twin diverged for " << name;
+    simd::set_mode(guard.mode);
+
+    // Ten offsets: at width 8 each blind bundle spans a full and a partial
+    // group, packed by descending start cycle.
+    sim::set_cosim_lane_width(1);
+    const std::string wide = sim::run_campaign(platform, test, tiny_config(1, 10)).to_json().dump();
+    sim::set_cosim_lane_width(8);
+    EXPECT_EQ(wide, sim::run_campaign(platform, test, tiny_config(8, 10)).to_json().dump())
+        << "a blind bundle spanning two groups diverged for " << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllZooVictims, CosimLanesCampaign,
@@ -235,26 +244,36 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
         refs.push_back(oracle_cosim(platform, src, /*record_tick_voltage=*/true));
     }
 
-    auto run_lanes = [&] {
+    // `order` lists schedule indices in lane order.
+    auto run_lanes = [&](const std::vector<std::size_t>& order) {
         std::vector<sim::FixedSource> sources;
-        sources.reserve(schedules.size());
-        for (const BitVec& bits : schedules) sources.emplace_back(bits);
+        sources.reserve(order.size());
+        for (std::size_t s : order) sources.emplace_back(schedules[s]);
         std::vector<sim::StrikeSource*> lanes;
         for (sim::FixedSource& src : sources) lanes.push_back(&src);
         return platform.simulate_inference_lanes(lanes, /*record_tick_voltage=*/true);
     };
 
+    // Width 8 holds all five in one group with a partial 4-lane slot. The
+    // reversed order puts every schedule in another lane position, as the
+    // runner's packing does (a lane's result must not depend on it).
+    std::vector<std::size_t> forward(schedules.size());
+    for (std::size_t i = 0; i < forward.size(); ++i) forward[i] = i;
+    const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
     for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
         simd::set_mode(mode);
-        for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
             sim::set_cosim_lane_width(width);
-            const std::vector<sim::CosimResult> lanes = run_lanes();
-            ASSERT_EQ(lanes.size(), refs.size());
-            for (std::size_t i = 0; i < refs.size(); ++i) {
-                expect_cosim_identical(lanes[i], refs[i],
-                                       std::string(simd::mode_name(mode)) + " twin, width " +
-                                           std::to_string(width) + ", lane " +
-                                           std::to_string(i));
+            for (const std::vector<std::size_t>& order : {forward, reversed}) {
+                const std::vector<sim::CosimResult> lanes = run_lanes(order);
+                ASSERT_EQ(lanes.size(), refs.size());
+                for (std::size_t k = 0; k < order.size(); ++k) {
+                    expect_cosim_identical(
+                        lanes[k], refs[order[k]],
+                        std::string(simd::mode_name(mode)) + " twin, width " +
+                            std::to_string(width) + ", lane " + std::to_string(k) +
+                            ", schedule " + std::to_string(order[k]));
+                }
             }
         }
     }

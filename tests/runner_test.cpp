@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/campaign.hpp"
+#include "sim/cosim_lanes.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -374,6 +377,206 @@ TEST_F(RunnerPlatformFixture, BlindPointsCarryNoSegmentIndex) {
     const std::string json = report.to_json().dump(2);
     EXPECT_NE(json.find("\"segment_index\": -1"), std::string::npos);
     EXPECT_EQ(json.find("18446744073709551615"), std::string::npos);
+}
+
+// ------------------------------------------------------------ batched fill
+
+/// RAII restore of the process-wide lane width these tests set.
+struct LaneWidthGuard {
+    std::size_t width = cosim_lane_width();
+    ~LaneWidthGuard() { set_cosim_lane_width(width); }
+};
+
+/// RunnerPlatformFixture's victim and profile, for SweepRunner tests outside
+/// the fixture.
+struct BatchVictim {
+    Platform platform{PlatformConfig{}, deepstrike::testing::random_qnetwork(61)};
+    ProfilingRun profiling = run_profiling(platform);
+};
+
+const BatchVictim& batch_victim() {
+    static const BatchVictim victim;
+    return victim;
+}
+
+/// Guided schemes over every profiled segment at two strike counts (capped
+/// like a campaign's), ending with a repeat of the first.
+std::vector<attack::AttackScheme> batch_guided_schemes() {
+    const BatchVictim& v = batch_victim();
+    std::vector<attack::AttackScheme> schemes;
+    for (const attack::ProfiledSegment& seg : v.profiling.profile.segments) {
+        for (const std::size_t strikes : {std::size_t{40}, std::size_t{90}}) {
+            const std::size_t n = std::min(strikes, seg.duration_samples() / 4);
+            if (n == 0) continue;
+            schemes.push_back(attack::plan_attack(seg, v.profiling.trigger_sample,
+                                                  v.platform.config().samples_per_cycle(), n));
+        }
+    }
+    schemes.push_back(schemes.front());
+    return schemes;
+}
+
+attack::AttackScheme blind_scheme(std::size_t strikes, std::size_t gap) {
+    attack::AttackScheme scheme;
+    scheme.num_strikes = strikes;
+    scheme.gap_cycles = gap;
+    return scheme;
+}
+
+bool same_trace(const accel::VoltageTrace& a, const accel::VoltageTrace& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_plan(const accel::OverlayPlan& a, const accel::OverlayPlan& b) {
+    if (a.trace_samples != b.trace_samples || a.layers.size() != b.layers.size()) {
+        return false;
+    }
+    for (std::size_t l = 0; l < a.layers.size(); ++l) {
+        const std::vector<accel::CycleWindow>& x = a.layers[l].unsafe;
+        const std::vector<accel::CycleWindow>& y = b.layers[l].unsafe;
+        if (x.size() != y.size()) return false;
+        for (std::size_t w = 0; w < x.size(); ++w) {
+            if (x[w].begin != y[w].begin || x[w].end != y[w].end) return false;
+        }
+    }
+    return true;
+}
+
+void expect_same_guided(const GuidedTraceBundle& got, const GuidedTraceBundle& want,
+                        const std::string& where) {
+    EXPECT_TRUE(same_trace(got.trace, want.trace)) << where << ": trace differs";
+    EXPECT_TRUE(same_plan(got.plan, want.plan)) << where << ": plan differs";
+}
+
+void expect_same_blind(const BlindTraceBundle& got, const BlindTraceBundle& want,
+                       const std::string& where) {
+    ASSERT_EQ(got.traces.size(), want.traces.size()) << where;
+    ASSERT_EQ(got.plans.size(), want.plans.size()) << where;
+    for (std::size_t i = 0; i < want.traces.size(); ++i) {
+        EXPECT_TRUE(same_trace(got.traces[i], want.traces[i]))
+            << where << ": offset " << i << " trace differs";
+        EXPECT_TRUE(same_plan(got.plans[i], want.plans[i]))
+            << where << ": offset " << i << " plan differs";
+    }
+}
+
+// One prefetch batch fills every bundle exactly as one-at-a-time misses
+// do, and consuming the prefetched bundles counts the same hits and
+// misses. The 11-offset blind bundle spans a full and a partial group at
+// width 8.
+TEST(SweepRunner, PrefetchMatchesSingleFills) {
+    LaneWidthGuard guard;
+    const BatchVictim& v = batch_victim();
+    const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
+    ASSERT_GE(guided.size(), 6u);
+    const std::vector<BlindRequest> blind = {{blind_scheme(40, 60), 11, 5},
+                                             {blind_scheme(25, 90), 2, 6}};
+
+    // The oracle of the 11-offset bundle: offset i is the i-th draw of the
+    // offset seed over the cycles where the replay fits, co-simulated alone.
+    const BlindRequest& wide = blind[0];
+    std::vector<accel::VoltageTrace> oracle;
+    {
+        const std::size_t total = v.platform.engine().schedule().total_cycles;
+        Rng rng(wide.offset_seed);
+        for (std::size_t i = 0; i < wide.n_offsets; ++i) {
+            const auto start = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(total - wide.scheme.total_cycles())));
+            attack::BlindController controller(wide.scheme, start);
+            BlindSource source(controller);
+            oracle.push_back(v.platform.simulate_inference(source).capture_v);
+        }
+        const std::vector<accel::VoltageTrace> traces =
+            blind_attack_traces(v.platform, wide.scheme, wide.n_offsets, wide.offset_seed);
+        ASSERT_EQ(traces.size(), oracle.size());
+        for (std::size_t i = 0; i < oracle.size(); ++i) {
+            EXPECT_TRUE(same_trace(traces[i], oracle[i])) << "blind_attack_traces offset " << i;
+        }
+    }
+
+    for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+        set_cosim_lane_width(width);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            const std::string where =
+                "width " + std::to_string(width) + ", threads " + std::to_string(threads);
+            SweepRunner single(v.platform, RunnerConfig{threads, true});
+            SweepRunner batched(v.platform, RunnerConfig{threads, true});
+            batched.prefetch({}, guided, blind);
+            EXPECT_EQ(batched.trace_cache_hits(), 0u) << where;
+            EXPECT_EQ(batched.trace_cache_misses(), 0u) << where;
+
+            for (const attack::AttackScheme& scheme : guided) {
+                expect_same_guided(*batched.guided_bundle({}, scheme),
+                                   *single.guided_bundle({}, scheme), where);
+            }
+            for (const BlindRequest& r : blind) {
+                const auto bundle = batched.blind_bundle(r.scheme, r.n_offsets, r.offset_seed);
+                expect_same_blind(*bundle,
+                                  *single.blind_bundle(r.scheme, r.n_offsets, r.offset_seed),
+                                  where);
+                if (&r != &wide) continue;
+                for (std::size_t i = 0; i < oracle.size(); ++i) {
+                    EXPECT_TRUE(same_trace(bundle->traces[i], oracle[i]))
+                        << where << ": offset " << i << " differs from its oracle";
+                }
+            }
+            EXPECT_EQ(batched.trace_cache_hits(), single.trace_cache_hits()) << where;
+            EXPECT_EQ(batched.trace_cache_misses(), single.trace_cache_misses()) << where;
+            EXPECT_EQ(batched.trace_cache_misses(), guided.size() - 1 + blind.size()) << where;
+        }
+    }
+}
+
+// A scheme whose controller cannot be built (100,000 strikes overflow the
+// 73,728-bit signal RAM) fails its own entry — guided or blind — and no
+// other, at every lane width and thread count, and the failure does not
+// stick to the runner.
+TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
+    LaneWidthGuard guard;
+    const BatchVictim& v = batch_victim();
+    const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
+    const attack::AttackScheme& good = guided[0];
+    const attack::AttackScheme& good2 = guided[1];
+    attack::AttackScheme bad;
+    bad.num_strikes = 100000;
+    bad.gap_cycles = 1;
+    const BlindRequest blind_good{blind_scheme(40, 60), 9, 5};
+
+    for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+        set_cosim_lane_width(width);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            const std::string where =
+                "width " + std::to_string(width) + ", threads " + std::to_string(threads);
+            SweepRunner fresh(v.platform, RunnerConfig{threads, true});
+            const auto want_good = fresh.guided_bundle({}, good);
+            const auto want_good2 = fresh.guided_bundle({}, good2);
+            const auto want_blind = fresh.blind_bundle(blind_good.scheme, blind_good.n_offsets,
+                                                       blind_good.offset_seed);
+
+            SweepRunner runner(v.platform, RunnerConfig{threads, true});
+            EXPECT_NO_THROW(runner.prefetch({}, {good, bad, good2},
+                                            {{bad, 3, 5}, blind_good}))
+                << where;
+            for (int round = 0; round < 2; ++round) {
+                EXPECT_THROW(runner.guided_bundle({}, bad), ConfigError) << where;
+                EXPECT_THROW(runner.blind_bundle(bad, 3, 5), ConfigError) << where;
+                expect_same_guided(*runner.guided_bundle({}, good2), *want_good2, where);
+                expect_same_guided(*runner.guided_bundle({}, good), *want_good, where);
+                expect_same_blind(*runner.blind_bundle(blind_good.scheme, blind_good.n_offsets,
+                                                       blind_good.offset_seed),
+                                  *want_blind, where);
+            }
+
+            // The same holds for a bad scheme's miss, and with the cache off.
+            for (const bool cache : {true, false}) {
+                SweepRunner cold(v.platform, RunnerConfig{threads, cache});
+                EXPECT_THROW(cold.guided_bundle({}, bad), ConfigError) << where;
+                EXPECT_THROW(cold.blind_bundle(bad, 3, 5), ConfigError) << where;
+                expect_same_guided(*cold.guided_bundle({}, good2), *want_good2, where);
+            }
+        }
+    }
 }
 
 TEST(DspSweep, MatchesPointwiseCharacterization) {
