@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "accel/engine.hpp"
+#include "attack/controller.hpp"
 #include "attack/detector.hpp"
 #include "attack/profiler.hpp"
 #include "attack/search.hpp"
@@ -274,6 +275,51 @@ void BM_CosimCycleLanes(benchmark::State& state) {
     ds::sim::set_cosim_lane_width(saved_width);
 }
 BENCHMARK(BM_CosimCycleLanes)->Unit(benchmark::kMillisecond);
+
+// A blind scheme's trace fill, one 8-lane group of its replays (500
+// strikes of 4 cycles, starts from sim::blind_replays), recorded two ways:
+// capture voltages only, as SweepRunner::fill records them, and the full
+// sensor view. A blind source never listens, so the capture-only group
+// draws no TDC sample and records no readout or per-cycle minimum; the
+// capture voltages are identical (tests/cosim_lanes_test.cpp). CI gates
+// the same-run pair ratio at 0.6 so trace fills keep skipping the sensor.
+void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
+    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
+    ds::attack::AttackScheme scheme;
+    scheme.strike_cycles = 4;
+    scheme.num_strikes = 500;
+    const std::vector<ds::sim::BlindReplay> replays =
+        ds::sim::blind_replays(platform, scheme, kCosimBenchLanes, 17);
+    const std::size_t saved_width = ds::sim::cosim_lane_width();
+    ds::sim::set_cosim_lane_width(kCosimBenchLanes);
+    for (auto _ : state) {
+        std::vector<ds::attack::BlindController> controllers;
+        controllers.reserve(replays.size());
+        std::vector<ds::sim::BlindSource> sources;
+        sources.reserve(replays.size());
+        std::vector<ds::sim::StrikeSource*> lanes;
+        for (const ds::sim::BlindReplay& replay : replays) {
+            controllers.emplace_back(scheme, replay.start_cycle);
+            sources.emplace_back(controllers.back());
+            lanes.push_back(&sources.back());
+        }
+        benchmark::DoNotOptimize(platform.simulate_inference_lanes(lanes, record).size());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
+                                  platform.engine().schedule().total_cycles));
+    ds::sim::set_cosim_lane_width(saved_width);
+}
+
+void BM_CosimCycleBlindCaptures(benchmark::State& state) {
+    cosim_cycle_blind(state, ds::sim::CosimRecord::Captures);
+}
+BENCHMARK(BM_CosimCycleBlindCaptures)->Unit(benchmark::kMillisecond);
+
+void BM_CosimCycleBlindSensor(benchmark::State& state) {
+    cosim_cycle_blind(state, ds::sim::CosimRecord::Sensor);
+}
+BENCHMARK(BM_CosimCycleBlindSensor)->Unit(benchmark::kMillisecond);
 
 // Lane-count scaling: one group of W co-sims per iteration (W=1 is a
 // one-lane group, padded to one 4-lane slot). Per-co-sim cost should fall

@@ -28,6 +28,10 @@ public:
     bool strike_bit();
 
     bool triggered() const { return detector_.triggered(); }
+    /// Whether a later TDC sample can still change strike_bit(): until the
+    /// detector fires, or always for an auto-rearming detector. Once
+    /// false, it stays false until rearm().
+    bool listens() const { return !triggered() || detector_.config().auto_rearm; }
     bool done() const { return ram_.exhausted(); }
     std::size_t trigger_sample() const { return detector_.trigger_sample(); }
 

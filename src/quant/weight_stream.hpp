@@ -53,11 +53,16 @@ public:
     /// when `index` is out of range.
     WordRef locate(std::size_t index) const;
 
-    /// Index of the earliest network layer any of `indices` lands in
-    /// (= the first layer whose activations can diverge from golden).
-    /// Returns the layer count when `indices` is empty.
+    /// Index of the earliest network layer holding a word that a fault at
+    /// any of `indices` can rewrite (= the first layer whose activations
+    /// can diverge from golden). A fault rewrites the aligned block of
+    /// `block_words` words around its index: 1 for a bit flip, the beat
+    /// for a Deep-Dup duplication, whose beat may begin in an earlier
+    /// layer than the index. Returns the layer count when `indices` is
+    /// empty.
     std::size_t first_faulted_layer(const std::vector<std::uint32_t>& indices,
-                                    std::size_t layer_count) const;
+                                    std::size_t layer_count,
+                                    std::size_t block_words = 1) const;
 
 private:
     std::vector<LayerSpan> spans_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 
 #include "sim/platform.hpp"
 #include "util/aligned.hpp"
@@ -115,13 +116,15 @@ void set_cosim_lane_width(std::size_t width) {
 }
 
 std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const> sources,
-                                                  bool record_tick_voltage) const {
+                                                  CosimRecord record) const {
     trace::Span span("cosim.lanes", "cosim");
     const PlatformConfig& cfg = config_;
     const std::size_t n = sources.size();
     const std::size_t total_cycles = engine_.schedule().total_cycles;
     const std::size_t tpc = cfg.ticks_per_cycle;
     const std::size_t n_caps = cfg.dsp_capture_ticks.size();
+    const bool sensor = record != CosimRecord::Captures;
+    const bool ticks = record == CosimRecord::Ticks;
     // Pad to whole 4-lane slots; pads mirror an idle (never-striking) lane
     // and are never observed.
     const std::size_t padded = (n + 3) / 4 * 4;
@@ -143,16 +146,18 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
     std::vector<double> steady_load(padded, 0.0);
     std::vector<std::uint8_t> strike(n, 0);
     std::vector<std::uint64_t> steps_skipped(n, 0);
-    std::vector<double> min_v(n, 0.0);
+    std::vector<double> min_v(sensor ? n : 0, 0.0);
 
     std::vector<CosimResult> results(n);
     for (std::size_t l = 0; l < n; ++l) {
         CosimResult& res = results[l];
         res.strike_bits = BitVec(total_cycles);
         res.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
-        res.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
-        res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
-        if (record_tick_voltage) res.tick_voltage.reserve(total_cycles * tpc);
+        if (sensor) {
+            res.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
+            res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
+        }
+        if (ticks) res.tick_voltage.reserve(total_cycles * tpc);
     }
 
     // Per-lane TDC noise streams: every lane starts from the one
@@ -162,10 +167,40 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
     for (std::size_t l = 0; l < n; ++l) rng.emplace_back(cfg.tdc_noise_seed);
     std::vector<tdc::TdcSample> scratch(n);
     tdc::TdcLaneSampler sampler(sensor_, n);
+    // The lanes that draw TDC samples, in lane order: all of them in a
+    // Sensor co-sim. A capture-only co-sim drops a lane for good once its
+    // source stops listening (the StrikeSource::listens contract), so no
+    // later sample is drawn that could not change a strike bit.
+    std::vector<std::size_t> drawing(n);
+    std::iota(drawing.begin(), drawing.end(), std::size_t{0});
 
     const StepSlotFn step_slot = select_step_slot();
     const TickAction* actions = tick_actions_.data();
     std::uint64_t compactions = 0;
+
+    // The per-tick events at the lanes' post-step voltages: the tick
+    // voltage, a TDC draw, a DSP capture edge.
+    const auto tick_events = [&](std::size_t cycle, std::size_t tick) {
+        if (ticks) {
+            for (std::size_t l = 0; l < n; ++l) results[l].tick_voltage.push_back(v[l]);
+        }
+        const TickAction act = actions[tick];
+        if (act.tdc_slot >= 0) {
+            if (!sensor) {
+                std::erase_if(drawing,
+                              [&](std::size_t l) { return !sources[l]->listens(); });
+            }
+            sampler.sample_lanes(v.data(), rng.data(), scratch.data(), drawing);
+            for (const std::size_t l : drawing) {
+                if (sensor) results[l].tdc_readouts.push_back(scratch[l].readout);
+                sources[l]->on_tdc_sample(scratch[l]);
+            }
+        }
+        if (act.capture_slot >= 0) {
+            const std::size_t at = cycle * n_caps + static_cast<std::size_t>(act.capture_slot);
+            for (std::size_t l = 0; l < n; ++l) results[l].capture_v[at] = v[l];
+        }
+    };
 
     for (std::size_t cycle = 0; cycle < total_cycles; ++cycle) {
         bool any_strike = false;
@@ -197,35 +232,16 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
         if (all_steady) {
             compactions += slots * tpc;
             for (std::size_t l = 0; l < n; ++l) steps_skipped[l] += tpc;
-            for (std::size_t tick = 0; tick < tpc; ++tick) {
-                if (record_tick_voltage) {
-                    for (std::size_t l = 0; l < n; ++l) {
-                        results[l].tick_voltage.push_back(v[l]);
-                    }
-                }
-                const TickAction act = actions[tick];
-                if (act.tdc_slot >= 0) {
-                    sampler.sample_lanes(v.data(), rng.data(), scratch.data(), n);
-                    for (std::size_t l = 0; l < n; ++l) {
-                        results[l].tdc_readouts.push_back(scratch[l].readout);
-                        sources[l]->on_tdc_sample(scratch[l]);
-                    }
-                }
-                if (act.capture_slot >= 0) {
-                    for (std::size_t l = 0; l < n; ++l) {
-                        results[l].capture_v[cycle * n_caps +
-                                             static_cast<std::size_t>(
-                                                 act.capture_slot)] = v[l];
-                    }
-                }
-            }
-            for (std::size_t l = 0; l < n; ++l) {
-                results[l].min_v_per_cycle[cycle] = v[l];
+            for (std::size_t tick = 0; tick < tpc; ++tick) tick_events(cycle, tick);
+            if (sensor) {
+                for (std::size_t l = 0; l < n; ++l) results[l].min_v_per_cycle[cycle] = v[l];
             }
             continue;
         }
 
-        for (std::size_t l = 0; l < n; ++l) min_v[l] = v[l];
+        if (sensor) {
+            for (std::size_t l = 0; l < n; ++l) min_v[l] = v[l];
+        }
         if (!any_strike) {
             for (std::size_t l = 0; l < padded; ++l) load[l] = i_victim;
         }
@@ -270,30 +286,13 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
                     steady_load[b + k] = load[b + k];
                 }
             }
-            for (std::size_t l = 0; l < n; ++l) min_v[l] = std::min(min_v[l], v[l]);
-            if (record_tick_voltage) {
-                for (std::size_t l = 0; l < n; ++l) {
-                    results[l].tick_voltage.push_back(v[l]);
-                }
+            if (sensor) {
+                for (std::size_t l = 0; l < n; ++l) min_v[l] = std::min(min_v[l], v[l]);
             }
-            const TickAction act = actions[tick];
-            if (act.tdc_slot >= 0) {
-                sampler.sample_lanes(v.data(), rng.data(), scratch.data(), n);
-                for (std::size_t l = 0; l < n; ++l) {
-                    results[l].tdc_readouts.push_back(scratch[l].readout);
-                    sources[l]->on_tdc_sample(scratch[l]);
-                }
-            }
-            if (act.capture_slot >= 0) {
-                for (std::size_t l = 0; l < n; ++l) {
-                    results[l].capture_v[cycle * n_caps +
-                                         static_cast<std::size_t>(act.capture_slot)] =
-                        v[l];
-                }
-            }
+            tick_events(cycle, tick);
         }
-        for (std::size_t l = 0; l < n; ++l) {
-            results[l].min_v_per_cycle[cycle] = min_v[l];
+        if (sensor) {
+            for (std::size_t l = 0; l < n; ++l) results[l].min_v_per_cycle[cycle] = min_v[l];
         }
     }
 
@@ -313,7 +312,7 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
         metrics::counter("pdn.steps_skipped", "ticks",
                          "steps resolved by the floating-point fixed-point skip")
             .add(skipped_total);
-        metrics::counter("tdc.samples", "samples", "TDC sensor draws")
+        metrics::counter("tdc.samples", "samples", "TDC sensor draws taken")
             .add(sampler.samples());
         metrics::counter("tdc.memo_hits", "samples",
                          "TDC draws replaying the memoized expected-stage count")
@@ -339,14 +338,15 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
                          "fixed point")
             .add(compactions);
         metrics::counter("cosim.lanes.tdc_dedup_hits", "samples",
-                         "TDC draws served by copying lane 0's emission")
+                         "TDC draws served by copying the first drawing "
+                         "lane's emission")
             .add(sampler.dedup_hits());
     }
     return results;
 }
 
 std::vector<CosimResult> Platform::simulate_inference_lanes(
-    const std::vector<StrikeSource*>& sources, bool record_tick_voltage) const {
+    const std::vector<StrikeSource*>& sources, CosimRecord record) const {
     for (const StrikeSource* s : sources) {
         expects(s != nullptr, "simulate_inference_lanes: non-null sources");
     }
@@ -356,8 +356,7 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
     const std::span<StrikeSource* const> all(sources);
     for (std::size_t begin = 0; begin < sources.size(); begin += width) {
         std::vector<CosimResult> group = run_lane_group(
-            all.subspan(begin, std::min(width, sources.size() - begin)),
-            record_tick_voltage);
+            all.subspan(begin, std::min(width, sources.size() - begin)), record);
         for (CosimResult& res : group) out.push_back(std::move(res));
     }
     return out;

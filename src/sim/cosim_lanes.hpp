@@ -26,12 +26,27 @@
 // checks every lane bitwise against a test-local per-tick oracle built on
 // PdnModel, TdcSensor and StrikerBank.
 //
+// Recording modes (sim::CosimRecord). The one tick loop records what its
+// caller keeps. Sensor (the default) and Ticks co-sims draw every TDC
+// sample on every lane and record readouts and per-cycle minima; Ticks
+// adds the per-tick voltage. A Captures co-sim records capture voltages
+// and strike bits only, and a lane draws TDC samples only while its
+// source listens (StrikeSource::listens): a guided lane until its
+// detector fires, a blind or fixed lane never. Its capture voltages equal
+// a Sensor co-sim's bit for bit, because they follow from PDN state, PDN
+// state from the activity and the strike bits, and strike bits from TDC
+// samples only while the source listens. Every trace fill runs Captures,
+// so on the blind replays that dominate a campaign no sensor work is left.
+//
 // Scheduling lives in sim::SweepRunner. Its one trace fill packs guided
 // schemes into lane groups in claim order and each blind bundle's replays
-// into groups of their own, in descending start cycle (sim::blind_replays),
-// so a group's lane 0 starts last and the TDC sampler can copy most of its
-// draws. It runs every group of a batch in one parallel_for over the
-// runner's workers. The group width is a constant 8 in the product;
+// into groups of their own, in descending start cycle (sim::blind_replays).
+// The packing still pays in capture-only fills, through slot compaction,
+// not TDC dedup: lanes of one scheme share the golden run until they
+// start and settle into one common state after their replays, so packed
+// lanes sit at their fixed points together and whole 4-lane slots skip.
+// It runs every group of a batch in one parallel_for over the runner's
+// workers. The group width is a constant 8 in the product;
 // set_cosim_lane_width() is the seam tests and benches use to prove the
 // report is width-invariant.
 #pragma once

@@ -47,7 +47,7 @@ accel::VoltageTrace guided_attack_trace(const Platform& platform,
                                         const attack::AttackScheme& scheme) {
     attack::AttackController controller(detector_config, scheme);
     GuidedSource source(controller);
-    return platform.simulate_inference(source).capture_v;
+    return platform.simulate_inference(source, CosimRecord::Captures).capture_v;
 }
 
 std::vector<BlindReplay> blind_replays(const Platform& platform,
@@ -96,7 +96,8 @@ std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
         sources.emplace_back(controllers.back());
         lanes.push_back(&sources.back());
     }
-    std::vector<CosimResult> cosims = platform.simulate_inference_lanes(lanes);
+    std::vector<CosimResult> cosims =
+        platform.simulate_inference_lanes(lanes, CosimRecord::Captures);
     std::vector<accel::VoltageTrace> traces(n_offsets);
     for (std::size_t k = 0; k < replays.size(); ++k) {
         traces[replays[k].offset] = std::move(cosims[k].capture_v);
@@ -248,7 +249,7 @@ std::vector<RepeatedInferenceStats> simulate_repeated_inferences(
     for (std::size_t i = 0; i < n_inferences; ++i) {
         controller.rearm();
         GuidedSource source(controller);
-        CosimResult cosim = platform.simulate_inference(source);
+        CosimResult cosim = platform.simulate_inference(source, CosimRecord::Captures);
 
         RepeatedInferenceStats entry;
         entry.detector_fired = controller.triggered();

@@ -49,8 +49,9 @@ struct BlindReplay {
 /// cycles where the replay fits. The replays are ordered by descending
 /// start cycle, ties by offset index: lanes of one scheme share the golden
 /// run until they start and settle into one common state after their
-/// replays, so a group whose lane 0 starts last lets the TDC sampler copy
-/// most draws from lane 0. Each trace depends on its own offset alone.
+/// replays, so neighbouring lanes sit at their PDN fixed points together
+/// and whole 4-lane slots skip (sim/cosim_lanes.hpp). Each trace depends
+/// on its own offset alone.
 std::vector<BlindReplay> blind_replays(const Platform& platform,
                                        const attack::AttackScheme& scheme,
                                        std::size_t n_offsets, std::uint64_t offset_seed);

@@ -20,7 +20,7 @@ AccuracyResult evaluate_bits_attack(const Platform& platform,
                                     std::uint64_t fault_seed) {
     attack::AttackController controller(detector, scheme_bits);
     GuidedSource source(controller);
-    const CosimResult cosim = platform.simulate_inference(source);
+    const CosimResult cosim = platform.simulate_inference(source, CosimRecord::Captures);
     return evaluate_accuracy(platform, test_set, n_images, &cosim.capture_v,
                              fault_seed);
 }

@@ -47,8 +47,8 @@ double Platform::idle_current_a() const {
 }
 
 CosimResult Platform::simulate_inference(StrikeSource& source,
-                                         bool record_tick_voltage) const {
-    std::vector<CosimResult> group = simulate_inference_lanes({&source}, record_tick_voltage);
+                                         CosimRecord record) const {
+    std::vector<CosimResult> group = simulate_inference_lanes({&source}, record);
     return std::move(group.front());
 }
 

@@ -37,14 +37,20 @@ public:
     virtual ~StrikeSource() = default;
     /// Called once at the start of each fabric cycle.
     virtual bool strike_bit(std::size_t cycle) = 0;
-    /// Called for every TDC sample taken.
+    /// Called for every TDC sample drawn for this source's lane.
     virtual void on_tdc_sample(const tdc::TdcSample& sample) { (void)sample; }
+    /// Whether a later TDC sample can still change a strike bit. Contract:
+    /// once a source returns false, it never reads a later sample, so its
+    /// strike bits no longer depend on the sensor. A CosimRecord::Captures
+    /// co-sim then stops drawing samples for its lane.
+    virtual bool listens() const { return true; }
 };
 
 /// No attack: baseline / profiling runs.
 class NoAttackSource final : public StrikeSource {
 public:
     bool strike_bit(std::size_t) override { return false; }
+    bool listens() const override { return false; }
 };
 
 /// TDC-guided attack through the on-chip AttackController.
@@ -56,6 +62,7 @@ public:
     void on_tdc_sample(const tdc::TdcSample& sample) override {
         controller_.on_tdc_sample(sample);
     }
+    bool listens() const override { return controller_.listens(); }
 
 private:
     attack::AttackController& controller_;
@@ -67,6 +74,7 @@ public:
     explicit BlindSource(attack::BlindController& controller)
         : controller_(controller) {}
     bool strike_bit(std::size_t cycle) override { return controller_.strike_bit(cycle); }
+    bool listens() const override { return false; }
 
 private:
     attack::BlindController& controller_;
@@ -79,6 +87,7 @@ public:
     bool strike_bit(std::size_t cycle) override {
         return cycle < bits_.size() && bits_.get(cycle);
     }
+    bool listens() const override { return false; }
 
 private:
     BitVec bits_;
@@ -105,20 +114,39 @@ struct PlatformConfig {
     }
 };
 
+/// What a co-sim records. Every mode fills capture_v, strike_cycles and
+/// strike_bits, and each mode's fields are identical in every mode that
+/// fills them: capture voltages follow from PDN state alone, and a
+/// source's strike bits depend on TDC samples only while it listens().
+enum class CosimRecord {
+    /// Capture voltages and the strike schedule only. A lane draws TDC
+    /// samples only while its source listens, and no lane records
+    /// readouts or per-cycle minima. For callers that keep capture_v alone
+    /// (the trace fills).
+    Captures,
+    /// Captures plus tdc_readouts and min_v_per_cycle. Every lane draws
+    /// every TDC sample (profiling, the monitor, waveform export).
+    Sensor,
+    /// Sensor plus tick_voltage (large; the tests' per-tick oracle seam).
+    Ticks,
+};
+
 struct CosimResult {
     /// Die voltage at each DSP capture edge: two samples per fabric cycle
     /// (index = cycle * 2 + ddr_half). This is the trace the fault model
     /// consumes.
     accel::VoltageTrace capture_v;
-    /// Worst-case (minimum) die voltage per fabric cycle (analysis only).
+    /// Worst-case (minimum) die voltage per fabric cycle (analysis only;
+    /// Sensor and Ticks).
     accel::VoltageTrace min_v_per_cycle;
-    /// All TDC readouts in sampling order (2 per fabric cycle).
+    /// All TDC readouts in sampling order (2 per fabric cycle; Sensor and
+    /// Ticks).
     std::vector<std::uint8_t> tdc_readouts;
     /// Number of fabric cycles with the striker active.
     std::size_t strike_cycles = 0;
     /// Striker Start bit per fabric cycle (for waveform export / analysis).
     BitVec strike_bits;
-    /// Full per-tick voltage trace (only when requested; large).
+    /// Full per-tick voltage trace (Ticks only; large).
     std::vector<double> tick_voltage;
 };
 
@@ -136,7 +164,7 @@ public:
     /// strike source: a one-lane simulate_inference_lanes group.
     /// Deterministic in (config seeds, source behaviour).
     CosimResult simulate_inference(StrikeSource& source,
-                                   bool record_tick_voltage = false) const;
+                                   CosimRecord record = CosimRecord::Sensor) const;
 
     /// Co-simulates one inference per source, packed into SIMD lane groups
     /// of sim::cosim_lane_width() (sim/cosim_lanes.hpp). result[i] depends
@@ -144,7 +172,7 @@ public:
     /// position and SIMD twin. Defined in sim/cosim_lanes.cpp.
     std::vector<CosimResult> simulate_inference_lanes(
         const std::vector<StrikeSource*>& sources,
-        bool record_tick_voltage = false) const;
+        CosimRecord record = CosimRecord::Sensor) const;
 
     /// Idle current (platform + accelerator static) used for PDN settling.
     double idle_current_a() const;
@@ -153,7 +181,7 @@ private:
     /// The tick loop: co-simulates `sources` in lockstep as one lane group
     /// (sim/cosim_lanes.cpp).
     std::vector<CosimResult> run_lane_group(std::span<StrikeSource* const> sources,
-                                            bool record_tick_voltage) const;
+                                            CosimRecord record) const;
 
     /// What happens at one tick offset within a fabric cycle; precomputed
     /// at construction so the tick loop replays a flat table instead of

@@ -367,8 +367,8 @@ void SweepRunner::fill(const attack::DetectorConfig& detector,
                     std::vector<StrikeSource*> sources;
                     sources.reserve(group.lanes.size());
                     for (const Lane& lane : group.lanes) sources.push_back(lane.source);
-                    std::vector<CosimResult> cosims =
-                        platform_->simulate_inference_lanes(sources);
+                    std::vector<CosimResult> cosims = platform_->simulate_inference_lanes(
+                        sources, CosimRecord::Captures);
                     for (std::size_t j = 0; j < cosims.size(); ++j) {
                         *group.lanes[j].trace = std::move(cosims[j].capture_v);
                     }

@@ -220,8 +220,10 @@ private:
     /// into groups of cosim_lane_width() — guided claims in claim order,
     /// each blind claim's replays in groups of their own — and runs all
     /// groups in one parallel_for over threads(), in descending total
-    /// strike cycles. Each group task keeps only its lanes' capture
-    /// voltages and overlay plans. Every claim is published after the
+    /// strike cycles. Each group is a capture-only co-sim
+    /// (CosimRecord::Captures: a guided lane draws TDC samples until its
+    /// detector fires, a blind lane none), and its task keeps only its
+    /// lanes' capture voltages and overlay plans. Every claim is published after the
     /// batch: a lane whose controller cannot be built fails its own entry
     /// and joins no group, and a group that throws fails only the entries
     /// owning a lane in it. Never throws.

@@ -53,6 +53,24 @@ std::size_t correct_predictions(const quant::QNetwork& network,
 
 } // namespace
 
+std::size_t weight_fault_correct(const quant::QNetwork& network,
+                                 const data::Dataset& test_set, const GoldenStore& golden,
+                                 const attack::FaultSet& candidate,
+                                 const WeightFaultSearchConfig& config) {
+    const quant::QNetwork faulted = accel::apply_weight_faults(
+        network,
+        accel::uniform_weight_faults(candidate, config.fault_kind,
+                                     static_cast<std::uint8_t>(config.fault_bit)),
+        config.transfer);
+    // A duplication rewrites its whole beat; a bit flip only its own word.
+    const std::size_t block_words = config.fault_kind == accel::WeightFaultKind::Duplicate
+                                        ? config.transfer.beat_words
+                                        : 1;
+    const std::size_t first = quant::WeightStreamView(network).first_faulted_layer(
+        candidate, network.layers.size(), block_words);
+    return correct_predictions(faulted, test_set, golden, first);
+}
+
 const char* weight_attack_name(accel::WeightFaultKind kind) {
     switch (kind) {
     case accel::WeightFaultKind::Duplicate: return "deep-dup";
@@ -207,16 +225,8 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
             const attack::FaultSet& candidate = *fresh[i];
             tasks.push_back(
                 {"candidate " + fresh_keys[i], [&, i, &candidate = candidate] {
-                     const quant::QNetwork faulted = accel::apply_weight_faults(
-                         network,
-                         accel::uniform_weight_faults(
-                             candidate, cfg.fault_kind,
-                             static_cast<std::uint8_t>(cfg.fault_bit)),
-                         cfg.transfer);
-                     const std::size_t first = view.first_faulted_layer(
-                         candidate, layer_count);
                      const std::size_t correct =
-                         correct_predictions(faulted, test_set, *golden, first);
+                         weight_fault_correct(network, test_set, *golden, candidate, cfg);
                      fresh_drops[i] =
                          100.0 *
                          (static_cast<double>(clean_correct) -

@@ -17,8 +17,8 @@
 //   1. candidate-level memoization — DES revisits candidates across
 //      generations; identical sets answer from a cache without running
 //      (the driver still counts them against the logical budget);
-//   2. golden-prefix elision — faults landing first in layer k leave
-//      layers 0..k-1 byte-identical to golden, so evaluation resumes
+//   2. golden-prefix elision — faults rewriting words first in layer k
+//      leave layers 0..k-1 byte-identical to golden, so evaluation resumes
 //      from the search's golden store (sim/golden_cache.hpp, built once
 //      per search) at layer k-1 via QNetwork::forward_from (for LeNet-5,
 //      ~97% of the weight stream lives in FC1, eliding the expensive conv
@@ -87,6 +87,18 @@ struct SearchReport {
 std::uint64_t weight_fault_search_fingerprint(
     const quant::QNetwork& network, const data::Dataset& test_set,
     const WeightFaultSearchConfig& config);
+
+/// Correct predictions of `network` deployed with `candidate` under
+/// `config`'s fault model (fault_kind, fault_bit, transfer), over the
+/// images of `golden` (the first golden.size() of `test_set`): the count
+/// each search fitness is scored from. Each image resumes at the earliest
+/// layer holding a word the fault set rewrites (a duplicated beat may
+/// begin in an earlier layer than its index), from its golden activation,
+/// so the count equals a full forward of the faulted network.
+std::size_t weight_fault_correct(const quant::QNetwork& network,
+                                 const data::Dataset& test_set, const GoldenStore& golden,
+                                 const attack::FaultSet& candidate,
+                                 const WeightFaultSearchConfig& config);
 
 /// Runs the search to completion. Deterministic in (network, test_set,
 /// config) — independent of threads and resume splits. Throws

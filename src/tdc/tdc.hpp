@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pdn/delay.hpp"
@@ -136,15 +137,19 @@ private:
 /// noise seed (PlatformConfig::tdc_noise_seed), and lanes only diverge
 /// once their strike schedules perturb the shared supply. While a lane's
 /// voltage bits AND its full Rng stream state (util::stream_equal — the
-/// Box–Muller cache included) match lane 0's, its draw is the same pure
-/// function of the same inputs, so the sampler emits once and copies the
-/// thermometer-code words, the readout, the advanced Rng and the stage
-/// memo into the matching lanes — byte-identical by construction, and the
-/// reason a lane group beats W one-lane groups on the TDC-dominated idle
-/// stretches. Memo accounting counts each lane's own memo predicate
-/// whether or not its draw was deduplicated, so tdc.memo_hits does not
-/// depend on how co-sims were grouped. One instance per lane group; not
-/// thread-safe.
+/// Box–Muller cache included) match the anchor's (the first lane a call
+/// lists), its draw is the same pure function of the same inputs, so the
+/// sampler emits once and copies the thermometer-code words, the readout,
+/// the advanced Rng and the stage memo into the matching lanes —
+/// byte-identical by construction, and the reason a lane group beats W
+/// one-lane groups on the TDC-dominated idle stretches.
+///
+/// Accounting counts the draws actually taken, lane by lane: a call lists
+/// only the lanes that draw (a capture-only co-sim drops a lane once its
+/// strike source stops listening), and memo accounting counts each listed
+/// lane's own memo predicate whether or not its draw was deduplicated. So
+/// tdc.samples and tdc.memo_hits do not depend on how co-sims were
+/// grouped. One instance per lane group; not thread-safe.
 class TdcLaneSampler {
 public:
     TdcLaneSampler(const TdcSensor& sensor, std::size_t lanes)
@@ -153,29 +158,34 @@ public:
           last_stages_(lanes, 0.0),
           valid_(lanes, 0) {}
 
-    /// Samples lane l at voltage v[l] with its own stream rng[l] into
-    /// out[l], for l in [0, n). Per lane byte-identical (outputs and
-    /// post-draw rng state) to TdcSensor::sample_into(v[l], rng[l], out[l]).
-    void sample_lanes(const double* v, Rng* rng, TdcSample* out, std::size_t n) {
-        samples_ += n;
-        // Lane 0 always draws for real; snapshot its pre-draw stream so
-        // later lanes can be tested against it.
-        const double v0 = v[0];
-        const Rng pre0 = rng[0];
-        emit_lane(0, v[0], rng[0], out[0]);
-        for (std::size_t l = 1; l < n; ++l) {
+    /// Samples each listed lane l at voltage v[l] with its own stream
+    /// rng[l] into out[l]; `lanes` holds distinct lane indices. Per lane
+    /// byte-identical (outputs and post-draw rng state) to
+    /// TdcSensor::sample_into(v[l], rng[l], out[l]), whichever other lanes
+    /// are listed.
+    void sample_lanes(const double* v, Rng* rng, TdcSample* out,
+                      std::span<const std::size_t> lanes) {
+        if (lanes.empty()) return;
+        samples_ += lanes.size();
+        // The anchor always draws for real; snapshot its pre-draw stream
+        // so later lanes can be tested against it.
+        const std::size_t a = lanes[0];
+        const double va = v[a];
+        const Rng pre = rng[a];
+        emit_lane(a, va, rng[a], out[a]);
+        for (const std::size_t l : lanes.subspan(1)) {
             // Memo accounting uses the lane's own memo predicate whether
             // or not the draw below is deduplicated.
             const bool memo_hit = valid_[l] != 0 && v[l] == last_v_[l];
             if (memo_hit) ++memo_hits_;
-            if (v[l] == v0 && stream_equal(rng[l], pre0)) {
+            if (v[l] == va && stream_equal(rng[l], pre)) {
                 ++dedup_hits_;
-                out[l].raw = out[0].raw; // word copy, no realloc after warmup
-                out[l].readout = out[0].readout;
-                rng[l] = rng[0]; // lane 0's post-draw stream state
-                // expected_stages(v[l]) == lane 0's memo (same voltage bits).
+                out[l].raw = out[a].raw; // word copy, no realloc after warmup
+                out[l].readout = out[a].readout;
+                rng[l] = rng[a]; // the anchor's post-draw stream state
+                // expected_stages(v[l]) == the anchor's memo (same voltage bits).
                 last_v_[l] = v[l];
-                last_stages_[l] = last_stages_[0];
+                last_stages_[l] = last_stages_[a];
                 valid_[l] = 1;
             } else if (memo_hit) {
                 sensor_->emit_from_stages(last_stages_[l], rng[l], out[l]);
@@ -192,7 +202,7 @@ public:
     /// the co-sim (tdc.samples / tdc.memo_hits in docs/observability.md).
     std::uint64_t samples() const { return samples_; }
     std::uint64_t memo_hits() const { return memo_hits_; }
-    /// Draws served by copying lane 0's emission (perf telemetry only).
+    /// Draws served by copying the anchor's emission (perf telemetry only).
     std::uint64_t dedup_hits() const { return dedup_hits_; }
 
 private:

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_set>
 
 #include "util/error.hpp"
 
@@ -32,14 +33,12 @@ Json Json::array() {
     return j;
 }
 
-namespace {
-
 /// Recursive-descent parser over the full input string. Keeps position
 /// for error messages; depth-capped so corrupt input cannot blow the
 /// stack.
-class JsonParser {
+class Json::Parser {
 public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
+    explicit Parser(const std::string& text) : text_(text) {}
 
     Json parse_document() {
         Json value = parse_value(0);
@@ -109,12 +108,16 @@ private:
             ++pos_;
             return obj;
         }
+        // Keys seen so far: a repeated key is an error, never a silent
+        // overwrite, and members are appended without Json::set's scan.
+        std::unordered_set<std::string> keys;
         while (true) {
             skip_ws();
-            const std::string key = parse_string();
+            std::string key = parse_string();
+            if (!keys.insert(key).second) fail("duplicate object key");
             skip_ws();
             expect(':');
-            obj.set(key, parse_value(depth + 1));
+            obj.members_.emplace_back(std::move(key), parse_value(depth + 1));
             skip_ws();
             const char c = peek();
             ++pos_;
@@ -197,22 +200,32 @@ private:
         return out;
     }
 
+    /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
     Json parse_number() {
         const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
+        const auto at = [&](char c) { return pos_ < text_.size() && text_[pos_] == c; };
+        const auto digits = [&] {
+            const std::size_t first = pos_;
+            while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+            return pos_ - first;
+        };
+        if (at('-')) ++pos_;
+        const std::size_t int_start = pos_;
+        const std::size_t int_digits = digits();
+        if (int_digits == 0) fail("invalid value");
+        if (int_digits > 1 && text_[int_start] == '0') fail("leading zero in a number");
         bool integral = true;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        if (at('.')) {
+            ++pos_;
+            integral = false;
+            if (digits() == 0) fail("no digits after the decimal point");
         }
-        if (pos_ == start) fail("invalid value");
+        if (at('e') || at('E')) {
+            ++pos_;
+            integral = false;
+            if (at('+') || at('-')) ++pos_;
+            if (digits() == 0) fail("no digits in the exponent");
+        }
         const std::string token = text_.substr(start, pos_ - start);
         errno = 0;
         char* end = nullptr;
@@ -225,13 +238,16 @@ private:
         }
         errno = 0;
         const double d = std::strtod(token.c_str(), &end);
-        if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
+        if (end == nullptr || *end != '\0') fail("malformed number");
+        if (!std::isfinite(d)) fail("number out of range");
         return Json(d);
     }
 
     const std::string& text_;
     std::size_t pos_ = 0;
 };
+
+namespace {
 
 [[noreturn]] void wrong_kind(const char* wanted) {
     throw FormatError(std::string("json value is not ") + wanted);
@@ -240,7 +256,7 @@ private:
 } // namespace
 
 Json Json::parse(const std::string& text) {
-    return JsonParser(text).parse_document();
+    return Parser(text).parse_document();
 }
 
 bool Json::as_bool() const {

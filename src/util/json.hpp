@@ -30,10 +30,12 @@ public:
     static Json object();
     static Json array();
 
-    /// Parses one JSON document (trailing whitespace allowed, nothing
-    /// else). Integral number literals come back as the Integer kind,
-    /// everything else numeric as Number. Throws FormatError on any
-    /// syntax error, including trailing garbage.
+    /// Parses one RFC 8259 JSON document (trailing whitespace allowed,
+    /// nothing else). Integral number literals come back as the Integer
+    /// kind, everything else numeric as Number. Throws FormatError on any
+    /// syntax error, including trailing garbage, a duplicate object key, a
+    /// number outside the RFC grammar (a leading '+' or zero, a bare '.',
+    /// an empty exponent) and a number that overflows a double.
     static Json parse(const std::string& text);
 
     /// Object insertion (first call on a null turns it into an object).
@@ -76,6 +78,7 @@ public:
 
 private:
     enum class Kind { Null, Bool, Number, Integer, String, Object, Array };
+    class Parser; // parse()'s recursive descent (json.cpp)
 
     void dump_to(std::string& out, int indent, int depth) const;
 

@@ -8,21 +8,26 @@
 // compared bitwise against a test-local oracle that steps one co-sim one
 // tick at a time on the public substrate models, including compaction
 // exit and re-entry around mid-run strikes and partially filled 4-lane
-// slots.
+// slots, and every capture-only lane against its Sensor-mode twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "accel/arch_profiles.hpp"
 #include "accel/schedule.hpp"
+#include "attack/controller.hpp"
 #include "nn/zoo.hpp"
 #include "pdn/pdn.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
 #include "sim/cosim_lanes.hpp"
+#include "util/metrics.hpp"
 #include "util/simd.hpp"
 
 namespace deepstrike {
@@ -68,7 +73,7 @@ sim::CampaignConfig tiny_config(std::size_t threads, std::size_t blind_offsets =
 /// StrikerBank::current_a and the accelerator's activity current — with
 /// the configured TDC sample and DSP capture ticks matched in order.
 sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& source,
-                              bool record_tick_voltage) {
+                              sim::CosimRecord record) {
     const sim::PlatformConfig& cfg = platform.config();
     const std::size_t total_cycles = platform.engine().schedule().total_cycles;
     const std::size_t tpc = cfg.ticks_per_cycle;
@@ -102,7 +107,7 @@ sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& 
                 strike ? i_victim + platform.striker_bank().current_a(v, true) : i_victim;
             v = pdn_model.step(i_total);
             min_v = std::min(min_v, v);
-            if (record_tick_voltage) result.tick_voltage.push_back(v);
+            if (record == sim::CosimRecord::Ticks) result.tick_voltage.push_back(v);
             if (sample_idx < cfg.tdc_sample_ticks.size() &&
                 tick == cfg.tdc_sample_ticks[sample_idx]) {
                 platform.sensor().sample_into(v, tdc_rng, sample);
@@ -241,7 +246,7 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
     std::vector<sim::CosimResult> refs;
     for (const BitVec& bits : schedules) {
         sim::FixedSource src(bits);
-        refs.push_back(oracle_cosim(platform, src, /*record_tick_voltage=*/true));
+        refs.push_back(oracle_cosim(platform, src, sim::CosimRecord::Ticks));
     }
 
     // `order` lists schedule indices in lane order.
@@ -251,7 +256,7 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
         for (std::size_t s : order) sources.emplace_back(schedules[s]);
         std::vector<sim::StrikeSource*> lanes;
         for (sim::FixedSource& src : sources) lanes.push_back(&src);
-        return platform.simulate_inference_lanes(lanes, /*record_tick_voltage=*/true);
+        return platform.simulate_inference_lanes(lanes, sim::CosimRecord::Ticks);
     };
 
     // Width 8 holds all five in one group with a partial 4-lane slot. The
@@ -280,8 +285,220 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
 
     // A single co-sim is a one-lane group.
     sim::FixedSource src(schedules[2]);
-    expect_cosim_identical(platform.simulate_inference(src, /*record_tick_voltage=*/true),
+    expect_cosim_identical(platform.simulate_inference(src, sim::CosimRecord::Ticks),
                            refs[2], "simulate_inference");
+}
+
+/// One lane's strike source, described so that every co-sim gets a fresh
+/// one: a guided controller (auto-rearming or not), a blind replay or a
+/// fixed schedule.
+struct LaneSpec {
+    enum class Kind { Guided, Blind, Fixed };
+    Kind kind = Kind::Fixed;
+    attack::AttackScheme scheme;     // Guided, Blind
+    attack::DetectorConfig detector; // Guided
+    std::size_t start_cycle = 0;     // Blind
+    BitVec bits;                     // Fixed
+};
+
+/// Fresh sources for `specs`, in lane order `order`.
+class LaneSources {
+public:
+    LaneSources(const std::vector<LaneSpec>& specs, const std::vector<std::size_t>& order) {
+        for (const std::size_t s : order) {
+            const LaneSpec& spec = specs[s];
+            attack::AttackController* controller = nullptr;
+            switch (spec.kind) {
+                case LaneSpec::Kind::Guided:
+                    controller = &guided_.emplace_back(spec.detector, spec.scheme);
+                    owned_.push_back(std::make_unique<sim::GuidedSource>(*controller));
+                    break;
+                case LaneSpec::Kind::Blind:
+                    blind_.emplace_back(spec.scheme, spec.start_cycle);
+                    owned_.push_back(std::make_unique<sim::BlindSource>(blind_.back()));
+                    break;
+                case LaneSpec::Kind::Fixed:
+                    owned_.push_back(std::make_unique<sim::FixedSource>(spec.bits));
+                    break;
+            }
+            lanes.push_back(owned_.back().get());
+            controllers.push_back(controller);
+        }
+    }
+
+    std::vector<sim::StrikeSource*> lanes;
+    /// Lane k's guided controller, or null.
+    std::vector<const attack::AttackController*> controllers;
+
+private:
+    std::deque<attack::AttackController> guided_;
+    std::deque<attack::BlindController> blind_;
+    std::vector<std::unique_ptr<sim::StrikeSource>> owned_;
+};
+
+/// Nine seeded random sources of every kind: three guided controllers,
+/// two auto-rearming guided controllers (they listen to the end), two
+/// blind replays and two fixed schedules. Nine lanes leave a remainder
+/// group at width 8.
+std::vector<LaneSpec> random_lane_specs(std::size_t total_cycles, std::uint64_t seed) {
+    Rng rng(seed);
+    const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+        return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+    };
+    const auto scheme = [&] {
+        attack::AttackScheme s;
+        s.attack_delay_cycles = pick(0, 300);
+        s.strike_cycles = pick(1, 6);
+        s.gap_cycles = pick(0, 40);
+        s.num_strikes = pick(1, 60);
+        return s;
+    };
+    std::vector<LaneSpec> specs;
+    for (int i = 0; i < 5; ++i) {
+        LaneSpec spec;
+        spec.kind = LaneSpec::Kind::Guided;
+        spec.scheme = scheme();
+        spec.detector.auto_rearm = i >= 3;
+        spec.detector.rearm_samples = 32;
+        specs.push_back(spec);
+    }
+    for (int i = 0; i < 2; ++i) {
+        LaneSpec spec;
+        spec.kind = LaneSpec::Kind::Blind;
+        spec.scheme = scheme();
+        spec.start_cycle = pick(0, static_cast<std::int64_t>(total_cycles / 2));
+        specs.push_back(spec);
+    }
+    for (int i = 0; i < 2; ++i) {
+        LaneSpec spec;
+        spec.kind = LaneSpec::Kind::Fixed;
+        const std::size_t first = pick(0, static_cast<std::int64_t>(total_cycles - 50));
+        spec.bits = strike_window(total_cycles, first, first + pick(1, 50));
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
+    EngineKnobsGuard guard;
+    sim::Platform platform(platform_config(nn::Architecture::MiniCnn),
+                           untrained_network(nn::Architecture::MiniCnn));
+    const std::size_t total = platform.engine().schedule().total_cycles;
+    const std::vector<LaneSpec> specs = random_lane_specs(total, 77);
+
+    std::vector<std::size_t> forward(specs.size());
+    std::iota(forward.begin(), forward.end(), std::size_t{0});
+    const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+
+    // Reference: Sensor mode, one lane per group.
+    sim::set_cosim_lane_width(1);
+    LaneSources ref_sources(specs, forward);
+    const std::vector<sim::CosimResult> refs =
+        platform.simulate_inference_lanes(ref_sources.lanes, sim::CosimRecord::Sensor);
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        // Every lane strikes, the guided ones after their detectors fire:
+        // the comparison is not vacuous.
+        EXPECT_GT(refs[s].strike_cycles, 0u) << "source " << s;
+    }
+
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        simd::set_mode(mode);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+            sim::set_cosim_lane_width(width);
+            for (const std::vector<std::size_t>& order : {forward, reversed}) {
+                LaneSources sensor_sources(specs, order);
+                LaneSources capture_sources(specs, order);
+                const std::vector<sim::CosimResult> sensor = platform.simulate_inference_lanes(
+                    sensor_sources.lanes, sim::CosimRecord::Sensor);
+                const std::vector<sim::CosimResult> captures =
+                    platform.simulate_inference_lanes(capture_sources.lanes,
+                                                      sim::CosimRecord::Captures);
+                ASSERT_EQ(captures.size(), specs.size());
+                for (std::size_t k = 0; k < order.size(); ++k) {
+                    const std::string label =
+                        std::string(simd::mode_name(mode)) + " twin, width " +
+                        std::to_string(width) + ", lane " + std::to_string(k) +
+                        ", source " + std::to_string(order[k]);
+                    expect_cosim_identical(sensor[k], refs[order[k]], label + " (sensor)");
+                    const sim::CosimResult& cap = captures[k];
+                    EXPECT_TRUE(bits_equal(cap.capture_v, refs[order[k]].capture_v))
+                        << label << ": capture_v diverged";
+                    EXPECT_TRUE(cap.strike_bits == refs[order[k]].strike_bits)
+                        << label << ": strike_bits diverged";
+                    EXPECT_EQ(cap.strike_cycles, refs[order[k]].strike_cycles)
+                        << label << ": strike_cycles diverged";
+                    EXPECT_TRUE(cap.tdc_readouts.empty()) << label;
+                    EXPECT_TRUE(cap.min_v_per_cycle.empty()) << label;
+                    EXPECT_TRUE(cap.tick_voltage.empty()) << label;
+                }
+            }
+        }
+    }
+}
+
+TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
+    EngineKnobsGuard guard;
+    const bool metrics_were_on = metrics::enabled();
+    sim::Platform platform(platform_config(nn::Architecture::MiniCnn),
+                           untrained_network(nn::Architecture::MiniCnn));
+    const std::size_t total = platform.engine().schedule().total_cycles;
+    const std::size_t samples_per_run = total * platform.config().tdc_sample_ticks.size();
+    const std::vector<LaneSpec> specs = random_lane_specs(total, 78);
+    std::vector<std::size_t> forward(specs.size());
+    std::iota(forward.begin(), forward.end(), std::size_t{0});
+    const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+
+    metrics::set_enabled(true);
+    // tdc.samples and tdc.memo_hits of one capture-only run, and the draws
+    // its sources' listening implies: a guided lane draws up to and
+    // including the sample its detector fires on, an auto-rearming one
+    // every sample, blind and fixed lanes none.
+    struct Draws {
+        std::uint64_t samples = 0;
+        std::uint64_t memo_hits = 0;
+        std::uint64_t listened = 0;
+    };
+    const auto draws = [&](sim::CosimRecord record, std::size_t width,
+                           const std::vector<std::size_t>& order) {
+        sim::set_cosim_lane_width(width);
+        LaneSources sources(specs, order);
+        metrics::reset();
+        platform.simulate_inference_lanes(sources.lanes, record);
+        Draws d;
+        d.samples = metrics::counter("tdc.samples").total();
+        d.memo_hits = metrics::counter("tdc.memo_hits").total();
+        for (const attack::AttackController* controller : sources.controllers) {
+            if (controller == nullptr) continue;
+            d.listened += controller->triggered() && !controller->listens()
+                              ? controller->trigger_sample() + 1
+                              : samples_per_run;
+        }
+        return d;
+    };
+
+    const Draws base = draws(sim::CosimRecord::Captures, 1, forward);
+    EXPECT_EQ(base.samples, base.listened);
+    EXPECT_GT(base.memo_hits, 0u);
+    // Fewer draws than the sensor view, which draws every sample on every lane.
+    const Draws sensor = draws(sim::CosimRecord::Sensor, 8, forward);
+    EXPECT_EQ(sensor.samples, specs.size() * samples_per_run);
+    EXPECT_LT(base.samples, sensor.samples / 2);
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        simd::set_mode(mode);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+            for (const std::vector<std::size_t>& order : {forward, reversed}) {
+                const Draws d = draws(sim::CosimRecord::Captures, width, order);
+                const std::string label = std::string(simd::mode_name(mode)) +
+                                          " twin, width " + std::to_string(width) +
+                                          (order == forward ? ", forward" : ", reversed");
+                EXPECT_EQ(d.samples, base.samples) << label;
+                EXPECT_EQ(d.memo_hits, base.memo_hits) << label;
+                EXPECT_EQ(d.listened, base.listened) << label;
+            }
+        }
+    }
+    metrics::reset();
+    metrics::set_enabled(metrics_were_on);
 }
 
 TEST(CosimLanesKnob, WidthKnobClampsAndGates) {

@@ -6,6 +6,7 @@
 // loudly. A journal must never silently mix stale results into a run.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace deepstrike::sim {
 namespace {
@@ -303,6 +305,161 @@ TEST(CheckpointJournal, ResumeAfterEveryPrefixLengthIsConsistent) {
             EXPECT_EQ(rec.records[i].index, i);
         }
     }
+    std::remove(path.c_str());
+}
+
+// Whole journal files, mutated many seeded ways: byte flips, truncations,
+// duplicated keys, checksum-field and header edits, non-JSON numbers and
+// huge lengths (checksums recomputed wherever the edit is past the
+// framing). Every mutant must end in a typed FormatError or ConfigError,
+// or recover a prefix of the honest records byte for byte (a torn tail
+// or a clean cut). None may crash, hang or read as another journal.
+TEST(CheckpointJournal, SeededFileMutantsEndInTypedErrorsOrAValidPrefix) {
+    const std::string path = temp_path("mutants.jsonl");
+    const std::uint64_t fingerprint = 0x5EEDULL;
+    {
+        auto journal = CheckpointJournal::create(path, fingerprint, "unit");
+        for (std::size_t i = 0; i < 4; ++i) journal->append(i, payload_for(i));
+        journal->flush();
+    }
+    const std::string honest = read_file(path);
+    const JournalRecovery reference = CheckpointJournal::recover(path, fingerprint, "unit");
+    ASSERT_EQ(reference.records.size(), 4u);
+    // Line bodies (the JSON after "<crc> "), header first.
+    std::vector<std::string> bodies;
+    {
+        std::istringstream in(honest);
+        for (std::string line; std::getline(in, line);) bodies.push_back(line.substr(9));
+    }
+    ASSERT_EQ(bodies.size(), 5u);
+
+    const auto frame = [](const std::string& body) {
+        return crc32_hex(crc32(body)) + " " + body + "\n";
+    };
+    // The honest file with line k replaced by `line` (newline included).
+    const auto with_line = [&](std::size_t k, const std::string& line) {
+        std::string out;
+        for (std::size_t j = 0; j < bodies.size(); ++j) {
+            out += j == k ? line : frame(bodies[j]);
+        }
+        return out;
+    };
+    // Body k with its first `from` replaced by `to`, reframed.
+    const auto edited = [&](std::size_t k, const std::string& from, const std::string& to) {
+        std::string body = bodies[k];
+        const std::size_t at = body.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos) body.replace(at, from.size(), to);
+        return with_line(k, frame(body));
+    };
+
+    std::size_t typed = 0;
+    std::size_t prefixes = 0;
+    const auto check = [&](const std::string& what, const std::string& bytes) {
+        if (bytes == honest) return;
+        write_file(path, bytes);
+        try {
+            const JournalRecovery rec = CheckpointJournal::recover(path, fingerprint, "unit");
+            ASSERT_LE(rec.records.size(), reference.records.size()) << what;
+            for (std::size_t i = 0; i < rec.records.size(); ++i) {
+                EXPECT_EQ(rec.records[i].index, reference.records[i].index) << what;
+                EXPECT_EQ(rec.records[i].payload.dump(), reference.records[i].payload.dump())
+                    << what;
+            }
+            ASSERT_LE(rec.valid_bytes, bytes.size()) << what;
+            EXPECT_TRUE(bytes.compare(0, rec.valid_bytes, honest, 0, rec.valid_bytes) == 0)
+                << what << ": the recovered prefix is not the honest file's";
+            // Whatever follows the valid prefix is one torn line.
+            EXPECT_EQ(rec.dropped_partial_tail, rec.valid_bytes != bytes.size()) << what;
+            EXPECT_EQ(bytes.find('\n', rec.valid_bytes), std::string::npos) << what;
+            ++prefixes;
+        } catch (const FormatError&) {
+            ++typed;
+        } catch (const ConfigError&) {
+            ++typed;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+    };
+
+    Rng rng(2024);
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (int m = 0; m < 300; ++m) {
+        std::string bytes = honest;
+        const std::size_t at = pick(bytes.size());
+        bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + pick(255)));
+        check("byte flip at " + std::to_string(at), bytes);
+    }
+    for (int m = 0; m < 100; ++m) {
+        const std::size_t cut = pick(honest.size());
+        check("truncation at " + std::to_string(cut), honest.substr(0, cut));
+    }
+    for (std::size_t k = 0; k < bodies.size(); ++k) {
+        const std::string line = "line " + std::to_string(k);
+        const Json parsed = Json::parse(bodies[k]);
+        for (const std::string& key : parsed.keys()) {
+            const std::string body = bodies[k];
+            const std::string member = "\"" + key + "\":" + parsed.at(key).dump();
+            check(line + ": duplicated key " + key,
+                  with_line(k, frame(body.substr(0, body.size() - 1) + "," + member + "}")));
+            check(line + ": duplicated key " + key + " first",
+                  with_line(k, frame("{" + member + "," + body.substr(1))));
+        }
+        const std::string crc = crc32_hex(crc32(bodies[k]));
+        std::string upper = crc;
+        for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        std::string digit = crc;
+        const std::size_t at = pick(8);
+        digit[at] = digit[at] == '0' ? '1' : '0';
+        for (const std::string& field :
+             {upper + " ", digit + " ", crc.substr(1) + " ", crc + "0 ", crc + "\t",
+              crc + "  ", std::string(), "0x" + crc.substr(2) + " ", crc.substr(0, 7) + "g "}) {
+            check(line + ": checksum field '" + field + "'", with_line(k, field + bodies[k] + "\n"));
+        }
+        check(line + ": a blank line before it", with_line(k, "\n" + frame(bodies[k])));
+        check(line + ": trailing garbage", with_line(k, frame(bodies[k] + "x")));
+        check(line + ": an array body", with_line(k, frame("[" + bodies[k] + "]")));
+    }
+    // Header edits past the framing.
+    check("magic", edited(0, "deepstrike-journal", "deepstrike-journaI"));
+    check("version 2", edited(0, "\"version\":1", "\"version\":2"));
+    check("version 01", edited(0, "\"version\":1", "\"version\":01"));
+    check("version +1", edited(0, "\"version\":1", "\"version\":+1"));
+    check("version 1.0", edited(0, "\"version\":1", "\"version\":1.0"));
+    check("version as a string", edited(0, "\"version\":1", "\"version\":\"1\""));
+    check("another sweep", edited(0, "\"sweep\":\"unit\"", "\"sweep\":\"unix\""));
+    check("no sweep", edited(0, "\"sweep\":\"unit\",", ""));
+    check("another fingerprint", edited(0, "5eed", "5eec"));
+    check("an upper-case fingerprint", edited(0, "5eed", "5EED"));
+    check("no fingerprint", edited(0, "\"fingerprint\"", "\"fingerprints\""));
+    check("a second header", with_line(1, frame(bodies[0])));
+    // Record indices that are not JSON or not an index.
+    for (const char* index : {"007", "+1", "1e999", "-1", "1.0", "\"1\"", "1e2", ".5"}) {
+        check(std::string("index ") + index,
+              edited(2, "\"index\":1", std::string("\"index\":") + index));
+    }
+    check("no index", edited(2, "\"index\":1", "\"indexes\":1"));
+    // Huge lengths.
+    check("a 100000-digit index",
+          edited(2, "\"index\":1", "\"index\":1" + std::string(100000, '0')));
+    check("a 100000-deep array", with_line(3, frame("{\"index\":2,\"v\":" +
+                                                     std::string(100000, '[') +
+                                                     std::string(100000, ']') + "}")));
+    {
+        std::string keys = "{";
+        for (int i = 0; i < 100000; ++i) keys += "\"k" + std::to_string(i) + "\":0,";
+        keys.back() = '}';
+        check("100000 keys and no index", with_line(4, frame(keys)));
+    }
+    check("a 1 MB line with a bad checksum",
+          with_line(2, "00000000 \"" + std::string(1 << 20, 'x') + "\"\n"));
+    check("a 1 MB torn tail", honest + "00000000 {\"index\":4,\"v\":\"" +
+                                  std::string(1 << 20, 'x'));
+
+    EXPECT_GT(typed, 0u);
+    EXPECT_GT(prefixes, 0u);
     std::remove(path.c_str());
 }
 

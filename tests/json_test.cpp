@@ -148,6 +148,34 @@ TEST(JsonParse, RejectsMalformedInput) {
     }
 }
 
+TEST(JsonParse, RejectsNonJsonNumbersAndDuplicateKeys) {
+    // Each of these once parsed to a value; a journal record edited this
+    // way (with its checksum recomputed) would have resumed as a
+    // different record.
+    for (const char* bad :
+         {R"({"a":1,"a":2})", R"({"a":{"b":1,"b":1}})", R"([{"k":0},{"k":1,"k":1}])",
+          R"({"index":007})", "+1", ".5", "1.", "1.e5", "01", "-01", "-", "--1", "1e",
+          "1e+", "1E-", "0x10", "1.5.2", "1e999", "-1e999", "[1e400]"}) {
+        EXPECT_THROW(Json::parse(bad), FormatError) << bad;
+    }
+    // The RFC 8259 forms still parse, including every form the writer's
+    // %.12g and std::to_string produce.
+    EXPECT_EQ(Json::parse("0").as_int(), 0);
+    EXPECT_EQ(Json::parse("-0").as_int(), 0);
+    EXPECT_EQ(Json::parse("10").as_int(), 10);
+    EXPECT_DOUBLE_EQ(Json::parse("0.5").as_number(), 0.5);
+    EXPECT_DOUBLE_EQ(Json::parse("-0.25e-3").as_number(), -0.25e-3);
+    EXPECT_DOUBLE_EQ(Json::parse("1E+5").as_number(), 1e5);
+    EXPECT_DOUBLE_EQ(Json::parse("1e5").as_number(), 1e5);
+    EXPECT_EQ(Json::parse(R"({"a":1,"A":2})").size(), 2u);
+    for (const double v : {1e20, -1.5e-7, 0.1, 123456789.125, -0.0, 1e300}) {
+        const std::string text = Json(v).dump();
+        EXPECT_DOUBLE_EQ(Json::parse(text).as_number(), v) << text;
+    }
+    // An integer past int64 still reads as a finite double.
+    EXPECT_DOUBLE_EQ(Json::parse("99999999999999999999").as_number(), 1e20);
+}
+
 TEST(JsonParse, RejectsAbsurdNesting) {
     std::string deep(100, '[');
     deep += std::string(100, ']');

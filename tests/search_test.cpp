@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
@@ -459,6 +460,42 @@ TEST(WeightFaultSearch, GoldenCacheElisionIsByteExact) {
     EXPECT_EQ(sim::double_bits_hex(
                   100.0 * (static_cast<double>(clean) - static_cast<double>(correct)) / n),
               sim::double_bits_hex(report.best_drop));
+}
+
+// The Duplicate twin: a duplicated beat rewrites all of its 64 words, and
+// on the LeNet-5 stream the beats holding CONV2's first word (150), FC1's
+// (2550) and FC2's (125430) begin in the layer before. The search's
+// elided score must still equal a full forward of the faulted network.
+TEST(WeightFaultSearch, GoldenCacheElisionIsByteExactForStraddlingBeats) {
+    SmallRig rig;
+    sim::WeightFaultSearchConfig config = small_config();
+    config.fault_kind = accel::WeightFaultKind::Duplicate;
+    // Label each image with the clean prediction, so the score counts the
+    // images whose prediction survives and no changed prediction can hide.
+    data::Dataset test = rig.test;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        test.labels[i] = argmax(rig.network.forward(quant::quantize_image(test.images[i])));
+    }
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(rig.network, test, test.size());
+    const std::vector<FaultSet> candidates = {
+        {150}, {191}, {2550}, {2559}, {125430}, {125439}, {149, 2550}, {190, 125435}};
+    std::size_t changed = 0;
+    for (const FaultSet& candidate : candidates) {
+        const quant::QNetwork faulted = accel::apply_weight_faults(
+            rig.network, accel::uniform_weight_faults(candidate, config.fault_kind),
+            config.transfer);
+        std::size_t correct = 0;
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            const QTensor img = quant::quantize_image(test.images[i]);
+            correct += argmax(faulted.forward(img)) == test.labels[i] ? 1 : 0;
+        }
+        EXPECT_EQ(sim::weight_fault_correct(rig.network, test, *golden, candidate, config),
+                  correct)
+            << "candidate starting at index " << candidate.front();
+        changed += test.size() - correct;
+    }
+    EXPECT_GT(changed, 0u); // the comparison is not vacuous
 }
 
 TEST(WeightFaultSearch, DeepLaserOutDamagesItsBudgetOnARandomNet) {

@@ -40,7 +40,7 @@ TEST(Platform, CosimTraceDimensions) {
 TEST(Platform, TickVoltageRecordingOptIn) {
     Platform platform = make_platform();
     NoAttackSource source;
-    const CosimResult r = platform.simulate_inference(source, true);
+    const CosimResult r = platform.simulate_inference(source, CosimRecord::Ticks);
     EXPECT_EQ(r.tick_voltage.size(),
               platform.engine().schedule().total_cycles *
                   platform.config().ticks_per_cycle);
@@ -241,6 +241,58 @@ TEST(RepeatedInferences, DetectorRearmsAndStrikesEveryRun) {
     // Deterministic platform: every inference triggers at the same sample.
     EXPECT_EQ(stats[0].trigger_sample, stats[1].trigger_sample);
     EXPECT_EQ(stats[1].trigger_sample, stats[2].trigger_sample);
+}
+
+// The capture-only callers stop drawing TDC samples once their sources
+// stop listening; what they return must equal a Sensor-mode co-sim of the
+// same sources, which draws every sample.
+TEST(CaptureOnlyCallers, EqualTheirSensorModeCosims) {
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(73));
+    attack::AttackScheme scheme;
+    scheme.attack_delay_cycles = 300;
+    scheme.strike_cycles = 3;
+    scheme.num_strikes = 120;
+    scheme.gap_cycles = 7;
+
+    for (const bool auto_rearm : {false, true}) {
+        attack::DetectorConfig detector;
+        detector.auto_rearm = auto_rearm;
+        detector.rearm_samples = 32;
+        attack::AttackController guided(detector, scheme);
+        GuidedSource guided_source(guided);
+        const CosimResult guided_ref =
+            platform.simulate_inference(guided_source, CosimRecord::Sensor);
+        ASSERT_TRUE(guided.triggered() || auto_rearm);
+        EXPECT_GT(guided_ref.strike_cycles, 0u);
+        EXPECT_EQ(guided_attack_trace(platform, detector, scheme), guided_ref.capture_v)
+            << "auto_rearm " << auto_rearm;
+
+        // Each inference re-arms the controller; the capture-only runs
+        // must also report the same trigger sample.
+        attack::AttackController repeated(detector, scheme);
+        const std::vector<RepeatedInferenceStats> stats =
+            simulate_repeated_inferences(platform, repeated, 2);
+        attack::AttackController manual(detector, scheme);
+        for (const RepeatedInferenceStats& entry : stats) {
+            manual.rearm();
+            GuidedSource source(manual);
+            const CosimResult ref = platform.simulate_inference(source, CosimRecord::Sensor);
+            EXPECT_EQ(entry.detector_fired, manual.triggered());
+            EXPECT_EQ(entry.trigger_sample, manual.trigger_sample());
+            EXPECT_EQ(entry.strike_cycles, ref.strike_cycles);
+            EXPECT_EQ(entry.capture_v, ref.capture_v);
+        }
+    }
+
+    const std::vector<accel::VoltageTrace> blind = blind_attack_traces(platform, scheme, 5, 9);
+    ASSERT_EQ(blind.size(), 5u);
+    for (const BlindReplay& replay : blind_replays(platform, scheme, 5, 9)) {
+        attack::BlindController controller(scheme, replay.start_cycle);
+        BlindSource source(controller);
+        EXPECT_EQ(blind[replay.offset],
+                  platform.simulate_inference(source, CosimRecord::Sensor).capture_v)
+            << "offset " << replay.offset;
+    }
 }
 
 TEST(RepeatedInferences, Validation) {

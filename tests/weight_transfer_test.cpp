@@ -74,6 +74,19 @@ TEST(WeightStreamView, FirstFaultedLayer) {
     // fc1 starts at 150 + 2400 = 2550.
     EXPECT_EQ(view.first_faulted_layer({2550}, layers), 3u);
     EXPECT_EQ(view.first_faulted_layer({2550, 149}, layers), 0u);
+    // 64-word blocks (Deep-Dup beats): a fault rewrites its whole beat, and
+    // beats 2 (words 128-191), 39 (2496-2559) and 1959 (125376-125439)
+    // straddle the CONV1/CONV2, CONV2/FC1 and FC1/FC2 boundaries.
+    EXPECT_EQ(view.first_faulted_layer({150}, layers, 64), 0u);
+    EXPECT_EQ(view.first_faulted_layer({191}, layers, 64), 0u);
+    EXPECT_EQ(view.first_faulted_layer({192}, layers, 64), 2u);
+    EXPECT_EQ(view.first_faulted_layer({2550}, layers, 64), 2u);
+    EXPECT_EQ(view.first_faulted_layer({125435}, layers, 64), 3u);
+    EXPECT_EQ(view.first_faulted_layer({125435}, layers), 4u);
+    EXPECT_EQ(view.first_faulted_layer({}, layers, 64), layers);
+    EXPECT_THROW(view.first_faulted_layer({static_cast<std::uint32_t>(view.size())},
+                                          layers, 64),
+                 ContractError);
 }
 
 TEST(WeightTransfer, EmptyFaultSetIsByteIdentical) {
