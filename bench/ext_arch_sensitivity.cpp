@@ -56,16 +56,19 @@ int main() {
 
         std::printf("  %-10s %8s %10s %10s\n", "target", "strikes", "accuracy", "drop");
 
-        // One sweep point per profiled segment, executed in parallel over
-        // the runner (traces shared through its cache).
+        // One sweep point per profiled segment: the runner fills every
+        // point's trace and overlay plan in one batch, then evaluates the
+        // points in parallel.
         struct SegPoint {
             std::string label;
             std::size_t strikes = 0;
+            attack::AttackScheme scheme;
             sim::AccuracyResult result;
             bool skipped = true;
         };
         std::vector<SegPoint> points(prof.profile.segments.size());
         sim::SweepRunner runner(platform);
+        std::vector<attack::AttackScheme> schemes;
         std::vector<sim::SweepTask> tasks;
         for (std::size_t si = 0; si < prof.profile.segments.size(); ++si) {
             const auto& seg = prof.profile.segments[si];
@@ -74,17 +77,19 @@ int main() {
             points[si].strikes =
                 std::min<std::size_t>(4500, seg.duration_samples() / 4);
             if (points[si].strikes == 0) continue;
+            points[si].scheme =
+                attack::plan_attack(seg, prof.trigger_sample,
+                                    platform.config().samples_per_cycle(), points[si].strikes);
+            schemes.push_back(points[si].scheme);
             tasks.push_back({points[si].label, [&, si] {
-                const attack::AttackScheme scheme = attack::plan_attack(
-                    prof.profile.segments[si], prof.trigger_sample,
-                    platform.config().samples_per_cycle(), points[si].strikes);
                 const auto bundle =
-                    runner.guided_bundle(attack::DetectorConfig{}, scheme);
+                    runner.guided_bundle(attack::DetectorConfig{}, points[si].scheme);
                 points[si].result = sim::evaluate_accuracy(
-                    platform, test, kEvalImages, &bundle->trace, 8);
+                    platform, test, kEvalImages, &bundle->trace, 8, &bundle->plan);
                 points[si].skipped = false;
             }});
         }
+        runner.prefetch(attack::DetectorConfig{}, schemes, {});
         runner.run(std::string("arch_sensitivity/") + nn::architecture_name(arch),
                    std::move(tasks));
 

@@ -88,10 +88,8 @@ int main() {
         }
     }
 
-    std::printf("\nsweep: %zu points in %.2fs on %zu threads "
-                "(trace cache: %zu misses, %zu hits)\n",
-                manifest.points.size(), manifest.total_seconds, manifest.threads,
-                manifest.trace_cache_misses, manifest.trace_cache_hits);
+    std::printf("\nsweep: %zu points in %.2fs on %zu threads\n",
+                manifest.points.size(), manifest.total_seconds, manifest.threads);
     if (manifest.points_resumed > 0) {
         std::printf("resumed: %zu points restored from %s\n",
                     manifest.points_resumed, manifest.journal.c_str());

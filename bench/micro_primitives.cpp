@@ -426,7 +426,7 @@ void BM_GuidedCampaignPointJournaled(benchmark::State& state) {
 BENCHMARK(BM_GuidedCampaignPointJournaled)->Unit(benchmark::kMillisecond);
 
 // The accuracy-evaluation inner loop alone (trace + plan hoisted outside,
-// as SweepRunner's bundle cache provides them): 200 images against one
+// as SweepRunner's bundle store provides them): 200 images against one
 // guided CONV2 strike trace, through a golden store built once outside the
 // timed loop — exactly as a campaign builds it once and amortizes it over
 // every sweep point (docs/architecture.md "Hot paths").

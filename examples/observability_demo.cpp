@@ -115,7 +115,7 @@ int main() {
     for (const metrics::CounterSnapshot& c : snap.counters) {
         if (c.name == "pdn.steps" || c.name == "pdn.steps_skipped" ||
             c.name == "tdc.samples" || c.name == "striker.active_cycles" ||
-            c.name == "accel.ops_unsafe" || c.name == "runner.trace_cache_misses") {
+            c.name == "accel.ops_unsafe" || c.name == "runner.points") {
             std::printf("  %-28s %llu %s\n", c.name.c_str(),
                         static_cast<unsigned long long>(c.value), c.unit.c_str());
         }

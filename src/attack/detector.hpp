@@ -35,6 +35,8 @@ struct DetectorConfig {
     /// multi-tenant / repeated-inference scenarios.
     bool auto_rearm = false;
     std::size_t rearm_samples = 64;
+
+    bool operator==(const DetectorConfig&) const = default;
 };
 
 class DnnStartDetector {

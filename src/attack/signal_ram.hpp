@@ -35,6 +35,8 @@ struct AttackScheme {
     /// gap lengths) are normalized to the first observed lengths; the bit
     /// count of 1-runs is preserved in num_strikes.
     static AttackScheme from_bits(const BitVec& bits);
+
+    bool operator==(const AttackScheme&) const = default;
 };
 
 /// Behavioral BRAM replaying the scheme one bit per fabric cycle.

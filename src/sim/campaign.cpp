@@ -183,6 +183,15 @@ std::vector<PlannedCampaignPoint> plan_points(const Platform& platform,
     return planned;
 }
 
+/// 64-bit structural hash of a scheme. Every campaign fingerprint, and so
+/// every existing journal, depends on this formula; changing it orphans
+/// them all.
+std::uint64_t scheme_hash(const attack::AttackScheme& scheme) {
+    return derive_seed(0x5C4E3EULL, scheme.attack_delay_cycles,
+                       scheme.strike_cycles, scheme.gap_cycles,
+                       scheme.num_strikes);
+}
+
 /// 64-bit hash of everything that determines the campaign's results:
 /// the victim network (weights, shapes, quantization format), the
 /// evaluation setup, the detector, the trigger, and every planned scheme.
@@ -205,7 +214,7 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
     for (std::size_t bits : config.detector.zone_bits) h = derive_seed(h, bits);
     h = derive_seed(h, prof.trigger_sample, prof.detector_fired ? 1u : 0u);
     for (const PlannedCampaignPoint& p : planned) {
-        h = derive_seed(h, SweepRunner::scheme_hash(p.scheme), p.strikes,
+        h = derive_seed(h, scheme_hash(p.scheme), p.strikes,
                         p.blind_offsets,
                         p.segment_index ? *p.segment_index + 1 : 0);
     }
@@ -283,6 +292,9 @@ std::string campaign_point_label(const PlannedCampaignPoint& point) {
 CampaignPlan plan_campaign(const Platform& platform, const data::Dataset& test_set,
                            const CampaignConfig& config) {
     expects(!config.strike_grid.empty(), "run_campaign: non-empty strike grid");
+    expects(std::find(config.strike_grid.begin(), config.strike_grid.end(), 0) ==
+                config.strike_grid.end(),
+            "run_campaign: strike counts > 0");
     expects(config.eval_images > 0, "run_campaign: eval images > 0");
     expects(test_set.size() > 0, "run_campaign: non-empty test set");
 
@@ -408,11 +420,7 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
             .add(plan.points.size());
     }
 
-    RunnerConfig runner_config{config.threads, true};
-    runner_config.max_point_retries = config.max_point_retries;
-    runner_config.retry_backoff_ms = config.retry_backoff_ms;
-    runner_config.deadline_seconds = config.deadline_seconds;
-    SweepRunner runner(platform, runner_config);
+    SweepRunner runner(platform, RunnerConfig{config.threads});
 
     // One record slot per index (0 = clean baseline, 1 + i = planned[i]);
     // null = not completed. Restored and freshly-computed records are
@@ -449,11 +457,11 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
     const std::shared_ptr<const GoldenStore> golden =
         runner.golden_view(test_set, plan.eval_images);
 
-    // Trace warm-up: every guided scheme and blind replay still to run is
-    // an independent co-sim, so one prefetch fills the whole trace cache in
-    // one batch of SIMD lane groups over the workers; the tasks below then
-    // hit it. Report bytes are identical with or without this (a miss runs
-    // the same fill, one point at a time).
+    // Trace fill: every guided scheme and blind replay still to run is an
+    // independent co-sim, so one prefetch fills them all in one batch of
+    // SIMD lane groups over the workers; the tasks below then read the
+    // stored bundles. Report bytes are identical with or without this (a
+    // bundle not stored is filled alone, one point at a time).
     {
         std::vector<attack::AttackScheme> guided;
         std::vector<BlindRequest> blind;
@@ -489,8 +497,6 @@ CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_
     }
     mf.points_resumed = points_resumed;
 
-    // A deadline may have skipped points; their record slots are still
-    // null, so assembly below yields a valid partial report.
     CampaignReport report = assemble_campaign_report(plan_info(plan), records);
     if (manifest != nullptr) *manifest = std::move(mf);
     return report;

@@ -22,11 +22,11 @@
 // records is byte-identical to run_campaign's, whichever order or runner
 // computed each record.
 //
-// Execution goes through sim::SweepRunner: points run in parallel over the
-// persistent thread pool and share co-simulated traces through its cache.
-// Reports are bit-identical at any thread count; the run manifest (timing,
-// cache statistics) is surfaced separately so it never perturbs report
-// bytes.
+// Execution goes through sim::SweepRunner: it fills every point's
+// co-simulated trace in one batch, then runs the points in parallel over
+// the persistent thread pool. Reports are bit-identical at any thread
+// count; the run manifest (timing) is surfaced separately so it never
+// perturbs report bytes.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +66,6 @@ struct CampaignConfig {
     /// in [0, 1] are a FormatError; another point's label or image count
     /// is a ConfigError.
     bool resume = false;
-    /// Per-point retry / deadline knobs, forwarded to RunnerConfig. The
-    /// deadline times the evaluation sweep only: the trace prefetch before
-    /// it (every guided and blind co-sim still to run) always completes.
-    std::size_t max_point_retries = 0;
-    std::uint64_t retry_backoff_ms = 100;
-    double deadline_seconds = 0.0;
 };
 
 struct CampaignPoint {
@@ -96,8 +90,9 @@ struct CampaignReport {
     attack::Profile profile;
     std::vector<CampaignPoint> points;
 
-    /// True when a deadline stopped the sweep before every planned point
-    /// ran; `points` then holds only completed points. Serialized (and
+    /// True when assemble_campaign_report found a record missing;
+    /// `points` then holds only completed points. run_campaign never
+    /// returns a partial report (a failed point throws). Serialized (and
     /// only serialized) when true, so complete-run reports are unchanged.
     bool partial = false;
 
@@ -142,7 +137,8 @@ std::string campaign_point_label(const PlannedCampaignPoint& point);
 
 /// Phase 1: profiles the victim and plans every point. Strike counts
 /// exceeding a segment's capacity (duration/2 cycles) are clamped to it,
-/// mirroring the paper's layer-length-bounded maxima.
+/// mirroring the paper's layer-length-bounded maxima. An empty strike
+/// grid, a zero strike count or zero eval images is a ContractError.
 CampaignPlan plan_campaign(const Platform& platform, const data::Dataset& test_set,
                            const CampaignConfig& config = {});
 
@@ -180,8 +176,7 @@ CampaignPlanInfo plan_info(const CampaignPlan& plan);
 
 /// Phase 3: assembles the final report from one record per index
 /// (journal payloads). A null (missing) record marks that index as never
-/// completed: the point is omitted and the report is marked partial — the
-/// same semantics as a deadline skip.
+/// completed: the point is omitted and the report is marked partial.
 CampaignReport assemble_campaign_report(const CampaignPlanInfo& info,
                                         const std::vector<Json>& records);
 
@@ -194,8 +189,7 @@ double double_from_bits_hex(const std::string& hex);
 
 /// Runs the campaign in-process: plan, parallel sweep (with optional
 /// journal/resume per config), assemble. When `manifest` is non-null it
-/// receives the sweep-execution record (threads, per-point timing, cache
-/// stats).
+/// receives the sweep-execution record (threads, per-point timing).
 CampaignReport run_campaign(const Platform& platform, const data::Dataset& test_set,
                             const CampaignConfig& config = {},
                             RunManifest* manifest = nullptr);

@@ -5,7 +5,7 @@
 // evaluation) points. SweepRunner is the one place that executes such
 // sweeps: it schedules labelled point tasks over the persistent
 // util::ThreadPool, times each point, and emits a structured JSON run
-// manifest (threads, per-point wall-clock, trace-cache statistics).
+// manifest (threads, per-point wall-clock).
 //
 // Determinism contract: the runner only controls *where/when* a point
 // runs, never its inputs. Point tasks derive their RNG streams from
@@ -13,24 +13,22 @@
 // caller-owned slots indexed by point, so a sweep's outputs are
 // bit-identical at any thread count.
 //
-// The runner also owns the co-simulated voltage-trace cache. The
-// structural property documented in sim/platform.hpp — the accelerator's
-// power draw is data-independent, so ONE electrical trace per attack
-// configuration serves every image — makes the trace the natural unit of
-// reuse across points; traces are cached keyed by a hash of the attack
-// scheme (plus detector configuration / blind-replay parameters), with
-// concurrent requests for the same key deduplicated so each trace is
-// co-simulated exactly once.
+// The runner also co-simulates the voltage traces a sweep's points
+// evaluate against. The structural property documented in
+// sim/platform.hpp — the accelerator's power draw is data-independent, so
+// ONE electrical trace per attack configuration serves every image — makes
+// the trace the unit of work: the runner fills each point's trace once,
+// together with its overlay plan, and keeps the bundle it filled so the
+// point's task reads it back.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "attack/detector.hpp"
@@ -45,20 +43,10 @@ struct RunnerConfig {
     /// Worker width for sweep execution; 0 = the global thread knob
     /// (set_global_thread_count / --threads).
     std::size_t threads = 0;
-    /// Disable to co-simulate every trace request from scratch.
+    /// Ignored: the runner always keeps the bundles it filled. The field
+    /// stays only because bench/e2e/ds_e2e.cpp spells
+    /// RunnerConfig{threads, true}.
     bool cache_traces = true;
-    /// Rerun a failed point up to this many extra times before recording
-    /// the failure. Retries use capped exponential backoff; a point that
-    /// still fails after the last attempt is reported exactly as before
-    /// (lowest-indexed failure rethrown deterministically).
-    std::size_t max_point_retries = 0;
-    /// First-retry backoff; doubles per attempt, capped at max_backoff_ms.
-    std::uint64_t retry_backoff_ms = 100;
-    std::uint64_t max_backoff_ms = 2000;
-    /// Wall-clock budget for one run() in seconds; 0 = unlimited. Once
-    /// exceeded, points that have not started yet are skipped (running
-    /// points finish) and the manifest is marked partial.
-    double deadline_seconds = 0.0;
 };
 
 /// One independent unit of sweep work. `work` writes its result into
@@ -72,9 +60,7 @@ struct SweepPointStats {
     std::string label;
     double seconds = 0.0;
     bool ok = false;
-    std::string error;         // populated when !ok
-    std::size_t retries = 0;   // extra attempts consumed by this point
-    bool skipped = false;      // never started (deadline exhausted)
+    std::string error; // populated when !ok
 };
 
 /// Structured record of one sweep execution (written next to, never into,
@@ -83,8 +69,6 @@ struct RunManifest {
     std::string sweep;
     std::size_t threads = 0;
     double total_seconds = 0.0;
-    std::size_t trace_cache_hits = 0;
-    std::size_t trace_cache_misses = 0;
     std::vector<SweepPointStats> points;
 
     /// Observability sink paths active during the run (`--metrics-out` /
@@ -94,17 +78,14 @@ struct RunManifest {
     std::string metrics_out;
     std::string trace_out;
 
-    /// Resilience facts. All default-valued fields are omitted from
-    /// to_json(), so manifests from plain complete runs are unchanged.
-    bool partial = false;              // a deadline skipped ≥1 point
-    std::size_t points_skipped = 0;    // never started (deadline)
+    /// Resume facts, omitted from to_json() when default-valued.
     std::size_t points_resumed = 0;    // restored from a journal, not run
     std::string journal;               // checkpoint journal path, if any
 
     Json to_json() const;
 };
 
-/// A cached co-simulated trace together with its precomputed fault-overlay
+/// A co-simulated trace together with its precomputed fault-overlay
 /// plan (AccelEngine::plan_overlay): the complete per-attack-configuration
 /// precomputation, shared across every image of a campaign point.
 struct GuidedTraceBundle {
@@ -123,6 +104,8 @@ struct BlindRequest {
     attack::AttackScheme scheme;
     std::size_t n_offsets = 0;
     std::uint64_t offset_seed = 0;
+
+    bool operator==(const BlindRequest&) const = default;
 };
 
 class SweepRunner {
@@ -130,7 +113,7 @@ public:
     /// Platform-free runner (e.g. the DSP characterization rig).
     explicit SweepRunner(RunnerConfig config = {});
 
-    /// Platform-bound runner with the voltage-trace cache enabled.
+    /// Platform-bound runner, which also fills voltage-trace bundles.
     explicit SweepRunner(const Platform& platform, RunnerConfig config = {});
 
     /// Resolved worker width for this runner.
@@ -141,29 +124,37 @@ public:
     /// lowest-indexed point failure is rethrown after every point ran.
     RunManifest run(const std::string& sweep_name, std::vector<SweepTask> tasks);
 
-    /// Guided-attack trace + overlay plan for the scheme, co-simulated and
-    /// planned once per distinct (detector config, scheme) and shared
-    /// thereafter. Thread-safe; concurrent first requests for one key
-    /// block on a single fill. A miss runs the runner's one fill with this
-    /// one claim, as a one-lane group. Rethrows the error of this entry's
-    /// fill only: a scheme that cannot load fails its own trace.
+    /// Guided-attack trace + overlay plan for the scheme under the
+    /// detector: the bundle this runner stored for an equal (detector,
+    /// scheme), or else a fill of this one request, as a one-lane group,
+    /// which is stored. Thread-safe. A failed fill throws this request's
+    /// own error and stores nothing: a scheme that cannot load fails its
+    /// own trace. Two concurrent first requests may both fill; the first
+    /// stored bundle wins (their bytes are equal).
     std::shared_ptr<const GuidedTraceBundle>
     guided_bundle(const attack::DetectorConfig& detector,
                   const attack::AttackScheme& scheme);
 
-    /// Warm-up of the trace cache: claims every guided scheme and blind
-    /// request not cached yet and fills them all in one batch. The batch
-    /// packs the claims into lane groups of cosim_lane_width()
-    /// (sim/cosim_lanes.hpp) and runs the groups in one parallel_for over
-    /// threads() workers, heaviest first, so the per-point tasks of the
-    /// following run() hit the cache. Bundles are byte-identical to
-    /// one-at-a-time misses. A failure fails only the entries that own a
-    /// lane in the failed group; prefetch does not throw for it, and each
-    /// consumer rethrows its own entry's error. Prefetch lookups count no
-    /// hit and no miss: the first consumer of a prefetched entry inherits
-    /// the miss. A no-op when the cache is off or the runner is
-    /// platform-free. Call from the coordinating thread, not from inside
-    /// sweep tasks.
+    /// Blind-baseline trace set + plans, stored per equal BlindRequest;
+    /// traces[i] is offset i's trace (sim::blind_replays). A request not
+    /// stored yet is filled alone: its replays fill lane groups of their
+    /// own, in descending start cycle, and the groups run in parallel over
+    /// threads(). Failures and concurrent requests as for guided_bundle.
+    std::shared_ptr<const BlindTraceBundle>
+    blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offsets,
+                 std::uint64_t offset_seed);
+
+    /// Fills every guided scheme and blind request not stored yet in one
+    /// batch and stores each bundle that filled; a request repeated in one
+    /// call is filled once. The batch packs the lanes into groups of
+    /// cosim_lane_width() (sim/cosim_lanes.hpp) and runs the groups in one
+    /// parallel_for over threads() workers, heaviest first, so the point
+    /// tasks of the following run() find their bundles stored. Bundles
+    /// are byte-identical to one-request fills. A failure fails only the
+    /// requests owning a lane in the failed group; prefetch does not throw
+    /// for it, stores nothing for them, and their consumers refill and
+    /// throw their own errors. Call from the coordinating thread, not from
+    /// inside sweep tasks.
     void prefetch(const attack::DetectorConfig& detector,
                   const std::vector<attack::AttackScheme>& guided,
                   const std::vector<BlindRequest>& blind);
@@ -172,72 +163,42 @@ public:
     void prefetch_guided(const attack::DetectorConfig& detector,
                          const std::vector<attack::AttackScheme>& schemes);
 
-    /// Blind-baseline trace set + plans, cached per (scheme, n_offsets,
-    /// seed); traces[i] is offset i's trace (sim::blind_replays). A miss
-    /// runs the one fill with this one claim: its replays fill lane groups
-    /// of their own, in descending start cycle, and the groups run in
-    /// parallel over threads(). Rethrows the error of this entry's fill.
-    std::shared_ptr<const BlindTraceBundle>
-    blind_bundle(const attack::AttackScheme& scheme, std::size_t n_offsets,
-                 std::uint64_t offset_seed);
-
-    std::size_t trace_cache_hits() const { return cache_hits_.load(); }
-    std::size_t trace_cache_misses() const { return cache_misses_.load(); }
-    std::size_t trace_cache_size() const;
-
     /// Golden store covering the first `n_images` of `dataset` for this
     /// runner's platform network (build_golden_store; each call builds).
     /// Requires a platform-bound runner.
     std::shared_ptr<const GoldenStore> golden_view(const data::Dataset& dataset,
                                                    std::size_t n_images);
 
-    /// 64-bit structural hash of a scheme (the cache-key ingredient).
-    static std::uint64_t scheme_hash(const attack::AttackScheme& scheme);
-
 private:
-    struct CacheEntry;
-    /// A guided entry this caller created and must fill.
-    struct GuidedClaim {
-        std::shared_ptr<CacheEntry> entry;
-        const attack::AttackScheme* scheme;
-    };
-    /// A blind entry this caller created and must fill.
-    struct BlindClaim {
-        std::shared_ptr<CacheEntry> entry;
-        const BlindRequest* request;
-    };
-
-    /// The entry for `key`; `creator` is set when the caller created it and
-    /// must fill it (always, in a private entry, when the cache is off).
-    /// `prefetch` lookups claim entries without touching the hit/miss
-    /// counters; the first non-prefetch lookup of a prefetched entry is
-    /// charged the miss instead, keeping per-run accounting identical
-    /// whether a trace was prefetched or filled on first request.
-    std::shared_ptr<CacheEntry> lookup(std::uint64_t key, bool& creator,
-                                       bool prefetch = false);
+    using GuidedKey = std::pair<attack::DetectorConfig, attack::AttackScheme>;
+    template <typename Key, typename Bundle>
+    using Store = std::vector<std::pair<Key, std::shared_ptr<const Bundle>>>;
 
     /// The one trace fill. Builds every lane's controller, packs the lanes
-    /// into groups of cosim_lane_width() — guided claims in claim order,
-    /// each blind claim's replays in groups of their own — and runs all
+    /// into groups of cosim_lane_width() — guided requests in order, each
+    /// blind request's replays in groups of their own — and runs all
     /// groups in one parallel_for over threads(), in descending total
     /// strike cycles. Each group is a capture-only co-sim
     /// (CosimRecord::Captures: a guided lane draws TDC samples until its
     /// detector fires, a blind lane none), and its task keeps only its
-    /// lanes' capture voltages and overlay plans. Every claim is published after the
-    /// batch: a lane whose controller cannot be built fails its own entry
-    /// and joins no group, and a group that throws fails only the entries
-    /// owning a lane in it. Never throws.
-    void fill(const attack::DetectorConfig& detector,
-              const std::vector<GuidedClaim>& guided,
-              const std::vector<BlindClaim>& blind);
+    /// lanes' capture voltages and overlay plans. A lane whose controller
+    /// cannot be built fails its own request and joins no group, and a
+    /// group that throws fails only the requests owning a lane in it.
+    /// After the batch, every bundle that filled is stored unless an equal
+    /// request was stored meanwhile. Returns each request's error (null
+    /// when it filled), guided requests first, then blind. Never throws.
+    std::vector<std::exception_ptr> fill(const attack::DetectorConfig& detector,
+                                         const std::vector<attack::AttackScheme>& guided,
+                                         const std::vector<BlindRequest>& blind);
 
     const Platform* platform_ = nullptr;
     RunnerConfig config_;
 
-    mutable std::mutex cache_mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<CacheEntry>> cache_;
-    std::atomic<std::size_t> cache_hits_{0};
-    std::atomic<std::size_t> cache_misses_{0};
+    /// Every bundle this runner filled, found by comparing requests by
+    /// value; guarded by store_mutex_.
+    std::mutex store_mutex_;
+    Store<GuidedKey, GuidedTraceBundle> guided_;
+    Store<BlindRequest, BlindTraceBundle> blind_;
 };
 
 /// Fig. 6(b)-style characterization sweep: each striker cell count is one

@@ -178,7 +178,7 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
     expects(test_set.size() > 0, "search: non-empty test set");
     const std::size_t n_images = std::min(cfg.eval_images, test_set.size());
 
-    SweepRunner runner(RunnerConfig{cfg.threads, false});
+    SweepRunner runner(RunnerConfig{cfg.threads});
 
     // Golden slice: activations for prefix elision plus the clean
     // predictions the drop is measured against.

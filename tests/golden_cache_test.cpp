@@ -318,7 +318,7 @@ TEST(GoldenCacheEval, StoreNotCoveringTheImagesThrows) {
     const CampaignPlan plan = plan_campaign(platform, ds.test, cfg);
     ASSERT_EQ(plan.eval_images, 8u);
     for (std::size_t idx = 0; idx < plan.record_count(); ++idx) {
-        SweepRunner runner(platform, RunnerConfig{1, true});
+        SweepRunner runner(platform, RunnerConfig{1});
         EXPECT_THROW(evaluate_campaign_record(platform, ds.test, plan, runner,
                                               short_store.get(), idx),
                      ContractError)

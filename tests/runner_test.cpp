@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/campaign.hpp"
@@ -14,6 +12,7 @@
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -103,7 +102,7 @@ TEST(DeriveSeed, DeterministicAndTagSensitive) {
 // ------------------------------------------------------------ sweep runner
 
 TEST(SweepRunner, RunsEveryTaskAndTimesThem) {
-    SweepRunner runner(RunnerConfig{4, true});
+    SweepRunner runner(RunnerConfig{4});
     std::vector<int> out(10, 0);
     std::vector<SweepTask> tasks;
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -123,14 +122,14 @@ TEST(SweepRunner, RunsEveryTaskAndTimesThem) {
         EXPECT_GE(p.seconds, 0.0);
     }
     const std::string json = mf.to_json().dump();
-    for (const char* needle : {"\"sweep\"", "\"threads\"", "\"total_seconds\"",
-                               "\"point_stats\"", "\"trace_cache_hits\""}) {
+    for (const char* needle :
+         {"\"sweep\"", "\"threads\"", "\"total_seconds\"", "\"point_stats\""}) {
         EXPECT_NE(json.find(needle), std::string::npos) << needle;
     }
 }
 
 TEST(SweepRunner, LowestIndexedFailureWins) {
-    SweepRunner runner(RunnerConfig{4, true});
+    SweepRunner runner(RunnerConfig{4});
     std::vector<SweepTask> tasks;
     for (std::size_t i = 0; i < 8; ++i) {
         tasks.push_back({"p", [i] {
@@ -146,96 +145,13 @@ TEST(SweepRunner, LowestIndexedFailureWins) {
     }
 }
 
-TEST(SweepRunner, RetriesFlakyPointsUntilTheySucceed) {
-    RunnerConfig cfg{4, true};
-    cfg.max_point_retries = 3;
-    cfg.retry_backoff_ms = 0; // no sleeping in unit tests
-    SweepRunner runner(cfg);
-
-    std::atomic<int> attempts{0};
-    std::vector<SweepTask> tasks;
-    tasks.push_back({"flaky", [&] {
-                         if (attempts.fetch_add(1) < 2) throw IoError("transient");
-                     }});
-    tasks.push_back({"steady", [] {}});
-    const RunManifest mf = runner.run("retry", std::move(tasks));
-
-    EXPECT_EQ(attempts.load(), 3); // initial + 2 retries
-    ASSERT_EQ(mf.points.size(), 2u);
-    EXPECT_TRUE(mf.points[0].ok);
-    EXPECT_EQ(mf.points[0].retries, 2u);
-    EXPECT_EQ(mf.points[1].retries, 0u);
-    EXPECT_FALSE(mf.partial);
-    EXPECT_NE(mf.to_json().dump().find("\"retries\":2"), std::string::npos);
-}
-
-TEST(SweepRunner, ExhaustedRetriesStillRethrowLowestIndexedFailure) {
-    RunnerConfig cfg{4, true};
-    cfg.max_point_retries = 2;
-    cfg.retry_backoff_ms = 0;
-    SweepRunner runner(cfg);
-
-    std::atomic<int> attempts_on_4{0};
-    std::vector<SweepTask> tasks;
-    for (std::size_t i = 0; i < 8; ++i) {
-        tasks.push_back({"p", [i, &attempts_on_4] {
-                             if (i == 4) attempts_on_4.fetch_add(1);
-                             if (i >= 4) {
-                                 throw ConfigError("point " + std::to_string(i));
-                             }
-                         }});
-    }
-    try {
-        runner.run("failing", std::move(tasks));
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError& e) {
-        EXPECT_NE(std::string(e.what()).find("point 4"), std::string::npos);
-    }
-    EXPECT_EQ(attempts_on_4.load(), 3); // initial + 2 retries, then give up
-}
-
-TEST(SweepRunner, DeadlineSkipsUnstartedPointsAndMarksPartial) {
-    RunnerConfig cfg{1, true};
-    cfg.deadline_seconds = 0.02;
-    SweepRunner runner(cfg);
-
-    std::atomic<int> ran{0};
-    std::vector<SweepTask> tasks;
-    tasks.push_back({"slow", [&] {
-                         ran.fetch_add(1);
-                         std::this_thread::sleep_for(std::chrono::milliseconds(60));
-                     }});
-    for (int i = 0; i < 3; ++i) {
-        tasks.push_back({"later", [&] { ran.fetch_add(1); }});
-    }
-    const RunManifest mf = runner.run("deadline", std::move(tasks));
-
-    // Point 0 started inside the budget and finished; the rest found the
-    // deadline expired before starting.
-    EXPECT_EQ(ran.load(), 1);
-    EXPECT_TRUE(mf.partial);
-    EXPECT_EQ(mf.points_skipped, 3u);
-    ASSERT_EQ(mf.points.size(), 4u);
-    EXPECT_TRUE(mf.points[0].ok);
-    for (std::size_t i = 1; i < mf.points.size(); ++i) {
-        EXPECT_TRUE(mf.points[i].skipped);
-        EXPECT_FALSE(mf.points[i].ok);
-    }
-    const std::string json = mf.to_json().dump();
-    EXPECT_NE(json.find("\"partial\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"points_skipped\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"skipped\":true"), std::string::npos);
-}
-
 TEST(SweepRunner, ManifestOmitsResilienceKeysOnPlainRuns) {
-    SweepRunner runner(RunnerConfig{2, true});
+    SweepRunner runner(RunnerConfig{2});
     std::vector<SweepTask> tasks;
     tasks.push_back({"p", [] {}});
     const RunManifest mf = runner.run("plain", std::move(tasks));
     const std::string json = mf.to_json().dump();
-    for (const char* absent :
-         {"\"partial\"", "\"points_skipped\"", "\"points_resumed\"",
-          "\"journal\"", "\"retries\"", "\"skipped\""}) {
+    for (const char* absent : {"\"points_resumed\"", "\"journal\""}) {
         EXPECT_EQ(json.find(absent), std::string::npos) << absent;
     }
 }
@@ -261,60 +177,6 @@ struct RunnerPlatformFixture : public ::testing::Test {
 Platform* RunnerPlatformFixture::platform = nullptr;
 data::Dataset* RunnerPlatformFixture::dataset = nullptr;
 ProfilingRun* RunnerPlatformFixture::profiling = nullptr;
-
-TEST_F(RunnerPlatformFixture, TraceCacheHitMissAccounting) {
-    ASSERT_TRUE(profiling->detector_fired);
-    ASSERT_GE(profiling->profile.segments.size(), 3u);
-
-    SweepRunner runner(*platform, RunnerConfig{1, true});
-    const double spc = platform->config().samples_per_cycle();
-    const attack::AttackScheme scheme_a = attack::plan_attack(
-        profiling->profile.segments[2], profiling->trigger_sample, spc, 100);
-    const attack::AttackScheme scheme_b = attack::plan_attack(
-        profiling->profile.segments[0], profiling->trigger_sample, spc, 60);
-
-    const auto t1 = runner.guided_bundle({}, scheme_a);
-    EXPECT_EQ(runner.trace_cache_misses(), 1u);
-    EXPECT_EQ(runner.trace_cache_hits(), 0u);
-
-    const auto t2 = runner.guided_bundle({}, scheme_a); // repeated scheme
-    EXPECT_EQ(runner.trace_cache_misses(), 1u);
-    EXPECT_EQ(runner.trace_cache_hits(), 1u);
-    EXPECT_EQ(t1.get(), t2.get()); // shared, not recomputed
-
-    const auto t3 = runner.guided_bundle({}, scheme_b); // distinct scheme
-    EXPECT_EQ(runner.trace_cache_misses(), 2u);
-    EXPECT_NE(t3.get(), t1.get());
-
-    // Blind traces are cached under their own key space.
-    attack::AttackScheme blind;
-    blind.num_strikes = 50;
-    blind.gap_cycles = 20;
-    const auto b1 = runner.blind_bundle(blind, 3, 99);
-    const auto b2 = runner.blind_bundle(blind, 3, 99);
-    EXPECT_EQ(runner.trace_cache_misses(), 3u);
-    EXPECT_EQ(runner.trace_cache_hits(), 2u);
-    EXPECT_EQ(b1.get(), b2.get());
-    EXPECT_EQ(runner.trace_cache_size(), 3u);
-}
-
-TEST_F(RunnerPlatformFixture, ConcurrentRequestsCosimulateOnce) {
-    SweepRunner runner(*platform, RunnerConfig{8, true});
-    const attack::AttackScheme scheme = attack::plan_attack(
-        profiling->profile.segments[2], profiling->trigger_sample,
-        platform->config().samples_per_cycle(), 80);
-
-    std::vector<std::shared_ptr<const GuidedTraceBundle>> bundles(8);
-    std::vector<SweepTask> tasks;
-    for (std::size_t i = 0; i < bundles.size(); ++i) {
-        tasks.push_back({"req", [&, i] { bundles[i] = runner.guided_bundle({}, scheme); }});
-    }
-    const RunManifest mf = runner.run("dedup", std::move(tasks));
-
-    EXPECT_EQ(mf.trace_cache_misses, 1u);
-    EXPECT_EQ(mf.trace_cache_hits, 7u);
-    for (const auto& b : bundles) EXPECT_EQ(b.get(), bundles[0].get());
-}
 
 TEST_F(RunnerPlatformFixture, CampaignReportBitIdenticalAcrossThreadCounts) {
     CampaignConfig cfg;
@@ -346,9 +208,6 @@ TEST_F(RunnerPlatformFixture, CampaignManifestRecordsSweep) {
     EXPECT_EQ(manifest.threads, 2u);
     EXPECT_EQ(manifest.sweep, "campaign");
     for (const auto& p : manifest.points) EXPECT_TRUE(p.ok);
-    // Every scheme in this campaign is distinct: all misses, no hits.
-    EXPECT_EQ(manifest.trace_cache_misses, report.points.size());
-    EXPECT_EQ(manifest.trace_cache_hits, 0u);
 }
 
 TEST_F(RunnerPlatformFixture, BlindPointsCarryNoSegmentIndex) {
@@ -461,17 +320,74 @@ void expect_same_blind(const BlindTraceBundle& got, const BlindTraceBundle& want
     }
 }
 
-// One prefetch batch fills every bundle exactly as one-at-a-time misses
-// do, and consuming the prefetched bundles counts the same hits and
-// misses. The 11-offset blind bundle spans a full and a partial group at
-// width 8.
+// The store keys requests by value: equal requests share one bundle, and
+// requests that differ in a single field — one detector zone bit,
+// auto_rearm, the blind offset seed — each get their own bundle, equal to
+// a fresh runner's fill.
+TEST_F(RunnerPlatformFixture, TraceCacheHitMissAccounting) {
+    ASSERT_TRUE(profiling->detector_fired);
+    ASSERT_GE(profiling->profile.segments.size(), 3u);
+
+    SweepRunner runner(*platform, RunnerConfig{1});
+    const double spc = platform->config().samples_per_cycle();
+    const attack::AttackScheme scheme = attack::plan_attack(
+        profiling->profile.segments[2], profiling->trigger_sample, spc, 100);
+    const attack::AttackScheme other = attack::plan_attack(
+        profiling->profile.segments[0], profiling->trigger_sample, spc, 60);
+
+    const auto bundle = runner.guided_bundle({}, scheme);
+    const attack::AttackScheme copy = scheme;
+    EXPECT_EQ(runner.guided_bundle(attack::DetectorConfig{}, copy).get(), bundle.get());
+    EXPECT_NE(runner.guided_bundle({}, other).get(), bundle.get());
+
+    attack::DetectorConfig zone_bit;
+    zone_bit.zone_bits[3] += 1;
+    attack::DetectorConfig rearm;
+    rearm.auto_rearm = true;
+    for (const attack::DetectorConfig& detector : {zone_bit, rearm}) {
+        const std::string where = detector.auto_rearm ? "auto_rearm" : "zone bit";
+        const auto own = runner.guided_bundle(detector, scheme);
+        EXPECT_NE(own.get(), bundle.get()) << where;
+        EXPECT_EQ(runner.guided_bundle(detector, scheme).get(), own.get()) << where;
+        SweepRunner fresh(*platform, RunnerConfig{1});
+        expect_same_guided(*own, *fresh.guided_bundle(detector, scheme), where);
+    }
+
+    const attack::AttackScheme blind = blind_scheme(50, 20);
+    const auto replays = runner.blind_bundle(blind, 3, 99);
+    EXPECT_EQ(runner.blind_bundle(blind, 3, 99).get(), replays.get());
+    const auto reseeded = runner.blind_bundle(blind, 3, 100);
+    EXPECT_NE(reseeded.get(), replays.get());
+    SweepRunner fresh(*platform, RunnerConfig{1});
+    expect_same_blind(*reseeded, *fresh.blind_bundle(blind, 3, 100), "offset seed");
+}
+
+std::uint64_t cosim_cycles() { return metrics::counter("cosim.cycles").total(); }
+
+/// RAII restore of the process-wide metrics switch these tests turn on.
+struct MetricsOnGuard {
+    bool was_on = metrics::enabled();
+    MetricsOnGuard() { metrics::set_enabled(true); }
+    ~MetricsOnGuard() { metrics::set_enabled(was_on); }
+};
+
+// One prefetch batch fills every bundle exactly as one-request fills do.
+// It co-simulates a request repeated within it once, and consuming the
+// prefetched bundles co-simulates nothing. The 11-offset blind bundle
+// spans a full and a partial group at width 8.
 TEST(SweepRunner, PrefetchMatchesSingleFills) {
     LaneWidthGuard guard;
+    MetricsOnGuard metrics_on;
     const BatchVictim& v = batch_victim();
     const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
     ASSERT_GE(guided.size(), 6u);
     const std::vector<BlindRequest> blind = {{blind_scheme(40, 60), 11, 5},
                                              {blind_scheme(25, 90), 2, 6}};
+    // One co-sim per distinct guided scheme (the last repeats the first)
+    // and per blind offset.
+    const std::uint64_t cosim_length = v.platform.engine().schedule().total_cycles;
+    const std::uint64_t prefetch_cycles =
+        cosim_length * (guided.size() - 1 + blind[0].n_offsets + blind[1].n_offsets);
 
     // The oracle of the 11-offset bundle: offset i is the i-th draw of the
     // offset seed over the cycles where the replay fits, co-simulated alone.
@@ -500,38 +416,43 @@ TEST(SweepRunner, PrefetchMatchesSingleFills) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             const std::string where =
                 "width " + std::to_string(width) + ", threads " + std::to_string(threads);
-            SweepRunner single(v.platform, RunnerConfig{threads, true});
-            SweepRunner batched(v.platform, RunnerConfig{threads, true});
+            SweepRunner batched(v.platform, RunnerConfig{threads});
+            const std::uint64_t before = cosim_cycles();
             batched.prefetch({}, guided, blind);
-            EXPECT_EQ(batched.trace_cache_hits(), 0u) << where;
-            EXPECT_EQ(batched.trace_cache_misses(), 0u) << where;
-
+            const std::uint64_t prefetched = cosim_cycles();
+            EXPECT_EQ(prefetched - before, prefetch_cycles) << where;
+            std::vector<std::shared_ptr<const GuidedTraceBundle>> got_guided;
             for (const attack::AttackScheme& scheme : guided) {
-                expect_same_guided(*batched.guided_bundle({}, scheme),
-                                   *single.guided_bundle({}, scheme), where);
+                got_guided.push_back(batched.guided_bundle({}, scheme));
             }
+            std::vector<std::shared_ptr<const BlindTraceBundle>> got_blind;
             for (const BlindRequest& r : blind) {
-                const auto bundle = batched.blind_bundle(r.scheme, r.n_offsets, r.offset_seed);
-                expect_same_blind(*bundle,
+                got_blind.push_back(batched.blind_bundle(r.scheme, r.n_offsets, r.offset_seed));
+            }
+            EXPECT_EQ(cosim_cycles(), prefetched) << where << ": a stored bundle refilled";
+
+            SweepRunner single(v.platform, RunnerConfig{threads});
+            for (std::size_t i = 0; i < guided.size(); ++i) {
+                expect_same_guided(*got_guided[i], *single.guided_bundle({}, guided[i]), where);
+            }
+            for (std::size_t b = 0; b < blind.size(); ++b) {
+                const BlindRequest& r = blind[b];
+                expect_same_blind(*got_blind[b],
                                   *single.blind_bundle(r.scheme, r.n_offsets, r.offset_seed),
                                   where);
-                if (&r != &wide) continue;
-                for (std::size_t i = 0; i < oracle.size(); ++i) {
-                    EXPECT_TRUE(same_trace(bundle->traces[i], oracle[i]))
-                        << where << ": offset " << i << " differs from its oracle";
-                }
             }
-            EXPECT_EQ(batched.trace_cache_hits(), single.trace_cache_hits()) << where;
-            EXPECT_EQ(batched.trace_cache_misses(), single.trace_cache_misses()) << where;
-            EXPECT_EQ(batched.trace_cache_misses(), guided.size() - 1 + blind.size()) << where;
+            for (std::size_t i = 0; i < oracle.size(); ++i) {
+                EXPECT_TRUE(same_trace(got_blind[0]->traces[i], oracle[i]))
+                    << where << ": offset " << i << " differs from its oracle";
+            }
         }
     }
 }
 
 // A scheme whose controller cannot be built (100,000 strikes overflow the
-// 73,728-bit signal RAM) fails its own entry — guided or blind — and no
-// other, at every lane width and thread count, and the failure does not
-// stick to the runner.
+// 73,728-bit signal RAM) fails its own request — guided or blind — and no
+// other, at every lane width and thread count, and the failure is not
+// stored: each later request refills and throws again.
 TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
     LaneWidthGuard guard;
     const BatchVictim& v = batch_victim();
@@ -548,13 +469,13 @@ TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             const std::string where =
                 "width " + std::to_string(width) + ", threads " + std::to_string(threads);
-            SweepRunner fresh(v.platform, RunnerConfig{threads, true});
+            SweepRunner fresh(v.platform, RunnerConfig{threads});
             const auto want_good = fresh.guided_bundle({}, good);
             const auto want_good2 = fresh.guided_bundle({}, good2);
             const auto want_blind = fresh.blind_bundle(blind_good.scheme, blind_good.n_offsets,
                                                        blind_good.offset_seed);
 
-            SweepRunner runner(v.platform, RunnerConfig{threads, true});
+            SweepRunner runner(v.platform, RunnerConfig{threads});
             EXPECT_NO_THROW(runner.prefetch({}, {good, bad, good2},
                                             {{bad, 3, 5}, blind_good}))
                 << where;
@@ -568,13 +489,11 @@ TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
                                   *want_blind, where);
             }
 
-            // The same holds for a bad scheme's miss, and with the cache off.
-            for (const bool cache : {true, false}) {
-                SweepRunner cold(v.platform, RunnerConfig{threads, cache});
-                EXPECT_THROW(cold.guided_bundle({}, bad), ConfigError) << where;
-                EXPECT_THROW(cold.blind_bundle(bad, 3, 5), ConfigError) << where;
-                expect_same_guided(*cold.guided_bundle({}, good2), *want_good2, where);
-            }
+            // The same holds for a bad scheme's first request.
+            SweepRunner cold(v.platform, RunnerConfig{threads});
+            EXPECT_THROW(cold.guided_bundle({}, bad), ConfigError) << where;
+            EXPECT_THROW(cold.blind_bundle(bad, 3, 5), ConfigError) << where;
+            expect_same_guided(*cold.guided_bundle({}, good2), *want_good2, where);
         }
     }
 }

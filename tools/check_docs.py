@@ -23,7 +23,7 @@ Checks, over every tracked markdown file:
    `ablation_*`/`ext_*`/`micro_*` tokens) has a source file under
    bench/ — the experiment write-ups can't drift behind bench renames.
 5. Every backticked dotted metric name (`pdn.steps`,
-   `runner.trace_cache_hits`, ...) is actually registered somewhere under
+   `runner.points`, ...) is actually registered somewhere under
    src/ via metrics::counter/gauge/histogram. A trailing `.*` wildcard
    (`cosim.lanes.*`) is accepted when at least one registered metric
    carries that prefix. Only tokens whose first segment is a namespace

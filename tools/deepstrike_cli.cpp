@@ -369,15 +369,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
                       "checkpoint journal path; completed points are appended "
                       "here so an interrupted campaign can be resumed",
                       "");
-    parser.add_option("retries",
-                      "rerun a failed point up to this many extra times "
-                      "(capped exponential backoff)",
-                      "0");
-    parser.add_option("deadline",
-                      "wall-clock budget in seconds (0 = unlimited); points "
-                      "not started by then are skipped and the report is "
-                      "marked partial",
-                      "0");
     add_threads_option(parser);
     add_observability_options(parser);
     parser.add_flag("resume",
@@ -403,8 +394,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
     if (parser.flag("no-blind")) cfg.blind_offsets = 0;
     cfg.journal_path = parser.option("journal");
     cfg.resume = parser.flag("resume");
-    cfg.max_point_retries = parser.option_uint("retries");
-    cfg.deadline_seconds = parser.option_double("deadline");
     if (cfg.resume && cfg.journal_path.empty()) {
         std::fprintf(stderr, "--resume requires --journal <path>\n");
         return 2;
@@ -416,18 +405,11 @@ int cmd_campaign(const std::vector<std::string>& args) {
     manifest.metrics_out = sinks.metrics_path;
     manifest.trace_out = sinks.trace_path;
     std::printf("%s", report.to_markdown().c_str());
-    std::printf("\nsweep: %zu points in %.2fs on %zu threads "
-                "(trace cache: %zu misses, %zu hits)\n",
-                manifest.points.size(), manifest.total_seconds, manifest.threads,
-                manifest.trace_cache_misses, manifest.trace_cache_hits);
+    std::printf("\nsweep: %zu points in %.2fs on %zu threads\n",
+                manifest.points.size(), manifest.total_seconds, manifest.threads);
     if (manifest.points_resumed > 0) {
         std::printf("resumed: %zu points restored from %s\n",
                     manifest.points_resumed, cfg.journal_path.c_str());
-    }
-    if (report.partial) {
-        std::printf("PARTIAL: deadline skipped %zu points; rerun with "
-                    "--journal %s --resume to finish\n",
-                    manifest.points_skipped, cfg.journal_path.c_str());
     }
 
     // Reports are written atomically (tmp + rename) so a kill mid-write
