@@ -20,6 +20,8 @@ DspSlice::DspSlice(std::uint32_t id, const DspTimingParams& params, Rng& constru
     expects(params.clock_period_s > 0, "DspSlice: positive clock period");
     expects(params.nominal_path_fraction > 0 && params.nominal_path_fraction < 1,
             "DspSlice: path fraction in (0,1)");
+    // evaluate_with_factor's jitter bounds rely on a non-negative sigma.
+    expects(params.op_jitter_sigma >= 0, "DspSlice: non-negative op jitter sigma");
     // Process variation is fixed for the lifetime of the physical slice;
     // clamp to +-3 sigma so a pathological draw cannot create a slice that
     // violates timing at nominal voltage.

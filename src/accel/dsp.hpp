@@ -69,14 +69,33 @@ public:
 
     /// Same evaluation with the voltage-dependent delay factor supplied by
     /// the caller. factor(v) is shared by every op captured at the same
-    /// sample, so gated hot loops compute it once per (cycle, DDR half)
-    /// instead of per op — the delay expression keeps the exact order of
-    /// evaluate(), making the two entry points bit-identical.
+    /// sample, so the engine reads it from its overlay plan instead of
+    /// evaluating pow() per op; the delay expression keeps the exact order
+    /// of evaluate(), making the two entry points bit-identical.
+    ///
+    /// The op's jitter deviate z enters as d = k * (1 + (0 + sigma * z))
+    /// with k = (path delay * path_scale) * factor, and the op is clean
+    /// iff d <= T. Every step from z to d is monotone under
+    /// round-to-nearest (k, sigma >= 0), and z <= the pair's Box–Muller
+    /// magnitude, so the deviate's value is needed only when neither
+    /// bound settles the outcome: the magnitude in z's place gives
+    /// d <= T, or k <= T and the pair's angle puts z <= 0. Otherwise the
+    /// exact deviate takes the comparison. Either way the deviate is
+    /// taken and the stream advances as normal() advances it, so every
+    /// outcome and every later draw is the one the eager comparison gives
+    /// (tests/dsp_test.cpp).
     FaultKind evaluate_with_factor(double factor, Rng& op_rng,
                                    double path_scale = 1.0) const {
-        const double jitter = op_rng.normal(0.0, params_.op_jitter_sigma);
-        const double d = path_delay_s_ * path_scale * factor * (1.0 + jitter);
+        const double k = path_delay_s_ * path_scale * factor;
+        const double sigma = params_.op_jitter_sigma;
         const double period = params_.clock_period_s;
+        const double mag = op_rng.normal_magnitude();
+        if (k * (1.0 + (0.0 + sigma * mag)) <= period ||
+            (k <= period && op_rng.normal_nonpositive())) {
+            op_rng.skip_normal();
+            return FaultKind::None;
+        }
+        const double d = k * (1.0 + (0.0 + sigma * op_rng.normal_value()));
         if (d <= period) return FaultKind::None;
         if (d <= period * (1.0 + params_.duplication_band)) return FaultKind::Duplication;
         return FaultKind::Random;

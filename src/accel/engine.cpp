@@ -96,6 +96,26 @@ FaultKind evaluate_op_with_factor(const DspSlice& slice, double factor, Rng& rng
     return dup >= rnd ? FaultKind::Duplication : FaultKind::Random;
 }
 
+/// SegmentOverlay::factors of a conv/FC segment: the delay factor of each
+/// capture sample of `windows` in `voltage`, -1 where the sample is at or
+/// above `safe_v`. Samples past the trace's end are nominal, as in
+/// unsafe_windows.
+std::vector<double> window_factors(const std::vector<CycleWindow>& windows,
+                                   const VoltageTrace& voltage, double safe_v,
+                                   const pdn::DelayModel& delay) {
+    std::size_t samples = 0;
+    for (const CycleWindow& w : windows) samples += 2 * (w.end - w.begin);
+    std::vector<double> factors;
+    factors.reserve(samples);
+    for (const CycleWindow& w : windows) {
+        for (std::size_t idx = w.begin * 2; idx < w.end * 2; ++idx) {
+            const double v = idx < voltage.size() ? voltage[idx] : delay.vdd;
+            factors.push_back(v < safe_v ? delay.factor(v) : -1.0);
+        }
+    }
+    return factors;
+}
+
 } // namespace
 
 AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
@@ -134,19 +154,24 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
     if (voltage == nullptr) return plan;
     for (std::size_t i = 0; i < network_.layers.size(); ++i) {
         const LayerSegment& seg = schedule_.segment_for_layer(i);
+        SegmentOverlay& overlay = plan.layers[i];
         switch (network_.layers[i].kind) {
             case quant::QLayerKind::Conv:
-                plan.layers[i].unsafe = unsafe_windows(seg, voltage, conv_safe_v_);
+                overlay.unsafe = unsafe_windows(seg, voltage, conv_safe_v_);
+                overlay.factors =
+                    window_factors(overlay.unsafe, *voltage, conv_safe_v_, delay_);
                 break;
             case quant::QLayerKind::Pool2:
             case quant::QLayerKind::AvgPool2:
                 // Pool comparators are registered on the fabric clock: one
                 // capture per cycle, at the second DDR sample (cycle end).
-                plan.layers[i].unsafe =
+                overlay.unsafe =
                     unsafe_windows(seg, voltage, pool_safe_v_, /*half_mask=*/2u);
                 break;
             case quant::QLayerKind::Dense:
-                plan.layers[i].unsafe = unsafe_windows(seg, voltage, fc_safe_v_);
+                overlay.unsafe = unsafe_windows(seg, voltage, fc_safe_v_);
+                overlay.factors =
+                    window_factors(overlay.unsafe, *voltage, fc_safe_v_, delay_);
                 break;
         }
     }
@@ -181,20 +206,17 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
 // sequential per-op path would — and patch the owning element's
 // accumulator with the integer delta. Integer sums are exact under
 // reassociation, so the result is byte-identical to the reference per-op
-// evaluation.
+// evaluation. The walk reads each op's delay factor from the plan
+// (SegmentOverlay::factors, -1 = safe sample) and never the trace.
 template <typename TrueProduct>
 void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
                                std::size_t ops_per_elem, std::size_t n_ops,
-                               const std::vector<DspSlice>& dsps, double safe_v,
-                               double path_scale, const VoltageTrace& voltage,
+                               const std::vector<DspSlice>& dsps, double path_scale,
                                const std::vector<bool>* throttle, Rng& rng,
                                FaultCounts& counts, std::vector<fx::Acc>& accs,
                                const TrueProduct& true_product_at) const {
     const std::size_t mpc = seg.ops_per_cycle;
     const bool tmr = config_.tmr_protection;
-    const double vdd = delay_.vdd;
-    const double* vs = voltage.data();
-    const std::size_t vn = voltage.size();
 
     // A duplication fault captures the last product issued on the same DSP
     // slice. Slice d owns positions 2d / 2d+1 of every cycle, so that
@@ -212,24 +234,17 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
         return true_product_at(g - pos + last_pos - mpc);
     };
 
-    // Per window, the per-cycle delay factors are shared by every op
-    // captured at the same DDR half sample (fac memo, reset at window entry
-    // and at each cycle rollover).
-    const bool no_throttle = throttle == nullptr;
+    const double* fac = overlay.factors.data();
     for (const CycleWindow& win : overlay.unsafe) {
-        const std::size_t lo = (win.begin - seg.start_cycle) * mpc;
-        const std::size_t hi = std::min((win.end - seg.start_cycle) * mpc, n_ops);
-        if (lo >= hi) break;
-        std::size_t cycle = win.begin;
-        std::size_t pos = 0;
-        double fac[2] = {-1.0, -1.0};
-        for (std::size_t g = lo; g < hi; ++g) {
-            const std::size_t sidx = cycle * 2 + (pos & 1);
-            const double v = sidx < vn ? vs[sidx] : vdd;
-            if (v < safe_v && (no_throttle || !throttled(throttle, cycle))) {
-                double& f = fac[pos & 1];
-                if (f < 0.0) f = delay_.factor(v);
-                switch (evaluate_op_with_factor(dsps[pos >> 1], f, rng, path_scale,
+        for (std::size_t cycle = win.begin; cycle < win.end; ++cycle, fac += 2) {
+            if (throttled(throttle, cycle)) continue;
+            const std::size_t base = (cycle - seg.start_cycle) * mpc;
+            const std::size_t end = std::min(base + mpc, n_ops);
+            for (std::size_t g = base; g < end; ++g) {
+                const std::size_t pos = g - base;
+                const double factor = fac[pos & 1];
+                if (factor < 0.0) continue;
+                switch (evaluate_op_with_factor(dsps[pos >> 1], factor, rng, path_scale,
                                                 tmr)) {
                     case FaultKind::None:
                         break;
@@ -245,19 +260,14 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
                         break;
                 }
             }
-            if (++pos == mpc) {
-                pos = 0;
-                ++cycle;
-                fac[0] = fac[1] = -1.0;
-            }
         }
     }
 }
 
 QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
                               const LayerSegment& seg, const SegmentOverlay& overlay,
-                              const VoltageTrace* voltage, Rng& rng,
-                              const std::vector<bool>* throttle, FaultCounts& counts,
+                              Rng& rng, const std::vector<bool>* throttle,
+                              FaultCounts& counts,
                               const std::vector<fx::Acc>& golden_accs) const {
     const QTensor& w = layer.weight;
     const std::size_t in_c = input.shape().dim(0);
@@ -277,34 +287,47 @@ QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
         return out;
     }
 
+    // Op g = pixel * opp + tap, with pixel = oc * plane + r * out_w + c and
+    // tap = (ic * k + kr) * k + kc, multiplies input element
+    // (ic * in_h + r + kr) * in_w + c + kc, which splits into a per-pixel
+    // offset r * in_w + c plus a per-tap offset (ic * in_h + kr) * in_w +
+    // kc, by weight element oc * opp + tap.
+    thread_local std::vector<std::size_t> pixel_offset;
+    thread_local std::vector<std::size_t> tap_offset;
+    pixel_offset.resize(plane);
+    for (std::size_t r = 0; r < out_h; ++r) {
+        for (std::size_t c = 0; c < out_w; ++c) pixel_offset[r * out_w + c] = r * in_w + c;
+    }
+    tap_offset.resize(opp);
+    for (std::size_t ic = 0; ic < in_c; ++ic) {
+        for (std::size_t kr = 0; kr < k; ++kr) {
+            for (std::size_t kc = 0; kc < k; ++kc) {
+                tap_offset[(ic * k + kr) * k + kc] = (ic * in_h + kr) * in_w + kc;
+            }
+        }
+    }
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
     const auto true_product_at = [&](std::size_t g) {
         const std::size_t pixel = g / opp;
-        const std::size_t rem = g % opp;
+        const std::size_t tap = g - pixel * opp;
         const std::size_t oc = pixel / plane;
-        const std::size_t rc = pixel % plane;
-        const std::size_t r = rc / out_w;
-        const std::size_t c = rc % out_w;
-        const std::size_t ic = rem / kk;
-        const std::size_t kr = (rem % kk) / k;
-        const std::size_t kc = rem % k;
-        return static_cast<fx::Acc>(in_data[(ic * in_h + r + kr) * in_w + c + kc].raw()) *
-               w_data[(oc * in_c + ic) * kk + kr * k + kc].raw();
+        return static_cast<fx::Acc>(
+                   in_data[pixel_offset[pixel - oc * plane] + tap_offset[tap]].raw()) *
+               w_data[oc * opp + tap].raw();
     };
     thread_local std::vector<fx::Acc> accs;
     accs.assign(golden_accs.begin(), golden_accs.end());
-    walk_windows(overlay, seg, opp, n_elems * opp, conv_dsps_, conv_safe_v_,
-                 config_.path_derate(layer), *voltage, throttle, rng, counts, accs,
-                 true_product_at);
+    walk_windows(overlay, seg, opp, n_elems * opp, conv_dsps_, config_.path_derate(layer),
+                 throttle, rng, counts, accs, true_product_at);
     quant::gemm::write_back(accs.data(), n_elems, layer.activation, out);
     return out;
 }
 
 QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
                             const LayerSegment& seg, const SegmentOverlay& overlay,
-                            const VoltageTrace* voltage, Rng& rng,
-                            const std::vector<bool>* throttle, FaultCounts& counts,
+                            Rng& rng, const std::vector<bool>* throttle,
+                            FaultCounts& counts,
                             const std::vector<fx::Acc>& golden_accs) const {
     const std::size_t out_n = layer.weight.shape().dim(0);
     const std::size_t in_n = layer.weight.shape().dim(1);
@@ -321,8 +344,8 @@ QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
     };
     thread_local std::vector<fx::Acc> accs;
     accs.assign(golden_accs.begin(), golden_accs.end());
-    walk_windows(overlay, seg, in_n, out_n * in_n, fc_dsps_, fc_safe_v_, 1.0, *voltage,
-                 throttle, rng, counts, accs, true_product_at);
+    walk_windows(overlay, seg, in_n, out_n * in_n, fc_dsps_, 1.0, throttle, rng, counts,
+                 accs, true_product_at);
     quant::gemm::write_back(accs.data(), out_n, layer.activation, out);
     return out;
 }
@@ -399,7 +422,7 @@ QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
                 quant::gemm::conv2d_accs(input, layer.weight, layer.bias, accs);
                 golden_accs = &accs;
             }
-            return run_conv(input, layer, seg, overlay, voltage, rng, throttle, counts,
+            return run_conv(input, layer, seg, overlay, rng, throttle, counts,
                             *golden_accs);
         case quant::QLayerKind::Pool2:
         case quant::QLayerKind::AvgPool2:
@@ -409,7 +432,7 @@ QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
                 quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
                 golden_accs = &accs;
             }
-            return run_fc(input, layer, seg, overlay, voltage, rng, throttle, counts,
+            return run_fc(input, layer, seg, overlay, rng, throttle, counts,
                           *golden_accs);
     }
     throw ContractError("AccelEngine: unknown layer kind");

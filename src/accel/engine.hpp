@@ -98,9 +98,10 @@ public:
     double pool_safe_voltage() const { return pool_safe_v_; }
 
     /// Precomputes the per-layer unsafe-interval overlay for `voltage`
-    /// (nullptr = nominal: every layer safe). The plan depends only on the
-    /// (trace, schedule, safe voltages) triple — one plan serves every
-    /// image evaluated on the trace.
+    /// (nullptr = nominal: every layer safe), with the delay factor of
+    /// every conv/FC capture sample inside a window. The plan depends only
+    /// on the (trace, schedule, safe voltages, delay model) tuple — one
+    /// plan serves every image evaluated on the trace.
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
     /// Runs one inference, the engine's only inference entry. It answers
@@ -155,14 +156,12 @@ private:
     /// folded): walk_windows patches a copy, then every element writes
     /// back.
     QTensor run_conv(const QTensor& input, const quant::QLayer& layer,
-                     const LayerSegment& seg, const SegmentOverlay& overlay,
-                     const VoltageTrace* voltage, Rng& rng,
+                     const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
                      const std::vector<bool>* throttle, FaultCounts& counts,
                      const std::vector<fx::Acc>& golden_accs) const;
     /// FC counterpart of run_conv.
     QTensor run_fc(const QTensor& input, const quant::QLayer& layer,
-                   const LayerSegment& seg, const SegmentOverlay& overlay,
-                   const VoltageTrace* voltage, Rng& rng,
+                   const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
                    const std::vector<bool>* throttle, FaultCounts& counts,
                    const std::vector<fx::Acc>& golden_accs) const;
     /// Pool layer of run_layer: golden pooling when the overlay has no unsafe
@@ -174,7 +173,8 @@ private:
 
     /// The golden-plus-deltas fault walk shared by run_conv and run_fc.
     /// Visits only the ops inside the overlay's unsafe windows, in
-    /// ascending op order; each draws the fault model exactly as a
+    /// ascending op order; each op under the safe voltage draws the fault
+    /// model with its sample's delay factor from the plan, exactly as a
     /// whole-segment per-op walk does (tests/engine_reference.cpp) and,
     /// when it faults, adds the integer delta (faulted contribution minus
     /// `true_product_at(op)`) to its element's entry of `accs`. Duplication
@@ -183,8 +183,7 @@ private:
     template <typename TrueProduct>
     void walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
                       std::size_t ops_per_elem, std::size_t n_ops,
-                      const std::vector<DspSlice>& dsps, double safe_v,
-                      double path_scale, const VoltageTrace& voltage,
+                      const std::vector<DspSlice>& dsps, double path_scale,
                       const std::vector<bool>* throttle, Rng& rng,
                       FaultCounts& counts, std::vector<fx::Acc>& accs,
                       const TrueProduct& true_product_at) const;

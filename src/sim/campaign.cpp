@@ -139,7 +139,8 @@ namespace {
 
 std::vector<PlannedCampaignPoint> plan_points(const Platform& platform,
                                               const ProfilingRun& prof,
-                                              const CampaignConfig& config) {
+                                              const CampaignConfig& config,
+                                              std::size_t eval_images) {
     std::vector<PlannedCampaignPoint> planned;
     for (std::size_t si = 0; si < prof.profile.segments.size(); ++si) {
         const attack::ProfiledSegment& seg = prof.profile.segments[si];
@@ -168,15 +169,32 @@ std::vector<PlannedCampaignPoint> plan_points(const Platform& platform,
 
     if (config.blind_offsets > 0) {
         const std::size_t total_cycles = platform.engine().schedule().total_cycles;
+        // Image i reads offset i % n, so offsets past the image count would
+        // be co-simulated and never read. Starts are drawn in offset order
+        // (blind_replays), so the offsets kept replay exactly as before.
+        const std::size_t offsets = std::min(config.blind_offsets, eval_images);
+        // n one-cycle strikes at gap max(1, total / n / 2) span
+        // n + (n - 1) * gap cycles, which fits the schedule iff
+        // n <= (total + 1) / 2: below half the schedule the gaps sum to
+        // less than total / 2, above it the gap is 1 and the replay
+        // 2n - 1 cycles long. As for guided points, the first count over
+        // the cap is planned at the cap and later ones are skipped.
+        const std::size_t cap = (total_cycles + 1) / 2;
+        bool capped = false;
         for (std::size_t strikes : config.strike_grid) {
+            std::size_t n = strikes;
+            if (n > cap) {
+                if (capped) continue;
+                n = cap;
+                capped = true;
+            }
             PlannedCampaignPoint point;
             point.label = "BLIND";
-            point.strikes = strikes;
-            point.blind_offsets = config.blind_offsets;
-            point.scheme.num_strikes = strikes;
+            point.strikes = n;
+            point.blind_offsets = offsets;
+            point.scheme.num_strikes = n;
             point.scheme.strike_cycles = 1;
-            point.scheme.gap_cycles =
-                std::max<std::size_t>(1, total_cycles / strikes / 2);
+            point.scheme.gap_cycles = std::max<std::size_t>(1, total_cycles / n / 2);
             planned.push_back(std::move(point));
         }
     }
@@ -213,9 +231,11 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                     config.detector.rearm_samples);
     for (std::size_t bits : config.detector.zone_bits) h = derive_seed(h, bits);
     h = derive_seed(h, prof.trigger_sample, prof.detector_fired ? 1u : 0u);
+    // A blind point hashes the configured offset count, not the count it
+    // replays (at most one per image), so that clamp moves no fingerprint.
     for (const PlannedCampaignPoint& p : planned) {
         h = derive_seed(h, scheme_hash(p.scheme), p.strikes,
-                        p.blind_offsets,
+                        p.blind_offsets > 0 ? config.blind_offsets : 0,
                         p.segment_index ? *p.segment_index + 1 : 0);
     }
     return h;
@@ -304,7 +324,7 @@ CampaignPlan plan_campaign(const Platform& platform, const data::Dataset& test_s
     plan.eval_images = std::min(config.eval_images, test_set.size());
     plan.prof = run_profiling(platform, config.detector, config.profiler);
     if (plan.prof.detector_fired) {
-        plan.points = plan_points(platform, plan.prof, config);
+        plan.points = plan_points(platform, plan.prof, config, plan.eval_images);
     }
     plan.fingerprint = campaign_fingerprint(
         config, plan.prof, plan.points, plan.eval_images,

@@ -112,7 +112,9 @@ struct PlannedCampaignPoint {
     std::optional<std::size_t> segment_index;
     std::size_t strikes = 0;
     attack::AttackScheme scheme;
-    std::size_t blind_offsets = 0; // > 0 marks a blind-baseline point
+    /// Offsets a blind-baseline point replays (> 0 marks one): the
+    /// configured count, at most one per evaluated image.
+    std::size_t blind_offsets = 0;
 };
 
 /// The complete static plan of a campaign: profiling result, every
@@ -137,8 +139,11 @@ std::string campaign_point_label(const PlannedCampaignPoint& point);
 
 /// Phase 1: profiles the victim and plans every point. Strike counts
 /// exceeding a segment's capacity (duration/2 cycles) are clamped to it,
-/// mirroring the paper's layer-length-bounded maxima. An empty strike
-/// grid, a zero strike count or zero eval images is a ContractError.
+/// mirroring the paper's layer-length-bounded maxima; blind counts are
+/// clamped the same way to the largest count whose replay fits the
+/// schedule, and a blind point replays min(blind_offsets, eval images)
+/// offsets, since image i reads offset i % n. An empty strike grid, a
+/// zero strike count or zero eval images is a ContractError.
 CampaignPlan plan_campaign(const Platform& platform, const data::Dataset& test_set,
                            const CampaignConfig& config = {});
 

@@ -87,33 +87,86 @@ public:
     /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-    /// Standard normal via Box–Muller (cached second deviate).
+    /// Standard normal via Box–Muller: the magnitude step, then the value
+    /// step. Each pair of uniforms yields two deviates, mag * cos(angle)
+    /// and then mag * sin(angle).
     double normal() {
-        if (have_cached_normal_) {
-            have_cached_normal_ = false;
-            return cached_normal_;
+        normal_magnitude();
+        return normal_value();
+    }
+
+    /// Magnitude step of normal(): the Box–Muller magnitude of the pending
+    /// deviate. Draws a new pair (both uniforms, log, sqrt) when none is
+    /// pending and nothing otherwise, so calling it again before the
+    /// deviate is taken returns the same value. The pending deviate is at
+    /// most this magnitude in absolute value, bit for bit: sin and cos lie
+    /// in [-1, 1] and rounding is monotone, so |fl(mag * c)| <= mag.
+    double normal_magnitude() {
+        if (pending_ == 0) {
+            // u1 in (0,1] avoids log(0).
+            double u1 = 0.0;
+            do {
+                u1 = uniform();
+            } while (u1 == 0.0);
+            const double u2 = uniform();
+            mag_ = std::sqrt(-2.0 * std::log(u1));
+            ang_ = 2.0 * M_PI * u2;
+            have_sin_ = false;
+            pending_ = 2;
         }
-        // Box–Muller; u1 in (0,1] avoids log(0).
-        double u1 = 0.0;
-        do {
-            u1 = uniform();
-        } while (u1 == 0.0);
-        const double u2 = uniform();
-        const double mag = std::sqrt(-2.0 * std::log(u1));
-        const double ang = 2.0 * M_PI * u2;
+        return mag_;
+    }
+
+    /// Value step of normal(): takes the pending deviate. The pair's
+    /// sincos runs on first need only; its sine is kept for the pair's
+    /// second deviate. (A pair's first deviate always finds no sine kept.)
+    double normal_value() {
+        normal_magnitude();
+        double c = 0.0;
+        if (!have_sin_) {
 #if defined(__GNUC__) && defined(__GLIBC__)
-        // glibc's sincos() shares the argument reduction and polynomial
-        // kernels of the separate sin()/cos() calls, so the pair is
-        // bit-identical to the two-call form while costing one call.
-        double s = 0.0, c = 0.0;
-        __builtin_sincos(ang, &s, &c);
+            // glibc's sincos() shares the argument reduction and polynomial
+            // kernels of the separate sin()/cos() calls, so the pair is
+            // bit-identical to the two-call form while costing one call.
+            double s = 0.0;
+            __builtin_sincos(ang_, &s, &c);
 #else
-        const double s = std::sin(ang);
-        const double c = std::cos(ang);
+            const double s = std::sin(ang_);
+            c = std::cos(ang_);
 #endif
-        cached_normal_ = mag * s;
-        have_cached_normal_ = true;
-        return mag * c;
+            sin_ = s;
+            have_sin_ = true;
+        }
+        return pending_-- == 2 ? mag_ * c : mag_ * sin_;
+    }
+
+    /// Takes the pending deviate without computing it, for a caller that
+    /// has shown from normal_magnitude() or normal_nonpositive() that its
+    /// value cannot change the outcome. The stream advances exactly as
+    /// normal_value() advances it.
+    void skip_normal() {
+        normal_magnitude();
+        --pending_;
+    }
+
+    /// True when the pending deviate is provably <= 0 from its pair's
+    /// angle alone (deviate_nonpositive); false means unknown.
+    bool normal_nonpositive() {
+        normal_magnitude();
+        return deviate_nonpositive(ang_, pending_ == 1);
+    }
+
+    /// The quadrant test of normal_nonpositive(): true only when the
+    /// cosine (`sine` false: a pair's first deviate) or the sine (`sine`
+    /// true: its second) of `angle` in [0, 2pi) is negative by a margin of
+    /// 1e-9 from the quadrant edge. The margin dwarfs the sub-ulp error of
+    /// the double pi constants and of libm's sin/cos near their zeros, so
+    /// the computed value, and so mag times it, is <= 0 whenever this
+    /// holds.
+    static bool deviate_nonpositive(double angle, bool sine) {
+        constexpr double margin = 1e-9;
+        if (sine) return angle >= M_PI + margin && angle <= 2.0 * M_PI - margin;
+        return angle >= 0.5 * M_PI + margin && angle <= 1.5 * M_PI - margin;
     }
 
     /// Normal with given mean / standard deviation.
@@ -131,24 +184,22 @@ public:
 
     /// Raw state, for checkpoint/restore.
     std::array<std::uint64_t, 4> state() const { return s_; }
-    void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; have_cached_normal_ = false; }
+    void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; pending_ = 0; }
 
     /// True when `a` and `b` will emit identical draw sequences from here
-    /// on: same xoshiro state AND same Box–Muller cache (set_state() and
-    /// state() alone cannot see the cached second normal deviate, so raw
-    /// state equality is not stream equality). The lane-batched TDC
-    /// sampler uses this to prove two lanes' noise streams coincide before
-    /// deduplicating a draw; the cached deviate is compared by bit pattern
-    /// so -0.0/0.0 and NaN cannot produce a false match.
+    /// on: same xoshiro state AND the same pending Box–Muller pair
+    /// (set_state() and state() alone cannot see a pair whose second
+    /// deviate is still pending, so raw state equality is not stream
+    /// equality). The lane-batched TDC sampler uses this to prove two
+    /// lanes' noise streams coincide before deduplicating a draw. A
+    /// pending pair is compared by the bit patterns of its magnitude and
+    /// angle, which fix every deviate it still yields (whether its sincos
+    /// has run yet does not matter), so -0.0/0.0 and NaN cannot produce a
+    /// false match.
     friend bool stream_equal(const Rng& a, const Rng& b) {
-        if (a.s_ != b.s_ || a.have_cached_normal_ != b.have_cached_normal_) {
-            return false;
-        }
-        if (!a.have_cached_normal_) return true;
-        std::uint64_t ca = 0, cb = 0;
-        __builtin_memcpy(&ca, &a.cached_normal_, sizeof(ca));
-        __builtin_memcpy(&cb, &b.cached_normal_, sizeof(cb));
-        return ca == cb;
+        if (a.s_ != b.s_ || a.pending_ != b.pending_) return false;
+        if (a.pending_ == 0) return true;
+        return bits_(a.mag_) == bits_(b.mag_) && bits_(a.ang_) == bits_(b.ang_);
     }
 
 private:
@@ -156,9 +207,24 @@ private:
         return (x << k) | (x >> (64 - k));
     }
 
+    static std::uint64_t bits_(double x) {
+        std::uint64_t b = 0;
+        __builtin_memcpy(&b, &x, sizeof(b));
+        return b;
+    }
+
     std::array<std::uint64_t, 4> s_{};
-    double cached_normal_ = 0.0;
-    bool have_cached_normal_ = false;
+    // The pending Box–Muller pair: deviates left to take (2 = both, the
+    // cosine one next; 1 = the sine one; 0 = no pair), its magnitude and
+    // angle, and its sine once sincos has run. sin_ sits between mag_ and
+    // ang_ on purpose: adjacent, their two stores get merged into one
+    // 16-byte store that the angle's reload for sincos cannot forward
+    // from, a stall that made normal() about a third slower.
+    double mag_ = 0.0;
+    double sin_ = 0.0;
+    double ang_ = 0.0;
+    std::uint8_t pending_ = 0;
+    bool have_sin_ = false;
 };
 
 } // namespace deepstrike

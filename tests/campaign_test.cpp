@@ -19,6 +19,7 @@
 #include "test_helpers.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace deepstrike::sim {
@@ -106,6 +107,102 @@ TEST(Campaign, FingerprintIsPinned) {
     auto ds = data::make_datasets(9, 1, 30);
     EXPECT_EQ(plan_campaign(platform, ds.test, small_config()).fingerprint,
               0x9f63153df6f9cb46ULL);
+}
+
+// A blind count whose replay cannot fit the schedule is capped at the
+// largest one that does, as guided counts are capped at their segment:
+// the first count over the cap becomes the cap, later ones are skipped.
+TEST(Campaign, BlindStrikeCountsCapAtTheSchedule) {
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(61));
+    auto ds = data::make_datasets(9, 1, 30);
+    const std::size_t total = platform.engine().schedule().total_cycles;
+    const std::size_t cap = (total + 1) / 2;
+    CampaignConfig cfg = small_config();
+    cfg.strike_grid = {cap, cap + 1, total, 300};
+    const CampaignPlan plan = plan_campaign(platform, ds.test, cfg);
+    ASSERT_TRUE(plan.prof.detector_fired);
+
+    std::vector<std::size_t> blind_strikes;
+    for (const PlannedCampaignPoint& p : plan.points) {
+        if (p.blind_offsets == 0) continue;
+        blind_strikes.push_back(p.strikes);
+        EXPECT_EQ(p.scheme.num_strikes, p.strikes);
+        EXPECT_LE(p.scheme.total_cycles(), total) << campaign_point_label(p);
+    }
+    EXPECT_EQ(blind_strikes, (std::vector<std::size_t>{cap, cap, 300}));
+
+    // The cap is the largest count that fits: one more strike, at the gap
+    // the planner would give it, overruns the schedule.
+    attack::AttackScheme over;
+    over.num_strikes = cap + 1;
+    over.strike_cycles = 1;
+    over.gap_cycles = std::max<std::size_t>(1, total / (cap + 1) / 2);
+    EXPECT_GT(over.total_cycles(), total);
+}
+
+/// RAII restore of the process-wide metrics switch a test turns on.
+struct MetricsOnGuard {
+    bool was_on = metrics::enabled();
+    MetricsOnGuard() { metrics::set_enabled(true); }
+    ~MetricsOnGuard() { metrics::set_enabled(was_on); }
+};
+
+// Image i reads blind offset i % n, so with fewer images than offsets a
+// blind point replays one offset per image: its record equals an
+// evaluation over all n offsets' traces, the fingerprint still hashes the
+// configured count, and the campaign co-simulates images x total cycles
+// per blind point, not offsets x total cycles.
+TEST(Campaign, BlindPointsReplayOnlyTheOffsetsImagesRead) {
+    MetricsOnGuard metrics_on;
+    Platform platform(PlatformConfig{}, deepstrike::testing::random_qnetwork(61));
+    auto ds = data::make_datasets(9, 1, 30);
+    CampaignConfig cfg = small_config();
+    cfg.eval_images = 5;
+    cfg.blind_offsets = 8;
+    const CampaignPlan plan = plan_campaign(platform, ds.test, cfg);
+
+    SweepRunner runner(platform, RunnerConfig{1});
+    std::size_t blind_points = 0;
+    std::size_t blind_faults = 0;
+    for (std::size_t i = 0; i < plan.points.size(); ++i) {
+        const PlannedCampaignPoint& p = plan.points[i];
+        if (p.blind_offsets == 0) continue;
+        ++blind_points;
+        EXPECT_EQ(p.blind_offsets, 5u);
+        const std::vector<accel::VoltageTrace> all = blind_attack_traces(
+            platform, p.scheme, cfg.blind_offsets, cfg.blind_offset_seed);
+        const AccuracyResult want = evaluate_accuracy_multi(
+            platform, ds.test, plan.eval_images, all, cfg.fault_seed);
+        const Json got =
+            evaluate_campaign_record(platform, ds.test, plan, runner, nullptr, i + 1);
+        EXPECT_EQ(got.at("accuracy_bits").as_string(), double_bits_hex(want.accuracy));
+        EXPECT_EQ(got.at("duplication_faults").as_uint(), want.faults.duplication);
+        EXPECT_EQ(got.at("random_faults").as_uint(), want.faults.random);
+        EXPECT_EQ(got.at("images").as_uint(), want.images);
+        blind_faults += want.faults.total();
+    }
+    EXPECT_EQ(blind_points, 2u);
+    EXPECT_GT(blind_faults, 0u); // not vacuous
+
+    // The fingerprint hashes the configured offset count.
+    CampaignConfig clamped = cfg;
+    clamped.blind_offsets = 5;
+    EXPECT_NE(plan_campaign(platform, ds.test, clamped).fingerprint, plan.fingerprint);
+
+    const auto cosim_cycles = [] { return metrics::counter("cosim.cycles").total(); };
+    CampaignConfig no_blind = cfg;
+    no_blind.blind_offsets = 0;
+    std::uint64_t before = cosim_cycles();
+    const CampaignReport report = run_campaign(platform, ds.test, cfg);
+    const std::uint64_t with_blind = cosim_cycles() - before;
+    before = cosim_cycles();
+    run_campaign(platform, ds.test, no_blind);
+    const std::uint64_t without_blind = cosim_cycles() - before;
+    const std::uint64_t total = platform.engine().schedule().total_cycles;
+    EXPECT_EQ(with_blind - without_blind, blind_points * 5 * total);
+    // A campaign configured with one offset per image reports the same bytes.
+    EXPECT_EQ(run_campaign(platform, ds.test, clamped).to_json().dump(),
+              report.to_json().dump());
 }
 
 TEST(Campaign, EmptyMostDamagingWhenNoGuidedPoints) {

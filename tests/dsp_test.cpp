@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "accel/dsp.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::accel {
@@ -165,6 +171,124 @@ TEST(Dsp, InvalidTimingRejected) {
     bad = DspTimingParams{};
     bad.clock_period_s = 0.0;
     EXPECT_THROW(DspSlice(0, bad, rng), ContractError);
+    bad = DspTimingParams{};
+    bad.op_jitter_sigma = -0.01;
+    EXPECT_THROW(DspSlice(0, bad, rng), ContractError);
+}
+
+// ------------------------------------------- magnitude-first evaluation
+
+/// A delay factor for `slice` at `path_scale` that puts k = path delay *
+/// path_scale * factor where the outcome is decided: anywhere within 10%
+/// of the clock period (mode 0), within 4 ulps of where k * (1 + sigma *
+/// mag) meets the period (mode 1), or within 4 ulps of where k meets it
+/// (mode 2). `mag` is the magnitude of the next jitter deviate.
+double probe_factor(const DspSlice& slice, double path_scale, double mag, int mode,
+                    Rng& pick) {
+    const double period = slice.params().clock_period_s;
+    const double unit = slice.path_delay_s() * path_scale;
+    if (mode == 0) return period / unit * pick.uniform(0.9, 1.1);
+    double factor = mode == 1
+        ? period / (unit * (1.0 + (0.0 + slice.params().op_jitter_sigma * mag)))
+        : period / unit;
+    const std::int64_t steps = pick.uniform_int(-4, 4);
+    const double toward = steps < 0 ? 0.0 : std::numeric_limits<double>::infinity();
+    for (std::int64_t i = 0; i < std::abs(steps); ++i) {
+        factor = std::nextafter(factor, toward);
+    }
+    return factor;
+}
+
+/// What check_against_eager saw: outcomes by kind, and how many
+/// evaluations the magnitude bound, the quadrant test or only the exact
+/// deviate decided.
+struct EagerCheck {
+    std::array<std::size_t, 3> kinds{};
+    std::size_t by_magnitude = 0;
+    std::size_t by_quadrant = 0;
+    std::size_t by_deviate = 0;
+};
+
+/// Runs `evaluations` evaluations over random slices, factors and path
+/// scales (under TMR, three per op at the op's factor, as the engine
+/// votes) through evaluate_with_factor, and the same ops through the
+/// eager comparison twice: with Rng::normal() deviates, whose stream must
+/// stay stream_equal to evaluate_with_factor's, and with the eager
+/// Box–Muller (testing::EagerNormal), whose xoshiro state must match.
+/// Every outcome must agree.
+EagerCheck check_against_eager(bool tmr, std::size_t evaluations, std::uint64_t seed) {
+    Rng pick(seed);
+    std::vector<DspSlice> slices;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        DspTimingParams params;
+        params.nominal_path_fraction = pick.uniform(0.8, 0.95);
+        params.op_jitter_sigma = pick.uniform(0.005, 0.05);
+        params.duplication_band = pick.uniform(0.005, 0.03);
+        slices.emplace_back(i, params, pick);
+    }
+    Rng split(seed + 1);
+    Rng full(seed + 1);
+    Rng eager_rng(seed + 1);
+    deepstrike::testing::EagerNormal eager;
+    EagerCheck seen;
+    const std::size_t reps = tmr ? 3 : 1;
+    for (std::size_t e = 0; e < evaluations; e += reps) {
+        const DspSlice& slice =
+            slices[static_cast<std::size_t>(pick.uniform_int(0, 15))];
+        const double path_scale = pick.bernoulli(0.5) ? 1.0 : pick.uniform(0.9, 1.0);
+        Rng peek = split;
+        const double factor =
+            probe_factor(slice, path_scale, peek.normal_magnitude(),
+                         static_cast<int>(pick.uniform_int(0, 2)), pick);
+        const double k = slice.path_delay_s() * path_scale * factor;
+        const double period = slice.params().clock_period_s;
+        for (std::size_t r = 0; r < reps; ++r) {
+            peek = split;
+            const double mag = peek.normal_magnitude();
+            if (k * (1.0 + (0.0 + slice.params().op_jitter_sigma * mag)) <= period) {
+                ++seen.by_magnitude;
+            } else if (k <= period && peek.normal_nonpositive()) {
+                ++seen.by_quadrant;
+            } else {
+                ++seen.by_deviate;
+            }
+            const FaultKind got = slice.evaluate_with_factor(factor, split, path_scale);
+            const FaultKind want = deepstrike::testing::eager_fault_kind(
+                slice, factor, full.normal(), path_scale);
+            const FaultKind oracle = deepstrike::testing::eager_fault_kind(
+                slice, factor, eager(eager_rng), path_scale);
+            if (got != want || oracle != want) {
+                ADD_FAILURE() << "evaluation " << e + r << ": factor " << factor
+                              << " path scale " << path_scale << " gave "
+                              << fault_kind_name(got) << ", eager "
+                              << fault_kind_name(want) << " / " << fault_kind_name(oracle);
+                return seen;
+            }
+            ++seen.kinds[static_cast<std::size_t>(got)];
+            if (!stream_equal(split, full) || split.state() != eager_rng.state()) {
+                ADD_FAILURE() << "streams diverged at evaluation " << e + r;
+                return seen;
+            }
+        }
+    }
+    return seen;
+}
+
+// evaluate_with_factor rules an op clean from the jitter's Box–Muller
+// magnitude or its angle's quadrant whenever it can, and takes the exact
+// deviate otherwise. That must be exact: the same outcome as the eager
+// comparison and the same stream position, on random factors as well as
+// on factors a few ulps either side of both bounds.
+TEST(Dsp, MagnitudeFirstEvaluationMatchesEagerComparison) {
+    for (const bool tmr : {false, true}) {
+        const EagerCheck seen = check_against_eager(tmr, 1'050'000, tmr ? 77 : 76);
+        // Not vacuous: every outcome kind and every decision step occurs
+        // often.
+        for (const std::size_t n : seen.kinds) EXPECT_GT(n, 10'000u) << "tmr " << tmr;
+        EXPECT_GT(seen.by_magnitude, 10'000u) << "tmr " << tmr;
+        EXPECT_GT(seen.by_quadrant, 10'000u) << "tmr " << tmr;
+        EXPECT_GT(seen.by_deviate, 10'000u) << "tmr " << tmr;
+    }
 }
 
 TEST(Dsp, FaultKindNames) {

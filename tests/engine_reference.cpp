@@ -48,16 +48,24 @@ struct DspPipeline {
     explicit DspPipeline(std::size_t n_dsps) : last_product(n_dsps, 0) {}
 };
 
+/// One fault-model evaluation as the engine made it before the split
+/// jitter draw: the delay factor of `v`, an eager Box–Muller deviate from
+/// `normal` on `rng`, and the eager delay comparison.
+FaultKind evaluate_eager(const DspSlice& slice, double v, const pdn::DelayModel& delay,
+                         Rng& rng, EagerNormal& normal, double path_scale = 1.0) {
+    return eager_fault_kind(slice, delay.factor(v), normal(rng), path_scale);
+}
+
 /// Evaluates one op, optionally with triple-modular-redundancy voting:
 /// under TMR an op only faults when at least two of three independent
 /// evaluations fault, and the surviving fault kind is the majority kind.
 FaultKind evaluate_op(const DspSlice& slice, double v, const pdn::DelayModel& delay,
-                      Rng& rng, double path_scale, bool tmr) {
-    if (!tmr) return slice.evaluate(v, delay, rng, path_scale);
+                      Rng& rng, EagerNormal& normal, double path_scale, bool tmr) {
+    if (!tmr) return evaluate_eager(slice, v, delay, rng, normal, path_scale);
     int dup = 0;
     int rnd = 0;
     for (int r = 0; r < 3; ++r) {
-        switch (slice.evaluate(v, delay, rng, path_scale)) {
+        switch (evaluate_eager(slice, v, delay, rng, normal, path_scale)) {
             case FaultKind::Duplication: ++dup; break;
             case FaultKind::Random: ++rnd; break;
             case FaultKind::None: break;
@@ -71,11 +79,11 @@ FaultKind evaluate_op(const DspSlice& slice, double v, const pdn::DelayModel& de
 /// timing fault substitutes for it.
 fx::Acc faulted_contribution(const DspSlice& slice, double v, double safe_v,
                              const accel::AccelEngine& engine, Rng& rng,
-                             double path_scale, std::size_t cycle,
+                             EagerNormal& normal, double path_scale, std::size_t cycle,
                              const std::vector<bool>* throttle, fx::Acc true_p,
                              fx::Acc stale_p, FaultCounts& counts) {
     if (v >= safe_v || throttled(throttle, cycle)) return true_p;
-    switch (evaluate_op(slice, v, engine.delay_model(), rng, path_scale,
+    switch (evaluate_op(slice, v, engine.delay_model(), rng, normal, path_scale,
                         engine.config().tmr_protection)) {
         case FaultKind::None:
             return true_p;
@@ -91,8 +99,8 @@ fx::Acc faulted_contribution(const DspSlice& slice, double v, double safe_v,
 
 QTensor run_conv(const accel::AccelEngine& engine, const QTensor& input,
                  const quant::QLayer& layer, const LayerSegment& seg,
-                 const VoltageTrace* voltage, Rng& rng, const std::vector<bool>* throttle,
-                 FaultCounts& counts) {
+                 const VoltageTrace* voltage, Rng& rng, EagerNormal& normal,
+                 const std::vector<bool>* throttle, FaultCounts& counts) {
     const double safe_v = engine.conv_safe_voltage();
     if (!segment_under_voltage(seg, voltage, safe_v)) {
         return quant::qconv2d(input, layer.weight, layer.bias, layer.activation);
@@ -129,7 +137,7 @@ QTensor run_conv(const accel::AccelEngine& engine, const QTensor& input,
                             acc += faulted_contribution(
                                 engine.conv_dsps()[dsp],
                                 capture_voltage(voltage, cycle, half, vdd), safe_v,
-                                engine, rng, path_scale, cycle, throttle, true_p,
+                                engine, rng, normal, path_scale, cycle, throttle, true_p,
                                 pipe.last_product[dsp], counts);
                             pipe.last_product[dsp] = true_p;
                             ++g;
@@ -146,8 +154,8 @@ QTensor run_conv(const accel::AccelEngine& engine, const QTensor& input,
 
 QTensor run_fc(const accel::AccelEngine& engine, const QTensor& input,
                const quant::QLayer& layer, const LayerSegment& seg,
-               const VoltageTrace* voltage, Rng& rng, const std::vector<bool>* throttle,
-               FaultCounts& counts) {
+               const VoltageTrace* voltage, Rng& rng, EagerNormal& normal,
+               const std::vector<bool>* throttle, FaultCounts& counts) {
     const double safe_v = engine.fc_safe_voltage();
     if (!segment_under_voltage(seg, voltage, safe_v)) {
         return quant::qdense(input, layer.weight, layer.bias, layer.activation);
@@ -174,7 +182,7 @@ QTensor run_fc(const accel::AccelEngine& engine, const QTensor& input,
                 input.at_unchecked(i), Q3_4::zero(), w.at_unchecked(o * in_n + i));
             acc += faulted_contribution(engine.fc_dsps()[dsp],
                                         capture_voltage(voltage, cycle, half, vdd), safe_v,
-                                        engine, rng, 1.0, cycle, throttle, true_p,
+                                        engine, rng, normal, 1.0, cycle, throttle, true_p,
                                         pipe.last_product[dsp], counts);
             pipe.last_product[dsp] = true_p;
             ++g;
@@ -187,8 +195,8 @@ QTensor run_fc(const accel::AccelEngine& engine, const QTensor& input,
 
 QTensor run_pool(const accel::AccelEngine& engine, const QTensor& input,
                  const quant::QLayer& layer, const LayerSegment& seg,
-                 const VoltageTrace* voltage, Rng& rng, const std::vector<bool>* throttle,
-                 FaultCounts& counts) {
+                 const VoltageTrace* voltage, Rng& rng, EagerNormal& normal,
+                 const std::vector<bool>* throttle, FaultCounts& counts) {
     const bool average = layer.kind == quant::QLayerKind::AvgPool2;
     const double safe_v = engine.pool_safe_voltage();
     if (!segment_under_voltage(seg, voltage, safe_v)) return naive_pool2(input, average);
@@ -215,8 +223,8 @@ QTensor run_pool(const accel::AccelEngine& engine, const QTensor& input,
                     // one capture at end of cycle (second half sample).
                     const double v = capture_voltage(voltage, cycle, 1, vdd);
                     if (v < safe_v && !throttled(throttle, cycle) &&
-                        engine.pool_logic().evaluate(v, engine.delay_model(), rng) !=
-                            FaultKind::None) {
+                        evaluate_eager(engine.pool_logic(), v, engine.delay_model(), rng,
+                                       normal) != FaultKind::None) {
                         faulted = true;
                         ++counts.random;
                     }
@@ -249,6 +257,13 @@ accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& 
                                const std::vector<bool>* throttle) {
     const quant::QNetwork& network = engine.network();
     expects(image.shape() == network.input_shape, "run_reference: input shape");
+    // The eager jitter draws keep their own pair cache, which starts empty:
+    // the stream must not hold a pending deviate of its own.
+    Rng no_pending = fault_rng;
+    no_pending.set_state(fault_rng.state());
+    expects(stream_equal(fault_rng, no_pending),
+            "run_reference: fault_rng holds a pending normal deviate");
+    EagerNormal normal;
 
     accel::RunResult result;
     result.faults_by_layer.reserve(network.layers.size());
@@ -270,14 +285,17 @@ accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& 
         FaultCounts counts;
         switch (layer.kind) {
             case quant::QLayerKind::Conv:
-                x = run_conv(engine, x, layer, seg, voltage, fault_rng, throttle, counts);
+                x = run_conv(engine, x, layer, seg, voltage, fault_rng, normal, throttle,
+                             counts);
                 break;
             case quant::QLayerKind::Pool2:
             case quant::QLayerKind::AvgPool2:
-                x = run_pool(engine, x, layer, seg, voltage, fault_rng, throttle, counts);
+                x = run_pool(engine, x, layer, seg, voltage, fault_rng, normal, throttle,
+                             counts);
                 break;
             case quant::QLayerKind::Dense:
-                x = run_fc(engine, x, layer, seg, voltage, fault_rng, throttle, counts);
+                x = run_fc(engine, x, layer, seg, voltage, fault_rng, normal, throttle,
+                           counts);
                 break;
         }
         result.faults_total += counts;

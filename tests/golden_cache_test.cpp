@@ -7,7 +7,6 @@
 // consumed inside unsafe windows, which run unchanged).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 namespace deepstrike::sim {
 namespace {
 
+using deepstrike::testing::bits_of;
 using deepstrike::testing::expect_same_run;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
@@ -55,12 +55,6 @@ accel::VoltageTrace random_glitch_trace(const accel::AccelEngine& engine, Rng& r
         }
     }
     return trace;
-}
-
-std::uint64_t bits_of(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
 }
 
 TEST(ForwardActivations, LastEntryEqualsForward) {

@@ -16,6 +16,7 @@
 namespace deepstrike::accel {
 namespace {
 
+using deepstrike::testing::bits_of;
 using deepstrike::testing::expect_same_run;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
@@ -92,6 +93,77 @@ TEST(Overlay, PlanCoversAllLayersAndNominalTraceIsEmpty) {
     ASSERT_EQ(none.layers.size(), engine.network().layers.size());
 }
 
+/// Checks every conv/FC overlay's factors against the delay model at the
+/// trace's samples (nominal past its end); pool overlays carry none.
+/// Adds the unsafe and safe window samples seen to the counters.
+void expect_plan_factors(const AccelEngine& engine, const VoltageTrace& trace,
+                         std::size_t& unsafe_samples, std::size_t& safe_samples) {
+    const OverlayPlan plan = engine.plan_overlay(&trace);
+    const pdn::DelayModel& delay = engine.delay_model();
+    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        const SegmentOverlay& overlay = plan.layers[i];
+        const quant::QLayerKind kind = engine.network().layers[i].kind;
+        if (kind != quant::QLayerKind::Conv && kind != quant::QLayerKind::Dense) {
+            EXPECT_TRUE(overlay.factors.empty()) << "layer " << i;
+            continue;
+        }
+        const double safe_v = kind == quant::QLayerKind::Conv ? engine.conv_safe_voltage()
+                                                              : engine.fc_safe_voltage();
+        std::size_t at = 0;
+        for (const CycleWindow& w : overlay.unsafe) {
+            for (std::size_t idx = w.begin * 2; idx < w.end * 2; ++idx, ++at) {
+                ASSERT_LT(at, overlay.factors.size()) << "layer " << i;
+                const double v = idx < trace.size() ? trace[idx] : delay.vdd;
+                if (v < safe_v) {
+                    EXPECT_EQ(bits_of(overlay.factors[at]), bits_of(delay.factor(v)))
+                        << "layer " << i << " sample " << idx;
+                    ++unsafe_samples;
+                } else {
+                    EXPECT_EQ(overlay.factors[at], -1.0) << "layer " << i << " sample " << idx;
+                    ++safe_samples;
+                }
+            }
+        }
+        EXPECT_EQ(at, overlay.factors.size()) << "layer " << i;
+    }
+}
+
+// The plan holds, for each conv/FC window sample, the delay factor the
+// delay model gives at the trace voltage, bit for bit, and -1 where the
+// sample is at or above the safe voltage, including past a short trace's
+// end. The walk on a short trace still matches the per-op oracle.
+TEST(Overlay, PlanFactorsAreTheDelayModelsAtUnsafeSamples) {
+    const AccelEngine engine = make_engine();
+    Rng trace_rng(41);
+    std::size_t unsafe_samples = 0;
+    std::size_t safe_samples = 0;
+    for (std::uint64_t trial = 0; trial < 8; ++trial) {
+        const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 2 + trial % 5);
+        expect_plan_factors(engine, trace, unsafe_samples, safe_samples);
+    }
+
+    // A droop whose last unsafe cycle keeps only its first DDR sample: the
+    // trace ends mid-cycle, so the second sample is nominal.
+    const LayerSegment& conv2 = engine.schedule().segment_for("CONV2");
+    const std::size_t c0 = conv2.start_cycle + 7;
+    VoltageTrace short_trace = nominal_trace(engine);
+    for (std::size_t i = c0 * 2; i < (c0 + 4) * 2; ++i) short_trace[i] = 0.6;
+    short_trace.resize((c0 + 3) * 2 + 1);
+    const std::size_t before = safe_samples;
+    expect_plan_factors(engine, short_trace, unsafe_samples, safe_samples);
+    EXPECT_GT(safe_samples, before);
+    for (std::uint64_t trial = 0; trial < 3; ++trial) {
+        const QTensor img = random_qimage(1300 + trial);
+        Rng rng_fast(61 + trial);
+        Rng rng_ref(61 + trial);
+        expect_same_run(run_engine(engine, img, &short_trace, rng_fast),
+                        run_reference(engine, img, &short_trace, rng_ref));
+        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
+    }
+    EXPECT_GT(unsafe_samples, 100u);
+    EXPECT_GT(safe_samples, 0u);
+}
+
 TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
     const AccelEngine engine = make_engine();
     Rng trace_rng(7);
@@ -104,6 +176,7 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         const RunResult fast = run_engine(engine, img, &trace, rng_fast);
         const RunResult ref = run_reference(engine, img, &trace, rng_ref);
         expect_same_run(fast, ref);
+        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
     }
 }
 
@@ -118,6 +191,7 @@ TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {
         Rng rng_ref(9 + trial);
         expect_same_run(run_engine(engine, img, &trace, rng_fast),
                          run_reference(engine, img, &trace, rng_ref));
+        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
     }
 }
 
@@ -136,6 +210,7 @@ TEST(Overlay, GatedRunMatchesReferenceWithThrottleMask) {
         Rng rng_ref(3 + trial);
         expect_same_run(run_engine(engine, img, &trace, rng_fast, &throttle),
                          run_reference(engine, img, &trace, rng_ref, &throttle));
+        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
     }
 }
 

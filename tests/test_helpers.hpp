@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -12,6 +13,13 @@
 #include "util/rng.hpp"
 
 namespace deepstrike::testing {
+
+/// The IEEE-754 bit pattern of `value`, for bit-exact comparisons.
+inline std::uint64_t bits_of(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
 
 /// Same shape and the same float bytes: bitwise, unlike EXPECT_NEAR or
 /// float ==, so -0.0 vs 0.0 or a NaN payload counts as a difference.
@@ -78,6 +86,62 @@ inline QTensor naive_pool2(const QTensor& input, bool average) {
         }
     }
     return out;
+}
+
+/// The eager Box–Muller that Rng::normal() computed before its split
+/// into magnitude and value steps, as a test oracle: a call with no
+/// cached deviate draws both uniforms from `rng` (u1 redrawn while zero),
+/// computes the pair's two deviates at once, returns mag * cos(angle) and
+/// caches mag * sin(angle) for the next call. It draws nothing else, so
+/// other draws from `rng` interleave with it as they did with the old
+/// Rng::normal(); reset() is its half of Rng::set_state().
+class EagerNormal {
+public:
+    double operator()(Rng& rng) {
+        if (have_cached_) {
+            have_cached_ = false;
+            return cached_;
+        }
+        double u1 = 0.0;
+        do {
+            u1 = rng.uniform();
+        } while (u1 == 0.0);
+        const double u2 = rng.uniform();
+        const double mag = std::sqrt(-2.0 * std::log(u1));
+        const double ang = 2.0 * M_PI * u2;
+#if defined(__GNUC__) && defined(__GLIBC__)
+        double s = 0.0, c = 0.0;
+        __builtin_sincos(ang, &s, &c);
+#else
+        const double s = std::sin(ang);
+        const double c = std::cos(ang);
+#endif
+        cached_ = mag * s;
+        have_cached_ = true;
+        return mag * c;
+    }
+
+    void reset() { have_cached_ = false; }
+
+private:
+    double cached_ = 0.0;
+    bool have_cached_ = false;
+};
+
+/// The delay comparison DspSlice::evaluate_with_factor made before it
+/// bounded the jitter by its magnitude first: the op's delay with
+/// standard-normal jitter deviate `z`, in the same evaluation order,
+/// against the clock period and the duplication band.
+inline accel::FaultKind eager_fault_kind(const accel::DspSlice& slice, double factor,
+                                         double z, double path_scale = 1.0) {
+    const accel::DspTimingParams& p = slice.params();
+    const double jitter = 0.0 + p.op_jitter_sigma * z;
+    const double d = slice.path_delay_s() * path_scale * factor * (1.0 + jitter);
+    if (d <= p.clock_period_s) return accel::FaultKind::None;
+    if (d <= p.clock_period_s * (1.0 + p.duplication_band)) {
+        return accel::FaultKind::Duplication;
+    }
+    return accel::FaultKind::Random;
 }
 
 /// Fills a QTensor with small random Q3.4 values in [-max_real, max_real].

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
+#include "test_helpers.hpp"
 #include "util/bitvec.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -111,6 +114,158 @@ TEST(Rng, StateRoundTrip) {
     Rng restored(0);
     restored.set_state(snapshot);
     EXPECT_EQ(restored.next(), expected);
+}
+
+using testing::bits_of;
+
+// Rng::normal()'s split steps (magnitude, then the value or a skip, with
+// the quadrant test in between) draw the eager Box–Muller's deviates bit
+// for bit and leave its xoshiro state, interleaved in random order with
+// the other draws and with set_state().
+TEST(Rng, SplitNormalStepsMatchEagerBoxMuller) {
+    Rng script(2024);
+    Rng split(99);
+    Rng eager_rng(99);
+    testing::EagerNormal eager;
+    std::size_t skipped = 0;
+    std::size_t nonpositive = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        const std::int64_t op = script.uniform_int(0, 7);
+        switch (op) {
+            case 0:
+                ASSERT_EQ(bits_of(split.normal()), bits_of(eager(eager_rng))) << i;
+                break;
+            case 1: {
+                const double mag = split.normal_magnitude();
+                ASSERT_EQ(bits_of(split.normal_magnitude()), bits_of(mag)) << i;
+                const double z = split.normal_value();
+                ASSERT_EQ(bits_of(z), bits_of(eager(eager_rng))) << i;
+                ASSERT_LE(std::abs(z), mag) << i;
+                break;
+            }
+            case 2: {
+                const double mag = split.normal_magnitude();
+                split.skip_normal();
+                ASSERT_LE(std::abs(eager(eager_rng)), mag) << i;
+                ++skipped;
+                break;
+            }
+            case 3: {
+                const bool claimed = split.normal_nonpositive();
+                const double z = split.normal_value();
+                ASSERT_EQ(bits_of(z), bits_of(eager(eager_rng))) << i;
+                if (claimed) {
+                    ASSERT_LE(z, 0.0) << i;
+                    ++nonpositive;
+                }
+                break;
+            }
+            case 4:
+                ASSERT_EQ(bits_of(split.uniform()), bits_of(eager_rng.uniform())) << i;
+                break;
+            case 5:
+                ASSERT_EQ(split.uniform_int(-5, 1000), eager_rng.uniform_int(-5, 1000)) << i;
+                break;
+            case 6: {
+                const std::array<std::uint64_t, 4> state{script.next(), script.next(),
+                                                         script.next(), script.next()};
+                split.set_state(state);
+                eager_rng.set_state(state);
+                eager.reset();
+                break;
+            }
+            default:
+                ASSERT_EQ(bits_of(split.normal(0.5, 3.0)),
+                          bits_of(0.5 + 3.0 * eager(eager_rng)))
+                    << i;
+                break;
+        }
+        ASSERT_EQ(split.state(), eager_rng.state()) << "after op " << op << " at " << i;
+    }
+    EXPECT_GT(skipped, 10'000u);
+    EXPECT_GT(nonpositive, 5'000u);
+}
+
+// stream_equal sees the pending Box–Muller pair that state() cannot, and
+// a skipped deviate advances the stream exactly as a taken one.
+TEST(Rng, StreamEqualSeesThePendingPair) {
+    Rng a(5);
+    Rng b(5);
+    EXPECT_TRUE(stream_equal(a, b));
+    a.normal();
+    EXPECT_FALSE(stream_equal(a, b));
+    b.normal();
+    EXPECT_TRUE(stream_equal(a, b)); // both hold the pair's second deviate
+    Rng restored(0);
+    restored.set_state(a.state());
+    EXPECT_FALSE(stream_equal(a, restored));
+
+    Rng skipping(6);
+    Rng taking(6);
+    skipping.normal_magnitude();
+    skipping.skip_normal();
+    taking.normal();
+    EXPECT_TRUE(stream_equal(skipping, taking));
+    EXPECT_EQ(bits_of(skipping.normal()), bits_of(taking.normal()));
+    EXPECT_TRUE(stream_equal(skipping, taking));
+}
+
+double sign_source(double angle, bool sine) {
+    double s = 0.0;
+    double c = 0.0;
+#if defined(__GNUC__) && defined(__GLIBC__)
+    __builtin_sincos(angle, &s, &c);
+#else
+    s = std::sin(angle);
+    c = std::cos(angle);
+#endif
+    return sine ? s : c;
+}
+
+// Rng::deviate_nonpositive may claim a deviate <= 0 only where sincos
+// returns a cosine (a pair's first deviate) or sine (its second) <= 0:
+// checked in nextafter steps either side of every quadrant edge and of
+// the predicate's margin around it, and across [0, 2pi).
+TEST(Rng, QuadrantPredicateAgreesWithSincosSign) {
+    constexpr double margin = 1e-9;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::size_t claimed = 0;
+    for (const bool sine : {false, true}) {
+        for (const double edge : {0.0, 0.5 * M_PI, M_PI, 1.5 * M_PI, 2.0 * M_PI}) {
+            // Nothing is claimed at a zero of the deviate's sincos half.
+            const bool zero = sine ? edge != 0.5 * M_PI && edge != 1.5 * M_PI
+                                   : edge == 0.5 * M_PI || edge == 1.5 * M_PI;
+            if (zero) {
+                EXPECT_FALSE(Rng::deviate_nonpositive(edge, sine)) << edge;
+            }
+            for (const double center : {edge - margin, edge, edge + margin}) {
+                double down = center;
+                double up = center;
+                for (int step = 0; step < 20'000; ++step) {
+                    for (const double angle : {down, up}) {
+                        if (angle < 0.0 || angle >= 2.0 * M_PI) continue;
+                        if (!Rng::deviate_nonpositive(angle, sine)) continue;
+                        ++claimed;
+                        ASSERT_LE(sign_source(angle, sine), 0.0)
+                            << "angle " << angle << (sine ? " sine" : " cosine");
+                    }
+                    down = std::nextafter(down, -inf);
+                    up = std::nextafter(up, inf);
+                }
+            }
+        }
+        // Across the circle the claimed share is a half, less the margins.
+        std::size_t swept_claims = 0;
+        constexpr int kSweep = 1'000'000;
+        for (int i = 0; i < kSweep; ++i) {
+            const double angle = 2.0 * M_PI * (i / static_cast<double>(kSweep));
+            if (!Rng::deviate_nonpositive(angle, sine)) continue;
+            ++swept_claims;
+            ASSERT_LE(sign_source(angle, sine), 0.0) << "angle " << angle;
+        }
+        EXPECT_NEAR(swept_claims / static_cast<double>(kSweep), 0.5, 1e-3);
+    }
+    EXPECT_GT(claimed, 100'000u);
 }
 
 // ---------------------------------------------------------- RunningStats
