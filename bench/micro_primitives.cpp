@@ -146,6 +146,31 @@ void BM_DspEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_DspEvaluate);
 
+// The per-op fault decision alone, as the engine's walk makes it: the
+// delay factor of a capture sample in the fault band, read from the plan
+// (here computed once outside the loop, so no pow() is timed).
+void BM_DspEvaluateWithFactor(benchmark::State& state) {
+    const ds::pdn::DelayModel delay{};
+    ds::Rng construction(1);
+    const ds::accel::DspSlice slice(0, ds::accel::DspTimingParams{}, construction);
+    ds::Rng rng(2);
+    const double factor = delay.factor(0.955); // in the fault-evaluation band
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(slice.evaluate_with_factor(factor, rng));
+    }
+}
+BENCHMARK(BM_DspEvaluateWithFactor);
+
+// One standard-normal deviate, as the TDC sampler and the dataset noise
+// draw them: a pair's two uniforms, log, sqrt and sincos every other call.
+void BM_RngNormal(benchmark::State& state) {
+    ds::Rng rng(3);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(rng.normal());
+    }
+}
+BENCHMARK(BM_RngNormal);
+
 void BM_DetectorSample(benchmark::State& state) {
     ds::attack::DnnStartDetector detector{ds::attack::DetectorConfig{}};
     const ds::pdn::DelayModel delay{};

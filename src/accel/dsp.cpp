@@ -1,6 +1,7 @@
 #include "accel/dsp.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -15,13 +16,43 @@ const char* fault_kind_name(FaultKind kind) {
     return "?";
 }
 
+JitterBrackets make_jitter_brackets() {
+    // The computed values at a bucket's two ends, each pushed outward by
+    // 1e-12 relative and 1e-9 absolute.
+    const auto widen = [](double a, double b) {
+        const double lo = std::min(a, b);
+        const double hi = std::max(a, b);
+        return JitterBrackets::Range{lo - std::abs(lo) * 1e-12 - 1e-9,
+                                     hi + std::abs(hi) * 1e-12 + 1e-9};
+    };
+    // The same expressions as Rng::normal().
+    const auto magnitude = [](double u1) { return std::sqrt(-2.0 * std::log(u1)); };
+    JitterBrackets brackets;
+    constexpr double mag_n = JitterBrackets::kMagBuckets;
+    for (std::size_t i = 0; i < JitterBrackets::kMagBuckets; ++i) {
+        const double u_lo = i == 0 ? 0x1.0p-53 : static_cast<double>(i) / mag_n;
+        brackets.mag[i] =
+            widen(magnitude(u_lo), magnitude(static_cast<double>(i + 1) / mag_n));
+    }
+    constexpr double angle_n = JitterBrackets::kAngleBuckets;
+    for (std::size_t j = 0; j < JitterBrackets::kAngleBuckets; ++j) {
+        const double a0 = 2.0 * M_PI * (static_cast<double>(j) / angle_n);
+        const double a1 = 2.0 * M_PI * (static_cast<double>(j + 1) / angle_n);
+        brackets.trig[j][0] = widen(std::cos(a0), std::cos(a1));
+        brackets.trig[j][1] = widen(std::sin(a0), std::sin(a1));
+    }
+    return brackets;
+}
+
 DspSlice::DspSlice(std::uint32_t id, const DspTimingParams& params, Rng& construction_rng)
     : id_(id), params_(params) {
     expects(params.clock_period_s > 0, "DspSlice: positive clock period");
     expects(params.nominal_path_fraction > 0 && params.nominal_path_fraction < 1,
             "DspSlice: path fraction in (0,1)");
-    // evaluate_with_factor's jitter bounds rely on a non-negative sigma.
+    // evaluate_with_factor's jitter bracket relies on a non-negative sigma
+    // and duplication band.
     expects(params.op_jitter_sigma >= 0, "DspSlice: non-negative op jitter sigma");
+    expects(params.duplication_band >= 0, "DspSlice: non-negative duplication band");
     // Process variation is fixed for the lifetime of the physical slice;
     // clamp to +-3 sigma so a pathological draw cannot create a slice that
     // violates timing at nominal voltage.

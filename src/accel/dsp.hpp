@@ -20,7 +20,10 @@
 //   the hard threshold into the smooth S-curves of Fig. 6b.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "fx/fixed.hpp"
 #include "pdn/delay.hpp"
@@ -31,6 +34,86 @@ namespace deepstrike::accel {
 enum class FaultKind : std::uint8_t { None = 0, Duplication, Random };
 
 const char* fault_kind_name(FaultKind kind);
+
+/// Bounds on the two factors of a Box–Muller deviate mag * c over buckets
+/// of the pair's uniforms, built once from libm (make_jitter_brackets):
+/// `mag[i]` holds sqrt(-2 log u1) for u1 in [i, i + 1) / kMagBuckets
+/// (from 2^-53, the least nonzero uniform, in bucket 0), and
+/// `trig[j][0]` / `trig[j][1]` hold cos / sin(2 pi u2) for u2 in
+/// [j, j + 1) / kAngleBuckets. No angle bucket straddles a quadrant edge,
+/// so cos and sin are monotone in each and their end values bound them.
+/// Each range is widened by 1e-12 relative and 1e-9 absolute, which
+/// dwarfs libm's sub-ulp errors and the rounding of 2 pi u2. 48 KB.
+struct JitterBrackets {
+    static constexpr std::size_t kMagBuckets = 1024;
+    static constexpr std::size_t kAngleBuckets = 1024;
+
+    struct Range {
+        double lo = 0.0;
+        double hi = 0.0;
+    };
+    std::array<Range, kMagBuckets> mag{};
+    std::array<std::array<Range, 2>, kAngleBuckets> trig{};
+};
+
+JitterBrackets make_jitter_brackets();
+
+/// The process-wide brackets, built on first use.
+inline const JitterBrackets& jitter_brackets() {
+    static const JitterBrackets brackets = make_jitter_brackets();
+    return brackets;
+}
+
+/// bracket_fault_kind's answer: whether bounds alone settle the op, and
+/// then its outcome (`kind` means nothing when `settled` is false).
+struct BracketedFault {
+    bool settled = false;
+    FaultKind kind = FaultKind::None;
+};
+
+/// The outcome of an op with delay d = k * (1 + (0 + sigma * z)), where z
+/// is the Box–Muller deviate of uniforms u1 in [2^-53, 1) and u2 in
+/// [0, 1) (its pair's second deviate when `sine`), when table bounds on z
+/// settle it; unsettled when only z's value can. With z's magnitude in
+/// [m.lo, m.hi] and its cosine or sine in [c.lo, c.hi] (jitter_brackets),
+/// z lies in [z_lo, z_hi] = [min(m.lo * c.lo, m.hi * c.lo),
+/// max(m.hi * c.hi, m.lo * c.hi)]: mag >= 0 puts the extremes of mag * c
+/// at these corners, and a rounded product keeps the order of the exact
+/// ones. Every step from z to d is monotone under round-to-nearest (k,
+/// sigma >= 0), so d lies in [d(z_lo), d(z_hi)], and the outcome, which
+/// never falls as d grows (band >= 0), is settled when both ends give the
+/// same one: none when d(z_hi) <= T, duplication when d(z_lo) > T and
+/// d(z_hi) <= T * (1 + band), random when d(z_lo) > T * (1 + band). Pure:
+/// draws nothing. Branch-free: both ends run as the two lanes of one
+/// vector.
+inline BracketedFault bracket_fault_kind(double u1, double u2, bool sine, double k,
+                                         double sigma, double period, double band) {
+    using Pair = double __attribute__((vector_size(16)));  // {low end, high end}
+    const JitterBrackets& brackets = jitter_brackets();
+    Pair m{};
+    Pair c{};
+    std::memcpy(&m, &brackets.mag[static_cast<int>(u1 * JitterBrackets::kMagBuckets)],
+                sizeof m);
+    std::memcpy(&c,
+                &brackets.trig[static_cast<int>(u2 * JitterBrackets::kAngleBuckets)]
+                              [sine ? 1 : 0],
+                sizeof c);
+    const Pair p = m * c;                                    // {m.lo c.lo, m.hi c.hi}
+    const Pair q = __builtin_shufflevector(m, m, 1, 0) * c;  // {m.hi c.lo, m.lo c.hi}
+    // {z_lo, z_hi}: lane 0 of the lane-wise minimum, lane 1 of the maximum.
+    const Pair z = __builtin_shufflevector(p < q ? p : q, p > q ? p : q, 0, 3);
+    // The exact delay's 0 + step changes no value (0 + x is x but for
+    // x = -0, and 1 + -0 is 1 + 0), so the ends skip it.
+    const Pair d = k * (Pair{1.0, 1.0} + sigma * z);
+    // Each end's outcome as a lane, 0 (none), -1 (duplication) or -2
+    // (random): a lane is -1 for each limit its delay exceeds (NaN
+    // exceeds both, as in the exact comparison). The ends settle the op
+    // when they agree.
+    using Lanes = long long __attribute__((vector_size(16)));
+    const Lanes outcome = ~(d <= period) + ~(d <= period * (1.0 + band));
+    const Lanes disagree = outcome ^ __builtin_shufflevector(outcome, outcome, 1, 0);
+    return {disagree[0] == 0, static_cast<FaultKind>(-outcome[0])};
+}
 
 struct DspTimingParams {
     double clock_period_s = 5e-9;     // 200 MHz DSP clock (DDR vs 100 MHz fabric)
@@ -74,30 +157,30 @@ public:
     /// of evaluate(), making the two entry points bit-identical.
     ///
     /// The op's jitter deviate z enters as d = k * (1 + (0 + sigma * z))
-    /// with k = (path delay * path_scale) * factor, and the op is clean
-    /// iff d <= T. Every step from z to d is monotone under
-    /// round-to-nearest (k, sigma >= 0), and z <= the pair's Box–Muller
-    /// magnitude, so the deviate's value is needed only when neither
-    /// bound settles the outcome: the magnitude in z's place gives
-    /// d <= T, or k <= T and the pair's angle puts z <= 0. Otherwise the
-    /// exact deviate takes the comparison. Either way the deviate is
-    /// taken and the stream advances as normal() advances it, so every
-    /// outcome and every later draw is the one the eager comparison gives
+    /// with k = (path delay * path_scale) * factor. bracket_fault_kind
+    /// decides the outcome from table bounds on z's Box–Muller pair
+    /// whenever they settle it, so z's value (log, sqrt, sincos) is
+    /// computed only for the few ops whose delay lies too close to the
+    /// period or the duplication limit. Either way the deviate is taken
+    /// and the stream advances as normal() advances it, so every outcome
+    /// and every later draw is the one the eager comparison gives
     /// (tests/dsp_test.cpp).
     FaultKind evaluate_with_factor(double factor, Rng& op_rng,
                                    double path_scale = 1.0) const {
         const double k = path_delay_s_ * path_scale * factor;
         const double sigma = params_.op_jitter_sigma;
         const double period = params_.clock_period_s;
-        const double mag = op_rng.normal_magnitude();
-        if (k * (1.0 + (0.0 + sigma * mag)) <= period ||
-            (k <= period && op_rng.normal_nonpositive())) {
+        const double band = params_.duplication_band;
+        const Rng::PendingNormal z = op_rng.pending_normal();
+        const BracketedFault bracketed =
+            bracket_fault_kind(z.u1, z.u2, z.sine, k, sigma, period, band);
+        if (bracketed.settled) {
             op_rng.skip_normal();
-            return FaultKind::None;
+            return bracketed.kind;
         }
-        const double d = k * (1.0 + (0.0 + sigma * op_rng.normal_value()));
+        const double d = k * (1.0 + (0.0 + sigma * op_rng.normal()));
         if (d <= period) return FaultKind::None;
-        if (d <= period * (1.0 + params_.duplication_band)) return FaultKind::Duplication;
+        if (d <= period * (1.0 + band)) return FaultKind::Duplication;
         return FaultKind::Random;
     }
 

@@ -96,13 +96,14 @@ FaultKind evaluate_op_with_factor(const DspSlice& slice, double factor, Rng& rng
     return dup >= rnd ? FaultKind::Duplication : FaultKind::Random;
 }
 
-/// SegmentOverlay::factors of a conv/FC segment: the delay factor of each
-/// capture sample of `windows` in `voltage`, -1 where the sample is at or
-/// above `safe_v`. Samples past the trace's end are nominal, as in
-/// unsafe_windows.
+/// SegmentOverlay::factors of a segment: the delay factor of each capture
+/// sample of `windows` in `voltage`, -1 where the sample is at or above
+/// `safe_v` or its DDR half is not in `half_mask` (as in unsafe_windows).
+/// Samples past the trace's end are nominal, as in unsafe_windows.
 std::vector<double> window_factors(const std::vector<CycleWindow>& windows,
                                    const VoltageTrace& voltage, double safe_v,
-                                   const pdn::DelayModel& delay) {
+                                   const pdn::DelayModel& delay,
+                                   unsigned half_mask = 3u) {
     std::size_t samples = 0;
     for (const CycleWindow& w : windows) samples += 2 * (w.end - w.begin);
     std::vector<double> factors;
@@ -110,7 +111,8 @@ std::vector<double> window_factors(const std::vector<CycleWindow>& windows,
     for (const CycleWindow& w : windows) {
         for (std::size_t idx = w.begin * 2; idx < w.end * 2; ++idx) {
             const double v = idx < voltage.size() ? voltage[idx] : delay.vdd;
-            factors.push_back(v < safe_v ? delay.factor(v) : -1.0);
+            const bool captures = (half_mask & (1u << (idx & 1))) != 0;
+            factors.push_back(captures && v < safe_v ? delay.factor(v) : -1.0);
         }
     }
     return factors;
@@ -167,6 +169,8 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
                 // capture per cycle, at the second DDR sample (cycle end).
                 overlay.unsafe =
                     unsafe_windows(seg, voltage, pool_safe_v_, /*half_mask=*/2u);
+                overlay.factors = window_factors(overlay.unsafe, *voltage, pool_safe_v_,
+                                                 delay_, /*half_mask=*/2u);
                 break;
             case quant::QLayerKind::Dense:
                 overlay.unsafe = unsafe_windows(seg, voltage, fc_safe_v_);
@@ -352,8 +356,7 @@ QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
 
 QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
                               const LayerSegment& seg, const SegmentOverlay& overlay,
-                              const VoltageTrace* voltage, Rng& rng,
-                              const std::vector<bool>* throttle,
+                              Rng& rng, const std::vector<bool>* throttle,
                               FaultCounts& counts) const {
     const bool average = layer.kind == quant::QLayerKind::AvgPool2;
     if (!overlay.any()) return average ? quant::qavgpool2(input) : quant::qmaxpool2(input);
@@ -364,6 +367,21 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
     const std::size_t oh = input.shape().dim(1) / 2;
     const std::size_t ow = input.shape().dim(2) / 2;
     QTensor out(Shape{ch, oh, ow});
+
+    // The delay factor of a comparator capture in `cycle` (ascending over
+    // the walk), -1 when it draws nothing: the plan's entry for the
+    // cycle's second DDR sample (comparators capture at cycle end) inside
+    // a window, and none outside one.
+    auto win = overlay.unsafe.begin();
+    const double* win_factors = overlay.factors.data();
+    const auto capture_factor = [&](std::size_t cycle) {
+        while (win != overlay.unsafe.end() && win->end <= cycle) {
+            win_factors += 2 * (win->end - win->begin);
+            ++win;
+        }
+        if (win == overlay.unsafe.end() || cycle < win->begin) return -1.0;
+        return win_factors[2 * (cycle - win->begin) + 1];
+    };
 
     std::size_t g = 0;
     const std::size_t opc = seg.ops_per_cycle;
@@ -377,14 +395,9 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
                 bool faulted = false;
                 for (std::size_t cmp = 0; cmp < 4; ++cmp) {
                     const std::size_t cycle = seg.start_cycle + g / opc;
-                    // Pool comparators are registered on the fabric clock:
-                    // one capture at end of cycle (second half sample).
-                    const std::size_t sidx = cycle * 2 + 1;
-                    const double v = voltage != nullptr && sidx < voltage->size()
-                                         ? (*voltage)[sidx]
-                                         : delay_.vdd;
-                    if (v < pool_safe_v_ && !throttled(throttle, cycle) &&
-                        pool_logic_.evaluate(v, delay_, rng) != FaultKind::None) {
+                    const double factor = capture_factor(cycle);
+                    if (factor >= 0.0 && !throttled(throttle, cycle) &&
+                        pool_logic_.evaluate_with_factor(factor, rng) != FaultKind::None) {
                         faulted = true;
                         ++counts.random;
                     }
@@ -405,8 +418,7 @@ QTensor AccelEngine::run_pool(const QTensor& input, const quant::QLayer& layer,
 }
 
 QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
-                               const SegmentOverlay& overlay,
-                               const VoltageTrace* voltage, Rng& rng,
+                               const SegmentOverlay& overlay, Rng& rng,
                                const std::vector<bool>* throttle, FaultCounts& counts,
                                const std::vector<fx::Acc>* golden_accs) const {
     const quant::QLayer& layer = network_.layers[i];
@@ -426,7 +438,7 @@ QTensor AccelEngine::run_layer(std::size_t i, const QTensor& input,
                             *golden_accs);
         case quant::QLayerKind::Pool2:
         case quant::QLayerKind::AvgPool2:
-            return run_pool(input, layer, seg, overlay, voltage, rng, throttle, counts);
+            return run_pool(input, layer, seg, overlay, rng, throttle, counts);
         case quant::QLayerKind::Dense:
             if (golden_accs == nullptr) {
                 quant::gemm::dense_accs(input, layer.weight, layer.bias, accs);
@@ -482,7 +494,7 @@ RunResult AccelEngine::run_elided(
             ++result.golden_layers_reused;
         } else {
             const QTensor& in = diverged ? x : i == 0 ? image : golden_layers[i - 1];
-            QTensor out = run_layer(i, in, overlay, voltage, fault_rng, throttle, counts,
+            QTensor out = run_layer(i, in, overlay, fault_rng, throttle, counts,
                                     diverged ? nullptr : &golden_accs[i]);
             ops_executed += schedule_.segment_for_layer(i).total_ops;
             if (diverged || counts.total() != 0) {

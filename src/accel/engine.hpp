@@ -99,9 +99,10 @@ public:
 
     /// Precomputes the per-layer unsafe-interval overlay for `voltage`
     /// (nullptr = nominal: every layer safe), with the delay factor of
-    /// every conv/FC capture sample inside a window. The plan depends only
-    /// on the (trace, schedule, safe voltages, delay model) tuple — one
-    /// plan serves every image evaluated on the trace.
+    /// every capture sample inside a window. The plan depends only on the
+    /// (trace, schedule, safe voltages, delay model) tuple — one plan
+    /// serves every image evaluated on the trace, and it is the only
+    /// engine step that reads the trace.
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
     /// Runs one inference, the engine's only inference entry. It answers
@@ -119,7 +120,9 @@ public:
     ///     their accumulators from the perturbed activation.
     /// `voltage` may be nullptr (nominal, fault-free) or shorter than the
     /// schedule (remaining cycles assume nominal); `plan` must be
-    /// plan_overlay(voltage). `fault_rng` drives fault-model draws; it is
+    /// plan_overlay(voltage), whose windows and delay factors are all the
+    /// walk reads (`voltage` itself only checks the plan's sample count).
+    /// `fault_rng` drives fault-model draws; it is
     /// only consumed during under-voltage cycles, so fault-free runs are
     /// rng-independent. `throttle` optionally marks fabric cycles where a
     /// defensive clock throttle is active: DSP ops in those cycles run at
@@ -146,8 +149,7 @@ private:
     /// Layer i of run_elided: a conv/FC layer takes its fault-free
     /// accumulators from `golden_accs`, or from one im2col/GEMM pass when
     /// that is null, then run_conv/run_fc.
-    QTensor run_layer(std::size_t i, const QTensor& input,
-                      const SegmentOverlay& overlay, const VoltageTrace* voltage,
+    QTensor run_layer(std::size_t i, const QTensor& input, const SegmentOverlay& overlay,
                       Rng& rng, const std::vector<bool>* throttle, FaultCounts& counts,
                       const std::vector<fx::Acc>* golden_accs) const;
 
@@ -165,10 +167,10 @@ private:
                    const std::vector<bool>* throttle, FaultCounts& counts,
                    const std::vector<fx::Acc>& golden_accs) const;
     /// Pool layer of run_layer: golden pooling when the overlay has no unsafe
-    /// window, else a per-comparator walk of the whole segment.
+    /// window, else a per-comparator walk of the whole segment that draws
+    /// each window capture with its delay factor from the plan.
     QTensor run_pool(const QTensor& input, const quant::QLayer& layer,
-                     const LayerSegment& seg, const SegmentOverlay& overlay,
-                     const VoltageTrace* voltage, Rng& rng,
+                     const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
                      const std::vector<bool>* throttle, FaultCounts& counts) const;
 
     /// The golden-plus-deltas fault walk shared by run_conv and run_fc.

@@ -14,8 +14,8 @@
 // per-point precomputation: compute it next to the trace and share it
 // across all evaluated images instead of re-scanning the trace per layer
 // per image. For the same reason the plan also carries the delay factor of
-// every DSP capture sample inside a window, so the conv/FC fault walks
-// read only the plan, never the trace or the delay model.
+// every capture sample inside a window, so the fault walks read only the
+// plan, never the trace or the delay model.
 #pragma once
 
 #include <cstddef>
@@ -43,12 +43,13 @@ struct CycleWindow {
 /// Unsafe intervals of one schedule segment at its layer's safe voltage.
 struct SegmentOverlay {
     std::vector<CycleWindow> unsafe;
-    /// Conv/FC segments only (empty for pools): the delay factor
-    /// (pdn::DelayModel::factor) of each capture sample of the unsafe
-    /// windows, or -1 where the sample is at or above the safe voltage and
-    /// its ops draw nothing. Two entries per window cycle (DDR halves 0
-    /// and 1), windows in order. The fault walk reads an op's factor here
-    /// instead of evaluating the delay model for every image.
+    /// The delay factor (pdn::DelayModel::factor) of each capture sample
+    /// of the unsafe windows, or -1 where the sample is at or above the
+    /// safe voltage and its ops draw nothing. Two entries per window cycle
+    /// (DDR halves 0 and 1), windows in order; in a pool segment the first
+    /// half is always -1, as comparators capture only at cycle end. The
+    /// fault walks read an op's factor here instead of evaluating the
+    /// delay model for every image.
     std::vector<double> factors;
 
     bool any() const { return !unsafe.empty(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -123,10 +124,13 @@ namespace {
 /// windows), so results are byte-identical at any thread count.
 AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& dataset,
                                std::size_t n_images,
-                               const std::vector<accel::VoltageTrace>& traces,
-                               const std::vector<accel::OverlayPlan>& plans,
+                               std::span<const accel::VoltageTrace> traces,
+                               std::span<const accel::OverlayPlan> plans,
                                const std::vector<bool>* throttle,
                                std::uint64_t fault_seed, const GoldenStore* golden) {
+    expects(dataset.size() > 0, "evaluate_accuracy: non-empty dataset");
+    n_images = std::min(n_images, dataset.size());
+    expects(n_images > 0, "evaluate_accuracy: at least one image");
     expects(golden == nullptr || golden->size() >= n_images,
             "evaluate_accuracy: the golden store must cover every evaluated image");
     trace::Span span("evaluate", "experiment");
@@ -202,14 +206,16 @@ AccuracyResult evaluate_accuracy(const Platform& platform, const data::Dataset& 
                                  std::uint64_t fault_seed,
                                  const accel::OverlayPlan* plan,
                                  const GoldenStore* golden) {
-    std::vector<accel::VoltageTrace> traces;
-    std::vector<accel::OverlayPlan> plans;
-    if (trace != nullptr) {
-        traces.push_back(*trace);
-        if (plan != nullptr) plans.push_back(*plan);
+    // The caller's trace and plan are read in place; a trace without a
+    // plan gets one, built once here.
+    accel::OverlayPlan local_plan;
+    if (trace != nullptr && plan == nullptr) {
+        local_plan = platform.engine().plan_overlay(trace);
+        plan = &local_plan;
     }
-    return evaluate_accuracy_multi(platform, dataset, n_images, traces, fault_seed,
-                                   plans.empty() ? nullptr : &plans, golden);
+    const std::size_t n_traces = trace != nullptr ? 1 : 0;
+    return evaluate_images(platform, dataset, n_images, {trace, n_traces},
+                           {plan, n_traces}, nullptr, fault_seed, golden);
 }
 
 AccuracyResult evaluate_accuracy_multi(const Platform& platform,
@@ -219,9 +225,6 @@ AccuracyResult evaluate_accuracy_multi(const Platform& platform,
                                        std::uint64_t fault_seed,
                                        const std::vector<accel::OverlayPlan>* plans,
                                        const GoldenStore* golden) {
-    expects(dataset.size() > 0, "evaluate_accuracy: non-empty dataset");
-    n_images = std::min(n_images, dataset.size());
-    expects(n_images > 0, "evaluate_accuracy: at least one image");
     expects(plans == nullptr || plans->size() == traces.size(),
             "evaluate_accuracy: one overlay plan per trace");
 
@@ -269,18 +272,17 @@ AccuracyResult evaluate_accuracy_defended(const Platform& platform,
                                           std::uint64_t fault_seed,
                                           const accel::OverlayPlan* plan,
                                           const GoldenStore* golden) {
-    expects(dataset.size() > 0, "evaluate_accuracy_defended: non-empty dataset");
-    n_images = std::min(n_images, dataset.size());
-    expects(n_images > 0, "evaluate_accuracy_defended: at least one image");
 
     // The throttle suppresses fault evaluation inside windows but never
     // adds windows, so the golden elision tiers stay valid: a throttled op
     // draws no RNG, exactly as in a whole-segment per-op walk.
-    std::vector<accel::VoltageTrace> traces{trace};
-    std::vector<accel::OverlayPlan> plans;
-    plans.push_back(plan != nullptr ? *plan : platform.engine().plan_overlay(&trace));
-    return evaluate_images(platform, dataset, n_images, traces, plans, &throttle,
-                           fault_seed, golden);
+    accel::OverlayPlan local_plan;
+    if (plan == nullptr) {
+        local_plan = platform.engine().plan_overlay(&trace);
+        plan = &local_plan;
+    }
+    return evaluate_images(platform, dataset, n_images, {&trace, 1}, {plan, 1},
+                           &throttle, fault_seed, golden);
 }
 
 DspRigResult run_dsp_characterization(std::size_t n_striker_cells,

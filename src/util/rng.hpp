@@ -87,86 +87,59 @@ public:
     /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-    /// Standard normal via Box–Muller: the magnitude step, then the value
-    /// step. Each pair of uniforms yields two deviates, mag * cos(angle)
-    /// and then mag * sin(angle).
+    /// Standard normal via Box–Muller. Each pair of uniforms, u1 in
+    /// (0, 1) and u2 in [0, 1), yields two deviates, mag * cos(angle) and
+    /// then mag * sin(angle), with mag = sqrt(-2 log u1) and angle =
+    /// 2 pi u2. The pair's magnitude and sincos run on the first deviate
+    /// taken by value; its sine is kept for the second.
     double normal() {
-        normal_magnitude();
-        return normal_value();
-    }
-
-    /// Magnitude step of normal(): the Box–Muller magnitude of the pending
-    /// deviate. Draws a new pair (both uniforms, log, sqrt) when none is
-    /// pending and nothing otherwise, so calling it again before the
-    /// deviate is taken returns the same value. The pending deviate is at
-    /// most this magnitude in absolute value, bit for bit: sin and cos lie
-    /// in [-1, 1] and rounding is monotone, so |fl(mag * c)| <= mag.
-    double normal_magnitude() {
-        if (pending_ == 0) {
-            // u1 in (0,1] avoids log(0).
-            double u1 = 0.0;
-            do {
-                u1 = uniform();
-            } while (u1 == 0.0);
-            const double u2 = uniform();
-            mag_ = std::sqrt(-2.0 * std::log(u1));
-            ang_ = 2.0 * M_PI * u2;
-            have_sin_ = false;
-            pending_ = 2;
+        if (pending_ == 0) draw_pair_();
+        if (have_sin_) {
+            pending_ = 0;
+            return mag_ * sin_;
         }
-        return mag_;
-    }
-
-    /// Value step of normal(): takes the pending deviate. The pair's
-    /// sincos runs on first need only; its sine is kept for the pair's
-    /// second deviate. (A pair's first deviate always finds no sine kept.)
-    double normal_value() {
-        normal_magnitude();
+        const double mag = std::sqrt(-2.0 * std::log(u1_));
+        const double angle = 2.0 * M_PI * u2_;
+        double s = 0.0;
         double c = 0.0;
-        if (!have_sin_) {
 #if defined(__GNUC__) && defined(__GLIBC__)
-            // glibc's sincos() shares the argument reduction and polynomial
-            // kernels of the separate sin()/cos() calls, so the pair is
-            // bit-identical to the two-call form while costing one call.
-            double s = 0.0;
-            __builtin_sincos(ang_, &s, &c);
+        // glibc's sincos() shares the argument reduction and polynomial
+        // kernels of the separate sin()/cos() calls, so the pair is
+        // bit-identical to the two-call form while costing one call.
+        __builtin_sincos(angle, &s, &c);
 #else
-            const double s = std::sin(ang_);
-            c = std::cos(ang_);
+        s = std::sin(angle);
+        c = std::cos(angle);
 #endif
-            sin_ = s;
-            have_sin_ = true;
-        }
-        return pending_-- == 2 ? mag_ * c : mag_ * sin_;
+        if (--pending_ == 0) return mag * s;
+        mag_ = mag;
+        sin_ = s;
+        have_sin_ = true;
+        return mag * c;
+    }
+
+    /// What the pending deviate is computed from, for a caller that can
+    /// often decide from bounds on these alone whether it needs the value.
+    struct PendingNormal {
+        double u1 = 0.0;    // the magnitude's uniform, in [2^-53, 1)
+        double u2 = 0.0;    // the angle's uniform, in [0, 1)
+        bool sine = false;  // the pair's second deviate (mag * sin(angle))
+    };
+
+    /// The pending deviate's pair and position. Draws a new pair's two
+    /// uniforms (no libm call) when none is pending and nothing otherwise,
+    /// so calling it again before the deviate is taken returns the same.
+    PendingNormal pending_normal() {
+        if (pending_ == 0) draw_pair_();
+        return {u1_, u2_, pending_ == 1};
     }
 
     /// Takes the pending deviate without computing it, for a caller that
-    /// has shown from normal_magnitude() or normal_nonpositive() that its
-    /// value cannot change the outcome. The stream advances exactly as
-    /// normal_value() advances it.
+    /// has shown from pending_normal() that its value cannot change the
+    /// outcome. The stream advances exactly as normal() advances it.
     void skip_normal() {
-        normal_magnitude();
+        if (pending_ == 0) draw_pair_();
         --pending_;
-    }
-
-    /// True when the pending deviate is provably <= 0 from its pair's
-    /// angle alone (deviate_nonpositive); false means unknown.
-    bool normal_nonpositive() {
-        normal_magnitude();
-        return deviate_nonpositive(ang_, pending_ == 1);
-    }
-
-    /// The quadrant test of normal_nonpositive(): true only when the
-    /// cosine (`sine` false: a pair's first deviate) or the sine (`sine`
-    /// true: its second) of `angle` in [0, 2pi) is negative by a margin of
-    /// 1e-9 from the quadrant edge. The margin dwarfs the sub-ulp error of
-    /// the double pi constants and of libm's sin/cos near their zeros, so
-    /// the computed value, and so mag times it, is <= 0 whenever this
-    /// holds.
-    static bool deviate_nonpositive(double angle, bool sine) {
-        constexpr double margin = 1e-9;
-        if (sine) return angle >= M_PI + margin && angle <= 2.0 * M_PI - margin;
-        return angle >= 0.5 * M_PI + margin && angle <= 1.5 * M_PI - margin;
     }
 
     /// Normal with given mean / standard deviation.
@@ -192,14 +165,13 @@ public:
     /// deviate is still pending, so raw state equality is not stream
     /// equality). The lane-batched TDC sampler uses this to prove two
     /// lanes' noise streams coincide before deduplicating a draw. A
-    /// pending pair is compared by the bit patterns of its magnitude and
-    /// angle, which fix every deviate it still yields (whether its sincos
-    /// has run yet does not matter), so -0.0/0.0 and NaN cannot produce a
-    /// false match.
+    /// pending pair is compared by the bit patterns of its two uniforms,
+    /// which fix every deviate it still yields (whether its magnitude or
+    /// sincos has run yet does not matter).
     friend bool stream_equal(const Rng& a, const Rng& b) {
         if (a.s_ != b.s_ || a.pending_ != b.pending_) return false;
         if (a.pending_ == 0) return true;
-        return bits_(a.mag_) == bits_(b.mag_) && bits_(a.ang_) == bits_(b.ang_);
+        return bits_(a.u1_) == bits_(b.u1_) && bits_(a.u2_) == bits_(b.u2_);
     }
 
 private:
@@ -213,16 +185,31 @@ private:
         return b;
     }
 
+    /// Starts a Box–Muller pair: its two uniforms, u1 redrawn while zero
+    /// (log(0) is -inf). Nothing is computed from them yet.
+    void draw_pair_() {
+        double u1 = 0.0;
+        do {
+            u1 = uniform();
+        } while (u1 == 0.0);
+        u1_ = u1;
+        u2_ = uniform();
+        have_sin_ = false;
+        pending_ = 2;
+    }
+
     std::array<std::uint64_t, 4> s_{};
     // The pending Box–Muller pair: deviates left to take (2 = both, the
-    // cosine one next; 1 = the sine one; 0 = no pair), its magnitude and
-    // angle, and its sine once sincos has run. sin_ sits between mag_ and
-    // ang_ on purpose: adjacent, their two stores get merged into one
-    // 16-byte store that the angle's reload for sincos cannot forward
-    // from, a stall that made normal() about a third slower.
+    // cosine one next; 1 = the sine one; 0 = no pair), its two uniforms,
+    // and its magnitude and sine once its first deviate has been taken by
+    // value (have_sin_). mag_ sits between u1_ and u2_ on purpose:
+    // adjacent, their two stores get merged into one 16-byte store that
+    // the next op's reload of u2_ cannot forward from, a stall that made
+    // a fault decision about a third slower.
+    double u1_ = 0.0;
     double mag_ = 0.0;
+    double u2_ = 0.0;
     double sin_ = 0.0;
-    double ang_ = 0.0;
     std::uint8_t pending_ = 0;
     bool have_sin_ = false;
 };

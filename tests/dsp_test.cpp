@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "accel/dsp.hpp"
@@ -174,39 +175,180 @@ TEST(Dsp, InvalidTimingRejected) {
     bad = DspTimingParams{};
     bad.op_jitter_sigma = -0.01;
     EXPECT_THROW(DspSlice(0, bad, rng), ContractError);
+    bad = DspTimingParams{};
+    bad.duplication_band = -0.01;
+    EXPECT_THROW(DspSlice(0, bad, rng), ContractError);
 }
 
-// ------------------------------------------- magnitude-first evaluation
+// ------------------------------------------------- bracketed evaluation
 
-/// A delay factor for `slice` at `path_scale` that puts k = path delay *
-/// path_scale * factor where the outcome is decided: anywhere within 10%
-/// of the clock period (mode 0), within 4 ulps of where k * (1 + sigma *
-/// mag) meets the period (mode 1), or within 4 ulps of where k meets it
-/// (mode 2). `mag` is the magnitude of the next jitter deviate.
-double probe_factor(const DspSlice& slice, double path_scale, double mag, int mode,
-                    Rng& pick) {
-    const double period = slice.params().clock_period_s;
-    const double unit = slice.path_delay_s() * path_scale;
-    if (mode == 0) return period / unit * pick.uniform(0.9, 1.1);
-    double factor = mode == 1
-        ? period / (unit * (1.0 + (0.0 + slice.params().op_jitter_sigma * mag)))
-        : period / unit;
-    const std::int64_t steps = pick.uniform_int(-4, 4);
-    const double toward = steps < 0 ? 0.0 : std::numeric_limits<double>::infinity();
-    for (std::int64_t i = 0; i < std::abs(steps); ++i) {
-        factor = std::nextafter(factor, toward);
+/// `x` moved `steps` ulps up (steps > 0) or down.
+double nudge(double x, std::int64_t steps) {
+    const double toward = steps < 0 ? -std::numeric_limits<double>::infinity()
+                                    : std::numeric_limits<double>::infinity();
+    for (std::int64_t i = 0; i < std::abs(steps); ++i) x = std::nextafter(x, toward);
+    return x;
+}
+
+/// Slices with random path fractions, jitter sigmas and duplication
+/// bands around the product's.
+std::vector<DspSlice> random_slices(Rng& pick) {
+    std::vector<DspSlice> slices;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        DspTimingParams params;
+        params.nominal_path_fraction = pick.uniform(0.8, 0.95);
+        params.op_jitter_sigma = pick.uniform(0.005, 0.05);
+        params.duplication_band = pick.uniform(0.005, 0.03);
+        slices.emplace_back(i, params, pick);
     }
-    return factor;
+    return slices;
+}
+
+/// A delay factor for `slice` at `path_scale` that puts the outcome of
+/// jitter deviate `z` where it is decided: the jitter-free delay anywhere
+/// within 10% of the clock period (mode 0), or the delay with jitter z
+/// within 4 ulps of the period (mode 1) or of the duplication limit
+/// (mode 2).
+double probe_factor(const DspSlice& slice, double path_scale, double z, int mode,
+                    Rng& pick) {
+    const DspTimingParams& p = slice.params();
+    const double unit = slice.path_delay_s() * path_scale;
+    if (mode == 0) return p.clock_period_s / unit * pick.uniform(0.9, 1.1);
+    const double limit =
+        mode == 1 ? p.clock_period_s : p.clock_period_s * (1.0 + p.duplication_band);
+    return nudge(limit / (unit * (1.0 + (0.0 + p.op_jitter_sigma * z))),
+                 pick.uniform_int(-4, 4));
+}
+
+/// The engine's TMR vote over an op's three evaluations.
+FaultKind tmr_vote(const std::array<FaultKind, 3>& kinds) {
+    int dup = 0;
+    int rnd = 0;
+    for (const FaultKind kind : kinds) {
+        if (kind == FaultKind::Duplication) ++dup;
+        if (kind == FaultKind::Random) ++rnd;
+    }
+    if (dup + rnd < 2) return FaultKind::None;
+    return dup >= rnd ? FaultKind::Duplication : FaultKind::Random;
+}
+
+/// The doubles within 4 ulps either side of `edge` that lie in [lo, hi).
+std::vector<double> around(double edge, double lo, double hi) {
+    std::vector<double> out;
+    for (std::int64_t steps = -4; steps <= 4; ++steps) {
+        const double u = nudge(edge, steps);
+        if (u >= lo && u < hi) out.push_back(u);
+    }
+    return out;
+}
+
+// bracket_fault_kind, the pure decision of evaluate_with_factor, may only
+// settle an op on the outcome the eager comparison gives its exact
+// deviate (testing::eager_deviate, testing::eager_fault_kind): checked at
+// every u1 and u2 bucket edge of the tables (the angle's quadrant edges
+// among them) and 4 ulps either side, with factors that put the exact
+// delay within 4 ulps of the period and of the duplication limit, one
+// evaluation per op and, as under TMR, three voted at one factor. The
+// tables' margins must also hold: each range keeps the computed magnitude,
+// cosine and sine at every edge point even 4 ulps off (libm's error is
+// below one), and no delay within 4 ulps of a limit is ever settled, so
+// no decision rests on the last bits of libm.
+TEST(Dsp, BracketDecisionMatchesEagerAtBucketEdges) {
+    constexpr double u1_min = 0x1.0p-53;  // the least nonzero uniform
+    const JitterBrackets& brackets = jitter_brackets();
+    Rng pick(88);
+    std::vector<std::pair<double, double>> points;  // (u1, u2)
+    for (std::size_t i = 0; i <= JitterBrackets::kMagBuckets; ++i) {
+        const double edge =
+            i == 0 ? u1_min : static_cast<double>(i) / JitterBrackets::kMagBuckets;
+        for (const double u1 : around(edge, u1_min, 1.0)) {
+            points.emplace_back(u1, pick.uniform());
+        }
+    }
+    for (std::size_t j = 0; j <= JitterBrackets::kAngleBuckets; ++j) {
+        const double edge = static_cast<double>(j) / JitterBrackets::kAngleBuckets;
+        for (const double u2 : around(edge, 0.0, 1.0)) {
+            points.emplace_back(std::max(pick.uniform(), u1_min), u2);
+        }
+    }
+
+    const auto holds = [](const JitterBrackets::Range& range, double value) {
+        return range.lo <= nudge(value, -4) && nudge(value, 4) <= range.hi;
+    };
+    for (const auto& [u1, u2] : points) {
+        const std::size_t i = static_cast<std::size_t>(u1 * JitterBrackets::kMagBuckets);
+        const std::size_t j = static_cast<std::size_t>(u2 * JitterBrackets::kAngleBuckets);
+        const double angle = 2.0 * M_PI * u2;
+        ASSERT_TRUE(holds(brackets.mag[i], std::sqrt(-2.0 * std::log(u1)))) << "u1 " << u1;
+        ASSERT_TRUE(holds(brackets.trig[j][0], std::cos(angle))) << "u2 " << u2;
+        ASSERT_TRUE(holds(brackets.trig[j][1], std::sin(angle))) << "u2 " << u2;
+    }
+
+    const std::vector<DspSlice> slices = random_slices(pick);
+    const std::size_t n_deviates = 2 * points.size();
+    // Deviate n is the (n % 2 == 1 ? sine : cosine) deviate of point n / 2.
+    const auto deviate = [&](std::size_t n) {
+        const auto& [u1, u2] = points[n / 2];
+        return deepstrike::testing::eager_deviate(u1, u2, n % 2 == 1);
+    };
+    std::size_t settled = 0;
+    std::size_t unsettled = 0;
+    for (const bool tmr : {false, true}) {
+        for (std::size_t n = 0; n < n_deviates; ++n) {
+            const DspSlice& slice =
+                slices[static_cast<std::size_t>(pick.uniform_int(0, 15))];
+            const DspTimingParams& p = slice.params();
+            const double path_scale = pick.bernoulli(0.5) ? 1.0 : pick.uniform(0.9, 1.0);
+            const double factor = probe_factor(slice, path_scale, deviate(n),
+                                               static_cast<int>(n % 3), pick);
+            const double k = slice.path_delay_s() * path_scale * factor;
+            const double dup_limit = p.clock_period_s * (1.0 + p.duplication_band);
+            std::array<FaultKind, 3> got{};
+            std::array<FaultKind, 3> want{};
+            const std::size_t reps = tmr ? 3 : 1;
+            for (std::size_t r = 0; r < reps; ++r) {
+                const std::size_t m = (n + r) % n_deviates;
+                const auto& [u1, u2] = points[m / 2];
+                const double z = deviate(m);
+                want[r] =
+                    deepstrike::testing::eager_fault_kind(slice, factor, z, path_scale);
+                const BracketedFault decided =
+                    bracket_fault_kind(u1, u2, m % 2 == 1, k, p.op_jitter_sigma,
+                                       p.clock_period_s, p.duplication_band);
+                got[r] = decided.settled ? decided.kind : want[r];
+                const double d = k * (1.0 + (0.0 + p.op_jitter_sigma * z));
+                for (const double limit : {p.clock_period_s, dup_limit}) {
+                    const double ulp = std::nextafter(limit, 1.0) - limit;
+                    if (std::abs(d - limit) <= 4 * ulp) {
+                        ASSERT_FALSE(decided.settled)
+                            << "settled a delay within 4 ulps of a limit: u1 " << u1
+                            << " u2 " << u2 << " factor " << factor;
+                    }
+                }
+                if (!decided.settled) {
+                    ++unsettled;
+                    continue;
+                }
+                ++settled;
+                ASSERT_EQ(decided.kind, want[r])
+                    << "u1 " << u1 << " u2 " << u2 << (m % 2 == 1 ? " sine" : " cosine")
+                    << " factor " << factor << " path scale " << path_scale;
+            }
+            if (tmr) {
+                ASSERT_EQ(tmr_vote(got), tmr_vote(want)) << "op " << n;
+            }
+        }
+    }
+    EXPECT_GT(settled, 10'000u);
+    EXPECT_GT(unsettled, 10'000u);
 }
 
 /// What check_against_eager saw: outcomes by kind, and how many
-/// evaluations the magnitude bound, the quadrant test or only the exact
-/// deviate decided.
+/// evaluations the bracket settled or only the exact deviate decided.
 struct EagerCheck {
     std::array<std::size_t, 3> kinds{};
-    std::size_t by_magnitude = 0;
-    std::size_t by_quadrant = 0;
-    std::size_t by_deviate = 0;
+    std::size_t by_bracket = 0;
+    std::size_t by_exact = 0;
 };
 
 /// Runs `evaluations` evaluations over random slices, factors and path
@@ -218,14 +360,7 @@ struct EagerCheck {
 /// Every outcome must agree.
 EagerCheck check_against_eager(bool tmr, std::size_t evaluations, std::uint64_t seed) {
     Rng pick(seed);
-    std::vector<DspSlice> slices;
-    for (std::uint32_t i = 0; i < 16; ++i) {
-        DspTimingParams params;
-        params.nominal_path_fraction = pick.uniform(0.8, 0.95);
-        params.op_jitter_sigma = pick.uniform(0.005, 0.05);
-        params.duplication_band = pick.uniform(0.005, 0.03);
-        slices.emplace_back(i, params, pick);
-    }
+    const std::vector<DspSlice> slices = random_slices(pick);
     Rng split(seed + 1);
     Rng full(seed + 1);
     Rng eager_rng(seed + 1);
@@ -235,22 +370,21 @@ EagerCheck check_against_eager(bool tmr, std::size_t evaluations, std::uint64_t 
     for (std::size_t e = 0; e < evaluations; e += reps) {
         const DspSlice& slice =
             slices[static_cast<std::size_t>(pick.uniform_int(0, 15))];
+        const DspTimingParams& p = slice.params();
         const double path_scale = pick.bernoulli(0.5) ? 1.0 : pick.uniform(0.9, 1.0);
         Rng peek = split;
-        const double factor =
-            probe_factor(slice, path_scale, peek.normal_magnitude(),
-                         static_cast<int>(pick.uniform_int(0, 2)), pick);
+        const double factor = probe_factor(slice, path_scale, peek.normal(),
+                                           static_cast<int>(pick.uniform_int(0, 2)), pick);
         const double k = slice.path_delay_s() * path_scale * factor;
-        const double period = slice.params().clock_period_s;
         for (std::size_t r = 0; r < reps; ++r) {
             peek = split;
-            const double mag = peek.normal_magnitude();
-            if (k * (1.0 + (0.0 + slice.params().op_jitter_sigma * mag)) <= period) {
-                ++seen.by_magnitude;
-            } else if (k <= period && peek.normal_nonpositive()) {
-                ++seen.by_quadrant;
+            const Rng::PendingNormal z = peek.pending_normal();
+            if (bracket_fault_kind(z.u1, z.u2, z.sine, k, p.op_jitter_sigma,
+                                   p.clock_period_s, p.duplication_band)
+                    .settled) {
+                ++seen.by_bracket;
             } else {
-                ++seen.by_deviate;
+                ++seen.by_exact;
             }
             const FaultKind got = slice.evaluate_with_factor(factor, split, path_scale);
             const FaultKind want = deepstrike::testing::eager_fault_kind(
@@ -274,20 +408,19 @@ EagerCheck check_against_eager(bool tmr, std::size_t evaluations, std::uint64_t 
     return seen;
 }
 
-// evaluate_with_factor rules an op clean from the jitter's Box–Muller
-// magnitude or its angle's quadrant whenever it can, and takes the exact
-// deviate otherwise. That must be exact: the same outcome as the eager
-// comparison and the same stream position, on random factors as well as
-// on factors a few ulps either side of both bounds.
-TEST(Dsp, MagnitudeFirstEvaluationMatchesEagerComparison) {
+// evaluate_with_factor settles an op from table bounds on its jitter's
+// Box–Muller pair whenever they decide it, and takes the exact deviate
+// otherwise. That must be exact: the same outcome as the eager comparison
+// and the same stream position, on random factors as well as on factors
+// that put the exact delay a few ulps either side of both limits.
+TEST(Dsp, BracketedEvaluationMatchesEagerComparison) {
     for (const bool tmr : {false, true}) {
         const EagerCheck seen = check_against_eager(tmr, 1'050'000, tmr ? 77 : 76);
-        // Not vacuous: every outcome kind and every decision step occurs
+        // Not vacuous: every outcome kind and both decision paths occur
         // often.
         for (const std::size_t n : seen.kinds) EXPECT_GT(n, 10'000u) << "tmr " << tmr;
-        EXPECT_GT(seen.by_magnitude, 10'000u) << "tmr " << tmr;
-        EXPECT_GT(seen.by_quadrant, 10'000u) << "tmr " << tmr;
-        EXPECT_GT(seen.by_deviate, 10'000u) << "tmr " << tmr;
+        EXPECT_GT(seen.by_bracket, 10'000u) << "tmr " << tmr;
+        EXPECT_GT(seen.by_exact, 10'000u) << "tmr " << tmr;
     }
 }
 

@@ -8,8 +8,8 @@
 // the delay model at its capture voltage and draws its jitter with the
 // eager Box–Muller (testing::EagerNormal) into the eager delay
 // comparison (testing::eager_fault_kind), so the engine's plan factors
-// and magnitude-first jitter are checked against the model they replace
-// rather than against themselves. The interval-gated, golden-elided
+// and bracketed jitter decisions are checked against the model they
+// replace rather than against themselves. The interval-gated, golden-elided
 // engine must match it byte for byte (tests/overlay_test.cpp,
 // tests/golden_cache_test.cpp).
 #pragma once

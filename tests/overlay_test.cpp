@@ -93,9 +93,11 @@ TEST(Overlay, PlanCoversAllLayersAndNominalTraceIsEmpty) {
     ASSERT_EQ(none.layers.size(), engine.network().layers.size());
 }
 
-/// Checks every conv/FC overlay's factors against the delay model at the
-/// trace's samples (nominal past its end); pool overlays carry none.
-/// Adds the unsafe and safe window samples seen to the counters.
+/// Checks every overlay's factors against the delay model at the trace's
+/// samples (nominal past its end): a conv/FC overlay at its layer's safe
+/// voltage on both DDR halves, a pool overlay at the comparators' on the
+/// second half only (its first is always -1). Adds the unsafe and safe
+/// window samples seen to the counters.
 void expect_plan_factors(const AccelEngine& engine, const VoltageTrace& trace,
                          std::size_t& unsafe_samples, std::size_t& safe_samples) {
     const OverlayPlan plan = engine.plan_overlay(&trace);
@@ -103,18 +105,17 @@ void expect_plan_factors(const AccelEngine& engine, const VoltageTrace& trace,
     for (std::size_t i = 0; i < plan.layers.size(); ++i) {
         const SegmentOverlay& overlay = plan.layers[i];
         const quant::QLayerKind kind = engine.network().layers[i].kind;
-        if (kind != quant::QLayerKind::Conv && kind != quant::QLayerKind::Dense) {
-            EXPECT_TRUE(overlay.factors.empty()) << "layer " << i;
-            continue;
-        }
-        const double safe_v = kind == quant::QLayerKind::Conv ? engine.conv_safe_voltage()
-                                                              : engine.fc_safe_voltage();
+        const bool pool =
+            kind != quant::QLayerKind::Conv && kind != quant::QLayerKind::Dense;
+        const double safe_v = pool ? engine.pool_safe_voltage()
+                              : kind == quant::QLayerKind::Conv ? engine.conv_safe_voltage()
+                                                                : engine.fc_safe_voltage();
         std::size_t at = 0;
         for (const CycleWindow& w : overlay.unsafe) {
             for (std::size_t idx = w.begin * 2; idx < w.end * 2; ++idx, ++at) {
                 ASSERT_LT(at, overlay.factors.size()) << "layer " << i;
                 const double v = idx < trace.size() ? trace[idx] : delay.vdd;
-                if (v < safe_v) {
+                if (v < safe_v && !(pool && idx % 2 == 0)) {
                     EXPECT_EQ(bits_of(overlay.factors[at]), bits_of(delay.factor(v)))
                         << "layer " << i << " sample " << idx;
                     ++unsafe_samples;
@@ -128,10 +129,11 @@ void expect_plan_factors(const AccelEngine& engine, const VoltageTrace& trace,
     }
 }
 
-// The plan holds, for each conv/FC window sample, the delay factor the
-// delay model gives at the trace voltage, bit for bit, and -1 where the
-// sample is at or above the safe voltage, including past a short trace's
-// end. The walk on a short trace still matches the per-op oracle.
+// The plan holds, for each window sample, the delay factor the delay
+// model gives at the trace voltage, bit for bit, and -1 where the sample
+// is at or above the safe voltage or is not a capture (a pool's first DDR
+// half), including past a short trace's end. The walk on a short trace
+// still matches the per-op oracle.
 TEST(Overlay, PlanFactorsAreTheDelayModelsAtUnsafeSamples) {
     const AccelEngine engine = make_engine();
     Rng trace_rng(41);
@@ -141,6 +143,18 @@ TEST(Overlay, PlanFactorsAreTheDelayModelsAtUnsafeSamples) {
         const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 2 + trial % 5);
         expect_plan_factors(engine, trace, unsafe_samples, safe_samples);
     }
+
+    // A droop over the pool segment, deep enough for its comparators in
+    // part: its window carries factors.
+    const LayerSegment& pool = engine.schedule().segment_for("POOL1");
+    VoltageTrace pool_trace = nominal_trace(engine);
+    for (std::size_t i = pool.start_cycle * 2; i < pool.end_cycle() * 2; ++i) {
+        pool_trace[i] = trace_rng.uniform(0.6, 0.9);
+    }
+    ASSERT_TRUE(engine.plan_overlay(&pool_trace).layers[pool.layer_index].any());
+    const std::size_t unsafe_before = unsafe_samples;
+    expect_plan_factors(engine, pool_trace, unsafe_samples, safe_samples);
+    EXPECT_GT(unsafe_samples, unsafe_before);
 
     // A droop whose last unsafe cycle keeps only its first DDR sample: the
     // trace ends mid-cycle, so the second sample is nominal.
@@ -178,6 +192,38 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         expect_same_run(fast, ref);
         EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
     }
+}
+
+// A droop over a pool segment of a trace that ends inside it, mid-cycle:
+// the pool walk draws each comparator capture inside the window with the
+// plan's factor and nothing past the trace's end, as the per-op oracle
+// does, at depths where some comparators fault and some do not.
+TEST(Overlay, GatedRunMatchesReferenceOnTraceEndingInPool) {
+    const AccelEngine engine = make_engine();
+    const LayerSegment& pool = engine.schedule().segment_for("POOL1");
+    const std::size_t end_cycle = pool.start_cycle + pool.cycles / 2;
+    std::size_t pool_faults = 0;
+    for (const double depth : {0.62, 0.70, 0.74}) {
+        VoltageTrace trace = nominal_trace(engine);
+        for (std::size_t i = (pool.start_cycle - 3) * 2; i < end_cycle * 2 + 1; ++i) {
+            trace[i] = depth;
+        }
+        trace.resize(end_cycle * 2 + 1);
+        const OverlayPlan plan = engine.plan_overlay(&trace);
+        const SegmentOverlay& overlay = plan.layers[pool.layer_index];
+        ASSERT_TRUE(overlay.any()) << depth;
+        EXPECT_EQ(overlay.unsafe.back().end, end_cycle) << depth;
+        for (std::uint64_t trial = 0; trial < 4; ++trial) {
+            const QTensor img = random_qimage(1700 + trial);
+            Rng rng_fast(71 + trial);
+            Rng rng_ref(71 + trial);
+            const RunResult fast = run_engine(engine, img, &trace, rng_fast);
+            expect_same_run(fast, run_reference(engine, img, &trace, rng_ref));
+            EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << depth << " trial " << trial;
+            pool_faults += fast.faults_for("POOL1").total();
+        }
+    }
+    EXPECT_GT(pool_faults, 0u);
 }
 
 TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {

@@ -88,13 +88,30 @@ inline QTensor naive_pool2(const QTensor& input, bool average) {
     return out;
 }
 
-/// The eager Box–Muller that Rng::normal() computed before its split
-/// into magnitude and value steps, as a test oracle: a call with no
-/// cached deviate draws both uniforms from `rng` (u1 redrawn while zero),
-/// computes the pair's two deviates at once, returns mag * cos(angle) and
-/// caches mag * sin(angle) for the next call. It draws nothing else, so
-/// other draws from `rng` interleave with it as they did with the old
-/// Rng::normal(); reset() is its half of Rng::set_state().
+/// The Box–Muller deviate of uniforms u1 and u2 as the eager oracle
+/// computes it: mag * cos(angle), or mag * sin(angle) for a pair's second
+/// deviate (`sine`), with mag = sqrt(-2 log u1) and angle = 2 pi u2.
+inline double eager_deviate(double u1, double u2, bool sine) {
+    const double mag = std::sqrt(-2.0 * std::log(u1));
+    const double ang = 2.0 * M_PI * u2;
+#if defined(__GNUC__) && defined(__GLIBC__)
+    double s = 0.0, c = 0.0;
+    __builtin_sincos(ang, &s, &c);
+#else
+    const double s = std::sin(ang);
+    const double c = std::cos(ang);
+#endif
+    return sine ? mag * s : mag * c;
+}
+
+/// The eager Box–Muller that Rng::normal() computed before it kept its
+/// pair's uniforms and computed the magnitude lazily, as a test oracle: a
+/// call with no cached deviate draws both uniforms from `rng` (u1 redrawn
+/// while zero), computes the pair's two deviates at once, returns
+/// mag * cos(angle) and caches mag * sin(angle) for the next call. It
+/// draws nothing else, so other draws from `rng` interleave with it as
+/// they did with the old Rng::normal(); reset() is its half of
+/// Rng::set_state().
 class EagerNormal {
 public:
     double operator()(Rng& rng) {
@@ -107,18 +124,9 @@ public:
             u1 = rng.uniform();
         } while (u1 == 0.0);
         const double u2 = rng.uniform();
-        const double mag = std::sqrt(-2.0 * std::log(u1));
-        const double ang = 2.0 * M_PI * u2;
-#if defined(__GNUC__) && defined(__GLIBC__)
-        double s = 0.0, c = 0.0;
-        __builtin_sincos(ang, &s, &c);
-#else
-        const double s = std::sin(ang);
-        const double c = std::cos(ang);
-#endif
-        cached_ = mag * s;
+        cached_ = eager_deviate(u1, u2, true);
         have_cached_ = true;
-        return mag * c;
+        return eager_deviate(u1, u2, false);
     }
 
     void reset() { have_cached_ = false; }
@@ -129,9 +137,9 @@ private:
 };
 
 /// The delay comparison DspSlice::evaluate_with_factor made before it
-/// bounded the jitter by its magnitude first: the op's delay with
-/// standard-normal jitter deviate `z`, in the same evaluation order,
-/// against the clock period and the duplication band.
+/// bounded the jitter deviate first: the op's delay with standard-normal
+/// jitter deviate `z`, in the same evaluation order, against the clock
+/// period and the duplication band.
 inline accel::FaultKind eager_fault_kind(const accel::DspSlice& slice, double factor,
                                          double z, double path_scale = 1.0) {
     const accel::DspTimingParams& p = slice.params();

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <set>
 
 #include "test_helpers.hpp"
@@ -118,17 +116,19 @@ TEST(Rng, StateRoundTrip) {
 
 using testing::bits_of;
 
-// Rng::normal()'s split steps (magnitude, then the value or a skip, with
-// the quadrant test in between) draw the eager Box–Muller's deviates bit
-// for bit and leave its xoshiro state, interleaved in random order with
-// the other draws and with set_state().
+// Rng::normal() and its lazy steps (pending_normal() to see the pair's
+// uniforms, then normal() or skip_normal() to take the deviate) draw the
+// eager Box–Muller's deviates bit for bit and leave its xoshiro state,
+// interleaved in random order with the other draws and with set_state(),
+// including pairs whose magnitude is never computed (both deviates
+// skipped) or is computed only for the second deviate.
 TEST(Rng, SplitNormalStepsMatchEagerBoxMuller) {
     Rng script(2024);
     Rng split(99);
     Rng eager_rng(99);
     testing::EagerNormal eager;
     std::size_t skipped = 0;
-    std::size_t nonpositive = 0;
+    std::size_t peeked = 0;
     for (int i = 0; i < 200'000; ++i) {
         const std::int64_t op = script.uniform_int(0, 7);
         switch (op) {
@@ -136,28 +136,31 @@ TEST(Rng, SplitNormalStepsMatchEagerBoxMuller) {
                 ASSERT_EQ(bits_of(split.normal()), bits_of(eager(eager_rng))) << i;
                 break;
             case 1: {
-                const double mag = split.normal_magnitude();
-                ASSERT_EQ(bits_of(split.normal_magnitude()), bits_of(mag)) << i;
-                const double z = split.normal_value();
+                // The peeked uniforms fix the deviate normal() then takes.
+                const Rng::PendingNormal p = split.pending_normal();
+                const Rng::PendingNormal again = split.pending_normal();
+                ASSERT_EQ(bits_of(again.u1), bits_of(p.u1)) << i;
+                ASSERT_EQ(bits_of(again.u2), bits_of(p.u2)) << i;
+                ASSERT_EQ(again.sine, p.sine) << i;
+                ASSERT_GE(p.u1, 0x1.0p-53) << i;
+                ASSERT_LT(p.u1, 1.0) << i;
+                ASSERT_GE(p.u2, 0.0) << i;
+                ASSERT_LT(p.u2, 1.0) << i;
+                const double z = split.normal();
                 ASSERT_EQ(bits_of(z), bits_of(eager(eager_rng))) << i;
-                ASSERT_LE(std::abs(z), mag) << i;
+                ASSERT_EQ(bits_of(z), bits_of(testing::eager_deviate(p.u1, p.u2, p.sine)))
+                    << i;
+                ++peeked;
                 break;
             }
-            case 2: {
-                const double mag = split.normal_magnitude();
-                split.skip_normal();
-                ASSERT_LE(std::abs(eager(eager_rng)), mag) << i;
-                ++skipped;
-                break;
-            }
+            case 2:
             case 3: {
-                const bool claimed = split.normal_nonpositive();
-                const double z = split.normal_value();
-                ASSERT_EQ(bits_of(z), bits_of(eager(eager_rng))) << i;
-                if (claimed) {
-                    ASSERT_LE(z, 0.0) << i;
-                    ++nonpositive;
-                }
+                const Rng::PendingNormal p = split.pending_normal();
+                split.skip_normal();
+                ASSERT_EQ(bits_of(eager(eager_rng)),
+                          bits_of(testing::eager_deviate(p.u1, p.u2, p.sine)))
+                    << i;
+                ++skipped;
                 break;
             }
             case 4:
@@ -183,11 +186,13 @@ TEST(Rng, SplitNormalStepsMatchEagerBoxMuller) {
         ASSERT_EQ(split.state(), eager_rng.state()) << "after op " << op << " at " << i;
     }
     EXPECT_GT(skipped, 10'000u);
-    EXPECT_GT(nonpositive, 5'000u);
+    EXPECT_GT(peeked, 10'000u);
 }
 
-// stream_equal sees the pending Box–Muller pair that state() cannot, and
-// a skipped deviate advances the stream exactly as a taken one.
+// stream_equal sees the pending Box–Muller pair that state() cannot,
+// compares it by its uniforms whether or not its magnitude has been
+// computed, and a skipped deviate advances the stream exactly as a taken
+// one.
 TEST(Rng, StreamEqualSeesThePendingPair) {
     Rng a(5);
     Rng b(5);
@@ -200,72 +205,32 @@ TEST(Rng, StreamEqualSeesThePendingPair) {
     restored.set_state(a.state());
     EXPECT_FALSE(stream_equal(a, restored));
 
+    // A pair whose magnitude was never computed: only peeked, or with its
+    // first deviate skipped, against one whose first deviate was taken.
+    Rng peeking(6);
     Rng skipping(6);
     Rng taking(6);
-    skipping.normal_magnitude();
+    peeking.pending_normal();
+    skipping.pending_normal();
+    EXPECT_TRUE(stream_equal(peeking, skipping));
+    EXPECT_FALSE(stream_equal(peeking, taking));
     skipping.skip_normal();
     taking.normal();
     EXPECT_TRUE(stream_equal(skipping, taking));
+    EXPECT_FALSE(stream_equal(peeking, skipping));
     EXPECT_EQ(bits_of(skipping.normal()), bits_of(taking.normal()));
     EXPECT_TRUE(stream_equal(skipping, taking));
-}
 
-double sign_source(double angle, bool sine) {
-    double s = 0.0;
-    double c = 0.0;
-#if defined(__GNUC__) && defined(__GLIBC__)
-    __builtin_sincos(angle, &s, &c);
-#else
-    s = std::sin(angle);
-    c = std::cos(angle);
-#endif
-    return sine ? s : c;
-}
-
-// Rng::deviate_nonpositive may claim a deviate <= 0 only where sincos
-// returns a cosine (a pair's first deviate) or sine (its second) <= 0:
-// checked in nextafter steps either side of every quadrant edge and of
-// the predicate's margin around it, and across [0, 2pi).
-TEST(Rng, QuadrantPredicateAgreesWithSincosSign) {
-    constexpr double margin = 1e-9;
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    std::size_t claimed = 0;
-    for (const bool sine : {false, true}) {
-        for (const double edge : {0.0, 0.5 * M_PI, M_PI, 1.5 * M_PI, 2.0 * M_PI}) {
-            // Nothing is claimed at a zero of the deviate's sincos half.
-            const bool zero = sine ? edge != 0.5 * M_PI && edge != 1.5 * M_PI
-                                   : edge == 0.5 * M_PI || edge == 1.5 * M_PI;
-            if (zero) {
-                EXPECT_FALSE(Rng::deviate_nonpositive(edge, sine)) << edge;
-            }
-            for (const double center : {edge - margin, edge, edge + margin}) {
-                double down = center;
-                double up = center;
-                for (int step = 0; step < 20'000; ++step) {
-                    for (const double angle : {down, up}) {
-                        if (angle < 0.0 || angle >= 2.0 * M_PI) continue;
-                        if (!Rng::deviate_nonpositive(angle, sine)) continue;
-                        ++claimed;
-                        ASSERT_LE(sign_source(angle, sine), 0.0)
-                            << "angle " << angle << (sine ? " sine" : " cosine");
-                    }
-                    down = std::nextafter(down, -inf);
-                    up = std::nextafter(up, inf);
-                }
-            }
-        }
-        // Across the circle the claimed share is a half, less the margins.
-        std::size_t swept_claims = 0;
-        constexpr int kSweep = 1'000'000;
-        for (int i = 0; i < kSweep; ++i) {
-            const double angle = 2.0 * M_PI * (i / static_cast<double>(kSweep));
-            if (!Rng::deviate_nonpositive(angle, sine)) continue;
-            ++swept_claims;
-            ASSERT_LE(sign_source(angle, sine), 0.0) << "angle " << angle;
-        }
-        EXPECT_NEAR(swept_claims / static_cast<double>(kSweep), 0.5, 1e-3);
-    }
-    EXPECT_GT(claimed, 100'000u);
+    // Both deviates of a pair skipped: its magnitude is never computed,
+    // and the streams still agree from the next pair on.
+    Rng skip_both(7);
+    Rng take_both(7);
+    skip_both.skip_normal();
+    skip_both.skip_normal();
+    take_both.normal();
+    take_both.normal();
+    EXPECT_TRUE(stream_equal(skip_both, take_both));
+    EXPECT_EQ(bits_of(skip_both.normal()), bits_of(take_both.normal()));
 }
 
 // ---------------------------------------------------------- RunningStats
