@@ -200,6 +200,9 @@ void BM_Qconv2dGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Qconv2dGemm);
 
+// CONV1-geometry conv layer (one input channel, K = 25, 6 output channels
+// on a 24x24 plane): the transposing epilogue's partial channel block and
+// the block-copied k = 5 spans. CI gates it against its baseline.
 void BM_QConv2dLayer(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::quant::QLayer& conv1 = net.layer("CONV1");
@@ -213,6 +216,23 @@ void BM_QConv2dLayer(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_QConv2dLayer);
+
+// FC1-geometry dense layer (1024 -> 120, 245 KB of int16 weights): the
+// one-image dense kernel, four weight rows per input load. CI gates it
+// against its baseline.
+void BM_QdenseFc1(benchmark::State& state) {
+    const ds::quant::QNetwork net = bench_weights();
+    const ds::quant::QLayer& fc1 = net.layer("FC1");
+    const std::vector<ds::QTensor> inputs =
+        random_qtensors(kCycledInputs, ds::Shape{1024}, -1.0, 1.0, 11);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            ds::quant::qdense(inputs[i], fc1.weight, fc1.bias, fc1.activation));
+        i = (i + 1) % kCycledInputs;
+    }
+}
+BENCHMARK(BM_QdenseFc1);
 
 // One whole quantized forward (CONV1 through FC2); CI gates it so a
 // regression in pooling, writeback or forward_from fails perf-smoke.

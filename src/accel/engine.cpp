@@ -1,6 +1,7 @@
 #include "accel/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "quant/gemm.hpp"
@@ -214,7 +215,7 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
 // (SegmentOverlay::factors, -1 = safe sample) and never the trace.
 template <typename TrueProduct>
 void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
-                               std::size_t ops_per_elem, std::size_t n_ops,
+                               const DivideU32& per_elem, std::size_t n_ops,
                                const std::vector<DspSlice>& dsps, double path_scale,
                                const std::vector<bool>* throttle, Rng& rng,
                                FaultCounts& counts, std::vector<fx::Acc>& accs,
@@ -253,12 +254,12 @@ void AccelEngine::walk_windows(const SegmentOverlay& overlay, const LayerSegment
                     case FaultKind::None:
                         break;
                     case FaultKind::Duplication:
-                        accs[g / ops_per_elem] +=
+                        accs[per_elem.quotient(static_cast<std::uint32_t>(g))] +=
                             stale_product_at(g, pos) - true_product_at(g);
                         ++counts.duplication;
                         break;
                     case FaultKind::Random:
-                        accs[g / ops_per_elem] +=
+                        accs[per_elem.quotient(static_cast<std::uint32_t>(g))] +=
                             DspSlice::random_fault_value(rng) - true_product_at(g);
                         ++counts.random;
                         break;
@@ -312,17 +313,24 @@ QTensor AccelEngine::run_conv(const QTensor& input, const quant::QLayer& layer,
     }
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = w.data();
+    const std::size_t n_ops = n_elems * opp;
+    expects(n_ops <= std::numeric_limits<std::uint32_t>::max(),
+            "AccelEngine: every op index and divisor of a layer fits 32 bits");
+    const DivideU32 per_pixel(static_cast<std::uint32_t>(opp));
+    const DivideU32 per_channel(static_cast<std::uint32_t>(plane));
     const auto true_product_at = [&](std::size_t g) {
-        const std::size_t pixel = g / opp;
-        const std::size_t tap = g - pixel * opp;
-        const std::size_t oc = pixel / plane;
+        const std::uint32_t pixel = per_pixel.quotient(static_cast<std::uint32_t>(g));
+        const std::size_t tap = g - std::size_t{pixel} * opp;
+        const std::uint32_t oc = per_channel.quotient(pixel);
         return static_cast<fx::Acc>(
-                   in_data[pixel_offset[pixel - oc * plane] + tap_offset[tap]].raw()) *
+                   in_data[pixel_offset[pixel - std::size_t{oc} * plane] +
+                           tap_offset[tap]]
+                       .raw()) *
                w_data[oc * opp + tap].raw();
     };
     thread_local std::vector<fx::Acc> accs;
     accs.assign(golden_accs.begin(), golden_accs.end());
-    walk_windows(overlay, seg, opp, n_elems * opp, conv_dsps_, config_.path_derate(layer),
+    walk_windows(overlay, seg, per_pixel, n_ops, conv_dsps_, config_.path_derate(layer),
                  throttle, rng, counts, accs, true_product_at);
     quant::gemm::write_back(accs.data(), n_elems, layer.activation, out);
     return out;
@@ -343,12 +351,18 @@ QTensor AccelEngine::run_fc(const QTensor& input, const quant::QLayer& layer,
 
     const Q3_4* in_data = input.data();
     const Q3_4* w_data = layer.weight.data();
+    const std::size_t n_ops = out_n * in_n;
+    expects(n_ops <= std::numeric_limits<std::uint32_t>::max(),
+            "AccelEngine: every op index and divisor of a layer fits 32 bits");
+    const DivideU32 per_output(static_cast<std::uint32_t>(in_n));
     const auto true_product_at = [&](std::size_t g) {
-        return static_cast<fx::Acc>(in_data[g % in_n].raw()) * w_data[g].raw();
+        return static_cast<fx::Acc>(
+                   in_data[per_output.remainder(static_cast<std::uint32_t>(g))].raw()) *
+               w_data[g].raw();
     };
     thread_local std::vector<fx::Acc> accs;
     accs.assign(golden_accs.begin(), golden_accs.end());
-    walk_windows(overlay, seg, in_n, out_n * in_n, fc_dsps_, 1.0, throttle, rng, counts,
+    walk_windows(overlay, seg, per_output, n_ops, fc_dsps_, 1.0, throttle, rng, counts,
                  accs, true_product_at);
     quant::gemm::write_back(accs.data(), out_n, layer.activation, out);
     return out;

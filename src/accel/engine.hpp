@@ -37,6 +37,7 @@
 #include "accel/overlay.hpp"
 #include "accel/schedule.hpp"
 #include "quant/qnetwork.hpp"
+#include "util/divide.hpp"
 
 namespace deepstrike::accel {
 
@@ -179,12 +180,16 @@ private:
     /// model with its sample's delay factor from the plan, exactly as a
     /// whole-segment per-op walk does (tests/engine_reference.cpp) and,
     /// when it faults, adds the integer delta (faulted contribution minus
-    /// `true_product_at(op)`) to its element's entry of `accs`. Duplication
-    /// faults recover the stale DSP register by op-stream index arithmetic
-    /// instead of carrying a pipeline array.
+    /// `true_product_at(op)`) to its element's entry of `accs`, entry
+    /// `per_elem.quotient(op)`. Duplication faults recover the stale DSP
+    /// register by op-stream index arithmetic instead of carrying a
+    /// pipeline array. The callers check that every op index of the layer
+    /// fits 32 bits (ContractError otherwise) and map ops to elements,
+    /// inputs and weights by precomputed reciprocals (DivideU32), not by a
+    /// division per fault.
     template <typename TrueProduct>
     void walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
-                      std::size_t ops_per_elem, std::size_t n_ops,
+                      const DivideU32& per_elem, std::size_t n_ops,
                       const std::vector<DspSlice>& dsps, double path_scale,
                       const std::vector<bool>* throttle, Rng& rng,
                       FaultCounts& counts, std::vector<fx::Acc>& accs,

@@ -10,16 +10,24 @@ namespace {
 
 using quant::WeightStreamView;
 
-fx::Q3_4& stream_word(quant::QNetwork& network, const WeightStreamView& view,
-                      std::size_t index) {
-    const WeightStreamView::WordRef ref = view.locate(index);
-    return network.layers[ref.layer].weight[ref.element];
-}
-
-fx::Q3_4 stream_word(const quant::QNetwork& network, const WeightStreamView& view,
-                     std::size_t index) {
-    const WeightStreamView::WordRef ref = view.locate(index);
-    return network.layers[ref.layer].weight[ref.element];
+/// Copies `count` stream words starting at `src_index` of `src` over those
+/// starting at `dst_index` of `dst` (both with `view`'s geometry), one
+/// block copy per piece that lies in a single layer on both sides.
+void copy_stream_words(const quant::QNetwork& src, std::size_t src_index,
+                       quant::QNetwork& dst, std::size_t dst_index, std::size_t count,
+                       const WeightStreamView& view) {
+    while (count > 0) {
+        const WeightStreamView::WordRef s = view.locate(src_index);
+        const WeightStreamView::WordRef d = view.locate(dst_index);
+        const QTensor& from = src.layers[s.layer].weight;
+        QTensor& to = dst.layers[d.layer].weight;
+        const std::size_t n =
+            std::min({count, from.size() - s.element, to.size() - d.element});
+        std::copy_n(from.data() + s.element, n, to.data() + d.element);
+        src_index += n;
+        dst_index += n;
+        count -= n;
+    }
 }
 
 } // namespace
@@ -50,14 +58,14 @@ std::vector<WeightFault> uniform_weight_faults(
     return faults;
 }
 
-quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
-                                    const std::vector<WeightFault>& faults,
-                                    const WeightTransferParams& params) {
+std::vector<StreamSpan> patch_weight_faults(const quant::QNetwork& original,
+                                            const WeightStreamView& view,
+                                            const std::vector<WeightFault>& faults,
+                                            const WeightTransferParams& params,
+                                            quant::QNetwork& working) {
     expects(params.beat_words > 0, "WeightTransferParams: beat_words > 0");
-    quant::QNetwork deployed = network;
-    if (faults.empty()) return deployed;
-
-    const WeightStreamView view(network);
+    expects(working.layers.size() == original.layers.size(),
+            "patch_weight_faults: working copy of the original network");
     for (const WeightFault& fault : faults) {
         expects(fault.index < view.size(),
                 "WeightFault: stream index within the weight stream");
@@ -67,22 +75,22 @@ quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
         }
     }
 
+    std::vector<StreamSpan> touched;
+    touched.reserve(faults.size());
     // Pass 1 — Duplicate faults. Each one re-latches the *original* stream's
     // previous beat over the target beat: sources are read from the unfaulted
     // network so the result is independent of fault-vector order (two
     // adjacent duplications do not chain). Beat 0 has no predecessor; faults
     // there model a glitch that fired before any data was on the bus (no-op).
+    const std::size_t bw = params.beat_words;
     for (const WeightFault& fault : faults) {
         if (fault.kind != WeightFaultKind::Duplicate) continue;
-        const std::size_t beat = fault.index / params.beat_words;
+        const std::size_t beat = fault.index / bw;
         if (beat == 0) continue;
-        const std::size_t beat_start = beat * params.beat_words;
-        const std::size_t beat_end =
-            std::min(beat_start + params.beat_words, view.size());
-        for (std::size_t i = beat_start; i < beat_end; ++i) {
-            stream_word(deployed, view, i) =
-                stream_word(network, view, i - params.beat_words);
-        }
+        const std::size_t begin = beat * bw;
+        const std::size_t end = std::min(begin + bw, view.size());
+        copy_stream_words(original, begin - bw, working, begin, end - begin, view);
+        touched.push_back({begin, end});
     }
 
     // Pass 2 — BitFlip faults, applied to the post-duplication word (the
@@ -91,13 +99,34 @@ quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
     // sign-extended back to the int16 raw store.
     for (const WeightFault& fault : faults) {
         if (fault.kind != WeightFaultKind::BitFlip) continue;
-        fx::Q3_4& word = stream_word(deployed, view, fault.index);
+        const WeightStreamView::WordRef ref = view.locate(fault.index);
+        fx::Q3_4& word = working.layers[ref.layer].weight[ref.element];
         const auto byte = static_cast<std::uint8_t>(
             static_cast<std::uint8_t>(word.raw()) ^ (1u << fault.bit));
         word = fx::Q3_4::from_raw(
             static_cast<std::int16_t>(static_cast<std::int8_t>(byte)));
+        touched.push_back({fault.index, fault.index + std::size_t{1}});
     }
+    return touched;
+}
 
+void restore_weight_spans(const quant::QNetwork& original, const WeightStreamView& view,
+                          const std::vector<StreamSpan>& spans,
+                          quant::QNetwork& working) {
+    for (const StreamSpan& span : spans) {
+        copy_stream_words(original, span.begin, working, span.begin,
+                          span.end - span.begin, view);
+    }
+}
+
+quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
+                                    const std::vector<WeightFault>& faults,
+                                    const WeightTransferParams& params) {
+    expects(params.beat_words > 0, "WeightTransferParams: beat_words > 0");
+    quant::QNetwork deployed = network;
+    if (!faults.empty()) {
+        patch_weight_faults(network, WeightStreamView(network), faults, params, deployed);
+    }
     return deployed;
 }
 

@@ -27,11 +27,14 @@
 //     perturbation the format admits).
 //
 // Faults address targets by stream index (quant::WeightStreamView); the
-// hook applies them to a deployment copy of the network, so one faulted
-// QNetwork serves every image of an evaluation — mirroring the physical
-// picture (the transfer happens once, the corruption persists for the
-// whole inference batch) and letting fitness evaluation reuse the
-// unfaulted prefix of cached golden activations (sim/search.hpp).
+// hook applies them to a deployment of the network — a fresh copy
+// (apply_weight_faults), or a working copy patched in place and restored
+// afterwards (patch_weight_faults, restore_weight_spans), as the
+// weight-fault search does per fitness task — so one faulted QNetwork
+// serves every image of an evaluation. That mirrors the physical picture
+// (the transfer happens once, the corruption persists for the whole
+// inference batch) and lets fitness evaluation reuse the unfaulted prefix
+// of cached golden activations (sim/search.hpp).
 #pragma once
 
 #include <cstdint>
@@ -73,11 +76,40 @@ std::vector<WeightFault> uniform_weight_faults(
     const std::vector<std::uint32_t>& indices, WeightFaultKind kind,
     std::uint8_t bit = 7);
 
-/// Applies the faults to a deployment copy of `network` and returns it.
-/// Deterministic; an empty fault set returns a byte-identical copy.
-/// Duplicate semantics operate on the flat stream (beats may straddle a
-/// layer boundary — the DMA bursts the stream, not the layers). Throws
-/// ConfigError on an out-of-range index or bit.
+/// A run of consecutive weight-stream words, [begin, end).
+struct StreamSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/// The fault rule, applied in place: rewrites `working`, which must hold
+/// the same words as `original` (`view` is original's stream view), into
+/// the deployment apply_weight_faults(original, faults, params) returns,
+/// and returns the stream spans it rewrote. Duplications come first, each
+/// sourced from the original stream (two adjacent duplications never
+/// chain); bit flips then apply to the post-duplication word. Words are
+/// moved one layer piece at a time (a beat lies in at most two layers), so
+/// no word is located on its own. Throws ContractError on an out-of-range
+/// index or bit, before any word changes.
+std::vector<StreamSpan> patch_weight_faults(const quant::QNetwork& original,
+                                            const quant::WeightStreamView& view,
+                                            const std::vector<WeightFault>& faults,
+                                            const WeightTransferParams& params,
+                                            quant::QNetwork& working);
+
+/// Undoes patch_weight_faults: copies the words of `spans` back from
+/// `original` into `working`, which then equals `original` again.
+void restore_weight_spans(const quant::QNetwork& original,
+                          const quant::WeightStreamView& view,
+                          const std::vector<StreamSpan>& spans,
+                          quant::QNetwork& working);
+
+/// Applies the faults to a deployment copy of `network` and returns it:
+/// the copy, then patch_weight_faults. Deterministic; an empty fault set
+/// returns a byte-identical copy. Duplicate semantics operate on the flat
+/// stream (beats may straddle a layer boundary — the DMA bursts the
+/// stream, not the layers). Throws ContractError on an out-of-range index
+/// or bit.
 quant::QNetwork apply_weight_faults(const quant::QNetwork& network,
                                     const std::vector<WeightFault>& faults,
                                     const WeightTransferParams& params = {});

@@ -9,13 +9,18 @@
 //   conv  — im2col packs each output pixel's receptive field into one
 //           [K = in_c*k*k] row (same (ic,kr,kc) order the weight rows use),
 //           so a layer becomes C[out_c, pixels] = W[out_c, K] x P[pixels, K]^T.
-//           The packing copies each k-wide span inline at a width fixed at
-//           compile time (k = 3 and 5, every zoo conv; other widths read k
-//           at run time). The GEMM emits C as [pixel, channel]; one pass over
-//           8-pixel tiles folds the bias and transposes it into the
-//           [channel, pixel] accumulator layout;
+//           The packing moves each k-wide span as one block of a width
+//           fixed at compile time (k = 3 and 5, every zoo conv: 4 and 8
+//           elements, each overhang overwritten by the next span or left in
+//           slack past the patches) from a copy of the input padded so no
+//           read leaves it. The GEMM emits C as int32 [pixel, channel];
+//           the layer entry (conv2d_layer) turns 8x8 tiles of it straight
+//           into the Q3.4 [channel, pixel] output, and the accumulator
+//           entry (conv2d_accs) folds the bias into int64 [channel, pixel]
+//           accumulators instead;
 //   dense — already a GEMM: C[images, out_n] = X[images, in_n] x W[out_n, in_n]^T
-//           (zero-copy on both operands);
+//           (zero-copy on both operands; one image shares each input load
+//           across four weight rows);
 //   batch — the patch/input matrices of an image block concatenate along
 //           the row axis, so one GEMM amortizes the weight traffic over
 //           the whole block instead of re-streaming W per image.
@@ -28,11 +33,15 @@
 // summation order. That is the hard invariant everything here hangs on:
 // campaign reports must not change with the dispatch path, at any thread
 // count (tests/gemm_test.cpp checks both paths against the naive loops).
+// The bias-folded sum still fits int32 (|bias| * 2^4 <= 2^11), so the
+// AVX2 epilogue saturates, rounds and activates on int32 lanes with the
+// same saturate-then-round steps as fx::Fixed::from_accumulator.
 //
 // Runtime dispatch follows deepstrike::simd (util/simd.hpp), the switch
-// the co-sim kernels use too: the AVX2 microkernels when simd::active(),
-// the portable GEMM otherwise (DS_FORCE_SCALAR=1 selects it at startup,
-// keeping it testable on AVX2 machines).
+// the co-sim kernels use too: the AVX2 microkernels and epilogue when
+// simd::active(), the portable GEMM and the per-element writeback
+// otherwise (DS_FORCE_SCALAR=1 selects them at startup, keeping them
+// testable on AVX2 machines).
 #pragma once
 
 #include <cstdint>
@@ -88,11 +97,25 @@ void dense_accs_batch(const std::vector<const QTensor*>& inputs,
                       const QTensor& weight, const QTensor& bias,
                       std::vector<std::vector<fx::Acc>>& accs);
 
-/// Writeback stage of every conv/dense layer: out[p] =
-/// apply_activation(Q3_4::from_accumulator(accs[p])), with the activation
-/// chosen once per call and the branch-free rounding of
-/// Fixed::from_accumulator per element. `out` preallocated with n
-/// elements.
+/// One conv layer straight to its Q3.4 output [out_c, out_h, out_w]:
+/// out[p] = apply_activation(Q3_4::from_accumulator(acc[p]), activation),
+/// with acc what conv2d_accs computes. On AVX2 no int64 accumulator
+/// exists: the int32 GEMM tile goes through the transposing epilogue.
+/// Throws ContractError on a shape mismatch.
+QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
+                     Activation activation);
+
+/// dense_accs' accumulators written back like conv2d_layer's: the
+/// output [out_n].
+QTensor dense_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
+                    Activation activation);
+
+/// Writeback of int64 accumulators, for the engine's patched ones and the
+/// batched entries: out[p] = apply_activation(Q3_4::from_accumulator(
+/// accs[p])), with the activation chosen once per call. The AVX2 twin
+/// saturates in int64 and rounds and activates eight int32 lanes at a
+/// time, like conv2d_layer; the portable twin rounds per element. `out`
+/// preallocated with n elements.
 void write_back(const fx::Acc* accs, std::size_t n, Activation activation,
                 QTensor& out);
 

@@ -1,9 +1,6 @@
 #include "quant/kernels.hpp"
 
-#include <vector>
-
 #include "quant/gemm.hpp"
-
 #include "util/error.hpp"
 
 namespace deepstrike::quant {
@@ -17,13 +14,7 @@ QTensor quantize_image(const FloatTensor& image) {
 
 QTensor qconv2d(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 Activation activation) {
-    thread_local std::vector<fx::Acc> accs;
-    gemm::conv2d_accs(input, weight, bias, accs); // validates the shapes
-    const std::size_t k = weight.shape().dim(2);
-    QTensor out(Shape{weight.shape().dim(0), input.shape().dim(1) - k + 1,
-                      input.shape().dim(2) - k + 1});
-    gemm::write_back(accs.data(), accs.size(), activation, out);
-    return out;
+    return gemm::conv2d_layer(input, weight, bias, activation);
 }
 
 namespace {
@@ -62,11 +53,7 @@ QTensor qavgpool2(const QTensor& input) { return pool2<true>(input); }
 
 QTensor qdense(const QTensor& input, const QTensor& weight, const QTensor& bias,
                Activation activation) {
-    thread_local std::vector<fx::Acc> accs;
-    gemm::dense_accs(input, weight, bias, accs); // validates the shapes
-    QTensor out(Shape{weight.shape().dim(0)});
-    gemm::write_back(accs.data(), accs.size(), activation, out);
-    return out;
+    return gemm::dense_layer(input, weight, bias, activation);
 }
 
 } // namespace deepstrike::quant

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <unordered_map>
 
+#include "quant/gemm.hpp"
 #include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
@@ -29,16 +32,17 @@ std::string candidate_key(const attack::FaultSet& set) {
     return key;
 }
 
-/// Counts correct predictions of `network` over the images of `golden`,
-/// resuming each image at layer `first_faulted` from its cached golden
-/// activation (its quantized input when that is layer 0): the layers
-/// before it are unfaulted. `first_faulted` == layer count means no layer
-/// is faulted, so the golden predictions answer.
+/// Counts correct predictions of `network` over images [begin, end) of
+/// `golden`, resuming each image at layer `first_faulted` from its cached
+/// golden activation (its quantized input when that is layer 0): the
+/// layers before it are unfaulted. `first_faulted` == layer count means no
+/// layer is faulted, so the golden predictions answer.
 std::size_t correct_predictions(const quant::QNetwork& network,
                                 const data::Dataset& test_set, const GoldenStore& golden,
-                                std::size_t first_faulted) {
+                                std::size_t first_faulted, std::size_t begin,
+                                std::size_t end) {
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < golden.size(); ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const GoldenEntry& entry = golden.entries[i];
         std::size_t predicted = entry.predicted;
         if (first_faulted < network.layers.size()) {
@@ -51,6 +55,56 @@ std::size_t correct_predictions(const quant::QNetwork& network,
     return correct;
 }
 
+/// `candidate` as `config`'s fault set.
+std::vector<accel::WeightFault> candidate_faults(const attack::FaultSet& candidate,
+                                                 const WeightFaultSearchConfig& config) {
+    return accel::uniform_weight_faults(candidate, config.fault_kind,
+                                        static_cast<std::uint8_t>(config.fault_bit));
+}
+
+/// The earliest layer `candidate` can fault under `config`'s fault model:
+/// a duplication rewrites its whole beat, a bit flip only its own word.
+std::size_t first_faulted_layer(const quant::WeightStreamView& view,
+                                const attack::FaultSet& candidate,
+                                const WeightFaultSearchConfig& config,
+                                std::size_t layer_count) {
+    const std::size_t block_words = config.fault_kind == accel::WeightFaultKind::Duplicate
+                                        ? config.transfer.beat_words
+                                        : 1;
+    return view.first_faulted_layer(candidate, layer_count, block_words);
+}
+
+/// Working copies of the victim for fitness tasks. A task checks one out,
+/// patches its candidate in, evaluates, restores the words it patched and
+/// gives the copy back, so the pool holds at most one copy per task
+/// running at once. A task that throws drops its copy instead.
+class WorkingCopies {
+public:
+    explicit WorkingCopies(const quant::QNetwork& network) : network_(network) {}
+
+    std::unique_ptr<quant::QNetwork> check_out() {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!free_.empty()) {
+                std::unique_ptr<quant::QNetwork> copy = std::move(free_.back());
+                free_.pop_back();
+                return copy;
+            }
+        }
+        return std::make_unique<quant::QNetwork>(network_);
+    }
+
+    void give_back(std::unique_ptr<quant::QNetwork> copy) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        free_.push_back(std::move(copy));
+    }
+
+private:
+    const quant::QNetwork& network_;
+    std::mutex mutex_; // guards free_
+    std::vector<std::unique_ptr<quant::QNetwork>> free_;
+};
+
 } // namespace
 
 std::size_t weight_fault_correct(const quant::QNetwork& network,
@@ -58,17 +112,10 @@ std::size_t weight_fault_correct(const quant::QNetwork& network,
                                  const attack::FaultSet& candidate,
                                  const WeightFaultSearchConfig& config) {
     const quant::QNetwork faulted = accel::apply_weight_faults(
-        network,
-        accel::uniform_weight_faults(candidate, config.fault_kind,
-                                     static_cast<std::uint8_t>(config.fault_bit)),
-        config.transfer);
-    // A duplication rewrites its whole beat; a bit flip only its own word.
-    const std::size_t block_words = config.fault_kind == accel::WeightFaultKind::Duplicate
-                                        ? config.transfer.beat_words
-                                        : 1;
-    const std::size_t first = quant::WeightStreamView(network).first_faulted_layer(
-        candidate, network.layers.size(), block_words);
-    return correct_predictions(faulted, test_set, golden, first);
+        network, candidate_faults(candidate, config), config.transfer);
+    const std::size_t first = first_faulted_layer(quant::WeightStreamView(network),
+                                                  candidate, config, network.layers.size());
+    return correct_predictions(faulted, test_set, golden, first, 0, golden.size());
 }
 
 const char* weight_attack_name(accel::WeightFaultKind kind) {
@@ -186,7 +233,7 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
         build_golden_store(network, test_set, n_images);
     const std::size_t layer_count = network.layers.size();
     const std::size_t clean_correct =
-        correct_predictions(network, test_set, *golden, layer_count);
+        correct_predictions(network, test_set, *golden, layer_count, 0, n_images);
 
     metrics::counter("search.runs", "runs", "weight-fault searches started").add();
     metrics::gauge("search.space", "words",
@@ -197,6 +244,10 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
     // answer from here; the logical budget still counts them.
     std::unordered_map<std::string, double> fitness_cache;
     std::size_t cache_hits = 0;
+
+    WorkingCopies copies(network);
+    const std::size_t n_blocks =
+        (n_images + quant::gemm::kBlockImages - 1) / quant::gemm::kBlockImages;
 
     RunManifest aggregate;
     aggregate.sweep = kSearchSweepName;
@@ -218,27 +269,55 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
             fresh_keys.push_back(std::move(key));
         }
 
-        std::vector<double> fresh_drops(fresh.size(), 0.0);
+        // Each fresh candidate is one task per block of kBlockImages
+        // consecutive images; the tasks count correct predictions and the
+        // counts add up per candidate, so the drops do not depend on how
+        // the blocks were scheduled.
+        std::vector<std::vector<accel::WeightFault>> faults(fresh.size());
+        std::vector<std::size_t> first(fresh.size());
+        std::vector<std::size_t> block_correct(fresh.size() * n_blocks, 0);
         std::vector<SweepTask> tasks;
-        tasks.reserve(fresh.size());
+        tasks.reserve(fresh.size() * n_blocks);
         for (std::size_t i = 0; i < fresh.size(); ++i) {
-            const attack::FaultSet& candidate = *fresh[i];
-            tasks.push_back(
-                {"candidate " + fresh_keys[i], [&, i, &candidate = candidate] {
-                     const std::size_t correct =
-                         weight_fault_correct(network, test_set, *golden, candidate, cfg);
-                     fresh_drops[i] =
-                         100.0 *
-                         (static_cast<double>(clean_correct) -
-                          static_cast<double>(correct)) /
-                         static_cast<double>(n_images);
-                 }});
+            faults[i] = candidate_faults(*fresh[i], cfg);
+            first[i] = first_faulted_layer(view, *fresh[i], cfg, layer_count);
+            for (std::size_t b = 0; b < n_blocks; ++b) {
+                tasks.push_back(
+                    {"candidate " + fresh_keys[i] + " block " + std::to_string(b),
+                     [&, i, b] {
+                         const std::size_t begin = b * quant::gemm::kBlockImages;
+                         const std::size_t end =
+                             std::min(begin + quant::gemm::kBlockImages, n_images);
+                         std::unique_ptr<quant::QNetwork> copy = copies.check_out();
+                         const std::vector<accel::StreamSpan> patched =
+                             accel::patch_weight_faults(network, view, faults[i],
+                                                        cfg.transfer, *copy);
+                         block_correct[i * n_blocks + b] = correct_predictions(
+                             *copy, test_set, *golden, first[i], begin, end);
+                         accel::restore_weight_spans(network, view, patched, *copy);
+                         copies.give_back(std::move(copy));
+                     }});
+            }
         }
+        std::vector<double> fresh_drops(fresh.size(), 0.0);
         if (!tasks.empty()) {
             RunManifest mf = runner.run(kSearchSweepName, std::move(tasks));
             aggregate.total_seconds += mf.total_seconds;
-            for (SweepPointStats& point : mf.points) {
+            // One manifest point per candidate: its blocks' times add up.
+            for (std::size_t i = 0; i < fresh.size(); ++i) {
+                SweepPointStats point;
+                point.label = "candidate " + fresh_keys[i];
+                point.ok = true;
+                std::size_t correct = 0;
+                for (std::size_t b = 0; b < n_blocks; ++b) {
+                    point.seconds += mf.points[i * n_blocks + b].seconds;
+                    correct += block_correct[i * n_blocks + b];
+                }
                 aggregate.points.push_back(std::move(point));
+                fresh_drops[i] = 100.0 *
+                                 (static_cast<double>(clean_correct) -
+                                  static_cast<double>(correct)) /
+                                 static_cast<double>(n_images);
             }
         }
         for (std::size_t i = 0; i < fresh.size(); ++i) {

@@ -8,8 +8,10 @@
 // simd::Mode dispatch paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/arch_profiles.hpp"
@@ -271,6 +273,186 @@ TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
                                std::string("qdense ") + simd::mode_name(mode));
         }
     }
+}
+
+/// Tensor of `shape` with raw codes drawn uniformly from [lo, hi].
+QTensor random_raw(const Shape& shape, Rng& rng, std::int64_t lo, std::int64_t hi) {
+    QTensor t(shape);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        t.at_unchecked(i) = Q3_4::from_raw(static_cast<std::int16_t>(rng.uniform_int(lo, hi)));
+    }
+    return t;
+}
+
+/// Accumulator coverage of a layer test: saturation on both sides and
+/// every rounding tie (acc = 16q + 8) strictly inside the Q3.4 range.
+struct AccCoverage {
+    bool below = false;
+    bool above = false;
+    std::vector<bool> ties = std::vector<bool>(256, false); // index q + 128
+
+    void add(const std::vector<fx::Acc>& accs) {
+        constexpr fx::Acc lo = fx::Acc{Q3_4::raw_min} * 16;
+        constexpr fx::Acc hi = fx::Acc{Q3_4::raw_max} * 16;
+        for (const fx::Acc a : accs) {
+            below = below || a < lo;
+            above = above || a > hi;
+            if (a > lo && a < hi && (a & 15) == 8) {
+                ties[static_cast<std::size_t>((a >> 4) + 128)] = true;
+            }
+        }
+    }
+    void expect_complete(const std::string& what) const {
+        EXPECT_TRUE(below) << what << ": no accumulator below the Q3.4 range";
+        EXPECT_TRUE(above) << what << ": no accumulator above the Q3.4 range";
+        // Ties 16q + 8 with q in [-128, 126] lie inside (lo, hi).
+        for (std::size_t q = 0; q + 1 < ties.size(); ++q) {
+            EXPECT_TRUE(ties[q]) << what << ": tie " << (16 * (std::int64_t(q) - 128) + 8)
+                                 << " never reached";
+        }
+    }
+};
+
+const Activation kActivations[] = {Activation::None, Activation::Tanh, Activation::Relu,
+                                   Activation::Sign};
+
+/// qconv2d against the oracle accumulators, the naive rounding and the
+/// activation, under every activation and both dispatch paths.
+void expect_conv_matches_oracle(const QTensor& input, const QTensor& weight,
+                                const QTensor& bias, const std::string& what,
+                                AccCoverage& coverage) {
+    const std::vector<fx::Acc> accs = oracle_conv_accs(input, weight, bias);
+    coverage.add(accs);
+    const std::size_t k = weight.shape().dim(2);
+    const Shape out_shape{weight.shape().dim(0), input.shape().dim(1) - k + 1,
+                          input.shape().dim(2) - k + 1};
+    for (const Activation activation : kActivations) {
+        const QTensor want = oracle_write_back(accs, out_shape, activation);
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
+            const QTensor got = qconv2d(input, weight, bias, activation);
+            ASSERT_EQ(got.shape(), out_shape) << what;
+            expect_same_tensor(got, want, what + " " + activation_name(activation) + " " +
+                                              simd::mode_name(mode));
+        }
+    }
+}
+
+/// qdense counterpart of expect_conv_matches_oracle.
+void expect_dense_matches_oracle(const QTensor& input, const QTensor& weight,
+                                 const QTensor& bias, const std::string& what,
+                                 AccCoverage& coverage) {
+    const std::vector<fx::Acc> accs = oracle_dense_accs(input, weight, bias);
+    coverage.add(accs);
+    for (const Activation activation : kActivations) {
+        const QTensor want = oracle_write_back(accs, Shape{accs.size()}, activation);
+        for (simd::Mode mode : kModes) {
+            simd::set_mode(mode);
+            expect_same_tensor(qdense(input, weight, bias, activation), want,
+                               what + " " + activation_name(activation) + " " +
+                                   simd::mode_name(mode));
+        }
+    }
+}
+
+// The layer entries (the AVX2 path straight from the int32 GEMM tile to
+// Q3.4 codes: block-copied im2col spans, the transposing epilogue, the
+// one-image dense kernel) against the naive loops, the naive rounding and
+// each activation. Geometries cover k in {3, 5, 7}, in_c in {1, 2, 6} (odd
+// and even K), out_c in {1, 6, 8, 9, 16} with planes off the 8-pixel tile
+// (and below it), dense outputs off the 4-row group and fan-ins off the
+// 16-lane step. In every conv the last output pixel's last span ends at
+// the input's last element, so a span move reading past it would leave
+// the tensor. Full-range raw codes drive accumulators past both
+// saturation bounds; two crafted layers put an accumulator on every
+// rounding tie, for the conv and the dense path each.
+TEST(Gemm, LayerOutputsMatchOracleAtOddGeometries) {
+    SimdGuard guard;
+    Rng rng(2025);
+    AccCoverage conv_coverage;
+    for (const std::size_t k : {3, 5, 7}) {
+        for (const std::size_t in_c : {1, 2, 6}) {
+            for (const std::size_t out_c : {1, 6, 8, 9, 16}) {
+                // Output planes 1x3 (below one tile), 5x7 and 9x11 (off
+                // the 8-pixel tile).
+                for (const auto& [oh, ow] : {std::pair<std::size_t, std::size_t>{1, 3},
+                                             {5, 7},
+                                             {9, 11}}) {
+                    const QTensor input = random_raw(Shape{in_c, oh + k - 1, ow + k - 1}, rng,
+                                                     Q3_4::raw_min, Q3_4::raw_max);
+                    const QTensor weight = random_raw(Shape{out_c, in_c, k, k}, rng,
+                                                      Q3_4::raw_min, Q3_4::raw_max);
+                    const QTensor bias =
+                        random_raw(Shape{out_c}, rng, Q3_4::raw_min, Q3_4::raw_max);
+                    expect_conv_matches_oracle(
+                        input, weight, bias,
+                        "conv k=" + std::to_string(k) + " in_c=" + std::to_string(in_c) +
+                            " out_c=" + std::to_string(out_c) + " plane=" +
+                            std::to_string(oh) + "x" + std::to_string(ow),
+                        conv_coverage);
+                }
+            }
+        }
+    }
+    {
+        // Every tie: one tap of weight 2 (raw) reads input code x at pixel
+        // p, so channel oc's accumulator is 16 * bias[oc] + 2x; the 289
+        // pixels carry every code x and the biases step by 16, so the 16
+        // channels cover every even accumulator in [-2304, 2046].
+        const std::size_t k = 3;
+        QTensor input = random_raw(Shape{1, 19, 19}, rng, -4, 4);
+        for (std::size_t p = 0; p < 17 * 17; ++p) {
+            input.at(0, p / 17, p % 17) =
+                Q3_4::from_raw(static_cast<std::int16_t>(p % 256) - 128);
+        }
+        QTensor weight(Shape{16, 1, k, k});
+        QTensor bias(Shape{16});
+        for (std::size_t oc = 0; oc < 16; ++oc) {
+            weight.at(oc, 0, 0, 0) = Q3_4::from_raw(2);
+            bias.at(oc) = Q3_4::from_raw(static_cast<std::int16_t>(-128 + 16 * oc));
+        }
+        expect_conv_matches_oracle(input, weight, bias, "conv every tie", conv_coverage);
+    }
+    conv_coverage.expect_complete("conv");
+
+    AccCoverage dense_coverage;
+    for (const std::size_t out_n : {1, 3, 5, 7, 10, 13, 120}) {
+        for (const std::size_t in_n : {1, 15, 17, 33, 100, 1023}) {
+            const QTensor input =
+                random_raw(Shape{in_n}, rng, Q3_4::raw_min, Q3_4::raw_max);
+            const QTensor weight =
+                random_raw(Shape{out_n, in_n}, rng, Q3_4::raw_min, Q3_4::raw_max);
+            const QTensor bias = random_raw(Shape{out_n}, rng, Q3_4::raw_min, Q3_4::raw_max);
+            expect_dense_matches_oracle(input, weight, bias,
+                                        "dense " + std::to_string(out_n) + "x" +
+                                            std::to_string(in_n),
+                                        dense_coverage);
+        }
+    }
+    {
+        // Every accumulator in [-2200, 2200]: output o's 17 weights (raw)
+        // add up, over an input of raw 1s, to its target less 16 * bias.
+        const std::size_t in_n = 17;
+        const std::size_t out_n = 4401;
+        QTensor input(Shape{in_n});
+        for (std::size_t i = 0; i < in_n; ++i) input.at(i) = Q3_4::from_raw(1);
+        QTensor weight(Shape{out_n, in_n});
+        QTensor bias(Shape{out_n});
+        for (std::size_t o = 0; o < out_n; ++o) {
+            const std::int64_t target = static_cast<std::int64_t>(o) - 2200;
+            const std::int64_t b = std::clamp<std::int64_t>(target / 32, -128, 127);
+            bias.at(o) = Q3_4::from_raw(static_cast<std::int16_t>(b));
+            std::int64_t rest = target - 16 * b;
+            for (std::size_t i = 0; i < in_n; ++i) {
+                const std::int64_t w = std::clamp<std::int64_t>(rest, -128, 127);
+                weight.at(o, i) = Q3_4::from_raw(static_cast<std::int16_t>(w));
+                rest -= w;
+            }
+            ASSERT_EQ(rest, 0) << "target " << target;
+        }
+        expect_dense_matches_oracle(input, weight, bias, "dense every tie", dense_coverage);
+    }
+    dense_coverage.expect_complete("dense");
 }
 
 // Whole-network equivalence across the full zoo, both quantization

@@ -8,10 +8,16 @@
 // the fast path, carried op-by-op on the reference path).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "accel/arch_profiles.hpp"
 #include "accel/engine.hpp"
 #include "accel/overlay.hpp"
 #include "engine_reference.hpp"
+#include "nn/zoo.hpp"
 #include "test_helpers.hpp"
+#include "util/divide.hpp"
 
 namespace deepstrike::accel {
 namespace {
@@ -321,6 +327,74 @@ TEST(Overlay, FaultsForUsesLayerIndex) {
         EXPECT_EQ(counts.random, lf.counts.random);
     }
     EXPECT_EQ(run.faults_for("NO_SUCH_LAYER").total(), 0u);
+}
+
+// The fault walk maps each faulted op index to its output element, input
+// and weight with 32-bit reciprocals (DivideU32), not per-fault division.
+// At the largest op index of every conv and dense layer of every zoo
+// victim the reciprocals must divide exactly, and a deep droop over each
+// layer's last cycles, where nearly every op faults, must match the
+// per-op oracle.
+TEST(Overlay, LargestOpIndexOfEveryZooLayerMatchesReference) {
+    for (const nn::ArchitectureInfo& info : nn::architectures()) {
+        Rng weight_rng(2024);
+        nn::Sequential model = nn::build_architecture(info.arch, weight_rng);
+        const AccelEngine engine(
+            quant::quantize_sequential(model, info.input_shape, {},
+                                       quant::quant_format_for(info.arch)),
+            accel_config_for(info.arch), 2021);
+        const quant::QNetwork& net = engine.network();
+        const std::vector<Shape> shapes = net.layer_output_shapes();
+        for (std::size_t li = 0; li < net.layers.size(); ++li) {
+            const quant::QLayer& layer = net.layers[li];
+            const bool conv = layer.kind == quant::QLayerKind::Conv;
+            if (!conv && layer.kind != quant::QLayerKind::Dense) continue;
+            const std::string what = std::string(info.name) + " " + layer.label;
+            const LayerSegment& seg = engine.schedule().segment_for_layer(li);
+            const auto last = static_cast<std::uint32_t>(seg.total_ops - 1);
+            ASSERT_EQ(std::size_t{last} + 1, seg.total_ops) << what;
+
+            // Op g belongs to element g / per_elem; a conv element e to
+            // channel e / plane.
+            const std::uint32_t per_elem =
+                static_cast<std::uint32_t>(layer.weight.size() / layer.weight.shape().dim(0));
+            const DivideU32 by_elem(per_elem);
+            for (const std::uint32_t g : {last, last - 1, last / 2, std::uint32_t{0}}) {
+                EXPECT_EQ(by_elem.quotient(g), g / per_elem) << what << " op " << g;
+                EXPECT_EQ(by_elem.remainder(g), g % per_elem) << what << " op " << g;
+            }
+            if (conv) {
+                const auto plane = static_cast<std::uint32_t>(shapes[li].dim(1) *
+                                                              shapes[li].dim(2));
+                const std::uint32_t elem = last / per_elem;
+                EXPECT_EQ(DivideU32(plane).quotient(elem), elem / plane) << what;
+            }
+
+            VoltageTrace trace(engine.schedule().total_cycles * 2, 1.0);
+            for (std::size_t c = seg.end_cycle() - 3; c < seg.end_cycle(); ++c) {
+                trace[2 * c] = 0.52;
+                trace[2 * c + 1] = 0.52;
+            }
+            std::uint64_t faults = 0;
+            for (std::uint64_t trial = 0; trial < 2; ++trial) {
+                Rng img_rng(4000 + trial);
+                QTensor img(info.input_shape);
+                for (std::size_t i = 0; i < img.size(); ++i) {
+                    img.at_unchecked(i) = fx::Q3_4::from_real(img_rng.uniform(0.0, 1.0));
+                }
+                Rng rng_fast(61 + trial);
+                Rng rng_ref(61 + trial);
+                const RunResult fast = run_engine(engine, img, &trace, rng_fast);
+                expect_same_run(fast, run_reference(engine, img, &trace, rng_ref));
+                // The oracle keeps a pair's second deviate outside the Rng,
+                // so compare the generator state: both drew the same
+                // uniforms.
+                EXPECT_EQ(rng_fast.state(), rng_ref.state()) << what;
+                faults += fast.faults_for(layer.label).total();
+            }
+            EXPECT_GT(faults, 0u) << what; // the droop reaches the last ops
+        }
+    }
 }
 
 } // namespace

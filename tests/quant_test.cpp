@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "quant/qnetwork.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace deepstrike::quant {
 namespace {
@@ -174,24 +176,45 @@ TEST(Pool2, MatchesNaivePoolingOnRandomTensorsAndZooActivations) {
 
 // gemm::write_back under every activation against the naive if/else
 // rounding plus apply_activation: accumulators across both saturation
-// edges and every tie between them, and a seeded sample of +-2^40 values.
+// edges and every tie between them, +-2^62 and a seeded sample
+// of +-2^40 values, written back whole and in runs of every length 1-33
+// (whole and partial 8-lane groups, and runs shorter than one group), on
+// both dispatch paths.
 TEST(WriteBack, MatchesNaiveRoundingUnderEveryActivation) {
+    const simd::Mode saved = simd::mode();
     std::vector<fx::Acc> accs;
     for (fx::Acc acc = -2200; acc <= 2200; ++acc) accs.push_back(acc);
+    // Halved: the naive rounding negates its argument.
+    accs.push_back(std::numeric_limits<fx::Acc>::min() / 2);
+    accs.push_back(std::numeric_limits<fx::Acc>::max() / 2);
     Rng rng(31);
     for (int i = 0; i < 4096; ++i) {
         accs.push_back(rng.uniform_int(-(fx::Acc{1} << 40), fx::Acc{1} << 40));
     }
-    for (const Activation activation :
-         {Activation::None, Activation::Tanh, Activation::Relu, Activation::Sign}) {
-        QTensor out(Shape{accs.size()});
-        gemm::write_back(accs.data(), accs.size(), activation, out);
-        for (std::size_t p = 0; p < accs.size(); ++p) {
+    const auto check = [&](std::size_t begin, std::size_t n, Activation activation) {
+        QTensor out(Shape{n});
+        gemm::write_back(accs.data() + begin, n, activation, out);
+        for (std::size_t p = 0; p < n; ++p) {
             ASSERT_EQ(out.at_unchecked(p).raw(),
-                      apply_activation(naive_from_accumulator(accs[p]), activation).raw())
-                << activation_name(activation) << " acc " << accs[p];
+                      apply_activation(naive_from_accumulator(accs[begin + p]), activation)
+                          .raw())
+                << activation_name(activation) << " " << simd::mode_name(simd::mode())
+                << " acc " << accs[begin + p] << " in a run of " << n;
+        }
+    };
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        simd::set_mode(mode);
+        for (const Activation activation :
+             {Activation::None, Activation::Tanh, Activation::Relu, Activation::Sign}) {
+            check(0, accs.size(), activation);
+            for (std::size_t n = 1; n <= 33; ++n) {
+                for (std::size_t begin = 0; begin + n <= accs.size(); begin += 97 + n) {
+                    check(begin, n, activation);
+                }
+            }
         }
     }
+    simd::set_mode(saved);
 }
 
 TEST(QDense, MatchesFloatWithinTolerance) {

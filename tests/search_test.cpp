@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
@@ -496,6 +497,87 @@ TEST(WeightFaultSearch, GoldenCacheElisionIsByteExactForStraddlingBeats) {
         changed += test.size() - correct;
     }
     EXPECT_GT(changed, 0u); // the comparison is not vacuous
+}
+
+// Fitness runs as one task per 16-image block of a candidate, each on a
+// pooled working copy patched in place, and the blocks' correct counts
+// add up per candidate. At 50 images (a partial last block) and 64, for
+// both fault models, every fitness the search journaled and the
+// champion's must equal the drop of a full forward of an
+// apply_weight_faults copy over every image, and the manifest holds
+// exactly one point per fresh candidate.
+TEST(WeightFaultSearch, BlockedFitnessMatchesWholeCandidate) {
+    const quant::QNetwork network = deepstrike::testing::random_qnetwork(78);
+    const data::Dataset test = data::make_datasets(8, 1, 64).test;
+    const std::string journal = temp_path("blocked.jsonl");
+    for (const std::size_t n_images : {std::size_t{50}, std::size_t{64}}) {
+        std::vector<QTensor> images;
+        std::size_t clean = 0;
+        for (std::size_t i = 0; i < n_images; ++i) {
+            images.push_back(quant::quantize_image(test.images[i]));
+            clean += argmax(network.forward(images.back())) == test.labels[i] ? 1 : 0;
+        }
+        for (const accel::WeightFaultKind kind :
+             {accel::WeightFaultKind::Duplicate, accel::WeightFaultKind::BitFlip}) {
+            sim::WeightFaultSearchConfig config = small_config();
+            config.fault_kind = kind;
+            config.eval_images = n_images;
+            config.spec.space = quant::WeightStreamView(network).size();
+            config.threads = 4;
+            config.journal_path = journal;
+            sim::RunManifest manifest;
+            const sim::SearchReport report =
+                sim::run_weight_fault_search(network, test, config, &manifest);
+            const std::string what = std::string(sim::weight_attack_name(kind)) + " at " +
+                                     std::to_string(n_images) + " images";
+
+            const auto whole_drop = [&](const FaultSet& candidate) {
+                const quant::QNetwork faulted = accel::apply_weight_faults(
+                    network,
+                    accel::uniform_weight_faults(candidate, config.fault_kind,
+                                                 static_cast<std::uint8_t>(config.fault_bit)),
+                    config.transfer);
+                std::size_t correct = 0;
+                for (std::size_t i = 0; i < n_images; ++i) {
+                    correct += argmax(faulted.forward(images[i])) == test.labels[i] ? 1 : 0;
+                }
+                return 100.0 * (static_cast<double>(clean) - static_cast<double>(correct)) /
+                       static_cast<double>(n_images);
+            };
+
+            // One point per fresh candidate, none twice.
+            EXPECT_EQ(manifest.points.size(), report.evaluations - report.fitness_cache_hits)
+                << what;
+            std::set<std::string> labels;
+            for (const sim::SweepPointStats& point : manifest.points) {
+                EXPECT_TRUE(point.ok) << what;
+                EXPECT_EQ(point.label.rfind("candidate ", 0), 0u) << what;
+                labels.insert(point.label);
+            }
+            EXPECT_EQ(labels.size(), manifest.points.size()) << what;
+
+            ASSERT_FALSE(report.best.empty()) << what;
+            EXPECT_EQ(sim::double_bits_hex(whole_drop(report.best)),
+                      sim::double_bits_hex(report.best_drop))
+                << what;
+            const sim::JournalRecovery recovery = sim::CheckpointJournal::recover(
+                journal, sim::weight_fault_search_fingerprint(network, test, config),
+                "weight-fault-search");
+            std::size_t checked = 0;
+            for (const sim::JournalRecord& rec : recovery.records) {
+                const GenerationRecord record = GenerationRecord::from_json(rec.payload);
+                ASSERT_EQ(record.population.size(), record.fitness.size()) << what;
+                for (std::size_t i = 0; i < record.population.size(); ++i) {
+                    EXPECT_EQ(sim::double_bits_hex(whole_drop(record.population[i])),
+                              sim::double_bits_hex(record.fitness[i]))
+                        << what << " generation " << record.index << " member " << i;
+                    ++checked;
+                }
+            }
+            EXPECT_GT(checked, 0u) << what;
+            std::remove(journal.c_str());
+        }
+    }
 }
 
 TEST(WeightFaultSearch, DeepLaserOutDamagesItsBudgetOnARandomNet) {

@@ -6,12 +6,41 @@
 #include "test_helpers.hpp"
 #include "util/bitvec.hpp"
 #include "util/csv.hpp"
+#include "util/divide.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace deepstrike {
 namespace {
+
+// ------------------------------------------------------------- DivideU32
+
+// The reciprocal is exact for every 32-bit dividend: checked at the edge
+// divisors (1, powers of two, 2^32 - 1) and edge dividends, then at random
+// pairs.
+TEST(DivideU32, ExactAtEdgeAndRandomOperands) {
+    constexpr std::uint32_t kMax = ~std::uint32_t{0};
+    std::vector<std::uint32_t> divisors = {1,     2,        3,    5,     7,
+                                           25,    150,      576,  1024,  65536,
+                                           65537, 1u << 31, kMax, kMax - 1, (1u << 31) + 1};
+    Rng rng(97);
+    for (int i = 0; i < 200; ++i) {
+        divisors.push_back(static_cast<std::uint32_t>(rng.uniform_int(1, kMax)));
+    }
+    for (const std::uint32_t d : divisors) {
+        const DivideU32 div(d);
+        std::vector<std::uint32_t> dividends = {0, 1, d - 1, d, kMax, kMax - 1, kMax / d * d};
+        if (d < kMax) dividends.push_back(d + 1);
+        for (int i = 0; i < 200; ++i) {
+            dividends.push_back(static_cast<std::uint32_t>(rng.uniform_int(0, kMax)));
+        }
+        for (const std::uint32_t n : dividends) {
+            ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+            ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
+        }
+    }
+}
 
 // ------------------------------------------------------------------- Rng
 
