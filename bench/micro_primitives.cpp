@@ -493,9 +493,9 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
-// Golden-store construction over 200 images: batched forward_trace
-// blocks, one GEMM per layer per 16-image block. Campaigns pay this once
-// up front; CI gates it against its baseline.
+// Golden-store construction over 200 images: one forward_trace per image,
+// each its own pool task, one GEMM per conv/dense layer per image.
+// Campaigns pay this once up front; CI gates it against its baseline.
 void BM_GoldenStoreBuild(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);

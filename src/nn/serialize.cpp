@@ -1,5 +1,7 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -56,6 +58,10 @@ void load_weights(Sequential& model, const std::string& path) {
         in.read(reinterpret_cast<char*>(p->value.data()),
                 static_cast<std::streamsize>(n * sizeof(float)));
         if (!in) throw FormatError("weight file: truncated: " + path);
+        const float* v = p->value.data();
+        if (!std::all_of(v, v + n, [](float x) { return std::isfinite(x); })) {
+            throw FormatError("weight file: non-finite weight: " + path);
+        }
     }
     if (in.peek() != std::ifstream::traits_type::eof()) {
         throw FormatError("weight file: trailing bytes: " + path);

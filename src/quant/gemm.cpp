@@ -46,9 +46,9 @@ constexpr std::size_t kSpanSlack = 8;
 /// int32 lanes).
 constexpr std::size_t kTile = 8;
 
-/// Per-thread scratch for the padded input copy, im2col patches, gathered
-/// dense rows, packed conv weights and the int32 GEMM output; reused
-/// across calls so the hot path does not allocate per layer.
+/// Per-thread scratch for the padded input copy, im2col patches, packed
+/// conv weights and the int32 GEMM output; reused across calls so the hot
+/// path does not allocate per layer.
 struct Workspace {
     std::vector<std::int16_t> input;
     std::vector<std::int16_t> patches;
@@ -203,55 +203,19 @@ __attribute__((target("avx2"))) inline std::int32_t row_dot1_avx2(const std::int
     return s;
 }
 
-/// AVX2 microkernel: 16-wide int16 pmaddwd dot products. Groups of four A
-/// rows share each B-row load; the rows left over (every row when m < 4,
-/// as in a one-image dense layer) take B rows four at a time, sharing each
-/// A load. Each _mm256_madd_epi16 pairs adjacent products (|pair| <=
-/// 2^15); a lane accumulates at most k/16 pairs, so lane magnitudes stay
-/// below k * 2^11 <= 2^27 for k <= 65536 — no int32 lane overflow, and the
-/// final horizontal + tail sum reassociates exactly to the scalar result.
+/// AVX2 microkernel: 16-wide int16 pmaddwd dot products. Each A row (the
+/// one input row of a dense layer) takes B rows four at a time, sharing
+/// each A load, then one at a time. Each _mm256_madd_epi16 pairs adjacent
+/// products (|pair| <= 2^15); a lane accumulates at most k/16 pairs, so
+/// lane magnitudes stay below k * 2^11 <= 2^27 for k <= 65536 — no int32
+/// lane overflow, and the final horizontal + tail sum reassociates exactly
+/// to the scalar result.
 __attribute__((target("avx2"))) void gemm_nt_s32_avx2(
     const std::int16_t* a, std::size_t lda, const std::int16_t* b,
     std::size_t ldb, std::int32_t* c, std::size_t ldc, std::size_t m,
     std::size_t n, std::size_t k) {
     const std::size_t k16 = k & ~static_cast<std::size_t>(15);
-    const std::size_t m4 = m & ~static_cast<std::size_t>(3);
-    for (std::size_t j = 0; j < n && m4 > 0; ++j) {
-        const std::int16_t* bj = b + j * ldb;
-        for (std::size_t i = 0; i < m4; i += 4) {
-            const std::int16_t* a0 = a + i * lda;
-            const std::int16_t* a1 = a0 + lda;
-            const std::int16_t* a2 = a1 + lda;
-            const std::int16_t* a3 = a2 + lda;
-            __m256i v0 = _mm256_setzero_si256();
-            __m256i v1 = _mm256_setzero_si256();
-            __m256i v2 = _mm256_setzero_si256();
-            __m256i v3 = _mm256_setzero_si256();
-            for (std::size_t t = 0; t < k16; t += 16) {
-                const __m256i bv = load256(bj + t);
-                v0 = _mm256_add_epi32(v0, _mm256_madd_epi16(load256(a0 + t), bv));
-                v1 = _mm256_add_epi32(v1, _mm256_madd_epi16(load256(a1 + t), bv));
-                v2 = _mm256_add_epi32(v2, _mm256_madd_epi16(load256(a2 + t), bv));
-                v3 = _mm256_add_epi32(v3, _mm256_madd_epi16(load256(a3 + t), bv));
-            }
-            std::int32_t s0 = hsum_epi32(v0);
-            std::int32_t s1 = hsum_epi32(v1);
-            std::int32_t s2 = hsum_epi32(v2);
-            std::int32_t s3 = hsum_epi32(v3);
-            for (std::size_t t = k16; t < k; ++t) {
-                const std::int32_t bt = bj[t];
-                s0 += static_cast<std::int32_t>(a0[t]) * bt;
-                s1 += static_cast<std::int32_t>(a1[t]) * bt;
-                s2 += static_cast<std::int32_t>(a2[t]) * bt;
-                s3 += static_cast<std::int32_t>(a3[t]) * bt;
-            }
-            c[(i + 0) * ldc + j] = s0;
-            c[(i + 1) * ldc + j] = s1;
-            c[(i + 2) * ldc + j] = s2;
-            c[(i + 3) * ldc + j] = s3;
-        }
-    }
-    for (std::size_t i = m4; i < m; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
         const std::int16_t* ai = a + i * lda;
         std::int32_t* ci = c + i * ldc;
         std::size_t j = 0;
@@ -717,12 +681,13 @@ void im2col_rows(const std::int16_t* __restrict in, const ConvGeom& g,
     }
 }
 
-/// im2col of one image into `rows`, read through the workspace's copy of
-/// the input padded by kSpanSlack elements.
-void im2col(const QTensor& input, const ConvGeom& g, Workspace& ws, std::int16_t* rows) {
+/// im2col of one image into ws.patches, read through the workspace's copy
+/// of the input padded by kSpanSlack elements.
+void im2col(const QTensor& input, const ConvGeom& g, Workspace& ws) {
     ws.input.resize(input.size() + kSpanSlack);
     std::memcpy(ws.input.data(), raw(input), input.size() * sizeof(std::int16_t));
     const std::int16_t* in = ws.input.data();
+    std::int16_t* rows = ws.patches.data();
     switch (g.k) {
         case 3: im2col_rows<3>(in, g, rows); break;
         case 5: im2col_rows<5>(in, g, rows); break;
@@ -730,18 +695,18 @@ void im2col(const QTensor& input, const ConvGeom& g, Workspace& ws, std::int16_t
     }
 }
 
-/// Folds the bias into one image's GEMM output and transposes it from
+/// Folds the bias into the GEMM output and transposes it from
 /// C[pix, oc] (row stride ocp) into the accumulator layout
 /// accs[oc * plane + pix], in one pass over tiles of kTile pixels: a
 /// tile's kTile source rows and its out_c destination spans stay in cache
 /// while the tile is written.
-void fold_bias_transpose(const std::int32_t* c_img, std::size_t ocp,
+void fold_bias_transpose(const std::int32_t* c32, std::size_t ocp,
                          const std::int16_t* b_raw, std::size_t out_c,
                          std::size_t plane, fx::Acc* accs) {
     const auto tile = [&](std::size_t p0, auto width) {
         for (std::size_t oc = 0; oc < out_c; ++oc) {
             const fx::Acc bias_acc = static_cast<fx::Acc>(b_raw[oc]) << Q3_4::frac_bits;
-            const std::int32_t* src = c_img + p0 * ocp + oc;
+            const std::int32_t* src = c32 + p0 * ocp + oc;
             fx::Acc* dst = accs + oc * plane + p0;
             for (std::size_t p = 0; p < width; ++p) dst[p] = bias_acc + src[p * ocp];
         }
@@ -753,29 +718,22 @@ void fold_bias_transpose(const std::int32_t* c_img, std::size_t ocp,
     if (p0 < plane) tile(p0, plane - p0);
 }
 
-/// The conv GEMM shared by every conv entry: im2col of `n_images` images,
-/// then one GEMM over their `n_images * plane` packed patch rows. The int32
-/// results land in ws.c32 as C[row, oc] (row = b*plane + pix) with row
-/// stride ocp, the returned value — the layout both the packed AVX2
-/// kernel and the scalar NT kernel (A = patches, B = weight rows) produce
-/// naturally — followed by kTile rows of slack for the epilogue's tiles.
-std::size_t conv_gemm(const QTensor* const* inputs, std::size_t n_images,
-                      const QTensor& weight, const ConvGeom& g, Workspace& ws) {
-    const std::size_t rows = n_images * g.plane;
+/// The conv GEMM shared by both conv entries: im2col of the image, then
+/// one GEMM over its `plane` packed patch rows. The int32 results land in
+/// ws.c32 as C[pix, oc] with row stride ocp, the returned value — the
+/// layout both the packed AVX2 kernel and the scalar NT kernel (A =
+/// patches, B = weight rows) produce naturally — followed by kTile rows of
+/// slack for the epilogue's tiles.
+std::size_t conv_gemm(const QTensor& input, const QTensor& weight, const ConvGeom& g,
+                      Workspace& ws) {
     const std::size_t K2 = padded_k(g.K);
-    [[maybe_unused]] const bool avx2 = simd::active();
-#if DS_GEMM_X86
-    const std::size_t ocp = avx2 ? (g.out_c + 7) & ~static_cast<std::size_t>(7)
-                                 : g.out_c;
-#else
-    const std::size_t ocp = g.out_c;
-#endif
+    const bool avx2 = DS_GEMM_X86 && simd::active();
+    const std::size_t ocp = avx2 ? (g.out_c + 7) & ~static_cast<std::size_t>(7) : g.out_c;
 
-    ws.patches.resize(rows * K2 + kSpanSlack);
-    ws.c32.resize((rows + kTile) * ocp);
-    for (std::size_t b = 0; b < n_images; ++b) {
-        im2col(*inputs[b], g, ws, ws.patches.data() + b * g.plane * K2);
-    }
+    ws.patches.resize(g.plane * K2 + kSpanSlack);
+    ws.c32.resize((g.plane + kTile) * ocp);
+    im2col(input, g, ws);
+    count_gemm(g.out_c, g.plane, g.K);
 
 #if DS_GEMM_X86
     if (avx2) {
@@ -784,126 +742,61 @@ std::size_t conv_gemm(const QTensor* const* inputs, std::size_t n_images,
         const std::size_t n_pairs = K2 / 2;
         ws.wpack.resize(n_blocks * n_pairs * 16);
         pack_conv_weights_avx2(raw(weight), g.out_c, g.K, n_pairs, ws.wpack.data());
-        conv_cols_avx2(ws.patches.data(), K2, ws.wpack.data(), ws.c32.data(),
-                       ocp, rows, n_blocks, n_pairs);
-    } else {
-        gemm_nt_s32_scalar(ws.patches.data(), K2, raw(weight), g.K,
-                           ws.c32.data(), ocp, rows, g.out_c, g.K);
+        conv_cols_avx2(ws.patches.data(), K2, ws.wpack.data(), ws.c32.data(), ocp, g.plane,
+                       n_blocks, n_pairs);
+        return ocp;
     }
-#else
-    gemm_nt_s32_scalar(ws.patches.data(), K2, raw(weight), g.K,
-                       ws.c32.data(), ocp, rows, g.out_c, g.K);
 #endif
-    count_gemm(g.out_c, rows, g.K);
+    gemm_nt_s32_scalar(ws.patches.data(), K2, raw(weight), g.K, ws.c32.data(), ocp, g.plane,
+                       g.out_c, g.K);
     return ocp;
 }
 
-/// Shared core of the single-image and batched conv accumulator entries:
-/// conv_gemm, then per image one bias fold and transpose
-/// (fold_bias_transpose).
-void conv2d_accs_impl(const QTensor* const* inputs, std::size_t n_images,
-                      const QTensor& weight, const QTensor& bias,
-                      std::vector<std::vector<fx::Acc>>& accs) {
-    expects(n_images > 0, "gemm::conv2d: at least one image");
-    const ConvGeom g = conv_geometry(*inputs[0], weight, bias);
-    for (std::size_t b = 1; b < n_images; ++b) {
-        expects(inputs[b]->shape() == inputs[0]->shape(),
-                "gemm::conv2d: uniform batch shapes");
-    }
-    Workspace& ws = workspace();
-    const std::size_t ocp = conv_gemm(inputs, n_images, weight, g, ws);
-    accs.resize(n_images);
-    for (std::size_t b = 0; b < n_images; ++b) {
-        accs[b].resize(g.out_c * g.plane);
-        fold_bias_transpose(ws.c32.data() + b * g.plane * ocp, ocp, raw(bias), g.out_c,
-                            g.plane, accs[b].data());
-    }
-}
-
-/// Dense geometry checks; returns {out_n, in_n}.
-std::pair<std::size_t, std::size_t> dense_geometry(const QTensor& weight,
+/// Dense geometry checks (the input is read flat); returns {out_n, in_n}.
+std::pair<std::size_t, std::size_t> dense_geometry(const QTensor& input,
+                                                   const QTensor& weight,
                                                    const QTensor& bias) {
     expects(weight.shape().rank() == 2, "gemm::dense: weight rank 2");
     const std::size_t out_n = weight.shape().dim(0);
     const std::size_t in_n = weight.shape().dim(1);
     expects(bias.size() == out_n, "gemm::dense: bias size");
     expects(in_n <= 65536, "gemm::dense: fan-in fits int32");
+    expects(input.size() == in_n, "gemm::dense: input feature mismatch");
     return {out_n, in_n};
 }
 
-/// Shared core of the dense paths. A = the gathered input rows (so the
-/// weight matrix — the big operand — streams exactly once per block),
-/// giving C[b, o] contiguous per image.
-void dense_accs_impl(const QTensor* const* inputs, std::size_t n_images,
-                     const QTensor& weight, const QTensor& bias,
-                     std::vector<std::vector<fx::Acc>>& accs) {
-    expects(n_images > 0, "gemm::dense: at least one image");
-    const auto [out_n, in_n] = dense_geometry(weight, bias);
-    for (std::size_t b = 0; b < n_images; ++b) {
-        expects(inputs[b]->size() == in_n, "gemm::dense: input feature mismatch");
-    }
-
-    Workspace& ws = workspace();
-    ws.c32.resize(n_images * out_n);
-
-    const std::int16_t* x;
-    if (n_images == 1) {
-        x = raw(*inputs[0]); // zero-copy: one contiguous row
-    } else {
-        ws.patches.resize(n_images * in_n);
-        for (std::size_t b = 0; b < n_images; ++b) {
-            std::memcpy(ws.patches.data() + b * in_n, raw(*inputs[b]),
-                        in_n * sizeof(std::int16_t));
-        }
-        x = ws.patches.data();
-    }
-
-    gemm_nt_s32(x, in_n, raw(weight), in_n, ws.c32.data(), out_n, n_images,
-                out_n, in_n);
-    count_gemm(n_images, out_n, in_n);
-
-    const std::int16_t* b_raw = raw(bias);
-    accs.resize(n_images);
-    for (std::size_t b = 0; b < n_images; ++b) {
-        std::vector<fx::Acc>& a = accs[b];
-        a.resize(out_n);
-        const std::int32_t* src = ws.c32.data() + b * out_n;
-        for (std::size_t o = 0; o < out_n; ++o) {
-            a[o] = (static_cast<fx::Acc>(b_raw[o]) << Q3_4::frac_bits) + src[o];
-        }
-    }
+/// The dense GEMM shared by both dense entries: the input, read in place
+/// as one row, against every weight row, the int32 results in
+/// ws.c32[0..out_n).
+void dense_gemm(const QTensor& input, const QTensor& weight, std::size_t out_n,
+                std::size_t in_n, Workspace& ws) {
+    ws.c32.resize(out_n);
+    gemm_nt_s32(raw(input), in_n, raw(weight), in_n, ws.c32.data(), out_n, 1, out_n,
+                in_n);
+    count_gemm(1, out_n, in_n);
 }
-
-thread_local std::vector<std::vector<fx::Acc>> single_accs_tls;
 
 } // namespace
 
 void conv2d_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                  std::vector<fx::Acc>& accs) {
-    const QTensor* one = &input;
-    std::vector<std::vector<fx::Acc>>& out = single_accs_tls;
-    conv2d_accs_impl(&one, 1, weight, bias, out);
-    accs.swap(out[0]); // recycle the caller's buffer into the scratch slot
+    const ConvGeom g = conv_geometry(input, weight, bias);
+    Workspace& ws = workspace();
+    const std::size_t ocp = conv_gemm(input, weight, g, ws);
+    accs.resize(g.out_c * g.plane);
+    fold_bias_transpose(ws.c32.data(), ocp, raw(bias), g.out_c, g.plane, accs.data());
 }
 
 void dense_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 std::vector<fx::Acc>& accs) {
-    const QTensor* one = &input;
-    std::vector<std::vector<fx::Acc>>& out = single_accs_tls;
-    dense_accs_impl(&one, 1, weight, bias, out);
-    accs.swap(out[0]);
-}
-
-void conv2d_accs_batch(const std::vector<const QTensor*>& inputs,
-                       const QTensor& weight, const QTensor& bias,
-                       std::vector<std::vector<fx::Acc>>& accs) {
-    conv2d_accs_impl(inputs.data(), inputs.size(), weight, bias, accs);
-}
-
-void dense_accs_batch(const std::vector<const QTensor*>& inputs,
-                      const QTensor& weight, const QTensor& bias,
-                      std::vector<std::vector<fx::Acc>>& accs) {
-    dense_accs_impl(inputs.data(), inputs.size(), weight, bias, accs);
+    const auto [out_n, in_n] = dense_geometry(input, weight, bias);
+    Workspace& ws = workspace();
+    dense_gemm(input, weight, out_n, in_n, ws);
+    const std::int16_t* b_raw = raw(bias);
+    accs.resize(out_n);
+    for (std::size_t o = 0; o < out_n; ++o) {
+        accs[o] = (static_cast<fx::Acc>(b_raw[o]) << Q3_4::frac_bits) + ws.c32[o];
+    }
 }
 
 QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
@@ -913,8 +806,7 @@ QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor&
 #if DS_GEMM_X86
     if (simd::active()) {
         Workspace& ws = workspace();
-        const QTensor* one = &input;
-        const std::size_t ocp = conv_gemm(&one, 1, weight, g, ws);
+        const std::size_t ocp = conv_gemm(input, weight, g, ws);
         with_activation(activation, [&](auto a) {
             conv_epilogue_avx2<decltype(a)::value>(ws.c32.data(), ocp, raw(bias), g.out_c,
                                                    g.plane, raw(out));
@@ -930,16 +822,12 @@ QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor&
 
 QTensor dense_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
                     Activation activation) {
-    const auto [out_n, in_n] = dense_geometry(weight, bias);
-    expects(input.size() == in_n, "gemm::dense: input feature mismatch");
+    const auto [out_n, in_n] = dense_geometry(input, weight, bias);
     QTensor out(Shape{out_n});
 #if DS_GEMM_X86
     if (simd::active()) {
         Workspace& ws = workspace();
-        ws.c32.resize(out_n);
-        gemm_nt_s32_avx2(raw(input), in_n, raw(weight), in_n, ws.c32.data(), out_n, 1,
-                         out_n, in_n);
-        count_gemm(1, out_n, in_n);
+        dense_gemm(input, weight, out_n, in_n, ws);
         with_activation(activation, [&](auto a) {
             dense_epilogue_avx2<decltype(a)::value>(ws.c32.data(), raw(bias), out_n,
                                                     raw(out));

@@ -18,12 +18,12 @@
 //           into the Q3.4 [channel, pixel] output, and the accumulator
 //           entry (conv2d_accs) folds the bias into int64 [channel, pixel]
 //           accumulators instead;
-//   dense — already a GEMM: C[images, out_n] = X[images, in_n] x W[out_n, in_n]^T
-//           (zero-copy on both operands; one image shares each input load
-//           across four weight rows);
-//   batch — the patch/input matrices of an image block concatenate along
-//           the row axis, so one GEMM amortizes the weight traffic over
-//           the whole block instead of re-streaming W per image.
+//   dense — already a GEMM: C[1, out_n] = x[1, in_n] x W[out_n, in_n]^T
+//           (zero-copy on both operands; the image shares each input load
+//           across four weight rows).
+//
+// Every entry runs one image; a caller that covers many (the golden-store
+// build, the search's fitness blocks) calls it once per image.
 //
 // The microkernel accumulates int16 x int16 products in int32 — exact,
 // because every layer guards its reduction depth (receptive field / fan-in
@@ -32,7 +32,8 @@
 // byte-identical accumulators, equal to a naive per-element walk in any
 // summation order. That is the hard invariant everything here hangs on:
 // campaign reports must not change with the dispatch path, at any thread
-// count (tests/gemm_test.cpp checks both paths against the naive loops).
+// count (tests/gemm_test.cpp checks both paths against the naive loops of
+// tests/test_helpers.hpp).
 // The bias-folded sum still fits int32 (|bias| * 2^4 <= 2^11), so the
 // AVX2 epilogue saturates, rounds and activates on int32 lanes with the
 // same saturate-then-round steps as fx::Fixed::from_accumulator.
@@ -56,12 +57,6 @@ enum class Activation : std::uint8_t;
 
 namespace gemm {
 
-/// Image-block size of the batched golden-store build
-/// (sim::build_golden_store). The partition into blocks depends on this
-/// constant alone, so batched results and metric totals are identical at
-/// any thread count.
-inline constexpr std::size_t kBlockImages = 16;
-
 /// C[i, j] = dot(A row i, B row j) over K contiguous int16 elements:
 /// C[i*ldc + j] (int32) for i < m, j < n, with A rows at a + i*lda and
 /// B rows at b + j*ldb ("NT" layout — both operands row-major, K on the
@@ -83,20 +78,6 @@ void conv2d_accs(const QTensor& input, const QTensor& weight, const QTensor& bia
 void dense_accs(const QTensor& input, const QTensor& weight, const QTensor& bias,
                 std::vector<fx::Acc>& accs);
 
-/// Batched conv: one GEMM over the concatenated patch matrices of
-/// `inputs` (all shaped like a single-image call). accs[b] receives image
-/// b's full-layer accumulators, byte-identical to conv2d_accs on that
-/// image alone.
-void conv2d_accs_batch(const std::vector<const QTensor*>& inputs,
-                       const QTensor& weight, const QTensor& bias,
-                       std::vector<std::vector<fx::Acc>>& accs);
-
-/// Batched dense: one GEMM over the gathered input rows (weights stream
-/// once per block instead of once per image).
-void dense_accs_batch(const std::vector<const QTensor*>& inputs,
-                      const QTensor& weight, const QTensor& bias,
-                      std::vector<std::vector<fx::Acc>>& accs);
-
 /// One conv layer straight to its Q3.4 output [out_c, out_h, out_w]:
 /// out[p] = apply_activation(Q3_4::from_accumulator(acc[p]), activation),
 /// with acc what conv2d_accs computes. On AVX2 no int64 accumulator
@@ -110,8 +91,8 @@ QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor&
 QTensor dense_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
                     Activation activation);
 
-/// Writeback of int64 accumulators, for the engine's patched ones and the
-/// batched entries: out[p] = apply_activation(Q3_4::from_accumulator(
+/// Writeback of int64 accumulators, for the engine's patched ones and
+/// QNetwork::forward_trace's golden ones: out[p] = apply_activation(Q3_4::from_accumulator(
 /// accs[p])), with the activation chosen once per call. The AVX2 twin
 /// saturates in int64 and rounds and activates eight int32 lanes at a
 /// time, like conv2d_layer; the portable twin rounds per element. `out`

@@ -20,9 +20,8 @@
 // window takes its max with conditional moves. The conv and dense layers
 // run on the im2col/GEMM engine (quant/gemm.hpp), the only conv/dense
 // implementation in the library. The naive loops these kernels must
-// reproduce byte for byte live in tests/: the per-element conv and dense
-// loops in tests/gemm_test.cpp, the if/else rounding and pooling in
-// tests/test_helpers.hpp.
+// reproduce byte for byte live in tests/test_helpers.hpp: the per-element
+// conv and dense loops, the if/else rounding and the pooling.
 #pragma once
 
 #include <algorithm>

@@ -4,7 +4,6 @@
 
 #include "quant/gemm.hpp"
 #include "util/error.hpp"
-#include "util/metrics.hpp"
 
 namespace deepstrike::quant {
 
@@ -114,165 +113,78 @@ QTensor QNetwork::forward(const QTensor& input) const {
     return forward_from(0, input);
 }
 
-QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activation) const {
-    expects(first_layer <= layers.size(), "QNetwork: first_layer in range");
-    if (first_layer == layers.size()) return activation;
-    // The first layer reads the caller's tensor in place. A dense layer
-    // consumes a rank-3 activation as is: gemm::dense_accs takes any input
-    // of the right size, so the implicit flatten is a shape change only.
-    const QTensor* in = &activation;
-    QTensor x;
-    for (std::size_t li = first_layer; li < layers.size(); ++li) {
-        const QLayer& layer = layers[li];
-        switch (layer.kind) {
-            case QLayerKind::Conv:
-                x = qconv2d(*in, layer.weight, layer.bias, layer.activation);
-                break;
-            case QLayerKind::Pool2:
-                x = qmaxpool2(*in);
-                break;
-            case QLayerKind::AvgPool2:
-                x = qavgpool2(*in);
-                break;
-            case QLayerKind::Dense:
-                x = qdense(*in, layer.weight, layer.bias, layer.activation);
-                break;
-        }
-        in = &x;
-    }
-    return x;
-}
-
-QNetwork::ForwardTrace QNetwork::forward_trace(const QTensor& input) const {
-    return std::move(forward_trace_batch({&input}).front());
-}
-
 namespace {
 
-void count_batch_images(std::size_t n) {
-    if (metrics::enabled()) {
-        metrics::counter("quant.gemm.batch_images", "images",
-                         "images evaluated through the batched forward entries")
-            .add(n);
+/// The one-image layer loop: layers [first, layers.size()) from `input`.
+/// Each Conv/Dense layer's output comes from `param(i, layer, in)`, a pool
+/// layer's from its kernel, and `keep(out)` stores each output and returns
+/// the tensor the next layer reads. A dense layer reads a rank-3
+/// activation as is: the GEMM entries take any input of the right size,
+/// so the implicit flatten is a shape change only.
+template <typename Param, typename Keep>
+void run_layers(const std::vector<QLayer>& layers, std::size_t first, const QTensor& input,
+                const Param& param, const Keep& keep) {
+    const QTensor* in = &input;
+    for (std::size_t i = first; i < layers.size(); ++i) {
+        const QLayer& layer = layers[i];
+        switch (layer.kind) {
+            case QLayerKind::Conv:
+            case QLayerKind::Dense: in = &keep(param(i, layer, *in)); break;
+            case QLayerKind::Pool2: in = &keep(qmaxpool2(*in)); break;
+            case QLayerKind::AvgPool2: in = &keep(qavgpool2(*in)); break;
+        }
     }
 }
 
 } // namespace
 
-std::vector<QTensor> QNetwork::forward_batch(
-    const std::vector<const QTensor*>& inputs) const {
-    const std::size_t nb = inputs.size();
-    expects(nb > 0, "QNetwork::forward_batch: at least one image");
-    for (const QTensor* in : inputs) {
-        expects(in->shape() == input_shape,
-                "QNetwork::forward_batch: input shape mismatch");
-    }
-    count_batch_images(nb);
-
-    // The batched GEMM entries consume flat contiguous data, so the
-    // implicit dense flatten of the per-image path is a no-op here: a
-    // rank-3 activation feeds a dense layer directly.
-    std::vector<QTensor> xs(nb);
-    std::vector<const QTensor*> cur = inputs;
-    std::vector<std::vector<fx::Acc>> accs;
-    for (const QLayer& layer : layers) {
-        switch (layer.kind) {
-            case QLayerKind::Conv: {
-                gemm::conv2d_accs_batch(cur, layer.weight, layer.bias, accs);
-                const Shape out_shape = layer.output_shape(cur[0]->shape());
-                for (std::size_t b = 0; b < nb; ++b) {
-                    QTensor out(out_shape);
-                    gemm::write_back(accs[b].data(), accs[b].size(),
-                                     layer.activation, out);
-                    xs[b] = std::move(out);
-                }
-                break;
-            }
-            case QLayerKind::Pool2:
-                for (std::size_t b = 0; b < nb; ++b) xs[b] = qmaxpool2(*cur[b]);
-                break;
-            case QLayerKind::AvgPool2:
-                for (std::size_t b = 0; b < nb; ++b) xs[b] = qavgpool2(*cur[b]);
-                break;
-            case QLayerKind::Dense: {
-                gemm::dense_accs_batch(cur, layer.weight, layer.bias, accs);
-                const Shape out_shape{layer.weight.shape().dim(0)};
-                for (std::size_t b = 0; b < nb; ++b) {
-                    QTensor out(out_shape);
-                    gemm::write_back(accs[b].data(), accs[b].size(),
-                                     layer.activation, out);
-                    xs[b] = std::move(out);
-                }
-                break;
-            }
-        }
-        for (std::size_t b = 0; b < nb; ++b) cur[b] = &xs[b];
-    }
-    return xs;
+QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activation) const {
+    expects(first_layer <= layers.size(), "QNetwork: first_layer in range");
+    if (first_layer == layers.size()) return activation;
+    QTensor x;
+    run_layers(
+        layers, first_layer, activation,
+        [](std::size_t, const QLayer& layer, const QTensor& in) {
+            return layer.kind == QLayerKind::Conv
+                       ? qconv2d(in, layer.weight, layer.bias, layer.activation)
+                       : qdense(in, layer.weight, layer.bias, layer.activation);
+        },
+        [&x](QTensor&& out) -> const QTensor& { return x = std::move(out); });
+    return x;
 }
 
-std::vector<QNetwork::ForwardTrace> QNetwork::forward_trace_batch(
-    const std::vector<const QTensor*>& inputs) const {
-    const std::size_t nb = inputs.size();
-    expects(nb > 0, "QNetwork::forward_trace_batch: at least one image");
-    for (const QTensor* in : inputs) {
-        expects(in->shape() == input_shape,
-                "QNetwork::forward_trace_batch: input shape mismatch");
-    }
-    count_batch_images(nb);
+QNetwork::ForwardTrace QNetwork::forward_trace(const QTensor& input) const {
+    expects(input.shape() == input_shape, "QNetwork: input shape mismatch");
+    ForwardTrace trace;
+    // Reserved up front: each layer reads its input from the entry before
+    // it, so the vector must never reallocate mid-pass.
+    trace.activations.reserve(layers.size());
+    trace.accumulators.resize(layers.size());
+    run_layers(
+        layers, 0, input,
+        [&trace](std::size_t i, const QLayer& layer, const QTensor& in) {
+            std::vector<fx::Acc>& accs = trace.accumulators[i];
+            if (layer.kind == QLayerKind::Conv) {
+                gemm::conv2d_accs(in, layer.weight, layer.bias, accs);
+            } else {
+                gemm::dense_accs(in, layer.weight, layer.bias, accs);
+            }
+            QTensor out(layer.output_shape(in.shape()));
+            gemm::write_back(accs.data(), accs.size(), layer.activation, out);
+            return out;
+        },
+        [&trace](QTensor&& out) -> const QTensor& {
+            return trace.activations.emplace_back(std::move(out));
+        });
+    return trace;
+}
 
-    std::vector<ForwardTrace> traces(nb);
-    for (ForwardTrace& t : traces) {
-        // Reserve up front: `cur` points into activations between layers,
-        // so the vector must never reallocate mid-pass.
-        t.activations.reserve(layers.size());
-        t.accumulators.resize(layers.size());
-    }
-    std::vector<const QTensor*> cur = inputs;
-    std::vector<std::vector<fx::Acc>> accs;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        const QLayer& layer = layers[i];
-        switch (layer.kind) {
-            case QLayerKind::Conv: {
-                gemm::conv2d_accs_batch(cur, layer.weight, layer.bias, accs);
-                const Shape out_shape = layer.output_shape(cur[0]->shape());
-                for (std::size_t b = 0; b < nb; ++b) {
-                    QTensor out(out_shape);
-                    gemm::write_back(accs[b].data(), accs[b].size(),
-                                     layer.activation, out);
-                    traces[b].accumulators[i] = std::move(accs[b]);
-                    traces[b].activations.push_back(std::move(out));
-                }
-                break;
-            }
-            case QLayerKind::Pool2:
-                for (std::size_t b = 0; b < nb; ++b) {
-                    traces[b].activations.push_back(qmaxpool2(*cur[b]));
-                }
-                break;
-            case QLayerKind::AvgPool2:
-                for (std::size_t b = 0; b < nb; ++b) {
-                    traces[b].activations.push_back(qavgpool2(*cur[b]));
-                }
-                break;
-            case QLayerKind::Dense: {
-                gemm::dense_accs_batch(cur, layer.weight, layer.bias, accs);
-                const Shape out_shape{layer.weight.shape().dim(0)};
-                for (std::size_t b = 0; b < nb; ++b) {
-                    QTensor out(out_shape);
-                    gemm::write_back(accs[b].data(), accs[b].size(),
-                                     layer.activation, out);
-                    traces[b].accumulators[i] = std::move(accs[b]);
-                    traces[b].activations.push_back(std::move(out));
-                }
-                break;
-            }
-        }
-        for (std::size_t b = 0; b < nb; ++b) {
-            cur[b] = &traces[b].activations.back();
-        }
-    }
-    return traces;
+std::vector<QTensor> QNetwork::forward_batch(
+    const std::vector<const QTensor*>& inputs) const {
+    std::vector<QTensor> outputs;
+    outputs.reserve(inputs.size());
+    for (const QTensor* input : inputs) outputs.push_back(forward(*input));
+    return outputs;
 }
 
 std::size_t QNetwork::predict(const FloatTensor& image) const {

@@ -100,21 +100,15 @@ struct QNetwork {
         std::vector<QTensor> activations;
         std::vector<std::vector<fx::Acc>> accumulators;
     };
-    /// forward_trace_batch of one image.
+    /// The golden pass of one image shaped input_shape (ContractError
+    /// otherwise), through the same layer loop as forward_from. The
+    /// golden-store build (sim::build_golden_store) runs it per image.
     ForwardTrace forward_trace(const QTensor& input) const;
 
-    /// Batched golden forward over an image block (every input shaped
-    /// input_shape): each Conv/Dense layer runs as a single GEMM over the
-    /// whole block, so the weights stream once per block instead of once
-    /// per image. Entry b is byte-identical to forward(*inputs[b]). No
-    /// simulator path calls it today; bench/e2e times it per layer
-    /// (quant.batch16.*) as the batched-forward reference.
+    /// forward() of each input, in order. No simulator path calls it; it
+    /// is kept for the end-to-end benchmark (bench/e2e/ds_e2e.cpp), whose
+    /// per-layer quant.batch16 rows time it.
     std::vector<QTensor> forward_batch(
-        const std::vector<const QTensor*>& inputs) const;
-
-    /// Batched forward_trace (see forward_batch). The golden-store build
-    /// (sim::build_golden_store) runs on this.
-    std::vector<ForwardTrace> forward_trace_batch(
         const std::vector<const QTensor*>& inputs) const;
 
     /// Predicted class for a float image in [0,1].

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "quant/gemm.hpp"
 #include "quant/kernels.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -83,33 +82,16 @@ std::shared_ptr<const GoldenStore> build_golden_store(const quant::QNetwork& net
     store->entries.resize(n_images);
 
     // Per-image golden work is independent and deterministic; build in
-    // parallel over the shared pool (helping wait makes this safe from
-    // inside sweep-point tasks). The unit of parallel work is a fixed-size
-    // image block answered by one batched forward_trace (weights stream
-    // once per block); the partition depends only on n_images, never on
-    // scheduling, so the store is identical at any thread count.
-    const std::size_t batch = quant::gemm::kBlockImages;
-    const std::size_t n_blocks = (n_images + batch - 1) / batch;
-    parallel_for(n_blocks, [&](std::size_t blk) {
-        trace::Span bspan("eval:batch", "experiment");
-        const std::size_t lo = blk * batch;
-        const std::size_t hi = std::min(lo + batch, n_images);
-        std::vector<const QTensor*> block;
-        block.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-            GoldenEntry& entry = store->entries[i];
-            entry.qimage = quant::quantize_image(dataset.images[i]);
-            block.push_back(&entry.qimage);
-        }
-        std::vector<quant::QNetwork::ForwardTrace> traces =
-            network.forward_trace_batch(block);
-        for (std::size_t i = lo; i < hi; ++i) {
-            GoldenEntry& entry = store->entries[i];
-            quant::QNetwork::ForwardTrace& trace = traces[i - lo];
-            entry.activations = std::move(trace.activations);
-            entry.accumulators = std::move(trace.accumulators);
-            entry.predicted = argmax(entry.activations.back());
-        }
+    // parallel over the shared pool, one task per image (helping wait
+    // makes this safe from inside sweep-point tasks). Each entry depends
+    // on its image alone, so the store is identical at any thread count.
+    parallel_for(n_images, [&](std::size_t i) {
+        GoldenEntry& entry = store->entries[i];
+        entry.qimage = quant::quantize_image(dataset.images[i]);
+        quant::QNetwork::ForwardTrace trace = network.forward_trace(entry.qimage);
+        entry.activations = std::move(trace.activations);
+        entry.accumulators = std::move(trace.accumulators);
+        entry.predicted = argmax(entry.activations.back());
     });
     return store;
 }

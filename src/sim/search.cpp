@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "quant/gemm.hpp"
 #include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
@@ -22,6 +21,11 @@ namespace deepstrike::sim {
 namespace {
 
 constexpr const char* kSearchSweepName = "weight-fault-search";
+
+/// Consecutive evaluation images per fitness task. The partition into
+/// blocks depends on this constant alone, so the drops and metric totals
+/// are identical at any thread count.
+constexpr std::size_t kFitnessBlockImages = 16;
 
 std::string candidate_key(const attack::FaultSet& set) {
     std::string key;
@@ -247,7 +251,7 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
 
     WorkingCopies copies(network);
     const std::size_t n_blocks =
-        (n_images + quant::gemm::kBlockImages - 1) / quant::gemm::kBlockImages;
+        (n_images + kFitnessBlockImages - 1) / kFitnessBlockImages;
 
     RunManifest aggregate;
     aggregate.sweep = kSearchSweepName;
@@ -269,7 +273,7 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
             fresh_keys.push_back(std::move(key));
         }
 
-        // Each fresh candidate is one task per block of kBlockImages
+        // Each fresh candidate is one task per block of kFitnessBlockImages
         // consecutive images; the tasks count correct predictions and the
         // counts add up per candidate, so the drops do not depend on how
         // the blocks were scheduled.
@@ -285,9 +289,9 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
                 tasks.push_back(
                     {"candidate " + fresh_keys[i] + " block " + std::to_string(b),
                      [&, i, b] {
-                         const std::size_t begin = b * quant::gemm::kBlockImages;
+                         const std::size_t begin = b * kFitnessBlockImages;
                          const std::size_t end =
-                             std::min(begin + quant::gemm::kBlockImages, n_images);
+                             std::min(begin + kFitnessBlockImages, n_images);
                          std::unique_ptr<quant::QNetwork> copy = copies.check_out();
                          const std::vector<accel::StreamSpan> patched =
                              accel::patch_weight_faults(network, view, faults[i],

@@ -5,11 +5,13 @@
 // model, written against AccelEngine's public accessors: it gates
 // golden-vs-per-op per schedule segment and walks every op of a glitched
 // segment, carrying each DSP's last product op by op. Each op evaluates
-// the delay model at its capture voltage and draws its jitter with the
-// eager Box–Muller (testing::EagerNormal) into the eager delay
-// comparison (testing::eager_fault_kind), so the engine's plan factors
-// and bracketed jitter decisions are checked against the model they
-// replace rather than against themselves. The interval-gated, golden-elided
+// the delay model at its capture voltage and computes its jitter deviate
+// eagerly (testing::eager_deviate) from the uniforms of the fault RNG's
+// pending Box–Muller pair, into the eager delay comparison
+// (testing::eager_fault_kind), so the engine's plan factors and bracketed
+// jitter decisions are checked against the model they replace rather than
+// against themselves. The pair stays in the RNG, so after any run the
+// oracle's stream is stream_equal to the engine's. The interval-gated, golden-elided
 // engine must match it byte for byte (tests/overlay_test.cpp,
 // tests/golden_cache_test.cpp).
 #pragma once
@@ -20,9 +22,9 @@
 
 namespace deepstrike::testing {
 
-/// Same logits, prediction, per-layer fault counts and fault-RNG state as
-/// engine.run_elided on the image's golden pass (testing::run_engine).
-/// `fault_rng` must hold no pending normal deviate (ContractError).
+/// Same logits, prediction, per-layer fault counts and fault-RNG stream
+/// (stream_equal) as engine.run_elided on the image's golden pass
+/// (testing::run_engine).
 accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& image,
                                const accel::VoltageTrace* voltage, Rng& fault_rng,
                                const std::vector<bool>* throttle = nullptr);

@@ -1,9 +1,9 @@
 // im2col/GEMM engine equivalence suite. The whole perf story rests on one
 // property: integer accumulation is exact, so the GEMM formulation (AVX2
-// or portable, batched or not) must reproduce the naive per-element conv
-// and dense loops byte for byte — accumulators, activations, logits,
-// campaign reports — at any thread count. The naive loops live here, as
-// the test-local oracle; these tests pin the property across all zoo
+// or portable) must reproduce the naive per-element conv and dense loops
+// byte for byte — accumulators, activations, logits, campaign reports —
+// at any thread count. The naive loops are the test oracle in
+// tests/test_helpers.hpp; these tests pin the property across all zoo
 // architectures, both quantization formats, odd shapes, and both
 // simd::Mode dispatch paths.
 #include <gtest/gtest.h>
@@ -28,116 +28,21 @@
 namespace deepstrike::quant {
 namespace {
 
-using deepstrike::testing::naive_from_accumulator;
-using deepstrike::testing::naive_pool2;
+using deepstrike::testing::expect_same_tensor;
+using deepstrike::testing::expect_same_trace;
+using deepstrike::testing::naive_conv_accs;
+using deepstrike::testing::naive_dense_accs;
+using deepstrike::testing::naive_trace;
+using deepstrike::testing::naive_write_back;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::random_qtensor;
+using deepstrike::testing::SimdGuard;
 using fx::Q3_4;
-
-/// Restores the process-wide SIMD mode on scope exit so tests cannot leak
-/// a forced mode into the rest of the suite.
-struct SimdGuard {
-    simd::Mode saved = simd::mode();
-    ~SimdGuard() { simd::set_mode(saved); }
-};
 
 /// Both dispatch paths. Auto additionally exercises AVX2 when the host
 /// has it; on a non-AVX2 host Auto and Scalar coincide, which is exactly
 /// the dispatch contract.
 const simd::Mode kModes[] = {simd::Mode::Auto, simd::Mode::Scalar};
-
-// ------------------------------------------------------------ the oracle
-
-/// Naive valid convolution: each output element (oc, r, c) walks its
-/// receptive field in (ic, kr, kc) order. Returns the pre-writeback
-/// accumulators (bias folded, product units), oc-major.
-std::vector<fx::Acc> oracle_conv_accs(const QTensor& input, const QTensor& weight,
-                                      const QTensor& bias) {
-    const std::size_t in_c = input.shape().dim(0);
-    const std::size_t in_h = input.shape().dim(1);
-    const std::size_t in_w = input.shape().dim(2);
-    const std::size_t out_c = weight.shape().dim(0);
-    const std::size_t k = weight.shape().dim(2);
-    const std::size_t out_h = in_h - k + 1;
-    const std::size_t out_w = in_w - k + 1;
-    std::vector<fx::Acc> accs;
-    accs.reserve(out_c * out_h * out_w);
-    for (std::size_t oc = 0; oc < out_c; ++oc) {
-        for (std::size_t r = 0; r < out_h; ++r) {
-            for (std::size_t c = 0; c < out_w; ++c) {
-                fx::Acc acc = static_cast<fx::Acc>(bias.at(oc).raw()) << Q3_4::frac_bits;
-                for (std::size_t ic = 0; ic < in_c; ++ic) {
-                    for (std::size_t kr = 0; kr < k; ++kr) {
-                        for (std::size_t kc = 0; kc < k; ++kc) {
-                            acc += static_cast<fx::Acc>(input.at(ic, r + kr, c + kc).raw()) *
-                                   weight.at(oc, ic, kr, kc).raw();
-                        }
-                    }
-                }
-                accs.push_back(acc);
-            }
-        }
-    }
-    return accs;
-}
-
-/// Naive dense layer over the flattened input.
-std::vector<fx::Acc> oracle_dense_accs(const QTensor& input, const QTensor& weight,
-                                       const QTensor& bias) {
-    const std::size_t out_n = weight.shape().dim(0);
-    const std::size_t in_n = weight.shape().dim(1);
-    std::vector<fx::Acc> accs(out_n);
-    for (std::size_t o = 0; o < out_n; ++o) {
-        fx::Acc acc = static_cast<fx::Acc>(bias.at(o).raw()) << Q3_4::frac_bits;
-        for (std::size_t i = 0; i < in_n; ++i) {
-            acc += static_cast<fx::Acc>(input.at_unchecked(i).raw()) * weight.at(o, i).raw();
-        }
-        accs[o] = acc;
-    }
-    return accs;
-}
-
-/// Writeback through the naive if/else rounding (not the product's
-/// branch-free Q3_4::from_accumulator).
-QTensor oracle_write_back(const std::vector<fx::Acc>& accs, const Shape& shape,
-                          Activation activation) {
-    QTensor out(shape);
-    for (std::size_t p = 0; p < accs.size(); ++p) {
-        out.at_unchecked(p) = apply_activation(naive_from_accumulator(accs[p]), activation);
-    }
-    return out;
-}
-
-/// One golden pass through the oracle loops, the naive pooling included.
-QNetwork::ForwardTrace oracle_trace(const QNetwork& net, const QTensor& image) {
-    QNetwork::ForwardTrace trace;
-    trace.accumulators.resize(net.layers.size());
-    const std::vector<Shape> shapes = net.layer_output_shapes();
-    const QTensor* x = &image;
-    for (std::size_t i = 0; i < net.layers.size(); ++i) {
-        const QLayer& layer = net.layers[i];
-        switch (layer.kind) {
-            case QLayerKind::Conv:
-                trace.accumulators[i] = oracle_conv_accs(*x, layer.weight, layer.bias);
-                trace.activations.push_back(oracle_write_back(
-                    trace.accumulators[i], shapes[i], layer.activation));
-                break;
-            case QLayerKind::Pool2:
-                trace.activations.push_back(naive_pool2(*x, /*average=*/false));
-                break;
-            case QLayerKind::AvgPool2:
-                trace.activations.push_back(naive_pool2(*x, /*average=*/true));
-                break;
-            case QLayerKind::Dense:
-                trace.accumulators[i] = oracle_dense_accs(*x, layer.weight, layer.bias);
-                trace.activations.push_back(oracle_write_back(
-                    trace.accumulators[i], shapes[i], layer.activation));
-                break;
-        }
-        x = &trace.activations.back();
-    }
-    return trace;
-}
 
 // ------------------------------------------------------------ helpers
 
@@ -148,27 +53,6 @@ QTensor random_image(const Shape& shape, std::uint64_t seed) {
         img.at_unchecked(i) = fx::Q3_4::from_real(rng.uniform(0.0, 1.0));
     }
     return img;
-}
-
-void expect_same_tensor(const QTensor& got, const QTensor& want,
-                        const std::string& what) {
-    ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got.at_unchecked(i).raw(), want.at_unchecked(i).raw())
-            << what << " element " << i;
-    }
-}
-
-void expect_same_trace(const QNetwork::ForwardTrace& got,
-                       const QNetwork::ForwardTrace& want, const std::string& what) {
-    ASSERT_EQ(got.activations.size(), want.activations.size()) << what;
-    ASSERT_EQ(got.accumulators.size(), want.accumulators.size()) << what;
-    for (std::size_t l = 0; l < want.activations.size(); ++l) {
-        expect_same_tensor(got.activations[l], want.activations[l],
-                           what + " act layer " + std::to_string(l));
-        ASSERT_EQ(got.accumulators[l], want.accumulators[l])
-            << what << " accs layer " << l;
-    }
 }
 
 // The microkernel against a naive triple loop, over odd shapes chosen to
@@ -240,10 +124,10 @@ TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
         QTensor weight = random_qtensor(c.w, rng, 0.5);
         QTensor bias = random_qtensor(Shape{c.w.dim(0)}, rng, 0.25);
 
-        const std::vector<fx::Acc> want_accs = oracle_conv_accs(input, weight, bias);
+        const std::vector<fx::Acc> want_accs = naive_conv_accs(input, weight, bias);
         const Shape out_shape{c.w.dim(0), c.in.dim(1) - c.w.dim(2) + 1,
                               c.in.dim(2) - c.w.dim(2) + 1};
-        const QTensor want = oracle_write_back(want_accs, out_shape, Activation::Tanh);
+        const QTensor want = naive_write_back(want_accs, out_shape, Activation::Tanh);
         for (simd::Mode mode : kModes) {
             simd::set_mode(mode);
             std::vector<fx::Acc> accs;
@@ -262,8 +146,8 @@ TEST(Gemm, LayerAccsMatchOracleAtOddGeometries) {
         QTensor weight = random_qtensor(Shape{d[0], d[1]}, rng, 0.5);
         QTensor bias = random_qtensor(Shape{d[0]}, rng, 0.25);
 
-        const std::vector<fx::Acc> want_accs = oracle_dense_accs(input, weight, bias);
-        const QTensor want = oracle_write_back(want_accs, Shape{d[0]}, Activation::None);
+        const std::vector<fx::Acc> want_accs = naive_dense_accs(input, weight, bias);
+        const QTensor want = naive_write_back(want_accs, Shape{d[0]}, Activation::None);
         for (simd::Mode mode : kModes) {
             simd::set_mode(mode);
             std::vector<fx::Acc> accs;
@@ -321,13 +205,13 @@ const Activation kActivations[] = {Activation::None, Activation::Tanh, Activatio
 void expect_conv_matches_oracle(const QTensor& input, const QTensor& weight,
                                 const QTensor& bias, const std::string& what,
                                 AccCoverage& coverage) {
-    const std::vector<fx::Acc> accs = oracle_conv_accs(input, weight, bias);
+    const std::vector<fx::Acc> accs = naive_conv_accs(input, weight, bias);
     coverage.add(accs);
     const std::size_t k = weight.shape().dim(2);
     const Shape out_shape{weight.shape().dim(0), input.shape().dim(1) - k + 1,
                           input.shape().dim(2) - k + 1};
     for (const Activation activation : kActivations) {
-        const QTensor want = oracle_write_back(accs, out_shape, activation);
+        const QTensor want = naive_write_back(accs, out_shape, activation);
         for (simd::Mode mode : kModes) {
             simd::set_mode(mode);
             const QTensor got = qconv2d(input, weight, bias, activation);
@@ -342,10 +226,10 @@ void expect_conv_matches_oracle(const QTensor& input, const QTensor& weight,
 void expect_dense_matches_oracle(const QTensor& input, const QTensor& weight,
                                  const QTensor& bias, const std::string& what,
                                  AccCoverage& coverage) {
-    const std::vector<fx::Acc> accs = oracle_dense_accs(input, weight, bias);
+    const std::vector<fx::Acc> accs = naive_dense_accs(input, weight, bias);
     coverage.add(accs);
     for (const Activation activation : kActivations) {
-        const QTensor want = oracle_write_back(accs, Shape{accs.size()}, activation);
+        const QTensor want = naive_write_back(accs, Shape{accs.size()}, activation);
         for (simd::Mode mode : kModes) {
             simd::set_mode(mode);
             expect_same_tensor(qdense(input, weight, bias, activation), want,
@@ -456,10 +340,10 @@ TEST(Gemm, LayerOutputsMatchOracleAtOddGeometries) {
 }
 
 // Whole-network equivalence across the full zoo, both quantization
-// formats: forward, forward_trace (activations AND accumulators), and the
-// batched entries at block sizes 1/7/64, all byte-identical to the oracle
-// pass in both dispatch modes.
-TEST(Gemm, ZooNetworksByteIdenticalAcrossModesAndBatching) {
+// formats: forward, forward_trace (activations AND accumulators) and
+// forward_batch, all byte-identical to the oracle pass in both dispatch
+// modes.
+TEST(Gemm, ZooNetworksByteIdenticalAcrossModes) {
     SimdGuard guard;
     for (const nn::ArchitectureInfo& info : nn::architectures()) {
         // Each architecture deploys in its own format (bnn is Binary, the
@@ -480,7 +364,7 @@ TEST(Gemm, ZooNetworksByteIdenticalAcrossModesAndBatching) {
         for (const QTensor& img : images) ptrs.push_back(&img);
 
         std::vector<QNetwork::ForwardTrace> want_traces;
-        for (const QTensor& img : images) want_traces.push_back(oracle_trace(net, img));
+        for (const QTensor& img : images) want_traces.push_back(naive_trace(net, img));
 
         for (simd::Mode mode : kModes) {
             simd::set_mode(mode);
@@ -488,7 +372,7 @@ TEST(Gemm, ZooNetworksByteIdenticalAcrossModesAndBatching) {
                                     quant_format_name(format) + "/" +
                                     simd::mode_name(mode);
             // Per-image forward and forward_trace.
-            for (std::size_t i = 0; i < 8; ++i) {
+            for (std::size_t i = 0; i < n_images; ++i) {
                 const std::string what = tag + " image " + std::to_string(i);
                 expect_same_tensor(net.forward(images[i]),
                                    want_traces[i].activations.back(),
@@ -496,24 +380,12 @@ TEST(Gemm, ZooNetworksByteIdenticalAcrossModesAndBatching) {
                 expect_same_trace(net.forward_trace(images[i]), want_traces[i],
                                   what + " trace");
             }
-            // Batched forward at 1/7/64 images.
-            for (std::size_t bs : {std::size_t{1}, std::size_t{7}, n_images}) {
-                std::vector<const QTensor*> block(ptrs.begin(), ptrs.begin() + bs);
-                const std::vector<QTensor> got = net.forward_batch(block);
-                ASSERT_EQ(got.size(), bs);
-                for (std::size_t i = 0; i < bs; ++i) {
-                    expect_same_tensor(got[i], want_traces[i].activations.back(),
-                                       tag + " batch " + std::to_string(bs) +
-                                           " image " + std::to_string(i));
-                }
-            }
-            // Batched trace: activations and accumulators.
-            std::vector<const QTensor*> block(ptrs.begin(), ptrs.begin() + 7);
-            const std::vector<QNetwork::ForwardTrace> got = net.forward_trace_batch(block);
-            ASSERT_EQ(got.size(), 7u);
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                expect_same_trace(got[i], want_traces[i],
-                                  tag + " trace batch image " + std::to_string(i));
+            // forward_batch over every image.
+            const std::vector<QTensor> got = net.forward_batch(ptrs);
+            ASSERT_EQ(got.size(), n_images);
+            for (std::size_t i = 0; i < n_images; ++i) {
+                expect_same_tensor(got[i], want_traces[i].activations.back(),
+                                   tag + " forward_batch image " + std::to_string(i));
             }
         }
     }
@@ -524,7 +396,7 @@ double oracle_accuracy(const QNetwork& net, const data::Dataset& ds, std::size_t
     std::size_t correct = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const QTensor logits =
-            oracle_trace(net, quantize_image(ds.images[i])).activations.back();
+            naive_trace(net, quantize_image(ds.images[i])).activations.back();
         correct += argmax(logits) == ds.labels[i] ? 1 : 0;
     }
     return static_cast<double>(correct) / static_cast<double>(n);
@@ -534,7 +406,7 @@ double oracle_accuracy(const QNetwork& net, const data::Dataset& ds, std::size_t
 // the dispatch path or the thread count, and its untampered accuracy is
 // the oracle pass's. Serializes the whole report to JSON and compares
 // strings.
-TEST(Gemm, CampaignReportByteIdenticalAcrossModesBatchingAndThreads) {
+TEST(Gemm, CampaignReportByteIdenticalAcrossModesAndThreads) {
     SimdGuard guard;
     sim::Platform platform(sim::PlatformConfig{}, random_qnetwork(4242));
     auto ds = data::make_datasets(11, 1, 30);
@@ -559,14 +431,14 @@ TEST(Gemm, CampaignReportByteIdenticalAcrossModesBatchingAndThreads) {
 }
 
 // Clean accuracy evaluation without a passed golden store builds one
-// locally, in GEMM image blocks; it must agree with the oracle pass at
-// block-boundary image counts and any thread count.
-TEST(Gemm, UncachedEvaluationMatchesAcrossBatching) {
+// locally, one image per pool task; it must agree with the oracle pass at
+// any image count and thread count.
+TEST(Gemm, UncachedEvaluationMatchesOracleAcrossImageCounts) {
     SimdGuard guard;
     sim::Platform platform(sim::PlatformConfig{}, random_qnetwork(77));
     auto ds = data::make_datasets(13, 1, 40);
 
-    for (std::size_t n : {std::size_t{1}, gemm::kBlockImages, std::size_t{40}}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{40}}) {
         const double want = oracle_accuracy(platform.engine().network(), ds.test, n);
         for (simd::Mode mode : kModes) {
             for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {

@@ -57,6 +57,14 @@ VoltageTrace random_glitch_trace(const AccelEngine& engine, Rng& rng,
     return trace;
 }
 
+/// True when `rng` holds a Box–Muller pair whose second deviate is still
+/// to be taken: a copy restarted from the same raw state holds none.
+bool holds_pending_deviate(const Rng& rng) {
+    Rng restarted = rng;
+    restarted.set_state(rng.state());
+    return !stream_equal(rng, restarted);
+}
+
 TEST(Overlay, UnsafeWindowsMergeAndRespectHalfMask) {
     const AccelEngine engine = make_engine();
     const LayerSegment& seg = engine.schedule().segment_for("CONV2");
@@ -178,7 +186,7 @@ TEST(Overlay, PlanFactorsAreTheDelayModelsAtUnsafeSamples) {
         Rng rng_ref(61 + trial);
         expect_same_run(run_engine(engine, img, &short_trace, rng_fast),
                         run_reference(engine, img, &short_trace, rng_ref));
-        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
+        EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << "trial " << trial;
     }
     EXPECT_GT(unsafe_samples, 100u);
     EXPECT_GT(safe_samples, 0u);
@@ -196,7 +204,7 @@ TEST(Overlay, GatedRunMatchesReferenceOnRandomTraces) {
         const RunResult fast = run_engine(engine, img, &trace, rng_fast);
         const RunResult ref = run_reference(engine, img, &trace, rng_ref);
         expect_same_run(fast, ref);
-        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
+        EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << "trial " << trial;
     }
 }
 
@@ -243,7 +251,7 @@ TEST(Overlay, GatedRunMatchesReferenceUnderTmr) {
         Rng rng_ref(9 + trial);
         expect_same_run(run_engine(engine, img, &trace, rng_fast),
                          run_reference(engine, img, &trace, rng_ref));
-        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
+        EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << "trial " << trial;
     }
 }
 
@@ -262,7 +270,7 @@ TEST(Overlay, GatedRunMatchesReferenceWithThrottleMask) {
         Rng rng_ref(3 + trial);
         expect_same_run(run_engine(engine, img, &trace, rng_fast, &throttle),
                          run_reference(engine, img, &trace, rng_ref, &throttle));
-        EXPECT_EQ(rng_fast.state(), rng_ref.state()) << "trial " << trial;
+        EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << "trial " << trial;
     }
 }
 
@@ -336,6 +344,7 @@ TEST(Overlay, FaultsForUsesLayerIndex) {
 // layer's last cycles, where nearly every op faults, must match the
 // per-op oracle.
 TEST(Overlay, LargestOpIndexOfEveryZooLayerMatchesReference) {
+    bool odd_draws = false;
     for (const nn::ArchitectureInfo& info : nn::architectures()) {
         Rng weight_rng(2024);
         nn::Sequential model = nn::build_architecture(info.arch, weight_rng);
@@ -386,15 +395,17 @@ TEST(Overlay, LargestOpIndexOfEveryZooLayerMatchesReference) {
                 Rng rng_ref(61 + trial);
                 const RunResult fast = run_engine(engine, img, &trace, rng_fast);
                 expect_same_run(fast, run_reference(engine, img, &trace, rng_ref));
-                // The oracle keeps a pair's second deviate outside the Rng,
-                // so compare the generator state: both drew the same
-                // uniforms.
-                EXPECT_EQ(rng_fast.state(), rng_ref.state()) << what;
+                EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << what;
+                odd_draws = odd_draws || holds_pending_deviate(rng_fast);
                 faults += fast.faults_for(layer.label).total();
             }
             EXPECT_GT(faults, 0u) << what; // the droop reaches the last ops
         }
     }
+    // Some run drew an odd number of deviates (minicnn CONV1 draws 9 ops
+    // per cycle over 3 drooped cycles), so the comparison covered a pair
+    // whose second deviate is still pending.
+    EXPECT_TRUE(odd_draws);
 }
 
 } // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 
 #include "accel/engine.hpp"
 #include "nn/zoo.hpp"
@@ -337,6 +341,49 @@ TEST(Zoo, TrainOrLoadCaches) {
     const nn::TrainedModel second = nn::train_or_load(spec);
     EXPECT_TRUE(second.loaded_from_cache);
     EXPECT_DOUBLE_EQ(first.test_accuracy, second.test_accuracy);
+    fs::remove_all(dir);
+}
+
+// A cached weight file with a NaN weight is a bad cache file: the loader
+// rejects it, so train_or_load retrains instead of quantizing the NaN
+// (Q3_4::from_real has no code for it), and the retrained model deploys
+// the same quantized weights as the clean one.
+TEST(Zoo, NanWeightCacheRetrains) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "ds_zoo_nan_cache_test";
+    fs::remove_all(dir);
+
+    nn::ZooTrainSpec spec;
+    spec.architecture = nn::Architecture::Mlp;
+    spec.train_size = 60;
+    spec.test_size = 30;
+    spec.train_config.epochs = 1;
+    spec.cache_dir = dir.string();
+    const Shape input_shape = nn::architecture_info(spec.architecture).input_shape;
+
+    nn::TrainedModel clean = nn::train_or_load(spec);
+    ASSERT_FALSE(clean.loaded_from_cache);
+    const fs::path file = fs::directory_iterator(dir)->path();
+    std::string bytes;
+    {
+        std::ifstream in(file, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(bytes.data() + 12, &nan, sizeof(nan)); // the first weight
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+
+    nn::TrainedModel retrained = nn::train_or_load(spec);
+    EXPECT_FALSE(retrained.loaded_from_cache);
+    EXPECT_EQ(retrained.test_accuracy, clean.test_accuracy);
+    const QNetwork want = quantize_sequential(clean.model, input_shape);
+    const QNetwork got = quantize_sequential(retrained.model, input_shape);
+    ASSERT_EQ(got.layers.size(), want.layers.size());
+    for (std::size_t i = 0; i < got.layers.size(); ++i) {
+        EXPECT_TRUE(got.layers[i].weight == want.layers[i].weight) << got.layers[i].label;
+        EXPECT_TRUE(got.layers[i].bias == want.layers[i].bias) << got.layers[i].label;
+    }
+    EXPECT_TRUE(nn::train_or_load(spec).loaded_from_cache); // the cache was rewritten
     fs::remove_all(dir);
 }
 

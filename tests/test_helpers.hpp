@@ -6,13 +6,22 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "accel/engine.hpp"
 #include "quant/qnetwork.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace deepstrike::testing {
+
+/// Restores the process-wide SIMD mode on scope exit so tests cannot leak
+/// a forced mode into the rest of the suite.
+struct SimdGuard {
+    simd::Mode saved = simd::mode();
+    ~SimdGuard() { simd::set_mode(saved); }
+};
 
 /// The IEEE-754 bit pattern of `value`, for bit-exact comparisons.
 inline std::uint64_t bits_of(double value) {
@@ -86,6 +95,125 @@ inline QTensor naive_pool2(const QTensor& input, bool average) {
         }
     }
     return out;
+}
+
+/// Naive valid convolution: each output element (oc, r, c) walks its
+/// receptive field in (ic, kr, kc) order. Returns the pre-writeback
+/// accumulators (bias folded, product units), oc-major. The test oracle of
+/// quant::gemm::conv2d_accs.
+inline std::vector<fx::Acc> naive_conv_accs(const QTensor& input, const QTensor& weight,
+                                            const QTensor& bias) {
+    const std::size_t in_c = input.shape().dim(0);
+    const std::size_t in_h = input.shape().dim(1);
+    const std::size_t in_w = input.shape().dim(2);
+    const std::size_t out_c = weight.shape().dim(0);
+    const std::size_t k = weight.shape().dim(2);
+    const std::size_t out_h = in_h - k + 1;
+    const std::size_t out_w = in_w - k + 1;
+    std::vector<fx::Acc> accs;
+    accs.reserve(out_c * out_h * out_w);
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t r = 0; r < out_h; ++r) {
+            for (std::size_t c = 0; c < out_w; ++c) {
+                fx::Acc acc = static_cast<fx::Acc>(bias.at(oc).raw()) << fx::Q3_4::frac_bits;
+                for (std::size_t ic = 0; ic < in_c; ++ic) {
+                    for (std::size_t kr = 0; kr < k; ++kr) {
+                        for (std::size_t kc = 0; kc < k; ++kc) {
+                            acc += static_cast<fx::Acc>(input.at(ic, r + kr, c + kc).raw()) *
+                                   weight.at(oc, ic, kr, kc).raw();
+                        }
+                    }
+                }
+                accs.push_back(acc);
+            }
+        }
+    }
+    return accs;
+}
+
+/// Naive dense layer over the flattened input. The test oracle of
+/// quant::gemm::dense_accs.
+inline std::vector<fx::Acc> naive_dense_accs(const QTensor& input, const QTensor& weight,
+                                             const QTensor& bias) {
+    const std::size_t out_n = weight.shape().dim(0);
+    const std::size_t in_n = weight.shape().dim(1);
+    std::vector<fx::Acc> accs(out_n);
+    for (std::size_t o = 0; o < out_n; ++o) {
+        fx::Acc acc = static_cast<fx::Acc>(bias.at(o).raw()) << fx::Q3_4::frac_bits;
+        for (std::size_t i = 0; i < in_n; ++i) {
+            acc += static_cast<fx::Acc>(input.at_unchecked(i).raw()) * weight.at(o, i).raw();
+        }
+        accs[o] = acc;
+    }
+    return accs;
+}
+
+/// Writeback through the naive if/else rounding (not the product's
+/// branch-free Q3_4::from_accumulator).
+inline QTensor naive_write_back(const std::vector<fx::Acc>& accs, const Shape& shape,
+                                quant::Activation activation) {
+    QTensor out(shape);
+    for (std::size_t p = 0; p < accs.size(); ++p) {
+        out.at_unchecked(p) =
+            quant::apply_activation(naive_from_accumulator(accs[p]), activation);
+    }
+    return out;
+}
+
+/// One golden pass through the naive loops, the naive pooling included:
+/// the test oracle of QNetwork::forward_trace.
+inline quant::QNetwork::ForwardTrace naive_trace(const quant::QNetwork& net,
+                                                 const QTensor& image) {
+    quant::QNetwork::ForwardTrace trace;
+    trace.accumulators.resize(net.layers.size());
+    const std::vector<Shape> shapes = net.layer_output_shapes();
+    const QTensor* x = &image;
+    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+        const quant::QLayer& layer = net.layers[i];
+        switch (layer.kind) {
+            case quant::QLayerKind::Conv:
+                trace.accumulators[i] = naive_conv_accs(*x, layer.weight, layer.bias);
+                trace.activations.push_back(
+                    naive_write_back(trace.accumulators[i], shapes[i], layer.activation));
+                break;
+            case quant::QLayerKind::Pool2:
+                trace.activations.push_back(naive_pool2(*x, /*average=*/false));
+                break;
+            case quant::QLayerKind::AvgPool2:
+                trace.activations.push_back(naive_pool2(*x, /*average=*/true));
+                break;
+            case quant::QLayerKind::Dense:
+                trace.accumulators[i] = naive_dense_accs(*x, layer.weight, layer.bias);
+                trace.activations.push_back(
+                    naive_write_back(trace.accumulators[i], shapes[i], layer.activation));
+                break;
+        }
+        x = &trace.activations.back();
+    }
+    return trace;
+}
+
+/// Same shape and raw codes, element by element.
+inline void expect_same_tensor(const QTensor& got, const QTensor& want,
+                               const std::string& what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got.at_unchecked(i).raw(), want.at_unchecked(i).raw())
+            << what << " element " << i;
+    }
+}
+
+/// Same activations and accumulators, layer by layer.
+inline void expect_same_trace(const quant::QNetwork::ForwardTrace& got,
+                              const quant::QNetwork::ForwardTrace& want,
+                              const std::string& what) {
+    ASSERT_EQ(got.activations.size(), want.activations.size()) << what;
+    ASSERT_EQ(got.accumulators.size(), want.accumulators.size()) << what;
+    for (std::size_t l = 0; l < want.activations.size(); ++l) {
+        expect_same_tensor(got.activations[l], want.activations[l],
+                           what + " act layer " + std::to_string(l));
+        ASSERT_EQ(got.accumulators[l], want.accumulators[l]) << what << " accs layer " << l;
+    }
 }
 
 /// The Box–Muller deviate of uniforms u1 and u2 as the eager oracle

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "nn/zoo.hpp"
 #include "nn/serialize.hpp"
@@ -181,6 +183,39 @@ TEST(Serialize, RejectsTrailingBytes) {
     save_weights(net, path.string());
     write_bytes(path, read_bytes(path) + '\0');
     EXPECT_THROW(load_weights(net, path.string()), FormatError);
+    fs::remove(path);
+}
+
+// Quantization has no code for a NaN or infinite weight, so the loader
+// rejects a file holding one wherever it sits: rows put each kind at the
+// file's first and last weight.
+TEST(Serialize, RejectsNonFiniteWeights) {
+    const fs::path path = fs::temp_directory_path() / "ds_weights_nonfinite.dsw";
+    Rng rng(98);
+    Sequential net = build_architecture(Architecture::LeNet5, rng);
+    save_weights(net, path.string());
+    const std::string clean = read_bytes(path);
+    const std::size_t first = 12; // after the magic, the count and the first size
+    const std::size_t last = clean.size() - sizeof(float);
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    const struct {
+        const char* name;
+        float value;
+        std::size_t offset;
+    } rows[] = {
+        {"quiet NaN, first weight", std::numeric_limits<float>::quiet_NaN(), first},
+        {"signaling NaN, last weight", std::numeric_limits<float>::signaling_NaN(), last},
+        {"+inf, last weight", inf, last},
+        {"-inf, first weight", -inf, first},
+    };
+    for (const auto& row : rows) {
+        std::string bytes = clean;
+        std::memcpy(bytes.data() + row.offset, &row.value, sizeof(float));
+        write_bytes(path, bytes);
+        EXPECT_THROW(load_weights(net, path.string()), FormatError) << row.name;
+    }
+    write_bytes(path, clean);
+    EXPECT_NO_THROW(load_weights(net, path.string()));
     fs::remove(path);
 }
 
