@@ -9,10 +9,13 @@
 // CI consumes for regression smoke checks.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "accel/engine.hpp"
@@ -423,52 +426,72 @@ ds::attack::AttackScheme conv2_scheme(const ds::sim::Platform& platform,
     return ds::attack::plan_attack(target, prof.trigger_sample, spc, n);
 }
 
-void BM_GuidedCampaignPoint(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 25);
-    const ds::attack::DetectorConfig detector{};
-    const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 2000);
-    const auto golden =
+/// The guided CONV2 campaign point the journaled pair times: co-simulation
+/// of the strike trace, then a 25-image evaluation against a golden store.
+/// Set up once and shared by both benchmarks of the pair, together with
+/// the journal the journaled one appends to, so their interleaved
+/// repetitions (main below) pay no set-up and the journal's writer thread
+/// runs across all of them.
+struct GuidedPointRig {
+    ds::sim::Platform platform{ds::sim::PlatformConfig{}, bench_weights()};
+    ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 25);
+    ds::attack::DetectorConfig detector{};
+    ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 2000);
+    std::shared_ptr<const ds::sim::GoldenStore> golden =
         ds::sim::build_golden_store(platform.engine().network(), data.test, 25);
-    for (auto _ : state) {
+    std::unique_ptr<ds::sim::CheckpointJournal> journal =
+        ds::sim::CheckpointJournal::create(kJournalPath, 0xBE7Cu, "bench");
+    std::size_t appended = 0;
+
+    static constexpr const char* kJournalPath = "BENCH_journal.jsonl";
+
+    ~GuidedPointRig() {
+        journal.reset();
+        std::remove(kJournalPath);
+    }
+
+    double point() const {
         const ds::accel::VoltageTrace trace =
             ds::sim::guided_attack_trace(platform, detector, scheme);
-        const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
-            platform, data.test, 25, &trace, 99, nullptr, golden.get());
-        benchmark::DoNotOptimize(res.accuracy);
+        return ds::sim::evaluate_accuracy(platform, data.test, 25, &trace, 99, nullptr,
+                                          golden.get())
+            .accuracy;
     }
+};
+
+/// The pair's rig; main destroys it after the run.
+std::unique_ptr<GuidedPointRig>& guided_point_rig_slot() {
+    static std::unique_ptr<GuidedPointRig> rig;
+    return rig;
 }
-BENCHMARK(BM_GuidedCampaignPoint)->Unit(benchmark::kMillisecond);
+
+/// The pair's rig, built on first use.
+GuidedPointRig& guided_point_rig() {
+    std::unique_ptr<GuidedPointRig>& rig = guided_point_rig_slot();
+    if (!rig) rig = std::make_unique<GuidedPointRig>();
+    return *rig;
+}
+
+void BM_GuidedCampaignPoint(benchmark::State& state) {
+    const GuidedPointRig& rig = guided_point_rig();
+    for (auto _ : state) benchmark::DoNotOptimize(rig.point());
+}
 
 // The same campaign point with checkpoint journaling active, bounding the
 // hot-path cost of crash safety. append() only enqueues; the dedicated
 // writer thread absorbs the write+fsync, so this should track
 // BM_GuidedCampaignPoint within noise (CI gates the pair ratio).
 void BM_GuidedCampaignPointJournaled(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 25);
-    const ds::attack::DetectorConfig detector{};
-    const ds::attack::AttackScheme scheme = conv2_scheme(platform, detector, 2000);
-    const std::string path = "BENCH_journal.jsonl";
-    const auto golden =
-        ds::sim::build_golden_store(platform.engine().network(), data.test, 25);
-    auto journal = ds::sim::CheckpointJournal::create(path, 0xBE7Cu, "bench");
-    std::size_t index = 0;
+    GuidedPointRig& rig = guided_point_rig();
     for (auto _ : state) {
-        const ds::accel::VoltageTrace trace =
-            ds::sim::guided_attack_trace(platform, detector, scheme);
-        const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
-            platform, data.test, 25, &trace, 99, nullptr, golden.get());
+        const double accuracy = rig.point();
         ds::Json payload = ds::Json::object();
         payload.set("kind", "point");
-        payload.set("accuracy", res.accuracy);
-        journal->append(++index, std::move(payload));
-        benchmark::DoNotOptimize(res.accuracy);
+        payload.set("accuracy", accuracy);
+        rig.journal->append(++rig.appended, std::move(payload));
+        benchmark::DoNotOptimize(accuracy);
     }
-    journal.reset();
-    std::remove(path.c_str());
 }
-BENCHMARK(BM_GuidedCampaignPointJournaled)->Unit(benchmark::kMillisecond);
 
 // The accuracy-evaluation inner loop alone (trace + plan hoisted outside,
 // as SweepRunner's bundle store provides them): 200 images against one
@@ -495,13 +518,20 @@ BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
 // Golden-store construction over 200 images: one forward_trace per image,
 // each its own pool task, one GEMM per conv/dense layer per image.
-// Campaigns pay this once up front; CI gates it against its baseline.
+// Campaigns pay this once up front; CI gates it against its baseline. The
+// two stores built before the current one stay alive until it is built:
+// freed at once, a whole store would hand the heap's top back to the
+// system, and every build would then time faulting its pages in again,
+// more or less of them depending on what ran before it in the process.
 void BM_GoldenStoreBuild(benchmark::State& state) {
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 200);
+    std::shared_ptr<const ds::sim::GoldenStore> older;
+    std::shared_ptr<const ds::sim::GoldenStore> previous;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ds::sim::build_golden_store(platform.engine().network(), data.test, 200));
+        auto store = ds::sim::build_golden_store(platform.engine().network(), data.test, 200);
+        benchmark::DoNotOptimize(store.get());
+        older = std::exchange(previous, std::move(store));
     }
 }
 BENCHMARK(BM_GoldenStoreBuild)->Unit(benchmark::kMillisecond);
@@ -529,13 +559,13 @@ BENCHMARK(BM_GuidedCampaignPointEval200Cached)->Unit(benchmark::kMillisecond);
 
 // One generation of the weight-fault search (nightly `search-convergence`
 // lane): a DES population of 16 candidates scored through the sim-backed
-// fitness — apply faults to a deployment copy, evaluate 64 images with
-// golden-prefix elision, memoize by candidate. The driver's budget admits
-// exactly the init population plus one evolved generation, so ns/op bounds
-// the per-generation cost a fixed-budget search pays ~(budget/population)
-// times. Setup cost (golden store build) is inside the loop on purpose:
-// it is paid once per search run, and the pair with the pure-driver bench
-// below isolates it.
+// fitness — faults patched into pooled working copies, 64 images each
+// resumed from the deepest stored fault prefix, memoized by candidate. The
+// driver's budget admits exactly the init population plus one evolved
+// generation, so ns/op bounds the per-generation cost a fixed-budget
+// search pays ~(budget/population) times. Setup cost (the golden prefix
+// stores) is inside the loop on purpose: it is paid once per search run,
+// and the pair with the pure-driver bench below isolates it.
 void BM_SearchGeneration(benchmark::State& state) {
     const ds::quant::QNetwork net = bench_weights();
     const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 64);
@@ -552,6 +582,34 @@ void BM_SearchGeneration(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SearchGeneration)->Unit(benchmark::kMillisecond);
+
+// A whole Deep-Dup search on the bench network: three P-DES stages of 16
+// candidates on 64 images, each stalling out after 3 non-improving
+// generations, 18 generations and 288 evaluations in all (the budget is
+// not reached). Its champion duplicates a CONV2 beat (index 951), and
+// P-DES carries a stage's champion into every member of the next, so 176
+// of its 260 fresh candidates resume from fault prefixes that earlier
+// generations stored: reuse that BM_SearchGeneration's two generations
+// cannot see. CI gates it.
+void BM_SearchStage(benchmark::State& state) {
+    const ds::quant::QNetwork net = bench_weights();
+    const ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 64);
+    ds::sim::WeightFaultSearchConfig config;
+    config.spec.max_faults = 3;
+    config.spec.population = 16;
+    config.spec.budget = 2000;
+    config.spec.seed = 7;
+    config.spec.stall_generations = 3;
+    config.eval_images = 64;
+    config.threads = 1;
+    for (auto _ : state) {
+        const ds::sim::SearchReport report =
+            ds::sim::run_weight_fault_search(net, data.test, config);
+        if (report.stages < 3) state.SkipWithError("the search never reached its last stage");
+        benchmark::DoNotOptimize(report.best_drop);
+    }
+}
+BENCHMARK(BM_SearchStage)->Unit(benchmark::kMillisecond);
 
 // The search driver alone — same generation shape against a free synthetic
 // fitness, bounding the bookkeeping overhead (population evolution, RNG
@@ -612,31 +670,39 @@ void BM_BitVecPopcount(benchmark::State& state) {
 BENCHMARK(BM_BitVecPopcount);
 
 // Console output plus collection of every completed run for the JSON
-// trajectory file.
+// trajectory file. Runs of one name (the interleaved repetitions that main
+// registers) collect into one entry.
 class JsonCollector : public benchmark::ConsoleReporter {
 public:
     struct Entry {
         std::string name;
-        double ns_per_op = 0.0;
-        double ops_per_second = 0.0;
-        std::int64_t iterations = 0;
+        std::vector<double> samples; // ns/op of each run, in run order
+        std::int64_t iterations = 0; // over all runs
     };
     std::vector<Entry> entries;
 
     void ReportRuns(const std::vector<Run>& reports) override {
         for (const Run& run : reports) {
-            if (run.iterations <= 0) continue;
-            Entry e;
-            e.name = run.benchmark_name();
+            if (run.iterations <= 0 || run.error_occurred) continue;
+            // One name for every repetition of the journaled pair, whose
+            // fixed iteration count would otherwise suffix it.
+            benchmark::BenchmarkName key = run.run_name;
+            key.iterations.clear();
+            const std::string name = key.str();
+            auto it = std::find_if(entries.begin(), entries.end(),
+                                   [&](const Entry& e) { return e.name == name; });
+            if (it == entries.end()) it = entries.insert(entries.end(), Entry{name, {}, 0});
             const double iters = static_cast<double>(run.iterations);
-            e.ns_per_op = run.real_accumulated_time / iters * 1e9;
-            e.ops_per_second = e.ns_per_op > 0.0 ? 1e9 / e.ns_per_op : 0.0;
-            e.iterations = run.iterations;
-            entries.push_back(std::move(e));
+            it->samples.push_back(run.real_accumulated_time / iters * 1e9);
+            it->iterations += run.iterations;
         }
         ConsoleReporter::ReportRuns(reports);
     }
 };
+
+/// Interleaved one-point repetitions of each benchmark of the journaled
+/// pair.
+constexpr int kPairRepetitions = 41;
 
 } // namespace
 
@@ -648,18 +714,43 @@ int main(int argc, char** argv) {
     // pin the pool to one worker so measurements are pool-width-independent.
     ds::set_global_thread_count(1);
 
+    // The journaled pair runs as alternating one-point repetitions, so
+    // host load lands on both benchmarks alike; the collector keeps each
+    // one's median and every repetition in run order.
+    for (int r = 0; r < kPairRepetitions; ++r) {
+        benchmark::RegisterBenchmark("BM_GuidedCampaignPoint", BM_GuidedCampaignPoint)
+            ->Unit(benchmark::kMillisecond)
+            ->Iterations(1);
+        benchmark::RegisterBenchmark("BM_GuidedCampaignPointJournaled",
+                                     BM_GuidedCampaignPointJournaled)
+            ->Unit(benchmark::kMillisecond)
+            ->Iterations(1);
+    }
+
     JsonCollector reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
+    guided_point_rig_slot().reset();
 
     ds::Json root = ds::Json::object();
     root.set("git_rev", DS_GIT_REV);
     root.set("bench", "micro_primitives");
     ds::Json marks = ds::Json::object();
     for (const JsonCollector::Entry& e : reporter.entries) {
+        // A repeated benchmark reports the median of its repetitions and
+        // lists every repetition's ns/op in run order.
+        std::vector<double> sorted = e.samples;
+        std::sort(sorted.begin(), sorted.end());
+        const std::size_t n = sorted.size();
+        const double ns = n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
         ds::Json m = ds::Json::object();
-        m.set("ns_per_op", e.ns_per_op);
-        m.set("ops_per_second", e.ops_per_second);
+        m.set("ns_per_op", ns);
+        m.set("ops_per_second", ns > 0.0 ? 1e9 / ns : 0.0);
         m.set("iterations", e.iterations);
+        if (n > 1) {
+            ds::Json samples = ds::Json::array();
+            for (double sample : e.samples) samples.push(sample);
+            m.set("samples", std::move(samples));
+        }
         marks.set(e.name, std::move(m));
     }
     root.set("benchmarks", std::move(marks));

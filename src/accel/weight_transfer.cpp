@@ -58,6 +58,29 @@ std::vector<WeightFault> uniform_weight_faults(
     return faults;
 }
 
+StreamSpan rewritten_span(const WeightFault& fault, std::size_t stream_words,
+                          const WeightTransferParams& params) {
+    if (fault.kind == WeightFaultKind::BitFlip) return {fault.index, fault.index + std::size_t{1}};
+    expects(params.beat_words > 0, "WeightTransferParams: beat_words > 0");
+    const std::size_t begin = fault.index - fault.index % params.beat_words;
+    if (begin == 0) return {};
+    return {begin, std::min(begin + params.beat_words, stream_words)};
+}
+
+std::size_t first_faulted_layer(const WeightStreamView& view,
+                                const std::vector<WeightFault>& faults,
+                                const WeightTransferParams& params,
+                                std::size_t layer_count) {
+    std::size_t first = layer_count;
+    for (const WeightFault& fault : faults) {
+        expects(fault.index < view.size(),
+                "WeightFault: stream index within the weight stream");
+        const StreamSpan span = rewritten_span(fault, view.size(), params);
+        if (!span.empty()) first = std::min(first, view.locate(span.begin).layer);
+    }
+    return first;
+}
+
 std::vector<StreamSpan> patch_weight_faults(const quant::QNetwork& original,
                                             const WeightStreamView& view,
                                             const std::vector<WeightFault>& faults,
@@ -82,15 +105,13 @@ std::vector<StreamSpan> patch_weight_faults(const quant::QNetwork& original,
     // network so the result is independent of fault-vector order (two
     // adjacent duplications do not chain). Beat 0 has no predecessor; faults
     // there model a glitch that fired before any data was on the bus (no-op).
-    const std::size_t bw = params.beat_words;
     for (const WeightFault& fault : faults) {
         if (fault.kind != WeightFaultKind::Duplicate) continue;
-        const std::size_t beat = fault.index / bw;
-        if (beat == 0) continue;
-        const std::size_t begin = beat * bw;
-        const std::size_t end = std::min(begin + bw, view.size());
-        copy_stream_words(original, begin - bw, working, begin, end - begin, view);
-        touched.push_back({begin, end});
+        const StreamSpan span = rewritten_span(fault, view.size(), params);
+        if (span.empty()) continue;
+        copy_stream_words(original, span.begin - params.beat_words, working, span.begin,
+                          span.end - span.begin, view);
+        touched.push_back(span);
     }
 
     // Pass 2 — BitFlip faults, applied to the post-duplication word (the
@@ -105,7 +126,7 @@ std::vector<StreamSpan> patch_weight_faults(const quant::QNetwork& original,
             static_cast<std::uint8_t>(word.raw()) ^ (1u << fault.bit));
         word = fx::Q3_4::from_raw(
             static_cast<std::int16_t>(static_cast<std::int8_t>(byte)));
-        touched.push_back({fault.index, fault.index + std::size_t{1}});
+        touched.push_back(rewritten_span(fault, view.size(), params));
     }
     return touched;
 }

@@ -80,7 +80,26 @@ std::vector<WeightFault> uniform_weight_faults(
 struct StreamSpan {
     std::size_t begin = 0;
     std::size_t end = 0;
+
+    bool empty() const { return begin == end; }
 };
+
+/// The stream words `fault` rewrites in a stream of `stream_words` words:
+/// the beat holding its index for a duplication — empty for beat 0, which
+/// has no predecessor to re-latch — and the word itself for a bit flip. The
+/// one rule patch_weight_faults applies and first_faulted_layer reads.
+StreamSpan rewritten_span(const WeightFault& fault, std::size_t stream_words,
+                          const WeightTransferParams& params);
+
+/// Index of the earliest layer of `view`'s network holding a word that
+/// `faults` rewrite (rewritten_span), the first layer whose activations can
+/// diverge from golden: a duplicated beat may begin in the layer before its
+/// index. Returns `layer_count` when no fault rewrites a word (an empty set,
+/// or duplications in beat 0 alone).
+std::size_t first_faulted_layer(const quant::WeightStreamView& view,
+                                const std::vector<WeightFault>& faults,
+                                const WeightTransferParams& params,
+                                std::size_t layer_count);
 
 /// The fault rule, applied in place: rewrites `working`, which must hold
 /// the same words as `original` (`view` is original's stream view), into

@@ -823,21 +823,42 @@ QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor&
 QTensor dense_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
                     Activation activation) {
     const auto [out_n, in_n] = dense_geometry(input, weight, bias);
+    Workspace& ws = workspace();
+    dense_gemm(input, weight, out_n, in_n, ws);
+    return dense_finish(ws.c32.data(), bias, activation);
+}
+
+void dense_dots(const QTensor& input, const QTensor& weight, std::size_t first_row,
+                std::size_t rows, std::int32_t* dots) {
+    expects(weight.shape().rank() == 2, "gemm::dense: weight rank 2");
+    const std::size_t out_n = weight.shape().dim(0);
+    const std::size_t in_n = weight.shape().dim(1);
+    expects(in_n <= 65536, "gemm::dense: fan-in fits int32");
+    expects(input.size() == in_n, "gemm::dense: input feature mismatch");
+    expects(first_row <= out_n && rows <= out_n - first_row, "gemm::dense: rows in range");
+    gemm_nt_s32(raw(input), in_n, raw(weight) + first_row * in_n, in_n, dots, rows, 1, rows,
+                in_n);
+    count_gemm(1, rows, in_n);
+}
+
+QTensor dense_finish(const std::int32_t* dots, const QTensor& bias, Activation activation) {
+    const std::size_t out_n = bias.size();
     QTensor out(Shape{out_n});
 #if DS_GEMM_X86
     if (simd::active()) {
-        Workspace& ws = workspace();
-        dense_gemm(input, weight, out_n, in_n, ws);
         with_activation(activation, [&](auto a) {
-            dense_epilogue_avx2<decltype(a)::value>(ws.c32.data(), raw(bias), out_n,
-                                                    raw(out));
+            dense_epilogue_avx2<decltype(a)::value>(dots, raw(bias), out_n, raw(out));
         });
         return out;
     }
 #endif
     thread_local std::vector<fx::Acc> accs;
-    dense_accs(input, weight, bias, accs);
-    write_back(accs.data(), accs.size(), activation, out);
+    accs.resize(out_n);
+    const std::int16_t* b_raw = raw(bias);
+    for (std::size_t o = 0; o < out_n; ++o) {
+        accs[o] = (static_cast<fx::Acc>(b_raw[o]) << Q3_4::frac_bits) + dots[o];
+    }
+    write_back(accs.data(), out_n, activation, out);
     return out;
 }
 

@@ -87,9 +87,22 @@ QTensor conv2d_layer(const QTensor& input, const QTensor& weight, const QTensor&
                      Activation activation);
 
 /// dense_accs' accumulators written back like conv2d_layer's: the
-/// output [out_n].
+/// output [out_n]. Equals dense_finish over dense_dots of every row.
 QTensor dense_layer(const QTensor& input, const QTensor& weight, const QTensor& bias,
                     Activation activation);
+
+/// The bias-free int32 dot products of weight rows [first_row, first_row +
+/// rows) with the flattened input: dots[j] = W[first_row + j] . input. A
+/// dense layer resumed from stored dot products recomputes the rows a
+/// fault changed with it. Throws ContractError on a shape mismatch or a
+/// row range past the weight.
+void dense_dots(const QTensor& input, const QTensor& weight, std::size_t first_row,
+                std::size_t rows, std::int32_t* dots);
+
+/// dense_layer's epilogue over the layer's dot products dots[0..out_n),
+/// out_n = bias.size(): out[o] = apply_activation(Q3_4::from_accumulator(
+/// dots[o] + bias[o] in accumulator units)).
+QTensor dense_finish(const std::int32_t* dots, const QTensor& bias, Activation activation);
 
 /// Writeback of int64 accumulators, for the engine's patched ones and
 /// QNetwork::forward_trace's golden ones: out[p] = apply_activation(Q3_4::from_accumulator(

@@ -88,6 +88,16 @@ std::size_t QLayer::op_count(const Shape& input_shape) const {
     return 0;
 }
 
+QTensor QLayer::forward(const QTensor& input) const {
+    switch (kind) {
+        case QLayerKind::Conv: return qconv2d(input, weight, bias, activation);
+        case QLayerKind::Dense: return qdense(input, weight, bias, activation);
+        case QLayerKind::Pool2: return qmaxpool2(input);
+        case QLayerKind::AvgPool2: return qavgpool2(input);
+    }
+    throw ContractError("QLayer: unknown kind");
+}
+
 std::size_t QNetwork::num_classes() const {
     return layer_output_shapes().back().elements();
 }
@@ -130,8 +140,8 @@ void run_layers(const std::vector<QLayer>& layers, std::size_t first, const QTen
         switch (layer.kind) {
             case QLayerKind::Conv:
             case QLayerKind::Dense: in = &keep(param(i, layer, *in)); break;
-            case QLayerKind::Pool2: in = &keep(qmaxpool2(*in)); break;
-            case QLayerKind::AvgPool2: in = &keep(qavgpool2(*in)); break;
+            case QLayerKind::Pool2:
+            case QLayerKind::AvgPool2: in = &keep(layer.forward(*in)); break;
         }
     }
 }
@@ -144,11 +154,7 @@ QTensor QNetwork::forward_from(std::size_t first_layer, const QTensor& activatio
     QTensor x;
     run_layers(
         layers, first_layer, activation,
-        [](std::size_t, const QLayer& layer, const QTensor& in) {
-            return layer.kind == QLayerKind::Conv
-                       ? qconv2d(in, layer.weight, layer.bias, layer.activation)
-                       : qdense(in, layer.weight, layer.bias, layer.activation);
-        },
+        [](std::size_t, const QLayer& layer, const QTensor& in) { return layer.forward(in); },
         [&x](QTensor&& out) -> const QTensor& { return x = std::move(out); });
     return x;
 }

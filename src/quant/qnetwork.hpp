@@ -60,6 +60,10 @@ struct QLayer {
     Shape output_shape(const Shape& input_shape) const;
 
     std::size_t in_channels() const;
+
+    /// This layer's one-image golden forward: its conv, pool or dense
+    /// kernel on `input` (a dense layer reads the input flat).
+    QTensor forward(const QTensor& input) const;
 };
 
 struct QNetwork {

@@ -33,14 +33,9 @@ WeightStreamView::WordRef WeightStreamView::locate(std::size_t index) const {
 }
 
 std::size_t WeightStreamView::first_faulted_layer(
-    const std::vector<std::uint32_t>& indices, std::size_t layer_count,
-    std::size_t block_words) const {
-    expects(block_words > 0, "WeightStreamView: block_words > 0");
+    const std::vector<std::uint32_t>& indices, std::size_t layer_count) const {
     std::size_t first = layer_count;
-    for (std::uint32_t index : indices) {
-        expects(index < total_, "WeightStreamView: stream index in range");
-        first = std::min(first, locate(index - index % block_words).layer);
-    }
+    for (std::uint32_t index : indices) first = std::min(first, locate(index).layer);
     return first;
 }
 

@@ -53,16 +53,14 @@ public:
     /// when `index` is out of range.
     WordRef locate(std::size_t index) const;
 
-    /// Index of the earliest network layer holding a word that a fault at
-    /// any of `indices` can rewrite (= the first layer whose activations
-    /// can diverge from golden). A fault rewrites the aligned block of
-    /// `block_words` words around its index: 1 for a bit flip, the beat
-    /// for a Deep-Dup duplication, whose beat may begin in an earlier
-    /// layer than the index. Returns the layer count when `indices` is
-    /// empty.
+    /// Index of the earliest network layer holding one of the words at
+    /// `indices`: the first layer whose activations can diverge from golden
+    /// when those words, and only those, change (bit flips). Returns
+    /// `layer_count` when `indices` is empty. A Deep-Dup duplication
+    /// rewrites a whole beat, which may begin in an earlier layer and is a
+    /// no-op in beat 0: accel::first_faulted_layer applies that rule.
     std::size_t first_faulted_layer(const std::vector<std::uint32_t>& indices,
-                                    std::size_t layer_count,
-                                    std::size_t block_words = 1) const;
+                                    std::size_t layer_count) const;
 
 private:
     std::vector<LayerSpan> spans_;

@@ -1,12 +1,15 @@
 #include "sim/search.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
+#include "quant/gemm.hpp"
 #include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
 #include "sim/golden_cache.hpp"
@@ -36,29 +39,6 @@ std::string candidate_key(const attack::FaultSet& set) {
     return key;
 }
 
-/// Counts correct predictions of `network` over images [begin, end) of
-/// `golden`, resuming each image at layer `first_faulted` from its cached
-/// golden activation (its quantized input when that is layer 0): the
-/// layers before it are unfaulted. `first_faulted` == layer count means no
-/// layer is faulted, so the golden predictions answer.
-std::size_t correct_predictions(const quant::QNetwork& network,
-                                const data::Dataset& test_set, const GoldenStore& golden,
-                                std::size_t first_faulted, std::size_t begin,
-                                std::size_t end) {
-    std::size_t correct = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        const GoldenEntry& entry = golden.entries[i];
-        std::size_t predicted = entry.predicted;
-        if (first_faulted < network.layers.size()) {
-            predicted = argmax(network.forward_from(
-                first_faulted,
-                first_faulted == 0 ? entry.qimage : entry.activations[first_faulted - 1]));
-        }
-        correct += predicted == test_set.labels[i] ? 1 : 0;
-    }
-    return correct;
-}
-
 /// `candidate` as `config`'s fault set.
 std::vector<accel::WeightFault> candidate_faults(const attack::FaultSet& candidate,
                                                  const WeightFaultSearchConfig& config) {
@@ -66,22 +46,10 @@ std::vector<accel::WeightFault> candidate_faults(const attack::FaultSet& candida
                                         static_cast<std::uint8_t>(config.fault_bit));
 }
 
-/// The earliest layer `candidate` can fault under `config`'s fault model:
-/// a duplication rewrites its whole beat, a bit flip only its own word.
-std::size_t first_faulted_layer(const quant::WeightStreamView& view,
-                                const attack::FaultSet& candidate,
-                                const WeightFaultSearchConfig& config,
-                                std::size_t layer_count) {
-    const std::size_t block_words = config.fault_kind == accel::WeightFaultKind::Duplicate
-                                        ? config.transfer.beat_words
-                                        : 1;
-    return view.first_faulted_layer(candidate, layer_count, block_words);
-}
-
 /// Working copies of the victim for fitness tasks. A task checks one out,
-/// patches its candidate in, evaluates, restores the words it patched and
-/// gives the copy back, so the pool holds at most one copy per task
-/// running at once. A task that throws drops its copy instead.
+/// patches each of its candidates in, evaluates, restores the words it
+/// patched and gives the copy back, so the pool holds at most one copy per
+/// task running at once. A task that throws drops its copy instead.
 class WorkingCopies {
 public:
     explicit WorkingCopies(const quant::QNetwork& network) : network_(network) {}
@@ -109,17 +77,430 @@ private:
     std::vector<std::unique_ptr<quant::QNetwork>> free_;
 };
 
+/// A fault prefix's stored evaluation state at one resume layer r: each
+/// evaluation image's input to layer r under the prefix's faults and, when
+/// layer r is dense, the dot products of layer r's unfaulted weight rows
+/// with that input.
+struct PrefixEntry {
+    /// The prefix's rewritten spans, sorted; empty for the golden entry.
+    /// The search's faults share one fault model, so a begin names its span.
+    std::vector<accel::StreamSpan> key;
+    std::vector<QTensor> inputs;     // per evaluation image
+    std::vector<std::int32_t> dots;  // image i's at i * PrefixStore::dots_per_image
+    std::uint64_t last_used = 0;     // serial of the last batch that referenced it
+};
+
+/// The entries of one resume layer: layer 0, or a Conv/Dense layer. A
+/// candidate's prefix at layer r is its rewritten spans that begin before
+/// layer r's first stream word, so the prefix fixes every weight the
+/// layers before r read.
+struct PrefixStore {
+    std::size_t layer = 0;
+    std::size_t stream_begin = 0;   // stream index of layer r's first word
+    std::size_t dots_per_image = 0; // layer r's outputs when it is dense, else 0
+    Shape input_shape;
+    /// [0] is the golden (empty-prefix) entry, never evicted; at most
+    /// kPrefixStoreEntries others follow.
+    std::vector<std::unique_ptr<PrefixEntry>> entries;
+};
+
+/// Whether two span lists name the same spans.
+bool same_spans(std::span<const accel::StreamSpan> a, std::span<const accel::StreamSpan> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const accel::StreamSpan& x, const accel::StreamSpan& y) {
+                          return x.begin == y.begin;
+                      });
+}
+
+/// Row range [begin, end) of a dense layer's weight.
+struct RowRange {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/// One pass over a block's images, resumed from a stored entry: the fill
+/// of a new entry (`fill` set; `stop` is its store's layer) or a
+/// candidate's predictions (`stop` is the layer count).
+struct Job {
+    std::vector<accel::WeightFault> faults; // patched into the working copy
+    const PrefixEntry* from = nullptr;      // null: the quantized images
+    std::size_t resume = 0;                 // layer whose input `from` holds
+    std::vector<RowRange> rows;             // rows of a dense resume layer to recompute
+    PrefixEntry* fill = nullptr;
+    std::size_t stop = 0;
+};
+
 } // namespace
+
+struct WeightFaultFitness::Impl {
+    Impl(const quant::QNetwork& network, const data::Dataset& test_set,
+         const WeightFaultSearchConfig& config, SweepRunner& runner);
+
+    /// Sorted distinct non-empty rewritten spans of `faults`.
+    std::vector<accel::StreamSpan> spans_of(const std::vector<accel::WeightFault>& faults) const;
+    /// The first spans of `spans`: those beginning before `store`'s layer.
+    static std::span<const accel::StreamSpan> prefix(const PrefixStore& store,
+                                                     const std::vector<accel::StreamSpan>& spans);
+    /// The entry of `store` holding `key`, or null.
+    static PrefixEntry* find(const PrefixStore& store, std::span<const accel::StreamSpan> key);
+    /// Points `job` at the deepest entry below store `below` holding a
+    /// prefix of `spans`, and lists the rows of a dense resume layer that
+    /// `spans` rewrite.
+    void resume_job(Job& job, const std::vector<accel::StreamSpan>& spans,
+                    std::size_t below) const;
+    /// A new entry of `store` for `key`, its buffers allocated here (on the
+    /// planning thread).
+    PrefixEntry& add_entry(PrefixStore& store, std::span<const accel::StreamSpan> key);
+    /// The jobs of one batch: the new entries' fills, then one job per
+    /// candidate. Evicts and adds entries.
+    std::vector<Job> plan(std::vector<std::vector<accel::WeightFault>> faults);
+    /// Runs `jobs`, one task per block of images, and returns each candidate
+    /// job's correct predictions. When `manifest` is non-null it gains the
+    /// batch's wall time and one point per candidate job, labelled by
+    /// `batch`, with its blocks' task times summed.
+    std::vector<std::size_t> run(const std::vector<Job>& jobs,
+                                 const std::vector<attack::FaultSet>& batch,
+                                 RunManifest* manifest);
+    /// Layer job.stop's input for image i (the logits when stop is the
+    /// layer count), on `net`, which holds the job's faults.
+    QTensor forward(const Job& job, const quant::QNetwork& net, std::size_t i) const;
+
+    const quant::QNetwork& network;
+    const data::Dataset& test_set;
+    const quant::WeightStreamView view;
+    const WeightFaultSearchConfig config;
+    SweepRunner& runner;
+    const std::size_t n_images;
+    const std::size_t n_blocks;
+    std::vector<PrefixStore> stores;
+    WorkingCopies copies;
+    std::size_t clean = 0;
+    std::uint64_t serial = 0; // batches planned
+};
+
+WeightFaultFitness::Impl::Impl(const quant::QNetwork& network_, const data::Dataset& test_set_,
+                               const WeightFaultSearchConfig& config_, SweepRunner& runner_)
+    : network(network_), test_set(test_set_), view(network_), config(config_),
+      runner(runner_), n_images(std::min(config_.eval_images, test_set_.size())),
+      n_blocks((n_images + kFitnessBlockImages - 1) / kFitnessBlockImages),
+      copies(network_) {
+    expects(n_images > 0, "WeightFaultFitness: at least one evaluation image");
+    // One store per resume layer, each seeded with its golden entry; one
+    // batch fills them, each from the one before it, and scores the clean
+    // network from the deepest.
+    const std::vector<Shape> shapes = network.layer_output_shapes();
+    std::vector<Job> jobs;
+    for (std::size_t r = 0; r < network.layers.size(); ++r) {
+        const quant::QLayer& layer = network.layers[r];
+        const bool weighted =
+            layer.kind == quant::QLayerKind::Conv || layer.kind == quant::QLayerKind::Dense;
+        if (r > 0 && !weighted) continue;
+        PrefixStore& store = stores.emplace_back();
+        store.layer = r;
+        for (const quant::WeightStreamView::LayerSpan& span : view.spans()) {
+            if (span.layer < r) store.stream_begin += span.count;
+        }
+        store.dots_per_image =
+            layer.kind == quant::QLayerKind::Dense ? layer.weight.shape().dim(0) : 0;
+        store.input_shape = r == 0 ? network.input_shape : shapes[r - 1];
+        Job& fill = jobs.emplace_back();
+        fill.fill = &add_entry(store, {});
+        fill.stop = r;
+        if (r > 0) resume_job(fill, {}, stores.size() - 1);
+    }
+    Job& clean_job = jobs.emplace_back();
+    clean_job.stop = network.layers.size();
+    resume_job(clean_job, {}, stores.size());
+    clean = run(jobs, {}, nullptr).front();
+}
+
+std::vector<accel::StreamSpan> WeightFaultFitness::Impl::spans_of(
+    const std::vector<accel::WeightFault>& faults) const {
+    std::vector<accel::StreamSpan> spans;
+    for (const accel::WeightFault& fault : faults) {
+        expects(fault.index < view.size(), "WeightFault: stream index within the weight stream");
+        const accel::StreamSpan span =
+            accel::rewritten_span(fault, view.size(), config.transfer);
+        if (!span.empty()) spans.push_back(span);
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const accel::StreamSpan& a, const accel::StreamSpan& b) {
+                  return a.begin < b.begin;
+              });
+    spans.erase(std::unique(spans.begin(), spans.end(),
+                            [](const accel::StreamSpan& a, const accel::StreamSpan& b) {
+                                return a.begin == b.begin;
+                            }),
+                spans.end());
+    return spans;
+}
+
+std::span<const accel::StreamSpan> WeightFaultFitness::Impl::prefix(
+    const PrefixStore& store, const std::vector<accel::StreamSpan>& spans) {
+    const auto end = std::partition_point(
+        spans.begin(), spans.end(),
+        [&](const accel::StreamSpan& span) { return span.begin < store.stream_begin; });
+    return {spans.begin(), end};
+}
+
+PrefixEntry* WeightFaultFitness::Impl::find(const PrefixStore& store,
+                                            std::span<const accel::StreamSpan> key) {
+    for (const std::unique_ptr<PrefixEntry>& entry : store.entries) {
+        if (same_spans(entry->key, key)) return entry.get();
+    }
+    return nullptr;
+}
+
+void WeightFaultFitness::Impl::resume_job(Job& job,
+                                          const std::vector<accel::StreamSpan>& spans,
+                                          std::size_t below) const {
+    for (std::size_t s = below; s-- > 0;) {
+        const PrefixStore& store = stores[s];
+        const PrefixEntry* entry = find(store, prefix(store, spans));
+        if (entry == nullptr) continue;
+        job.from = entry;
+        job.resume = store.layer;
+        if (store.dots_per_image == 0) return;
+        const std::size_t offset = store.stream_begin;
+        const std::size_t in_n = network.layers[store.layer].weight.shape().dim(1);
+        const std::size_t end = offset + network.layers[store.layer].weight.size();
+        for (const accel::StreamSpan& span : spans) {
+            if (span.end <= offset || span.begin >= end) continue;
+            const RowRange rows{(std::max(span.begin, offset) - offset) / in_n,
+                                (std::min(span.end, end) - 1 - offset) / in_n + 1};
+            if (!job.rows.empty() && rows.begin <= job.rows.back().end) {
+                job.rows.back().end = std::max(job.rows.back().end, rows.end);
+            } else {
+                job.rows.push_back(rows);
+            }
+        }
+        return;
+    }
+    throw ContractError("WeightFaultFitness: every prefix resumes from a stored entry");
+}
+
+PrefixEntry& WeightFaultFitness::Impl::add_entry(PrefixStore& store,
+                                                 std::span<const accel::StreamSpan> key) {
+    auto entry = std::make_unique<PrefixEntry>();
+    entry->key.assign(key.begin(), key.end());
+    entry->inputs.assign(n_images, QTensor(store.input_shape));
+    entry->dots.resize(n_images * store.dots_per_image);
+    entry->last_used = serial;
+    return *store.entries.emplace_back(std::move(entry));
+}
+
+QTensor WeightFaultFitness::Impl::forward(const Job& job, const quant::QNetwork& net,
+                                          std::size_t i) const {
+    if (job.from == nullptr) return quant::quantize_image(test_set.images[i]);
+    const quant::QLayer& first = net.layers[job.resume];
+    const QTensor& input = job.from->inputs[i];
+    QTensor x;
+    if (first.kind == quant::QLayerKind::Dense) {
+        const std::size_t n = first.weight.shape().dim(0);
+        thread_local std::vector<std::int32_t> dots;
+        dots.assign(job.from->dots.begin() + static_cast<std::ptrdiff_t>(i * n),
+                    job.from->dots.begin() + static_cast<std::ptrdiff_t>((i + 1) * n));
+        for (const RowRange& rows : job.rows) {
+            quant::gemm::dense_dots(input, first.weight, rows.begin, rows.end - rows.begin,
+                                    dots.data() + rows.begin);
+        }
+        x = quant::gemm::dense_finish(dots.data(), first.bias, first.activation);
+    } else {
+        x = first.forward(input);
+    }
+    for (std::size_t l = job.resume + 1; l < job.stop; ++l) x = net.layers[l].forward(x);
+    return x;
+}
+
+std::vector<std::size_t> WeightFaultFitness::Impl::run(
+    const std::vector<Job>& jobs, const std::vector<attack::FaultSet>& batch,
+    RunManifest* manifest) {
+    std::vector<std::size_t> candidates; // job index of each candidate job
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        if (jobs[j].fill == nullptr) candidates.push_back(j);
+    }
+    std::vector<std::size_t> block_correct(candidates.size() * n_blocks, 0);
+    std::vector<double> block_seconds(candidates.size() * n_blocks, 0.0);
+    std::vector<SweepTask> tasks;
+    tasks.reserve(n_blocks);
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        tasks.push_back({"fitness block " + std::to_string(b), [&, b] {
+            const std::size_t begin = b * kFitnessBlockImages;
+            const std::size_t end = std::min(begin + kFitnessBlockImages, n_images);
+            std::unique_ptr<quant::QNetwork> copy = copies.check_out();
+            std::size_t c = 0;
+            for (const Job& job : jobs) {
+                const auto t0 = std::chrono::steady_clock::now();
+                const std::vector<accel::StreamSpan> patched = accel::patch_weight_faults(
+                    network, view, job.faults, config.transfer, *copy);
+                std::size_t hits = 0;
+                for (std::size_t i = begin; i < end; ++i) {
+                    QTensor x = forward(job, *copy, i);
+                    if (job.fill == nullptr) {
+                        hits += argmax(x) == test_set.labels[i] ? 1 : 0;
+                        continue;
+                    }
+                    std::copy(x.begin(), x.end(), job.fill->inputs[i].begin());
+                    const quant::QLayer& layer = network.layers[job.stop];
+                    if (layer.kind == quant::QLayerKind::Dense) {
+                        const std::size_t n = layer.weight.shape().dim(0);
+                        quant::gemm::dense_dots(x, layer.weight, 0, n,
+                                                job.fill->dots.data() + i * n);
+                    }
+                }
+                accel::restore_weight_spans(network, view, patched, *copy);
+                if (job.fill != nullptr) continue;
+                block_correct[c * n_blocks + b] = hits;
+                block_seconds[c * n_blocks + b] = std::chrono::duration<double>(
+                                                      std::chrono::steady_clock::now() - t0)
+                                                      .count();
+                ++c;
+            }
+            copies.give_back(std::move(copy));
+        }});
+    }
+    const RunManifest mf = runner.run(kSearchSweepName, std::move(tasks));
+    std::vector<std::size_t> correct(candidates.size(), 0);
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+        SweepPointStats point;
+        for (std::size_t b = 0; b < n_blocks; ++b) {
+            correct[c] += block_correct[c * n_blocks + b];
+            point.seconds += block_seconds[c * n_blocks + b];
+        }
+        if (manifest == nullptr) continue;
+        point.label = "candidate " + candidate_key(batch[c]);
+        point.ok = true;
+        manifest->points.push_back(std::move(point));
+    }
+    if (manifest != nullptr) manifest->total_seconds += mf.total_seconds;
+    return correct;
+}
+
+std::vector<Job> WeightFaultFitness::Impl::plan(
+    std::vector<std::vector<accel::WeightFault>> faults) {
+    serial += 1;
+    std::vector<std::vector<accel::StreamSpan>> spans;
+    for (const std::vector<accel::WeightFault>& set : faults) spans.push_back(spans_of(set));
+
+    // One store at a time from the shallowest: keep every entry a
+    // candidate's prefix names, then give the prefixes most candidates
+    // share (two at least) new entries, evicting the least recently named
+    // entries to keep kPrefixStoreEntries per store. A new entry is filled
+    // from the deepest entry below it, which the steps before planned.
+    std::vector<Job> jobs;
+    std::size_t evictions = 0;
+    for (std::size_t s = 1; s < stores.size(); ++s) {
+        PrefixStore& store = stores[s];
+        std::vector<std::vector<std::size_t>> groups; // candidates per new prefix
+        for (std::size_t k = 0; k < faults.size(); ++k) {
+            const std::span<const accel::StreamSpan> key = prefix(store, spans[k]);
+            if (key.empty()) continue;
+            if (PrefixEntry* entry = find(store, key)) {
+                entry->last_used = serial;
+                continue;
+            }
+            const auto same = std::find_if(groups.begin(), groups.end(), [&](const auto& group) {
+                return same_spans(prefix(store, spans[group.front()]), key);
+            });
+            if (same == groups.end()) {
+                groups.push_back({k});
+            } else {
+                same->push_back(k);
+            }
+        }
+        std::stable_sort(groups.begin(), groups.end(),
+                         [](const auto& a, const auto& b) { return a.size() > b.size(); });
+        std::erase_if(groups, [](const auto& group) { return group.size() < 2; });
+
+        // Entries no candidate named, least recently named first.
+        std::vector<std::size_t> idle;
+        for (std::size_t e = 1; e < store.entries.size(); ++e) {
+            if (store.entries[e]->last_used != serial) idle.push_back(e);
+        }
+        std::stable_sort(idle.begin(), idle.end(), [&](std::size_t a, std::size_t b) {
+            return store.entries[a]->last_used < store.entries[b]->last_used;
+        });
+        const std::size_t stored = store.entries.size() - 1;
+        const std::size_t added =
+            std::min(groups.size(), kPrefixStoreEntries - (stored - idle.size()));
+        const std::size_t evict =
+            stored + added > kPrefixStoreEntries ? stored + added - kPrefixStoreEntries : 0;
+        for (std::size_t e = 0; e < evict; ++e) store.entries[idle[e]].reset();
+        std::erase(store.entries, nullptr);
+        evictions += evict;
+
+        for (std::size_t g = 0; g < added; ++g) {
+            const std::size_t k = groups[g].front();
+            Job& job = jobs.emplace_back();
+            for (const accel::WeightFault& fault : faults[k]) {
+                const accel::StreamSpan span =
+                    accel::rewritten_span(fault, view.size(), config.transfer);
+                if (!span.empty() && span.begin < store.stream_begin) job.faults.push_back(fault);
+            }
+            job.fill = &add_entry(store, prefix(store, spans[k]));
+            job.stop = store.layer;
+            resume_job(job, job.fill->key, s);
+        }
+    }
+    const std::size_t fills = jobs.size();
+    std::size_t resumes = 0;
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+        Job& job = jobs.emplace_back();
+        job.faults = std::move(faults[k]);
+        job.stop = network.layers.size();
+        resume_job(job, spans[k], stores.size());
+        resumes += job.from->key.empty() ? 0 : 1;
+    }
+    metrics::counter("search.prefix_store.fills", "entries",
+                     "prefix-store entries filled for a non-empty fault prefix")
+        .add(fills);
+    metrics::counter("search.prefix_store.evictions", "entries",
+                     "prefix-store entries evicted to make room for new ones")
+        .add(evictions);
+    metrics::counter("search.prefix_store.resumes", "candidates",
+                     "fresh candidates resumed from a stored non-empty fault prefix")
+        .add(resumes);
+    return jobs;
+}
+
+WeightFaultFitness::WeightFaultFitness(const quant::QNetwork& network,
+                                       const data::Dataset& test_set,
+                                       const WeightFaultSearchConfig& config,
+                                       SweepRunner& runner)
+    : impl_(std::make_unique<Impl>(network, test_set, config, runner)) {}
+
+WeightFaultFitness::~WeightFaultFitness() = default;
+
+std::size_t WeightFaultFitness::clean_correct() const { return impl_->clean; }
+
+std::vector<std::size_t> WeightFaultFitness::correct(const std::vector<attack::FaultSet>& batch,
+                                                     RunManifest* manifest) {
+    std::vector<std::vector<accel::WeightFault>> faults;
+    for (const attack::FaultSet& candidate : batch) {
+        faults.push_back(candidate_faults(candidate, impl_->config));
+    }
+    return impl_->run(impl_->plan(std::move(faults)), batch, manifest);
+}
 
 std::size_t weight_fault_correct(const quant::QNetwork& network,
                                  const data::Dataset& test_set, const GoldenStore& golden,
                                  const attack::FaultSet& candidate,
                                  const WeightFaultSearchConfig& config) {
-    const quant::QNetwork faulted = accel::apply_weight_faults(
-        network, candidate_faults(candidate, config), config.transfer);
-    const std::size_t first = first_faulted_layer(quant::WeightStreamView(network),
-                                                  candidate, config, network.layers.size());
-    return correct_predictions(faulted, test_set, golden, first, 0, golden.size());
+    const std::vector<accel::WeightFault> faults = candidate_faults(candidate, config);
+    const quant::QNetwork faulted = accel::apply_weight_faults(network, faults, config.transfer);
+    const std::size_t first = accel::first_faulted_layer(
+        quant::WeightStreamView(network), faults, config.transfer, network.layers.size());
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        const GoldenEntry& entry = golden.entries[i];
+        std::size_t predicted = entry.predicted;
+        if (first < network.layers.size()) {
+            predicted = argmax(faulted.forward_from(
+                first, first == 0 ? entry.qimage : entry.activations[first - 1]));
+        }
+        correct += predicted == test_set.labels[i] ? 1 : 0;
+    }
+    return correct;
 }
 
 const char* weight_attack_name(accel::WeightFaultKind kind) {
@@ -231,13 +612,10 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
 
     SweepRunner runner(RunnerConfig{cfg.threads});
 
-    // Golden slice: activations for prefix elision plus the clean
-    // predictions the drop is measured against.
-    const std::shared_ptr<const GoldenStore> golden =
-        build_golden_store(network, test_set, n_images);
-    const std::size_t layer_count = network.layers.size();
-    const std::size_t clean_correct =
-        correct_predictions(network, test_set, *golden, layer_count, 0, n_images);
+    // Fills the golden prefix stores and scores the clean network: the
+    // predictions the drops are measured against.
+    WeightFaultFitness fitness(network, test_set, cfg, runner);
+    const std::size_t clean_correct = fitness.clean_correct();
 
     metrics::counter("search.runs", "runs", "weight-fault searches started").add();
     metrics::gauge("search.space", "words",
@@ -249,18 +627,14 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
     std::unordered_map<std::string, double> fitness_cache;
     std::size_t cache_hits = 0;
 
-    WorkingCopies copies(network);
-    const std::size_t n_blocks =
-        (n_images + kFitnessBlockImages - 1) / kFitnessBlockImages;
-
     RunManifest aggregate;
     aggregate.sweep = kSearchSweepName;
     aggregate.threads = runner.threads();
 
     const auto evaluate_batch =
         [&](const std::vector<attack::FaultSet>& batch) -> std::vector<double> {
-        // Unique uncached candidates become one SweepRunner batch.
-        std::vector<const attack::FaultSet*> fresh;
+        // Unique uncached candidates are scored as one batch.
+        std::vector<attack::FaultSet> fresh;
         std::vector<std::string> fresh_keys;
         for (const attack::FaultSet& candidate : batch) {
             std::string key = candidate_key(candidate);
@@ -269,63 +643,18 @@ SearchReport run_weight_fault_search(const quant::QNetwork& network,
                     fresh_keys.end()) {
                 continue;
             }
-            fresh.push_back(&candidate);
+            fresh.push_back(candidate);
             fresh_keys.push_back(std::move(key));
         }
-
-        // Each fresh candidate is one task per block of kFitnessBlockImages
-        // consecutive images; the tasks count correct predictions and the
-        // counts add up per candidate, so the drops do not depend on how
-        // the blocks were scheduled.
-        std::vector<std::vector<accel::WeightFault>> faults(fresh.size());
-        std::vector<std::size_t> first(fresh.size());
-        std::vector<std::size_t> block_correct(fresh.size() * n_blocks, 0);
-        std::vector<SweepTask> tasks;
-        tasks.reserve(fresh.size() * n_blocks);
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            faults[i] = candidate_faults(*fresh[i], cfg);
-            first[i] = first_faulted_layer(view, *fresh[i], cfg, layer_count);
-            for (std::size_t b = 0; b < n_blocks; ++b) {
-                tasks.push_back(
-                    {"candidate " + fresh_keys[i] + " block " + std::to_string(b),
-                     [&, i, b] {
-                         const std::size_t begin = b * kFitnessBlockImages;
-                         const std::size_t end =
-                             std::min(begin + kFitnessBlockImages, n_images);
-                         std::unique_ptr<quant::QNetwork> copy = copies.check_out();
-                         const std::vector<accel::StreamSpan> patched =
-                             accel::patch_weight_faults(network, view, faults[i],
-                                                        cfg.transfer, *copy);
-                         block_correct[i * n_blocks + b] = correct_predictions(
-                             *copy, test_set, *golden, first[i], begin, end);
-                         accel::restore_weight_spans(network, view, patched, *copy);
-                         copies.give_back(std::move(copy));
-                     }});
-            }
-        }
-        std::vector<double> fresh_drops(fresh.size(), 0.0);
-        if (!tasks.empty()) {
-            RunManifest mf = runner.run(kSearchSweepName, std::move(tasks));
-            aggregate.total_seconds += mf.total_seconds;
-            // One manifest point per candidate: its blocks' times add up.
+        if (!fresh.empty()) {
+            const std::vector<std::size_t> correct = fitness.correct(fresh, &aggregate);
             for (std::size_t i = 0; i < fresh.size(); ++i) {
-                SweepPointStats point;
-                point.label = "candidate " + fresh_keys[i];
-                point.ok = true;
-                std::size_t correct = 0;
-                for (std::size_t b = 0; b < n_blocks; ++b) {
-                    point.seconds += mf.points[i * n_blocks + b].seconds;
-                    correct += block_correct[i * n_blocks + b];
-                }
-                aggregate.points.push_back(std::move(point));
-                fresh_drops[i] = 100.0 *
-                                 (static_cast<double>(clean_correct) -
-                                  static_cast<double>(correct)) /
-                                 static_cast<double>(n_images);
+                fitness_cache.emplace(fresh_keys[i],
+                                      100.0 *
+                                          (static_cast<double>(clean_correct) -
+                                           static_cast<double>(correct[i])) /
+                                          static_cast<double>(n_images));
             }
-        }
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            fitness_cache.emplace(fresh_keys[i], fresh_drops[i]);
         }
         metrics::counter("search.candidates_evaluated", "candidates",
                          "fault-set fitness evaluations actually run")

@@ -3,12 +3,12 @@
 //
 // The driver (attack/search.hpp) is blind — it optimizes fault-set
 // indices against an abstract batch fitness callback. This layer makes
-// that callback real: each generation's candidate fault sets become one
-// SweepRunner batch (parallel across the pool, bit-identical at any
-// --threads), each candidate is scored as the victim's accuracy drop in
-// percentage points over a fixed evaluation slice, and per-generation
-// records stream into a CheckpointJournal so a killed search resumes
-// bit-exactly (`deepstrike search --resume`).
+// that callback real: each generation's candidate fault sets are scored
+// as one batch (WeightFaultFitness, parallel across the pool and
+// bit-identical at any --threads), each candidate as the victim's
+// accuracy drop in percentage points over a fixed evaluation slice, and
+// per-generation records stream into a CheckpointJournal so a killed
+// search resumes bit-exactly (`deepstrike search --resume`).
 //
 // Why no Platform: weight-transfer faults corrupt the DDR->BRAM stream
 // before any MAC executes, so fitness is a pure function of (network,
@@ -17,15 +17,21 @@
 //   1. candidate-level memoization — DES revisits candidates across
 //      generations; identical sets answer from a cache without running
 //      (the driver still counts them against the logical budget);
-//   2. golden-prefix elision — faults rewriting words first in layer k
-//      leave layers 0..k-1 byte-identical to golden, so evaluation resumes
-//      from the search's golden store (sim/golden_cache.hpp, built once
-//      per search) at layer k-1 via QNetwork::forward_from (for LeNet-5,
-//      ~97% of the weight stream lives in FC1, eliding the expensive conv
-//      prefix for most candidates).
+//   2. shared fault prefixes — the layers before layer r read only the
+//      stream words before r's first word, so two candidates whose
+//      rewritten spans (a Deep-Dup beat, a DeepLaser word) agree there
+//      feed layer r the same input. P-DES carries the stage champion's
+//      indices into every member of the next stage, so candidates share
+//      these prefixes far more often than the stream's layout suggests:
+//      on the LeNet-5 benchmark search, 39% of candidates fault CONV1, 53%
+//      begin in CONV2 and only 8% in FC1, although FC1 holds 97% of the
+//      stream. Each candidate resumes from the deepest stored prefix it
+//      shares (WeightFaultFitness below); the golden activations are the
+//      entries of the empty prefix.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,15 +96,67 @@ std::uint64_t weight_fault_search_fingerprint(
 
 /// Correct predictions of `network` deployed with `candidate` under
 /// `config`'s fault model (fault_kind, fault_bit, transfer), over the
-/// images of `golden` (the first golden.size() of `test_set`): the count
-/// each search fitness is scored from. Each image resumes at the earliest
-/// layer holding a word the fault set rewrites (a duplicated beat may
-/// begin in an earlier layer than its index), from its golden activation,
-/// so the count equals a full forward of the faulted network.
+/// images of `golden` (the first golden.size() of `test_set`). Each image
+/// resumes at the earliest layer holding a word the fault set rewrites
+/// (accel::first_faulted_layer: a duplicated beat may begin in an earlier
+/// layer than its index, and one in beat 0 rewrites nothing) from its
+/// golden activation, through QNetwork::forward_from on a faulted copy, so
+/// the count equals a full forward of the faulted network. The oracle
+/// WeightFaultFitness is tested against.
 std::size_t weight_fault_correct(const quant::QNetwork& network,
                                  const data::Dataset& test_set, const GoldenStore& golden,
                                  const attack::FaultSet& candidate,
                                  const WeightFaultSearchConfig& config);
+
+/// Non-empty fault prefixes a WeightFaultFitness keeps per resume layer,
+/// next to the golden entry.
+inline constexpr std::size_t kPrefixStoreEntries = 4;
+
+/// The search's fitness evaluator. It keeps one prefix store per resume
+/// layer r (layer 0 and each Conv/Dense layer): entries keyed by the begins
+/// of a fault prefix's rewritten spans (accel::rewritten_span) that begin
+/// before r's first stream word, each holding every evaluation image's
+/// input to layer r under that prefix and, when r is dense, the dot
+/// products of r's unfaulted weight rows with it. Construction fills the
+/// golden (empty-prefix) entries and scores the clean network.
+///
+/// Each batch is planned on the calling thread before any task runs:
+/// every candidate resumes from the deepest entry holding its prefix; a
+/// prefix that at least two candidates share and no entry holds gets a
+/// new entry, most-shared first, up to kPrefixStoreEntries per store, and
+/// entries no candidate of the batch names are evicted least recently
+/// named first to make room. At a dense resume layer a candidate starts
+/// from the stored dot products and recomputes only the rows its own
+/// rewritten spans touch; a conv resume layer and every later layer run
+/// the one-image kernels. One pool task per block of evaluation images
+/// fills the new entries and scores every candidate on its images, so the
+/// counts — quant.gemm.macs and search.prefix_store.* included — are the
+/// same at every thread count and SIMD twin.
+class WeightFaultFitness {
+public:
+    /// Scores over the first min(config.eval_images, test_set.size()) (>= 1)
+    /// images of `test_set` under `config`'s fault model; tasks run on
+    /// `runner`. `network`, `test_set` and `runner` must outlive it.
+    WeightFaultFitness(const quant::QNetwork& network, const data::Dataset& test_set,
+                       const WeightFaultSearchConfig& config, SweepRunner& runner);
+    ~WeightFaultFitness();
+    WeightFaultFitness(const WeightFaultFitness&) = delete;
+    WeightFaultFitness& operator=(const WeightFaultFitness&) = delete;
+
+    /// Correct predictions of the unfaulted network.
+    std::size_t clean_correct() const;
+
+    /// Correct predictions of each candidate of `batch` (each a
+    /// weight_fault_correct count), in order. When `manifest` is non-null
+    /// it gains the batch's wall time and one point per candidate
+    /// ("candidate <indices>", its blocks' task times summed).
+    std::vector<std::size_t> correct(const std::vector<attack::FaultSet>& batch,
+                                     RunManifest* manifest = nullptr);
+
+private:
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
 
 /// Runs the search to completion. Deterministic in (network, test_set,
 /// config) — independent of threads and resume splits. Throws

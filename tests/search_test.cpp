@@ -1,6 +1,7 @@
 // attack::SearchDriver (P-DES) and the sim-side weight-fault search
 // orchestration: determinism across threads, golden-cache equivalence,
-// journal resume, hostile journal records and configs.
+// prefix-store fitness against a full forward, journal resume, hostile
+// journal records and configs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,18 +9,23 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 
+#include "accel/arch_profiles.hpp"
 #include "attack/search.hpp"
 #include "data/synth_mnist.hpp"
+#include "nn/zoo.hpp"
 #include "quant/weight_stream.hpp"
 #include "sim/campaign.hpp"
 #include "sim/journal.hpp"
 #include "sim/search.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 using namespace deepstrike;
 using attack::FaultSet;
@@ -578,6 +584,264 @@ TEST(WeightFaultSearch, BlockedFitnessMatchesWholeCandidate) {
             std::remove(journal.c_str());
         }
     }
+}
+
+namespace {
+
+/// RAII restore of the process-wide metrics switch and SIMD mode a test
+/// changes.
+struct KnobsGuard {
+    bool metrics_on = metrics::enabled();
+    simd::Mode mode = simd::mode();
+    ~KnobsGuard() {
+        metrics::set_enabled(metrics_on);
+        simd::set_mode(mode);
+    }
+};
+
+std::uint64_t counter_total(const char* name) { return metrics::counter(name).total(); }
+
+/// An untrained zoo victim (its own architecture, quantization format and
+/// stream layout).
+quant::QNetwork untrained_zoo_network(nn::Architecture arch) {
+    Rng rng(2024);
+    nn::Sequential model = nn::build_architecture(arch, rng);
+    return quant::quantize_sequential(model, nn::architecture_info(arch).input_shape, {},
+                                      quant::quant_format_for(arch));
+}
+
+/// `images` test images labelled with `network`'s clean predictions, so
+/// every changed prediction changes a correct count.
+data::Dataset self_labelled(const quant::QNetwork& network, std::size_t images) {
+    data::Dataset test = data::make_datasets(31, 1, images).test;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        test.labels[i] = argmax(network.forward(quant::quantize_image(test.images[i])));
+    }
+    return test;
+}
+
+class PrefixFitnessOracle : public ::testing::TestWithParam<nn::Architecture> {};
+
+} // namespace
+
+// Every member fitness that journaled P-DES searches record must equal the
+// drop weight_fault_correct computes, which runs QNetwork::forward_from on
+// an apply_weight_faults copy. The searches run on every zoo victim, for
+// both fault models, on both SIMD twins and at 1, 4 and 8 threads, and
+// their reports must be byte-identical; so must the logical counts.
+TEST_P(PrefixFitnessOracle, JournaledMembersMatchAFullForward) {
+    KnobsGuard guard;
+    metrics::set_enabled(true);
+    const nn::Architecture arch = GetParam();
+    const quant::QNetwork network = untrained_zoo_network(arch);
+    const data::Dataset test = self_labelled(network, 40);
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(network, test, 24);
+    const std::string journal = temp_path(std::string("oracle_") +
+                                          nn::architecture_name(arch) + ".jsonl");
+    for (const accel::WeightFaultKind kind :
+         {accel::WeightFaultKind::Duplicate, accel::WeightFaultKind::BitFlip}) {
+        sim::WeightFaultSearchConfig config;
+        config.fault_kind = kind;
+        config.eval_images = 24; // a partial last block
+        config.spec.max_faults = 3;
+        config.spec.population = 6;
+        config.spec.budget = 80;
+        config.spec.seed = 5;
+        config.spec.stall_generations = 2;
+        config.spec.space = quant::WeightStreamView(network).size();
+        config.journal_path = journal;
+        const std::string what =
+            std::string(nn::architecture_name(arch)) + " " + sim::weight_attack_name(kind);
+
+        std::string reference;
+        std::vector<std::uint64_t> reference_counts;
+        std::uint64_t stored = 0;
+        std::map<FaultSet, std::string> oracle; // drop bits per member
+        for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+            simd::set_mode(mode);
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+                config.threads = threads;
+                metrics::reset();
+                const sim::SearchReport report =
+                    sim::run_weight_fault_search(network, test, config);
+                const std::vector<std::uint64_t> counts = {
+                    counter_total("quant.gemm.macs"),
+                    counter_total("search.prefix_store.fills"),
+                    counter_total("search.prefix_store.evictions"),
+                    counter_total("search.prefix_store.resumes")};
+                const std::string run = what + " " + simd::mode_name(mode) + " at " +
+                                        std::to_string(threads) + " threads";
+                if (reference.empty()) {
+                    reference = report.to_json().dump();
+                    reference_counts = counts;
+                    stored += counts[1];
+                } else {
+                    EXPECT_EQ(report.to_json().dump(), reference) << run;
+                    EXPECT_EQ(counts, reference_counts) << run;
+                }
+
+                const sim::JournalRecovery recovery = sim::CheckpointJournal::recover(
+                    journal, sim::weight_fault_search_fingerprint(network, test, config),
+                    "weight-fault-search");
+                ASSERT_GT(recovery.records.size(), 3u) << run;
+                for (const sim::JournalRecord& rec : recovery.records) {
+                    const GenerationRecord record = GenerationRecord::from_json(rec.payload);
+                    for (std::size_t m = 0; m < record.population.size(); ++m) {
+                        const FaultSet& member = record.population[m];
+                        auto it = oracle.find(member);
+                        if (it == oracle.end()) {
+                            const std::size_t correct = sim::weight_fault_correct(
+                                network, test, *golden, member, config);
+                            const double drop = 100.0 *
+                                                (static_cast<double>(golden->size()) -
+                                                 static_cast<double>(correct)) /
+                                                static_cast<double>(golden->size());
+                            it = oracle.emplace(member, sim::double_bits_hex(drop)).first;
+                        }
+                        EXPECT_EQ(it->second, sim::double_bits_hex(record.fitness[m]))
+                            << run << " generation " << record.index << " member " << m;
+                    }
+                }
+                std::remove(journal.c_str());
+            }
+        }
+        // On the conv victims, P-DES carries a stage champion's conv faults
+        // into every member, and the search stores those prefixes. The
+        // fully connected victims hold most of their stream in the first
+        // layer, where prefixes rarely repeat; the crafted batches below
+        // store prefixes on every victim.
+        if (arch == nn::Architecture::MiniCnn ||
+            (arch == nn::Architecture::LeNet5 && kind == accel::WeightFaultKind::Duplicate)) {
+            EXPECT_GT(stored, 0u) << what << ": no prefix was stored";
+        }
+    }
+}
+
+// Hand-built batches fed straight to the evaluator reach the cases a short
+// search may miss: duplicated beats that straddle two layers (beats of 48
+// words straddle every layer boundary of every zoo stream), duplications
+// in beat 0, more shared new prefixes in one batch than a store keeps,
+// and prefixes stored, evicted and then seen again. Every count must equal
+// weight_fault_correct's, for both fault models on both SIMD twins.
+TEST_P(PrefixFitnessOracle, CraftedBatchesMatchAFullForward) {
+    KnobsGuard guard;
+    metrics::set_enabled(true);
+    const nn::Architecture arch = GetParam();
+    const quant::QNetwork network = untrained_zoo_network(arch);
+    const data::Dataset test = self_labelled(network, 20);
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(network, test, test.size());
+    const quant::WeightStreamView view(network);
+    const std::vector<quant::WeightStreamView::LayerSpan>& spans = view.spans();
+    ASSERT_GE(spans.size(), 3u);
+    constexpr std::uint32_t kBeat = 48;
+    const auto word = [&](std::size_t layer_span, std::size_t element) {
+        return static_cast<std::uint32_t>(spans[layer_span].offset + element);
+    };
+    const std::uint32_t last = static_cast<std::uint32_t>(view.size() - 1);
+
+    // Batch 0: beat 0, and every layer boundary's straddling beat named
+    // from either side, alone and with a fault past it.
+    std::vector<std::vector<FaultSet>> batches(1);
+    batches[0] = {{0}, {5, kBeat - 1}, {0, last}};
+    for (std::size_t k = 1; k < spans.size(); ++k) {
+        const std::uint32_t boundary = word(k, 0);
+        ASSERT_NE(boundary % kBeat, 0u) << "layer " << k << " starts on a beat edge";
+        batches[0].push_back({boundary - 1});
+        batches[0].push_back({boundary});
+        batches[0].push_back({boundary - 1, last});
+        batches[0].push_back({boundary, last});
+    }
+    // Batches 1 and 2: kPrefixStoreEntries + 2 prefixes each, every one
+    // shared by two candidates, in the second weighted layer; batch 2's
+    // evict batch 1's, and batch 3 names batch 1's again.
+    const auto shared_prefixes = [&](std::size_t first) {
+        std::vector<FaultSet> batch;
+        for (std::size_t j = first; j < first + sim::kPrefixStoreEntries + 2; ++j) {
+            const std::uint32_t prefix = word(1, kBeat * (j + 1) + 3);
+            batch.push_back({prefix, last - 1});
+            batch.push_back({prefix, last});
+        }
+        return batch;
+    };
+    batches.push_back(shared_prefixes(0));
+    batches.push_back(shared_prefixes(sim::kPrefixStoreEntries + 2));
+    batches.push_back(shared_prefixes(0));
+    batches.push_back(batches[0]);
+
+    for (const accel::WeightFaultKind kind :
+         {accel::WeightFaultKind::Duplicate, accel::WeightFaultKind::BitFlip}) {
+        sim::WeightFaultSearchConfig config;
+        config.fault_kind = kind;
+        config.transfer.beat_words = kBeat;
+        config.eval_images = test.size();
+        std::vector<std::vector<std::size_t>> want;
+        for (const std::vector<FaultSet>& batch : batches) {
+            std::vector<std::size_t> counts;
+            for (const FaultSet& candidate : batch) {
+                counts.push_back(
+                    sim::weight_fault_correct(network, test, *golden, candidate, config));
+            }
+            want.push_back(counts);
+        }
+        for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+            simd::set_mode(mode);
+            const std::string what = std::string(nn::architecture_name(arch)) + " " +
+                                     sim::weight_attack_name(kind) + " " +
+                                     simd::mode_name(mode);
+            metrics::reset();
+            sim::SweepRunner runner(sim::RunnerConfig{4});
+            sim::WeightFaultFitness fitness(network, test, config, runner);
+            EXPECT_EQ(fitness.clean_correct(), test.size()) << what;
+            std::size_t changed = 0;
+            for (std::size_t b = 0; b < batches.size(); ++b) {
+                const std::uint64_t fills = counter_total("search.prefix_store.fills");
+                const std::vector<std::size_t> got = fitness.correct(batches[b]);
+                EXPECT_EQ(got, want[b]) << what << " batch " << b;
+                for (std::size_t c : got) changed += test.size() - c;
+                if (b == 1 || b == 2) {
+                    // One entry per store for the shared prefixes that fit:
+                    // the second weighted layer's prefixes reach the stores
+                    // of every later weighted layer.
+                    EXPECT_EQ(counter_total("search.prefix_store.fills") - fills,
+                              sim::kPrefixStoreEntries * (spans.size() - 2))
+                        << what << " batch " << b;
+                }
+            }
+            EXPECT_GT(changed, 0u) << what; // the comparison is not vacuous
+            EXPECT_GT(counter_total("search.prefix_store.evictions"), 0u) << what;
+            EXPECT_GT(counter_total("search.prefix_store.resumes"), 0u) << what;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooVictims, PrefixFitnessOracle,
+                         ::testing::Values(nn::Architecture::LeNet5,
+                                           nn::Architecture::MiniCnn,
+                                           nn::Architecture::Mlp,
+                                           nn::Architecture::Bnn),
+                         [](const ::testing::TestParamInfo<nn::Architecture>& info) {
+                             return std::string(nn::architecture_name(info.param));
+                         });
+
+// A Deep-Dup duplication in beat 0 has no predecessor beat to re-latch, so
+// a candidate whose faults all sit there rewrites nothing: it scores the
+// clean accuracy and runs no GEMM.
+TEST(WeightFaultSearch, BeatZeroDuplicationsCostNothingAndScoreClean) {
+    KnobsGuard guard;
+    metrics::set_enabled(true);
+    SmallRig rig;
+    sim::WeightFaultSearchConfig config = small_config();
+    sim::SweepRunner runner(sim::RunnerConfig{4});
+    sim::WeightFaultFitness fitness(rig.network, rig.test, config, runner);
+    const std::uint64_t macs = counter_total("quant.gemm.macs");
+    const std::vector<std::size_t> got = fitness.correct({{0}, {3, 63}, {0, 1, 2}});
+    EXPECT_EQ(counter_total("quant.gemm.macs"), macs);
+    for (std::size_t correct : got) EXPECT_EQ(correct, fitness.clean_correct());
+    // A beat-1 duplication (inside CONV1) does run.
+    fitness.correct({{64}});
+    EXPECT_GT(counter_total("quant.gemm.macs"), macs);
 }
 
 TEST(WeightFaultSearch, DeepLaserOutDamagesItsBudgetOnARandomNet) {

@@ -114,19 +114,77 @@ TEST(WeightStreamView, FirstFaultedLayer) {
     // fc1 starts at 150 + 2400 = 2550.
     EXPECT_EQ(view.first_faulted_layer({2550}, layers), 3u);
     EXPECT_EQ(view.first_faulted_layer({2550, 149}, layers), 0u);
-    // 64-word blocks (Deep-Dup beats): a fault rewrites its whole beat, and
-    // beats 2 (words 128-191), 39 (2496-2559) and 1959 (125376-125439)
-    // straddle the CONV1/CONV2, CONV2/FC1 and FC1/FC2 boundaries.
-    EXPECT_EQ(view.first_faulted_layer({150}, layers, 64), 0u);
-    EXPECT_EQ(view.first_faulted_layer({191}, layers, 64), 0u);
-    EXPECT_EQ(view.first_faulted_layer({192}, layers, 64), 2u);
-    EXPECT_EQ(view.first_faulted_layer({2550}, layers, 64), 2u);
-    EXPECT_EQ(view.first_faulted_layer({125435}, layers, 64), 3u);
     EXPECT_EQ(view.first_faulted_layer({125435}, layers), 4u);
-    EXPECT_EQ(view.first_faulted_layer({}, layers, 64), layers);
-    EXPECT_THROW(view.first_faulted_layer({static_cast<std::uint32_t>(view.size())},
-                                          layers, 64),
+    EXPECT_THROW(view.first_faulted_layer({static_cast<std::uint32_t>(view.size())}, layers),
                  ContractError);
+
+    // Deep-Dup duplications rewrite their whole 64-word beat, and beats 2
+    // (words 128-191), 39 (2496-2559) and 1959 (125376-125439) straddle the
+    // CONV1/CONV2, CONV2/FC1 and FC1/FC2 boundaries. Beat 0 (words 0-63)
+    // has no predecessor, so a duplication there rewrites nothing.
+    const accel::WeightTransferParams params;
+    const auto dup_first = [&](const std::vector<std::uint32_t>& indices) {
+        return accel::first_faulted_layer(
+            view, accel::uniform_weight_faults(indices, WeightFaultKind::Duplicate), params,
+            layers);
+    };
+    EXPECT_EQ(dup_first({150}), 0u);
+    EXPECT_EQ(dup_first({191}), 0u);
+    EXPECT_EQ(dup_first({192}), 2u);
+    EXPECT_EQ(dup_first({2550}), 2u);
+    EXPECT_EQ(dup_first({125435}), 3u);
+    EXPECT_EQ(dup_first({}), layers);
+    EXPECT_EQ(dup_first({0}), layers);
+    EXPECT_EQ(dup_first({63}), layers);
+    EXPECT_EQ(dup_first({5, 64}), 0u);
+    EXPECT_EQ(dup_first({5, 2550}), 2u);
+    // A bit flip rewrites its own word only, beat 0 included.
+    EXPECT_EQ(accel::first_faulted_layer(
+                  view, accel::uniform_weight_faults({5}, WeightFaultKind::BitFlip), params,
+                  layers),
+              0u);
+    EXPECT_THROW(dup_first({static_cast<std::uint32_t>(view.size())}), ContractError);
+}
+
+// rewritten_span is the rule patch_weight_faults applies: every span a
+// patch reports is the span of one of its faults, and a beat-0
+// duplication rewrites no word.
+TEST(WeightTransfer, RewrittenSpansAreThePatchedSpans) {
+    const quant::QNetwork net = deepstrike::testing::random_qnetwork(14);
+    const WeightStreamView view(net);
+    const accel::WeightTransferParams params;
+    for (const WeightFaultKind kind : {WeightFaultKind::Duplicate, WeightFaultKind::BitFlip}) {
+        for (const std::vector<std::uint32_t>& indices :
+             std::vector<std::vector<std::uint32_t>>{
+                 {0}, {63}, {64}, {2550}, {0, 2550, 125435},
+                 {static_cast<std::uint32_t>(view.size() - 1)}}) {
+            const std::vector<WeightFault> faults = accel::uniform_weight_faults(indices, kind);
+            quant::QNetwork working = net;
+            const std::vector<accel::StreamSpan> patched =
+                accel::patch_weight_faults(net, view, faults, params, working);
+            std::vector<accel::StreamSpan> expected;
+            for (const WeightFault& fault : faults) {
+                const accel::StreamSpan span = accel::rewritten_span(fault, view.size(), params);
+                if (!span.empty()) expected.push_back(span);
+            }
+            ASSERT_EQ(patched.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                EXPECT_EQ(patched[i].begin, expected[i].begin);
+                EXPECT_EQ(patched[i].end, expected[i].end);
+            }
+            if (kind == WeightFaultKind::Duplicate && indices == std::vector<std::uint32_t>{0}) {
+                EXPECT_TRUE(patched.empty());
+                EXPECT_EQ(working.layers[0].weight, net.layers[0].weight);
+            }
+        }
+    }
+    EXPECT_TRUE(accel::rewritten_span({63, WeightFaultKind::Duplicate}, view.size(), params)
+                    .empty());
+    const accel::StreamSpan last = accel::rewritten_span(
+        {static_cast<std::uint32_t>(view.size() - 1), WeightFaultKind::Duplicate}, view.size(),
+        params);
+    EXPECT_EQ(last.end, view.size());
+    EXPECT_EQ(last.begin, (view.size() - 1) / 64 * 64);
 }
 
 TEST(WeightTransfer, EmptyFaultSetIsByteIdentical) {

@@ -22,11 +22,17 @@ gate (CI runners vary ~2x; two benchmarks in one process don't):
       --pair-max-ratio 1.05
 
 fails when the first benchmark's ns_per_op exceeds --pair-max-ratio times
-the second's. --pair may be repeated.
+the second's. --pair may be repeated. When both benchmarks of a pair carry
+"samples" of the same length (micro_primitives runs the journaled pair as
+alternating repetitions and lists each repetition's ns/op in run order),
+the pair's ratio is the median of the per-repetition ratios: each
+repetition is compared with its neighbour, so host load that comes and
+goes lands on both sides of a ratio alike.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -37,6 +43,21 @@ def load_benchmarks(path):
     if not isinstance(benches, dict):
         raise SystemExit(f"{path}: no 'benchmarks' object")
     return benches
+
+
+def pair_ratio(subject, reference):
+    """subject/reference: the median of the interleaved repetitions' ratios,
+    or the ratio of the two ns_per_op values."""
+    subject_samples = subject.get("samples")
+    reference_samples = reference.get("samples")
+    if (isinstance(subject_samples, list) and isinstance(reference_samples, list)
+            and len(subject_samples) == len(reference_samples) > 1):
+        ratios = [float(s) / float(r) if float(r) > 0 else float("inf")
+                  for s, r in zip(subject_samples, reference_samples)]
+        return statistics.median(ratios), f"median of {len(ratios)} interleaved repetitions"
+    reference_ns = float(reference["ns_per_op"])
+    ratio = float(subject["ns_per_op"]) / reference_ns if reference_ns > 0 else float("inf")
+    return ratio, "ns_per_op"
 
 
 def main():
@@ -83,17 +104,16 @@ def main():
         if missing:
             failures.extend(f"{n}: missing from current run {args.current}" for n in missing)
             continue
-        subject_ns = float(current[subject]["ns_per_op"])
-        reference_ns = float(current[reference]["ns_per_op"])
-        ratio = subject_ns / reference_ns if reference_ns > 0 else float("inf")
+        ratio, statistic = pair_ratio(current[subject], current[reference])
         flag = "" if ratio <= args.pair_max_ratio else "  << REGRESSION"
-        print(f"pair {subject} / {reference}: {ratio:.3f}x"
+        print(f"pair {subject} / {reference}: {ratio:.3f}x, {statistic}"
               f" (limit {args.pair_max_ratio:.2f}x){flag}")
         if ratio > args.pair_max_ratio:
             failures.append(
-                f"{subject}: {subject_ns:.1f} ns/op is {ratio:.3f}x same-run "
-                f"{reference} at {reference_ns:.1f} ns/op "
-                f"(limit {args.pair_max_ratio:.2f}x)")
+                f"{subject}: {ratio:.3f}x same-run {reference} ({statistic}; "
+                f"{float(current[subject]['ns_per_op']):.1f} vs "
+                f"{float(current[reference]['ns_per_op']):.1f} ns/op, "
+                f"limit {args.pair_max_ratio:.2f}x)")
 
     if failures:
         print("\nperf-smoke FAILED:", file=sys.stderr)
