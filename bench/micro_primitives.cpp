@@ -289,11 +289,20 @@ BENCHMARK(BM_CosimFullInference);
 // simulate_inference calls (each a one-lane group) vs one 8-lane SoA/SIMD
 // group. Identical bytes out (tests/cosim_lanes_test.cpp); CI gates the
 // same-run pair ratio at 0.6 so lane batching never silently decays to
-// one-co-sim-at-a-time speed.
+// one-co-sim-at-a-time speed. The pair runs as alternating one-iteration
+// repetitions (main below).
 constexpr std::size_t kCosimBenchLanes = 8;
 
+/// The gated co-sim pairs' platform, built once, so that their
+/// one-iteration repetitions time the tick loop rather than follow a
+/// fresh platform build each.
+const ds::sim::Platform& cosim_pair_platform() {
+    static const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
+    return platform;
+}
+
 void BM_CosimCycleOneLane(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
+    const ds::sim::Platform& platform = cosim_pair_platform();
     for (auto _ : state) {
         for (std::size_t l = 0; l < kCosimBenchLanes; ++l) {
             ds::sim::NoAttackSource source;
@@ -304,10 +313,9 @@ void BM_CosimCycleOneLane(benchmark::State& state) {
         static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
                                   platform.engine().schedule().total_cycles));
 }
-BENCHMARK(BM_CosimCycleOneLane)->Unit(benchmark::kMillisecond);
 
 void BM_CosimCycleLanes(benchmark::State& state) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
+    const ds::sim::Platform& platform = cosim_pair_platform();
     const std::size_t saved_width = ds::sim::cosim_lane_width();
     ds::sim::set_cosim_lane_width(kCosimBenchLanes);
     for (auto _ : state) {
@@ -322,7 +330,6 @@ void BM_CosimCycleLanes(benchmark::State& state) {
                                   platform.engine().schedule().total_cycles));
     ds::sim::set_cosim_lane_width(saved_width);
 }
-BENCHMARK(BM_CosimCycleLanes)->Unit(benchmark::kMillisecond);
 
 // A blind scheme's trace fill, one 8-lane group of its replays (500
 // strikes of 4 cycles, starts from sim::blind_replays), recorded two ways:
@@ -330,9 +337,10 @@ BENCHMARK(BM_CosimCycleLanes)->Unit(benchmark::kMillisecond);
 // sensor view. A blind source never listens, so the capture-only group
 // draws no TDC sample and records no readout or per-cycle minimum; the
 // capture voltages are identical (tests/cosim_lanes_test.cpp). CI gates
-// the same-run pair ratio at 0.6 so trace fills keep skipping the sensor.
+// the same-run pair ratio at 0.6 so trace fills keep skipping the sensor;
+// the pair runs as alternating one-iteration repetitions (main below).
 void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
-    const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
+    const ds::sim::Platform& platform = cosim_pair_platform();
     ds::attack::AttackScheme scheme;
     scheme.strike_cycles = 4;
     scheme.num_strikes = 500;
@@ -362,12 +370,10 @@ void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
 void BM_CosimCycleBlindCaptures(benchmark::State& state) {
     cosim_cycle_blind(state, ds::sim::CosimRecord::Captures);
 }
-BENCHMARK(BM_CosimCycleBlindCaptures)->Unit(benchmark::kMillisecond);
 
 void BM_CosimCycleBlindSensor(benchmark::State& state) {
     cosim_cycle_blind(state, ds::sim::CosimRecord::Sensor);
 }
-BENCHMARK(BM_CosimCycleBlindSensor)->Unit(benchmark::kMillisecond);
 
 // Lane-count scaling: one group of W co-sims per iteration (W=1 is a
 // one-lane group, padded to one 4-lane slot). Per-co-sim cost should fall
@@ -515,6 +521,67 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
+
+// The fault walk's lanes: the same 8 images evaluated on one guided CONV2
+// strike trace, whose images the engine draws as one 8-lane block, and on
+// 8 copies of that trace, one image each, so every image is a block of one
+// (as strike-scan's blind points are). Image i runs trace i % 8 on stream
+// derive_seed(seed, i) either way, so both give the same bytes
+// (tests/golden_cache_test.cpp); each repetition evaluates 8 fault seeds.
+// CI gates the same-run pair ratio, and the lone-image bench against its
+// baseline so a lone image cannot get slower unseen. Set up once and
+// shared by both benches of the pair, whose alternating one-iteration
+// repetitions main registers.
+struct FaultWalkRig {
+    static constexpr std::size_t kImages = 8;
+    static constexpr std::uint64_t kSeeds = 8;
+
+    ds::sim::Platform platform{ds::sim::PlatformConfig{}, bench_weights()};
+    ds::data::DatasetPair data = ds::data::make_datasets(11, 1, kImages);
+    std::shared_ptr<const ds::sim::GoldenStore> golden =
+        ds::sim::build_golden_store(platform.engine().network(), data.test, kImages);
+    std::vector<ds::accel::VoltageTrace> one_trace;
+    std::vector<ds::accel::OverlayPlan> one_plan;
+    std::vector<ds::accel::VoltageTrace> trace_copies;
+    std::vector<ds::accel::OverlayPlan> plan_copies;
+
+    FaultWalkRig() {
+        const ds::attack::DetectorConfig detector{};
+        one_trace.push_back(ds::sim::guided_attack_trace(
+            platform, detector, conv2_scheme(platform, detector, 2000)));
+        one_plan.push_back(platform.engine().plan_overlay(&one_trace.front()));
+        trace_copies.assign(kImages, one_trace.front());
+        plan_copies.assign(kImages, one_plan.front());
+    }
+
+    std::size_t evaluate(const std::vector<ds::accel::VoltageTrace>& traces,
+                         const std::vector<ds::accel::OverlayPlan>& plans) const {
+        std::size_t faults = 0;
+        for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+            faults += ds::sim::evaluate_accuracy_multi(platform, data.test, kImages, traces,
+                                                       99 + seed, &plans, golden.get())
+                          .faults.total();
+        }
+        return faults;
+    }
+};
+
+const FaultWalkRig& fault_walk_rig() {
+    static const FaultWalkRig rig;
+    return rig;
+}
+
+void BM_FaultWalkBlock(benchmark::State& state) {
+    const FaultWalkRig& rig = fault_walk_rig();
+    for (auto _ : state) benchmark::DoNotOptimize(rig.evaluate(rig.one_trace, rig.one_plan));
+}
+
+void BM_FaultWalkLone(benchmark::State& state) {
+    const FaultWalkRig& rig = fault_walk_rig();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(rig.evaluate(rig.trace_copies, rig.plan_copies));
+    }
+}
 
 // Golden-store construction over 200 images: one forward_trace per image,
 // each its own pool task, one GEMM per conv/dense layer per image.
@@ -684,8 +751,8 @@ public:
     void ReportRuns(const std::vector<Run>& reports) override {
         for (const Run& run : reports) {
             if (run.iterations <= 0 || run.error_occurred) continue;
-            // One name for every repetition of the journaled pair, whose
-            // fixed iteration count would otherwise suffix it.
+            // One name for every repetition of a pair, whose fixed
+            // iteration count would otherwise suffix it.
             benchmark::BenchmarkName key = run.run_name;
             key.iterations.clear();
             const std::string name = key.str();
@@ -700,9 +767,22 @@ public:
     }
 };
 
-/// Interleaved one-point repetitions of each benchmark of the journaled
-/// pair.
-constexpr int kPairRepetitions = 41;
+/// Registers `reps` alternating one-iteration repetitions of a same-run
+/// pair, so host load lands on both benchmarks alike; the collector keeps
+/// each one's median and every repetition in run order, and
+/// tools/check_bench_regression.py --pair takes the median of the
+/// neighbouring repetitions' ratios.
+void register_pair(const char* first, void (*first_fn)(benchmark::State&),
+                   const char* second, void (*second_fn)(benchmark::State&), int reps) {
+    for (int r = 0; r < reps; ++r) {
+        benchmark::RegisterBenchmark(first, first_fn)
+            ->Unit(benchmark::kMillisecond)
+            ->Iterations(1);
+        benchmark::RegisterBenchmark(second, second_fn)
+            ->Unit(benchmark::kMillisecond)
+            ->Iterations(1);
+    }
+}
 
 } // namespace
 
@@ -714,18 +794,16 @@ int main(int argc, char** argv) {
     // pin the pool to one worker so measurements are pool-width-independent.
     ds::set_global_thread_count(1);
 
-    // The journaled pair runs as alternating one-point repetitions, so
-    // host load lands on both benchmarks alike; the collector keeps each
-    // one's median and every repetition in run order.
-    for (int r = 0; r < kPairRepetitions; ++r) {
-        benchmark::RegisterBenchmark("BM_GuidedCampaignPoint", BM_GuidedCampaignPoint)
-            ->Unit(benchmark::kMillisecond)
-            ->Iterations(1);
-        benchmark::RegisterBenchmark("BM_GuidedCampaignPointJournaled",
-                                     BM_GuidedCampaignPointJournaled)
-            ->Unit(benchmark::kMillisecond)
-            ->Iterations(1);
-    }
+    // The same-run pairs CI gates run as alternating one-iteration
+    // repetitions (register_pair).
+    register_pair("BM_GuidedCampaignPoint", BM_GuidedCampaignPoint,
+                  "BM_GuidedCampaignPointJournaled", BM_GuidedCampaignPointJournaled, 41);
+    register_pair("BM_FaultWalkBlock", BM_FaultWalkBlock, "BM_FaultWalkLone",
+                  BM_FaultWalkLone, 41);
+    register_pair("BM_CosimCycleLanes", BM_CosimCycleLanes, "BM_CosimCycleOneLane",
+                  BM_CosimCycleOneLane, 15);
+    register_pair("BM_CosimCycleBlindCaptures", BM_CosimCycleBlindCaptures,
+                  "BM_CosimCycleBlindSensor", BM_CosimCycleBlindSensor, 15);
 
     JsonCollector reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);

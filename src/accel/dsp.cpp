@@ -49,7 +49,7 @@ DspSlice::DspSlice(std::uint32_t id, const DspTimingParams& params, Rng& constru
     expects(params.clock_period_s > 0, "DspSlice: positive clock period");
     expects(params.nominal_path_fraction > 0 && params.nominal_path_fraction < 1,
             "DspSlice: path fraction in (0,1)");
-    // evaluate_with_factor's jitter bracket relies on a non-negative sigma
+    // fault_kind's jitter bracket relies on a non-negative sigma
     // and duplication band.
     expects(params.op_jitter_sigma >= 0, "DspSlice: non-negative op jitter sigma");
     expects(params.duplication_band >= 0, "DspSlice: non-negative duplication band");

@@ -23,7 +23,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "fx/fixed.hpp"
 #include "pdn/delay.hpp"
@@ -71,15 +70,27 @@ struct BracketedFault {
     FaultKind kind = FaultKind::None;
 };
 
+/// Bounds [lo, hi] on a Box–Muller deviate z whose magnitude lies in
+/// [m.lo, m.hi] and whose cosine or sine lies in [c.lo, c.hi] (table
+/// entries of jitter_brackets): z lies in [min(m.lo * c.lo, m.hi * c.lo),
+/// max(m.hi * c.hi, m.lo * c.hi)]. mag >= 0 puts the extremes of mag * c
+/// at these corners, and a rounded product keeps the order of the exact
+/// ones. bracket_fault_kind decides from them, and the engine's lane walk
+/// stores both deviates' bounds when it draws a pair.
+inline JitterBrackets::Range jitter_bounds(const JitterBrackets::Range& m,
+                                           const JitterBrackets::Range& c) {
+    const double lo_a = m.lo * c.lo;
+    const double lo_b = m.hi * c.lo;
+    const double hi_a = m.hi * c.hi;
+    const double hi_b = m.lo * c.hi;
+    return {lo_a < lo_b ? lo_a : lo_b, hi_a > hi_b ? hi_a : hi_b};
+}
+
 /// The outcome of an op with delay d = k * (1 + (0 + sigma * z)), where z
 /// is the Box–Muller deviate of uniforms u1 in [2^-53, 1) and u2 in
-/// [0, 1) (its pair's second deviate when `sine`), when table bounds on z
-/// settle it; unsettled when only z's value can. With z's magnitude in
-/// [m.lo, m.hi] and its cosine or sine in [c.lo, c.hi] (jitter_brackets),
-/// z lies in [z_lo, z_hi] = [min(m.lo * c.lo, m.hi * c.lo),
-/// max(m.hi * c.hi, m.lo * c.hi)]: mag >= 0 puts the extremes of mag * c
-/// at these corners, and a rounded product keeps the order of the exact
-/// ones. Every step from z to d is monotone under round-to-nearest (k,
+/// [0, 1) (its pair's second deviate when `sine`), when its bounds
+/// [z_lo, z_hi] (jitter_bounds) settle it; unsettled when only z's value
+/// can. Every step from z to d is monotone under round-to-nearest (k,
 /// sigma >= 0), so d lies in [d(z_lo), d(z_hi)], and the outcome, which
 /// never falls as d grows (band >= 0), is settled when both ends give the
 /// same one: none when d(z_hi) <= T, duplication when d(z_lo) > T and
@@ -90,18 +101,10 @@ inline BracketedFault bracket_fault_kind(double u1, double u2, bool sine, double
                                          double sigma, double period, double band) {
     using Pair = double __attribute__((vector_size(16)));  // {low end, high end}
     const JitterBrackets& brackets = jitter_brackets();
-    Pair m{};
-    Pair c{};
-    std::memcpy(&m, &brackets.mag[static_cast<int>(u1 * JitterBrackets::kMagBuckets)],
-                sizeof m);
-    std::memcpy(&c,
-                &brackets.trig[static_cast<int>(u2 * JitterBrackets::kAngleBuckets)]
-                              [sine ? 1 : 0],
-                sizeof c);
-    const Pair p = m * c;                                    // {m.lo c.lo, m.hi c.hi}
-    const Pair q = __builtin_shufflevector(m, m, 1, 0) * c;  // {m.hi c.lo, m.lo c.hi}
-    // {z_lo, z_hi}: lane 0 of the lane-wise minimum, lane 1 of the maximum.
-    const Pair z = __builtin_shufflevector(p < q ? p : q, p > q ? p : q, 0, 3);
+    const JitterBrackets::Range bounds = jitter_bounds(
+        brackets.mag[static_cast<int>(u1 * JitterBrackets::kMagBuckets)],
+        brackets.trig[static_cast<int>(u2 * JitterBrackets::kAngleBuckets)][sine ? 1 : 0]);
+    const Pair z{bounds.lo, bounds.hi};
     // The exact delay's 0 + step changes no value (0 + x is x but for
     // x = -0, and 1 + -0 is 1 + 0), so the ends skip it.
     const Pair d = k * (Pair{1.0, 1.0} + sigma * z);
@@ -156,29 +159,34 @@ public:
     /// evaluating pow() per op; the delay expression keeps the exact order
     /// of evaluate(), making the two entry points bit-identical.
     ///
-    /// The op's jitter deviate z enters as d = k * (1 + (0 + sigma * z))
-    /// with k = (path delay * path_scale) * factor. bracket_fault_kind
-    /// decides the outcome from table bounds on z's Box–Muller pair
-    /// whenever they settle it, so z's value (log, sqrt, sincos) is
-    /// computed only for the few ops whose delay lies too close to the
-    /// period or the duplication limit. Either way the deviate is taken
-    /// and the stream advances as normal() advances it, so every outcome
-    /// and every later draw is the one the eager comparison gives
-    /// (tests/dsp_test.cpp).
+    /// The op's jitter deviate is the stream's pending one (fault_kind),
+    /// taken as normal() takes it, so every outcome and every later draw is
+    /// the one the eager comparison gives (tests/dsp_test.cpp).
     FaultKind evaluate_with_factor(double factor, Rng& op_rng,
                                    double path_scale = 1.0) const {
+        const FaultKind kind = fault_kind(factor, op_rng.pending_normal(), path_scale);
+        op_rng.skip_normal();
+        return kind;
+    }
+
+    /// The outcome of an op at delay factor `factor` whose jitter deviate
+    /// is the Box–Muller deviate `z` names. The deviate enters as d = k *
+    /// (1 + (0 + sigma * z)) with k = (path delay * path_scale) * factor.
+    /// bracket_fault_kind decides the outcome from table bounds on z's
+    /// pair whenever they settle it, so z's value (log, sqrt, sincos;
+    /// Rng::deviate) is computed only for the few ops whose delay lies too
+    /// close to the period or the duplication limit. Draws nothing: the
+    /// engine's lane walk decides ops of streams it steps itself.
+    FaultKind fault_kind(double factor, const Rng::PendingNormal& z,
+                         double path_scale = 1.0) const {
         const double k = path_delay_s_ * path_scale * factor;
         const double sigma = params_.op_jitter_sigma;
         const double period = params_.clock_period_s;
         const double band = params_.duplication_band;
-        const Rng::PendingNormal z = op_rng.pending_normal();
         const BracketedFault bracketed =
             bracket_fault_kind(z.u1, z.u2, z.sine, k, sigma, period, band);
-        if (bracketed.settled) {
-            op_rng.skip_normal();
-            return bracketed.kind;
-        }
-        const double d = k * (1.0 + (0.0 + sigma * op_rng.normal()));
+        if (bracketed.settled) return bracketed.kind;
+        const double d = k * (1.0 + (0.0 + sigma * Rng::deviate(z)));
         if (d <= period) return FaultKind::None;
         if (d <= period * (1.0 + band)) return FaultKind::Duplication;
         return FaultKind::Random;

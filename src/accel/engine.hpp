@@ -17,17 +17,28 @@
 // reuse their golden activation while their input is still golden, op
 // ranges mapped to safe cycles keep their golden accumulators, and only
 // ops inside unsafe [cycle_begin, cycle_end) windows take the per-op fault
-// path, with stale DSP output registers recovered on demand by direct
-// op-stream index arithmetic so duplication faults stay bit-exact. The
-// fault RNG is only drawn when an op's capture voltage is below the safe
-// threshold, so the gated path consumes the exact same RNG stream as a
-// whole-segment per-op walk — byte-identical results, which
-// tests/overlay_test.cpp enforces across randomized traces against the
-// per-op oracle in tests/engine_reference.cpp.
+// path. The fault RNG is only drawn when an op's capture voltage is below
+// the safe threshold, so the gated path consumes the exact same RNG stream
+// as a whole-segment per-op walk.
+//
+// The fault walk is split in two. Whether an op faults, and what a random
+// fault puts in its place, depends only on the overlay plan, the throttle
+// mask and the image's fault stream, never on the image's data. So the
+// *draw* runs first and records each image's fault events (op, kind,
+// payload; for pools, the faulted window and its winner) for a block of
+// up to kWalkLanes images that share a trace, with their xoshiro streams
+// stepped in lock-step in SoA lanes. Then each image *applies* its own
+// events layer by layer: duplication and random deltas on its golden or
+// recomputed accumulators (a duplication's stale DSP register is recovered
+// by op-stream index arithmetic), pool winners, per-layer fault counts.
+// Every result, fault-RNG stream included, is byte-identical to the
+// whole-segment per-op oracle in tests/engine_reference.cpp run on each
+// image alone (tests/overlay_test.cpp, tests/golden_cache_test.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,9 +48,20 @@
 #include "accel/overlay.hpp"
 #include "accel/schedule.hpp"
 #include "quant/qnetwork.hpp"
-#include "util/divide.hpp"
 
 namespace deepstrike::accel {
+
+/// Images one fault walk draws in lock-step (AccelEngine::run_block).
+inline constexpr std::size_t kWalkLanes = 8;
+
+/// One image's golden pass, as AccelEngine::run_block reads it:
+/// `layers` holds one post-activation tensor per layer, `accs` the
+/// pre-writeback accumulators of every Conv/Dense layer (empty for pools).
+struct GoldenPass {
+    const QTensor* image = nullptr;
+    const std::vector<QTensor>* layers = nullptr;
+    const std::vector<std::vector<fx::Acc>>* accs = nullptr;
+};
 
 struct FaultCounts {
     std::size_t duplication = 0;
@@ -106,33 +128,44 @@ public:
     /// engine step that reads the trace.
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
-    /// Runs one inference, the engine's only inference entry. It answers
-    /// as much of the forward pass as possible from the image's golden
-    /// pass (quant::QNetwork::forward_trace): `golden_layers` holds one
-    /// post-activation tensor per layer, `golden_accs` the pre-writeback
-    /// accumulators of every Conv/Dense layer (empty for pools).
+    /// Runs one inference per image of `images` (1 to kWalkLanes) on one
+    /// trace, image j on fault stream fault_rngs[j]. It answers as much of
+    /// each forward pass as possible from the image's golden pass:
     ///   - a layer with no unsafe window is skipped outright while the
     ///     activation entering it is still golden (the RNG is only drawn
     ///     inside windows, so the stream is untouched);
-    ///   - a windowed conv/FC layer whose input is still golden runs its
-    ///     fault walk on the cached accumulators instead of recomputing
-    ///     them;
+    ///   - a windowed conv/FC layer whose input is still golden applies its
+    ///     fault events to the cached accumulators instead of recomputing
+    ///     them, and one that drew no fault keeps its golden activation;
     ///   - once a layer actually faults, the remaining layers recompute
     ///     their accumulators from the perturbed activation.
+    /// The fault events come from one draw for the whole block (see the
+    /// file comment): the streams step in lock-step, every op step draws
+    /// one deviate per lane (three under TMR), and only lanes that table
+    /// bounds do not settle as fault-free leave the vector path (AVX2
+    /// twin behind simd::active(), portable twin otherwise; a block of one
+    /// runs the portable single-lane form). So every stream must hold the
+    /// same number of pending Box–Muller deviates (ContractError
+    /// otherwise), as fresh streams do. Each result and each stream's end
+    /// state equal those of the whole-segment per-op oracle run on the
+    /// image alone (tests/engine_reference.cpp), at either twin.
     /// `voltage` may be nullptr (nominal, fault-free) or shorter than the
     /// schedule (remaining cycles assume nominal); `plan` must be
     /// plan_overlay(voltage), whose windows and delay factors are all the
     /// walk reads (`voltage` itself only checks the plan's sample count).
-    /// `fault_rng` drives fault-model draws; it is
-    /// only consumed during under-voltage cycles, so fault-free runs are
-    /// rng-independent. `throttle` optionally marks fabric cycles where a
-    /// defensive clock throttle is active: DSP ops in those cycles run at
-    /// half rate and cannot miss timing at attack-scale droops (see
-    /// src/defense). The result is byte-identical to the whole-segment
-    /// per-op oracle (tests/engine_reference.cpp), fault-RNG stream
-    /// included. Throws ContractError when a Conv/Dense accumulator array
-    /// does not hold one entry per output element.
-    /// RunResult::golden_layers_reused counts the skipped layers.
+    /// `throttle` optionally marks fabric cycles where a defensive clock
+    /// throttle is active: DSP ops in those cycles run at half rate and
+    /// cannot miss timing at attack-scale droops (see src/defense). Throws
+    /// ContractError when a Conv/Dense accumulator array does not hold one
+    /// entry per output element. RunResult::golden_layers_reused counts
+    /// the skipped layers.
+    std::vector<RunResult> run_block(std::span<const GoldenPass> images,
+                                     const VoltageTrace* voltage,
+                                     std::span<Rng> fault_rngs, const OverlayPlan& plan,
+                                     const std::vector<bool>* throttle = nullptr) const;
+
+    /// run_block on a block of one image (the tests' and benches' single
+    /// inference). `fault_rng` ends stream_equal to the per-op oracle's.
     RunResult run_elided(const QTensor& image,
                          const std::vector<QTensor>& golden_layers,
                          const std::vector<std::vector<fx::Acc>>& golden_accs,
@@ -146,55 +179,6 @@ public:
     const DspSlice& pool_logic() const { return pool_logic_; }
 
 private:
-    // --- interval-gated fast path (engine.cpp) ---
-    /// Layer i of run_elided: a conv/FC layer takes its fault-free
-    /// accumulators from `golden_accs`, or from one im2col/GEMM pass when
-    /// that is null, then run_conv/run_fc.
-    QTensor run_layer(std::size_t i, const QTensor& input, const SegmentOverlay& overlay,
-                      Rng& rng, const std::vector<bool>* throttle, FaultCounts& counts,
-                      const std::vector<fx::Acc>* golden_accs) const;
-
-    /// Faulted execution of a conv layer from `golden_accs`, the layer's
-    /// fault-free accumulators on `input` (one per output element, bias
-    /// folded): walk_windows patches a copy, then every element writes
-    /// back.
-    QTensor run_conv(const QTensor& input, const quant::QLayer& layer,
-                     const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
-                     const std::vector<bool>* throttle, FaultCounts& counts,
-                     const std::vector<fx::Acc>& golden_accs) const;
-    /// FC counterpart of run_conv.
-    QTensor run_fc(const QTensor& input, const quant::QLayer& layer,
-                   const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
-                   const std::vector<bool>* throttle, FaultCounts& counts,
-                   const std::vector<fx::Acc>& golden_accs) const;
-    /// Pool layer of run_layer: golden pooling when the overlay has no unsafe
-    /// window, else a per-comparator walk of the whole segment that draws
-    /// each window capture with its delay factor from the plan.
-    QTensor run_pool(const QTensor& input, const quant::QLayer& layer,
-                     const LayerSegment& seg, const SegmentOverlay& overlay, Rng& rng,
-                     const std::vector<bool>* throttle, FaultCounts& counts) const;
-
-    /// The golden-plus-deltas fault walk shared by run_conv and run_fc.
-    /// Visits only the ops inside the overlay's unsafe windows, in
-    /// ascending op order; each op under the safe voltage draws the fault
-    /// model with its sample's delay factor from the plan, exactly as a
-    /// whole-segment per-op walk does (tests/engine_reference.cpp) and,
-    /// when it faults, adds the integer delta (faulted contribution minus
-    /// `true_product_at(op)`) to its element's entry of `accs`, entry
-    /// `per_elem.quotient(op)`. Duplication faults recover the stale DSP
-    /// register by op-stream index arithmetic instead of carrying a
-    /// pipeline array. The callers check that every op index of the layer
-    /// fits 32 bits (ContractError otherwise) and map ops to elements,
-    /// inputs and weights by precomputed reciprocals (DivideU32), not by a
-    /// division per fault.
-    template <typename TrueProduct>
-    void walk_windows(const SegmentOverlay& overlay, const LayerSegment& seg,
-                      const DivideU32& per_elem, std::size_t n_ops,
-                      const std::vector<DspSlice>& dsps, double path_scale,
-                      const std::vector<bool>* throttle, Rng& rng,
-                      FaultCounts& counts, std::vector<fx::Acc>& accs,
-                      const TrueProduct& true_product_at) const;
-
     quant::QNetwork network_;
     AccelConfig config_;
     Schedule schedule_;

@@ -10,7 +10,7 @@
 // attack's glitches harmless at the cost of temporary throughput.
 //
 // This module provides the detection FSM and the translation from alarms
-// to a per-cycle throttle mask consumed by accel::AccelEngine::run_elided().
+// to a per-cycle throttle mask consumed by accel::AccelEngine::run_block().
 #pragma once
 
 #include <cstdint>

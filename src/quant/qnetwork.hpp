@@ -98,8 +98,8 @@ struct QNetwork {
     ///                            accumulators[i][p]), layers[i].activation)
     /// Each activation is byte-identical to the accelerator's fault-free
     /// output of the same layer — the property sim::GoldenStore builds on —
-    /// and the accumulators let accel::AccelEngine::run_elided resume a
-    /// faulted window from its cached golden sums.
+    /// and the accumulators let accel::AccelEngine::run_block apply a
+    /// layer's fault events to its cached golden sums.
     struct ForwardTrace {
         std::vector<QTensor> activations;
         std::vector<std::vector<fx::Acc>> accumulators;

@@ -108,20 +108,23 @@ std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
 
 namespace {
 
-/// The one parallel per-image evaluation loop behind every accuracy
-/// entry point (plain, blind multi-trace, defended). Image i uses trace
-/// i % traces.size() (none when empty = clean), a per-image RNG derived
-/// from the image index alone, and its entry of the golden store — the
-/// caller's, or one built here when the caller passes none — through the
-/// elision tiers of sim/golden_cache.hpp:
+/// The one parallel evaluation loop behind every accuracy entry point
+/// (plain, blind multi-trace, defended). Image i uses trace i % traces.size()
+/// (none when empty = clean), a per-image RNG derived from the image index
+/// alone, and its entry of the golden store — the caller's, or one built
+/// here when the caller passes none — through the elision tiers of
+/// sim/golden_cache.hpp:
 ///   tier 0 (fault-free short-circuit): a plan with no unsafe window
 ///     cannot fault, so the result is the cached golden label with zero
 ///     faults and no inference at all;
-///   tiers 1 and 2 (golden-elided inference): AccelEngine::run_elided
-///     skips the still-golden prefix of safe layers and runs windowed
-///     layers' fault walks from the cached golden accumulators.
-/// No tier touches the fault RNG stream (it is only drawn inside unsafe
-/// windows), so results are byte-identical at any thread count.
+///   tiers 1 and 2 (golden-elided inference): AccelEngine::run_block
+///     skips the still-golden prefix of safe layers and applies windowed
+///     layers' fault events to the cached golden accumulators.
+/// The images of one trace (t, t + n, t + 2n, ...) run in blocks of up to
+/// accel::kWalkLanes, one pool task per block, whose fault streams the
+/// engine draws in lock-step. No tier or block size changes what an
+/// image's stream draws (it is only drawn inside unsafe windows), so
+/// results are byte-identical at any thread count.
 AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& dataset,
                                std::size_t n_images,
                                std::span<const accel::VoltageTrace> traces,
@@ -146,37 +149,61 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     }
 
     // The short-circuit decision depends on the plan alone; take it once
-    // per trace, not once per image.
+    // per trace, not once per image. Every other trace's images run in
+    // blocks: block b of trace t holds its images first = t + b * lanes * n
+    // onward, every n-th one.
     const std::size_t n_traces = traces.size();
-    std::vector<std::uint8_t> plan_unsafe(n_traces, 0);
-    for (std::size_t t = 0; t < n_traces; ++t) {
-        plan_unsafe[t] = plans[t].any_unsafe() ? 1 : 0;
+    const std::size_t lanes = accel::kWalkLanes;
+    struct Block {
+        std::size_t trace = 0;
+        std::size_t first = 0;
+        std::size_t count = 0;
+    };
+    std::vector<Block> blocks;
+    std::vector<std::uint8_t> shortcircuit(n_images, 1);
+    for (std::size_t t = 0; t < std::min(n_traces, n_images); ++t) {
+        if (!plans[t].any_unsafe()) continue;
+        const std::size_t images = (n_images - t + n_traces - 1) / n_traces;
+        for (std::size_t b = 0; b * lanes < images; ++b) {
+            blocks.push_back(
+                {t, t + b * lanes * n_traces, std::min(lanes, images - b * lanes)});
+        }
+        for (std::size_t i = t; i < n_images; i += n_traces) shortcircuit[i] = 0;
     }
 
     AccuracyResult result;
     result.images = n_images;
-    // Per-image work is independent (the engine is immutable and the RNG is
-    // per-image), so evaluate across threads and reduce. Seeds derive from
-    // the image index alone — results are bit-identical at any thread count.
+    // Blocks are independent (the engine is immutable and each image's
+    // RNG is its own), so evaluate them across threads and reduce. Seeds
+    // derive from the image index alone — results are bit-identical at
+    // any thread count. Each task writes only its own images' slots.
     std::vector<std::uint8_t> correct(n_images, 0);
-    std::vector<std::uint8_t> shortcircuit(n_images, 0);
     std::vector<std::size_t> prefix_skipped(n_images, 0);
     std::vector<accel::FaultCounts> faults(n_images);
-    parallel_for(n_images, [&](std::size_t i) {
-        const GoldenEntry& entry = golden->entries[i];
-        if (n_traces == 0 || plan_unsafe[i % n_traces] == 0) {
-            correct[i] = entry.predicted == dataset.labels[i] ? 1 : 0;
-            shortcircuit[i] = 1;
-            return;
+    for (std::size_t i = 0; i < n_images; ++i) {
+        if (shortcircuit[i] != 0) {
+            correct[i] = golden->entries[i].predicted == dataset.labels[i] ? 1 : 0;
         }
-        const std::size_t t = i % n_traces;
-        Rng fault_rng(derive_seed(fault_seed, i));
-        const accel::RunResult run = platform.engine().run_elided(
-            entry.qimage, entry.activations, entry.accumulators, &traces[t], fault_rng,
-            plans[t], throttle);
-        faults[i] = run.faults_total;
-        correct[i] = run.predicted == dataset.labels[i] ? 1 : 0;
-        prefix_skipped[i] = run.golden_layers_reused;
+    }
+    parallel_for(blocks.size(), [&](std::size_t b) {
+        const Block& block = blocks[b];
+        std::array<accel::GoldenPass, accel::kWalkLanes> passes;
+        std::array<Rng, accel::kWalkLanes> rngs;
+        for (std::size_t j = 0; j < block.count; ++j) {
+            const std::size_t i = block.first + j * n_traces;
+            const GoldenEntry& entry = golden->entries[i];
+            passes[j] = {&entry.qimage, &entry.activations, &entry.accumulators};
+            rngs[j] = Rng(derive_seed(fault_seed, i));
+        }
+        const std::vector<accel::RunResult> runs = platform.engine().run_block(
+            {passes.data(), block.count}, &traces[block.trace], {rngs.data(), block.count},
+            plans[block.trace], throttle);
+        for (std::size_t j = 0; j < block.count; ++j) {
+            const std::size_t i = block.first + j * n_traces;
+            faults[i] = runs[j].faults_total;
+            correct[i] = runs[j].predicted == dataset.labels[i] ? 1 : 0;
+            prefix_skipped[i] = runs[j].golden_layers_reused;
+        }
     });
     std::size_t n_correct = 0;
     std::uint64_t n_shortcircuit = 0;

@@ -10,7 +10,7 @@
 // evaluation, and a one-shot accuracy evaluation builds its own.
 //
 // Every accuracy evaluation reads a store through three elision tiers
-// (see sim/experiment.cpp and AccelEngine::run_elided):
+// (see sim/experiment.cpp and AccelEngine::run_block):
 //   tier 0, fault-free short-circuit — an image whose overlay plan has no
 //      unsafe window resolves to the cached golden label with zero
 //      faults, skipping inference entirely;
@@ -39,8 +39,8 @@ struct GoldenEntry {
     QTensor qimage;                   // quantized input (Q3.4)
     std::vector<QTensor> activations; // per-layer golden outputs, post-activation
     /// Per-layer pre-writeback accumulators (Conv/Dense; empty for pools).
-    /// Lets the engine start a faulted window walk from the cached golden
-    /// sums (see AccelEngine::run_elided).
+    /// Lets the engine apply a layer's fault events to the cached golden
+    /// sums (see AccelEngine::run_block).
     std::vector<std::vector<fx::Acc>> accumulators;
     std::size_t predicted = 0;        // argmax of the final activation
 };

@@ -11,7 +11,7 @@
 // voltage, and faults do not feed back into power. Hence one co-simulated
 // voltage trace per *attack configuration* serves every image in a test
 // sweep; only the functional fault overlay is per-image. The platform owns
-// that electrical side; faulted inference on a trace is engine().run_elided,
+// that electrical side; faulted inference on a trace is engine().run_block,
 // which sim::evaluate_accuracy drives from a golden store
 // (sim/golden_cache.hpp).
 #pragma once

@@ -2,7 +2,7 @@
 //
 // The accelerator engine maps each faulted op index back to its output
 // element, weight and input with two or three divisions by layer
-// constants (AccelEngine::walk_windows). A 64-bit `div` per fault costs
+// constants (the apply of its fault walk). A 64-bit `div` per fault costs
 // more than the rest of the patch; every op index of a layer fits in 32
 // bits, so one precomputed reciprocal and a 64x64 -> 128-bit multiply give
 // the same quotient.

@@ -66,15 +66,21 @@ public:
     // change any drawn value — the integer ops are exact and the floating
     // expressions keep their evaluation order (no FMA contraction on the
     // baseline x86-64 target).
-    std::uint64_t next() {
-        const std::uint64_t result = rotl_(s_[1] * 5, 7) * 9;
-        const std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl_(s_[3], 45);
+    std::uint64_t next() { return step(s_[0], s_[1], s_[2], s_[3]); }
+
+    /// One xoshiro256** step of a state whose four words are held
+    /// elsewhere (the SoA lanes of accel::AccelEngine::run_block): returns
+    /// the draw and advances the words, as next() does its own.
+    static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
+                              std::uint64_t& s3) {
+        const std::uint64_t result = rotl_(s1 * 5, 7) * 9;
+        const std::uint64_t t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = rotl_(s3, 45);
         return result;
     }
 
@@ -98,19 +104,10 @@ public:
             pending_ = 0;
             return mag_ * sin_;
         }
-        const double mag = std::sqrt(-2.0 * std::log(u1_));
-        const double angle = 2.0 * M_PI * u2_;
+        const double mag = magnitude_(u1_);
         double s = 0.0;
         double c = 0.0;
-#if defined(__GNUC__) && defined(__GLIBC__)
-        // glibc's sincos() shares the argument reduction and polynomial
-        // kernels of the separate sin()/cos() calls, so the pair is
-        // bit-identical to the two-call form while costing one call.
-        __builtin_sincos(angle, &s, &c);
-#else
-        s = std::sin(angle);
-        c = std::cos(angle);
-#endif
+        sincos_(u2_, s, c);
         if (--pending_ == 0) return mag * s;
         mag_ = mag;
         sin_ = s;
@@ -125,6 +122,15 @@ public:
         double u2 = 0.0;    // the angle's uniform, in [0, 1)
         bool sine = false;  // the pair's second deviate (mag * sin(angle))
     };
+
+    /// The deviate `z` names, computed as normal() computes it (the same
+    /// libm calls on the same values, so the same bits).
+    static double deviate(const PendingNormal& z) {
+        double s = 0.0;
+        double c = 0.0;
+        sincos_(z.u2, s, c);
+        return magnitude_(z.u1) * (z.sine ? s : c);
+    }
 
     /// The pending deviate's pair and position. Draws a new pair's two
     /// uniforms (no libm call) when none is pending and nothing otherwise,
@@ -159,6 +165,22 @@ public:
     std::array<std::uint64_t, 4> state() const { return s_; }
     void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; pending_ = 0; }
 
+    /// Everything that fixes the draws to come: the xoshiro words and the
+    /// pending Box–Muller pair, as its two uniforms and the number of its
+    /// deviates left (0 to 2; the uniforms mean nothing at 0). A walker
+    /// that steps many streams in lock-step (accel::AccelEngine::
+    /// run_block) takes each apart with stream() and puts it back with
+    /// Rng(stream); Rng(a.stream()) is stream_equal to a.
+    struct Stream {
+        std::array<std::uint64_t, 4> s{};
+        double u1 = 0.0;
+        double u2 = 0.0;
+        std::uint8_t pending = 0;
+    };
+    Stream stream() const { return {s_, u1_, u2_, pending_}; }
+    explicit Rng(const Stream& stream)
+        : s_(stream.s), u1_(stream.u1), u2_(stream.u2), pending_(stream.pending) {}
+
     /// True when `a` and `b` will emit identical draw sequences from here
     /// on: same xoshiro state AND the same pending Box–Muller pair
     /// (set_state() and state() alone cannot see a pair whose second
@@ -177,6 +199,22 @@ public:
 private:
     static std::uint64_t rotl_(std::uint64_t x, int k) {
         return (x << k) | (x >> (64 - k));
+    }
+
+    static double magnitude_(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
+
+    /// sin and cos of the angle 2 pi u2.
+    static void sincos_(double u2, double& s, double& c) {
+        const double angle = 2.0 * M_PI * u2;
+#if defined(__GNUC__) && defined(__GLIBC__)
+        // glibc's sincos() shares the argument reduction and polynomial
+        // kernels of the separate sin()/cos() calls, so the pair is
+        // bit-identical to the two-call form while costing one call.
+        __builtin_sincos(angle, &s, &c);
+#else
+        s = std::sin(angle);
+        c = std::cos(angle);
+#endif
     }
 
     static std::uint64_t bits_(double x) {

@@ -1,10 +1,11 @@
 // Golden evaluation store: the network/dataset fingerprints the journals
 // key on, and the elision equivalence property — the golden-elided engine
-// path (AccelEngine::run_elided) and every accuracy evaluation built on it
-// must be byte-identical to the whole-segment per-op oracle
-// (tests/engine_reference.cpp) for any voltage trace, at any thread count,
-// including the fault RNG stream (elision never draws; the RNG is only
-// consumed inside unsafe windows, which run unchanged).
+// path (AccelEngine::run_block, and run_elided, its block of one image)
+// and every accuracy evaluation built on it must be byte-identical to the
+// whole-segment per-op oracle (tests/engine_reference.cpp) for any voltage
+// trace, at any thread count, including the fault RNG stream (elision
+// never draws; the RNG is only consumed inside unsafe windows, which run
+// unchanged).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -375,6 +376,119 @@ TEST(GoldenCacheEval, StoreNotCoveringTheImagesThrows) {
                      ContractError)
             << "record " << idx;
     }
+}
+
+/// The evaluation the oracle runs give for the first `n` images.
+AccuracyResult oracle_accuracy(const std::vector<accel::RunResult>& runs,
+                               const data::Dataset& ds, std::size_t n) {
+    AccuracyResult result;
+    result.images = n;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        correct += runs[i].predicted == ds.labels[i] ? 1 : 0;
+        result.faults += runs[i].faults_total;
+    }
+    result.accuracy = static_cast<double>(correct) / static_cast<double>(n);
+    return result;
+}
+
+// Evaluation runs the images of each trace in blocks of up to
+// accel::kWalkLanes whose fault streams the engine draws in lock-step:
+// image i on trace i % n and stream derive_seed(seed, i). For image counts
+// that leave full and partial blocks (1, 7, 8, 9, 17, 40) over 1, 3 and 24
+// traces (24 leaves blocks of one and two), at threads 1, 4 and 8 on both
+// SIMD twins, the evaluation equals the per-op oracle run on each image
+// alone, with and without a throttle mask; and each image's run in the
+// block evaluation gives it equals the oracle's, logits, per-layer counts
+// and end stream included.
+TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
+    const Platform platform(PlatformConfig{}, random_qnetwork(61));
+    const accel::AccelEngine& engine = platform.engine();
+    const std::size_t max_images = 40;
+    const auto ds = data::make_datasets(9, 1, max_images);
+    const auto golden = build_golden_store(engine.network(), ds.test, max_images);
+    const std::uint64_t seed = 2468;
+    std::vector<bool> throttle(engine.schedule().total_cycles, false);
+    Rng mask_rng(37);
+    for (std::size_t c = 0; c < throttle.size(); ++c) throttle[c] = mask_rng.bernoulli(0.25);
+    SimdGuard guard;
+    for (const std::size_t n_traces : {std::size_t{1}, std::size_t{3}, std::size_t{24}}) {
+        SCOPED_TRACE(std::to_string(n_traces) + " traces");
+        Rng trace_rng(17 + n_traces);
+        std::vector<accel::VoltageTrace> traces;
+        std::vector<accel::OverlayPlan> plans;
+        for (std::size_t t = 0; t < n_traces; ++t) {
+            traces.push_back(t % 5 == 4 ? nominal_trace(engine)
+                                        : random_glitch_trace(engine, trace_rng, 3 + t % 4));
+            plans.push_back(engine.plan_overlay(&traces.back()));
+        }
+        // The oracle: each image alone on its own stream.
+        std::vector<accel::RunResult> want;
+        std::vector<Rng> want_rngs;
+        std::vector<accel::RunResult> want_throttled;
+        for (std::size_t i = 0; i < max_images; ++i) {
+            Rng rng(derive_seed(seed, i));
+            want.push_back(run_reference(engine, golden->entries[i].qimage,
+                                         &traces[i % n_traces], rng));
+            want_rngs.push_back(rng);
+            if (n_traces == 1) {
+                Rng throttled_rng(derive_seed(seed, i));
+                want_throttled.push_back(run_reference(engine, golden->entries[i].qimage,
+                                                       &traces[0], throttled_rng, &throttle));
+            }
+        }
+        std::size_t faulted_images = 0;
+        for (const accel::RunResult& run : want) {
+            faulted_images += run.faults_total.total() > 0 ? 1 : 0;
+        }
+        EXPECT_GT(faulted_images, max_images / 2); // not vacuous
+
+        for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+            SCOPED_TRACE(simd::mode_name(mode));
+            simd::set_mode(mode);
+            // Each block as evaluation forms it, image by image.
+            for (std::size_t t = 0; t < n_traces; ++t) {
+                for (std::size_t first = t; first < max_images;
+                     first += accel::kWalkLanes * n_traces) {
+                    std::vector<accel::GoldenPass> passes;
+                    std::vector<Rng> rngs;
+                    std::vector<std::size_t> index;
+                    for (std::size_t i = first;
+                         i < max_images && passes.size() < accel::kWalkLanes; i += n_traces) {
+                        const GoldenEntry& entry = golden->entries[i];
+                        passes.push_back({&entry.qimage, &entry.activations,
+                                          &entry.accumulators});
+                        rngs.emplace_back(derive_seed(seed, i));
+                        index.push_back(i);
+                    }
+                    const std::vector<accel::RunResult> runs =
+                        engine.run_block(passes, &traces[t], rngs, plans[t]);
+                    for (std::size_t j = 0; j < runs.size(); ++j) {
+                        SCOPED_TRACE("image " + std::to_string(index[j]));
+                        expect_same_run(runs[j], want[index[j]]);
+                        EXPECT_TRUE(stream_equal(rngs[j], want_rngs[index[j]]));
+                    }
+                }
+            }
+            for (const std::size_t threads : {1, 4, 8}) {
+                set_global_thread_count(threads);
+                for (const std::size_t n : {1, 7, 8, 9, 17, 40}) {
+                    SCOPED_TRACE(std::to_string(n) + " images, " + std::to_string(threads) +
+                                 " threads");
+                    expect_results_equal(evaluate_accuracy_multi(platform, ds.test, n, traces,
+                                                                 seed, &plans, golden.get()),
+                                         oracle_accuracy(want, ds.test, n));
+                    if (n_traces == 1) {
+                        expect_results_equal(
+                            evaluate_accuracy_defended(platform, ds.test, n, traces[0], throttle,
+                                                       seed, &plans[0], golden.get()),
+                            oracle_accuracy(want_throttled, ds.test, n));
+                    }
+                }
+            }
+        }
+    }
+    set_global_thread_count(0);
 }
 
 } // namespace

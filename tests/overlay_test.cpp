@@ -1,6 +1,7 @@
 // Randomized-property tests for the interval-gated fault overlay: the
 // engine's inference path (AccelEngine::run_elided from the image's golden
-// pass, testing::run_engine) must be byte-identical to the whole-segment
+// pass, testing::run_engine, and AccelEngine::run_block for blocks of
+// images that share a trace) must be byte-identical to the whole-segment
 // per-op oracle (run_reference, tests/engine_reference.cpp) — same logits,
 // same prediction, same fault counts — for any voltage trace, because
 // both consume the fault RNG stream identically and duplication faults see
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/arch_profiles.hpp"
@@ -18,6 +20,8 @@
 #include "nn/zoo.hpp"
 #include "test_helpers.hpp"
 #include "util/divide.hpp"
+#include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace deepstrike::accel {
 namespace {
@@ -28,6 +32,7 @@ using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::run_engine;
 using deepstrike::testing::run_reference;
+using deepstrike::testing::SimdGuard;
 
 AccelEngine make_engine(bool tmr = false, std::uint64_t weight_seed = 1,
                         std::uint64_t board_seed = 2021) {
@@ -406,6 +411,223 @@ TEST(Overlay, LargestOpIndexOfEveryZooLayerMatchesReference) {
     // per cycle over 3 drooped cycles), so the comparison covered a pair
     // whose second deviate is still pending.
     EXPECT_TRUE(odd_draws);
+}
+
+// ------------------------------------------------------------ lane blocks
+//
+// run_block draws the fault events of up to kWalkLanes images that share a
+// trace with their streams stepped in lock-step, then applies each image's
+// own events. Every lane must come out exactly as its image run alone
+// through the per-op oracle on the same stream.
+
+/// `extra` random droop windows plus one in each conv, pool and FC segment
+/// (random start, length and depth; pool droops deep enough to fault the
+/// relaxed comparators).
+VoltageTrace layered_glitch_trace(const AccelEngine& engine, Rng& rng, std::size_t extra) {
+    VoltageTrace trace = random_glitch_trace(engine, rng, extra);
+    for (const LayerSegment& seg : engine.schedule().segments) {
+        if (seg.kind == SegmentKind::Stall) continue;
+        const auto len = static_cast<std::size_t>(rng.uniform_int(1, 12));
+        const auto start = seg.start_cycle + static_cast<std::size_t>(rng.uniform_int(
+                                                 0, static_cast<std::int64_t>(seg.cycles) - 1));
+        const double depth = seg.kind == SegmentKind::Pool ? rng.uniform(0.55, 0.72)
+                                                           : rng.uniform(0.55, 0.97);
+        for (std::size_t c = start; c < std::min(start + len, seg.end_cycle()); ++c) {
+            trace[2 * c] = depth;
+            trace[2 * c + 1] = depth;
+        }
+    }
+    return trace;
+}
+
+/// What a set of block runs covered.
+struct BlockCoverage {
+    std::size_t lanes = 0;
+    std::size_t odd_ends = 0;     // streams left holding a pending deviate
+    std::size_t lone_runs = 0;    // blocks of one, through run_elided
+    std::size_t lone_odd_ends = 0;
+    std::size_t lanes_apart = 0;  // blocks whose lanes drew different payload counts
+    FaultCounts faults;
+    std::size_t pool_faults = 0;
+};
+
+/// Runs one image per stream of `rngs` (images image_seed, image_seed + 1,
+/// ...) as one block on `trace` (run_elided for a block of one), and each
+/// image alone through the per-op oracle on a copy of its stream: the same
+/// logits, prediction and per-layer counts, and stream_equal end streams.
+void expect_block_matches_oracle(const AccelEngine& engine, const VoltageTrace& trace,
+                                 std::vector<Rng> rngs, std::uint64_t image_seed,
+                                 const std::vector<bool>* throttle, BlockCoverage& seen) {
+    const OverlayPlan plan = engine.plan_overlay(&trace);
+    const std::size_t n = rngs.size();
+    std::vector<QTensor> images;
+    std::vector<quant::QNetwork::ForwardTrace> golden;
+    images.reserve(n);
+    golden.reserve(n);
+    std::vector<GoldenPass> passes;
+    for (std::size_t j = 0; j < n; ++j) {
+        images.push_back(random_qimage(image_seed + j));
+        golden.push_back(engine.network().forward_trace(images.back()));
+        passes.push_back({&images.back(), &golden.back().activations,
+                          &golden.back().accumulators});
+    }
+    std::vector<Rng> oracle_rngs = rngs;
+    std::vector<RunResult> runs;
+    if (n == 1) {
+        runs.push_back(engine.run_elided(images[0], golden[0].activations,
+                                         golden[0].accumulators, &trace, rngs[0], plan,
+                                         throttle));
+    } else {
+        runs = engine.run_block(passes, &trace, rngs, plan, throttle);
+    }
+    ASSERT_EQ(runs.size(), n);
+    std::size_t min_random = ~std::size_t{0};
+    std::size_t max_random = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        SCOPED_TRACE("lane " + std::to_string(j) + " of " + std::to_string(n));
+        expect_same_run(runs[j], run_reference(engine, images[j], &trace, oracle_rngs[j],
+                                               throttle));
+        EXPECT_TRUE(stream_equal(rngs[j], oracle_rngs[j]));
+        const bool odd = holds_pending_deviate(rngs[j]);
+        seen.odd_ends += odd ? 1 : 0;
+        seen.lone_runs += n == 1 ? 1 : 0;
+        seen.lone_odd_ends += n == 1 && odd ? 1 : 0;
+        seen.faults += runs[j].faults_total;
+        seen.pool_faults += runs[j].faults_for("POOL1").total();
+        min_random = std::min(min_random, runs[j].faults_total.random);
+        max_random = std::max(max_random, runs[j].faults_total.random);
+    }
+    seen.lanes += n;
+    seen.lanes_apart += min_random != max_random ? 1 : 0;
+}
+
+// Random traces with windows in every conv, pool and FC segment, one of
+// them ending mid-pool, with and without a throttle mask, TMR on and off,
+// blocks of 1 to kWalkLanes images, on both SIMD twins. With the default 8
+// conv DSPs every drawing cycle takes an even number of deviates; 6 DSPs
+// give CONV1 9 ops per cycle, so walks, run_elided's among them, also end
+// mid-pair.
+TEST(Overlay, BlockMatchesOracleLaneByLane) {
+    const std::size_t block_sizes[] = {1, 3, 7, kWalkLanes, 2, 8};
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        SimdGuard guard;
+        simd::set_mode(mode);
+        BlockCoverage seen;
+        for (const std::size_t conv_dsps : {std::size_t{8}, std::size_t{6}}) {
+            for (const bool tmr : {false, true}) {
+                SCOPED_TRACE(std::string(simd::mode_name(mode)) + (tmr ? " tmr " : " ") +
+                             std::to_string(conv_dsps) + " conv DSPs");
+                AccelConfig config = AccelConfig::pynq_z1();
+                config.tmr_protection = tmr;
+                config.conv_dsp_count = conv_dsps;
+                const AccelEngine engine(random_qnetwork(1), config, 2021);
+                const LayerSegment& pool = engine.schedule().segment_for("POOL1");
+                Rng trace_rng(101 + conv_dsps);
+                Rng mask_rng(103);
+                for (std::uint64_t trial = 0; trial < 12; ++trial) {
+                    VoltageTrace trace = layered_glitch_trace(engine, trace_rng, trial % 3);
+                    if (trial % 6 == 2) {
+                        trace.resize((pool.start_cycle + pool.cycles / 2) * 2 + 1);
+                    }
+                    std::vector<bool> throttle;
+                    if (trial % 4 == 3) {
+                        throttle.resize(engine.schedule().total_cycles);
+                        for (std::size_t c = 0; c < throttle.size(); ++c) {
+                            throttle[c] = mask_rng.bernoulli(0.3);
+                        }
+                    }
+                    const std::size_t n = block_sizes[trial % 6];
+                    std::vector<Rng> rngs;
+                    for (std::size_t j = 0; j < n; ++j) {
+                        rngs.emplace_back(derive_seed(77, trial, j));
+                    }
+                    expect_block_matches_oracle(engine, trace, std::move(rngs), 40 * trial,
+                                                throttle.empty() ? nullptr : &throttle, seen);
+                }
+                // One drooped CONV1 cycle draws 9 deviates with 6 conv DSPs
+                // (27 under TMR) and 12 (36) with 8, so single-image runs
+                // end at both parities.
+                VoltageTrace one_cycle = nominal_trace(engine);
+                const LayerSegment& conv1 = engine.schedule().segment_for("CONV1");
+                const std::size_t c = conv1.start_cycle + conv1.cycles / 2;
+                one_cycle[2 * c] = 0.6;
+                one_cycle[2 * c + 1] = 0.6;
+                std::vector<Rng> lone;
+                lone.emplace_back(derive_seed(79, conv_dsps, tmr ? 1 : 0));
+                expect_block_matches_oracle(engine, one_cycle, std::move(lone), 4000, nullptr,
+                                            seen);
+            }
+        }
+        // Not vacuous: both fault kinds, pool faults, streams ending at
+        // both deviate parities, and lanes whose payload draws left their
+        // raw streams at different positions.
+        EXPECT_GT(seen.faults.duplication, 0u);
+        EXPECT_GT(seen.faults.random, 0u);
+        EXPECT_GT(seen.pool_faults, 0u);
+        EXPECT_GT(seen.odd_ends, 0u);
+        EXPECT_LT(seen.odd_ends, seen.lanes);
+        EXPECT_GT(seen.lone_odd_ends, 0u);
+        EXPECT_LT(seen.lone_odd_ends, seen.lone_runs);
+        EXPECT_GT(seen.lanes_apart, 0u);
+    }
+}
+
+// A lane whose new Box–Muller pair draws u1 == 0 redraws it from its own
+// stream, as Rng::normal() does, while its neighbours keep theirs: a
+// stream whose state has s[1] = 0 draws 0 next, so the first pair of the
+// walk redraws in that lane alone.
+TEST(Overlay, BlockLaneRedrawsZeroUniformAlone) {
+    const AccelEngine engine = make_engine();
+    const LayerSegment& conv2 = engine.schedule().segment_for("CONV2");
+    VoltageTrace trace = nominal_trace(engine);
+    for (std::size_t c = conv2.start_cycle + 5; c < conv2.start_cycle + 9; ++c) {
+        trace[2 * c] = 0.6;
+        trace[2 * c + 1] = 0.6;
+    }
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        SCOPED_TRACE(simd::mode_name(mode));
+        SimdGuard guard;
+        simd::set_mode(mode);
+        BlockCoverage seen;
+        for (const std::size_t n : {std::size_t{1}, std::size_t{5}, kWalkLanes}) {
+            for (const std::size_t forced : {std::size_t{0}, n / 2, n - 1}) {
+                std::vector<Rng> rngs;
+                for (std::size_t j = 0; j < n; ++j) rngs.emplace_back(derive_seed(13, n, j));
+                std::array<std::uint64_t, 4> state = rngs[forced].state();
+                state[1] = 0;
+                rngs[forced].set_state(state);
+                Rng probe = rngs[forced];
+                ASSERT_EQ(probe.next(), 0u);
+                expect_block_matches_oracle(engine, trace, std::move(rngs), 900 + forced,
+                                            nullptr, seen);
+            }
+        }
+        EXPECT_GT(seen.faults.total(), 0u);
+    }
+}
+
+// A block's streams step in lock-step, so they must all hold the same
+// number of pending deviates; a block of none, or of more than kWalkLanes
+// images, or with a stream per image missing, is a caller bug.
+TEST(Overlay, BlockRejectsMismatchedStreams) {
+    const AccelEngine engine = make_engine();
+    const VoltageTrace trace = nominal_trace(engine);
+    const OverlayPlan plan = engine.plan_overlay(&trace);
+    const QTensor img = random_qimage(5);
+    const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
+    const GoldenPass pass{&img, &golden.activations, &golden.accumulators};
+    const std::vector<GoldenPass> passes(2, pass);
+    std::vector<Rng> rngs = {Rng(1), Rng(2)};
+    rngs[1].normal(); // one deviate of its pair still pending
+    EXPECT_THROW(engine.run_block(passes, &trace, rngs, plan), ContractError);
+    rngs[0].normal();
+    EXPECT_NO_THROW(engine.run_block(passes, &trace, rngs, plan));
+    EXPECT_THROW(engine.run_block(passes, &trace, std::span<Rng>(rngs.data(), 1), plan),
+                 ContractError);
+    const std::vector<GoldenPass> too_many(kWalkLanes + 1, pass);
+    std::vector<Rng> many(kWalkLanes + 1);
+    EXPECT_THROW(engine.run_block(too_many, &trace, many, plan), ContractError);
+    EXPECT_THROW(engine.run_block({}, &trace, {}, plan), ContractError);
 }
 
 } // namespace

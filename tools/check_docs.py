@@ -18,7 +18,9 @@ Checks, over every tracked markdown file:
    document the end-to-end benchmark's own tools instead, so their flags
    are checked against those: the add_option/add_flag registrations of
    bench/e2e/ds_e2e.cpp, the case arms of bench/e2e/run.sh and the
-   add_argument calls of bench/e2e/compare.py.
+   add_argument calls of bench/e2e/compare.py. A task text (ISSUE.md)
+   may name either, so its flags are checked against both inventories
+   together.
 4. Every bench EXPERIMENTS.md names (backticked `fig*`/`tab*`/
    `ablation_*`/`ext_*`/`micro_*` tokens) has a source file under
    bench/ — the experiment write-ups can't drift behind bench renames.
@@ -28,8 +30,9 @@ Checks, over every tracked markdown file:
    (`cosim.lanes.*`) is accepted when at least one registered metric
    carries that prefix. Only tokens whose first segment is a namespace
    the code registers are policed, so prose like `config.port` stays
-   free. Docs under bench/e2e/ may also name the metrics ds_e2e reports
-   (the names it passes to `<metrics>.add` and `count`).
+   free. Docs under bench/e2e/ and the task text may also name the
+   metrics ds_e2e reports (the names it passes to `<metrics>.add` and
+   `count`).
 
 Tracked markdown files missing from the working tree are skipped.
 
@@ -78,6 +81,8 @@ NON_METRIC_SUFFIXES = (
 
 # The end-to-end benchmark documents its own tools (bench/e2e/README.md).
 E2E_DOCS = "bench/e2e/"
+# A task text names both the deepstrike CLI and the e2e tools.
+COMBINED_DOCS = ("ISSUE.md",)
 E2E_DRIVER = "bench/e2e/ds_e2e.cpp"
 E2E_SCRIPT = "bench/e2e/run.sh"
 E2E_COMPARE = "bench/e2e/compare.py"
@@ -244,6 +249,9 @@ def main():
     cli_tools = Tools(("deepstrike",), cli_flags(), "deepstrike --help")
     e2e_tools = Tools(("run.sh", "ds_e2e", "compare.py"), e2e_flags(),
                       "the bench/e2e tools (ds_e2e, run.sh, compare.py)")
+    combined_tools = Tools(cli_tools.words + e2e_tools.words,
+                           cli_tools.flags | e2e_tools.flags,
+                           f"{cli_tools.name} or {e2e_tools.name}")
     metrics = registered_metrics()
     src_metrics = (metrics, "registered under src/")
     e2e_metric_names = (metrics | e2e_metrics(),
@@ -252,9 +260,13 @@ def main():
     docs = tracked_markdown()
     for doc in docs:
         text = doc.read_text()
-        in_e2e = str(doc.relative_to(REPO)).startswith(E2E_DOCS)
-        tools, (names, source) = ((e2e_tools, e2e_metric_names) if in_e2e
-                                  else (cli_tools, src_metrics))
+        rel = str(doc.relative_to(REPO))
+        if rel in COMBINED_DOCS:
+            tools, (names, source) = combined_tools, e2e_metric_names
+        elif rel.startswith(E2E_DOCS):
+            tools, (names, source) = e2e_tools, e2e_metric_names
+        else:
+            tools, (names, source) = cli_tools, src_metrics
         check_links(doc, text, errors)
         check_backticked_paths(doc, text, errors)
         check_cli_flags(doc, text, tools, errors)
