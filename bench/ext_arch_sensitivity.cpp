@@ -38,7 +38,7 @@ int main() {
             data::make_datasets(spec.data_seed, 1, spec.test_size).test;
 
         const sim::AccuracyResult clean =
-            sim::evaluate_accuracy(platform, test, kEvalImages, nullptr, 8);
+            sim::evaluate_accuracy(platform, test, kEvalImages, {}, 8);
         std::printf("\n%s: float acc %.4f, accelerator clean acc %.4f, %zu cycles\n",
                     nn::architecture_name(arch), trained.test_accuracy, clean.accuracy,
                     platform.engine().schedule().total_cycles);
@@ -84,8 +84,8 @@ int main() {
             tasks.push_back({points[si].label, [&, si] {
                 const auto bundle =
                     runner.guided_bundle(attack::DetectorConfig{}, points[si].scheme);
-                points[si].result = sim::evaluate_accuracy(
-                    platform, test, kEvalImages, &bundle->trace, 8, &bundle->plan);
+                points[si].result =
+                    sim::evaluate_accuracy(platform, test, kEvalImages, {&bundle->plan, 1}, 8);
                 points[si].skipped = false;
             }});
         }

@@ -20,7 +20,7 @@ int main() {
 
     const std::size_t kEvalImages = 200;
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(tp.platform, tp.test_set, kEvalImages, nullptr, 4);
+        sim::evaluate_accuracy(tp.platform, tp.test_set, kEvalImages, {}, 4);
     std::printf("untampered accuracy: %.4f\n\n", clean.accuracy);
 
     const sim::ProfilingRun prof = sim::run_profiling(tp.platform);
@@ -62,12 +62,15 @@ int main() {
         const defense::DefenseOutcome def = defense::run_monitor(
             cosim.tdc_readouts, tp.platform.engine().schedule().total_cycles);
 
+        const accel::OverlayPlan plan = tp.platform.engine().plan_overlay(&cosim.capture_v);
+        const accel::OverlayPlan tmr_plan =
+            tmr_platform.engine().plan_overlay(&cosim.capture_v);
         const sim::AccuracyResult undefended = sim::evaluate_accuracy(
-            tp.platform, tp.test_set, kEvalImages, &cosim.capture_v, 4);
-        const sim::AccuracyResult defended = sim::evaluate_accuracy_defended(
-            tp.platform, tp.test_set, kEvalImages, cosim.capture_v, def.throttle, 4);
+            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4);
+        const sim::AccuracyResult defended = sim::evaluate_accuracy(
+            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4, &def.throttle);
         const sim::AccuracyResult tmr_def = sim::evaluate_accuracy(
-            tmr_platform, tp.test_set, kEvalImages, &cosim.capture_v, 4);
+            tmr_platform, tp.test_set, kEvalImages, {&tmr_plan, 1}, 4);
 
         const double latency =
             def.alarms > 0

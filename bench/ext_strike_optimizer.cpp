@@ -25,7 +25,7 @@ int main() {
     const std::size_t kEvalImages = 250;
     const std::uint64_t kSeed = 1357;
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(tp.platform, tp.test_set, kEvalImages, nullptr, kSeed);
+        sim::evaluate_accuracy(tp.platform, tp.test_set, kEvalImages, {}, kSeed);
     std::printf("clean accuracy: %.4f\n", clean.accuracy);
 
     CsvWriter csv = bench::open_csv("ext_strike_optimizer.csv");
@@ -41,8 +41,9 @@ int main() {
             std::min(budget, prof.profile.segments[2].duration_samples() / 4));
         const accel::VoltageTrace conv2_trace =
             sim::guided_attack_trace(tp.platform, {}, conv2_scheme);
+        const accel::OverlayPlan conv2_plan = tp.platform.engine().plan_overlay(&conv2_trace);
         const sim::AccuracyResult single = sim::evaluate_accuracy(
-            tp.platform, tp.test_set, kEvalImages, &conv2_trace, kSeed);
+            tp.platform, tp.test_set, kEvalImages, {&conv2_plan, 1}, kSeed);
 
         // Strategy B: uniform split across all five segments.
         sim::OptimizedPlan uniform;

@@ -250,9 +250,9 @@ void BM_GoldenInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenInference);
 
-// One faulted inference through the engine's only entry, run_elided, with
-// the image's golden pass and the overlay plan built outside the loop as a
-// golden store and a trace bundle provide them.
+// One faulted inference through the engine's only entry, run_block on a
+// block of one image, with the image's golden pass and the overlay plan
+// built outside the loop as a golden store and a trace bundle provide them.
 void BM_AccelFaultedInference(benchmark::State& state) {
     const ds::accel::AccelEngine engine(bench_weights(),
                                         ds::accel::AccelConfig::pynq_z1(), 2021);
@@ -265,12 +265,11 @@ void BM_AccelFaultedInference(benchmark::State& state) {
     }
     const ds::accel::OverlayPlan plan = engine.plan_overlay(&trace);
     const ds::quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
+    const ds::accel::GoldenPass pass{&img, &golden.activations, &golden.accumulators};
     ds::Rng rng(5);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine
-                                     .run_elided(img, golden.activations,
-                                                 golden.accumulators, &trace, rng, plan)
-                                     .predicted);
+        benchmark::DoNotOptimize(
+            engine.run_block({&pass, 1}, {&rng, 1}, plan).front().predicted);
     }
 }
 BENCHMARK(BM_AccelFaultedInference);
@@ -459,7 +458,8 @@ struct GuidedPointRig {
     double point() const {
         const ds::accel::VoltageTrace trace =
             ds::sim::guided_attack_trace(platform, detector, scheme);
-        return ds::sim::evaluate_accuracy(platform, data.test, 25, &trace, 99, nullptr,
+        const ds::accel::OverlayPlan plan = platform.engine().plan_overlay(&trace);
+        return ds::sim::evaluate_accuracy(platform, data.test, 25, {&plan, 1}, 99, nullptr,
                                           golden.get())
             .accuracy;
     }
@@ -516,18 +516,19 @@ void BM_EvaluateAccuracyMultiCached(benchmark::State& state) {
         ds::sim::build_golden_store(platform.engine().network(), data.test, 200);
     for (auto _ : state) {
         const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
-            platform, data.test, 200, &trace, 99, &plan, golden.get());
+            platform, data.test, 200, {&plan, 1}, 99, nullptr, golden.get());
         benchmark::DoNotOptimize(res.accuracy);
     }
 }
 BENCHMARK(BM_EvaluateAccuracyMultiCached)->Unit(benchmark::kMillisecond);
 
-// The fault walk's lanes: the same 8 images evaluated on one guided CONV2
-// strike trace, whose images the engine draws as one 8-lane block, and on
-// 8 copies of that trace, one image each, so every image is a block of one
-// (as strike-scan's blind points are). Image i runs trace i % 8 on stream
-// derive_seed(seed, i) either way, so both give the same bytes
-// (tests/golden_cache_test.cpp); each repetition evaluates 8 fault seeds.
+// The fault walk's lanes: the same 8 images evaluated on the overlay plan
+// of one guided CONV2 strike trace, whose images the engine draws as one
+// 8-lane block, and on 8 copies of that plan, one image each, so every
+// image is a block of one (as strike-scan's blind points are). Image i
+// runs plan i % 8 on stream derive_seed(seed, i) either way, so both give
+// the same bytes (tests/golden_cache_test.cpp); each repetition evaluates
+// 8 fault seeds.
 // CI gates the same-run pair ratio, and the lone-image bench against its
 // baseline so a lone image cannot get slower unseen. Set up once and
 // shared by both benches of the pair, whose alternating one-iteration
@@ -540,26 +541,22 @@ struct FaultWalkRig {
     ds::data::DatasetPair data = ds::data::make_datasets(11, 1, kImages);
     std::shared_ptr<const ds::sim::GoldenStore> golden =
         ds::sim::build_golden_store(platform.engine().network(), data.test, kImages);
-    std::vector<ds::accel::VoltageTrace> one_trace;
     std::vector<ds::accel::OverlayPlan> one_plan;
-    std::vector<ds::accel::VoltageTrace> trace_copies;
     std::vector<ds::accel::OverlayPlan> plan_copies;
 
     FaultWalkRig() {
         const ds::attack::DetectorConfig detector{};
-        one_trace.push_back(ds::sim::guided_attack_trace(
-            platform, detector, conv2_scheme(platform, detector, 2000)));
-        one_plan.push_back(platform.engine().plan_overlay(&one_trace.front()));
-        trace_copies.assign(kImages, one_trace.front());
+        const ds::accel::VoltageTrace trace = ds::sim::guided_attack_trace(
+            platform, detector, conv2_scheme(platform, detector, 2000));
+        one_plan.push_back(platform.engine().plan_overlay(&trace));
         plan_copies.assign(kImages, one_plan.front());
     }
 
-    std::size_t evaluate(const std::vector<ds::accel::VoltageTrace>& traces,
-                         const std::vector<ds::accel::OverlayPlan>& plans) const {
+    std::size_t evaluate(const std::vector<ds::accel::OverlayPlan>& plans) const {
         std::size_t faults = 0;
         for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-            faults += ds::sim::evaluate_accuracy_multi(platform, data.test, kImages, traces,
-                                                       99 + seed, &plans, golden.get())
+            faults += ds::sim::evaluate_accuracy(platform, data.test, kImages, plans,
+                                                 99 + seed, nullptr, golden.get())
                           .faults.total();
         }
         return faults;
@@ -573,13 +570,13 @@ const FaultWalkRig& fault_walk_rig() {
 
 void BM_FaultWalkBlock(benchmark::State& state) {
     const FaultWalkRig& rig = fault_walk_rig();
-    for (auto _ : state) benchmark::DoNotOptimize(rig.evaluate(rig.one_trace, rig.one_plan));
+    for (auto _ : state) benchmark::DoNotOptimize(rig.evaluate(rig.one_plan));
 }
 
 void BM_FaultWalkLone(benchmark::State& state) {
     const FaultWalkRig& rig = fault_walk_rig();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rig.evaluate(rig.trace_copies, rig.plan_copies));
+        benchmark::DoNotOptimize(rig.evaluate(rig.plan_copies));
     }
 }
 
@@ -618,7 +615,7 @@ void BM_GuidedCampaignPointEval200Cached(benchmark::State& state) {
             ds::sim::guided_attack_trace(platform, detector, scheme);
         const ds::accel::OverlayPlan plan = platform.engine().plan_overlay(&trace);
         const ds::sim::AccuracyResult res = ds::sim::evaluate_accuracy(
-            platform, data.test, 200, &trace, 99, &plan, golden.get());
+            platform, data.test, 200, {&plan, 1}, 99, nullptr, golden.get());
         benchmark::DoNotOptimize(res.accuracy);
     }
 }

@@ -16,7 +16,7 @@ int main() {
     // cycle-level accelerator (fault-free).
     const double qacc = tp.qnet.evaluate_accuracy(tp.test_set);
     const sim::AccuracyResult accel_clean =
-        sim::evaluate_accuracy(tp.platform, tp.test_set, tp.test_set.size(), nullptr, 1);
+        sim::evaluate_accuracy(tp.platform, tp.test_set, tp.test_set.size(), {}, 1);
 
     CsvWriter csv = bench::open_csv("tab2_model_and_schedule.csv");
     csv.row("metric", "value");

@@ -63,11 +63,11 @@ int main() {
         *target, prof.trigger_sample, platform.config().samples_per_cycle(), strikes);
     const accel::VoltageTrace trace =
         sim::guided_attack_trace(platform, attack::DetectorConfig{}, scheme);
+    const accel::OverlayPlan plan = platform.engine().plan_overlay(&trace);
 
-    const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(platform, ds.test, 300, nullptr, 5);
+    const sim::AccuracyResult clean = sim::evaluate_accuracy(platform, ds.test, 300, {}, 5);
     const sim::AccuracyResult attacked =
-        sim::evaluate_accuracy(platform, ds.test, 300, &trace, 5);
+        sim::evaluate_accuracy(platform, ds.test, 300, {&plan, 1}, 5);
 
     std::printf("\nattack on the custom network (%zu strikes on the longest conv):\n",
                 strikes);

@@ -86,12 +86,13 @@ int main() {
                                                   attacked.capture_v.end())));
 
     // Step 5: damage assessment over the test set (co-sim trace reused —
-    // the schedule is data-independent).
+    // the schedule is data-independent — through its overlay plan).
     std::printf("[5] evaluating on %zu test images...\n", test.size());
+    const accel::OverlayPlan plan = platform.engine().plan_overlay(&attacked.capture_v);
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(platform, test, test.size(), nullptr, 1);
+        sim::evaluate_accuracy(platform, test, test.size(), {}, 1);
     const sim::AccuracyResult under_attack =
-        sim::evaluate_accuracy(platform, test, test.size(), &attacked.capture_v, 1);
+        sim::evaluate_accuracy(platform, test, test.size(), {&plan, 1}, 1);
 
     std::printf("\nresults:\n");
     std::printf("  untampered accuracy : %.2f%%\n", 100.0 * clean.accuracy);

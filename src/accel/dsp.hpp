@@ -192,9 +192,15 @@ public:
         return FaultKind::Random;
     }
 
-    /// Fast pre-check: the highest voltage at which *any* op on this slice
-    /// could fault (including 4-sigma jitter). Above it, evaluate() can be
-    /// skipped without consuming RNG draws.
+    /// The highest voltage at which an op on this slice faults with a
+    /// jitter deviate of at most +4 (4-sigma jitter): there, it faults iff
+    /// z > 4. evaluate() itself has no cut-off: Box–Muller deviates reach
+    /// about 8.6, so above this voltage it still faults whenever z is large
+    /// enough (P(z > 4) is about 3.2e-5 per op at this voltage). The engine
+    /// never draws for an op at or above its bank's safe voltage (the
+    /// largest of its slices'), so a campaign models the Gaussian cut off
+    /// at +4 sigma of the bank's slowest slice. The Fig. 6b rig
+    /// (sim::run_dsp_characterization) calls evaluate() with no cut-off.
     double safe_voltage(const pdn::DelayModel& delay) const;
 
     /// Functional model of the configured op: (a + d) * b with Q3.4

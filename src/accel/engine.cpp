@@ -23,18 +23,6 @@ namespace deepstrike::accel {
 
 using fx::Q3_4;
 
-FaultCounts RunResult::faults_for(const std::string& label) const {
-    if (!layer_index.empty()) {
-        const auto it = layer_index.find(label);
-        if (it == layer_index.end()) return {};
-        return faults_by_layer[it->second].counts;
-    }
-    for (const LayerFaults& lf : faults_by_layer) {
-        if (lf.label == label) return lf.counts;
-    }
-    return {};
-}
-
 namespace {
 
 DspSlice make_pool_slice(const AccelConfig& config, std::uint64_t variation_seed) {
@@ -79,13 +67,6 @@ void count_block(const Schedule& schedule, const OverlayPlan& plan, std::size_t 
         .add(faults.duplication);
     metrics::counter("accel.faults_random", "faults", "DSP random faults injected")
         .add(faults.random);
-}
-
-void record_layer(RunResult& result, const std::string& label,
-                  const FaultCounts& counts) {
-    result.faults_total += counts;
-    result.layer_index.emplace(label, result.faults_by_layer.size());
-    result.faults_by_layer.push_back({label, counts});
 }
 
 bool throttled(const std::vector<bool>* throttle, std::size_t cycle) {
@@ -776,8 +757,7 @@ RunResult apply_events(const AccelEngine& engine, const GoldenPass& golden,
     const quant::QNetwork& network = engine.network();
     const std::size_t n_layers = network.layers.size();
     RunResult result;
-    result.faults_by_layer.reserve(n_layers);
-    result.layer_index.reserve(n_layers);
+    result.faults_by_layer = lane.counts;
     bool diverged = false;
     QTensor x; // the perturbed activation, valid once diverged
     for (std::size_t i = 0; i < n_layers; ++i) {
@@ -794,7 +774,7 @@ RunResult apply_events(const AccelEngine& engine, const GoldenPass& golden,
                 diverged = true;
             }
         }
-        record_layer(result, network.layers[i].label, lane.counts[i]);
+        result.faults_total += lane.counts[i];
     }
     result.logits = diverged ? std::move(x) : golden.layers->back();
     result.predicted = argmax(result.logits);
@@ -834,7 +814,6 @@ AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
 
 OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
     OverlayPlan plan;
-    plan.trace_samples = voltage == nullptr ? 0 : voltage->size();
     plan.layers.resize(network_.layers.size());
     if (voltage == nullptr) return plan;
     for (std::size_t i = 0; i < network_.layers.size(); ++i) {
@@ -885,7 +864,6 @@ OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
 }
 
 std::vector<RunResult> AccelEngine::run_block(std::span<const GoldenPass> images,
-                                              const VoltageTrace* voltage,
                                               std::span<Rng> fault_rngs,
                                               const OverlayPlan& plan,
                                               const std::vector<bool>* throttle) const {
@@ -914,9 +892,8 @@ std::vector<RunResult> AccelEngine::run_block(std::span<const GoldenPass> images
             }
         }
     }
-    expects(plan.layers.size() == n_layers &&
-                plan.trace_samples == (voltage == nullptr ? 0 : voltage->size()),
-            "AccelEngine::run_block: overlay plan does not match trace/network");
+    expects(plan.layers.size() == n_layers,
+            "AccelEngine::run_block: one overlay plan entry per network layer");
 
     // The draw: every image's fault events, its stream stepped in its lane.
     thread_local std::array<LaneEvents, kWalkLanes> lanes;
@@ -948,15 +925,6 @@ std::vector<RunResult> AccelEngine::run_block(std::span<const GoldenPass> images
     }
     count_block(schedule_, plan, n, ops_executed, faults);
     return results;
-}
-
-RunResult AccelEngine::run_elided(
-    const QTensor& image, const std::vector<QTensor>& golden_layers,
-    const std::vector<std::vector<fx::Acc>>& golden_accs, const VoltageTrace* voltage,
-    Rng& fault_rng, const OverlayPlan& plan, const std::vector<bool>* throttle) const {
-    const GoldenPass golden{&image, &golden_layers, &golden_accs};
-    return std::move(
-        run_block({&golden, 1}, voltage, {&fault_rng, 1}, plan, throttle).front());
 }
 
 } // namespace deepstrike::accel

@@ -3,17 +3,19 @@
 //
 // Execution follows the static Schedule: every MAC is assigned to a
 // (cycle, DSP, DDR half-cycle) slot in a deterministic op stream. When the
-// supplied voltage trace dips low enough that a DSP slice *could* miss
-// timing, each in-flight op is evaluated against the slice's fault model:
+// voltage trace dips low enough that a DSP slice *could* miss timing, each
+// in-flight op is evaluated against the slice's fault model:
 //   duplication fault -> the op contributes the previous product captured
 //                        on the same physical DSP (its own product is lost)
 //   random fault      -> the op contributes garbage from the product register
 // Cycles at safe voltage take a fast path that is bit-exact with the
 // QNetwork golden model (a property the tests enforce).
 //
-// Execution starts from the image's golden pass (quant::QNetwork::
-// forward_trace, kept per image in a sim::GoldenStore) and is
-// interval-gated (see accel/overlay.hpp): layers without an unsafe window
+// The engine reads a trace only once, in plan_overlay: the overlay plan
+// (accel/overlay.hpp) holds the trace's unsafe windows and their delay
+// factors, and run_block reads the plan alone. Execution starts from the
+// image's golden pass (quant::QNetwork::forward_trace, kept per image in a
+// sim::GoldenStore) and is interval-gated: layers without an unsafe window
 // reuse their golden activation while their input is still golden, op
 // ranges mapped to safe cycles keep their golden accumulators, and only
 // ops inside unsafe [cycle_begin, cycle_end) windows take the per-op fault
@@ -39,8 +41,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/config.hpp"
@@ -79,26 +79,12 @@ struct RunResult {
     QTensor logits;
     std::size_t predicted = 0;
     FaultCounts faults_total;
-
-    struct LayerFaults {
-        std::string label;
-        FaultCounts counts;
-    };
-    /// One entry per network layer, in execution order.
-    std::vector<LayerFaults> faults_by_layer;
+    /// Faults per layer, indexed like quant::QNetwork::layers.
+    std::vector<FaultCounts> faults_by_layer;
 
     /// Layers whose compute was answered entirely by a cached golden
     /// activation (diagnostics, never serialized into reports).
     std::size_t golden_layers_reused = 0;
-
-    /// Label -> index into faults_by_layer, built once by the engine so
-    /// per-label queries don't re-scan the layer list.
-    std::unordered_map<std::string, std::size_t> layer_index;
-
-    /// Faults attributed to the layer with the given label (zero counts if
-    /// the label is unknown). Uses the prebuilt index; hand-assembled
-    /// results without one fall back to a linear scan.
-    FaultCounts faults_for(const std::string& label) const;
 };
 
 class AccelEngine {
@@ -129,8 +115,10 @@ public:
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
     /// Runs one inference per image of `images` (1 to kWalkLanes) on one
-    /// trace, image j on fault stream fault_rngs[j]. It answers as much of
-    /// each forward pass as possible from the image's golden pass:
+    /// overlay plan, image j on fault stream fault_rngs[j]; a block of one
+    /// image is the single inference of the tests and benches. It answers
+    /// as much of each forward pass as possible from the image's golden
+    /// pass:
     ///   - a layer with no unsafe window is skipped outright while the
     ///     activation entering it is still golden (the RNG is only drawn
     ///     inside windows, so the stream is untouched);
@@ -149,10 +137,9 @@ public:
     /// otherwise), as fresh streams do. Each result and each stream's end
     /// state equal those of the whole-segment per-op oracle run on the
     /// image alone (tests/engine_reference.cpp), at either twin.
-    /// `voltage` may be nullptr (nominal, fault-free) or shorter than the
-    /// schedule (remaining cycles assume nominal); `plan` must be
-    /// plan_overlay(voltage), whose windows and delay factors are all the
-    /// walk reads (`voltage` itself only checks the plan's sample count).
+    /// `plan` comes from plan_overlay (plan_overlay(nullptr) for a nominal,
+    /// fault-free run) and must hold one entry per network layer; its
+    /// windows and delay factors are all the walk reads.
     /// `throttle` optionally marks fabric cycles where a defensive clock
     /// throttle is active: DSP ops in those cycles run at half rate and
     /// cannot miss timing at attack-scale droops (see src/defense). Throws
@@ -160,18 +147,8 @@ public:
     /// entry per output element. RunResult::golden_layers_reused counts
     /// the skipped layers.
     std::vector<RunResult> run_block(std::span<const GoldenPass> images,
-                                     const VoltageTrace* voltage,
                                      std::span<Rng> fault_rngs, const OverlayPlan& plan,
                                      const std::vector<bool>* throttle = nullptr) const;
-
-    /// run_block on a block of one image (the tests' and benches' single
-    /// inference). `fault_rng` ends stream_equal to the per-op oracle's.
-    RunResult run_elided(const QTensor& image,
-                         const std::vector<QTensor>& golden_layers,
-                         const std::vector<std::vector<fx::Acc>>& golden_accs,
-                         const VoltageTrace* voltage, Rng& fault_rng,
-                         const OverlayPlan& plan,
-                         const std::vector<bool>* throttle = nullptr) const;
 
     const std::vector<DspSlice>& conv_dsps() const { return conv_dsps_; }
     const std::vector<DspSlice>& fc_dsps() const { return fc_dsps_; }

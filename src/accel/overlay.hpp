@@ -15,7 +15,9 @@
 // across all evaluated images instead of re-scanning the trace per layer
 // per image. For the same reason the plan also carries the delay factor of
 // every capture sample inside a window, so the fault walks read only the
-// plan, never the trace or the delay model.
+// plan, never the trace or the delay model: evaluation
+// (sim::evaluate_accuracy) and AccelEngine::run_block take plans, not
+// traces.
 #pragma once
 
 #include <cstddef>
@@ -56,18 +58,16 @@ struct SegmentOverlay {
 };
 
 /// Per-layer unsafe-interval index for one (VoltageTrace, Schedule) pair.
-/// Built by AccelEngine::plan_overlay; valid only for traces of the
-/// recorded sample count against the same engine.
+/// Built by AccelEngine::plan_overlay; valid only against the engine that
+/// built it.
 struct OverlayPlan {
     /// Indexed like quant::QNetwork::layers / Schedule::segment_for_layer.
     std::vector<SegmentOverlay> layers;
-    /// Sample count of the trace the plan was computed for (0 = nominal).
-    std::size_t trace_samples = 0;
 
     /// True when any layer has an unsafe window. A plan with none cannot
     /// fault (the RNG is only drawn inside windows), so an inference on it
     /// is fully answered by the golden activations — the fault-free
-    /// short-circuit in sim::evaluate_accuracy_multi.
+    /// short-circuit in sim::evaluate_accuracy.
     bool any_unsafe() const;
 
     /// Index of the first layer with an unsafe window; layers.size() when

@@ -129,8 +129,11 @@ void SearchSpec::validate() const {
     if (stall_generations == 0) {
         throw ConfigError("SearchSpec: stall_generations must be >= 1");
     }
-    if (!(f_scale > 0.0) || !(crossover > 0.0) || crossover > 1.0) {
-        throw ConfigError("SearchSpec: f_scale must be > 0 and crossover in (0, 1]");
+    // A mutant a + F * (b - c) is rounded with llround, whose result is
+    // unspecified when it does not fit: a non-finite or huge F would put
+    // every mutated gene on one index.
+    if (!(f_scale > 0.0 && f_scale <= 2.0) || !(crossover > 0.0) || crossover > 1.0) {
+        throw ConfigError("SearchSpec: f_scale must be in (0, 2] and crossover in (0, 1]");
     }
 }
 

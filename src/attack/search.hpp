@@ -60,7 +60,8 @@ struct SearchSpec {
     /// accuracy drop in percentage points.
     double target_drop = 0.0;
     std::uint64_t seed = 1;
-    /// DES mutation scale F and crossover rate CR.
+    /// DES mutation scale F, in (0, 2] as differential evolution uses it,
+    /// and crossover rate CR, in (0, 1].
     double f_scale = 0.5;
     double crossover = 0.7;
     /// Generations without improvement before a stage advances.

@@ -339,9 +339,8 @@ Json evaluate_campaign_record(const Platform& platform, const data::Dataset& tes
             "evaluate_campaign_record: record index within plan");
     const CampaignConfig& config = plan.config;
     if (record_index == 0) {
-        const AccuracyResult clean =
-            evaluate_accuracy(platform, test_set, plan.eval_images, nullptr,
-                              config.fault_seed, nullptr, golden);
+        const AccuracyResult clean = evaluate_accuracy(
+            platform, test_set, plan.eval_images, {}, config.fault_seed, nullptr, golden);
         return clean_record(clean.accuracy);
     }
 
@@ -350,14 +349,12 @@ Json evaluate_campaign_record(const Platform& platform, const data::Dataset& tes
     if (p.blind_offsets > 0) {
         const auto bundle = runner.blind_bundle(p.scheme, p.blind_offsets,
                                                 config.blind_offset_seed);
-        res = evaluate_accuracy_multi(platform, test_set, plan.eval_images,
-                                      bundle->traces, config.fault_seed,
-                                      &bundle->plans, golden);
+        res = evaluate_accuracy(platform, test_set, plan.eval_images, bundle->plans,
+                                config.fault_seed, nullptr, golden);
     } else {
         const auto bundle = runner.guided_bundle(config.detector, p.scheme);
-        res = evaluate_accuracy(platform, test_set, plan.eval_images,
-                                &bundle->trace, config.fault_seed, &bundle->plan,
-                                golden);
+        res = evaluate_accuracy(platform, test_set, plan.eval_images, {&bundle->plan, 1},
+                                config.fault_seed, nullptr, golden);
     }
 
     CampaignPoint point;

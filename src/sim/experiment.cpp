@@ -106,10 +106,7 @@ std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
     return traces;
 }
 
-namespace {
-
-/// The one parallel evaluation loop behind every accuracy entry point
-/// (plain, blind multi-trace, defended). Image i uses trace i % traces.size()
+/// The one parallel evaluation loop. Image i uses plan i % plans.size()
 /// (none when empty = clean), a per-image RNG derived from the image index
 /// alone, and its entry of the golden store — the caller's, or one built
 /// here when the caller passes none — through the elision tiers of
@@ -120,17 +117,20 @@ namespace {
 ///   tiers 1 and 2 (golden-elided inference): AccelEngine::run_block
 ///     skips the still-golden prefix of safe layers and applies windowed
 ///     layers' fault events to the cached golden accumulators.
-/// The images of one trace (t, t + n, t + 2n, ...) run in blocks of up to
+/// A throttle mask suppresses fault evaluation inside windows but never
+/// adds windows, so the tiers stay valid under it: a throttled op draws no
+/// RNG, exactly as in a whole-segment per-op walk.
+/// The images of one plan (t, t + n, t + 2n, ...) run in blocks of up to
 /// accel::kWalkLanes, one pool task per block, whose fault streams the
 /// engine draws in lock-step. No tier or block size changes what an
 /// image's stream draws (it is only drawn inside unsafe windows), so
 /// results are byte-identical at any thread count.
-AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& dataset,
-                               std::size_t n_images,
-                               std::span<const accel::VoltageTrace> traces,
-                               std::span<const accel::OverlayPlan> plans,
-                               const std::vector<bool>* throttle,
-                               std::uint64_t fault_seed, const GoldenStore* golden) {
+AccuracyResult evaluate_accuracy(const Platform& platform, const data::Dataset& dataset,
+                                 std::size_t n_images,
+                                 std::span<const accel::OverlayPlan> plans,
+                                 std::uint64_t fault_seed,
+                                 const std::vector<bool>* throttle,
+                                 const GoldenStore* golden) {
     expects(dataset.size() > 0, "evaluate_accuracy: non-empty dataset");
     n_images = std::min(n_images, dataset.size());
     expects(n_images > 0, "evaluate_accuracy: at least one image");
@@ -149,26 +149,26 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     }
 
     // The short-circuit decision depends on the plan alone; take it once
-    // per trace, not once per image. Every other trace's images run in
-    // blocks: block b of trace t holds its images first = t + b * lanes * n
+    // per plan, not once per image. Every other plan's images run in
+    // blocks: block b of plan t holds its images first = t + b * lanes * n
     // onward, every n-th one.
-    const std::size_t n_traces = traces.size();
+    const std::size_t n_plans = plans.size();
     const std::size_t lanes = accel::kWalkLanes;
     struct Block {
-        std::size_t trace = 0;
+        std::size_t plan = 0;
         std::size_t first = 0;
         std::size_t count = 0;
     };
     std::vector<Block> blocks;
     std::vector<std::uint8_t> shortcircuit(n_images, 1);
-    for (std::size_t t = 0; t < std::min(n_traces, n_images); ++t) {
+    for (std::size_t t = 0; t < std::min(n_plans, n_images); ++t) {
         if (!plans[t].any_unsafe()) continue;
-        const std::size_t images = (n_images - t + n_traces - 1) / n_traces;
+        const std::size_t images = (n_images - t + n_plans - 1) / n_plans;
         for (std::size_t b = 0; b * lanes < images; ++b) {
             blocks.push_back(
-                {t, t + b * lanes * n_traces, std::min(lanes, images - b * lanes)});
+                {t, t + b * lanes * n_plans, std::min(lanes, images - b * lanes)});
         }
-        for (std::size_t i = t; i < n_images; i += n_traces) shortcircuit[i] = 0;
+        for (std::size_t i = t; i < n_images; i += n_plans) shortcircuit[i] = 0;
     }
 
     AccuracyResult result;
@@ -190,16 +190,16 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
         std::array<accel::GoldenPass, accel::kWalkLanes> passes;
         std::array<Rng, accel::kWalkLanes> rngs;
         for (std::size_t j = 0; j < block.count; ++j) {
-            const std::size_t i = block.first + j * n_traces;
+            const std::size_t i = block.first + j * n_plans;
             const GoldenEntry& entry = golden->entries[i];
             passes[j] = {&entry.qimage, &entry.activations, &entry.accumulators};
             rngs[j] = Rng(derive_seed(fault_seed, i));
         }
         const std::vector<accel::RunResult> runs = platform.engine().run_block(
-            {passes.data(), block.count}, &traces[block.trace], {rngs.data(), block.count},
-            plans[block.trace], throttle);
+            {passes.data(), block.count}, {rngs.data(), block.count}, plans[block.plan],
+            throttle);
         for (std::size_t j = 0; j < block.count; ++j) {
-            const std::size_t i = block.first + j * n_traces;
+            const std::size_t i = block.first + j * n_plans;
             faults[i] = runs[j].faults_total;
             correct[i] = runs[j].predicted == dataset.labels[i] ? 1 : 0;
             prefix_skipped[i] = runs[j].golden_layers_reused;
@@ -226,49 +226,6 @@ AccuracyResult evaluate_images(const Platform& platform, const data::Dataset& da
     return result;
 }
 
-} // namespace
-
-AccuracyResult evaluate_accuracy(const Platform& platform, const data::Dataset& dataset,
-                                 std::size_t n_images, const accel::VoltageTrace* trace,
-                                 std::uint64_t fault_seed,
-                                 const accel::OverlayPlan* plan,
-                                 const GoldenStore* golden) {
-    // The caller's trace and plan are read in place; a trace without a
-    // plan gets one, built once here.
-    accel::OverlayPlan local_plan;
-    if (trace != nullptr && plan == nullptr) {
-        local_plan = platform.engine().plan_overlay(trace);
-        plan = &local_plan;
-    }
-    const std::size_t n_traces = trace != nullptr ? 1 : 0;
-    return evaluate_images(platform, dataset, n_images, {trace, n_traces},
-                           {plan, n_traces}, nullptr, fault_seed, golden);
-}
-
-AccuracyResult evaluate_accuracy_multi(const Platform& platform,
-                                       const data::Dataset& dataset,
-                                       std::size_t n_images,
-                                       const std::vector<accel::VoltageTrace>& traces,
-                                       std::uint64_t fault_seed,
-                                       const std::vector<accel::OverlayPlan>* plans,
-                                       const GoldenStore* golden) {
-    expects(plans == nullptr || plans->size() == traces.size(),
-            "evaluate_accuracy: one overlay plan per trace");
-
-    // Overlay plans depend only on (trace, schedule): build each once here
-    // rather than re-scanning the trace inside every per-image inference.
-    std::vector<accel::OverlayPlan> local_plans;
-    if (plans == nullptr) {
-        local_plans.reserve(traces.size());
-        for (const accel::VoltageTrace& t : traces) {
-            local_plans.push_back(platform.engine().plan_overlay(&t));
-        }
-        plans = &local_plans;
-    }
-    return evaluate_images(platform, dataset, n_images, traces, *plans, nullptr,
-                           fault_seed, golden);
-}
-
 std::vector<RepeatedInferenceStats> simulate_repeated_inferences(
     const Platform& platform, attack::AttackController& controller,
     std::size_t n_inferences) {
@@ -289,27 +246,6 @@ std::vector<RepeatedInferenceStats> simulate_repeated_inferences(
         stats.push_back(std::move(entry));
     }
     return stats;
-}
-
-AccuracyResult evaluate_accuracy_defended(const Platform& platform,
-                                          const data::Dataset& dataset,
-                                          std::size_t n_images,
-                                          const accel::VoltageTrace& trace,
-                                          const std::vector<bool>& throttle,
-                                          std::uint64_t fault_seed,
-                                          const accel::OverlayPlan* plan,
-                                          const GoldenStore* golden) {
-
-    // The throttle suppresses fault evaluation inside windows but never
-    // adds windows, so the golden elision tiers stay valid: a throttled op
-    // draws no RNG, exactly as in a whole-segment per-op walk.
-    accel::OverlayPlan local_plan;
-    if (plan == nullptr) {
-        local_plan = platform.engine().plan_overlay(&trace);
-        plan = &local_plan;
-    }
-    return evaluate_images(platform, dataset, n_images, {&trace, 1}, {plan, 1},
-                           &throttle, fault_seed, golden);
 }
 
 DspRigResult run_dsp_characterization(std::size_t n_striker_cells,

@@ -1,9 +1,14 @@
 // Experiment-level helpers shared by benches, examples and integration
 // tests: profiling runs, guided/blind attack campaigns, and the DSP
 // characterization rig of Fig. 6.
+//
+// An attack's electrical trace enters evaluation only through its overlay
+// plan (AccelEngine::plan_overlay): a caller co-simulates a trace, plans
+// it once, and evaluate_accuracy scores any number of images on the plan.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "attack/profiler.hpp"
@@ -70,46 +75,23 @@ struct AccuracyResult {
     accel::FaultCounts faults; // summed over all evaluated images
 };
 
-/// Evaluates test accuracy of the accelerator under a fixed voltage trace
-/// (pass nullptr for the clean baseline). Uses the first `n_images` of the
-/// dataset; fault randomness is seeded per-image from `fault_seed`.
-/// `plan` optionally supplies the precomputed fault overlay for `trace`;
-/// when omitted it is computed once here (not once per image).
+/// Evaluates test accuracy of the accelerator on the first `n_images` of
+/// the dataset. Image i runs on plans[i % plans.size()], the overlay plan
+/// of its attack trace; no plans is the clean run. Fault randomness is
+/// seeded per image from `fault_seed`. `throttle`, when given, is a
+/// per-cycle throttle mask (defense::run_monitor) that suppresses DSP
+/// fault evaluation in throttled cycles on every plan.
 /// Every evaluation reads a golden store (sim/golden_cache.hpp): `golden`
-/// passes one that callers scoring many traces on one image set build
+/// passes one that callers scoring many plans on one image set build
 /// once; when it is null, one is built here for the evaluated images.
 /// Results are byte-identical either way. A passed store must cover all
 /// evaluated images (ContractError otherwise).
 AccuracyResult evaluate_accuracy(const Platform& platform, const data::Dataset& dataset,
-                                 std::size_t n_images, const accel::VoltageTrace* trace,
+                                 std::size_t n_images,
+                                 std::span<const accel::OverlayPlan> plans,
                                  std::uint64_t fault_seed,
-                                 const accel::OverlayPlan* plan = nullptr,
+                                 const std::vector<bool>* throttle = nullptr,
                                  const GoldenStore* golden = nullptr);
-
-/// Blind variant: image i uses trace i % traces.size(). `plans`, when
-/// given, must hold one overlay per trace (same indexing); otherwise the
-/// plans are computed once per trace before the parallel sweep.
-AccuracyResult evaluate_accuracy_multi(const Platform& platform,
-                                       const data::Dataset& dataset,
-                                       std::size_t n_images,
-                                       const std::vector<accel::VoltageTrace>& traces,
-                                       std::uint64_t fault_seed,
-                                       const std::vector<accel::OverlayPlan>* plans =
-                                           nullptr,
-                                       const GoldenStore* golden = nullptr);
-
-/// Defended variant: the per-cycle throttle mask (defense::run_monitor)
-/// suppresses DSP fault evaluation in throttled cycles. Shares the same
-/// parallel per-image loop (derive_seed per image, one-time overlay-plan
-/// construction, golden-store elision) as evaluate_accuracy_multi.
-AccuracyResult evaluate_accuracy_defended(const Platform& platform,
-                                          const data::Dataset& dataset,
-                                          std::size_t n_images,
-                                          const accel::VoltageTrace& trace,
-                                          const std::vector<bool>& throttle,
-                                          std::uint64_t fault_seed,
-                                          const accel::OverlayPlan* plan = nullptr,
-                                          const GoldenStore* golden = nullptr);
 
 // --------------------------------------------- repeated inferences
 

@@ -9,8 +9,9 @@
 // optimizer run builds one store for its image set and passes it to every
 // evaluation, and a one-shot accuracy evaluation builds its own.
 //
-// Every accuracy evaluation reads a store through three elision tiers
-// (see sim/experiment.cpp and AccelEngine::run_block):
+// Every accuracy evaluation (sim::evaluate_accuracy, which reads overlay
+// plans, never traces) reads a store through three elision tiers (see
+// sim/experiment.cpp and AccelEngine::run_block):
 //   tier 0, fault-free short-circuit — an image whose overlay plan has no
 //      unsafe window resolves to the cached golden label with zero
 //      faults, skipping inference entirely;

@@ -21,8 +21,8 @@ AccuracyResult evaluate_bits_attack(const Platform& platform,
     attack::AttackController controller(detector, scheme_bits);
     GuidedSource source(controller);
     const CosimResult cosim = platform.simulate_inference(source, CosimRecord::Captures);
-    return evaluate_accuracy(platform, test_set, n_images, &cosim.capture_v,
-                             fault_seed);
+    const accel::OverlayPlan plan = platform.engine().plan_overlay(&cosim.capture_v);
+    return evaluate_accuracy(platform, test_set, n_images, {&plan, 1}, fault_seed);
 }
 
 namespace {
@@ -55,9 +55,8 @@ OptimizedPlan optimize_strike_allocation(const Platform& platform,
     // weights; one golden store covers the clean baseline and all pilots.
     const std::shared_ptr<const GoldenStore> golden = build_golden_store(
         platform.engine().network(), test_set, config.pilot_images);
-    const AccuracyResult clean =
-        evaluate_accuracy(platform, test_set, config.pilot_images, nullptr,
-                          config.fault_seed, nullptr, golden.get());
+    const AccuracyResult clean = evaluate_accuracy(
+        platform, test_set, config.pilot_images, {}, config.fault_seed, nullptr, golden.get());
     plan.pilot_clean = clean.accuracy;
 
     // Pilot: estimate per-strike damage for every segment.
@@ -78,8 +77,9 @@ OptimizedPlan optimize_strike_allocation(const Platform& platform,
             attack::plan_attack(seg, profiling.trigger_sample, spc, pilot_n);
         const accel::VoltageTrace trace =
             guided_attack_trace(platform, config.detector, scheme);
+        const accel::OverlayPlan pilot = platform.engine().plan_overlay(&trace);
         const AccuracyResult res =
-            evaluate_accuracy(platform, test_set, config.pilot_images, &trace,
+            evaluate_accuracy(platform, test_set, config.pilot_images, {&pilot, 1},
                               config.fault_seed, nullptr, golden.get());
         alloc.pilot_drop_per_strike =
             std::max(0.0, clean.accuracy - res.accuracy) /

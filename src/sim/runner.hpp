@@ -88,12 +88,15 @@ struct RunManifest {
 /// A co-simulated trace together with its precomputed fault-overlay
 /// plan (AccelEngine::plan_overlay): the complete per-attack-configuration
 /// precomputation, shared across every image of a campaign point.
+/// Evaluation reads only the plan. The trace field is kept only for
+/// bench/e2e/ds_e2e.cpp, whose overlay-planning row re-plans it.
 struct GuidedTraceBundle {
     accel::VoltageTrace trace;
     accel::OverlayPlan plan;
 };
 
-/// Blind-baseline equivalent; `plans` is indexed like `traces`.
+/// Blind-baseline equivalent; `plans` is indexed like `traces`, which,
+/// like GuidedTraceBundle::trace, only bench/e2e/ds_e2e.cpp reads.
 struct BlindTraceBundle {
     std::vector<accel::VoltageTrace> traces;
     std::vector<accel::OverlayPlan> plans;

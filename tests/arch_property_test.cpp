@@ -144,9 +144,10 @@ TEST_P(RandomArchTest, FaultsStayInsideTheStruckLayer) {
     const accel::RunResult run =
         run_engine(engine, deepstrike::testing::random_qimage(7), &trace, rng);
     EXPECT_GT(run.faults_total.total(), 0u);
-    for (const auto& lf : run.faults_by_layer) {
-        if (lf.label != net.layers[target].label) {
-            EXPECT_EQ(lf.counts.total(), 0u) << lf.label;
+    ASSERT_EQ(run.faults_by_layer.size(), net.layers.size());
+    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+        if (i != target) {
+            EXPECT_EQ(run.faults_by_layer[i].total(), 0u) << net.layers[i].label;
         }
     }
 }

@@ -171,8 +171,9 @@ TEST(Campaign, BlindPointsReplayOnlyTheOffsetsImagesRead) {
         EXPECT_EQ(p.blind_offsets, 5u);
         const std::vector<accel::VoltageTrace> all = blind_attack_traces(
             platform, p.scheme, cfg.blind_offsets, cfg.blind_offset_seed);
-        const AccuracyResult want = evaluate_accuracy_multi(
-            platform, ds.test, plan.eval_images, all, cfg.fault_seed);
+        const AccuracyResult want =
+            evaluate_accuracy(platform, ds.test, plan.eval_images,
+                              testing::plans_of(platform.engine(), all), cfg.fault_seed);
         const Json got =
             evaluate_campaign_record(platform, ds.test, plan, runner, nullptr, i + 1);
         EXPECT_EQ(got.at("accuracy_bits").as_string(), double_bits_hex(want.accuracy));

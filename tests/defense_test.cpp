@@ -138,10 +138,11 @@ TEST(Defense, DetectsGuidedAttackAndRestoresCorrectness) {
 
     // Faults with and without the throttle mask.
     auto ds = data::make_datasets(3, 1, 20);
+    const accel::OverlayPlan plan = platform.engine().plan_overlay(&cosim.capture_v);
     const sim::AccuracyResult undefended =
-        sim::evaluate_accuracy(platform, ds.test, 20, &cosim.capture_v, 9);
-    const sim::AccuracyResult defended = sim::evaluate_accuracy_defended(
-        platform, ds.test, 20, cosim.capture_v, out.throttle, 9);
+        sim::evaluate_accuracy(platform, ds.test, 20, {&plan, 1}, 9);
+    const sim::AccuracyResult defended =
+        sim::evaluate_accuracy(platform, ds.test, 20, {&plan, 1}, 9, &out.throttle);
 
     EXPECT_GT(undefended.faults.total(), 0u);
     EXPECT_LT(defended.faults.total(), undefended.faults.total() / 5);

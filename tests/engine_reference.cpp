@@ -271,7 +271,6 @@ accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& 
 
     accel::RunResult result;
     result.faults_by_layer.reserve(network.layers.size());
-    result.layer_index.reserve(network.layers.size());
 
     QTensor x = image;
     for (std::size_t i = 0; i < network.layers.size(); ++i) {
@@ -300,8 +299,7 @@ accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& 
                 break;
         }
         result.faults_total += counts;
-        result.layer_index.emplace(layer.label, result.faults_by_layer.size());
-        result.faults_by_layer.push_back({layer.label, counts});
+        result.faults_by_layer.push_back(counts);
     }
 
     result.logits = std::move(x);

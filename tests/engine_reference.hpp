@@ -1,5 +1,5 @@
-// Whole-segment per-op oracle for accel::AccelEngine::run_elided
-// (test-only).
+// Whole-segment per-op oracle for accel::AccelEngine::run_block, run on
+// one image at a time (test-only).
 //
 // The original (pre-overlay) execution path of the accelerator fault
 // model, written against AccelEngine's public accessors: it gates
@@ -23,8 +23,8 @@
 namespace deepstrike::testing {
 
 /// Same logits, prediction, per-layer fault counts and fault-RNG stream
-/// (stream_equal) as engine.run_elided on the image's golden pass
-/// (testing::run_engine).
+/// (stream_equal) as engine.run_block on a block of this one image, from
+/// its golden pass (testing::run_engine).
 accel::RunResult run_reference(const accel::AccelEngine& engine, const QTensor& image,
                                const accel::VoltageTrace* voltage, Rng& fault_rng,
                                const std::vector<bool>* throttle = nullptr);

@@ -7,9 +7,11 @@
 namespace deepstrike::accel {
 namespace {
 
+using deepstrike::testing::layer_faults;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::run_engine;
+using deepstrike::testing::run_one;
 
 AccelEngine make_engine(std::uint64_t weight_seed = 1, std::uint64_t board_seed = 2021) {
     return AccelEngine(random_qnetwork(weight_seed), AccelConfig::pynq_z1(), board_seed);
@@ -71,9 +73,9 @@ TEST(Engine, GlitchedSegmentProducesFaultsThereOnly) {
     const RunResult run = run_engine(engine, random_qimage(9), &trace, rng);
 
     EXPECT_GT(run.faults_total.total(), 0u);
-    EXPECT_GT(run.faults_for("CONV2").total(), 0u);
-    EXPECT_EQ(run.faults_for("CONV1").total(), 0u);
-    EXPECT_EQ(run.faults_for("FC1").total(), 0u);
+    EXPECT_GT(layer_faults(engine.network(), run, "CONV2").total(), 0u);
+    EXPECT_EQ(layer_faults(engine.network(), run, "CONV1").total(), 0u);
+    EXPECT_EQ(layer_faults(engine.network(), run, "FC1").total(), 0u);
 }
 
 TEST(Engine, FaultsIncreaseWithDroopDepth) {
@@ -187,9 +189,7 @@ TEST(Engine, RejectsWrongInputShape) {
     const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
     const OverlayPlan plan = engine.plan_overlay(nullptr);
     QTensor bad(Shape{1, 14, 14});
-    EXPECT_THROW(engine.run_elided(bad, golden.activations, golden.accumulators, nullptr,
-                                   rng, plan),
-                 ContractError);
+    EXPECT_THROW(run_one(engine, bad, golden, rng, plan), ContractError);
 }
 
 TEST(Engine, SameBoardSeedSameSliceVariation) {

@@ -445,7 +445,7 @@ TEST(Gemm, UncachedEvaluationMatchesOracleAcrossImageCounts) {
                 simd::set_mode(mode);
                 set_global_thread_count(threads);
                 const sim::AccuracyResult got =
-                    sim::evaluate_accuracy(platform, ds.test, n, nullptr, 5);
+                    sim::evaluate_accuracy(platform, ds.test, n, {}, 5);
                 EXPECT_EQ(got.accuracy, want)
                     << simd::mode_name(mode) << " images=" << n << " threads=" << threads;
                 EXPECT_EQ(got.images, n);

@@ -1,7 +1,7 @@
 // Golden evaluation store: the network/dataset fingerprints the journals
 // key on, and the elision equivalence property — the golden-elided engine
-// path (AccelEngine::run_block, and run_elided, its block of one image)
-// and every accuracy evaluation built on it must be byte-identical to the
+// path (AccelEngine::run_block, on blocks of one image and more) and the
+// accuracy evaluation built on it must be byte-identical to the
 // whole-segment per-op oracle (tests/engine_reference.cpp) for any voltage
 // trace, at any thread count, including the fault RNG stream (elision
 // never draws; the RNG is only consumed inside unsafe windows, which run
@@ -31,8 +31,10 @@ using deepstrike::testing::expect_same_run;
 using deepstrike::testing::expect_same_tensor;
 using deepstrike::testing::expect_same_trace;
 using deepstrike::testing::naive_trace;
+using deepstrike::testing::plans_of;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::run_one;
 using deepstrike::testing::run_reference;
 using deepstrike::testing::SimdGuard;
 
@@ -184,7 +186,7 @@ TEST(GoldenFingerprint, SensitiveToWeightsAndDataset) {
     EXPECT_NE(dataset_fingerprint(ds1.test), dataset_fingerprint(ds2.test));
 }
 
-TEST(RunElided, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
+TEST(OneImageBlock, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
     const accel::AccelEngine engine = make_engine();
     const accel::VoltageTrace trace = nominal_trace(engine);
     const accel::OverlayPlan plan = engine.plan_overlay(&trace);
@@ -193,15 +195,14 @@ TEST(RunElided, NominalTraceReusesEveryLayerAndDrawsNoRandomness) {
 
     Rng rng(7);
     const auto before = rng.state();
-    const accel::RunResult run =
-        engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng, plan);
+    const accel::RunResult run = run_one(engine, img, fwd, rng, plan);
     EXPECT_EQ(run.golden_layers_reused, engine.network().layers.size());
     EXPECT_EQ(run.faults_total.total(), 0u);
     ASSERT_TRUE(run.logits == fwd.activations.back());
     EXPECT_EQ(rng.state(), before); // stream untouched on the all-safe path
 }
 
-TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
+TEST(OneImageBlock, MatchesOracleOnRandomTracesIncludingRngStream) {
     const accel::AccelEngine engine = make_engine();
     Rng trace_rng(7);
     bool any_fault = false;
@@ -214,8 +215,7 @@ TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
             engine.network().forward_trace(img);
         Rng rng_elided(42 + trial);
         Rng rng_ref(42 + trial);
-        const accel::RunResult elided = engine.run_elided(
-            img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan);
+        const accel::RunResult elided = run_one(engine, img, fwd, rng_elided, plan);
         const accel::RunResult ref = run_reference(engine, img, &trace, rng_ref);
         expect_same_run(elided, ref);
         EXPECT_TRUE(stream_equal(rng_elided, rng_ref)) << "trial " << trial;
@@ -225,7 +225,7 @@ TEST(RunElided, MatchesRunOnRandomTracesIncludingRngStream) {
     EXPECT_TRUE(any_fault);
 }
 
-TEST(RunElided, MatchesRunWithThrottleMask) {
+TEST(OneImageBlock, MatchesOracleWithThrottleMask) {
     const accel::AccelEngine engine = make_engine();
     Rng trace_rng(23);
     Rng mask_rng(29);
@@ -241,8 +241,8 @@ TEST(RunElided, MatchesRunWithThrottleMask) {
             engine.network().forward_trace(img);
         Rng rng_elided(3 + trial);
         Rng rng_ref(3 + trial);
-        const accel::RunResult elided = engine.run_elided(
-            img, fwd.activations, fwd.accumulators, &trace, rng_elided, plan, &throttle);
+        const accel::RunResult elided =
+            run_one(engine, img, fwd, rng_elided, plan, &throttle);
         const accel::RunResult ref =
             run_reference(engine, img, &trace, rng_ref, &throttle);
         expect_same_run(elided, ref);
@@ -251,8 +251,8 @@ TEST(RunElided, MatchesRunWithThrottleMask) {
 }
 
 // A Conv/Dense accumulator array that does not cover its layer's output
-// is a caller bug: run_elided rejects it before reading any of it.
-TEST(RunElided, ShortAccumulatorVectorThrows) {
+// is a caller bug: run_block rejects it before reading any of it.
+TEST(OneImageBlock, ShortAccumulatorVectorThrows) {
     const accel::AccelEngine engine = make_engine();
     Rng trace_rng(5);
     const accel::VoltageTrace trace = random_glitch_trace(engine, trace_rng, 4);
@@ -262,13 +262,9 @@ TEST(RunElided, ShortAccumulatorVectorThrows) {
     ASSERT_EQ(engine.network().layers[0].kind, quant::QLayerKind::Conv);
     fwd.accumulators[0].pop_back();
     Rng rng(3);
-    EXPECT_THROW(engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng,
-                                   plan),
-                 ContractError);
+    EXPECT_THROW(run_one(engine, img, fwd, rng, plan), ContractError);
     fwd.accumulators[0].clear();
-    EXPECT_THROW(engine.run_elided(img, fwd.activations, fwd.accumulators, &trace, rng,
-                                   plan),
-                 ContractError);
+    EXPECT_THROW(run_one(engine, img, fwd, rng, plan), ContractError);
 }
 
 void expect_results_equal(const AccuracyResult& a, const AccuracyResult& b) {
@@ -301,10 +297,10 @@ AccuracyResult reference_accuracy(const Platform& platform, const data::Dataset&
     return result;
 }
 
-// Every evaluation entry point must match the per-op oracle on every zoo
-// victim (random-init weights), for random glitch traces mixed with a
-// nominal one and under a random throttle mask, with and without a passed
-// golden store, at thread counts 1 and 8.
+// Evaluation must match the per-op oracle on every zoo victim (random-init
+// weights), for random glitch traces mixed with a nominal one and under a
+// random throttle mask, with and without a passed golden store, at thread
+// counts 1 and 8.
 TEST(GoldenCacheEval, CachedMatchesUncachedAcrossThreadCounts) {
     const auto ds = data::make_datasets(9, 1, 40);
     const std::size_t n_images = 24;
@@ -333,6 +329,7 @@ TEST(GoldenCacheEval, CachedMatchesUncachedAcrossThreadCounts) {
         const AccuracyResult want_defended = reference_accuracy(
             platform, ds.test, n_images, {traces[0]}, 2468, &throttle);
         EXPECT_GT(want.faults.total(), 0u); // the equivalence is not vacuous
+        const std::vector<accel::OverlayPlan> plans = plans_of(platform.engine(), traces);
 
         const auto golden =
             build_golden_store(platform.engine().network(), ds.test, n_images);
@@ -340,13 +337,12 @@ TEST(GoldenCacheEval, CachedMatchesUncachedAcrossThreadCounts) {
         for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
             set_global_thread_count(threads);
             for (const GoldenStore* store : stores) {
-                expect_results_equal(evaluate_accuracy_multi(platform, ds.test, n_images,
-                                                             traces, 2468, nullptr, store),
+                expect_results_equal(evaluate_accuracy(platform, ds.test, n_images, plans,
+                                                       2468, nullptr, store),
                                      want);
-                expect_results_equal(
-                    evaluate_accuracy_defended(platform, ds.test, n_images, traces[0],
-                                               throttle, 2468, nullptr, store),
-                    want_defended);
+                expect_results_equal(evaluate_accuracy(platform, ds.test, n_images,
+                                                       {&plans[0], 1}, 2468, &throttle, store),
+                                     want_defended);
             }
         }
         set_global_thread_count(0);
@@ -359,8 +355,7 @@ TEST(GoldenCacheEval, StoreNotCoveringTheImagesThrows) {
     Platform platform(PlatformConfig{}, random_qnetwork(61));
     const auto ds = data::make_datasets(9, 1, 20);
     const auto short_store = build_golden_store(platform.engine().network(), ds.test, 5);
-    EXPECT_THROW(evaluate_accuracy(platform, ds.test, 8, nullptr, 2468, nullptr,
-                                   short_store.get()),
+    EXPECT_THROW(evaluate_accuracy(platform, ds.test, 8, {}, 2468, nullptr, short_store.get()),
                  ContractError);
 
     CampaignConfig cfg;
@@ -392,15 +387,15 @@ AccuracyResult oracle_accuracy(const std::vector<accel::RunResult>& runs,
     return result;
 }
 
-// Evaluation runs the images of each trace in blocks of up to
+// Evaluation runs the images of each trace's plan in blocks of up to
 // accel::kWalkLanes whose fault streams the engine draws in lock-step:
 // image i on trace i % n and stream derive_seed(seed, i). For image counts
 // that leave full and partial blocks (1, 7, 8, 9, 17, 40) over 1, 3 and 24
 // traces (24 leaves blocks of one and two), at threads 1, 4 and 8 on both
 // SIMD twins, the evaluation equals the per-op oracle run on each image
-// alone, with and without a throttle mask; and each image's run in the
-// block evaluation gives it equals the oracle's, logits, per-layer counts
-// and end stream included.
+// alone, with and without a throttle mask that applies to every trace; and
+// each image's run in the block evaluation gives it equals the oracle's,
+// logits, per-layer counts and end stream included.
 TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
     const Platform platform(PlatformConfig{}, random_qnetwork(61));
     const accel::AccelEngine& engine = platform.engine();
@@ -416,12 +411,11 @@ TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
         SCOPED_TRACE(std::to_string(n_traces) + " traces");
         Rng trace_rng(17 + n_traces);
         std::vector<accel::VoltageTrace> traces;
-        std::vector<accel::OverlayPlan> plans;
         for (std::size_t t = 0; t < n_traces; ++t) {
             traces.push_back(t % 5 == 4 ? nominal_trace(engine)
                                         : random_glitch_trace(engine, trace_rng, 3 + t % 4));
-            plans.push_back(engine.plan_overlay(&traces.back()));
         }
+        const std::vector<accel::OverlayPlan> plans = plans_of(engine, traces);
         // The oracle: each image alone on its own stream.
         std::vector<accel::RunResult> want;
         std::vector<Rng> want_rngs;
@@ -431,17 +425,19 @@ TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
             want.push_back(run_reference(engine, golden->entries[i].qimage,
                                          &traces[i % n_traces], rng));
             want_rngs.push_back(rng);
-            if (n_traces == 1) {
-                Rng throttled_rng(derive_seed(seed, i));
-                want_throttled.push_back(run_reference(engine, golden->entries[i].qimage,
-                                                       &traces[0], throttled_rng, &throttle));
-            }
+            Rng throttled_rng(derive_seed(seed, i));
+            want_throttled.push_back(run_reference(engine, golden->entries[i].qimage,
+                                                   &traces[i % n_traces], throttled_rng,
+                                                   &throttle));
         }
         std::size_t faulted_images = 0;
-        for (const accel::RunResult& run : want) {
-            faulted_images += run.faults_total.total() > 0 ? 1 : 0;
+        std::size_t throttled_faults = 0;
+        for (std::size_t i = 0; i < max_images; ++i) {
+            faulted_images += want[i].faults_total.total() > 0 ? 1 : 0;
+            throttled_faults += want_throttled[i].faults_total.total();
         }
         EXPECT_GT(faulted_images, max_images / 2); // not vacuous
+        EXPECT_GT(throttled_faults, 0u);            // the mask leaves faults to count
 
         for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
             SCOPED_TRACE(simd::mode_name(mode));
@@ -462,7 +458,7 @@ TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
                         index.push_back(i);
                     }
                     const std::vector<accel::RunResult> runs =
-                        engine.run_block(passes, &traces[t], rngs, plans[t]);
+                        engine.run_block(passes, rngs, plans[t]);
                     for (std::size_t j = 0; j < runs.size(); ++j) {
                         SCOPED_TRACE("image " + std::to_string(index[j]));
                         expect_same_run(runs[j], want[index[j]]);
@@ -475,15 +471,12 @@ TEST(GoldenCacheEval, BlocksMatchOracleAcrossImagesTracesThreadsAndTwins) {
                 for (const std::size_t n : {1, 7, 8, 9, 17, 40}) {
                     SCOPED_TRACE(std::to_string(n) + " images, " + std::to_string(threads) +
                                  " threads");
-                    expect_results_equal(evaluate_accuracy_multi(platform, ds.test, n, traces,
-                                                                 seed, &plans, golden.get()),
+                    expect_results_equal(evaluate_accuracy(platform, ds.test, n, plans, seed,
+                                                           nullptr, golden.get()),
                                          oracle_accuracy(want, ds.test, n));
-                    if (n_traces == 1) {
-                        expect_results_equal(
-                            evaluate_accuracy_defended(platform, ds.test, n, traces[0], throttle,
-                                                       seed, &plans[0], golden.get()),
-                            oracle_accuracy(want_throttled, ds.test, n));
-                    }
+                    expect_results_equal(evaluate_accuracy(platform, ds.test, n, plans, seed,
+                                                           &throttle, golden.get()),
+                                         oracle_accuracy(want_throttled, ds.test, n));
                 }
             }
         }

@@ -74,7 +74,8 @@ TEST_F(IntegrationTest, GuidedAttackFaultsOnlyTheTargetLayer) {
     const QTensor img = quant::quantize_image(dataset_->images[0]);
     const accel::RunResult run = run_engine(platform_->engine(), img, &trace, rng);
     EXPECT_GT(run.faults_total.total(), 0u);
-    EXPECT_EQ(run.faults_total.total(), run.faults_for("CONV2").total());
+    EXPECT_EQ(run.faults_total.total(),
+              testing::layer_faults(platform_->engine().network(), run, "CONV2").total());
 }
 
 TEST_F(IntegrationTest, GuidedBeatsBlindAtEqualIntensity) {
@@ -92,10 +93,11 @@ TEST_F(IntegrationTest, GuidedBeatsBlindAtEqualIntensity) {
         platform_->engine().schedule().total_cycles / strikes - 1;
     const auto blind = sim::blind_attack_traces(*platform_, blind_scheme, 6, 11);
 
+    const accel::OverlayPlan guided_plan = platform_->engine().plan_overlay(&guided);
     const sim::AccuracyResult g =
-        sim::evaluate_accuracy(*platform_, *dataset_, 40, &guided, 3);
-    const sim::AccuracyResult b =
-        sim::evaluate_accuracy_multi(*platform_, *dataset_, 40, blind, 3);
+        sim::evaluate_accuracy(*platform_, *dataset_, 40, {&guided_plan, 1}, 3);
+    const sim::AccuracyResult b = sim::evaluate_accuracy(
+        *platform_, *dataset_, 40, testing::plans_of(platform_->engine(), blind), 3);
 
     // The guided attack concentrates its faults in the most vulnerable
     // layer; it must inject strictly more conv faults than the blind one.
@@ -146,10 +148,10 @@ TEST_F(IntegrationTest, PoolAttackIsHarmless) {
         *platform_, {},
         attack::plan_attack(pool, profiling_->trigger_sample, 2.0, strikes));
 
+    const accel::OverlayPlan plan = platform_->engine().plan_overlay(&trace);
     const sim::AccuracyResult attacked =
-        sim::evaluate_accuracy(*platform_, *dataset_, 40, &trace, 3);
-    const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(*platform_, *dataset_, 40, nullptr, 3);
+        sim::evaluate_accuracy(*platform_, *dataset_, 40, {&plan, 1}, 3);
+    const sim::AccuracyResult clean = sim::evaluate_accuracy(*platform_, *dataset_, 40, {}, 3);
     EXPECT_EQ(attacked.faults.total(), 0u);
     EXPECT_DOUBLE_EQ(attacked.accuracy, clean.accuracy);
 }

@@ -1,6 +1,6 @@
 // Randomized-property tests for the interval-gated fault overlay: the
-// engine's inference path (AccelEngine::run_elided from the image's golden
-// pass, testing::run_engine, and AccelEngine::run_block for blocks of
+// engine's inference path (AccelEngine::run_block from the images' golden
+// passes, on one image through testing::run_engine and on blocks of
 // images that share a trace) must be byte-identical to the whole-segment
 // per-op oracle (run_reference, tests/engine_reference.cpp) — same logits,
 // same prediction, same fault counts — for any voltage trace, because
@@ -28,6 +28,7 @@ namespace {
 
 using deepstrike::testing::bits_of;
 using deepstrike::testing::expect_same_run;
+using deepstrike::testing::layer_faults;
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::run_engine;
@@ -104,12 +105,11 @@ TEST(Overlay, PlanCoversAllLayersAndNominalTraceIsEmpty) {
     const VoltageTrace trace = nominal_trace(engine);
     const OverlayPlan plan = engine.plan_overlay(&trace);
     ASSERT_EQ(plan.layers.size(), engine.network().layers.size());
-    EXPECT_EQ(plan.trace_samples, trace.size());
     for (const SegmentOverlay& layer : plan.layers) EXPECT_FALSE(layer.any());
 
     const OverlayPlan none = engine.plan_overlay(nullptr);
-    EXPECT_EQ(none.trace_samples, 0u);
     ASSERT_EQ(none.layers.size(), engine.network().layers.size());
+    for (const SegmentOverlay& layer : none.layers) EXPECT_FALSE(layer.any());
 }
 
 /// Checks every overlay's factors against the delay model at the trace's
@@ -239,7 +239,7 @@ TEST(Overlay, GatedRunMatchesReferenceOnTraceEndingInPool) {
             const RunResult fast = run_engine(engine, img, &trace, rng_fast);
             expect_same_run(fast, run_reference(engine, img, &trace, rng_ref));
             EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << depth << " trial " << trial;
-            pool_faults += fast.faults_for("POOL1").total();
+            pool_faults += fast.faults_by_layer[pool.layer_index].total();
         }
     }
     EXPECT_GT(pool_faults, 0u);
@@ -327,21 +327,6 @@ TEST(Overlay, BoundaryStraddlingWindowMatchesReference) {
     }
 }
 
-TEST(Overlay, FaultsForUsesLayerIndex) {
-    const AccelEngine engine = make_engine();
-    Rng trace_rng(53);
-    const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 6);
-    Rng rng(77);
-    const RunResult run = run_engine(engine, random_qimage(1500), &trace, rng);
-    ASSERT_EQ(run.layer_index.size(), run.faults_by_layer.size());
-    for (const RunResult::LayerFaults& lf : run.faults_by_layer) {
-        const FaultCounts counts = run.faults_for(lf.label);
-        EXPECT_EQ(counts.duplication, lf.counts.duplication);
-        EXPECT_EQ(counts.random, lf.counts.random);
-    }
-    EXPECT_EQ(run.faults_for("NO_SUCH_LAYER").total(), 0u);
-}
-
 // The fault walk maps each faulted op index to its output element, input
 // and weight with 32-bit reciprocals (DivideU32), not per-fault division.
 // At the largest op index of every conv and dense layer of every zoo
@@ -402,7 +387,7 @@ TEST(Overlay, LargestOpIndexOfEveryZooLayerMatchesReference) {
                 expect_same_run(fast, run_reference(engine, img, &trace, rng_ref));
                 EXPECT_TRUE(stream_equal(rng_fast, rng_ref)) << what;
                 odd_draws = odd_draws || holds_pending_deviate(rng_fast);
-                faults += fast.faults_for(layer.label).total();
+                faults += fast.faults_by_layer[li].total();
             }
             EXPECT_GT(faults, 0u) << what; // the droop reaches the last ops
         }
@@ -444,7 +429,7 @@ VoltageTrace layered_glitch_trace(const AccelEngine& engine, Rng& rng, std::size
 struct BlockCoverage {
     std::size_t lanes = 0;
     std::size_t odd_ends = 0;     // streams left holding a pending deviate
-    std::size_t lone_runs = 0;    // blocks of one, through run_elided
+    std::size_t lone_runs = 0;    // blocks of one
     std::size_t lone_odd_ends = 0;
     std::size_t lanes_apart = 0;  // blocks whose lanes drew different payload counts
     FaultCounts faults;
@@ -452,9 +437,9 @@ struct BlockCoverage {
 };
 
 /// Runs one image per stream of `rngs` (images image_seed, image_seed + 1,
-/// ...) as one block on `trace` (run_elided for a block of one), and each
-/// image alone through the per-op oracle on a copy of its stream: the same
-/// logits, prediction and per-layer counts, and stream_equal end streams.
+/// ...) as one block on `trace`, and each image alone through the per-op
+/// oracle on a copy of its stream: the same logits, prediction and
+/// per-layer counts, and stream_equal end streams.
 void expect_block_matches_oracle(const AccelEngine& engine, const VoltageTrace& trace,
                                  std::vector<Rng> rngs, std::uint64_t image_seed,
                                  const std::vector<bool>* throttle, BlockCoverage& seen) {
@@ -472,14 +457,7 @@ void expect_block_matches_oracle(const AccelEngine& engine, const VoltageTrace& 
                           &golden.back().accumulators});
     }
     std::vector<Rng> oracle_rngs = rngs;
-    std::vector<RunResult> runs;
-    if (n == 1) {
-        runs.push_back(engine.run_elided(images[0], golden[0].activations,
-                                         golden[0].accumulators, &trace, rngs[0], plan,
-                                         throttle));
-    } else {
-        runs = engine.run_block(passes, &trace, rngs, plan, throttle);
-    }
+    const std::vector<RunResult> runs = engine.run_block(passes, rngs, plan, throttle);
     ASSERT_EQ(runs.size(), n);
     std::size_t min_random = ~std::size_t{0};
     std::size_t max_random = 0;
@@ -493,7 +471,7 @@ void expect_block_matches_oracle(const AccelEngine& engine, const VoltageTrace& 
         seen.lone_runs += n == 1 ? 1 : 0;
         seen.lone_odd_ends += n == 1 && odd ? 1 : 0;
         seen.faults += runs[j].faults_total;
-        seen.pool_faults += runs[j].faults_for("POOL1").total();
+        seen.pool_faults += layer_faults(engine.network(), runs[j], "POOL1").total();
         min_random = std::min(min_random, runs[j].faults_total.random);
         max_random = std::max(max_random, runs[j].faults_total.random);
     }
@@ -505,7 +483,7 @@ void expect_block_matches_oracle(const AccelEngine& engine, const VoltageTrace& 
 // them ending mid-pool, with and without a throttle mask, TMR on and off,
 // blocks of 1 to kWalkLanes images, on both SIMD twins. With the default 8
 // conv DSPs every drawing cycle takes an even number of deviates; 6 DSPs
-// give CONV1 9 ops per cycle, so walks, run_elided's among them, also end
+// give CONV1 9 ops per cycle, so walks, blocks of one among them, also end
 // mid-pair.
 TEST(Overlay, BlockMatchesOracleLaneByLane) {
     const std::size_t block_sizes[] = {1, 3, 7, kWalkLanes, 2, 8};
@@ -619,15 +597,33 @@ TEST(Overlay, BlockRejectsMismatchedStreams) {
     const std::vector<GoldenPass> passes(2, pass);
     std::vector<Rng> rngs = {Rng(1), Rng(2)};
     rngs[1].normal(); // one deviate of its pair still pending
-    EXPECT_THROW(engine.run_block(passes, &trace, rngs, plan), ContractError);
+    EXPECT_THROW(engine.run_block(passes, rngs, plan), ContractError);
     rngs[0].normal();
-    EXPECT_NO_THROW(engine.run_block(passes, &trace, rngs, plan));
-    EXPECT_THROW(engine.run_block(passes, &trace, std::span<Rng>(rngs.data(), 1), plan),
+    EXPECT_NO_THROW(engine.run_block(passes, rngs, plan));
+    EXPECT_THROW(engine.run_block(passes, std::span<Rng>(rngs.data(), 1), plan),
                  ContractError);
     const std::vector<GoldenPass> too_many(kWalkLanes + 1, pass);
     std::vector<Rng> many(kWalkLanes + 1);
-    EXPECT_THROW(engine.run_block(too_many, &trace, many, plan), ContractError);
-    EXPECT_THROW(engine.run_block({}, &trace, {}, plan), ContractError);
+    EXPECT_THROW(engine.run_block(too_many, many, plan), ContractError);
+    EXPECT_THROW(engine.run_block({}, {}, plan), ContractError);
+}
+
+// A plan is indexed like the network's layers; one with an entry missing
+// or left over (say, a plan built by an engine of another network) is a
+// caller bug.
+TEST(Overlay, BlockRejectsPlanWithoutOneEntryPerLayer) {
+    const AccelEngine engine = make_engine();
+    Rng trace_rng(19);
+    const VoltageTrace trace = random_glitch_trace(engine, trace_rng, 4);
+    const QTensor img = random_qimage(6);
+    const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(img);
+    const GoldenPass pass{&img, &golden.activations, &golden.accumulators};
+    Rng rng(3);
+    OverlayPlan plan = engine.plan_overlay(&trace);
+    plan.layers.pop_back();
+    EXPECT_THROW(engine.run_block({&pass, 1}, {&rng, 1}, plan), ContractError);
+    plan.layers.resize(engine.network().layers.size() + 1);
+    EXPECT_THROW(engine.run_block({&pass, 1}, {&rng, 1}, plan), ContractError);
 }
 
 } // namespace

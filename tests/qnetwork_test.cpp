@@ -18,6 +18,7 @@ namespace {
 using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qtensor;
 using deepstrike::testing::random_qnetwork;
+using deepstrike::testing::layer_faults;
 using deepstrike::testing::run_engine;
 
 TEST(QLayer, ShapesAndOpCounts) {
@@ -259,10 +260,10 @@ TEST(GenericEngine, MiniCnnFaultAttributionByLabel) {
     Rng fault_rng(1);
     const accel::RunResult run =
         run_engine(engine, random_qimage(15), &trace, fault_rng);
-    EXPECT_GT(run.faults_for("CONV2").total(), 0u);
-    EXPECT_EQ(run.faults_for("CONV1").total(), 0u);
-    EXPECT_EQ(run.faults_for("FC1").total(), 0u);
-    EXPECT_EQ(run.faults_total.total(), run.faults_for("CONV2").total());
+    EXPECT_GT(layer_faults(net, run, "CONV2").total(), 0u);
+    EXPECT_EQ(layer_faults(net, run, "CONV1").total(), 0u);
+    EXPECT_EQ(layer_faults(net, run, "FC1").total(), 0u);
+    EXPECT_EQ(run.faults_total.total(), layer_faults(net, run, "CONV2").total());
 }
 
 TEST(GenericEngine, MlpHasNoConvExposure) {

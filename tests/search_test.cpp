@@ -141,6 +141,16 @@ TEST(SearchSpec, ValidateRejectsNonsense) {
     spec = small_spec();
     spec.crossover = 1.5;
     EXPECT_THROW(spec.validate(), ConfigError);
+    // A mutation scale whose mutants cannot be rounded to an index.
+    for (const double f : {std::numeric_limits<double>::infinity(), 1e300, 2.5,
+                           std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+        spec = small_spec();
+        spec.f_scale = f;
+        EXPECT_THROW(spec.validate(), ConfigError) << f;
+    }
+    spec = small_spec();
+    spec.f_scale = 2.0;
+    EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(SearchDriverTest, FindsPlantedOptimum) {

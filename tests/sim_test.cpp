@@ -164,7 +164,7 @@ TEST(BlindAttack, TracesDiffer) {
 TEST(EvaluateAccuracy, CleanMatchesGoldenPredictions) {
     Platform platform = make_platform();
     auto ds = data::make_datasets(5, 1, 30);
-    const AccuracyResult clean = evaluate_accuracy(platform, ds.test, 30, nullptr, 1);
+    const AccuracyResult clean = evaluate_accuracy(platform, ds.test, 30, {}, 1);
     EXPECT_EQ(clean.images, 30u);
     EXPECT_EQ(clean.faults.total(), 0u);
 

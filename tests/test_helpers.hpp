@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/engine.hpp"
@@ -341,15 +342,46 @@ inline QTensor random_qimage(std::uint64_t seed) {
     return img;
 }
 
-/// Runs `image` through the product inference path: the image's golden
-/// pass (QNetwork::forward_trace, what a golden store holds), the overlay
-/// plan of `voltage` (nullptr = nominal), then AccelEngine::run_elided.
+/// AccelEngine::run_block on a block of one image, from the image's
+/// golden pass `golden` (QNetwork::forward_trace, what a golden store
+/// holds) and the overlay plan of its trace.
+inline accel::RunResult run_one(const accel::AccelEngine& engine, const QTensor& image,
+                                const quant::QNetwork::ForwardTrace& golden, Rng& fault_rng,
+                                const accel::OverlayPlan& plan,
+                                const std::vector<bool>* throttle = nullptr) {
+    const accel::GoldenPass pass{&image, &golden.activations, &golden.accumulators};
+    return std::move(engine.run_block({&pass, 1}, {&fault_rng, 1}, plan, throttle).front());
+}
+
+/// Runs `image` through the product inference path: its golden pass, the
+/// overlay plan of `voltage` (nullptr = nominal), then run_one.
 inline accel::RunResult run_engine(const accel::AccelEngine& engine, const QTensor& image,
                                    const accel::VoltageTrace* voltage, Rng& fault_rng,
                                    const std::vector<bool>* throttle = nullptr) {
-    const quant::QNetwork::ForwardTrace golden = engine.network().forward_trace(image);
-    return engine.run_elided(image, golden.activations, golden.accumulators, voltage,
-                             fault_rng, engine.plan_overlay(voltage), throttle);
+    return run_one(engine, image, engine.network().forward_trace(image), fault_rng,
+                   engine.plan_overlay(voltage), throttle);
+}
+
+/// The overlay plan of each trace, in order: what sim::evaluate_accuracy
+/// reads of a set of attack traces.
+inline std::vector<accel::OverlayPlan> plans_of(const accel::AccelEngine& engine,
+                                                const std::vector<accel::VoltageTrace>& traces) {
+    std::vector<accel::OverlayPlan> plans;
+    plans.reserve(traces.size());
+    for (const accel::VoltageTrace& trace : traces) plans.push_back(engine.plan_overlay(&trace));
+    return plans;
+}
+
+/// The faults `run` counted in the layer of `net` labelled `label`
+/// (RunResult::faults_by_layer is indexed like QNetwork::layers).
+inline accel::FaultCounts layer_faults(const quant::QNetwork& net,
+                                       const accel::RunResult& run,
+                                       const std::string& label) {
+    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+        if (net.layers[i].label == label) return run.faults_by_layer.at(i);
+    }
+    ADD_FAILURE() << "no layer labelled " << label;
+    return {};
 }
 
 /// Same logits, prediction and fault counts, in total and per layer.
@@ -364,11 +396,10 @@ inline void expect_same_run(const accel::RunResult& got, const accel::RunResult&
     EXPECT_EQ(got.faults_total.random, want.faults_total.random);
     ASSERT_EQ(got.faults_by_layer.size(), want.faults_by_layer.size());
     for (std::size_t i = 0; i < got.faults_by_layer.size(); ++i) {
-        EXPECT_EQ(got.faults_by_layer[i].label, want.faults_by_layer[i].label);
-        EXPECT_EQ(got.faults_by_layer[i].counts.duplication,
-                  want.faults_by_layer[i].counts.duplication);
-        EXPECT_EQ(got.faults_by_layer[i].counts.random,
-                  want.faults_by_layer[i].counts.random);
+        EXPECT_EQ(got.faults_by_layer[i].duplication, want.faults_by_layer[i].duplication)
+            << "layer " << i;
+        EXPECT_EQ(got.faults_by_layer[i].random, want.faults_by_layer[i].random)
+            << "layer " << i;
     }
 }
 

@@ -302,7 +302,7 @@ int cmd_attack(const std::vector<std::string>& args) {
     const std::size_t images = parser.option_uint("images");
 
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, nullptr, 1);
+        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {}, 1);
 
     attack::AttackScheme scheme;
     const std::string scheme_path = parser.option("scheme");
@@ -329,18 +329,19 @@ int cmd_attack(const std::vector<std::string>& args) {
                                      parser.option_uint("strikes"));
     }
 
-    sim::AccuracyResult attacked;
+    std::vector<accel::OverlayPlan> plans;
     if (parser.flag("blind")) {
-        const auto traces =
-            sim::blind_attack_traces(victim.platform, scheme, 10, 777);
-        attacked = sim::evaluate_accuracy_multi(victim.platform, victim.test_set,
-                                                images, traces, 1);
+        for (const accel::VoltageTrace& trace :
+             sim::blind_attack_traces(victim.platform, scheme, 10, 777)) {
+            plans.push_back(victim.platform.engine().plan_overlay(&trace));
+        }
     } else {
         const accel::VoltageTrace trace = sim::guided_attack_trace(
             victim.platform, attack::DetectorConfig{}, scheme);
-        attacked =
-            sim::evaluate_accuracy(victim.platform, victim.test_set, images, &trace, 1);
+        plans.push_back(victim.platform.engine().plan_overlay(&trace));
     }
+    const sim::AccuracyResult attacked =
+        sim::evaluate_accuracy(victim.platform, victim.test_set, images, plans, 1);
 
     std::printf("mode                : %s\n", parser.flag("blind") ? "blind" : "guided");
     std::printf("strikes             : %zu (delay %zu, gap %zu)\n", scheme.num_strikes,
@@ -623,12 +624,13 @@ int cmd_defend(const std::vector<std::string>& args) {
 
     const defense::DefenseOutcome def = defense::run_monitor(
         cosim.tdc_readouts, victim.platform.engine().schedule().total_cycles);
+    const accel::OverlayPlan plan = victim.platform.engine().plan_overlay(&cosim.capture_v);
     const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, nullptr, 1);
-    const sim::AccuracyResult undefended = sim::evaluate_accuracy(
-        victim.platform, victim.test_set, images, &cosim.capture_v, 1);
-    const sim::AccuracyResult defended = sim::evaluate_accuracy_defended(
-        victim.platform, victim.test_set, images, cosim.capture_v, def.throttle, 1);
+        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {}, 1);
+    const sim::AccuracyResult undefended =
+        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {&plan, 1}, 1);
+    const sim::AccuracyResult defended = sim::evaluate_accuracy(
+        victim.platform, victim.test_set, images, {&plan, 1}, 1, &def.throttle);
 
     std::printf("clean accuracy      : %.4f\n", clean.accuracy);
     std::printf("under attack        : %.4f\n", undefended.accuracy);
@@ -665,10 +667,12 @@ int cmd_defend(const std::vector<std::string>& args) {
         hardened_config.accel = accel::accel_config_for(victim.arch);
         sim::Platform hardened(hardened_config, std::move(hardened_net));
 
+        const accel::OverlayPlan hardened_plan =
+            hardened.engine().plan_overlay(&cosim.capture_v);
         const sim::AccuracyResult hardened_clean =
-            sim::evaluate_accuracy(hardened, victim.test_set, images, nullptr, 1);
+            sim::evaluate_accuracy(hardened, victim.test_set, images, {}, 1);
         const sim::AccuracyResult hardened_attacked = sim::evaluate_accuracy(
-            hardened, victim.test_set, images, &cosim.capture_v, 1);
+            hardened, victim.test_set, images, {&hardened_plan, 1}, 1);
         std::printf("fault-aware clean   : %.4f\n", hardened_clean.accuracy);
         std::printf("fault-aware attacked: %.4f (recovers %.2f%% of the drop)\n",
                     hardened_attacked.accuracy,
