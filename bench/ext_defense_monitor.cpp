@@ -8,6 +8,7 @@
 // across attack intensities — quantifying one defense the paper's threat
 // model leaves open.
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "defense/monitor.hpp"
@@ -19,8 +20,12 @@ int main() {
     bench::TrainedPlatform tp = bench::trained_platform();
 
     const std::size_t kEvalImages = 200;
-    const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(tp.platform, tp.test_set, kEvalImages, {}, 4);
+    // One golden store serves every evaluation below: the TMR platform
+    // runs the same network.
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(tp.platform.engine().network(), tp.test_set, kEvalImages);
+    const sim::AccuracyResult clean = sim::evaluate_accuracy(
+        tp.platform, tp.test_set, kEvalImages, {}, 4, nullptr, golden.get());
     std::printf("untampered accuracy: %.4f\n\n", clean.accuracy);
 
     const sim::ProfilingRun prof = sim::run_profiling(tp.platform);
@@ -66,11 +71,11 @@ int main() {
         const accel::OverlayPlan tmr_plan =
             tmr_platform.engine().plan_overlay(&cosim.capture_v);
         const sim::AccuracyResult undefended = sim::evaluate_accuracy(
-            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4);
+            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4, nullptr, golden.get());
         const sim::AccuracyResult defended = sim::evaluate_accuracy(
-            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4, &def.throttle);
+            tp.platform, tp.test_set, kEvalImages, {&plan, 1}, 4, &def.throttle, golden.get());
         const sim::AccuracyResult tmr_def = sim::evaluate_accuracy(
-            tmr_platform, tp.test_set, kEvalImages, {&tmr_plan, 1}, 4);
+            tmr_platform, tp.test_set, kEvalImages, {&tmr_plan, 1}, 4, nullptr, golden.get());
 
         const double latency =
             def.alarms > 0

@@ -28,7 +28,6 @@
 #include "nn/zoo.hpp"
 #include "pdn/pdn.hpp"
 #include "quant/qnetwork.hpp"
-#include "sim/cosim_lanes.hpp"
 #include "sim/experiment.hpp"
 #include "sim/golden_cache.hpp"
 #include "sim/journal.hpp"
@@ -283,14 +282,13 @@ void BM_CosimFullInference(benchmark::State& state) {
 }
 BENCHMARK(BM_CosimFullInference);
 
-// The co-sim tick loop, one 8-lane group vs 8 one-lane groups: both
-// benches co-simulate the same 8 independent inferences, through 8
-// simulate_inference calls (each a one-lane group) vs one 8-lane SoA/SIMD
-// group. Identical bytes out (tests/cosim_lanes_test.cpp); CI gates the
-// same-run pair ratio at 0.6 so lane batching never silently decays to
-// one-co-sim-at-a-time speed. The pair runs as alternating one-iteration
-// repetitions (main below).
-constexpr std::size_t kCosimBenchLanes = 8;
+// The co-sim tick loop, one full lane group (sim::kCosimLanes, 8) vs as
+// many one-lane groups: both benches co-simulate the same 8 independent
+// inferences, through 8 simulate_inference calls (each a one-lane group)
+// vs one 8-lane SoA/SIMD group. Identical bytes out
+// (tests/cosim_lanes_test.cpp); CI gates the same-run pair ratio at 0.6 so
+// lane batching never silently decays to one-co-sim-at-a-time speed. The
+// pair runs as alternating one-iteration repetitions (main below).
 
 /// The gated co-sim pairs' platform, built once, so that their
 /// one-iteration repetitions time the tick loop rather than follow a
@@ -303,50 +301,45 @@ const ds::sim::Platform& cosim_pair_platform() {
 void BM_CosimCycleOneLane(benchmark::State& state) {
     const ds::sim::Platform& platform = cosim_pair_platform();
     for (auto _ : state) {
-        for (std::size_t l = 0; l < kCosimBenchLanes; ++l) {
+        for (std::size_t l = 0; l < ds::sim::kCosimLanes; ++l) {
             ds::sim::NoAttackSource source;
             benchmark::DoNotOptimize(platform.simulate_inference(source).strike_cycles);
         }
     }
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
+        static_cast<std::int64_t>(state.iterations() * ds::sim::kCosimLanes *
                                   platform.engine().schedule().total_cycles));
 }
 
 void BM_CosimCycleLanes(benchmark::State& state) {
     const ds::sim::Platform& platform = cosim_pair_platform();
-    const std::size_t saved_width = ds::sim::cosim_lane_width();
-    ds::sim::set_cosim_lane_width(kCosimBenchLanes);
     for (auto _ : state) {
-        std::vector<ds::sim::NoAttackSource> sources(kCosimBenchLanes);
+        std::vector<ds::sim::NoAttackSource> sources(ds::sim::kCosimLanes);
         std::vector<ds::sim::StrikeSource*> lanes;
-        lanes.reserve(kCosimBenchLanes);
+        lanes.reserve(ds::sim::kCosimLanes);
         for (ds::sim::NoAttackSource& s : sources) lanes.push_back(&s);
         benchmark::DoNotOptimize(platform.simulate_inference_lanes(lanes).size());
     }
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
+        static_cast<std::int64_t>(state.iterations() * ds::sim::kCosimLanes *
                                   platform.engine().schedule().total_cycles));
-    ds::sim::set_cosim_lane_width(saved_width);
 }
 
 // A blind scheme's trace fill, one 8-lane group of its replays (500
 // strikes of 4 cycles, starts from sim::blind_replays), recorded two ways:
 // capture voltages only, as SweepRunner::fill records them, and the full
 // sensor view. A blind source never listens, so the capture-only group
-// draws no TDC sample and records no readout or per-cycle minimum; the
-// capture voltages are identical (tests/cosim_lanes_test.cpp). CI gates
-// the same-run pair ratio at 0.6 so trace fills keep skipping the sensor;
-// the pair runs as alternating one-iteration repetitions (main below).
+// draws no TDC sample and records no readout; the capture voltages are
+// identical (tests/cosim_lanes_test.cpp). CI gates the same-run pair ratio
+// at 0.6 so trace fills keep skipping the sensor; the pair runs as
+// alternating one-iteration repetitions (main below).
 void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
     const ds::sim::Platform& platform = cosim_pair_platform();
     ds::attack::AttackScheme scheme;
     scheme.strike_cycles = 4;
     scheme.num_strikes = 500;
     const std::vector<ds::sim::BlindReplay> replays =
-        ds::sim::blind_replays(platform, scheme, kCosimBenchLanes, 17);
-    const std::size_t saved_width = ds::sim::cosim_lane_width();
-    ds::sim::set_cosim_lane_width(kCosimBenchLanes);
+        ds::sim::blind_replays(platform, scheme, ds::sim::kCosimLanes, 17);
     for (auto _ : state) {
         std::vector<ds::attack::BlindController> controllers;
         controllers.reserve(replays.size());
@@ -361,9 +354,8 @@ void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
         benchmark::DoNotOptimize(platform.simulate_inference_lanes(lanes, record).size());
     }
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kCosimBenchLanes *
+        static_cast<std::int64_t>(state.iterations() * ds::sim::kCosimLanes *
                                   platform.engine().schedule().total_cycles));
-    ds::sim::set_cosim_lane_width(saved_width);
 }
 
 void BM_CosimCycleBlindCaptures(benchmark::State& state) {
@@ -381,8 +373,6 @@ void BM_CosimCycleBlindSensor(benchmark::State& state) {
 void BM_CosimLanesWidth(benchmark::State& state) {
     const auto width = static_cast<std::size_t>(state.range(0));
     const ds::sim::Platform platform(ds::sim::PlatformConfig{}, bench_weights());
-    const std::size_t saved_width = ds::sim::cosim_lane_width();
-    ds::sim::set_cosim_lane_width(width);
     for (auto _ : state) {
         std::vector<ds::sim::NoAttackSource> sources(width);
         std::vector<ds::sim::StrikeSource*> lanes;
@@ -391,7 +381,6 @@ void BM_CosimLanesWidth(benchmark::State& state) {
         benchmark::DoNotOptimize(platform.simulate_inference_lanes(lanes).size());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * width));
-    ds::sim::set_cosim_lane_width(saved_width);
 }
 BENCHMARK(BM_CosimLanesWidth)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 

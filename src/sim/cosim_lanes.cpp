@@ -1,11 +1,58 @@
-#include "sim/cosim_lanes.hpp"
+// Lane-batched co-simulation engine (structure-of-arrays SIMD lockstep).
+//
+// This is the one co-simulation tick loop, Platform::simulate_inference_lanes.
+// One call co-simulates one lane group of 1 to kCosimLanes (8) sources; a
+// single co-sim (Platform::simulate_inference) is a one-lane group. Lanes
+// exploit that campaign points are fully independent: the group's co-sim
+// states — one per campaign point / sweep scheme / blind replay offset —
+// step in lockstep over the shared activity schedule, with the
+// second-order PDN state (v, i_l) held in 32-byte-aligned SoA arrays and
+// advanced four lanes per AVX2 slot behind the simd::mode() dispatch seam
+// (DS_FORCE_SCALAR=1 selects the portable scalar twin).
+//
+// Byte-identity contract: a lane's CosimResult depends only on its own
+// source — never on the group size, its position in the group or the
+// SIMD twin. The kernels use only vertical IEEE ops in the evaluation
+// order of pdn::PdnModel::step (no FMA contraction, no reassociation); the
+// striker current and the delay-model pow() stay scalar per lane; per-lane
+// Rng streams all start from PlatformConfig::tdc_noise_seed and advance
+// draw-for-draw (tdc::TdcLaneSampler dedups a draw only when voltage bits
+// AND the full stream state coincide, which makes the copy a pure-function
+// replay). Lane compaction: a 4-lane slot whose lanes all sit at the
+// PdnModel floating-point fixed point under an unchanged load skips its
+// SIMD slot entirely — recomputing a steady lane is the identity, so
+// compaction is pure throughput, never bytes. tests/cosim_lanes_test.cpp
+// checks every lane bitwise against a test-local per-tick oracle built on
+// PdnModel, TdcSensor and StrikerBank, with the same sources split into
+// groups of several sizes.
+//
+// Recording modes (sim::CosimRecord). The one tick loop records what its
+// caller keeps. A Sensor co-sim (the default) draws every TDC sample on
+// every lane and records the readouts. A Captures co-sim records capture
+// voltages and strike bits only, and a lane draws TDC samples only while
+// its source listens (StrikeSource::listens): a guided lane until its
+// detector fires, a blind or fixed-schedule lane never. Its capture
+// voltages equal a Sensor co-sim's bit for bit, because they follow from
+// PDN state, PDN state from the activity and the strike bits, and strike
+// bits from TDC samples only while the source listens. Every trace fill
+// runs Captures, so on the blind replays that dominate a campaign no
+// sensor work is left.
+//
+// Scheduling lives in sim::SweepRunner. Its one trace fill packs guided
+// schemes into groups of kCosimLanes in claim order and each blind
+// bundle's replays into groups of their own, in descending start cycle
+// (sim::blind_replays), and calls this loop once per group. The packing
+// still pays in capture-only fills, through slot compaction, not TDC
+// dedup: lanes of one scheme share the golden run until they start and
+// settle into one common state after their replays, so packed lanes sit
+// at their fixed points together and whole 4-lane slots skip.
+
+#include "sim/platform.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 
-#include "sim/platform.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -22,14 +69,6 @@
 namespace deepstrike::sim {
 
 namespace {
-
-constexpr std::size_t kDefaultLaneWidth = 8;
-constexpr std::size_t kMaxLaneWidth = 64;
-
-std::atomic<std::size_t>& lane_width_cell() {
-    static std::atomic<std::size_t> cell{kDefaultLaneWidth};
-    return cell;
-}
 
 // ---- PDN slot kernels ---------------------------------------------------
 //
@@ -106,25 +145,20 @@ StepSlotFn select_step_slot() {
 
 } // namespace
 
-std::size_t cosim_lane_width() {
-    return lane_width_cell().load(std::memory_order_relaxed);
-}
-
-void set_cosim_lane_width(std::size_t width) {
-    lane_width_cell().store(std::clamp<std::size_t>(width, 1, kMaxLaneWidth),
-                            std::memory_order_relaxed);
-}
-
-std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const> sources,
-                                                  CosimRecord record) const {
+std::vector<CosimResult> Platform::simulate_inference_lanes(
+    std::span<StrikeSource* const> sources, CosimRecord record) const {
+    expects(!sources.empty() && sources.size() <= kCosimLanes,
+            "simulate_inference_lanes: 1 to kCosimLanes sources per group");
+    for (const StrikeSource* s : sources) {
+        expects(s != nullptr, "simulate_inference_lanes: non-null sources");
+    }
     trace::Span span("cosim.lanes", "cosim");
     const PlatformConfig& cfg = config_;
     const std::size_t n = sources.size();
     const std::size_t total_cycles = engine_.schedule().total_cycles;
     const std::size_t tpc = cfg.ticks_per_cycle;
     const std::size_t n_caps = cfg.dsp_capture_ticks.size();
-    const bool sensor = record != CosimRecord::Captures;
-    const bool ticks = record == CosimRecord::Ticks;
+    const bool sensor = record == CosimRecord::Sensor;
     // Pad to whole 4-lane slots; pads mirror an idle (never-striking) lane
     // and are never observed.
     const std::size_t padded = (n + 3) / 4 * 4;
@@ -146,18 +180,13 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
     std::vector<double> steady_load(padded, 0.0);
     std::vector<std::uint8_t> strike(n, 0);
     std::vector<std::uint64_t> steps_skipped(n, 0);
-    std::vector<double> min_v(sensor ? n : 0, 0.0);
 
     std::vector<CosimResult> results(n);
     for (std::size_t l = 0; l < n; ++l) {
         CosimResult& res = results[l];
         res.strike_bits = BitVec(total_cycles);
         res.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
-        if (sensor) {
-            res.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
-            res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
-        }
-        if (ticks) res.tick_voltage.reserve(total_cycles * tpc);
+        if (sensor) res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
     }
 
     // Per-lane TDC noise streams: every lane starts from the one
@@ -178,12 +207,9 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
     const TickAction* actions = tick_actions_.data();
     std::uint64_t compactions = 0;
 
-    // The per-tick events at the lanes' post-step voltages: the tick
-    // voltage, a TDC draw, a DSP capture edge.
+    // The per-tick events at the lanes' post-step voltages: a TDC draw, a
+    // DSP capture edge.
     const auto tick_events = [&](std::size_t cycle, std::size_t tick) {
-        if (ticks) {
-            for (std::size_t l = 0; l < n; ++l) results[l].tick_voltage.push_back(v[l]);
-        }
         const TickAction act = actions[tick];
         if (act.tdc_slot >= 0) {
             if (!sensor) {
@@ -233,15 +259,9 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
             compactions += slots * tpc;
             for (std::size_t l = 0; l < n; ++l) steps_skipped[l] += tpc;
             for (std::size_t tick = 0; tick < tpc; ++tick) tick_events(cycle, tick);
-            if (sensor) {
-                for (std::size_t l = 0; l < n; ++l) results[l].min_v_per_cycle[cycle] = v[l];
-            }
             continue;
         }
 
-        if (sensor) {
-            for (std::size_t l = 0; l < n; ++l) min_v[l] = v[l];
-        }
         if (!any_strike) {
             for (std::size_t l = 0; l < padded; ++l) load[l] = i_victim;
         }
@@ -286,13 +306,7 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
                     steady_load[b + k] = load[b + k];
                 }
             }
-            if (sensor) {
-                for (std::size_t l = 0; l < n; ++l) min_v[l] = std::min(min_v[l], v[l]);
-            }
             tick_events(cycle, tick);
-        }
-        if (sensor) {
-            for (std::size_t l = 0; l < n; ++l) results[l].min_v_per_cycle[cycle] = min_v[l];
         }
     }
 
@@ -343,23 +357,6 @@ std::vector<CosimResult> Platform::run_lane_group(std::span<StrikeSource* const>
             .add(sampler.dedup_hits());
     }
     return results;
-}
-
-std::vector<CosimResult> Platform::simulate_inference_lanes(
-    const std::vector<StrikeSource*>& sources, CosimRecord record) const {
-    for (const StrikeSource* s : sources) {
-        expects(s != nullptr, "simulate_inference_lanes: non-null sources");
-    }
-    std::vector<CosimResult> out;
-    out.reserve(sources.size());
-    const std::size_t width = cosim_lane_width();
-    const std::span<StrikeSource* const> all(sources);
-    for (std::size_t begin = 0; begin < sources.size(); begin += width) {
-        std::vector<CosimResult> group = run_lane_group(
-            all.subspan(begin, std::min(width, sources.size() - begin)), record);
-        for (CosimResult& res : group) out.push_back(std::move(res));
-    }
-    return out;
 }
 
 } // namespace deepstrike::sim

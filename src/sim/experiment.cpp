@@ -80,32 +80,6 @@ std::vector<BlindReplay> blind_replays(const Platform& platform,
     return replays;
 }
 
-std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
-                                                     const attack::AttackScheme& scheme,
-                                                     std::size_t n_offsets,
-                                                     std::uint64_t offset_seed) {
-    const std::vector<BlindReplay> replays =
-        blind_replays(platform, scheme, n_offsets, offset_seed);
-    std::vector<attack::BlindController> controllers;
-    controllers.reserve(n_offsets);
-    std::vector<BlindSource> sources;
-    sources.reserve(n_offsets);
-    std::vector<StrikeSource*> lanes;
-    lanes.reserve(n_offsets);
-    for (const BlindReplay& replay : replays) {
-        controllers.emplace_back(scheme, replay.start_cycle);
-        sources.emplace_back(controllers.back());
-        lanes.push_back(&sources.back());
-    }
-    std::vector<CosimResult> cosims =
-        platform.simulate_inference_lanes(lanes, CosimRecord::Captures);
-    std::vector<accel::VoltageTrace> traces(n_offsets);
-    for (std::size_t k = 0; k < replays.size(); ++k) {
-        traces[replays[k].offset] = std::move(cosims[k].capture_v);
-    }
-    return traces;
-}
-
 /// The one parallel evaluation loop. Image i uses plan i % plans.size()
 /// (none when empty = clean), a per-image RNG derived from the image index
 /// alone, and its entry of the golden store — the caller's, or one built

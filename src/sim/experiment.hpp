@@ -1,6 +1,6 @@
 // Experiment-level helpers shared by benches, examples and integration
-// tests: profiling runs, guided/blind attack campaigns, and the DSP
-// characterization rig of Fig. 6.
+// tests: profiling runs, guided attack traces, the blind baseline's replay
+// order, accuracy evaluation, and the DSP characterization rig of Fig. 6.
 //
 // An attack's electrical trace enters evaluation only through its overlay
 // plan (AccelEngine::plan_overlay): a caller co-simulates a trace, plans
@@ -55,19 +55,12 @@ struct BlindReplay {
 /// start cycle, ties by offset index: lanes of one scheme share the golden
 /// run until they start and settle into one common state after their
 /// replays, so neighbouring lanes sit at their PDN fixed points together
-/// and whole 4-lane slots skip (sim/cosim_lanes.hpp). Each trace depends
-/// on its own offset alone.
+/// and whole 4-lane slots skip (sim/cosim_lanes.cpp). Each trace depends
+/// on its own offset alone. SweepRunner::blind_bundle co-simulates the
+/// replays in this order and keeps each offset's trace and overlay plan.
 std::vector<BlindReplay> blind_replays(const Platform& platform,
                                        const attack::AttackScheme& scheme,
                                        std::size_t n_offsets, std::uint64_t offset_seed);
-
-/// Electrical traces for the blind baseline: the same scheme replayed from
-/// `n_offsets` uniformly random start cycles across the execution
-/// (blind_replays). traces[i] is offset i's trace.
-std::vector<accel::VoltageTrace> blind_attack_traces(const Platform& platform,
-                                                     const attack::AttackScheme& scheme,
-                                                     std::size_t n_offsets,
-                                                     std::uint64_t offset_seed);
 
 struct AccuracyResult {
     double accuracy = 0.0;

@@ -157,14 +157,12 @@ JournalRecovery CheckpointJournal::recover(const std::string& path,
 
 CheckpointJournal::CheckpointJournal(const std::string& path,
                                      std::uint64_t fingerprint,
-                                     const std::string& sweep, Options options,
-                                     bool fresh, JournalRecovery recovery)
+                                     const std::string& sweep, bool fresh,
+                                     JournalRecovery recovery)
     : path_(path),
       fingerprint_(fingerprint),
-      options_(options),
       recovered_(std::move(recovery)),
       file_(path, /*truncate=*/fresh) {
-    if (options_.fsync_batch_records == 0) options_.fsync_batch_records = 1;
     if (fresh) {
         Json header = Json::object();
         header.set("magic", kMagic);
@@ -180,22 +178,19 @@ CheckpointJournal::CheckpointJournal(const std::string& path,
 }
 
 std::unique_ptr<CheckpointJournal> CheckpointJournal::create(
-    const std::string& path, std::uint64_t fingerprint, const std::string& sweep,
-    Options options) {
+    const std::string& path, std::uint64_t fingerprint, const std::string& sweep) {
     return std::unique_ptr<CheckpointJournal>(new CheckpointJournal(
-        path, fingerprint, sweep, options, /*fresh=*/true, JournalRecovery{}));
+        path, fingerprint, sweep, /*fresh=*/true, JournalRecovery{}));
 }
 
 std::unique_ptr<CheckpointJournal> CheckpointJournal::resume(
-    const std::string& path, std::uint64_t fingerprint, const std::string& sweep,
-    Options options) {
+    const std::string& path, std::uint64_t fingerprint, const std::string& sweep) {
     JournalRecovery recovery = recover(path, fingerprint, sweep);
     // Drop any torn tail before appending so the file returns to the
     // uniform every-line-valid shape.
     truncate_file(path, recovery.valid_bytes);
     return std::unique_ptr<CheckpointJournal>(
-        new CheckpointJournal(path, fingerprint, sweep, options, /*fresh=*/false,
-                              std::move(recovery)));
+        new CheckpointJournal(path, fingerprint, sweep, /*fresh=*/false, std::move(recovery)));
 }
 
 CheckpointJournal::~CheckpointJournal() {
@@ -269,7 +264,7 @@ void CheckpointJournal::writer_loop() {
                 written += batch.size();
             }
             if (written > new_persisted &&
-                (written - new_persisted >= options_.fsync_batch_records ||
+                (written - new_persisted >= kFsyncBatchRecords ||
                  stopping || sync_goal > new_persisted)) {
                 file_.sync();
                 count_fsync_batch();

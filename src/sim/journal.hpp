@@ -63,19 +63,14 @@ struct JournalRecovery {
 
 class CheckpointJournal {
 public:
-    struct Options {
-        /// fsync after this many appended records (and at flush/close).
-        /// Constructor-initialized (not an NSDMI) so the enclosing class
-        /// can use `= Options()` default arguments.
-        std::size_t fsync_batch_records;
-        Options() : fsync_batch_records(8) {}
-    };
+    /// The writer fsyncs after this many appended records (and at
+    /// flush/close).
+    static constexpr std::size_t kFsyncBatchRecords = 8;
 
     /// Creates (or truncates) `path` and writes the header record.
     static std::unique_ptr<CheckpointJournal> create(const std::string& path,
                                                      std::uint64_t fingerprint,
-                                                     const std::string& sweep,
-                                                     Options options = Options());
+                                                     const std::string& sweep);
 
     /// Validates an existing journal and reopens it for appending.
     /// A torn trailing line is truncated away; recovered records are
@@ -85,8 +80,7 @@ public:
     /// name does not match.
     static std::unique_ptr<CheckpointJournal> resume(const std::string& path,
                                                      std::uint64_t fingerprint,
-                                                     const std::string& sweep,
-                                                     Options options = Options());
+                                                     const std::string& sweep);
 
     /// Validation-only form of resume() (no writer started, file
     /// untouched). Same failure contract.
@@ -120,8 +114,7 @@ public:
 
 private:
     CheckpointJournal(const std::string& path, std::uint64_t fingerprint,
-                      const std::string& sweep, Options options, bool fresh,
-                      JournalRecovery recovery);
+                      const std::string& sweep, bool fresh, JournalRecovery recovery);
 
     void writer_loop();
     void enqueue_line(std::string line);
@@ -129,7 +122,6 @@ private:
 
     std::string path_;
     std::uint64_t fingerprint_ = 0;
-    Options options_;
     JournalRecovery recovered_;
     SyncedAppendFile file_;
 

@@ -48,8 +48,8 @@ double Platform::idle_current_a() const {
 
 CosimResult Platform::simulate_inference(StrikeSource& source,
                                          CosimRecord record) const {
-    std::vector<CosimResult> group = simulate_inference_lanes({&source}, record);
-    return std::move(group.front());
+    StrikeSource* const lane = &source;
+    return std::move(simulate_inference_lanes({&lane, 1}, record).front());
 }
 
 } // namespace deepstrike::sim

@@ -11,9 +11,11 @@
 // voltage, and faults do not feed back into power. Hence one co-simulated
 // voltage trace per *attack configuration* serves every image in a test
 // sweep; only the functional fault overlay is per-image. The platform owns
-// that electrical side; faulted inference on a trace is engine().run_block,
-// which sim::evaluate_accuracy drives from a golden store
-// (sim/golden_cache.hpp).
+// that electrical side: one tick loop, simulate_inference_lanes
+// (sim/cosim_lanes.cpp), co-simulates one lane group of 1 to kCosimLanes
+// strike sources per call. Faulted inference on a trace is
+// engine().run_block, which sim::evaluate_accuracy drives from a golden
+// store (sim/golden_cache.hpp).
 #pragma once
 
 #include <array>
@@ -80,19 +82,6 @@ private:
     attack::BlindController& controller_;
 };
 
-/// Fixed absolute schedule (used by the DSP characterization rig).
-class FixedSource final : public StrikeSource {
-public:
-    explicit FixedSource(BitVec bits) : bits_(std::move(bits)) {}
-    bool strike_bit(std::size_t cycle) override {
-        return cycle < bits_.size() && bits_.get(cycle);
-    }
-    bool listens() const override { return false; }
-
-private:
-    BitVec bits_;
-};
-
 struct PlatformConfig {
     pdn::PdnParams pdn = pdn::PdnParams::pynq_z1();
     tdc::TdcConfig tdc = tdc::TdcConfig::paper_config();
@@ -114,21 +103,23 @@ struct PlatformConfig {
     }
 };
 
-/// What a co-sim records. Every mode fills capture_v, strike_cycles and
-/// strike_bits, and each mode's fields are identical in every mode that
-/// fills them: capture voltages follow from PDN state alone, and a
-/// source's strike bits depend on TDC samples only while it listens().
+/// Most lanes one co-sim call steps in lockstep: two 4-lane AVX2 slots.
+/// Callers with more co-sims split them into groups of at most this many
+/// (SweepRunner's trace fill does).
+inline constexpr std::size_t kCosimLanes = 8;
+
+/// What a co-sim records. Both modes fill capture_v, strike_cycles and
+/// strike_bits, identically: capture voltages follow from PDN state alone,
+/// and a source's strike bits depend on TDC samples only while it
+/// listens().
 enum class CosimRecord {
     /// Capture voltages and the strike schedule only. A lane draws TDC
     /// samples only while its source listens, and no lane records
-    /// readouts or per-cycle minima. For callers that keep capture_v alone
-    /// (the trace fills).
+    /// readouts. For callers that keep capture_v alone (the trace fills).
     Captures,
-    /// Captures plus tdc_readouts and min_v_per_cycle. Every lane draws
-    /// every TDC sample (profiling, the monitor, waveform export).
+    /// Captures plus tdc_readouts. Every lane draws every TDC sample
+    /// (profiling, the monitor, waveform export).
     Sensor,
-    /// Sensor plus tick_voltage (large; the tests' per-tick oracle seam).
-    Ticks,
 };
 
 struct CosimResult {
@@ -136,18 +127,13 @@ struct CosimResult {
     /// (index = cycle * 2 + ddr_half). This is the trace the fault model
     /// consumes.
     accel::VoltageTrace capture_v;
-    /// Worst-case (minimum) die voltage per fabric cycle (analysis only;
-    /// Sensor and Ticks).
-    accel::VoltageTrace min_v_per_cycle;
-    /// All TDC readouts in sampling order (2 per fabric cycle; Sensor and
-    /// Ticks).
+    /// All TDC readouts in sampling order (2 per fabric cycle; Sensor
+    /// only).
     std::vector<std::uint8_t> tdc_readouts;
     /// Number of fabric cycles with the striker active.
     std::size_t strike_cycles = 0;
     /// Striker Start bit per fabric cycle (for waveform export / analysis).
     BitVec strike_bits;
-    /// Full per-tick voltage trace (Ticks only; large).
-    std::vector<double> tick_voltage;
 };
 
 class Platform {
@@ -166,23 +152,19 @@ public:
     CosimResult simulate_inference(StrikeSource& source,
                                    CosimRecord record = CosimRecord::Sensor) const;
 
-    /// Co-simulates one inference per source, packed into SIMD lane groups
-    /// of sim::cosim_lane_width() (sim/cosim_lanes.hpp). result[i] depends
-    /// on sources[i] alone: it is byte-identical at every width, group
-    /// position and SIMD twin. Defined in sim/cosim_lanes.cpp.
+    /// The tick loop: co-simulates one inference per source, 1 to
+    /// kCosimLanes non-null sources stepped in lockstep as one SIMD lane
+    /// group (ContractError otherwise). result[i] depends on sources[i]
+    /// alone: it is byte-identical at every group size, lane position and
+    /// SIMD twin. Defined in sim/cosim_lanes.cpp.
     std::vector<CosimResult> simulate_inference_lanes(
-        const std::vector<StrikeSource*>& sources,
+        std::span<StrikeSource* const> sources,
         CosimRecord record = CosimRecord::Sensor) const;
 
     /// Idle current (platform + accelerator static) used for PDN settling.
     double idle_current_a() const;
 
 private:
-    /// The tick loop: co-simulates `sources` in lockstep as one lane group
-    /// (sim/cosim_lanes.cpp).
-    std::vector<CosimResult> run_lane_group(std::span<StrikeSource* const> sources,
-                                            CosimRecord record) const;
-
     /// What happens at one tick offset within a fabric cycle; precomputed
     /// at construction so the tick loop replays a flat table instead of
     /// re-matching the configured tick lists every tick.

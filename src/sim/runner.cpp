@@ -5,7 +5,6 @@
 #include <deque>
 #include <numeric>
 
-#include "sim/cosim_lanes.hpp"
 #include "sim/experiment.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -168,11 +167,10 @@ std::vector<std::exception_ptr> SweepRunner::fill(
             std::vector<Lane> lanes;
             std::size_t strike_cycles = 0;
         };
-        const std::size_t width = cosim_lane_width();
         std::vector<Group> groups;
         const auto pack = [&](const std::vector<Lane>& lanes) {
             for (std::size_t j = 0; j < lanes.size(); ++j) {
-                if (j % width == 0) groups.emplace_back();
+                if (j % kCosimLanes == 0) groups.emplace_back();
                 groups.back().lanes.push_back(lanes[j]);
                 groups.back().strike_cycles += lanes[j].strike_cycles;
             }

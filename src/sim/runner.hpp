@@ -19,7 +19,9 @@
 // ONE electrical trace per attack configuration serves every image — makes
 // the trace the unit of work: the runner fills each point's trace once,
 // together with its overlay plan, and keeps the bundle it filled so the
-// point's task reads it back.
+// point's task reads it back. Its fill is the only one for stored traces,
+// guided or blind: it packs co-sims into lane groups of kCosimLanes, one
+// Platform::simulate_inference_lanes call per group.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +152,7 @@ public:
     /// Fills every guided scheme and blind request not stored yet in one
     /// batch and stores each bundle that filled; a request repeated in one
     /// call is filled once. The batch packs the lanes into groups of
-    /// cosim_lane_width() (sim/cosim_lanes.hpp) and runs the groups in one
+    /// kCosimLanes (sim/platform.hpp) and runs the groups in one
     /// parallel_for over threads() workers, heaviest first, so the point
     /// tasks of the following run() find their bundles stored. Bundles
     /// are byte-identical to one-request fills. A failure fails only the
@@ -178,18 +180,19 @@ private:
     using Store = std::vector<std::pair<Key, std::shared_ptr<const Bundle>>>;
 
     /// The one trace fill. Builds every lane's controller, packs the lanes
-    /// into groups of cosim_lane_width() — guided requests in order, each
-    /// blind request's replays in groups of their own — and runs all
-    /// groups in one parallel_for over threads(), in descending total
-    /// strike cycles. Each group is a capture-only co-sim
-    /// (CosimRecord::Captures: a guided lane draws TDC samples until its
-    /// detector fires, a blind lane none), and its task keeps only its
-    /// lanes' capture voltages and overlay plans. A lane whose controller
-    /// cannot be built fails its own request and joins no group, and a
-    /// group that throws fails only the requests owning a lane in it.
-    /// After the batch, every bundle that filled is stored unless an equal
-    /// request was stored meanwhile. Returns each request's error (null
-    /// when it filled), guided requests first, then blind. Never throws.
+    /// into groups of kCosimLanes — guided requests in order, each blind
+    /// request's replays in groups of their own — and runs all groups in
+    /// one parallel_for over threads(), in descending total strike cycles,
+    /// one simulate_inference_lanes call per group. Each group is a
+    /// capture-only co-sim (CosimRecord::Captures: a guided lane draws TDC
+    /// samples until its detector fires, a blind lane none), and its task
+    /// keeps only its lanes' capture voltages and overlay plans. A lane
+    /// whose controller cannot be built fails its own request and joins no
+    /// group, and a group that throws fails only the requests owning a
+    /// lane in it. After the batch, every bundle that filled is stored
+    /// unless an equal request was stored meanwhile. Returns each
+    /// request's error (null when it filled), guided requests first, then
+    /// blind. Never throws.
     std::vector<std::exception_ptr> fill(const attack::DetectorConfig& detector,
                                          const std::vector<attack::AttackScheme>& guided,
                                          const std::vector<BlindRequest>& blind);

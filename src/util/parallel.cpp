@@ -22,7 +22,13 @@ std::size_t default_thread_count() {
     return hw == 0 ? 4 : hw;
 }
 
+std::size_t max_thread_count() { return std::max<std::size_t>(256, default_thread_count()); }
+
 void set_global_thread_count(std::size_t threads) {
+    if (threads > max_thread_count()) {
+        throw ConfigError("thread count " + std::to_string(threads) + " exceeds " +
+                          std::to_string(max_thread_count()));
+    }
     g_requested_threads.store(threads, std::memory_order_relaxed);
 }
 
@@ -40,18 +46,29 @@ struct ThreadPool::Task::State {
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
+    expects(threads <= max_thread_count(), "ThreadPool: at most max_thread_count() workers");
     const std::size_t n = threads == 0 ? default_thread_count() : threads;
     workers_.reserve(n);
     for (std::size_t t = 0; t < n; ++t) {
-        workers_.emplace_back([this, t] {
-            // Lane label for --trace-out viewers; free when tracing is off.
-            trace::set_thread_name("worker-" + std::to_string(t));
-            worker_loop();
-        });
+        try {
+            workers_.emplace_back([this, t] {
+                // Lane label for --trace-out viewers; free when tracing is off.
+                trace::set_thread_name("worker-" + std::to_string(t));
+                worker_loop();
+            });
+        } catch (const std::exception& e) {
+            // The destructor does not run for a throwing constructor, and
+            // a joinable std::thread destroyed unjoined terminates.
+            stop_and_join();
+            throw Error("ThreadPool: could not start worker " + std::to_string(t) + " of " +
+                        std::to_string(n) + ": " + e.what());
+        }
     }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;

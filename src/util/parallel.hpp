@@ -26,9 +26,16 @@ namespace deepstrike {
 /// Number of workers used when a thread count of 0 (= auto) is requested.
 std::size_t default_thread_count();
 
+/// Largest worker count a pool accepts: 256, or the hardware thread count
+/// where that is larger, so the automatic count always fits.
+/// A count above it is rejected before any thread starts (a hostile
+/// --threads value cannot exhaust the host's threads).
+std::size_t max_thread_count();
+
 /// Sets the width of the process-wide pool (0 = auto). Takes effect the
 /// next time ThreadPool::global() is called; call it before starting
-/// parallel work (the CLI does so while parsing --threads).
+/// parallel work (the CLI does so while parsing --threads). Throws
+/// ConfigError above max_thread_count().
 void set_global_thread_count(std::size_t threads);
 
 /// The currently effective global width (resolves 0 to the auto value).
@@ -37,6 +44,9 @@ std::size_t global_thread_count();
 class ThreadPool {
 public:
     /// Spawns `threads` persistent workers (0 = default_thread_count()).
+    /// Throws ContractError above max_thread_count(), before any worker
+    /// starts. When the host cannot start a worker, the workers already
+    /// started are stopped and joined, and the constructor throws Error.
     explicit ThreadPool(std::size_t threads = 0);
 
     /// Completes all queued tasks, then joins the workers.
@@ -85,6 +95,8 @@ public:
     static ThreadPool& global();
 
 private:
+    /// Stops the workers once the queue drains and joins them.
+    void stop_and_join();
     void worker_loop();
     void run_task(const std::shared_ptr<Task::State>& state);
     std::shared_ptr<Task::State> try_pop();

@@ -169,11 +169,12 @@ TEST(Campaign, BlindPointsReplayOnlyTheOffsetsImagesRead) {
         if (p.blind_offsets == 0) continue;
         ++blind_points;
         EXPECT_EQ(p.blind_offsets, 5u);
-        const std::vector<accel::VoltageTrace> all = blind_attack_traces(
-            platform, p.scheme, cfg.blind_offsets, cfg.blind_offset_seed);
+        const std::vector<accel::OverlayPlan> all =
+            SweepRunner(platform, RunnerConfig{1})
+                .blind_bundle(p.scheme, cfg.blind_offsets, cfg.blind_offset_seed)
+                ->plans;
         const AccuracyResult want =
-            evaluate_accuracy(platform, ds.test, plan.eval_images,
-                              testing::plans_of(platform.engine(), all), cfg.fault_seed);
+            evaluate_accuracy(platform, ds.test, plan.eval_images, all, cfg.fault_seed);
         const Json got =
             evaluate_campaign_record(platform, ds.test, plan, runner, nullptr, i + 1);
         EXPECT_EQ(got.at("accuracy_bits").as_string(), double_bits_hex(want.accuracy));

@@ -1,14 +1,16 @@
 // Co-simulation invariants (the lane engine, sim/cosim_lanes.cpp).
 //
-// The lane engine is the only co-sim tick loop, and it rests on one
-// contract: changing the lane width, the worker thread count or forcing
-// the scalar SIMD twin may change wall-clock, but never a single byte of
-// any result. These tests pin that contract at the campaign-report level
-// (every zoo victim) and at the raw CosimResult level: every lane is
-// compared bitwise against a test-local oracle that steps one co-sim one
-// tick at a time on the public substrate models, including compaction
-// exit and re-entry around mid-run strikes and partially filled 4-lane
-// slots, and every capture-only lane against its Sensor-mode twin.
+// The lane engine is the only co-sim tick loop, one lane group of 1 to
+// sim::kCosimLanes sources per call, and it rests on one contract: how
+// co-sims are grouped, the worker thread count or forcing the scalar SIMD
+// twin may change wall-clock, but never a single byte of any result.
+// These tests pin that contract at the campaign-report level (every zoo
+// victim) and at the raw CosimResult level: the same sources split into
+// groups of several sizes (cosim_in_groups) are compared bitwise against a
+// test-local oracle that steps one co-sim one tick at a time on the
+// public substrate models, including compaction exit and re-entry around
+// mid-run strikes and partially filled 4-lane slots, and every
+// capture-only lane against its Sensor-mode twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,23 +29,16 @@
 #include "pdn/pdn.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/campaign.hpp"
-#include "sim/cosim_lanes.hpp"
+#include "test_helpers.hpp"
+#include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
 
 namespace deepstrike {
 namespace {
 
-/// RAII restore of the process-wide engine knobs these tests mutate, so
-/// test order cannot leak a forced mode or width into other suites.
-struct EngineKnobsGuard {
-    std::size_t width = sim::cosim_lane_width();
-    simd::Mode mode = simd::mode();
-    ~EngineKnobsGuard() {
-        sim::set_cosim_lane_width(width);
-        simd::set_mode(mode);
-    }
-};
+using testing::FixedSource;
+using testing::SimdGuard;
 
 quant::QNetwork untrained_network(nn::Architecture arch) {
     Rng rng(2024);
@@ -71,9 +67,9 @@ sim::CampaignConfig tiny_config(std::size_t threads, std::size_t blind_offsets =
 /// The per-tick oracle: one co-sim stepped one scalar double at a time on
 /// the public substrate models — pdn::PdnModel, TdcSensor::sample_into,
 /// StrikerBank::current_a and the accelerator's activity current — with
-/// the configured TDC sample and DSP capture ticks matched in order.
-sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& source,
-                              sim::CosimRecord record) {
+/// the configured TDC sample and DSP capture ticks matched in order. It
+/// records what a Sensor co-sim records.
+sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& source) {
     const sim::PlatformConfig& cfg = platform.config();
     const std::size_t total_cycles = platform.engine().schedule().total_cycles;
     const std::size_t tpc = cfg.ticks_per_cycle;
@@ -88,7 +84,6 @@ sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& 
     sim::CosimResult result;
     result.strike_bits = BitVec(total_cycles);
     result.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
-    result.min_v_per_cycle.assign(total_cycles, cfg.pdn.vdd);
 
     double v = pdn_model.voltage();
     tdc::TdcSample sample;
@@ -99,15 +94,12 @@ sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& 
             result.strike_bits.set(cycle, true);
         }
         const double i_victim = cfg.accel.i_platform_idle_a + activity[cycle];
-        double min_v = v;
         std::size_t sample_idx = 0;
         std::size_t capture_idx = 0;
         for (std::size_t tick = 0; tick < tpc; ++tick) {
             const double i_total =
                 strike ? i_victim + platform.striker_bank().current_a(v, true) : i_victim;
             v = pdn_model.step(i_total);
-            min_v = std::min(min_v, v);
-            if (record == sim::CosimRecord::Ticks) result.tick_voltage.push_back(v);
             if (sample_idx < cfg.tdc_sample_ticks.size() &&
                 tick == cfg.tdc_sample_ticks[sample_idx]) {
                 platform.sensor().sample_into(v, tdc_rng, sample);
@@ -120,9 +112,24 @@ sim::CosimResult oracle_cosim(const sim::Platform& platform, sim::StrikeSource& 
                 ++capture_idx;
             }
         }
-        result.min_v_per_cycle[cycle] = min_v;
     }
     return result;
+}
+
+/// Co-simulates `sources` in lane groups of `width` (the last one may be
+/// smaller), one simulate_inference_lanes call per group, and returns the
+/// results in source order.
+std::vector<sim::CosimResult> cosim_in_groups(const sim::Platform& platform,
+                                              std::span<sim::StrikeSource* const> sources,
+                                              std::size_t width, sim::CosimRecord record) {
+    std::vector<sim::CosimResult> out;
+    for (std::size_t begin = 0; begin < sources.size(); begin += width) {
+        for (sim::CosimResult& r : platform.simulate_inference_lanes(
+                 sources.subspan(begin, std::min(width, sources.size() - begin)), record)) {
+            out.push_back(std::move(r));
+        }
+    }
+    return out;
 }
 
 /// Bitwise (not value) comparison: -0.0 vs 0.0 or a rounding flip anywhere
@@ -138,10 +145,6 @@ void expect_cosim_identical(const sim::CosimResult& lane,
                             const std::string& label) {
     EXPECT_TRUE(bits_equal(lane.capture_v, ref.capture_v))
         << label << ": capture_v diverged";
-    EXPECT_TRUE(bits_equal(lane.min_v_per_cycle, ref.min_v_per_cycle))
-        << label << ": min_v_per_cycle diverged";
-    EXPECT_TRUE(bits_equal(lane.tick_voltage, ref.tick_voltage))
-        << label << ": tick_voltage diverged";
     EXPECT_EQ(lane.tdc_readouts, ref.tdc_readouts)
         << label << ": tdc_readouts diverged";
     EXPECT_EQ(lane.strike_cycles, ref.strike_cycles)
@@ -152,51 +155,36 @@ void expect_cosim_identical(const sim::CosimResult& lane,
 
 class CosimLanesCampaign : public ::testing::TestWithParam<nn::Architecture> {};
 
-TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossLanesThreadsAndTwin) {
-    EngineKnobsGuard guard;
+TEST_P(CosimLanesCampaign, ReportBytesInvariantAcrossThreadsAndTwin) {
+    SimdGuard guard;
     const nn::Architecture arch = GetParam();
     const char* name = nn::architecture_name(arch);
     sim::Platform platform(platform_config(arch), untrained_network(arch));
     const data::Dataset test = data::make_datasets(9, 1, 20).test;
 
-    // Reference: width 1 (every co-sim in a one-lane group of its own),
-    // single-threaded.
-    sim::set_cosim_lane_width(1);
+    // Reference: single-threaded, so the runner's lane groups run one
+    // after another.
     const sim::CampaignReport base =
         sim::run_campaign(platform, test, tiny_config(1));
     EXPECT_TRUE(base.detector_fired);
     EXPECT_FALSE(base.points.empty());
     const std::string bytes = base.to_json().dump();
 
-    sim::set_cosim_lane_width(8);
-    EXPECT_EQ(bytes,
-              sim::run_campaign(platform, test, tiny_config(1)).to_json().dump())
-        << "width 8 diverged from width 1 at threads=1 for " << name;
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
-        << "width 8 diverged from width 1 at threads=8 for " << name;
-
-    // A width that never divides the group evenly: remainder groups,
-    // including one-lane remainders, all along the sweep.
-    sim::set_cosim_lane_width(3);
-    EXPECT_EQ(bytes,
-              sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
-        << "remainder lane groups diverged for " << name;
+        << "threads=8 diverged from threads=1 for " << name;
 
     // Portable scalar twin of every lane kernel (the DS_FORCE_SCALAR=1
     // configuration).
-    sim::set_cosim_lane_width(8);
     simd::set_mode(simd::Mode::Scalar);
     EXPECT_EQ(bytes,
               sim::run_campaign(platform, test, tiny_config(8)).to_json().dump())
         << "scalar SIMD twin diverged for " << name;
-    simd::set_mode(guard.mode);
+    simd::set_mode(guard.saved);
 
-    // Ten offsets: at width 8 each blind bundle spans a full and a partial
-    // group, packed by descending start cycle.
-    sim::set_cosim_lane_width(1);
+    // Ten offsets: each blind bundle spans a full and a partial group,
+    // packed by descending start cycle.
     const std::string wide = sim::run_campaign(platform, test, tiny_config(1, 10)).to_json().dump();
-    sim::set_cosim_lane_width(8);
     EXPECT_EQ(wide, sim::run_campaign(platform, test, tiny_config(8, 10)).to_json().dump())
         << "a blind bundle spanning two groups diverged for " << name;
 }
@@ -222,7 +210,7 @@ BitVec strike_window(std::size_t total_cycles, std::size_t first,
 }
 
 TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
-    EngineKnobsGuard guard;
+    SimdGuard guard;
     sim::Platform platform(platform_config(nn::Architecture::MiniCnn),
                            untrained_network(nn::Architecture::MiniCnn));
     const std::size_t total = platform.engine().schedule().total_cycles;
@@ -231,9 +219,9 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
     // Five deliberately unaligned schedules: an idle lane (never leaves the
     // fixed point), strikes that force compaction exit + re-entry mid-run,
     // a strike at cycle 0 (no settled state to reuse) and one against the
-    // end of the schedule. Width 4 puts the first four in one full 4-lane
-    // slot and leaves the fifth as a one-lane group; width 1 runs every
-    // schedule alone in a padded slot.
+    // end of the schedule. Groups of 4 put the first four in one full
+    // 4-lane slot and leave the fifth as a one-lane group; groups of 1 run
+    // every schedule alone in a padded slot.
     std::vector<BitVec> schedules;
     schedules.push_back(BitVec(total)); // idle
     schedules.push_back(strike_window(total, 50, 60));
@@ -245,32 +233,31 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
 
     std::vector<sim::CosimResult> refs;
     for (const BitVec& bits : schedules) {
-        sim::FixedSource src(bits);
-        refs.push_back(oracle_cosim(platform, src, sim::CosimRecord::Ticks));
+        FixedSource src(bits);
+        refs.push_back(oracle_cosim(platform, src));
     }
 
     // `order` lists schedule indices in lane order.
-    auto run_lanes = [&](const std::vector<std::size_t>& order) {
-        std::vector<sim::FixedSource> sources;
+    auto run_lanes = [&](const std::vector<std::size_t>& order, std::size_t width) {
+        std::vector<FixedSource> sources;
         sources.reserve(order.size());
         for (std::size_t s : order) sources.emplace_back(schedules[s]);
         std::vector<sim::StrikeSource*> lanes;
-        for (sim::FixedSource& src : sources) lanes.push_back(&src);
-        return platform.simulate_inference_lanes(lanes, sim::CosimRecord::Ticks);
+        for (FixedSource& src : sources) lanes.push_back(&src);
+        return cosim_in_groups(platform, lanes, width, sim::CosimRecord::Sensor);
     };
 
-    // Width 8 holds all five in one group with a partial 4-lane slot. The
-    // reversed order puts every schedule in another lane position, as the
-    // runner's packing does (a lane's result must not depend on it).
+    // Groups of 8 hold all five in one group with a partial 4-lane slot.
+    // The reversed order puts every schedule in another lane position, as
+    // the runner's packing does (a lane's result must not depend on it).
     std::vector<std::size_t> forward(schedules.size());
     for (std::size_t i = 0; i < forward.size(); ++i) forward[i] = i;
     const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
     for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
         simd::set_mode(mode);
         for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-            sim::set_cosim_lane_width(width);
             for (const std::vector<std::size_t>& order : {forward, reversed}) {
-                const std::vector<sim::CosimResult> lanes = run_lanes(order);
+                const std::vector<sim::CosimResult> lanes = run_lanes(order, width);
                 ASSERT_EQ(lanes.size(), refs.size());
                 for (std::size_t k = 0; k < order.size(); ++k) {
                     expect_cosim_identical(
@@ -284,9 +271,27 @@ TEST(CosimLanesDirect, LaneResultsMatchScalarTickLoopBitwise) {
     }
 
     // A single co-sim is a one-lane group.
-    sim::FixedSource src(schedules[2]);
-    expect_cosim_identical(platform.simulate_inference(src, sim::CosimRecord::Ticks),
-                           refs[2], "simulate_inference");
+    FixedSource src(schedules[2]);
+    expect_cosim_identical(platform.simulate_inference(src), refs[2], "simulate_inference");
+}
+
+// One call co-simulates one lane group: 1 to kCosimLanes non-null sources.
+TEST(CosimLanesDirect, OneGroupHoldsOneToEightSources) {
+    sim::Platform platform(platform_config(nn::Architecture::Mlp),
+                           untrained_network(nn::Architecture::Mlp));
+    ASSERT_EQ(sim::kCosimLanes, 8u);
+    std::vector<sim::NoAttackSource> sources(sim::kCosimLanes + 1);
+    std::vector<sim::StrikeSource*> lanes;
+    for (sim::NoAttackSource& s : sources) lanes.push_back(&s);
+    const std::span<sim::StrikeSource* const> all(lanes);
+
+    EXPECT_THROW(platform.simulate_inference_lanes(all.first(0)), ContractError);
+    EXPECT_THROW(platform.simulate_inference_lanes(all), ContractError);
+    const std::vector<sim::CosimResult> full =
+        platform.simulate_inference_lanes(all.first(sim::kCosimLanes), sim::CosimRecord::Captures);
+    EXPECT_EQ(full.size(), sim::kCosimLanes);
+    lanes[3] = nullptr;
+    EXPECT_THROW(platform.simulate_inference_lanes(all.first(sim::kCosimLanes)), ContractError);
 }
 
 /// One lane's strike source, described so that every co-sim gets a fresh
@@ -318,7 +323,7 @@ public:
                     owned_.push_back(std::make_unique<sim::BlindSource>(blind_.back()));
                     break;
                 case LaneSpec::Kind::Fixed:
-                    owned_.push_back(std::make_unique<sim::FixedSource>(spec.bits));
+                    owned_.push_back(std::make_unique<FixedSource>(spec.bits));
                     break;
             }
             lanes.push_back(owned_.back().get());
@@ -338,8 +343,8 @@ private:
 
 /// Nine seeded random sources of every kind: three guided controllers,
 /// two auto-rearming guided controllers (they listen to the end), two
-/// blind replays and two fixed schedules. Nine lanes leave a remainder
-/// group at width 8.
+/// blind replays and two fixed schedules. Nine lanes split into groups of
+/// 8 leave a one-lane remainder group.
 std::vector<LaneSpec> random_lane_specs(std::size_t total_cycles, std::uint64_t seed) {
     Rng rng(seed);
     const auto pick = [&](std::int64_t lo, std::int64_t hi) {
@@ -380,7 +385,7 @@ std::vector<LaneSpec> random_lane_specs(std::size_t total_cycles, std::uint64_t 
 }
 
 TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
-    EngineKnobsGuard guard;
+    SimdGuard guard;
     sim::Platform platform(platform_config(nn::Architecture::MiniCnn),
                            untrained_network(nn::Architecture::MiniCnn));
     const std::size_t total = platform.engine().schedule().total_cycles;
@@ -390,11 +395,14 @@ TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
     std::iota(forward.begin(), forward.end(), std::size_t{0});
     const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
 
-    // Reference: Sensor mode, one lane per group.
-    sim::set_cosim_lane_width(1);
-    LaneSources ref_sources(specs, forward);
-    const std::vector<sim::CosimResult> refs =
-        platform.simulate_inference_lanes(ref_sources.lanes, sim::CosimRecord::Sensor);
+    // Reference: the per-tick oracle, one fresh source each.
+    std::vector<sim::CosimResult> refs;
+    {
+        LaneSources ref_sources(specs, forward);
+        for (sim::StrikeSource* source : ref_sources.lanes) {
+            refs.push_back(oracle_cosim(platform, *source));
+        }
+    }
     for (std::size_t s = 0; s < specs.size(); ++s) {
         // Every lane strikes, the guided ones after their detectors fire:
         // the comparison is not vacuous.
@@ -404,15 +412,13 @@ TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
     for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
         simd::set_mode(mode);
         for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-            sim::set_cosim_lane_width(width);
             for (const std::vector<std::size_t>& order : {forward, reversed}) {
                 LaneSources sensor_sources(specs, order);
                 LaneSources capture_sources(specs, order);
-                const std::vector<sim::CosimResult> sensor = platform.simulate_inference_lanes(
-                    sensor_sources.lanes, sim::CosimRecord::Sensor);
-                const std::vector<sim::CosimResult> captures =
-                    platform.simulate_inference_lanes(capture_sources.lanes,
-                                                      sim::CosimRecord::Captures);
+                const std::vector<sim::CosimResult> sensor = cosim_in_groups(
+                    platform, sensor_sources.lanes, width, sim::CosimRecord::Sensor);
+                const std::vector<sim::CosimResult> captures = cosim_in_groups(
+                    platform, capture_sources.lanes, width, sim::CosimRecord::Captures);
                 ASSERT_EQ(captures.size(), specs.size());
                 for (std::size_t k = 0; k < order.size(); ++k) {
                     const std::string label =
@@ -428,8 +434,6 @@ TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
                     EXPECT_EQ(cap.strike_cycles, refs[order[k]].strike_cycles)
                         << label << ": strike_cycles diverged";
                     EXPECT_TRUE(cap.tdc_readouts.empty()) << label;
-                    EXPECT_TRUE(cap.min_v_per_cycle.empty()) << label;
-                    EXPECT_TRUE(cap.tick_voltage.empty()) << label;
                 }
             }
         }
@@ -437,7 +441,7 @@ TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
 }
 
 TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
-    EngineKnobsGuard guard;
+    SimdGuard guard;
     const bool metrics_were_on = metrics::enabled();
     sim::Platform platform(platform_config(nn::Architecture::MiniCnn),
                            untrained_network(nn::Architecture::MiniCnn));
@@ -460,10 +464,9 @@ TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
     };
     const auto draws = [&](sim::CosimRecord record, std::size_t width,
                            const std::vector<std::size_t>& order) {
-        sim::set_cosim_lane_width(width);
         LaneSources sources(specs, order);
         metrics::reset();
-        platform.simulate_inference_lanes(sources.lanes, record);
+        cosim_in_groups(platform, sources.lanes, width, record);
         Draws d;
         d.samples = metrics::counter("tdc.samples").total();
         d.memo_hits = metrics::counter("tdc.memo_hits").total();
@@ -499,18 +502,6 @@ TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
     }
     metrics::reset();
     metrics::set_enabled(metrics_were_on);
-}
-
-TEST(CosimLanesKnob, WidthKnobClampsAndGates) {
-    EngineKnobsGuard guard;
-    sim::set_cosim_lane_width(0);
-    EXPECT_EQ(sim::cosim_lane_width(), 1u); // no "lanes off" width
-    sim::set_cosim_lane_width(1);
-    EXPECT_EQ(sim::cosim_lane_width(), 1u);
-    sim::set_cosim_lane_width(2);
-    EXPECT_EQ(sim::cosim_lane_width(), 2u);
-    sim::set_cosim_lane_width(100000);
-    EXPECT_EQ(sim::cosim_lane_width(), 64u); // clamped
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include "fabric/resources.hpp"
 #include "attack/scheme_file.hpp"
 #include "sim/experiment.hpp"
+#include "sim/runner.hpp"
 #include "striker/striker.hpp"
 #include "tdc/netlist_builder.hpp"
 #include "test_helpers.hpp"
@@ -91,13 +92,13 @@ TEST_F(IntegrationTest, GuidedBeatsBlindAtEqualIntensity) {
     blind_scheme.num_strikes = strikes;
     blind_scheme.gap_cycles =
         platform_->engine().schedule().total_cycles / strikes - 1;
-    const auto blind = sim::blind_attack_traces(*platform_, blind_scheme, 6, 11);
+    const std::vector<accel::OverlayPlan> blind =
+        sim::SweepRunner(*platform_).blind_bundle(blind_scheme, 6, 11)->plans;
 
     const accel::OverlayPlan guided_plan = platform_->engine().plan_overlay(&guided);
     const sim::AccuracyResult g =
         sim::evaluate_accuracy(*platform_, *dataset_, 40, {&guided_plan, 1}, 3);
-    const sim::AccuracyResult b = sim::evaluate_accuracy(
-        *platform_, *dataset_, 40, testing::plans_of(platform_->engine(), blind), 3);
+    const sim::AccuracyResult b = sim::evaluate_accuracy(*platform_, *dataset_, 40, blind, 3);
 
     // The guided attack concentrates its faults in the most vulnerable
     // layer; it must inject strictly more conv faults than the blind one.

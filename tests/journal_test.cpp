@@ -250,9 +250,7 @@ TEST(CheckpointJournal, ConcurrentAppendsAllSurvive) {
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kPerThread = 50;
     {
-        CheckpointJournal::Options options;
-        options.fsync_batch_records = 16;
-        auto journal = CheckpointJournal::create(path, 99, "unit", options);
+        auto journal = CheckpointJournal::create(path, 99, "unit");
         std::vector<std::thread> workers;
         for (std::size_t t = 0; t < kThreads; ++t) {
             workers.emplace_back([&, t] {

@@ -75,5 +75,27 @@ TEST(Parallel, DefaultThreadCountPositive) {
     EXPECT_GE(default_thread_count(), 1u);
 }
 
+// An explicit thread count above the bound is rejected before any worker
+// starts, and a count at the bound is accepted; none of these calls starts
+// a thread.
+TEST(Parallel, ThreadCountAboveBoundRejected) {
+    EXPECT_GE(max_thread_count(), 256u);
+    EXPECT_THROW(set_global_thread_count(max_thread_count() + 1), ConfigError);
+    EXPECT_THROW(ThreadPool(max_thread_count() + 1), ContractError);
+    EXPECT_NO_THROW(set_global_thread_count(max_thread_count()));
+    set_global_thread_count(0); // still all hardware threads
+    EXPECT_EQ(global_thread_count(), default_thread_count());
+}
+
+// The automatic count always fits under the bound, also on hosts with more
+// than 256 hardware threads: a pool of 0 and the global pool at the
+// default --threads 0 both start all hardware threads.
+TEST(Parallel, AutomaticCountConstructs) {
+    EXPECT_LE(default_thread_count(), max_thread_count());
+    EXPECT_EQ(ThreadPool(0).thread_count(), default_thread_count());
+    set_global_thread_count(0);
+    EXPECT_EQ(ThreadPool::global().thread_count(), default_thread_count());
+}
+
 } // namespace
 } // namespace deepstrike

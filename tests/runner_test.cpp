@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/campaign.hpp"
-#include "sim/cosim_lanes.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -240,12 +239,6 @@ TEST_F(RunnerPlatformFixture, BlindPointsCarryNoSegmentIndex) {
 
 // ------------------------------------------------------------ batched fill
 
-/// RAII restore of the process-wide lane width these tests set.
-struct LaneWidthGuard {
-    std::size_t width = cosim_lane_width();
-    ~LaneWidthGuard() { set_cosim_lane_width(width); }
-};
-
 /// RunnerPlatformFixture's victim and profile, for SweepRunner tests outside
 /// the fixture.
 struct BatchVictim {
@@ -372,9 +365,8 @@ struct MetricsOnGuard {
 // One prefetch batch fills every bundle exactly as one-request fills do.
 // It co-simulates a request repeated within it once, and consuming the
 // prefetched bundles co-simulates nothing. The 11-offset blind bundle
-// spans a full and a partial group at width 8.
+// spans a full and a partial lane group.
 TEST(SweepRunner, PrefetchMatchesSingleFills) {
-    LaneWidthGuard guard;
     MetricsOnGuard metrics_on;
     const BatchVictim& v = batch_victim();
     const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
@@ -401,58 +393,47 @@ TEST(SweepRunner, PrefetchMatchesSingleFills) {
             BlindSource source(controller);
             oracle.push_back(v.platform.simulate_inference(source).capture_v);
         }
-        const std::vector<accel::VoltageTrace> traces =
-            blind_attack_traces(v.platform, wide.scheme, wide.n_offsets, wide.offset_seed);
-        ASSERT_EQ(traces.size(), oracle.size());
-        for (std::size_t i = 0; i < oracle.size(); ++i) {
-            EXPECT_TRUE(same_trace(traces[i], oracle[i])) << "blind_attack_traces offset " << i;
-        }
     }
 
-    for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
-        set_cosim_lane_width(width);
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            const std::string where =
-                "width " + std::to_string(width) + ", threads " + std::to_string(threads);
-            SweepRunner batched(v.platform, RunnerConfig{threads});
-            const std::uint64_t before = cosim_cycles();
-            batched.prefetch({}, guided, blind);
-            const std::uint64_t prefetched = cosim_cycles();
-            EXPECT_EQ(prefetched - before, prefetch_cycles) << where;
-            std::vector<std::shared_ptr<const GuidedTraceBundle>> got_guided;
-            for (const attack::AttackScheme& scheme : guided) {
-                got_guided.push_back(batched.guided_bundle({}, scheme));
-            }
-            std::vector<std::shared_ptr<const BlindTraceBundle>> got_blind;
-            for (const BlindRequest& r : blind) {
-                got_blind.push_back(batched.blind_bundle(r.scheme, r.n_offsets, r.offset_seed));
-            }
-            EXPECT_EQ(cosim_cycles(), prefetched) << where << ": a stored bundle refilled";
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string where = "threads " + std::to_string(threads);
+        SweepRunner batched(v.platform, RunnerConfig{threads});
+        const std::uint64_t before = cosim_cycles();
+        batched.prefetch({}, guided, blind);
+        const std::uint64_t prefetched = cosim_cycles();
+        EXPECT_EQ(prefetched - before, prefetch_cycles) << where;
+        std::vector<std::shared_ptr<const GuidedTraceBundle>> got_guided;
+        for (const attack::AttackScheme& scheme : guided) {
+            got_guided.push_back(batched.guided_bundle({}, scheme));
+        }
+        std::vector<std::shared_ptr<const BlindTraceBundle>> got_blind;
+        for (const BlindRequest& r : blind) {
+            got_blind.push_back(batched.blind_bundle(r.scheme, r.n_offsets, r.offset_seed));
+        }
+        EXPECT_EQ(cosim_cycles(), prefetched) << where << ": a stored bundle refilled";
 
-            SweepRunner single(v.platform, RunnerConfig{threads});
-            for (std::size_t i = 0; i < guided.size(); ++i) {
-                expect_same_guided(*got_guided[i], *single.guided_bundle({}, guided[i]), where);
-            }
-            for (std::size_t b = 0; b < blind.size(); ++b) {
-                const BlindRequest& r = blind[b];
-                expect_same_blind(*got_blind[b],
-                                  *single.blind_bundle(r.scheme, r.n_offsets, r.offset_seed),
-                                  where);
-            }
-            for (std::size_t i = 0; i < oracle.size(); ++i) {
-                EXPECT_TRUE(same_trace(got_blind[0]->traces[i], oracle[i]))
-                    << where << ": offset " << i << " differs from its oracle";
-            }
+        SweepRunner single(v.platform, RunnerConfig{threads});
+        for (std::size_t i = 0; i < guided.size(); ++i) {
+            expect_same_guided(*got_guided[i], *single.guided_bundle({}, guided[i]), where);
+        }
+        for (std::size_t b = 0; b < blind.size(); ++b) {
+            const BlindRequest& r = blind[b];
+            expect_same_blind(*got_blind[b],
+                              *single.blind_bundle(r.scheme, r.n_offsets, r.offset_seed),
+                              where);
+        }
+        for (std::size_t i = 0; i < oracle.size(); ++i) {
+            EXPECT_TRUE(same_trace(got_blind[0]->traces[i], oracle[i]))
+                << where << ": offset " << i << " differs from its oracle";
         }
     }
 }
 
 // A scheme whose controller cannot be built (100,000 strikes overflow the
 // 73,728-bit signal RAM) fails its own request — guided or blind — and no
-// other, at every lane width and thread count, and the failure is not
-// stored: each later request refills and throws again.
+// other, at every thread count, and the failure is not stored: each later
+// request refills and throws again.
 TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
-    LaneWidthGuard guard;
     const BatchVictim& v = batch_victim();
     const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
     const attack::AttackScheme& good = guided[0];
@@ -462,37 +443,33 @@ TEST(SweepRunner, BadSchemeFailsOnlyItsOwnTrace) {
     bad.gap_cycles = 1;
     const BlindRequest blind_good{blind_scheme(40, 60), 9, 5};
 
-    for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
-        set_cosim_lane_width(width);
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            const std::string where =
-                "width " + std::to_string(width) + ", threads " + std::to_string(threads);
-            SweepRunner fresh(v.platform, RunnerConfig{threads});
-            const auto want_good = fresh.guided_bundle({}, good);
-            const auto want_good2 = fresh.guided_bundle({}, good2);
-            const auto want_blind = fresh.blind_bundle(blind_good.scheme, blind_good.n_offsets,
-                                                       blind_good.offset_seed);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string where = "threads " + std::to_string(threads);
+        SweepRunner fresh(v.platform, RunnerConfig{threads});
+        const auto want_good = fresh.guided_bundle({}, good);
+        const auto want_good2 = fresh.guided_bundle({}, good2);
+        const auto want_blind = fresh.blind_bundle(blind_good.scheme, blind_good.n_offsets,
+                                                   blind_good.offset_seed);
 
-            SweepRunner runner(v.platform, RunnerConfig{threads});
-            EXPECT_NO_THROW(runner.prefetch({}, {good, bad, good2},
-                                            {{bad, 3, 5}, blind_good}))
-                << where;
-            for (int round = 0; round < 2; ++round) {
-                EXPECT_THROW(runner.guided_bundle({}, bad), ConfigError) << where;
-                EXPECT_THROW(runner.blind_bundle(bad, 3, 5), ConfigError) << where;
-                expect_same_guided(*runner.guided_bundle({}, good2), *want_good2, where);
-                expect_same_guided(*runner.guided_bundle({}, good), *want_good, where);
-                expect_same_blind(*runner.blind_bundle(blind_good.scheme, blind_good.n_offsets,
-                                                       blind_good.offset_seed),
-                                  *want_blind, where);
-            }
-
-            // The same holds for a bad scheme's first request.
-            SweepRunner cold(v.platform, RunnerConfig{threads});
-            EXPECT_THROW(cold.guided_bundle({}, bad), ConfigError) << where;
-            EXPECT_THROW(cold.blind_bundle(bad, 3, 5), ConfigError) << where;
-            expect_same_guided(*cold.guided_bundle({}, good2), *want_good2, where);
+        SweepRunner runner(v.platform, RunnerConfig{threads});
+        EXPECT_NO_THROW(runner.prefetch({}, {good, bad, good2},
+                                        {{bad, 3, 5}, blind_good}))
+            << where;
+        for (int round = 0; round < 2; ++round) {
+            EXPECT_THROW(runner.guided_bundle({}, bad), ConfigError) << where;
+            EXPECT_THROW(runner.blind_bundle(bad, 3, 5), ConfigError) << where;
+            expect_same_guided(*runner.guided_bundle({}, good2), *want_good2, where);
+            expect_same_guided(*runner.guided_bundle({}, good), *want_good, where);
+            expect_same_blind(*runner.blind_bundle(blind_good.scheme, blind_good.n_offsets,
+                                                   blind_good.offset_seed),
+                              *want_blind, where);
         }
+
+        // The same holds for a bad scheme's first request.
+        SweepRunner cold(v.platform, RunnerConfig{threads});
+        EXPECT_THROW(cold.guided_bundle({}, bad), ConfigError) << where;
+        EXPECT_THROW(cold.blind_bundle(bad, 3, 5), ConfigError) << where;
+        expect_same_guided(*cold.guided_bundle({}, good2), *want_good2, where);
     }
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/experiment.hpp"
 #include "sim/platform.hpp"
+#include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -31,19 +34,8 @@ TEST(Platform, CosimTraceDimensions) {
     const CosimResult r = platform.simulate_inference(source);
     const std::size_t cycles = platform.engine().schedule().total_cycles;
     EXPECT_EQ(r.capture_v.size(), cycles * 2);
-    EXPECT_EQ(r.min_v_per_cycle.size(), cycles);
     EXPECT_EQ(r.tdc_readouts.size(), cycles * 2);
     EXPECT_EQ(r.strike_cycles, 0u);
-    EXPECT_TRUE(r.tick_voltage.empty());
-}
-
-TEST(Platform, TickVoltageRecordingOptIn) {
-    Platform platform = make_platform();
-    NoAttackSource source;
-    const CosimResult r = platform.simulate_inference(source, CosimRecord::Ticks);
-    EXPECT_EQ(r.tick_voltage.size(),
-              platform.engine().schedule().total_cycles *
-                  platform.config().ticks_per_cycle);
 }
 
 TEST(Platform, CosimDeterministic) {
@@ -73,14 +65,14 @@ TEST(Platform, ConvSegmentsDroopDeeperThanStalls) {
     const auto& sched = platform.engine().schedule();
     const auto& conv2 = sched.segment_for("CONV2");
 
-    double conv_min = 2.0;
-    for (std::size_t c = conv2.start_cycle; c < conv2.end_cycle(); ++c) {
-        conv_min = std::min(conv_min, r.min_v_per_cycle[c]);
-    }
-    double stall_min = 2.0;
-    for (std::size_t c = 5; c < sched.segments[0].end_cycle(); ++c) {
-        stall_min = std::min(stall_min, r.min_v_per_cycle[c]);
-    }
+    // The lowest capture voltage over fabric cycles [first, last): two
+    // capture samples per cycle.
+    const auto lowest_capture = [&](std::size_t first, std::size_t last) {
+        return *std::min_element(r.capture_v.begin() + static_cast<std::ptrdiff_t>(2 * first),
+                                 r.capture_v.begin() + static_cast<std::ptrdiff_t>(2 * last));
+    };
+    const double conv_min = lowest_capture(conv2.start_cycle, conv2.end_cycle());
+    const double stall_min = lowest_capture(5, sched.segments[0].end_cycle());
     EXPECT_LT(conv_min, stall_min - 0.005);
 }
 
@@ -155,7 +147,8 @@ TEST(BlindAttack, TracesDiffer) {
     attack::AttackScheme scheme;
     scheme.num_strikes = 100;
     scheme.gap_cycles = 10;
-    const auto traces = blind_attack_traces(platform, scheme, 3, 7);
+    const std::vector<accel::VoltageTrace> traces =
+        SweepRunner(platform).blind_bundle(scheme, 3, 7)->traces;
     ASSERT_EQ(traces.size(), 3u);
     EXPECT_NE(traces[0], traces[1]);
     EXPECT_NE(traces[1], traces[2]);
@@ -284,7 +277,8 @@ TEST(CaptureOnlyCallers, EqualTheirSensorModeCosims) {
         }
     }
 
-    const std::vector<accel::VoltageTrace> blind = blind_attack_traces(platform, scheme, 5, 9);
+    const std::vector<accel::VoltageTrace> blind =
+        SweepRunner(platform).blind_bundle(scheme, 5, 9)->traces;
     ASSERT_EQ(blind.size(), 5u);
     for (const BlindReplay& replay : blind_replays(platform, scheme, 5, 9)) {
         attack::BlindController controller(scheme, replay.start_cycle);

@@ -12,10 +12,25 @@
 
 #include "accel/engine.hpp"
 #include "quant/qnetwork.hpp"
+#include "sim/platform.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace deepstrike::testing {
+
+/// Strike source replaying a fixed absolute schedule: the striker fires in
+/// cycle c when bits[c] is set. It never listens to the TDC.
+class FixedSource final : public sim::StrikeSource {
+public:
+    explicit FixedSource(BitVec bits) : bits_(std::move(bits)) {}
+    bool strike_bit(std::size_t cycle) override {
+        return cycle < bits_.size() && bits_.get(cycle);
+    }
+    bool listens() const override { return false; }
+
+private:
+    BitVec bits_;
+};
 
 /// Restores the process-wide SIMD mode on scope exit so tests cannot leak
 /// a forced mode into the rest of the suite.

@@ -70,7 +70,7 @@ TEST(Vcd, CosimExportContainsStrikes) {
     // Fixed strike pattern so the VCD provably contains Start toggles.
     BitVec bits(2000);
     for (std::size_t c = 1000; c < 1010; ++c) bits.set(c, true);
-    FixedSource source(bits);
+    deepstrike::testing::FixedSource source(bits);
     const CosimResult cosim = platform.simulate_inference(source);
     EXPECT_EQ(cosim.strike_cycles, 10u);
     EXPECT_EQ(cosim.strike_bits.popcount(), 10u);

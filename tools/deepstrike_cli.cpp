@@ -16,6 +16,7 @@
 // Every subcommand accepts --help.
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "accel/arch_profiles.hpp"
@@ -300,9 +301,11 @@ int cmd_attack(const std::vector<std::string>& args) {
     const ObservabilitySinks sinks = ObservabilitySinks::begin(parser);
     Victim victim = load_victim(parser);
     const std::size_t images = parser.option_uint("images");
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(victim.platform.engine().network(), victim.test_set, images);
 
-    const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {}, 1);
+    const sim::AccuracyResult clean = sim::evaluate_accuracy(
+        victim.platform, victim.test_set, images, {}, 1, nullptr, golden.get());
 
     attack::AttackScheme scheme;
     const std::string scheme_path = parser.option("scheme");
@@ -331,17 +334,14 @@ int cmd_attack(const std::vector<std::string>& args) {
 
     std::vector<accel::OverlayPlan> plans;
     if (parser.flag("blind")) {
-        for (const accel::VoltageTrace& trace :
-             sim::blind_attack_traces(victim.platform, scheme, 10, 777)) {
-            plans.push_back(victim.platform.engine().plan_overlay(&trace));
-        }
+        plans = sim::SweepRunner(victim.platform).blind_bundle(scheme, 10, 777)->plans;
     } else {
         const accel::VoltageTrace trace = sim::guided_attack_trace(
             victim.platform, attack::DetectorConfig{}, scheme);
         plans.push_back(victim.platform.engine().plan_overlay(&trace));
     }
-    const sim::AccuracyResult attacked =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, plans, 1);
+    const sim::AccuracyResult attacked = sim::evaluate_accuracy(
+        victim.platform, victim.test_set, images, plans, 1, nullptr, golden.get());
 
     std::printf("mode                : %s\n", parser.flag("blind") ? "blind" : "guided");
     std::printf("strikes             : %zu (delay %zu, gap %zu)\n", scheme.num_strikes,
@@ -625,12 +625,14 @@ int cmd_defend(const std::vector<std::string>& args) {
     const defense::DefenseOutcome def = defense::run_monitor(
         cosim.tdc_readouts, victim.platform.engine().schedule().total_cycles);
     const accel::OverlayPlan plan = victim.platform.engine().plan_overlay(&cosim.capture_v);
-    const sim::AccuracyResult clean =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {}, 1);
-    const sim::AccuracyResult undefended =
-        sim::evaluate_accuracy(victim.platform, victim.test_set, images, {&plan, 1}, 1);
+    const std::shared_ptr<const sim::GoldenStore> golden =
+        sim::build_golden_store(victim.platform.engine().network(), victim.test_set, images);
+    const sim::AccuracyResult clean = sim::evaluate_accuracy(
+        victim.platform, victim.test_set, images, {}, 1, nullptr, golden.get());
+    const sim::AccuracyResult undefended = sim::evaluate_accuracy(
+        victim.platform, victim.test_set, images, {&plan, 1}, 1, nullptr, golden.get());
     const sim::AccuracyResult defended = sim::evaluate_accuracy(
-        victim.platform, victim.test_set, images, {&plan, 1}, 1, &def.throttle);
+        victim.platform, victim.test_set, images, {&plan, 1}, 1, &def.throttle, golden.get());
 
     std::printf("clean accuracy      : %.4f\n", clean.accuracy);
     std::printf("under attack        : %.4f\n", undefended.accuracy);
@@ -669,10 +671,13 @@ int cmd_defend(const std::vector<std::string>& args) {
 
         const accel::OverlayPlan hardened_plan =
             hardened.engine().plan_overlay(&cosim.capture_v);
-        const sim::AccuracyResult hardened_clean =
-            sim::evaluate_accuracy(hardened, victim.test_set, images, {}, 1);
-        const sim::AccuracyResult hardened_attacked = sim::evaluate_accuracy(
-            hardened, victim.test_set, images, {&hardened_plan, 1}, 1);
+        const std::shared_ptr<const sim::GoldenStore> hardened_golden =
+            sim::build_golden_store(hardened.engine().network(), victim.test_set, images);
+        const sim::AccuracyResult hardened_clean = sim::evaluate_accuracy(
+            hardened, victim.test_set, images, {}, 1, nullptr, hardened_golden.get());
+        const sim::AccuracyResult hardened_attacked =
+            sim::evaluate_accuracy(hardened, victim.test_set, images, {&hardened_plan, 1}, 1,
+                                   nullptr, hardened_golden.get());
         std::printf("fault-aware clean   : %.4f\n", hardened_clean.accuracy);
         std::printf("fault-aware attacked: %.4f (recovers %.2f%% of the drop)\n",
                     hardened_attacked.accuracy,
