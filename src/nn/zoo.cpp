@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "nn/serialize.hpp"
@@ -132,52 +133,78 @@ std::string cache_key(const ZooTrainSpec& spec) {
        << "_i" << spec.init_seed
        << "_e" << spec.train_config.epochs
        << "_b" << spec.train_config.batch_size
-       << "_lr" << spec.train_config.learning_rate
-       << ".dsw";
+       << "_lr" << spec.train_config.learning_rate;
     return os.str();
+}
+
+/// Loads the cache file `path` into `model` and checks the key a DSW2
+/// file stores (a DSW1 file stores none: its name is its key). Returns
+/// nullopt when the file is absent or does not load (with a warning);
+/// `model` may then be partly overwritten.
+std::optional<WeightRecord> load_cached(Sequential& model, const std::filesystem::path& path,
+                                        const std::string& key) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) return std::nullopt;
+    try {
+        WeightRecord record = load_weights(model, path.string());
+        if (record.test_accuracy && record.key != key) {
+            throw FormatError("weight file: stored key '" + record.key + "' is not '" + key +
+                              "': " + path.string());
+        }
+        return record;
+    } catch (const Error& e) {
+        log_warn("zoo cache load failed (", e.what(), ")");
+        return std::nullopt;
+    }
 }
 
 } // namespace
 
 TrainedModel train_or_load(const ZooTrainSpec& spec) {
-    expects(spec.train_size > 0 && spec.test_size > 0, "train_or_load: sizes > 0");
+    if (spec.train_size == 0 || spec.test_size == 0) {
+        throw ConfigError("train_or_load: train and test sizes must be > 0");
+    }
 
     const std::filesystem::path dir = resolve_cache_dir(spec.cache_dir);
-    const std::filesystem::path file = dir / cache_key(spec);
-    const data::Dataset test_set = data::make_datasets(spec.data_seed, 0, spec.test_size).test;
+    const std::string key = cache_key(spec);
+    const std::filesystem::path file = dir / (key + ".dsw2");
     auto initial_model = [&spec] {
         Rng init_rng(spec.init_seed);
         return build_architecture(spec.architecture, init_rng);
     };
 
+    // A hit reads the stored accuracy: nothing is rendered or scored.
     TrainedModel result;
-    std::error_code ec;
-    if (std::filesystem::exists(file, ec)) {
-        result.model = initial_model();
-        try {
-            load_weights(result.model, file.string());
-            result.loaded_from_cache = true;
-            result.test_accuracy = evaluate_accuracy(result.model, test_set);
-            return result;
-        } catch (const Error& e) {
-            log_warn("zoo cache load failed (", e.what(), "); retraining");
-        }
+    result.model = initial_model();
+    if (const auto record = load_cached(result.model, file, key); record && record->test_accuracy) {
+        result.test_accuracy = *record->test_accuracy;
+        result.loaded_from_cache = true;
+        return result;
     }
 
-    // A failed load may have overwritten some parameters: retrain from
-    // the same initial weights a clean cache miss starts from.
+    // Weights cached as DSW1 under the old name carry no accuracy: they are
+    // scored once and stored again as DSW2. The DSW1 file stays as it is,
+    // for builds that still read it.
     result.model = initial_model();
-    log_info("training ", architecture_name(spec.architecture), " (", spec.train_size,
-             " samples, ", spec.train_config.epochs, " epochs)...");
-    train(result.model, data::make_datasets(spec.data_seed, spec.train_size, 0).train,
-          spec.train_config);
-    result.test_accuracy = evaluate_accuracy(result.model, test_set);
-    log_info("trained ", architecture_name(spec.architecture),
-             " test accuracy: ", result.test_accuracy);
+    result.loaded_from_cache = load_cached(result.model, dir / (key + ".dsw"), key).has_value();
+    if (!result.loaded_from_cache) {
+        // A failed load may have overwritten some parameters: retrain from
+        // the same initial weights a clean cache miss starts from.
+        result.model = initial_model();
+        log_info("training ", architecture_name(spec.architecture), " (", spec.train_size,
+                 " samples, ", spec.train_config.epochs, " epochs)...");
+        train(result.model, data::make_datasets(spec.data_seed, spec.train_size, 0).train,
+              spec.train_config);
+    }
+    result.test_accuracy = evaluate_accuracy(
+        result.model, data::make_datasets(spec.data_seed, 0, spec.test_size).test);
+    log_info(result.loaded_from_cache ? "scored DSW1 cache of " : "trained ",
+             architecture_name(spec.architecture), " test accuracy: ", result.test_accuracy);
 
+    std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     try {
-        save_weights(result.model, file.string());
+        save_weights(result.model, file.string(), key, result.test_accuracy);
     } catch (const Error& e) {
         log_warn("could not persist zoo cache: ", e.what());
     }

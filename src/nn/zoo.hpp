@@ -86,9 +86,13 @@ struct TrainedModel {
 };
 
 /// Trains (or loads from the weight cache) the given architecture and
-/// scores it on the test split. A cache hit renders only the test split.
-/// A cache file that does not load is replaced by a retrain from
-/// `init_seed`, bit-identical to a clean cache miss.
+/// scores it on the test split. The cache file (nn/serialize.hpp, DSW2)
+/// stores the float test accuracy with the weights, so a hit renders and
+/// scores nothing. A DSW1 file under the old name is scored once and
+/// stored again as DSW2; the DSW1 file is left as it is. A cache file
+/// that does not load is replaced by a retrain from `init_seed`,
+/// bit-identical to a clean cache miss. Throws ConfigError for a train or
+/// test size of 0.
 TrainedModel train_or_load(const ZooTrainSpec& spec);
 
 } // namespace deepstrike::nn

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "accel/engine.hpp"
+#include "nn/serialize.hpp"
 #include "nn/zoo.hpp"
 #include "quant/qnetwork.hpp"
 #include "test_helpers.hpp"
@@ -348,7 +349,9 @@ TEST(Zoo, TrainOrLoadCaches) {
 // A cached weight file with a NaN weight is a bad cache file: the loader
 // rejects it, so train_or_load retrains instead of quantizing the NaN
 // (Q3_4::from_real has no code for it), and the retrained model deploys
-// the same quantized weights as the clean one.
+// the same quantized weights as the clean one. The patched file is
+// resealed, so it is the finiteness check that rejects it, not the
+// checksum.
 TEST(Zoo, NanWeightCacheRetrains) {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "ds_zoo_nan_cache_test";
@@ -371,8 +374,17 @@ TEST(Zoo, NanWeightCacheRetrains) {
         bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    std::memcpy(bytes.data() + 12, &nan, sizeof(nan)); // the first weight
+    std::memcpy(bytes.data() + testing::dsw2_weight_offsets(bytes).first, &nan, sizeof(nan));
+    testing::reseal_dsw2(bytes);
     std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+    Rng probe_rng(1);
+    nn::Sequential probe = nn::build_architecture(spec.architecture, probe_rng);
+    try {
+        (void)nn::load_weights(probe, file.string());
+        ADD_FAILURE() << "a NaN weight loaded";
+    } catch (const FormatError& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite weight"), std::string::npos) << e.what();
+    }
 
     nn::TrainedModel retrained = nn::train_or_load(spec);
     EXPECT_FALSE(retrained.loaded_from_cache);

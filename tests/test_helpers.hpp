@@ -13,6 +13,7 @@
 #include "accel/engine.hpp"
 #include "quant/qnetwork.hpp"
 #include "sim/platform.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -416,6 +417,30 @@ inline void expect_same_run(const accel::RunResult& got, const accel::RunResult&
         EXPECT_EQ(got.faults_by_layer[i].random, want.faults_by_layer[i].random)
             << "layer " << i;
     }
+}
+
+/// Byte offsets of the first and the last weight in a DSW2 weight file
+/// (nn/serialize.hpp). The first follows the magic, the key length and
+/// key, the accuracy, the parameter count and the first tensor's size;
+/// the last ends where the CRC begins.
+struct Dsw2WeightOffsets {
+    std::size_t first;
+    std::size_t last;
+};
+
+inline Dsw2WeightOffsets dsw2_weight_offsets(const std::string& bytes) {
+    std::uint32_t key_length = 0;
+    std::memcpy(&key_length, bytes.data() + 4, sizeof(key_length));
+    return {4 + 4 + std::size_t{key_length} + 8 + 4 + 4,
+            bytes.size() - sizeof(std::uint32_t) - sizeof(float)};
+}
+
+/// Recomputes a DSW2 weight file's trailing CRC-32, so a patch reaches
+/// the parser instead of failing the checksum.
+inline void reseal_dsw2(std::string& bytes) {
+    const std::size_t sealed = bytes.size() - sizeof(std::uint32_t);
+    const std::uint32_t crc = crc32(bytes.data(), sealed);
+    std::memcpy(bytes.data() + sealed, &crc, sizeof(crc));
 }
 
 } // namespace deepstrike::testing
