@@ -327,12 +327,14 @@ void BM_CosimCycleLanes(benchmark::State& state) {
 
 // A blind scheme's trace fill, one 8-lane group of its replays (500
 // strikes of 4 cycles, starts from sim::blind_replays), recorded two ways:
-// capture voltages only, as SweepRunner::fill records them, and the full
-// sensor view. A blind source never listens, so the capture-only group
-// draws no TDC sample and records no readout; the capture voltages are
-// identical (tests/cosim_lanes_test.cpp). CI gates the same-run pair ratio
-// at 0.6 so trace fills keep skipping the sensor; the pair runs as
-// alternating one-iteration repetitions (main below).
+// each lane's overlay plan only, as SweepRunner::fill records it
+// (CosimRecord::Plan), and the full sensor view. A blind source never
+// listens, so the plan-only group draws no TDC sample, records no readout
+// and allocates no capture trace; its plans equal plan_overlay of the
+// capture voltages, which equal the sensor view's
+// (tests/cosim_lanes_test.cpp). CI gates the same-run pair ratio at 0.6 so
+// trace fills keep skipping the sensor; the pair runs as alternating
+// one-iteration repetitions (main below).
 void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
     const ds::sim::Platform& platform = cosim_pair_platform();
     ds::attack::AttackScheme scheme;
@@ -358,8 +360,8 @@ void cosim_cycle_blind(benchmark::State& state, ds::sim::CosimRecord record) {
                                   platform.engine().schedule().total_cycles));
 }
 
-void BM_CosimCycleBlindCaptures(benchmark::State& state) {
-    cosim_cycle_blind(state, ds::sim::CosimRecord::Captures);
+void BM_CosimCycleBlindPlan(benchmark::State& state) {
+    cosim_cycle_blind(state, ds::sim::CosimRecord::Plan);
 }
 
 void BM_CosimCycleBlindSensor(benchmark::State& state) {
@@ -788,7 +790,7 @@ int main(int argc, char** argv) {
                   BM_FaultWalkLone, 41);
     register_pair("BM_CosimCycleLanes", BM_CosimCycleLanes, "BM_CosimCycleOneLane",
                   BM_CosimCycleOneLane, 15);
-    register_pair("BM_CosimCycleBlindCaptures", BM_CosimCycleBlindCaptures,
+    register_pair("BM_CosimCycleBlindPlan", BM_CosimCycleBlindPlan,
                   "BM_CosimCycleBlindSensor", BM_CosimCycleBlindSensor, 15);
 
     JsonCollector reporter;

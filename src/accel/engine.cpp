@@ -73,28 +73,6 @@ bool throttled(const std::vector<bool>* throttle, std::size_t cycle) {
     return throttle != nullptr && cycle < throttle->size() && (*throttle)[cycle];
 }
 
-/// SegmentOverlay::factors of a segment: the delay factor of each capture
-/// sample of `windows` in `voltage`, -1 where the sample is at or above
-/// `safe_v` or its DDR half is not in `half_mask` (as in unsafe_windows).
-/// Samples past the trace's end are nominal, as in unsafe_windows.
-std::vector<double> window_factors(const std::vector<CycleWindow>& windows,
-                                   const VoltageTrace& voltage, double safe_v,
-                                   const pdn::DelayModel& delay,
-                                   unsigned half_mask = 3u) {
-    std::size_t samples = 0;
-    for (const CycleWindow& w : windows) samples += 2 * (w.end - w.begin);
-    std::vector<double> factors;
-    factors.reserve(samples);
-    for (const CycleWindow& w : windows) {
-        for (std::size_t idx = w.begin * 2; idx < w.end * 2; ++idx) {
-            const double v = idx < voltage.size() ? voltage[idx] : delay.vdd;
-            const bool captures = (half_mask & (1u << (idx & 1))) != 0;
-            factors.push_back(captures && v < safe_v ? delay.factor(v) : -1.0);
-        }
-    }
-    return factors;
-}
-
 // ------------------------------------------------- the draw (data-free)
 //
 // Whether an op faults, and what a random fault puts in its place, depends
@@ -813,54 +791,19 @@ AccelEngine::AccelEngine(quant::QNetwork network, const AccelConfig& config,
 }
 
 OverlayPlan AccelEngine::plan_overlay(const VoltageTrace* voltage) const {
-    OverlayPlan plan;
-    plan.layers.resize(network_.layers.size());
-    if (voltage == nullptr) return plan;
-    for (std::size_t i = 0; i < network_.layers.size(); ++i) {
-        const LayerSegment& seg = schedule_.segment_for_layer(i);
-        SegmentOverlay& overlay = plan.layers[i];
-        switch (network_.layers[i].kind) {
-            case quant::QLayerKind::Conv:
-                overlay.unsafe = unsafe_windows(seg, voltage, conv_safe_v_);
-                overlay.factors =
-                    window_factors(overlay.unsafe, *voltage, conv_safe_v_, delay_);
-                break;
-            case quant::QLayerKind::Pool2:
-            case quant::QLayerKind::AvgPool2:
-                // Pool comparators are registered on the fabric clock: one
-                // capture per cycle, at the second DDR sample (cycle end).
-                overlay.unsafe =
-                    unsafe_windows(seg, voltage, pool_safe_v_, /*half_mask=*/2u);
-                overlay.factors = window_factors(overlay.unsafe, *voltage, pool_safe_v_,
-                                                 delay_, /*half_mask=*/2u);
-                break;
-            case quant::QLayerKind::Dense:
-                overlay.unsafe = unsafe_windows(seg, voltage, fc_safe_v_);
-                overlay.factors =
-                    window_factors(overlay.unsafe, *voltage, fc_safe_v_, delay_);
-                break;
-        }
+    if (voltage == nullptr) {
+        OverlayPlan plan;
+        plan.layers.resize(network_.layers.size());
+        return plan;
     }
-    if (metrics::enabled()) {
-        std::uint64_t windows = 0;
-        std::uint64_t window_cycles = 0;
-        for (const SegmentOverlay& overlay : plan.layers) {
-            for (const CycleWindow& w : overlay.unsafe) {
-                ++windows;
-                window_cycles += w.end - w.begin;
-            }
-        }
-        metrics::counter("overlay.plans", "plans",
-                         "per-(trace,schedule) unsafe-window plans built")
-            .add();
-        metrics::counter("overlay.unsafe_windows", "windows",
-                         "merged unsafe cycle windows across all plans")
-            .add(windows);
-        metrics::counter("overlay.window_cycles", "cycles",
-                         "fabric cycles covered by unsafe windows")
-            .add(window_cycles);
+    // Samples past the trace's end are nominal.
+    const VoltageTrace& v = *voltage;
+    const auto sample = [&](std::size_t idx) { return idx < v.size() ? v[idx] : delay_.vdd; };
+    OverlayPlanner planner(*this);
+    for (std::size_t cycle = 0; cycle < schedule_.total_cycles; ++cycle) {
+        planner.add_cycle(sample(cycle * 2), sample(cycle * 2 + 1));
     }
-    return plan;
+    return planner.finish();
 }
 
 std::vector<RunResult> AccelEngine::run_block(std::span<const GoldenPass> images,

@@ -11,7 +11,7 @@
 // Cycles at safe voltage take a fast path that is bit-exact with the
 // QNetwork golden model (a property the tests enforce).
 //
-// The engine reads a trace only once, in plan_overlay: the overlay plan
+// The engine never reads a trace while it runs: the overlay plan
 // (accel/overlay.hpp) holds the trace's unsafe windows and their delay
 // factors, and run_block reads the plan alone. Execution starts from the
 // image's golden pass (quant::QNetwork::forward_trace, kept per image in a
@@ -107,11 +107,13 @@ public:
     double pool_safe_voltage() const { return pool_safe_v_; }
 
     /// Precomputes the per-layer unsafe-interval overlay for `voltage`
-    /// (nullptr = nominal: every layer safe), with the delay factor of
-    /// every capture sample inside a window. The plan depends only on the
-    /// (trace, schedule, safe voltages, delay model) tuple — one plan
-    /// serves every image evaluated on the trace, and it is the only
-    /// engine step that reads the trace.
+    /// (nullptr = nominal: every layer safe, and nothing is counted), with
+    /// the delay factor of every capture sample inside a window: an
+    /// OverlayPlanner fed the trace cycle by cycle, samples past its end
+    /// nominal. The plan depends only on the (trace, schedule, safe
+    /// voltages, delay model) tuple — one plan serves every image evaluated
+    /// on the trace. A co-sim that plans as it captures
+    /// (sim::CosimRecord::Plan) returns the same plan without the trace.
     OverlayPlan plan_overlay(const VoltageTrace* voltage) const;
 
     /// Runs one inference per image of `images` (1 to kWalkLanes) on one
@@ -137,8 +139,8 @@ public:
     /// otherwise), as fresh streams do. Each result and each stream's end
     /// state equal those of the whole-segment per-op oracle run on the
     /// image alone (tests/engine_reference.cpp), at either twin.
-    /// `plan` comes from plan_overlay (plan_overlay(nullptr) for a nominal,
-    /// fault-free run) and must hold one entry per network layer; its
+    /// `plan` comes from an OverlayPlanner (plan_overlay(nullptr) for a
+    /// nominal, fault-free run) and must hold one entry per network layer; its
     /// windows and delay factors are all the walk reads.
     /// `throttle` optionally marks fabric cycles where a defensive clock
     /// throttle is active: DSP ops in those cycles run at half rate and

@@ -34,8 +34,12 @@
 // detector fires, a blind or fixed-schedule lane never. Its capture
 // voltages equal a Sensor co-sim's bit for bit, because they follow from
 // PDN state, PDN state from the activity and the strike bits, and strike
-// bits from TDC samples only while the source listens. Every trace fill
-// runs Captures, so on the blind replays that dominate a campaign no
+// bits from TDC samples only while the source listens. A Plan co-sim
+// draws as Captures does but keeps only the current cycle's two captures
+// per lane: as each cycle ends, the lane's accel::OverlayPlanner takes
+// them, so the lane leaves with its overlay plan, and no capture trace
+// (0.83 MB for LeNet-5) is allocated or scanned a second time. Trace
+// fills run Plan, so on the blind replays that dominate a campaign no
 // sensor work is left.
 //
 // Scheduling lives in sim::SweepRunner. Its one trace fill packs guided
@@ -159,6 +163,7 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
     const std::size_t tpc = cfg.ticks_per_cycle;
     const std::size_t n_caps = cfg.dsp_capture_ticks.size();
     const bool sensor = record == CosimRecord::Sensor;
+    const bool plan_only = record == CosimRecord::Plan;
     // Pad to whole 4-lane slots; pads mirror an idle (never-striking) lane
     // and are never observed.
     const std::size_t padded = (n + 3) / 4 * 4;
@@ -185,8 +190,18 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
     for (std::size_t l = 0; l < n; ++l) {
         CosimResult& res = results[l];
         res.strike_bits = BitVec(total_cycles);
-        res.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
+        if (!plan_only) res.capture_v.assign(total_cycles * n_caps, cfg.pdn.vdd);
         if (sensor) res.tdc_readouts.reserve(total_cycles * cfg.tdc_sample_ticks.size());
+    }
+    // A Plan co-sim keeps each lane's captures of the current cycle only,
+    // lane-major, and hands them to the lane's planner as the cycle ends.
+    // Like capture_v, a capture edge never reached stays nominal.
+    std::vector<accel::OverlayPlanner> planners;
+    std::vector<double> cycle_captures;
+    if (plan_only) {
+        planners.reserve(n);
+        for (std::size_t l = 0; l < n; ++l) planners.emplace_back(engine_);
+        cycle_captures.assign(n * n_caps, cfg.pdn.vdd);
     }
 
     // Per-lane TDC noise streams: every lane starts from the one
@@ -223,8 +238,19 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
             }
         }
         if (act.capture_slot >= 0) {
-            const std::size_t at = cycle * n_caps + static_cast<std::size_t>(act.capture_slot);
-            for (std::size_t l = 0; l < n; ++l) results[l].capture_v[at] = v[l];
+            const auto slot = static_cast<std::size_t>(act.capture_slot);
+            if (plan_only) {
+                for (std::size_t l = 0; l < n; ++l) cycle_captures[l * n_caps + slot] = v[l];
+            } else {
+                const std::size_t at = cycle * n_caps + slot;
+                for (std::size_t l = 0; l < n; ++l) results[l].capture_v[at] = v[l];
+            }
+        }
+    };
+    const auto end_cycle = [&] {
+        if (!plan_only) return;
+        for (std::size_t l = 0; l < n; ++l) {
+            planners[l].add_cycle(cycle_captures[l * n_caps], cycle_captures[l * n_caps + 1]);
         }
     };
 
@@ -259,6 +285,7 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
             compactions += slots * tpc;
             for (std::size_t l = 0; l < n; ++l) steps_skipped[l] += tpc;
             for (std::size_t tick = 0; tick < tpc; ++tick) tick_events(cycle, tick);
+            end_cycle();
             continue;
         }
 
@@ -308,7 +335,9 @@ std::vector<CosimResult> Platform::simulate_inference_lanes(
             }
             tick_events(cycle, tick);
         }
+        end_cycle();
     }
+    for (std::size_t l = 0; l < planners.size(); ++l) results[l].plan = planners[l].finish();
 
     // Flush accounting once per group, never per tick: the logical totals
     // are per-lane sums, so they do not depend on how co-sims were grouped;

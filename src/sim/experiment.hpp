@@ -3,8 +3,10 @@
 // order, accuracy evaluation, and the DSP characterization rig of Fig. 6.
 //
 // An attack's electrical trace enters evaluation only through its overlay
-// plan (AccelEngine::plan_overlay): a caller co-simulates a trace, plans
-// it once, and evaluate_accuracy scores any number of images on the plan.
+// plan (accel::OverlayPlanner): a caller either co-simulates a trace and
+// plans it once (AccelEngine::plan_overlay) or co-simulates the plan
+// directly (CosimRecord::Plan), and evaluate_accuracy scores any number
+// of images on the plan.
 #pragma once
 
 #include <cstdint>

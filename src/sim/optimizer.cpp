@@ -20,9 +20,8 @@ AccuracyResult evaluate_bits_attack(const Platform& platform,
                                     std::uint64_t fault_seed) {
     attack::AttackController controller(detector, scheme_bits);
     GuidedSource source(controller);
-    const CosimResult cosim = platform.simulate_inference(source, CosimRecord::Captures);
-    const accel::OverlayPlan plan = platform.engine().plan_overlay(&cosim.capture_v);
-    return evaluate_accuracy(platform, test_set, n_images, {&plan, 1}, fault_seed);
+    const CosimResult cosim = platform.simulate_inference(source, CosimRecord::Plan);
+    return evaluate_accuracy(platform, test_set, n_images, {&cosim.plan, 1}, fault_seed);
 }
 
 namespace {

@@ -44,7 +44,7 @@ public:
     /// Whether a later TDC sample can still change a strike bit. Contract:
     /// once a source returns false, it never reads a later sample, so its
     /// strike bits no longer depend on the sensor. A CosimRecord::Captures
-    /// co-sim then stops drawing samples for its lane.
+    /// or CosimRecord::Plan co-sim then stops drawing samples for its lane.
     virtual bool listens() const { return true; }
 };
 
@@ -108,14 +108,21 @@ struct PlatformConfig {
 /// (SweepRunner's trace fill does).
 inline constexpr std::size_t kCosimLanes = 8;
 
-/// What a co-sim records. Both modes fill capture_v, strike_cycles and
-/// strike_bits, identically: capture voltages follow from PDN state alone,
-/// and a source's strike bits depend on TDC samples only while it
-/// listens().
+/// What a co-sim records. Every mode fills strike_cycles and strike_bits,
+/// identically, and the capture voltages the modes see are identical too:
+/// capture voltages follow from PDN state alone, and a source's strike
+/// bits depend on TDC samples only while it listens().
 enum class CosimRecord {
+    /// The overlay plan of each lane's capture voltages and the strike
+    /// schedule; no capture trace is allocated. Each lane feeds its own
+    /// accel::OverlayPlanner at the end of every fabric cycle, and draws
+    /// TDC samples as in Captures. For callers that evaluate the attack
+    /// and keep nothing else (the trace fills, the optimizer's bits
+    /// attack).
+    Plan,
     /// Capture voltages and the strike schedule only. A lane draws TDC
     /// samples only while its source listens, and no lane records
-    /// readouts. For callers that keep capture_v alone (the trace fills).
+    /// readouts. For callers that keep the whole capture trace.
     Captures,
     /// Captures plus tdc_readouts. Every lane draws every TDC sample
     /// (profiling, the monitor, waveform export).
@@ -125,8 +132,13 @@ enum class CosimRecord {
 struct CosimResult {
     /// Die voltage at each DSP capture edge: two samples per fabric cycle
     /// (index = cycle * 2 + ddr_half). This is the trace the fault model
-    /// consumes.
+    /// consumes. Empty in a Plan co-sim.
     accel::VoltageTrace capture_v;
+    /// The overlay plan of capture_v (Plan only; empty otherwise): equal,
+    /// windows and delay factors bit for bit, to
+    /// engine().plan_overlay(&capture_v) of a Captures co-sim of the same
+    /// source, and counted as one plan.
+    accel::OverlayPlan plan;
     /// All TDC readouts in sampling order (2 per fabric cycle; Sensor
     /// only).
     std::vector<std::uint8_t> tdc_readouts;

@@ -155,11 +155,13 @@ std::vector<std::exception_ptr> SweepRunner::fill(
     std::vector<std::shared_ptr<GuidedTraceBundle>> guided_bundles(n_guided);
     std::vector<std::shared_ptr<BlindTraceBundle>> blind_bundles(blind.size());
     try {
-        // One co-sim, and the bundle slots its trace and plan land in.
+        // One co-sim, and the bundle slots its plan and (with cache_traces)
+        // its trace land in.
+        const bool keep_traces = config_.cache_traces;
         struct Lane {
             std::size_t request;
             StrikeSource* source;
-            accel::VoltageTrace* trace;
+            accel::VoltageTrace* trace; // null unless keep_traces
             accel::OverlayPlan* plan;
             std::size_t strike_cycles; // num_strikes x strike_cycles
         };
@@ -197,7 +199,8 @@ std::vector<std::exception_ptr> SweepRunner::fill(
                 errors[r] = std::current_exception();
                 continue;
             }
-            lanes.push_back({r, &guided_sources.back(), &guided_bundles[r]->trace,
+            lanes.push_back({r, &guided_sources.back(),
+                             keep_traces ? &guided_bundles[r]->trace : nullptr,
                              &guided_bundles[r]->plan, strike_total(scheme)});
         }
         pack(lanes);
@@ -212,12 +215,13 @@ std::vector<std::exception_ptr> SweepRunner::fill(
                 const std::vector<BlindReplay> replays = blind_replays(
                     *platform_, request.scheme, request.n_offsets, request.offset_seed);
                 auto bundle = std::make_shared<BlindTraceBundle>();
-                bundle->traces.resize(replays.size());
+                if (keep_traces) bundle->traces.resize(replays.size());
                 bundle->plans.resize(replays.size());
                 for (const BlindReplay& replay : replays) {
                     blind_controllers.emplace_back(request.scheme, replay.start_cycle);
                     blind_sources.emplace_back(blind_controllers.back());
-                    lanes.push_back({r, &blind_sources.back(), &bundle->traces[replay.offset],
+                    lanes.push_back({r, &blind_sources.back(),
+                                     keep_traces ? &bundle->traces[replay.offset] : nullptr,
                                      &bundle->plans[replay.offset],
                                      strike_total(request.scheme)});
                 }
@@ -246,13 +250,15 @@ std::vector<std::exception_ptr> SweepRunner::fill(
                     sources.reserve(group.lanes.size());
                     for (const Lane& lane : group.lanes) sources.push_back(lane.source);
                     std::vector<CosimResult> cosims = platform_->simulate_inference_lanes(
-                        sources, CosimRecord::Captures);
+                        sources, keep_traces ? CosimRecord::Captures : CosimRecord::Plan);
                     for (std::size_t j = 0; j < cosims.size(); ++j) {
-                        *group.lanes[j].trace = std::move(cosims[j].capture_v);
-                    }
-                    cosims.clear(); // nothing else of a co-sim is kept
-                    for (const Lane& lane : group.lanes) {
-                        *lane.plan = platform_->engine().plan_overlay(lane.trace);
+                        const Lane& lane = group.lanes[j];
+                        if (keep_traces) {
+                            *lane.plan = platform_->engine().plan_overlay(&cosims[j].capture_v);
+                            *lane.trace = std::move(cosims[j].capture_v);
+                        } else {
+                            *lane.plan = std::move(cosims[j].plan);
+                        }
                     }
                 } catch (...) {
                     group_errors[order[k]] = std::current_exception();

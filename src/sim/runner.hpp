@@ -17,11 +17,12 @@
 // evaluate against. The structural property documented in
 // sim/platform.hpp — the accelerator's power draw is data-independent, so
 // ONE electrical trace per attack configuration serves every image — makes
-// the trace the unit of work: the runner fills each point's trace once,
-// together with its overlay plan, and keeps the bundle it filled so the
-// point's task reads it back. Its fill is the only one for stored traces,
-// guided or blind: it packs co-sims into lane groups of kCosimLanes, one
-// Platform::simulate_inference_lanes call per group.
+// the attack configuration the unit of work: the runner co-simulates each
+// point's configuration once, into its overlay plan, and keeps the bundle
+// it filled so the point's task reads it back. Its fill is the only one
+// for stored bundles, guided or blind: it packs co-sims into lane groups
+// of kCosimLanes, one Platform::simulate_inference_lanes call per group,
+// and each lane plans as it captures, so a bundle holds plans, not traces.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +46,13 @@ struct RunnerConfig {
     /// Worker width for sweep execution; 0 = the global thread knob
     /// (set_global_thread_count / --threads).
     std::size_t threads = 0;
-    /// Ignored: the runner always keeps the bundles it filled. The field
-    /// stays only because bench/e2e/ds_e2e.cpp spells
-    /// RunnerConfig{threads, true}.
-    bool cache_traces = true;
+    /// Also keep each bundle's capture trace (GuidedTraceBundle::trace,
+    /// BlindTraceBundle::traces): its lanes co-simulate in
+    /// CosimRecord::Captures and are planned with
+    /// AccelEngine::plan_overlay afterwards. Plans and counts are the same
+    /// either way. Only bench/e2e/ds_e2e.cpp's traced unit, which re-plans
+    /// the traces, and the tests that compare traces set it.
+    bool cache_traces = false;
 };
 
 /// One independent unit of sweep work. `work` writes its result into
@@ -87,18 +91,19 @@ struct RunManifest {
     Json to_json() const;
 };
 
-/// A co-simulated trace together with its precomputed fault-overlay
-/// plan (AccelEngine::plan_overlay): the complete per-attack-configuration
-/// precomputation, shared across every image of a campaign point.
-/// Evaluation reads only the plan. The trace field is kept only for
-/// bench/e2e/ds_e2e.cpp, whose overlay-planning row re-plans it.
+/// One attack configuration's fault-overlay plan: the complete
+/// per-attack-configuration precomputation, shared across every image of
+/// a campaign point. Evaluation reads only the plan. `trace` is the
+/// co-simulated capture trace the plan was made from when the runner's
+/// RunnerConfig::cache_traces is set, and empty otherwise.
 struct GuidedTraceBundle {
     accel::VoltageTrace trace;
     accel::OverlayPlan plan;
 };
 
-/// Blind-baseline equivalent; `plans` is indexed like `traces`, which,
-/// like GuidedTraceBundle::trace, only bench/e2e/ds_e2e.cpp reads.
+/// Blind-baseline equivalent: plans[i] is offset i's plan. With
+/// RunnerConfig::cache_traces, traces[i] is offset i's capture trace;
+/// otherwise `traces` is empty.
 struct BlindTraceBundle {
     std::vector<accel::VoltageTrace> traces;
     std::vector<accel::OverlayPlan> plans;
@@ -129,7 +134,7 @@ public:
     /// lowest-indexed point failure is rethrown after every point ran.
     RunManifest run(const std::string& sweep_name, std::vector<SweepTask> tasks);
 
-    /// Guided-attack trace + overlay plan for the scheme under the
+    /// Guided-attack overlay plan (and trace) for the scheme under the
     /// detector: the bundle this runner stored for an equal (detector,
     /// scheme), or else a fill of this one request, as a one-lane group,
     /// which is stored. Thread-safe. A failed fill throws this request's
@@ -140,8 +145,8 @@ public:
     guided_bundle(const attack::DetectorConfig& detector,
                   const attack::AttackScheme& scheme);
 
-    /// Blind-baseline trace set + plans, stored per equal BlindRequest;
-    /// traces[i] is offset i's trace (sim::blind_replays). A request not
+    /// Blind-baseline plans (and traces), stored per equal BlindRequest;
+    /// plans[i] is offset i's plan (sim::blind_replays). A request not
     /// stored yet is filled alone: its replays fill lane groups of their
     /// own, in descending start cycle, and the groups run in parallel over
     /// threads(). Failures and concurrent requests as for guided_bundle.
@@ -184,9 +189,11 @@ private:
     /// request's replays in groups of their own — and runs all groups in
     /// one parallel_for over threads(), in descending total strike cycles,
     /// one simulate_inference_lanes call per group. Each group is a
-    /// capture-only co-sim (CosimRecord::Captures: a guided lane draws TDC
-    /// samples until its detector fires, a blind lane none), and its task
-    /// keeps only its lanes' capture voltages and overlay plans. A lane
+    /// plan-only co-sim (CosimRecord::Plan: a guided lane draws TDC
+    /// samples until its detector fires, a blind lane none, and each lane
+    /// plans as it captures), and its task keeps only its lanes' overlay
+    /// plans; with RunnerConfig::cache_traces it is a Captures co-sim whose
+    /// task keeps the capture traces and plans them. A lane
     /// whose controller cannot be built fails its own request and joins no
     /// group, and a group that throws fails only the requests owning a
     /// lane in it. After the batch, every bundle that filled is stored

@@ -9,8 +9,9 @@
 // groups of several sizes (cosim_in_groups) are compared bitwise against a
 // test-local oracle that steps one co-sim one tick at a time on the
 // public substrate models, including compaction exit and re-entry around
-// mid-run strikes and partially filled 4-lane slots, and every
-// capture-only lane against its Sensor-mode twin.
+// mid-run strikes and partially filled 4-lane slots, every capture-only
+// lane against its Sensor-mode twin, and every plan-only lane's plan
+// against plan_overlay of its Captures trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/arch_profiles.hpp"
@@ -38,6 +40,7 @@ namespace deepstrike {
 namespace {
 
 using testing::FixedSource;
+using testing::same_plan;
 using testing::SimdGuard;
 
 quant::QNetwork untrained_network(nn::Architecture arch) {
@@ -440,6 +443,90 @@ TEST(CosimLanesDirect, CapturesMatchSensorBitwise) {
     }
 }
 
+class CosimLanesPlan : public ::testing::TestWithParam<nn::Architecture> {};
+
+// A Plan co-sim's plan, built in the tick loop, equals plan_overlay of the
+// same lane's Captures trace bit for bit, for random guided, blind and
+// fixed sources and fixed strikes on the first and the last cycle, at
+// every group size, lane position and SIMD twin. It allocates no trace,
+// draws TDC samples as Captures does and counts one plan per lane.
+TEST_P(CosimLanesPlan, TickLoopPlanEqualsPlanOfCapturesTrace) {
+    SimdGuard guard;
+    const bool metrics_were_on = metrics::enabled();
+    const nn::Architecture arch = GetParam();
+    sim::Platform platform(platform_config(arch), untrained_network(arch));
+    const std::size_t total = platform.engine().schedule().total_cycles;
+    std::vector<LaneSpec> specs =
+        random_lane_specs(total, 90 + static_cast<std::uint64_t>(arch));
+    for (const auto& [first, last] : {std::pair{std::size_t{0}, std::size_t{40}},
+                                      std::pair{total - 40, total}}) {
+        LaneSpec spec;
+        spec.kind = LaneSpec::Kind::Fixed;
+        spec.bits = strike_window(total, first, last);
+        specs.push_back(spec);
+    }
+    std::vector<std::size_t> forward(specs.size());
+    std::iota(forward.begin(), forward.end(), std::size_t{0});
+    const std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+
+    metrics::set_enabled(true);
+    std::vector<sim::CosimResult> refs;
+    std::vector<accel::OverlayPlan> ref_plans;
+    std::uint64_t windows = 0;
+    {
+        LaneSources sources(specs, forward);
+        for (sim::StrikeSource* source : sources.lanes) {
+            refs.push_back(platform.simulate_inference(*source, sim::CosimRecord::Captures));
+            ref_plans.push_back(platform.engine().plan_overlay(&refs.back().capture_v));
+            for (const accel::SegmentOverlay& layer : ref_plans.back().layers) {
+                windows += layer.unsafe.size();
+            }
+        }
+    }
+    // Some lanes cross a safe voltage: the comparison is not vacuous.
+    EXPECT_GT(windows, 0u) << nn::architecture_name(arch);
+
+    for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
+        simd::set_mode(mode);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+            for (const std::vector<std::size_t>& order : {forward, reversed}) {
+                LaneSources sources(specs, order);
+                metrics::reset();
+                const std::vector<sim::CosimResult> planned =
+                    cosim_in_groups(platform, sources.lanes, width, sim::CosimRecord::Plan);
+                EXPECT_EQ(metrics::counter("overlay.plans").total(), specs.size());
+                EXPECT_EQ(metrics::counter("overlay.unsafe_windows").total(), windows);
+                ASSERT_EQ(planned.size(), specs.size());
+                for (std::size_t k = 0; k < order.size(); ++k) {
+                    const std::string label =
+                        std::string(nn::architecture_name(arch)) + ", " +
+                        simd::mode_name(mode) + " twin, width " + std::to_string(width) +
+                        ", lane " + std::to_string(k) + ", source " + std::to_string(order[k]);
+                    const sim::CosimResult& got = planned[k];
+                    const sim::CosimResult& ref = refs[order[k]];
+                    EXPECT_TRUE(same_plan(got.plan, ref_plans[order[k]]))
+                        << label << ": plan diverged";
+                    EXPECT_TRUE(got.capture_v.empty()) << label;
+                    EXPECT_TRUE(got.tdc_readouts.empty()) << label;
+                    EXPECT_TRUE(got.strike_bits == ref.strike_bits) << label;
+                    EXPECT_EQ(got.strike_cycles, ref.strike_cycles) << label;
+                }
+            }
+        }
+    }
+    metrics::reset();
+    metrics::set_enabled(metrics_were_on);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooVictims, CosimLanesPlan,
+                         ::testing::Values(nn::Architecture::LeNet5,
+                                           nn::Architecture::MiniCnn,
+                                           nn::Architecture::Mlp,
+                                           nn::Architecture::Bnn),
+                         [](const ::testing::TestParamInfo<nn::Architecture>& info) {
+                             return std::string(nn::architecture_name(info.param));
+                         });
+
 TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
     SimdGuard guard;
     const bool metrics_were_on = metrics::enabled();
@@ -486,6 +573,11 @@ TEST(CosimLanesDirect, CaptureDrawCountsAreWidthAndOrderInvariant) {
     const Draws sensor = draws(sim::CosimRecord::Sensor, 8, forward);
     EXPECT_EQ(sensor.samples, specs.size() * samples_per_run);
     EXPECT_LT(base.samples, sensor.samples / 2);
+    // A Plan co-sim draws exactly what a Captures co-sim draws.
+    const Draws plan = draws(sim::CosimRecord::Plan, 8, reversed);
+    EXPECT_EQ(plan.samples, base.samples);
+    EXPECT_EQ(plan.memo_hits, base.memo_hits);
+    EXPECT_EQ(plan.listened, base.listened);
     for (const simd::Mode mode : {simd::Mode::Auto, simd::Mode::Scalar}) {
         simd::set_mode(mode);
         for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {

@@ -49,6 +49,55 @@ TEST(Crc32, KnownVectors) {
     EXPECT_EQ(crc32("a"), 0xE8B7BE43u);
 }
 
+/// The byte-at-a-time table CRC-32: the oracle the sliced form must equal.
+std::uint32_t crc32_bytewise(const unsigned char* bytes, std::size_t size,
+                             std::uint32_t seed = 0) {
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+        table[i] = c;
+    }
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(Rng& rng, std::size_t size) {
+    std::vector<unsigned char> bytes(size);
+    for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next() >> 56);
+    return bytes;
+}
+
+// Random lengths of 0 to 4 KB at every start alignment modulo 8, each also
+// chained from a random split and a random seed, and one buffer the size of
+// the LeNet-5 weight file (507 KB).
+TEST(Crc32, SlicedFormEqualsBytewiseOracle) {
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32_bytewise(reinterpret_cast<const unsigned char*>(check.data()), check.size()),
+              0xCBF43926u);
+    Rng rng(3141);
+    const std::vector<unsigned char> pool = random_bytes(rng, 4096 + 8);
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (int trial = 0; trial < 64; ++trial) {
+            const auto size = static_cast<std::size_t>(rng.uniform_int(0, 4096));
+            const unsigned char* p = pool.data() + align;
+            const auto seed = static_cast<std::uint32_t>(rng.next());
+            ASSERT_EQ(crc32(p, size), crc32_bytewise(p, size))
+                << "align " << align << ", size " << size;
+            ASSERT_EQ(crc32(p, size, seed), crc32_bytewise(p, size, seed))
+                << "align " << align << ", size " << size << ", seeded";
+            const auto split = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(size)));
+            ASSERT_EQ(crc32(p + split, size - split, crc32(p, split)), crc32_bytewise(p, size))
+                << "align " << align << ", size " << size << ", split " << split;
+        }
+    }
+    const std::vector<unsigned char> weights = random_bytes(rng, 507 * 1024 + 5);
+    EXPECT_EQ(crc32(weights.data(), weights.size()),
+              crc32_bytewise(weights.data(), weights.size()));
+}
+
 TEST(Crc32, SeedChainsIncrementally) {
     const std::string text = "hello, journal";
     const std::uint32_t whole = crc32(text);

@@ -33,6 +33,7 @@ using deepstrike::testing::random_qimage;
 using deepstrike::testing::random_qnetwork;
 using deepstrike::testing::run_engine;
 using deepstrike::testing::run_reference;
+using deepstrike::testing::same_plan;
 using deepstrike::testing::SimdGuard;
 
 AccelEngine make_engine(bool tmr = false, std::uint64_t weight_seed = 1,
@@ -71,33 +72,73 @@ bool holds_pending_deviate(const Rng& rng) {
     return !stream_equal(rng, restarted);
 }
 
+/// `trace` fed to a fresh OverlayPlanner one cycle at a time.
+OverlayPlan plan_by_cycle(const AccelEngine& engine, const VoltageTrace& trace) {
+    OverlayPlanner planner(engine);
+    for (std::size_t i = 0; i + 1 < trace.size(); i += 2) {
+        planner.add_cycle(trace[i], trace[i + 1]);
+    }
+    return planner.finish();
+}
+
+// The planner merges adjacent unsafe cycles into one window, a pool layer
+// gates only its comparators' second DDR sample, and a sample exactly at
+// the safe voltage is safe. plan_overlay of the same trace is the same
+// plan.
 TEST(Overlay, UnsafeWindowsMergeAndRespectHalfMask) {
     const AccelEngine engine = make_engine();
-    const LayerSegment& seg = engine.schedule().segment_for("CONV2");
+    const pdn::DelayModel& delay = engine.delay_model();
+    const LayerSegment& conv2 = engine.schedule().segment_for("CONV2");
+    const LayerSegment& pool = engine.schedule().segment_for("POOL1");
     VoltageTrace trace = nominal_trace(engine);
 
-    // Three unsafe cycles: two adjacent (merged), one separate. The middle
-    // one is unsafe only on the first DDR half sample.
-    const std::size_t c0 = seg.start_cycle + 3;
-    trace[c0 * 2] = 0.5;
-    trace[(c0 + 1) * 2] = 0.5;
-    trace[(c0 + 5) * 2 + 1] = 0.5;
+    // Three unsafe CONV2 cycles: two adjacent (merged), one separate. The
+    // first two are unsafe only on the first DDR half sample, the third
+    // only on the second. A fourth cycle sits exactly at the safe voltage.
+    const double conv_low = engine.conv_safe_voltage() - 0.05;
+    const std::size_t c0 = conv2.start_cycle + 3;
+    trace[c0 * 2] = conv_low;
+    trace[(c0 + 1) * 2] = conv_low;
+    trace[(c0 + 5) * 2 + 1] = conv_low;
+    trace[(c0 + 9) * 2] = engine.conv_safe_voltage();
+    trace[(c0 + 9) * 2 + 1] = engine.conv_safe_voltage();
 
-    const auto both = unsafe_windows(seg, &trace, 0.9);
-    ASSERT_EQ(both.size(), 2u);
-    EXPECT_EQ(both[0].begin, c0);
-    EXPECT_EQ(both[0].end, c0 + 2);
-    EXPECT_EQ(both[1].begin, c0 + 5);
-    EXPECT_EQ(both[1].end, c0 + 6);
+    // POOL1: a first-half-only droop the comparators never capture, and a
+    // second-half droop two cycles later.
+    const double pool_low = engine.pool_safe_voltage() - 0.05;
+    const std::size_t p0 = pool.start_cycle + 1;
+    trace[p0 * 2] = pool_low;
+    trace[(p0 + 2) * 2 + 1] = pool_low;
 
-    // half_mask=2 (second sample only, the pool comparator's capture) must
-    // not see the first-half-only droops.
-    const auto second_half = unsafe_windows(seg, &trace, 0.9, /*half_mask=*/2u);
-    ASSERT_EQ(second_half.size(), 1u);
-    EXPECT_EQ(second_half[0].begin, c0 + 5);
+    const OverlayPlan plan = plan_by_cycle(engine, trace);
+    const SegmentOverlay& conv = plan.layers[conv2.layer_index];
+    ASSERT_EQ(conv.unsafe.size(), 2u);
+    EXPECT_EQ(conv.unsafe[0].begin, c0);
+    EXPECT_EQ(conv.unsafe[0].end, c0 + 2);
+    EXPECT_EQ(conv.unsafe[1].begin, c0 + 5);
+    EXPECT_EQ(conv.unsafe[1].end, c0 + 6);
+    const double f = delay.factor(conv_low);
+    const std::vector<double> want_conv = {f, -1.0, f, -1.0, -1.0, f};
+    ASSERT_EQ(conv.factors.size(), want_conv.size());
+    for (std::size_t i = 0; i < want_conv.size(); ++i) {
+        EXPECT_EQ(bits_of(conv.factors[i]), bits_of(want_conv[i])) << "conv sample " << i;
+    }
 
-    // Safe threshold below the droop: no windows.
-    EXPECT_TRUE(unsafe_windows(seg, &trace, 0.4).empty());
+    const SegmentOverlay& pooled = plan.layers[pool.layer_index];
+    ASSERT_EQ(pooled.unsafe.size(), 1u);
+    EXPECT_EQ(pooled.unsafe[0].begin, p0 + 2);
+    EXPECT_EQ(pooled.unsafe[0].end, p0 + 3);
+    ASSERT_EQ(pooled.factors.size(), 2u);
+    EXPECT_EQ(pooled.factors[0], -1.0);
+    EXPECT_EQ(bits_of(pooled.factors[1]), bits_of(delay.factor(pool_low)));
+
+    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        if (i != conv2.layer_index && i != pool.layer_index) {
+            EXPECT_FALSE(plan.layers[i].any()) << "layer " << i;
+        }
+    }
+
+    EXPECT_TRUE(same_plan(engine.plan_overlay(&trace), plan));
 }
 
 TEST(Overlay, PlanCoversAllLayersAndNominalTraceIsEmpty) {

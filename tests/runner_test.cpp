@@ -18,6 +18,8 @@
 namespace deepstrike::sim {
 namespace {
 
+using deepstrike::testing::same_plan;
+
 // ------------------------------------------------------------ thread pool
 
 TEST(ThreadPool, SubmitAndWait) {
@@ -280,19 +282,6 @@ bool same_trace(const accel::VoltageTrace& a, const accel::VoltageTrace& b) {
            (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-bool same_plan(const accel::OverlayPlan& a, const accel::OverlayPlan& b) {
-    if (a.layers.size() != b.layers.size()) return false;
-    for (std::size_t l = 0; l < a.layers.size(); ++l) {
-        const std::vector<accel::CycleWindow>& x = a.layers[l].unsafe;
-        const std::vector<accel::CycleWindow>& y = b.layers[l].unsafe;
-        if (x.size() != y.size()) return false;
-        for (std::size_t w = 0; w < x.size(); ++w) {
-            if (x[w].begin != y[w].begin || x[w].end != y[w].end) return false;
-        }
-    }
-    return true;
-}
-
 void expect_same_guided(const GuidedTraceBundle& got, const GuidedTraceBundle& want,
                         const std::string& where) {
     EXPECT_TRUE(same_trace(got.trace, want.trace)) << where << ": trace differs";
@@ -365,7 +354,8 @@ struct MetricsOnGuard {
 // One prefetch batch fills every bundle exactly as one-request fills do.
 // It co-simulates a request repeated within it once, and consuming the
 // prefetched bundles co-simulates nothing. The 11-offset blind bundle
-// spans a full and a partial lane group.
+// spans a full and a partial lane group. The runners keep their traces,
+// so each blind trace is also checked against a lone co-sim.
 TEST(SweepRunner, PrefetchMatchesSingleFills) {
     MetricsOnGuard metrics_on;
     const BatchVictim& v = batch_victim();
@@ -397,7 +387,7 @@ TEST(SweepRunner, PrefetchMatchesSingleFills) {
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         const std::string where = "threads " + std::to_string(threads);
-        SweepRunner batched(v.platform, RunnerConfig{threads});
+        SweepRunner batched(v.platform, RunnerConfig{threads, true});
         const std::uint64_t before = cosim_cycles();
         batched.prefetch({}, guided, blind);
         const std::uint64_t prefetched = cosim_cycles();
@@ -412,7 +402,7 @@ TEST(SweepRunner, PrefetchMatchesSingleFills) {
         }
         EXPECT_EQ(cosim_cycles(), prefetched) << where << ": a stored bundle refilled";
 
-        SweepRunner single(v.platform, RunnerConfig{threads});
+        SweepRunner single(v.platform, RunnerConfig{threads, true});
         for (std::size_t i = 0; i < guided.size(); ++i) {
             expect_same_guided(*got_guided[i], *single.guided_bundle({}, guided[i]), where);
         }
@@ -425,6 +415,55 @@ TEST(SweepRunner, PrefetchMatchesSingleFills) {
         for (std::size_t i = 0; i < oracle.size(); ++i) {
             EXPECT_TRUE(same_trace(got_blind[0]->traces[i], oracle[i]))
                 << where << ": offset " << i << " differs from its oracle";
+        }
+    }
+}
+
+// A default runner keeps plans only: its bundles hold no trace, and each
+// plan, made in the tick loop, equals, windows and factor bits, the plan
+// a cache_traces runner makes from the trace it keeps. The fills count
+// the same plans and co-simulate the same cycles.
+TEST(SweepRunner, DefaultBundlesHoldPlansNotTraces) {
+    MetricsOnGuard metrics_on;
+    const BatchVictim& v = batch_victim();
+    const std::vector<attack::AttackScheme> guided = batch_guided_schemes();
+    const std::vector<BlindRequest> blind = {{blind_scheme(40, 60), 11, 5}};
+    const auto counts = [] {
+        return std::vector<std::uint64_t>{metrics::counter("overlay.plans").total(),
+                                          metrics::counter("overlay.unsafe_windows").total(),
+                                          metrics::counter("overlay.window_cycles").total(),
+                                          cosim_cycles()};
+    };
+
+    EXPECT_FALSE(RunnerConfig{}.cache_traces);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string where = "threads " + std::to_string(threads);
+        metrics::reset();
+        SweepRunner plans_only(v.platform, RunnerConfig{threads});
+        plans_only.prefetch({}, guided, blind);
+        const std::vector<std::uint64_t> plan_counts = counts();
+        metrics::reset();
+        SweepRunner traced(v.platform, RunnerConfig{threads, true});
+        traced.prefetch({}, guided, blind);
+        EXPECT_EQ(counts(), plan_counts) << where;
+        EXPECT_GT(plan_counts[1], 0u) << where << ": no plan has a window";
+
+        for (const attack::AttackScheme& scheme : guided) {
+            const auto got = plans_only.guided_bundle({}, scheme);
+            const auto want = traced.guided_bundle({}, scheme);
+            EXPECT_TRUE(got->trace.empty()) << where;
+            EXPECT_FALSE(want->trace.empty()) << where;
+            EXPECT_TRUE(same_plan(got->plan, want->plan)) << where << ": plan differs";
+        }
+        const BlindRequest& r = blind[0];
+        const auto got = plans_only.blind_bundle(r.scheme, r.n_offsets, r.offset_seed);
+        const auto want = traced.blind_bundle(r.scheme, r.n_offsets, r.offset_seed);
+        EXPECT_TRUE(got->traces.empty()) << where;
+        ASSERT_EQ(want->traces.size(), r.n_offsets) << where;
+        ASSERT_EQ(got->plans.size(), want->plans.size()) << where;
+        for (std::size_t i = 0; i < want->plans.size(); ++i) {
+            EXPECT_TRUE(same_plan(got->plans[i], want->plans[i]))
+                << where << ": offset " << i << " plan differs";
         }
     }
 }

@@ -148,7 +148,7 @@ TEST(BlindAttack, TracesDiffer) {
     scheme.num_strikes = 100;
     scheme.gap_cycles = 10;
     const std::vector<accel::VoltageTrace> traces =
-        SweepRunner(platform).blind_bundle(scheme, 3, 7)->traces;
+        SweepRunner(platform, RunnerConfig{0, true}).blind_bundle(scheme, 3, 7)->traces;
     ASSERT_EQ(traces.size(), 3u);
     EXPECT_NE(traces[0], traces[1]);
     EXPECT_NE(traces[1], traces[2]);
@@ -278,7 +278,7 @@ TEST(CaptureOnlyCallers, EqualTheirSensorModeCosims) {
     }
 
     const std::vector<accel::VoltageTrace> blind =
-        SweepRunner(platform).blind_bundle(scheme, 5, 9)->traces;
+        SweepRunner(platform, RunnerConfig{0, true}).blind_bundle(scheme, 5, 9)->traces;
     ASSERT_EQ(blind.size(), 5u);
     for (const BlindReplay& replay : blind_replays(platform, scheme, 5, 9)) {
         attack::BlindController controller(scheme, replay.start_cycle);

@@ -388,6 +388,30 @@ inline std::vector<accel::OverlayPlan> plans_of(const accel::AccelEngine& engine
     return plans;
 }
 
+/// Two overlay plans are the same plan: equal windows and bitwise-equal
+/// delay factors, layer by layer.
+inline bool same_plan(const accel::OverlayPlan& a, const accel::OverlayPlan& b) {
+    if (a.layers.size() != b.layers.size()) return false;
+    for (std::size_t l = 0; l < a.layers.size(); ++l) {
+        const accel::SegmentOverlay& x = a.layers[l];
+        const accel::SegmentOverlay& y = b.layers[l];
+        if (x.unsafe.size() != y.unsafe.size() || x.factors.size() != y.factors.size()) {
+            return false;
+        }
+        for (std::size_t w = 0; w < x.unsafe.size(); ++w) {
+            if (x.unsafe[w].begin != y.unsafe[w].begin || x.unsafe[w].end != y.unsafe[w].end) {
+                return false;
+            }
+        }
+        if (!x.factors.empty() &&
+            std::memcmp(x.factors.data(), y.factors.data(), x.factors.size() * sizeof(double)) !=
+                0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 /// The faults `run` counted in the layer of `net` labelled `label`
 /// (RunResult::faults_by_layer is indexed like QNetwork::layers).
 inline accel::FaultCounts layer_faults(const quant::QNetwork& net,
