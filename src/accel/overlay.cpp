@@ -15,13 +15,6 @@ bool OverlayPlan::any_unsafe() const {
     return false;
 }
 
-std::size_t OverlayPlan::first_unsafe_layer() const {
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        if (layers[i].any()) return i;
-    }
-    return layers.size();
-}
-
 OverlayPlanner::OverlayPlanner(const AccelEngine& engine) : delay_(engine.delay_model()) {
     const quant::QNetwork& network = engine.network();
     plan_.layers.resize(network.layers.size());

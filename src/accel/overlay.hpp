@@ -77,12 +77,6 @@ struct OverlayPlan {
     /// is fully answered by the golden activations — the fault-free
     /// short-circuit in sim::evaluate_accuracy.
     bool any_unsafe() const;
-
-    /// Index of the first layer with an unsafe window; layers.size() when
-    /// every layer is safe. Layers before it are fault-free by
-    /// construction, so the engine can start from a cached golden
-    /// activation instead of recomputing the prefix.
-    std::size_t first_unsafe_layer() const;
 };
 
 /// Builds one OverlayPlan from the DSP capture voltages of one inference,

@@ -7,16 +7,6 @@
 
 namespace deepstrike::accel {
 
-const char* segment_kind_name(SegmentKind kind) {
-    switch (kind) {
-        case SegmentKind::Stall: return "stall";
-        case SegmentKind::Conv: return "conv";
-        case SegmentKind::Pool: return "pool";
-        case SegmentKind::Dense: return "dense";
-    }
-    return "?";
-}
-
 bool segment_uses_dsp(SegmentKind kind) {
     return kind == SegmentKind::Conv || kind == SegmentKind::Dense;
 }

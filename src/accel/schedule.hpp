@@ -28,8 +28,6 @@ enum class SegmentKind : std::uint8_t {
     Dense, // DSP FC datapath, DDR with more sign-off slack
 };
 
-const char* segment_kind_name(SegmentKind kind);
-
 /// True for segments whose arithmetic runs on (fault-prone) DSP slices.
 bool segment_uses_dsp(SegmentKind kind);
 

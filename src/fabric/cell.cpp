@@ -2,23 +2,6 @@
 
 namespace deepstrike::fabric {
 
-const char* cell_kind_name(CellKind kind) {
-    switch (kind) {
-        case CellKind::Lut1: return "LUT1";
-        case CellKind::Lut6: return "LUT6";
-        case CellKind::Lut6_2: return "LUT6_2";
-        case CellKind::Ldce: return "LDCE";
-        case CellKind::Fdre: return "FDRE";
-        case CellKind::Carry4: return "CARRY4";
-        case CellKind::Dsp48: return "DSP48E1";
-        case CellKind::Bram36: return "RAMB36";
-        case CellKind::Mmcm: return "MMCME2";
-        case CellKind::InPort: return "IPORT";
-        case CellKind::OutPort: return "OPORT";
-    }
-    return "?";
-}
-
 bool breaks_combinational_loop(CellKind kind) {
     switch (kind) {
         case CellKind::Ldce:   // level-sensitive, but sequential for DRC

@@ -26,8 +26,6 @@ enum class CellKind : std::uint8_t {
     OutPort,   // top-level output
 };
 
-const char* cell_kind_name(CellKind kind);
-
 /// True when the cell registers its output on a clock *edge*: a purely
 /// combinational cycle cannot pass through it.
 ///

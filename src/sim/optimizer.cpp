@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/runner.hpp"
 #include "util/error.hpp"
 
 namespace deepstrike::sim {
@@ -58,8 +59,11 @@ OptimizedPlan optimize_strike_allocation(const Platform& platform,
         platform, test_set, config.pilot_images, {}, config.fault_seed, nullptr, golden.get());
     plan.pilot_clean = clean.accuracy;
 
-    // Pilot: estimate per-strike damage for every segment.
+    // Pilot: estimate per-strike damage for every segment that can take a
+    // strike. One prefetch co-simulates every pilot scheme into its overlay
+    // plan.
     std::vector<std::size_t> capacity;
+    std::vector<attack::AttackScheme> pilots; // segments with capacity, in order
     for (std::size_t si = 0; si < profiling.profile.segments.size(); ++si) {
         const attack::ProfiledSegment& seg = profiling.profile.segments[si];
         const std::size_t cap = seg.duration_samples() / 4; // gap >= 1
@@ -67,23 +71,23 @@ OptimizedPlan optimize_strike_allocation(const Platform& platform,
 
         SegmentAllocation alloc;
         alloc.segment_index = si;
-        if (cap == 0) {
-            plan.allocations.push_back(alloc);
-            continue;
-        }
-        const std::size_t pilot_n = std::min(config.pilot_strikes, cap);
-        const attack::AttackScheme scheme =
-            attack::plan_attack(seg, profiling.trigger_sample, spc, pilot_n);
-        const accel::VoltageTrace trace =
-            guided_attack_trace(platform, config.detector, scheme);
-        const accel::OverlayPlan pilot = platform.engine().plan_overlay(&trace);
-        const AccuracyResult res =
-            evaluate_accuracy(platform, test_set, config.pilot_images, {&pilot, 1},
-                              config.fault_seed, nullptr, golden.get());
-        alloc.pilot_drop_per_strike =
-            std::max(0.0, clean.accuracy - res.accuracy) /
-            static_cast<double>(pilot_n);
         plan.allocations.push_back(alloc);
+        if (cap == 0) continue;
+        pilots.push_back(attack::plan_attack(seg, profiling.trigger_sample, spc,
+                                             std::min(config.pilot_strikes, cap)));
+    }
+    SweepRunner runner(platform);
+    runner.prefetch_guided(config.detector, pilots);
+    auto pilot = pilots.begin();
+    for (SegmentAllocation& alloc : plan.allocations) {
+        if (capacity[alloc.segment_index] == 0) continue;
+        const auto bundle = runner.guided_bundle(config.detector, *pilot);
+        const AccuracyResult res =
+            evaluate_accuracy(platform, test_set, config.pilot_images, {&bundle->plan, 1},
+                              config.fault_seed, nullptr, golden.get());
+        alloc.pilot_drop_per_strike = std::max(0.0, clean.accuracy - res.accuracy) /
+                                      static_cast<double>(pilot->num_strikes);
+        ++pilot;
     }
 
     // Proportional allocation with per-segment capacity, then greedy

@@ -1,6 +1,8 @@
 #include "sim/platform.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/error.hpp"
 
@@ -18,9 +20,18 @@ Platform::Platform(const PlatformConfig& config, quant::QNetwork network)
     const double expected_dt = fabric_period / static_cast<double>(config.ticks_per_cycle);
     expects(std::abs(config.pdn.dt_s - expected_dt) < 1e-15,
             "Platform: pdn.dt_s must equal fabric period / ticks_per_cycle");
-    for (std::size_t t : config.tdc_sample_ticks) {
-        expects(t < config.ticks_per_cycle, "Platform: TDC sample tick within cycle");
-    }
+    // The action table below matches each tick list in one ascending pass,
+    // so a list that is not strictly ascending inside the cycle would lose
+    // its late events.
+    const auto ascending_in_cycle = [&](const std::array<std::size_t, 2>& ticks) {
+        return std::adjacent_find(ticks.begin(), ticks.end(), std::greater_equal<>()) ==
+                   ticks.end() &&
+               ticks.back() < config.ticks_per_cycle;
+    };
+    expects(ascending_in_cycle(config.tdc_sample_ticks),
+            "Platform: TDC sample ticks strictly ascending within cycle");
+    expects(ascending_in_cycle(config.dsp_capture_ticks),
+            "Platform: DSP capture ticks strictly ascending within cycle");
     activity_ = accel::activity_current_trace(engine_.schedule(), config.accel);
 
     // Replay the sequential tick matching of the event lists once, into a

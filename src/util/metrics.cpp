@@ -1,12 +1,10 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
-#include <mutex>
 
 #include "util/error.hpp"
 
@@ -23,25 +21,46 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 namespace detail {
 
-// Per-thread storage cells. Single-writer: only the owning thread stores,
-// so relaxed atomics suffice (snapshots on other threads read them).
-struct alignas(64) CounterCell {
-    std::atomic<std::uint64_t> value{0};
-};
+/// One registry for the process; intentionally leaked so handles cached in
+/// function-local statics stay valid through static destruction. Its mutex
+/// guards the name maps; each metric guards its own value.
+struct Registry {
+    template <typename Metric>
+    using ByName = std::map<std::string, std::unique_ptr<Metric>>;
 
-struct HistogramCell {
-    explicit HistogramCell(std::size_t n_buckets) : buckets(n_buckets) {}
-    std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{std::numeric_limits<std::uint64_t>::max()};
-    std::atomic<std::uint64_t> max{0};
-};
+    std::mutex mutex;
+    ByName<Counter> counters;
+    ByName<Gauge> gauges;
+    ByName<Histogram> histograms;
 
-struct Ids {
+    /// The metric of `metrics` named `name`, constructed from `args` first
+    /// if there is none. A constructor that throws registers nothing.
     template <typename Metric, typename... Args>
-    static Metric* make(std::size_t id, Args&&... args) {
-        return new Metric(id, std::forward<Args>(args)...);
+    Metric& find_or_add(ByName<Metric>& metrics, const std::string& name, Args&&... args) {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = metrics.find(name);
+        if (it == metrics.end()) {
+            std::unique_ptr<Metric> metric(new Metric(name, std::forward<Args>(args)...));
+            it = metrics.emplace(name, std::move(metric)).first;
+        }
+        return *it->second;
+    }
+
+    static HistogramSnapshot read(const Histogram& h) {
+        std::lock_guard<std::mutex> lock(h.mutex_);
+        return h.record_;
+    }
+
+    static void zero(Counter& c) { c.value_.store(0, std::memory_order_relaxed); }
+    static void zero(Gauge& g) { g.value_.store(0, std::memory_order_relaxed); }
+    static void zero(Histogram& h) {
+        std::lock_guard<std::mutex> lock(h.mutex_);
+        HistogramSnapshot& r = h.record_;
+        std::fill(r.bucket_counts.begin(), r.bucket_counts.end(), 0);
+        r.count = 0;
+        r.sum = 0;
+        r.min = std::numeric_limits<std::uint64_t>::max();
+        r.max = 0;
     }
 };
 
@@ -49,32 +68,11 @@ struct Ids {
 
 namespace {
 
-/// One registry for the process; intentionally leaked so handles cached in
-/// function-local statics stay valid through static destruction.
-struct Registry {
-    std::mutex mutex;
-    // deque: stable addresses under growth.
-    std::deque<std::unique_ptr<Counter>> counters;
-    std::deque<std::unique_ptr<Gauge>> gauges;
-    std::deque<std::unique_ptr<Histogram>> histograms;
-
-    // Shards, indexed by metric id then registration order of threads.
-    std::deque<std::vector<std::unique_ptr<detail::CounterCell>>> counter_cells;
-    std::deque<std::vector<std::unique_ptr<detail::HistogramCell>>> histogram_cells;
-    std::deque<std::atomic<std::int64_t>> gauge_values;
-};
+using detail::Registry;
 
 Registry& registry() {
     static Registry* r = new Registry;
     return *r;
-}
-
-template <typename Map>
-auto* find_by_name(Map& metrics, const std::string& name) {
-    for (auto& m : metrics) {
-        if (m->name() == name) return m.get();
-    }
-    return static_cast<typename Map::value_type::pointer>(nullptr);
 }
 
 std::vector<std::uint64_t> default_bounds() {
@@ -83,104 +81,57 @@ std::vector<std::uint64_t> default_bounds() {
     return b;
 }
 
-// Thread-local shard caches, indexed by metric id. Entries point into the
-// (leaked) registry, so dangling pointers are impossible.
-thread_local std::vector<detail::CounterCell*> t_counter_cells;
-thread_local std::vector<detail::HistogramCell*> t_histogram_cells;
-
 } // namespace
 
 // ---------------------------------------------------------------- Counter
 
-Counter::Counter(std::size_t id, std::string name, std::string unit, std::string help)
-    : id_(id), name_(std::move(name)), unit_(std::move(unit)), help_(std::move(help)) {}
-
-detail::CounterCell& Counter::cell() {
-    if (id_ < t_counter_cells.size() && t_counter_cells[id_] != nullptr) {
-        return *t_counter_cells[id_];
-    }
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.counter_cells[id_].push_back(std::make_unique<detail::CounterCell>());
-    detail::CounterCell* cell = reg.counter_cells[id_].back().get();
-    if (t_counter_cells.size() <= id_) t_counter_cells.resize(id_ + 1, nullptr);
-    t_counter_cells[id_] = cell;
-    return *cell;
-}
+Counter::Counter(std::string name, std::string unit, std::string help)
+    : name_(std::move(name)), unit_(std::move(unit)), help_(std::move(help)) {}
 
 void Counter::add(std::uint64_t n) {
     if (!enabled()) return;
-    detail::CounterCell& c = cell();
-    c.value.store(c.value.load(std::memory_order_relaxed) + n,
-                  std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
 }
 
-std::uint64_t Counter::total() const {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::uint64_t sum = 0;
-    for (const auto& cell : reg.counter_cells[id_]) {
-        sum += cell->value.load(std::memory_order_relaxed);
-    }
-    return sum;
-}
+std::uint64_t Counter::total() const { return value_.load(std::memory_order_relaxed); }
 
 // ------------------------------------------------------------------ Gauge
 
-Gauge::Gauge(std::size_t id, std::string name, std::string unit, std::string help)
-    : id_(id), name_(std::move(name)), unit_(std::move(unit)), help_(std::move(help)) {}
+Gauge::Gauge(std::string name, std::string unit, std::string help)
+    : name_(std::move(name)), unit_(std::move(unit)), help_(std::move(help)) {}
 
 void Gauge::set(std::int64_t value) {
     if (!enabled()) return;
-    registry().gauge_values[id_].store(value, std::memory_order_relaxed);
+    value_.store(value, std::memory_order_relaxed);
 }
 
-std::int64_t Gauge::value() const {
-    return registry().gauge_values[id_].load(std::memory_order_relaxed);
-}
+std::int64_t Gauge::value() const { return value_.load(std::memory_order_relaxed); }
 
 // -------------------------------------------------------------- Histogram
 
-Histogram::Histogram(std::size_t id, std::string name, std::string unit,
-                     std::string help, std::vector<std::uint64_t> bounds)
-    : id_(id),
-      name_(std::move(name)),
-      unit_(std::move(unit)),
-      help_(std::move(help)),
-      bounds_(std::move(bounds)) {}
-
-detail::HistogramCell& Histogram::cell() {
-    if (id_ < t_histogram_cells.size() && t_histogram_cells[id_] != nullptr) {
-        return *t_histogram_cells[id_];
-    }
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.histogram_cells[id_].push_back(
-        std::make_unique<detail::HistogramCell>(bounds_.size() + 1));
-    detail::HistogramCell* cell = reg.histogram_cells[id_].back().get();
-    if (t_histogram_cells.size() <= id_) t_histogram_cells.resize(id_ + 1, nullptr);
-    t_histogram_cells[id_] = cell;
-    return *cell;
+Histogram::Histogram(std::string name, std::string unit, std::string help,
+                     std::vector<std::uint64_t> bounds) {
+    if (bounds.empty()) bounds = default_bounds();
+    expects(std::is_sorted(bounds.begin(), bounds.end()),
+            "metrics::histogram: bucket bounds must be ascending");
+    record_.name = std::move(name);
+    record_.unit = std::move(unit);
+    record_.help = std::move(help);
+    record_.bounds = std::move(bounds);
+    record_.bucket_counts.assign(record_.bounds.size() + 1, 0);
 }
 
 void Histogram::observe(std::uint64_t value) {
     if (!enabled()) return;
-    detail::HistogramCell& c = cell();
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-    // Single-writer cells: load/modify/store without CAS is race-free.
-    const auto bump = [](std::atomic<std::uint64_t>& a, std::uint64_t delta) {
-        a.store(a.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
-    };
-    bump(c.buckets[bucket], 1);
-    bump(c.count, 1);
-    bump(c.sum, value);
-    if (value < c.min.load(std::memory_order_relaxed)) {
-        c.min.store(value, std::memory_order_relaxed);
-    }
-    if (value > c.max.load(std::memory_order_relaxed)) {
-        c.max.store(value, std::memory_order_relaxed);
-    }
+    const std::vector<std::uint64_t>& b = record_.bounds;
+    const auto bucket =
+        static_cast<std::size_t>(std::lower_bound(b.begin(), b.end(), value) - b.begin());
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++record_.bucket_counts[bucket];
+    ++record_.count;
+    record_.sum += value;
+    record_.min = std::min(record_.min, value);
+    record_.max = std::max(record_.max, value);
 }
 
 // ------------------------------------------------------------ registration
@@ -188,38 +139,19 @@ void Histogram::observe(std::uint64_t value) {
 Counter& counter(const std::string& name, const std::string& unit,
                  const std::string& help) {
     Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    if (Counter* existing = find_by_name(reg.counters, name)) return *existing;
-    const std::size_t id = reg.counters.size();
-    reg.counters.emplace_back(detail::Ids::make<Counter>(id, name, unit, help));
-    reg.counter_cells.emplace_back();
-    return *reg.counters.back();
+    return reg.find_or_add(reg.counters, name, unit, help);
 }
 
 Gauge& gauge(const std::string& name, const std::string& unit,
              const std::string& help) {
     Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    if (Gauge* existing = find_by_name(reg.gauges, name)) return *existing;
-    const std::size_t id = reg.gauges.size();
-    reg.gauges.emplace_back(detail::Ids::make<Gauge>(id, name, unit, help));
-    reg.gauge_values.emplace_back(0);
-    return *reg.gauges.back();
+    return reg.find_or_add(reg.gauges, name, unit, help);
 }
 
 Histogram& histogram(const std::string& name, const std::string& unit,
                      const std::string& help, std::vector<std::uint64_t> bounds) {
     Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    if (Histogram* existing = find_by_name(reg.histograms, name)) return *existing;
-    if (bounds.empty()) bounds = default_bounds();
-    expects(std::is_sorted(bounds.begin(), bounds.end()),
-            "metrics::histogram: bucket bounds must be ascending");
-    const std::size_t id = reg.histograms.size();
-    reg.histograms.emplace_back(
-        detail::Ids::make<Histogram>(id, name, unit, help, std::move(bounds)));
-    reg.histogram_cells.emplace_back();
-    return *reg.histograms.back();
+    return reg.find_or_add(reg.histograms, name, unit, help, std::move(bounds));
 }
 
 // -------------------------------------------------------------- snapshots
@@ -246,75 +178,26 @@ std::uint64_t HistogramSnapshot::approx_quantile(double q) const {
 MetricsSnapshot snapshot() {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
+    // The maps iterate in name order, so each kind comes out sorted.
     MetricsSnapshot snap;
-
-    // Registration order == metric id, so positional indexing matches cells.
-    for (std::size_t id = 0; id < reg.counters.size(); ++id) {
-        const Counter& c = *reg.counters[id];
-        CounterSnapshot s;
-        s.name = c.name();
-        s.unit = c.unit();
-        s.help = c.help();
-        for (const auto& cell : reg.counter_cells[id]) {
-            s.value += cell->value.load(std::memory_order_relaxed);
-        }
-        snap.counters.push_back(std::move(s));
+    for (const auto& [name, c] : reg.counters) {
+        snap.counters.push_back({name, c->unit(), c->help(), c->total()});
     }
-
-    for (std::size_t id = 0; id < reg.gauges.size(); ++id) {
-        const Gauge& g = *reg.gauges[id];
-        GaugeSnapshot s;
-        s.name = g.name();
-        s.unit = g.unit();
-        s.help = g.help();
-        s.value = reg.gauge_values[id].load(std::memory_order_relaxed);
-        snap.gauges.push_back(std::move(s));
+    for (const auto& [name, g] : reg.gauges) {
+        snap.gauges.push_back({name, g->unit(), g->help(), g->value()});
     }
-
-    for (std::size_t id = 0; id < reg.histograms.size(); ++id) {
-        const Histogram& h = *reg.histograms[id];
-        HistogramSnapshot s;
-        s.name = h.name();
-        s.unit = h.unit();
-        s.help = h.help();
-        s.bounds = h.bounds();
-        s.bucket_counts.assign(s.bounds.size() + 1, 0);
-        for (const auto& cell : reg.histogram_cells[id]) {
-            for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-                s.bucket_counts[b] += cell->buckets[b].load(std::memory_order_relaxed);
-            }
-            s.count += cell->count.load(std::memory_order_relaxed);
-            s.sum += cell->sum.load(std::memory_order_relaxed);
-            s.min = std::min(s.min, cell->min.load(std::memory_order_relaxed));
-            s.max = std::max(s.max, cell->max.load(std::memory_order_relaxed));
-        }
-        snap.histograms.push_back(std::move(s));
+    for (const auto& [name, h] : reg.histograms) {
+        snap.histograms.push_back(Registry::read(*h));
     }
-
-    const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-    std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-    std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
     return snap;
 }
 
 void reset() {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    for (auto& cells : reg.counter_cells) {
-        for (auto& cell : cells) cell->value.store(0, std::memory_order_relaxed);
-    }
-    for (auto& value : reg.gauge_values) value.store(0, std::memory_order_relaxed);
-    for (auto& cells : reg.histogram_cells) {
-        for (auto& cell : cells) {
-            for (auto& b : cell->buckets) b.store(0, std::memory_order_relaxed);
-            cell->count.store(0, std::memory_order_relaxed);
-            cell->sum.store(0, std::memory_order_relaxed);
-            cell->min.store(std::numeric_limits<std::uint64_t>::max(),
-                            std::memory_order_relaxed);
-            cell->max.store(0, std::memory_order_relaxed);
-        }
-    }
+    for (auto& [name, c] : reg.counters) Registry::zero(*c);
+    for (auto& [name, g] : reg.gauges) Registry::zero(*g);
+    for (auto& [name, h] : reg.histograms) Registry::zero(*h);
 }
 
 Json MetricsSnapshot::to_json() const {

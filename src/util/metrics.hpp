@@ -1,14 +1,16 @@
 // Process-wide metrics registry: named counters, gauges and integer-valued
-// histograms with per-thread shards merged at snapshot time.
+// histograms, each one store shared by every thread.
 //
 // Design constraints, in order:
 //   1. Observe-only. Metrics never influence simulation results: campaign
 //      reports are byte-identical whether collection is on or off
 //      (tests/observability_test.cpp enforces this).
-//   2. No contention on hot paths. Each handle gives every thread its own
-//      cache-line-sized shard; increments are relaxed atomic writes to
-//      thread-private storage, so concurrent instrumented code never
-//      bounces a shared cache line. Snapshots sum the shards.
+//   2. Sized to the traffic. Instrumented code updates a metric once per
+//      fault-walk block, co-sim lane group, overlay plan, GEMM layer call,
+//      search batch, evaluation or sweep, never per tick or per op, and each
+//      update first looks its metric up by name under the registry mutex.
+//      So a counter or gauge is one atomic value and a histogram one record
+//      under its own mutex: a per-thread copy would save no lock.
 //   3. Off by default, cheap when off. Collection is gated on a single
 //      relaxed atomic flag set by the sinks (`--metrics-out`); when unset,
 //      every handle method is a load-and-branch no-op. The truly hot
@@ -24,8 +26,10 @@
 // emitted by the simulator is documented there.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,93 +38,13 @@
 namespace deepstrike::metrics {
 
 namespace detail {
-struct alignas(64) CounterCell;
-struct HistogramCell;
-struct Ids;
+struct Registry;
 } // namespace detail
 
 /// Globally enables/disables collection (the CLI enables it when a
 /// `--metrics-out` sink is set). Off by default.
 void set_enabled(bool on);
 bool enabled();
-
-/// Monotonic counter. Obtain via metrics::counter(); handles are stable
-/// for the process lifetime and safe to cache in function-local statics.
-class Counter {
-public:
-    void add(std::uint64_t n = 1);
-
-    /// Sum over all per-thread shards.
-    std::uint64_t total() const;
-
-    const std::string& name() const { return name_; }
-    const std::string& unit() const { return unit_; }
-    const std::string& help() const { return help_; }
-
-private:
-    friend struct detail::Ids;
-    Counter(std::size_t id, std::string name, std::string unit, std::string help);
-    detail::CounterCell& cell();
-
-    std::size_t id_;
-    std::string name_, unit_, help_;
-};
-
-/// Last-write-wins signed value. Only set gauges from single-threaded
-/// phases (setup, post-sweep reporting) or totals become schedule-dependent.
-class Gauge {
-public:
-    void set(std::int64_t value);
-    std::int64_t value() const;
-
-    const std::string& name() const { return name_; }
-    const std::string& unit() const { return unit_; }
-    const std::string& help() const { return help_; }
-
-private:
-    friend struct detail::Ids;
-    Gauge(std::size_t id, std::string name, std::string unit, std::string help);
-
-    std::size_t id_;
-    std::string name_, unit_, help_;
-};
-
-/// Histogram over non-negative integer observations. Bucket i counts
-/// observations <= bounds[i]; one implicit overflow bucket follows the
-/// last bound. Count/sum/min/max are exact; all state is per-thread
-/// sharded like Counter.
-class Histogram {
-public:
-    void observe(std::uint64_t value);
-
-    const std::string& name() const { return name_; }
-    const std::string& unit() const { return unit_; }
-    const std::string& help() const { return help_; }
-    const std::vector<std::uint64_t>& bounds() const { return bounds_; }
-
-private:
-    friend struct detail::Ids;
-    friend struct HistogramSnapshot;
-    Histogram(std::size_t id, std::string name, std::string unit, std::string help,
-              std::vector<std::uint64_t> bounds);
-    detail::HistogramCell& cell();
-
-    std::size_t id_;
-    std::string name_, unit_, help_;
-    std::vector<std::uint64_t> bounds_;
-};
-
-/// Registers (or returns the existing) metric with this name. Unit/help
-/// are recorded on first registration; re-registrations must agree on the
-/// metric kind. Returned references stay valid for the process lifetime.
-Counter& counter(const std::string& name, const std::string& unit = "",
-                 const std::string& help = "");
-Gauge& gauge(const std::string& name, const std::string& unit = "",
-             const std::string& help = "");
-/// Empty `bounds` selects power-of-two buckets 1, 2, 4, ... 2^20.
-Histogram& histogram(const std::string& name, const std::string& unit = "",
-                     const std::string& help = "",
-                     std::vector<std::uint64_t> bounds = {});
 
 // ------------------------------------------------------------- snapshots
 
@@ -149,7 +73,85 @@ struct HistogramSnapshot {
     std::uint64_t approx_quantile(double q) const;
 };
 
-/// Merged view of every registered metric, sorted by name within each
+// --------------------------------------------------------------- handles
+
+/// Monotonic counter. Obtain via metrics::counter(); handles are stable
+/// for the process lifetime and safe to cache in function-local statics.
+class Counter {
+public:
+    void add(std::uint64_t n = 1);
+
+    /// Sum of every add() since the last reset().
+    std::uint64_t total() const;
+
+    const std::string& name() const { return name_; }
+    const std::string& unit() const { return unit_; }
+    const std::string& help() const { return help_; }
+
+private:
+    friend struct detail::Registry;
+    Counter(std::string name, std::string unit, std::string help);
+
+    std::string name_, unit_, help_;
+    std::atomic<std::uint64_t> value_{0};
+};
+
+/// Last-write-wins signed value. Only set gauges from single-threaded
+/// phases (setup, post-sweep reporting) or totals become schedule-dependent.
+class Gauge {
+public:
+    void set(std::int64_t value);
+    std::int64_t value() const;
+
+    const std::string& name() const { return name_; }
+    const std::string& unit() const { return unit_; }
+    const std::string& help() const { return help_; }
+
+private:
+    friend struct detail::Registry;
+    Gauge(std::string name, std::string unit, std::string help);
+
+    std::string name_, unit_, help_;
+    std::atomic<std::int64_t> value_{0};
+};
+
+/// Histogram over non-negative integer observations. Bucket i counts
+/// observations <= bounds[i]; one implicit overflow bucket follows the
+/// last bound. Count/sum/min/max are exact; every observation updates the
+/// one record under the histogram's mutex.
+class Histogram {
+public:
+    void observe(std::uint64_t value);
+
+    const std::string& name() const { return record_.name; }
+    const std::string& unit() const { return record_.unit; }
+    const std::string& help() const { return record_.help; }
+    const std::vector<std::uint64_t>& bounds() const { return record_.bounds; }
+
+private:
+    friend struct detail::Registry;
+    Histogram(std::string name, std::string unit, std::string help,
+              std::vector<std::uint64_t> bounds);
+
+    /// Guards the record's counts; its name, unit, help and bounds never
+    /// change after registration.
+    mutable std::mutex mutex_;
+    HistogramSnapshot record_;
+};
+
+/// Registers (or returns the existing) metric with this name. Unit/help
+/// are recorded on first registration; re-registrations must agree on the
+/// metric kind. Returned references stay valid for the process lifetime.
+Counter& counter(const std::string& name, const std::string& unit = "",
+                 const std::string& help = "");
+Gauge& gauge(const std::string& name, const std::string& unit = "",
+             const std::string& help = "");
+/// Empty `bounds` selects power-of-two buckets 1, 2, 4, ... 2^20.
+Histogram& histogram(const std::string& name, const std::string& unit = "",
+                     const std::string& help = "",
+                     std::vector<std::uint64_t> bounds = {});
+
+/// View of every registered metric, sorted by name within each
 /// kind. Deterministic for deterministic instrumentation (see header
 /// comment); wall-clock never enters the registry.
 struct MetricsSnapshot {

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <memory>
+#include <map>
 #include <mutex>
 
 namespace deepstrike::trace {
@@ -15,20 +15,14 @@ using Clock = std::chrono::steady_clock;
 
 std::atomic<bool> g_enabled{false};
 
-struct ThreadBuffer {
-    std::mutex mutex; // coarse: spans are phase-granular, not per-tick
-    std::uint32_t tid = 0;
-    std::string name;
-    std::vector<Event> events;
-};
-
-/// Owns every thread's buffer via shared_ptr so events survive worker
-/// threads exiting before serialization. Leaked: thread_local handles may
-/// be released during static destruction.
+/// The session's events and lane names, from every thread; events of a
+/// worker that has exited stay until the next session. Leaked, so spans
+/// closing during static destruction still find it.
 struct Collector {
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    std::uint32_t next_tid = 1;
+    std::mutex mutex; // coarse: spans are phase-granular, not per-tick
+    std::vector<Event> events;
+    std::map<std::uint32_t, std::string> lane_names;
+    std::uint32_t next_lane = 1;
     Clock::time_point origin = Clock::now();
 };
 
@@ -37,16 +31,12 @@ Collector& collector() {
     return *c;
 }
 
-ThreadBuffer& local_buffer() {
-    thread_local std::shared_ptr<ThreadBuffer> buf = [] {
-        auto b = std::make_shared<ThreadBuffer>();
-        Collector& c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        b->tid = c.next_tid++;
-        c.buffers.push_back(b);
-        return b;
-    }();
-    return *buf;
+/// The calling thread's lane, numbered on first use; call with the
+/// collector mutex held.
+std::uint32_t this_lane(Collector& c) {
+    thread_local std::uint32_t lane = 0;
+    if (lane == 0) lane = c.next_lane++;
+    return lane;
 }
 
 std::uint64_t now_us() {
@@ -57,10 +47,10 @@ std::uint64_t now_us() {
 }
 
 void record(Event e) {
-    ThreadBuffer& buf = local_buffer();
-    e.tid = buf.tid;
-    std::lock_guard<std::mutex> lock(buf.mutex);
-    buf.events.push_back(std::move(e));
+    Collector& c = collector();
+    std::lock_guard<std::mutex> lock(c.mutex);
+    e.tid = this_lane(c);
+    c.events.push_back(std::move(e));
 }
 
 } // namespace
@@ -69,10 +59,7 @@ void set_enabled(bool on) {
     if (on) {
         Collector& c = collector();
         std::lock_guard<std::mutex> lock(c.mutex);
-        for (auto& buf : c.buffers) {
-            std::lock_guard<std::mutex> buf_lock(buf->mutex);
-            buf->events.clear();
-        }
+        c.events.clear();
         c.origin = Clock::now();
     }
     g_enabled.store(on, std::memory_order_relaxed);
@@ -81,9 +68,9 @@ void set_enabled(bool on) {
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void set_thread_name(const std::string& name) {
-    ThreadBuffer& buf = local_buffer();
-    std::lock_guard<std::mutex> lock(buf.mutex);
-    buf.name = name;
+    Collector& c = collector();
+    std::lock_guard<std::mutex> lock(c.mutex);
+    c.lane_names[this_lane(c)] = name;
 }
 
 Span::Span(std::string name, std::string category)
@@ -115,12 +102,11 @@ void instant(const std::string& name, const std::string& category) {
 }
 
 std::vector<Event> events() {
-    Collector& c = collector();
-    std::lock_guard<std::mutex> lock(c.mutex);
     std::vector<Event> all;
-    for (auto& buf : c.buffers) {
-        std::lock_guard<std::mutex> buf_lock(buf->mutex);
-        all.insert(all.end(), buf->events.begin(), buf->events.end());
+    {
+        Collector& c = collector();
+        std::lock_guard<std::mutex> lock(c.mutex);
+        all = c.events;
     }
     std::stable_sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
         return a.tid != b.tid ? a.tid < b.tid : a.start_us < b.start_us;
@@ -132,11 +118,9 @@ std::vector<std::pair<std::uint32_t, std::string>> thread_names() {
     Collector& c = collector();
     std::lock_guard<std::mutex> lock(c.mutex);
     std::vector<std::pair<std::uint32_t, std::string>> names;
-    for (auto& buf : c.buffers) {
-        std::lock_guard<std::mutex> buf_lock(buf->mutex);
-        if (!buf->name.empty()) names.emplace_back(buf->tid, buf->name);
+    for (const auto& [lane, name] : c.lane_names) {
+        if (!name.empty()) names.emplace_back(lane, name);
     }
-    std::sort(names.begin(), names.end());
     return names;
 }
 

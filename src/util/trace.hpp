@@ -1,10 +1,12 @@
 // Lightweight phase tracer emitting Chrome trace-event JSON.
 //
 // `trace::Span` is an RAII complete-event ("ph":"X"): construction stamps
-// the start, destruction stamps the duration. Events accumulate in
-// per-thread buffers owned by a process-wide collector, so recording a
-// span costs one steady_clock read at each end and no cross-thread
-// synchronization; buffers are merged when the trace is serialized.
+// the start, destruction stamps the duration. Events from every thread
+// accumulate in one process-wide list: recording a span costs one
+// steady_clock read at each end and one mutex-guarded append. Spans are
+// phase-granular (campaign, prefetch, lane group, point, evaluation), so a
+// whole fig5b-sized campaign appends under a hundred events and the lock
+// is never a hot path; a thread's lane number is its only per-thread state.
 //
 // The output loads directly in Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing: one lane ("tid") per recording thread, named via
@@ -28,7 +30,7 @@ namespace deepstrike::trace {
 
 /// Globally enables/disables recording (the CLI enables it when a
 /// `--trace-out` sink is set). Off by default. Enabling resets the
-/// session: the event buffers are cleared and the time origin re-zeroed.
+/// session: the event list is cleared and the time origin re-zeroed.
 void set_enabled(bool on);
 bool enabled();
 
@@ -68,8 +70,9 @@ private:
 /// thread's lane — e.g. the detector trigger moment.
 void instant(const std::string& name, const std::string& category = "sim");
 
-/// All events recorded since the session started, merged across threads
-/// and sorted by (tid, start). For tests and in-process summaries.
+/// All events recorded since the session started, by every thread
+/// (exited ones too), sorted by (tid, start). For tests and in-process
+/// summaries.
 std::vector<Event> events();
 
 /// Lane-number -> thread name map for the current session.

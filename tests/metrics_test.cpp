@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -64,33 +65,37 @@ TEST(Metrics, CounterAccumulatesAndRegistryDedupsByName) {
     EXPECT_EQ(a.total(), 0u);
 }
 
-TEST(Metrics, PerThreadShardsMergeExactly) {
+TEST(Metrics, RacingByNameUpdatesAreExact) {
     MetricsOn on;
-    metrics::Counter& c = metrics::counter("test.sharded_counter");
-    metrics::Histogram& h = metrics::histogram("test.sharded_hist");
     constexpr std::size_t kThreads = 4;
-    constexpr std::uint64_t kAddsPerThread = 10'000;
+    constexpr std::uint64_t kUpdatesPerThread = 10'000;
 
+    // Product sites look their metric up by name on every update. These two
+    // names are new, so the threads, released together, also race to
+    // register them.
+    std::latch start(kThreads);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            for (std::uint64_t i = 0; i < kAddsPerThread; ++i) {
-                c.add();
-                h.observe(t + 1);
+            start.arrive_and_wait();
+            for (std::uint64_t i = 0; i < kUpdatesPerThread; ++i) {
+                metrics::counter("test.racing_counter").add();
+                metrics::histogram("test.racing_hist").observe(t + 1);
             }
         });
     }
     for (auto& t : threads) t.join();
 
-    EXPECT_EQ(c.total(), kThreads * kAddsPerThread);
+    EXPECT_EQ(metrics::counter("test.racing_counter").total(),
+              kThreads * kUpdatesPerThread);
     const auto snap = metrics::snapshot();
-    for (const auto& hs : snap.histograms) {
-        if (hs.name != "test.sharded_hist") continue;
-        EXPECT_EQ(hs.count, kThreads * kAddsPerThread);
-        EXPECT_EQ(hs.min, 1u);
-        EXPECT_EQ(hs.max, kThreads);
-        EXPECT_EQ(hs.sum, kAddsPerThread * (1 + 2 + 3 + 4));
-    }
+    const auto hs = std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                                 [](const auto& h) { return h.name == "test.racing_hist"; });
+    ASSERT_NE(hs, snap.histograms.end());
+    EXPECT_EQ(hs->count, kThreads * kUpdatesPerThread);
+    EXPECT_EQ(hs->sum, kUpdatesPerThread * (1 + 2 + 3 + 4));
+    EXPECT_EQ(hs->min, 1u);
+    EXPECT_EQ(hs->max, kThreads);
 }
 
 TEST(Metrics, HistogramBucketsAndSummaryStats) {
@@ -196,11 +201,19 @@ TEST(Trace, WorkerThreadsGetTheirOwnLanes) {
         trace::Span span("test.lane_worker");
     });
     worker.join();
+    // The worker has exited; its lane keeps its name and its event.
     const auto events = trace::events();
+    const auto names = trace::thread_names();
     trace::set_enabled(false);
 
     ASSERT_EQ(events.size(), 2u);
     EXPECT_NE(events[0].tid, events[1].tid);
+    const auto worker_event =
+        std::find_if(events.begin(), events.end(),
+                     [](const trace::Event& e) { return e.name == "test.lane_worker"; });
+    ASSERT_NE(worker_event, events.end());
+    const std::pair<std::uint32_t, std::string> worker_name{worker_event->tid, "test-worker"};
+    EXPECT_NE(std::find(names.begin(), names.end(), worker_name), names.end());
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "sim/experiment.hpp"
 #include "sim/platform.hpp"
@@ -26,6 +27,24 @@ TEST(Platform, ConfigConsistencyEnforced) {
     cfg = PlatformConfig{};
     cfg.tdc_sample_ticks = {2, 12}; // beyond ticks_per_cycle
     EXPECT_THROW(Platform(cfg, random_qnetwork(1)), ContractError);
+
+    // The tick table matches each list in one ascending pass: a descending
+    // or repeated TDC list would draw one sample per cycle, and a
+    // descending or out-of-cycle capture list would never record its
+    // second DDR capture.
+    using Ticks = std::array<std::size_t, 2>;
+    for (const Ticks ticks : {Ticks{7, 2}, Ticks{2, 2}}) {
+        cfg = PlatformConfig{};
+        cfg.tdc_sample_ticks = ticks;
+        EXPECT_THROW(Platform(cfg, random_qnetwork(1)), ContractError)
+            << ticks[0] << "," << ticks[1];
+    }
+    for (const Ticks ticks : {Ticks{9, 4}, Ticks{4, 12}}) {
+        cfg = PlatformConfig{};
+        cfg.dsp_capture_ticks = ticks;
+        EXPECT_THROW(Platform(cfg, random_qnetwork(1)), ContractError)
+            << ticks[0] << "," << ticks[1];
+    }
 }
 
 TEST(Platform, CosimTraceDimensions) {

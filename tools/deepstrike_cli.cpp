@@ -333,12 +333,11 @@ int cmd_attack(const std::vector<std::string>& args) {
     }
 
     std::vector<accel::OverlayPlan> plans;
+    sim::SweepRunner runner(victim.platform);
     if (parser.flag("blind")) {
-        plans = sim::SweepRunner(victim.platform).blind_bundle(scheme, 10, 777)->plans;
+        plans = runner.blind_bundle(scheme, 10, 777)->plans;
     } else {
-        const accel::VoltageTrace trace = sim::guided_attack_trace(
-            victim.platform, attack::DetectorConfig{}, scheme);
-        plans.push_back(victim.platform.engine().plan_overlay(&trace));
+        plans.push_back(runner.guided_bundle({}, scheme)->plan);
     }
     const sim::AccuracyResult attacked = sim::evaluate_accuracy(
         victim.platform, victim.test_set, images, plans, 1, nullptr, golden.get());
