@@ -426,8 +426,7 @@ ds::attack::AttackScheme conv2_scheme(const ds::sim::Platform& platform,
 /// of the strike trace, then a 25-image evaluation against a golden store.
 /// Set up once and shared by both benchmarks of the pair, together with
 /// the journal the journaled one appends to, so their interleaved
-/// repetitions (main below) pay no set-up and the journal's writer thread
-/// runs across all of them.
+/// repetitions (main below) pay no set-up and append to one file.
 struct GuidedPointRig {
     ds::sim::Platform platform{ds::sim::PlatformConfig{}, bench_weights()};
     ds::data::DatasetPair data = ds::data::make_datasets(11, 1, 25);
@@ -475,9 +474,10 @@ void BM_GuidedCampaignPoint(benchmark::State& state) {
 }
 
 // The same campaign point with checkpoint journaling active, bounding the
-// hot-path cost of crash safety. append() only enqueues; the dedicated
-// writer thread absorbs the write+fsync, so this should track
-// BM_GuidedCampaignPoint within noise (CI gates the pair ratio).
+// hot-path cost of crash safety. append() writes one line on the calling
+// thread and fsyncs once per 8 records, so a point pays one write() and an
+// eighth of an fsync, and this should track BM_GuidedCampaignPoint within
+// noise (CI gates the pair ratio).
 void BM_GuidedCampaignPointJournaled(benchmark::State& state) {
     GuidedPointRig& rig = guided_point_rig();
     for (auto _ : state) {

@@ -1,12 +1,11 @@
 #include "attack/search.hpp"
 
 #include <algorithm>
-#include <cinttypes>
+#include <bit>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -15,25 +14,10 @@ namespace deepstrike::attack {
 namespace {
 
 // IEEE-754 bit-exact float encoding for journal records (the same hex form
-// as the campaign journal; local copies keep ds_attack free of ds_sim).
-std::string bits_hex(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
-    return buf;
-}
+// as the campaign journal's).
+std::string bits_hex(double value) { return to_hex(std::bit_cast<std::uint64_t>(value), 16); }
 
-double from_bits_hex(const std::string& hex) {
-    if (hex.size() != 16 ||
-        hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-        throw FormatError("search record: bad float bit-hex '" + hex + "'");
-    }
-    const std::uint64_t bits = std::strtoull(hex.c_str(), nullptr, 16);
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof value);
-    return value;
-}
+double from_bits_hex(const std::string& hex) { return std::bit_cast<double>(from_hex(hex, 16)); }
 
 Json fault_set_json(const FaultSet& set) {
     Json arr = Json::array();

@@ -63,12 +63,14 @@ Workspace& workspace() {
 
 void count_gemm(std::size_t m, std::size_t n, std::size_t k) {
     if (!metrics::enabled()) return;
-    metrics::counter("quant.gemm.calls", "calls",
-                     "im2col/GEMM layer evaluations dispatched")
-        .add();
-    metrics::counter("quant.gemm.macs", "ops",
-                     "int16 multiply-accumulates executed by GEMM kernels")
-        .add(static_cast<std::uint64_t>(m) * n * k);
+    // The most frequent metric update (every layer call), so the handles
+    // are looked up once, on the first call with metrics on.
+    static metrics::Counter& calls = metrics::counter(
+        "quant.gemm.calls", "calls", "im2col/GEMM layer evaluations dispatched");
+    static metrics::Counter& macs = metrics::counter(
+        "quant.gemm.macs", "ops", "int16 multiply-accumulates executed by GEMM kernels");
+    calls.add();
+    macs.add(static_cast<std::uint64_t>(m) * n * k);
 }
 
 // ------------------------------------------------------------ microkernels

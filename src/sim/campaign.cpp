@@ -1,13 +1,12 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "sim/journal.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -105,34 +104,11 @@ std::string CampaignReport::to_markdown() const {
 }
 
 std::string double_bits_hex(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
+    return to_hex(std::bit_cast<std::uint64_t>(value), 16);
 }
-
-namespace {
-
-/// Strict 16-char lowercase hex -> u64: no sign, prefix or whitespace.
-std::uint64_t uint64_from_hex(const std::string& hex) {
-    const bool lower_hex = std::all_of(hex.begin(), hex.end(), [](char c) {
-        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    });
-    if (hex.size() != 16 || !lower_hex) {
-        throw FormatError("journal: bad 64-bit hex field '" + hex + "'");
-    }
-    return static_cast<std::uint64_t>(std::strtoull(hex.c_str(), nullptr, 16));
-}
-
-} // namespace
 
 double double_from_bits_hex(const std::string& hex) {
-    const std::uint64_t bits = uint64_from_hex(hex);
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
+    return std::bit_cast<double>(from_hex(hex, 16));
 }
 
 namespace {

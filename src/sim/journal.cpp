@@ -1,6 +1,5 @@
 #include "sim/journal.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -46,10 +45,7 @@ void count_recovered(std::size_t n) {
 } // namespace
 
 std::string CheckpointJournal::fingerprint_hex(std::uint64_t fingerprint) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return buf;
+    return to_hex(fingerprint, 16);
 }
 
 std::string CheckpointJournal::format_record(const Json& payload) {
@@ -72,7 +68,7 @@ JournalRecovery CheckpointJournal::recover(const std::string& path,
     while (pos < text.size()) {
         const std::size_t nl = text.find('\n', pos);
         if (nl == std::string::npos) {
-            // No terminating newline: the writer appends each record's
+            // No terminating newline: append() writes each record's
             // newline as its final byte, so an unterminated tail is a
             // torn write from a crash mid-append — recoverable.
             recovery.dropped_partial_tail = true;
@@ -84,17 +80,13 @@ JournalRecovery CheckpointJournal::recover(const std::string& path,
             throw FormatError("journal " + path + ": record " +
                               std::to_string(record_number) + " is malformed");
         }
-        const std::string crc_text = line.substr(0, kCrcChars);
         const std::string body = line.substr(kCrcChars + 1);
-        std::uint32_t expected = 0;
-        for (char c : crc_text) {
-            expected <<= 4;
-            if (c >= '0' && c <= '9') expected |= static_cast<std::uint32_t>(c - '0');
-            else if (c >= 'a' && c <= 'f') expected |= static_cast<std::uint32_t>(c - 'a' + 10);
-            else
-                throw FormatError("journal " + path + ": record " +
-                                  std::to_string(record_number) +
-                                  " has a malformed checksum");
+        std::uint64_t expected = 0;
+        try {
+            expected = from_hex(std::string_view(line).substr(0, kCrcChars), kCrcChars);
+        } catch (const FormatError&) {
+            throw FormatError("journal " + path + ": record " +
+                              std::to_string(record_number) + " has a malformed checksum");
         }
         if (crc32(body) != expected) {
             // A newline-terminated record was fully written, so a bad
@@ -174,7 +166,6 @@ CheckpointJournal::CheckpointJournal(const std::string& path,
         file_.append(format_record(header));
         file_.sync();
     }
-    writer_ = std::thread([this] { writer_loop(); });
 }
 
 std::unique_ptr<CheckpointJournal> CheckpointJournal::create(
@@ -194,97 +185,50 @@ std::unique_ptr<CheckpointJournal> CheckpointJournal::resume(
 }
 
 CheckpointJournal::~CheckpointJournal() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
+    try {
+        flush();
+    } catch (...) {
+        // A destructor must not throw. A caller that must know the tail
+        // is durable calls flush() first, as every sweep does.
     }
-    wake_writer_.notify_all();
-    if (writer_.joinable()) writer_.join();
 }
 
 void CheckpointJournal::append(std::size_t index, Json payload) {
     payload.set("index", static_cast<std::uint64_t>(index));
-    enqueue_line(format_record(payload));
-    count_records(1);
-}
-
-void CheckpointJournal::enqueue_line(std::string line) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (write_error_) std::rethrow_exception(write_error_);
-        if (stop_) throw IoError("journal " + path_ + " is closed");
-        pending_.push_back(std::move(line));
-        ++appended_;
-    }
-    wake_writer_.notify_one();
+    const std::string line = format_record(payload);
+    std::lock_guard<std::mutex> lock(mutex_);
+    persist(line);
 }
 
 void CheckpointJournal::flush() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (write_error_) std::rethrow_exception(write_error_);
-    const std::size_t goal = appended_;
-    if (goal > sync_goal_) sync_goal_ = goal;
-    wake_writer_.notify_one();
-    drained_.wait(lock, [&] { return persisted_ >= goal || write_error_; });
-    if (write_error_) std::rethrow_exception(write_error_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    persist({});
 }
 
 std::size_t CheckpointJournal::appended() const {
-    std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(mutex_));
+    std::lock_guard<std::mutex> lock(mutex_);
     return appended_;
 }
 
-void CheckpointJournal::writer_loop() {
-    // `written` and `persisted_` are mutated only by this thread
-    // (persisted_ under the lock, so flush() can read it safely).
-    std::size_t written = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        wake_writer_.wait(lock, [&] {
-            return stop_ || !pending_.empty() || sync_goal_ > persisted_;
-        });
-        std::vector<std::string> batch;
-        batch.swap(pending_);
-        const bool stopping = stop_;
-        const std::size_t sync_goal = sync_goal_;
-        lock.unlock();
-
-        std::exception_ptr error;
-        std::size_t new_persisted = persisted_;
-        try {
-            if (!batch.empty()) {
-                // One write per drained batch, one fsync per durability
-                // point — the sweep hot path never blocks on either.
-                std::size_t total = 0;
-                for (const std::string& line : batch) total += line.size();
-                std::string buffer;
-                buffer.reserve(total);
-                for (const std::string& line : batch) buffer += line;
-                file_.append(buffer);
-                written += batch.size();
-            }
-            if (written > new_persisted &&
-                (written - new_persisted >= kFsyncBatchRecords ||
-                 stopping || sync_goal > new_persisted)) {
-                file_.sync();
-                count_fsync_batch();
-                new_persisted = written;
-            }
-        } catch (...) {
-            error = std::current_exception();
+void CheckpointJournal::persist(std::string_view line) {
+    // After a failed write or fsync the file may end in a torn line, so
+    // nothing more is written through this handle.
+    if (error_) std::rethrow_exception(error_);
+    try {
+        if (!line.empty()) {
+            file_.append(line);
+            ++appended_;
+            count_records(1);
         }
-
-        lock.lock();
-        if (error) {
-            if (!write_error_) write_error_ = error;
-            // Unblock flushers; they observe write_error_ and rethrow.
-            written = appended_;
-            persisted_ = written;
-        } else {
-            persisted_ = new_persisted;
+        const std::size_t unsynced = appended_ - synced_;
+        if (unsynced >= kFsyncBatchRecords || (line.empty() && unsynced > 0)) {
+            file_.sync();
+            synced_ = appended_;
+            count_fsync_batch();
         }
-        drained_.notify_all();
-        if (stop_ && pending_.empty() && persisted_ >= written) return;
+    } catch (...) {
+        error_ = std::current_exception();
+        throw;
     }
 }
 

@@ -20,23 +20,22 @@
 // whose fingerprint differs — stale results are never silently mixed
 // into a new configuration.
 //
-// Durability model: append() is called from worker threads at point
-// completion and only enqueues the serialized line; a dedicated writer
-// thread drains the queue, writes whole lines, and fsyncs in batches —
-// the sweep hot path never waits on the disk. A crash can lose at most
-// the last un-synced batch (those points simply rerun on resume) and
-// can tear at most the final line (dropped on recovery, detected by
-// the missing newline / failing checksum at EOF). A failing checksum
-// anywhere *before* the tail is corruption, not a torn write, and
-// recovery fails loudly instead of guessing.
+// Durability model: append() writes its record's whole line with one
+// write() on the calling thread, under the journal's mutex, and fsyncs
+// once kFsyncBatchRecords records are unsynced; flush() fsyncs the rest.
+// A crash can lose at most the last un-synced batch (those points simply
+// rerun on resume) and can tear at most the final line (dropped on
+// recovery, detected by the missing newline / failing checksum at EOF). A
+// failing checksum anywhere *before* the tail is corruption, not a torn
+// write, and recovery fails loudly instead of guessing.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "util/atomic_file.hpp"
@@ -63,8 +62,8 @@ struct JournalRecovery {
 
 class CheckpointJournal {
 public:
-    /// The writer fsyncs after this many appended records (and at
-    /// flush/close).
+    /// append() fsyncs once this many records are unsynced (flush() and
+    /// the destructor fsync the rest).
     static constexpr std::size_t kFsyncBatchRecords = 8;
 
     /// Creates (or truncates) `path` and writes the header record.
@@ -82,23 +81,24 @@ public:
                                                      std::uint64_t fingerprint,
                                                      const std::string& sweep);
 
-    /// Validation-only form of resume() (no writer started, file
-    /// untouched). Same failure contract.
+    /// Validation-only form of resume() (file untouched). Same failure
+    /// contract.
     static JournalRecovery recover(const std::string& path,
                                    std::uint64_t fingerprint,
                                    const std::string& sweep);
 
-    ~CheckpointJournal(); // flushes and joins the writer thread
+    ~CheckpointJournal(); // flushes; an error there is dropped
 
     CheckpointJournal(const CheckpointJournal&) = delete;
     CheckpointJournal& operator=(const CheckpointJournal&) = delete;
 
-    /// Appends one record. Thread-safe; returns after enqueueing (the
-    /// writer thread persists asynchronously). Throws IoError if a
-    /// previous write already failed.
+    /// Appends one record: writes its line, then fsyncs if that makes
+    /// kFsyncBatchRecords unsynced records. Thread-safe. Throws IoError
+    /// when the write or fsync fails, and from every later append() and
+    /// flush(), since the file may now end in a torn line.
     void append(std::size_t index, Json payload);
 
-    /// Blocks until every record appended so far is written and fsynced.
+    /// Fsyncs every record appended so far. Throws IoError as append().
     void flush();
 
     const std::vector<JournalRecord>& recovered() const { return recovered_.records; }
@@ -109,15 +109,16 @@ public:
     /// Records appended through this handle (excludes recovered ones).
     std::size_t appended() const;
 
-    /// Formats / parses the 64-bit fingerprint field ("%016x" hex).
+    /// Formats the 64-bit fingerprint field (16 lowercase hex digits).
     static std::string fingerprint_hex(std::uint64_t fingerprint);
 
 private:
     CheckpointJournal(const std::string& path, std::uint64_t fingerprint,
                       const std::string& sweep, bool fresh, JournalRecovery recovery);
 
-    void writer_loop();
-    void enqueue_line(std::string line);
+    /// Writes `line` (a flush passes none) and fsyncs when due. Caller
+    /// holds mutex_.
+    void persist(std::string_view line);
     static std::string format_record(const Json& payload);
 
     std::string path_;
@@ -125,16 +126,10 @@ private:
     JournalRecovery recovered_;
     SyncedAppendFile file_;
 
-    std::mutex mutex_;
-    std::condition_variable wake_writer_;
-    std::condition_variable drained_;
-    std::vector<std::string> pending_;
-    std::size_t appended_ = 0;        // records handed to enqueue_line
-    std::size_t persisted_ = 0;       // records written + fsynced
-    std::size_t sync_goal_ = 0;       // flush() target: fsync through here
-    bool stop_ = false;
-    std::exception_ptr write_error_;
-    std::thread writer_;
+    mutable std::mutex mutex_;
+    std::size_t appended_ = 0; // records written through this handle
+    std::size_t synced_ = 0;   // of those, records fsynced
+    std::exception_ptr error_; // the first failed write or fsync
 };
 
 } // namespace deepstrike::sim

@@ -313,7 +313,7 @@ RunManifest SweepRunner::run(const std::string& sweep_name,
     const auto sweep_start = std::chrono::steady_clock::now();
 
     std::vector<std::exception_ptr> errors(tasks.size());
-    ThreadPool::global().for_each(
+    parallel_for(
         tasks.size(),
         [&](std::size_t i) {
             SweepPointStats& stats = manifest.points[i];

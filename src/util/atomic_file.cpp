@@ -1,17 +1,13 @@
 #include "util/atomic_file.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "util/error.hpp"
-
-#if defined(_WIN32)
-#include <io.h>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace deepstrike {
 
@@ -21,7 +17,6 @@ namespace {
     throw IoError(std::string(op) + " " + path + ": " + std::strerror(errno));
 }
 
-#if !defined(_WIN32)
 /// fsync the directory containing `path` so the rename itself is durable.
 void sync_parent_dir(const std::string& path) {
     const std::size_t slash = path.find_last_of('/');
@@ -31,19 +26,10 @@ void sync_parent_dir(const std::string& path) {
     ::fsync(fd);
     ::close(fd);
 }
-#endif
 
 } // namespace
 
 void atomic_write_file(const std::string& path, std::string_view contents) {
-#if defined(_WIN32)
-    // No atomic-rename-over guarantee; plain rewrite is the best stdio does.
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) throw_io(path, "open");
-    const std::size_t n = std::fwrite(contents.data(), 1, contents.size(), f);
-    const bool ok = n == contents.size() && std::fclose(f) == 0;
-    if (!ok) throw_io(path, "write");
-#else
     const std::string tmp = path + ".tmp." + std::to_string(::getpid());
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) throw_io(tmp, "open");
@@ -69,38 +55,20 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
         throw_io(path, "rename");
     }
     sync_parent_dir(path);
-#endif
 }
 
 SyncedAppendFile::SyncedAppendFile(const std::string& path, bool truncate)
     : path_(path) {
-#if defined(_WIN32)
-    fd_ = -1;
-    std::FILE* f = std::fopen(path.c_str(), truncate ? "wb" : "ab");
-    if (f == nullptr) throw_io(path, "open");
-    file_ = f;
-#else
     const int flags = O_WRONLY | O_CREAT | O_APPEND | (truncate ? O_TRUNC : 0);
     fd_ = ::open(path.c_str(), flags, 0644);
     if (fd_ < 0) throw_io(path, "open");
-#endif
 }
 
 SyncedAppendFile::~SyncedAppendFile() {
-#if defined(_WIN32)
-    if (file_ != nullptr) std::fclose(static_cast<std::FILE*>(file_));
-#else
     if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 void SyncedAppendFile::append(std::string_view bytes) {
-#if defined(_WIN32)
-    auto* f = static_cast<std::FILE*>(file_);
-    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-        throw_io(path_, "write");
-    }
-#else
     std::size_t written = 0;
     while (written < bytes.size()) {
         const ssize_t n = ::write(fd_, bytes.data() + written, bytes.size() - written);
@@ -110,32 +78,16 @@ void SyncedAppendFile::append(std::string_view bytes) {
         }
         written += static_cast<std::size_t>(n);
     }
-#endif
 }
 
 void SyncedAppendFile::sync() {
-#if defined(_WIN32)
-    if (std::fflush(static_cast<std::FILE*>(file_)) != 0) throw_io(path_, "flush");
-#else
     if (::fsync(fd_) != 0) throw_io(path_, "fsync");
-#endif
 }
 
 void truncate_file(const std::string& path, std::uint64_t length) {
-#if defined(_WIN32)
-    // Rewrite-in-place fallback: read prefix, write it back.
-    std::FILE* in = std::fopen(path.c_str(), "rb");
-    if (in == nullptr) throw_io(path, "open");
-    std::string prefix(length, '\0');
-    const std::size_t got = std::fread(prefix.data(), 1, prefix.size(), in);
-    std::fclose(in);
-    prefix.resize(got);
-    atomic_write_file(path, prefix);
-#else
     if (::truncate(path.c_str(), static_cast<off_t>(length)) != 0) {
         throw_io(path, "truncate");
     }
-#endif
 }
 
 } // namespace deepstrike

@@ -1,15 +1,15 @@
 // Crash-safe file primitives for the checkpoint/resume layer.
 //
-// Two things live here, both POSIX-backed (with a plain-stdio fallback
-// where fsync is unavailable):
+// Two things live here, both built on POSIX open/write/fsync/rename, so
+// the file layer needs a POSIX host:
 //
 //   - atomic_write_file(): publish a whole file atomically via
 //     write-to-temp + fsync + rename, so readers (and a resumed run)
 //     never observe a half-written report.
 //   - SyncedAppendFile: an append-only handle with explicit sync(),
 //     the byte sink under sim::CheckpointJournal. Appends are plain
-//     buffered writes; durability points are chosen by the caller
-//     (the journal batches them off the worker hot path).
+//     write() calls; durability points are chosen by the caller (the
+//     journal fsyncs once per batch of records).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@ public:
 
 private:
     std::string path_;
-    int fd_ = -1;        // POSIX descriptor
-    void* file_ = nullptr; // stdio fallback handle (non-POSIX builds)
+    int fd_ = -1;
 };
 
 /// Truncates `path` to `length` bytes (dropping a torn journal tail

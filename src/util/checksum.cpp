@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "util/error.hpp"
+
 namespace deepstrike {
 
 namespace {
@@ -56,14 +58,30 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
     return c ^ 0xFFFFFFFFu;
 }
 
-std::string crc32_hex(std::uint32_t crc) {
-    static const char* digits = "0123456789abcdef";
-    std::string out(8, '0');
-    for (int i = 7; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[crc & 0xFu];
-        crc >>= 4;
-    }
+std::string to_hex(std::uint64_t value, std::size_t digits) {
+    expects((digits == 8 || digits == 16) && (digits == 16 || value >> 32 == 0),
+            "to_hex: 8 or 16 digits that hold the value");
+    static const char* hex_digits = "0123456789abcdef";
+    std::string out(digits, '0');
+    for (std::size_t i = digits; i-- > 0; value >>= 4) out[i] = hex_digits[value & 0xFu];
     return out;
+}
+
+std::uint64_t from_hex(std::string_view hex, std::size_t digits) {
+    expects(digits == 8 || digits == 16, "from_hex: 8 or 16 digits");
+    const auto bad = [&] {
+        return FormatError("bad hex field '" + std::string(hex) + "' (want " +
+                           std::to_string(digits) + " lowercase hex digits)");
+    };
+    if (hex.size() != digits) throw bad();
+    std::uint64_t value = 0;
+    for (const char c : hex) {
+        value <<= 4;
+        if (c >= '0' && c <= '9') value |= static_cast<std::uint64_t>(c - '0');
+        else if (c >= 'a' && c <= 'f') value |= static_cast<std::uint64_t>(c - 'a' + 10);
+        else throw bad();
+    }
+    return value;
 }
 
 } // namespace deepstrike

@@ -7,10 +7,11 @@
 //      (tests/observability_test.cpp enforces this).
 //   2. Sized to the traffic. Instrumented code updates a metric once per
 //      fault-walk block, co-sim lane group, overlay plan, GEMM layer call,
-//      search batch, evaluation or sweep, never per tick or per op, and each
-//      update first looks its metric up by name under the registry mutex.
+//      search batch, evaluation or sweep, never per tick or per op. Most
+//      updates first look their metric up by name under the registry
+//      mutex; the GEMM layer call, the most frequent, caches its handles.
 //      So a counter or gauge is one atomic value and a histogram one record
-//      under its own mutex: a per-thread copy would save no lock.
+//      under its own mutex: at this traffic a per-thread copy saves nothing.
 //   3. Off by default, cheap when off. Collection is gated on a single
 //      relaxed atomic flag set by the sinks (`--metrics-out`); when unset,
 //      every handle method is a load-and-branch no-op. The truly hot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <string>
 
 #include "util/error.hpp"
@@ -14,6 +15,21 @@ namespace {
 std::mutex g_global_pool_mutex;
 std::unique_ptr<ThreadPool> g_global_pool;             // guarded by the mutex
 std::atomic<std::size_t> g_requested_threads{0};       // 0 = auto
+
+/// The sequential loop of for_each at width <= 1 and parallel_for at one
+/// thread: index order, every item runs, the first exception is rethrown
+/// at the end.
+void run_in_order(std::size_t count, const std::function<void(std::size_t)>& fn) {
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < count; ++i) {
+        try {
+            fn(i);
+        } catch (...) {
+            if (!first_error) first_error = std::current_exception();
+        }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+}
 
 } // namespace
 
@@ -37,12 +53,47 @@ std::size_t global_thread_count() {
     return requested == 0 ? default_thread_count() : requested;
 }
 
-struct ThreadPool::Task::State {
-    std::function<void()> fn;
+/// One parallel loop. Items are claimed from `next`; the caller waits
+/// until `finished` reaches `count`. `fn` is only valid until for_each
+/// returns, which is never before every claimable index has finished, so
+/// a late claim (i >= count) returns without touching it.
+struct ThreadPool::Loop {
+    Loop(std::size_t count, const std::function<void(std::size_t)>& fn)
+        : count(count), fn(&fn) {}
+
+    const std::size_t count;
+    const std::function<void(std::size_t)>* const fn;
+    std::atomic<std::size_t> next{0};
     std::mutex mutex;
     std::condition_variable done_cv;
-    bool done = false;
-    std::exception_ptr error;
+    std::size_t finished = 0;  // guarded by mutex
+    std::exception_ptr error;  // first caught; guarded by mutex
+
+    /// Runs items until none is left to claim.
+    void drain() {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count) return;
+            std::exception_ptr item_error;
+            try {
+                (*fn)(i);
+            } catch (...) {
+                item_error = std::current_exception();
+            }
+            bool last = false;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (item_error && !error) error = item_error;
+                last = ++finished == count;
+            }
+            if (last) done_cv.notify_all();
+        }
+    }
+
+    bool done() {
+        std::lock_guard<std::mutex> lock(mutex);
+        return finished == count;
+    }
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -79,125 +130,55 @@ void ThreadPool::stop_and_join() {
 
 void ThreadPool::worker_loop() {
     for (;;) {
-        std::shared_ptr<Task::State> task;
+        std::shared_ptr<Loop> loop;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             work_available_.wait(lock, [this] { return stop_ || !queue_.empty(); });
             if (queue_.empty()) return; // stop_ set and queue drained
-            task = std::move(queue_.front());
+            loop = std::move(queue_.front());
             queue_.pop_front();
         }
-        run_task(task);
+        loop->drain();
     }
 }
 
-void ThreadPool::run_task(const std::shared_ptr<Task::State>& state) {
-    std::function<void()> fn = std::move(state->fn);
-    std::exception_ptr error;
-    try {
-        fn();
-    } catch (...) {
-        error = std::current_exception();
-    }
-    {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        state->error = error;
-        state->done = true;
-    }
-    state->done_cv.notify_all();
-}
-
-std::shared_ptr<ThreadPool::Task::State> ThreadPool::try_pop() {
+std::shared_ptr<ThreadPool::Loop> ThreadPool::try_pop() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.empty()) return nullptr;
-    auto task = std::move(queue_.front());
+    auto loop = std::move(queue_.front());
     queue_.pop_front();
-    return task;
-}
-
-ThreadPool::Task ThreadPool::submit(std::function<void()> fn) {
-    expects(static_cast<bool>(fn), "ThreadPool::submit: callable required");
-    auto state = std::make_shared<Task::State>();
-    state->fn = std::move(fn);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        expects(!stop_, "ThreadPool::submit: pool is shutting down");
-        queue_.push_back(state);
-    }
-    work_available_.notify_one();
-    return Task(this, state);
-}
-
-void ThreadPool::Task::wait() {
-    expects(state_ != nullptr, "ThreadPool::Task::wait: empty handle");
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(state_->mutex);
-            if (state_->done) {
-                if (state_->error) std::rethrow_exception(state_->error);
-                return;
-            }
-        }
-        // Not done: either still queued (we can run it or a sibling
-        // ourselves) or being executed by another thread (then the queue
-        // will drain and we block until its completion signal).
-        if (auto other = pool_->try_pop()) {
-            pool_->run_task(other);
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(state_->mutex);
-        state_->done_cv.wait(lock, [this] { return state_->done; });
-    }
+    return loop;
 }
 
 void ThreadPool::for_each(std::size_t count,
                           const std::function<void(std::size_t)>& fn,
                           std::size_t width) {
     expects(static_cast<bool>(fn), "ThreadPool::for_each: callable required");
-    if (count == 0) return;
-
-    std::size_t w = width == 0 ? thread_count() : width;
-    w = std::min(w, count);
+    const std::size_t w = std::min(width == 0 ? thread_count() : width, count);
     if (w <= 1) {
-        // Strictly sequential, index order. Same semantics as the
-        // concurrent path: every item runs; the first exception is
-        // rethrown after the sweep completes.
-        std::exception_ptr first_error;
-        for (std::size_t i = 0; i < count; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                if (!first_error) first_error = std::current_exception();
-            }
-        }
-        if (first_error) std::rethrow_exception(first_error);
+        run_in_order(count, fn);
         return;
     }
 
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto error_mutex = std::make_shared<std::mutex>();
-    auto first_error = std::make_shared<std::exception_ptr>();
+    auto loop = std::make_shared<Loop>(count, fn);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.insert(queue_.end(), w - 1, loop);
+    }
+    for (std::size_t t = 0; t + 1 < w; ++t) work_available_.notify_one();
 
-    auto drain = [count, &fn, next, error_mutex, first_error]() {
-        for (;;) {
-            const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-            if (i >= count) return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(*error_mutex);
-                if (!*first_error) *first_error = std::current_exception();
-                // Keep draining indices so the sweep finishes promptly.
-            }
+    loop->drain(); // the calling thread participates
+    // Every item is claimed; while some still run elsewhere, help run
+    // other queued loops (which may be the ones those items wait on).
+    while (!loop->done()) {
+        if (std::shared_ptr<Loop> other = try_pop()) {
+            other->drain();
+            continue;
         }
-    };
-
-    std::vector<Task> helpers;
-    helpers.reserve(w - 1);
-    for (std::size_t t = 0; t + 1 < w; ++t) helpers.push_back(submit(drain));
-    drain(); // the calling thread participates
-    for (Task& h : helpers) h.wait();
-    if (*first_error) std::rethrow_exception(*first_error);
+        std::unique_lock<std::mutex> lock(loop->mutex);
+        loop->done_cv.wait(lock, [&] { return loop->finished == count; });
+    }
+    if (loop->error) std::rethrow_exception(loop->error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -213,18 +194,8 @@ ThreadPool& ThreadPool::global() {
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t threads) {
     expects(static_cast<bool>(fn), "parallel_for: callable required");
-    if (count == 0) return;
-    if (threads == 1 || count == 1) {
-        // Avoid touching the pool for sequential sweeps.
-        std::exception_ptr first_error;
-        for (std::size_t i = 0; i < count; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                if (!first_error) first_error = std::current_exception();
-            }
-        }
-        if (first_error) std::rethrow_exception(first_error);
+    if (threads == 1 || count <= 1) {
+        run_in_order(count, fn); // sequential sweeps never touch the pool
         return;
     }
     ThreadPool::global().for_each(count, fn, threads);

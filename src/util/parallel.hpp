@@ -4,17 +4,18 @@
 //
 // One process-wide pool (ThreadPool::global()) is shared by every layer;
 // its width is a runtime knob (set_global_thread_count / the CLI's
-// --threads flag). Tasks may submit further tasks and wait on them from
-// inside the pool: a waiting thread helps execute queued tasks instead of
-// blocking, so nested parallel sections (a campaign point evaluating
-// images in parallel) cannot deadlock. Exceptions thrown by a task are
-// captured and rethrown to whoever waits on it.
+// --threads flag). Its workers are the only threads the program starts.
+// The pool's one operation is a parallel loop: the caller and up to
+// width - 1 workers claim its items from one shared index. A loop may run
+// further loops from inside its items: a caller whose own items are all
+// claimed helps run other queued loops while it waits, so nested loops (a
+// campaign point evaluating images in parallel) cannot deadlock. An
+// exception thrown by an item is rethrown to the loop's caller.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,7 +50,7 @@ public:
     /// started are stopped and joined, and the constructor throws Error.
     explicit ThreadPool(std::size_t threads = 0);
 
-    /// Completes all queued tasks, then joins the workers.
+    /// Drains the queue, then joins the workers.
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -57,36 +58,11 @@ public:
 
     std::size_t thread_count() const { return workers_.size(); }
 
-    /// Handle to a submitted task.
-    class Task {
-    public:
-        Task() = default;
-        bool valid() const { return state_ != nullptr; }
-
-        /// Blocks until the task completes, rethrowing its exception.
-        /// Safe to call from inside the pool (the caller helps execute
-        /// queued tasks while waiting).
-        void wait();
-
-    private:
-        friend class ThreadPool;
-        struct State;
-        Task(ThreadPool* pool, std::shared_ptr<State> state)
-            : pool_(pool), state_(std::move(state)) {}
-
-        ThreadPool* pool_ = nullptr;
-        std::shared_ptr<State> state_;
-    };
-
-    /// Enqueues fn for execution; the returned handle outlives the pool's
-    /// queue entry.
-    Task submit(std::function<void()> fn);
-
     /// Runs fn(i) for i in [0, count) over at most `width` concurrent
-    /// workers (0 = pool width); the calling thread participates. Blocks
-    /// until every item ran; the first exception (by submission order of
-    /// discovery) is rethrown after the sweep completes. width <= 1 runs
-    /// strictly sequentially in index order on the calling thread.
+    /// threads (0 = pool width); the calling thread participates. Blocks
+    /// until every item ran; the first exception caught is rethrown after
+    /// the loop completes. width <= 1 runs strictly sequentially in index
+    /// order on the calling thread.
     void for_each(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t width = 0);
 
@@ -95,15 +71,18 @@ public:
     static ThreadPool& global();
 
 private:
+    struct Loop;
+
     /// Stops the workers once the queue drains and joins them.
     void stop_and_join();
     void worker_loop();
-    void run_task(const std::shared_ptr<Task::State>& state);
-    std::shared_ptr<Task::State> try_pop();
+    std::shared_ptr<Loop> try_pop();
 
     std::mutex mutex_;
     std::condition_variable work_available_;
-    std::deque<std::shared_ptr<Task::State>> queue_;
+    /// One entry per helper a loop asks for; an entry popped after its
+    /// loop returned claims no item.
+    std::deque<std::shared_ptr<Loop>> queue_;
     bool stop_ = false;
     std::vector<std::thread> workers_;
 };

@@ -6,8 +6,12 @@
 // loudly. A journal must never silently mix stale results into a run.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cctype>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +23,7 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace deepstrike::sim {
@@ -108,6 +113,26 @@ TEST(Crc32, SeedChainsIncrementally) {
 TEST(Crc32, HexFormatting) {
     EXPECT_EQ(crc32_hex(0xCBF43926u), "cbf43926");
     EXPECT_EQ(crc32_hex(0x0000000Au), "0000000a");
+}
+
+TEST(Hex, FixedWidthRoundTripsAndRejectsAnythingElse) {
+    EXPECT_EQ(to_hex(0xABCDEF0123456789ULL, 16), "abcdef0123456789");
+    EXPECT_EQ(to_hex(0, 16), "0000000000000000");
+    EXPECT_EQ(from_hex("abcdef0123456789", 16), 0xABCDEF0123456789ULL);
+    EXPECT_EQ(from_hex("0000000a", 8), 0xAu);
+    Rng rng(35);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t v = rng.next();
+        EXPECT_EQ(from_hex(to_hex(v, 16), 16), v);
+        EXPECT_EQ(from_hex(to_hex(v >> 32, 8), 8), v >> 32);
+    }
+    for (const char* bad : {"", "0000000", "000000000", "0000000A", "+000000a", "0x00000a",
+                            " 000000a", "000000a ", "0000000g", "0000000a0000000a0"}) {
+        EXPECT_THROW(from_hex(bad, 8), FormatError) << bad;
+    }
+    EXPECT_THROW(from_hex("0000000a", 16), FormatError); // 8 digits where 16 are due
+    EXPECT_THROW(from_hex("000000000000000a", 8), FormatError);
+    EXPECT_THROW(from_hex(std::string("0000000\0", 8), 8), FormatError);
 }
 
 // -------------------------------------------------------------- atomic file
@@ -298,6 +323,8 @@ TEST(CheckpointJournal, ConcurrentAppendsAllSurvive) {
     const std::string path = temp_path("concurrent.jsonl");
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kPerThread = 50;
+    metrics::reset();
+    metrics::set_enabled(true);
     {
         auto journal = CheckpointJournal::create(path, 99, "unit");
         std::vector<std::thread> workers;
@@ -313,6 +340,14 @@ TEST(CheckpointJournal, ConcurrentAppendsAllSurvive) {
         journal->flush();
         EXPECT_EQ(journal->appended(), kThreads * kPerThread);
     }
+    // One fsync per kFsyncBatchRecords appended records, whichever thread
+    // appends them: a logical count.
+    const std::size_t n = kThreads * kPerThread;
+    const std::size_t batch = CheckpointJournal::kFsyncBatchRecords;
+    EXPECT_EQ(metrics::counter("journal.fsync_batches").total(), (n + batch - 1) / batch);
+    EXPECT_EQ(metrics::counter("journal.records").total(), n);
+    metrics::set_enabled(false);
+    metrics::reset();
     const JournalRecovery rec = CheckpointJournal::recover(path, 99, "unit");
     ASSERT_EQ(rec.records.size(), kThreads * kPerThread);
     std::vector<bool> seen(kThreads * kPerThread, false);
@@ -322,6 +357,46 @@ TEST(CheckpointJournal, ConcurrentAppendsAllSurvive) {
         seen[r.index] = true;
         EXPECT_EQ(r.payload.at("value").as_uint(), r.index * 10);
     }
+    std::remove(path.c_str());
+}
+
+/// Death-test child: caps its own file size just past the journal's
+/// header, so the first record's write() stops short and its retry fails
+/// with EFBIG. Exits 0 when that append and every later call threw IoError.
+[[noreturn]] void fail_a_write_then_exit(const std::string& path) {
+    auto journal = CheckpointJournal::create(path, 7, "unit");
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    getrlimit(RLIMIT_FSIZE, &limit);
+    rlimit capped = limit;
+    capped.rlim_cur = static_cast<rlim_t>(read_file(path).size() + 10);
+    if (setrlimit(RLIMIT_FSIZE, &capped) != 0) std::_Exit(2);
+    int io_errors = 0;
+    const auto count_io_error = [&](const auto& call) {
+        try {
+            call();
+        } catch (const IoError&) {
+            ++io_errors;
+        }
+    };
+    count_io_error([&] { journal->append(0, payload_for(0)); });
+    // Room again: the journal still refuses, since the file now ends in a
+    // torn line.
+    setrlimit(RLIMIT_FSIZE, &limit);
+    count_io_error([&] { journal->append(1, payload_for(1)); });
+    count_io_error([&] { journal->flush(); });
+    count_io_error([&] { journal->append(2, payload_for(2)); });
+    std::_Exit(io_errors == 4 ? 0 : 1);
+}
+
+TEST(CheckpointJournal, FailedWriteThrowsFromThatCallAndEveryLaterOne) {
+    const std::string path = temp_path("efbig.jsonl");
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(fail_a_write_then_exit(path), ::testing::ExitedWithCode(0), "");
+    // The child left a header and a torn tail, which recovery drops.
+    const JournalRecovery rec = CheckpointJournal::recover(path, 7, "unit");
+    EXPECT_TRUE(rec.records.empty());
+    EXPECT_TRUE(rec.dropped_partial_tail);
     std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,51 +23,57 @@ using deepstrike::testing::same_plan;
 
 // ------------------------------------------------------------ thread pool
 
-TEST(ThreadPool, SubmitAndWait) {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<ThreadPool::Task> tasks;
-    for (int i = 0; i < 50; ++i) {
-        tasks.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-    }
-    for (auto& t : tasks) t.wait();
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ExceptionPropagatesToWaiter) {
+TEST(ThreadPool, ReusableAfterALoopThrows) {
     ThreadPool pool(2);
-    ThreadPool::Task bad = pool.submit([] { throw ConfigError("boom"); });
-    EXPECT_THROW(bad.wait(), ConfigError);
-}
+    EXPECT_THROW(pool.for_each(2, [](std::size_t) { throw ConfigError("first"); }),
+                 ConfigError);
 
-TEST(ThreadPool, ReusableAcrossSubmissionsAndAfterException) {
-    ThreadPool pool(2);
-    EXPECT_THROW(pool.submit([] { throw ConfigError("first"); }).wait(), ConfigError);
-
-    // The pool must stay fully usable: several further rounds of work.
+    // The pool must stay fully usable: several further loops.
     std::atomic<int> counter{0};
     for (int round = 0; round < 3; ++round) {
-        std::vector<ThreadPool::Task> tasks;
-        for (int i = 0; i < 20; ++i) {
-            tasks.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-        }
-        for (auto& t : tasks) t.wait();
+        pool.for_each(20, [&counter](std::size_t) { counter.fetch_add(1); });
     }
     EXPECT_EQ(counter.load(), 60);
 }
 
-TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {
-    // A task that submits a subtask and waits for it must finish even on a
-    // single-worker pool (the waiting thread helps run the queue).
+TEST(ThreadPool, NestedTwoWideLoopsFinishOnOneWorker) {
+    // Two-wide loops inside a two-wide loop must finish on a one-worker
+    // pool: a caller whose items are all claimed runs other queued loops
+    // while it waits.
     ThreadPool pool(1);
     std::atomic<int> counter{0};
-    ThreadPool::Task outer = pool.submit([&] {
-        ThreadPool::Task inner = pool.submit([&counter] { counter.fetch_add(1); });
-        inner.wait();
-        counter.fetch_add(1);
-    });
-    outer.wait();
-    EXPECT_EQ(counter.load(), 2);
+    pool.for_each(
+        2,
+        [&](std::size_t) {
+            pool.for_each(2, [&counter](std::size_t) { counter.fetch_add(1); }, 2);
+            counter.fetch_add(1);
+        },
+        2);
+    EXPECT_EQ(counter.load(), 6);
+}
+
+TEST(ThreadPool, ManyShortLoopsCallEachFunctionExactlyItsCount) {
+    // Thousands of loops of 1-8 items: most return while some of their
+    // queue entries are still waiting for a worker. Such an entry is popped
+    // after its function object died and must claim no item; the counts
+    // below (and the sanitizers, for a call into a dead object) show it.
+    constexpr std::size_t kLoops = 3000;
+    std::vector<std::atomic<std::size_t>> calls(kLoops);
+    {
+        ThreadPool pool(4);
+        for (std::size_t r = 0; r < kLoops; ++r) {
+            // On the heap and freed as soon as for_each returns, so a late
+            // call is a use after free.
+            auto fn = std::make_unique<std::function<void(std::size_t)>>(
+                [&calls, r](std::size_t) { calls[r].fetch_add(1, std::memory_order_relaxed); });
+            pool.for_each(1 + r % 8, *fn);
+            fn.reset();
+            EXPECT_EQ(calls[r].load(), 1 + r % 8) << "loop " << r;
+        }
+    } // joins the workers after they drained every late entry
+    for (std::size_t r = 0; r < kLoops; ++r) {
+        ASSERT_EQ(calls[r].load(), 1 + r % 8) << "loop " << r;
+    }
 }
 
 TEST(ThreadPool, NestedForEachInsidePoolTask) {

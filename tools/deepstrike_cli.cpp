@@ -405,8 +405,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
     manifest.metrics_out = sinks.metrics_path;
     manifest.trace_out = sinks.trace_path;
     std::printf("%s", report.to_markdown().c_str());
-    std::printf("\nsweep: %zu points in %.2fs on %zu threads\n",
-                manifest.points.size(), manifest.total_seconds, manifest.threads);
+    // Wall time goes to stderr, so stdout is the same bytes on every run.
+    std::fprintf(stderr, "sweep: %zu points in %.2fs on %zu threads\n",
+                 manifest.points.size(), manifest.total_seconds, manifest.threads);
     if (manifest.points_resumed > 0) {
         std::printf("resumed: %zu points restored from %s\n",
                     manifest.points_resumed, cfg.journal_path.c_str());
@@ -511,10 +512,11 @@ int cmd_search(const std::vector<std::string>& args) {
     manifest.metrics_out = sinks.metrics_path;
     manifest.trace_out = sinks.trace_path;
     std::printf("%s", report.to_markdown().c_str());
-    std::printf("\nsweep: %zu candidates evaluated in %.2fs on %zu threads "
-                "(%zu fitness-cache hits)\n",
-                manifest.points.size(), manifest.total_seconds, manifest.threads,
-                report.fitness_cache_hits);
+    std::fprintf(stderr,
+                 "sweep: %zu candidates evaluated in %.2fs on %zu threads "
+                 "(%zu fitness-cache hits)\n",
+                 manifest.points.size(), manifest.total_seconds, manifest.threads,
+                 report.fitness_cache_hits);
 
     const std::string json_path = parser.option("json");
     if (!json_path.empty()) {
@@ -570,8 +572,8 @@ int cmd_characterize(const std::vector<std::string>& args) {
                     r.min_voltage, 100.0 * r.duplication_rate, 100.0 * r.random_rate,
                     100.0 * r.total_rate());
     }
-    std::printf("sweep: %zu points in %.2fs on %zu threads\n",
-                manifest.points.size(), manifest.total_seconds, manifest.threads);
+    std::fprintf(stderr, "sweep: %zu points in %.2fs on %zu threads\n",
+                 manifest.points.size(), manifest.total_seconds, manifest.threads);
     return sinks.finish() ? 0 : 1;
 }
 
